@@ -9,7 +9,7 @@ from .catalog import (CatalogEntry, as_evaluator, bryant_all_real, catalog_entry
                       eval_catalog, list_catalog, parse_catalog,
                       zhou_reduction_check)
 from .construct import (MetricEvaluator, broken_metric, build_k0, build_kneg1,
-                        build_kpos1, evaluate, projective_factor_exact)
+                        build_kpos1)
 from .errors import (BranchCutError, DimensionMismatchError, DomainError,
                      ProjFlatError, SolverError, SpecParseError)
 from .norms import (BryantPair, CombinedNorm, DoubleSqrtNorm, EuclideanNorm,
@@ -17,7 +17,7 @@ from .norms import (BryantPair, CombinedNorm, DoubleSqrtNorm, EuclideanNorm,
                     check_minkowski, combine, format_norm, parse_norm)
 from .solver import (SolveResult, SolverConfig, implicit_derivatives,
                      pair_radius_estimate, radius_estimate, solve_complex,
-                     solve_complex_nested, solve_real)
+                     solve_real)
 from .verify import (GeodesicResult, JetData, VerificationReport,
                      berwald_system_residual, collinearity_score,
                      convexity_check, flag_curvature,

@@ -3,18 +3,16 @@
 JSON goes to stdout (for scripts), a one-line human summary to stderr.
 Exit codes: 0 success / all checks passed, 1 checks ran but some failed,
 2 parse error, 3 domain error, 4 solver failure.  Identical command line
-and seed produce byte-identical output.  FINSLER_THREADS > 1 runs sample
-sweeps on a thread pool; assembly order is fixed, so output does not
-depend on the worker count.
+and seed produce byte-identical output.  Inputs are checked before any
+evaluation: vectors and grid bounds must be finite, and dim, samples,
+radius and steps positive; a bad value exits 2.
 """
 
 import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,34 +36,27 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FINSLER_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map(fn, items):
-    n = _threads()
-    if n == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.asarray([float(v) for v in text.split(",")], dtype=float)
+        vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise SpecParseError(f"bad vector '{text}'") from exc
+    if not np.isfinite(vec).all():
+        raise SpecParseError(f"vector '{text}' has non-finite components")
+    return vec
+
+
+def _require_positive(flag: str, value) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise SpecParseError(f"{flag} must be positive and finite; got {value}")
 
 
 def _solver_cfg(args) -> SolverConfig:
-    return SolverConfig(
-        tolerance=getattr(args, "solver_tol", None) or 1e-13,
-        max_iterations=getattr(args, "solver_iters", None) or 200,
-        damping=getattr(args, "solver_damping", None) or 1.0,
-    )
+    """Solver settings from the flags that were given; SolverConfig holds
+    the defaults and rejects out-of-range values."""
+    flags = {"tolerance": args.solver_tol, "max_iterations": args.solver_iters,
+             "damping": args.solver_damping}
+    return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
 def parse_metric(text: str, dimension: int, cfg: SolverConfig):
@@ -156,7 +147,7 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_report(name, metric, points, residual_fn, tolerance, extra=None):
-    residuals = _map(lambda pt: residual_fn(*pt), points)
+    residuals = [residual_fn(*pt) for pt in points]
     return vfy.make_report(name, points, residuals, tolerance, extra=extra)
 
 
@@ -197,7 +188,7 @@ def _run_check(name, metric, rng, radius, samples, tol):
                              lambda x, y: vfy.hamel_residual(metric, x, y), tol)
     if name == "curvature":
         target = metric.intended_curvature
-        values = _map(lambda pt: vfy.flag_curvature(metric, *pt), points)
+        values = [vfy.flag_curvature(metric, *pt) for pt in points]
         if target is None:
             center = float(np.median(values))
             residuals = [abs(v - center) for v in values]
@@ -230,6 +221,9 @@ def _parse_tol_overrides(text):
 
 
 def cmd_verify(args) -> int:
+    _require_positive("--dim", args.dim)
+    _require_positive("--samples", args.samples)
+    _require_positive("--radius", args.radius)
     metric = parse_metric(args.metric, args.dim, _solver_cfg(args))
     names = [c.strip() for c in args.checks.split(",")] if args.checks else list(CHECK_NAMES)
     for c in names:
@@ -261,6 +255,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _require_positive("--dim", args.dim)
+    _require_positive("--samples", args.samples)
+    _require_positive("--radius", args.radius)
     cfg = _solver_cfg(args)
     m_a = parse_metric(args.metric, args.dim, cfg)
     m_b = parse_metric(args.metric_b, args.dim, cfg)
@@ -277,7 +274,7 @@ def cmd_compare(args) -> int:
         diff = abs(fa - fb)
         return diff, diff / max(abs(fa), abs(fb), 1e-300)
 
-    results = _map(one, list(zip(xs, ys)))
+    results = [one(pt) for pt in zip(xs, ys)]
     abs_diffs = [r[0] for r in results]
     rel_diffs = [r[1] for r in results]
     worst = int(np.argmax(rel_diffs))
@@ -302,6 +299,8 @@ def _parse_grid(text: str):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise SpecParseError("grid count must be >= 1")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise SpecParseError(f"grid axis '{chunk}' has non-finite bounds")
         axes.append(np.linspace(lo, hi, count))
     return axes
 
@@ -329,7 +328,7 @@ def cmd_sample(args) -> int:
         except DomainError:
             return "", "", ""
 
-    rows = _map(one, list(grid_points))
+    rows = [one(gp) for gp in grid_points]
     header = ([f"x{i+1}" for i in range(dim)] + [f"y{i+1}" for i in range(dim)]
               + ["F", "P", "K"])
     with open(args.out, "w", newline="") as fh:
@@ -351,6 +350,7 @@ def cmd_geodesic(args) -> int:
     v0 = _parse_vector(args.y)
     if x0.size != v0.size:
         raise SpecParseError("x and y must have the same length")
+    _require_positive("--steps", args.steps)
     metric = parse_metric(args.metric, x0.size, _solver_cfg(args))
     traj = vfy.integrate_geodesic(metric, x0, v0, args.t_end, args.steps)
     score = vfy.collinearity_score(traj, x0, v0)

@@ -88,14 +88,6 @@ class MetricEvaluator:
         return float(self.p_exact(x, y))
 
 
-def evaluate(m: MetricEvaluator, x, y) -> float:
-    return m.eval(x, y)
-
-
-def projective_factor_exact(m: MetricEvaluator, x, y) -> float:
-    return m.projective_factor_exact(x, y)
-
-
 def _domain_from(radius: float) -> float:
     return math.inf if math.isinf(radius) else DOMAIN_SAFETY * radius
 

@@ -2,15 +2,47 @@
 
 Unit directions come from low-discrepancy constructions (golden-angle
 spirals for n <= 3, Halton-driven Gaussian directions above), so every
-report built on them is reproducible without a seed.  Random sweeps take
-an explicit ``numpy.random.Generator`` and are reproducible given one.
+report built on them is reproducible without a seed.  The Halton points
+are radical inverses in the first ``dim`` primes (Halton 1960), mapped to
+Gaussians through the inverse normal CDF of ``statistics.NormalDist``
+(Wichura's AS241).  Random sweeps take an explicit
+``numpy.random.Generator`` and are reproducible given one.
 """
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+
+
+def _first_primes(count: int) -> list:
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _halton(dim: int, count: int) -> np.ndarray:
+    """Unscrambled Halton points at indices 1..count, one per row.
+
+    Index 0 (the origin) is skipped.  Digits are summed from the least
+    significant one up, so the points equal the usual van der Corput
+    recursion bit for bit.
+    """
+    index = np.arange(1, count + 1)
+    points = np.zeros((count, dim))
+    for j, base in enumerate(_first_primes(dim)):
+        quotient = index.copy()
+        scale = 1.0 / base
+        while quotient.any():
+            points[:, j] += (quotient % base) * scale
+            quotient //= base
+            scale /= base
+    return points
 
 
 def unit_directions(dim: int, count: int) -> np.ndarray:
@@ -29,10 +61,10 @@ def unit_directions(dim: int, count: int) -> np.ndarray:
         rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         theta = GOLDEN_ANGLE * np.arange(count)
         return np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
-    engine = qmc.Halton(d=dim, scramble=False)
-    engine.fast_forward(1)  # first unscrambled point is the origin
-    u = engine.random(count)
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    # Halton coordinates at indices >= 1 lie strictly inside (0, 1)
+    inv_cdf = NormalDist().inv_cdf
+    u = _halton(dim, count)
+    g = np.array([inv_cdf(v) for v in u.ravel()]).reshape(u.shape)
     norms = np.linalg.norm(g, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return g / norms

@@ -14,9 +14,7 @@ to x it falls back to pure bisection).
 
 The complex problem Z = phi(y + x Z) + i psi(y + x Z) is solved by damped
 Picard iteration seeded at phi(y) + i psi(y); the map is a contraction on
-the same ball.  A nested scalar strategy (root in the real part for each
-imaginary part, then a root in the imaginary part) is kept as an
-independent cross-check.
+the same ball.
 
 First derivatives of the solved field follow from implicit
 differentiation:
@@ -234,73 +232,3 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
             break
     raise SolverError("complex fixed-point iteration failed to converge; "
                       "the base point is likely outside the validity region")
-
-
-def solve_complex_nested(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
-                         cfg: SolverConfig = None) -> SolveResult:
-    """Independent route to the complex fixed point: for each imaginary
-    part s, solve the real part t(s) as a scalar root, then close s with
-    an outer scalar root.  Used to cross-check solve_complex."""
-    cfg = cfg or DEFAULT_CONFIG
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-
-    def g(t, s):
-        return _pair_value(phi, psi, y + x * (t + 1j * s))
-
-    z0 = _pair_value(phi, psi, y)
-
-    def t_of(s):
-        def f(t):
-            return t - g(t, s).real
-        t = z0.real
-        width = max(1.0, abs(t))
-        lo, hi = t - width, t + width
-        rounds = 0
-        while f(lo) > 0.0 or f(hi) < 0.0:
-            rounds += 1
-            if rounds > 80:
-                raise SolverError("inner bracket expansion failed")
-            width *= cfg.bracket_expansion
-            lo, hi = t - width, t + width
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= _REFINE_FLOOR * (1.0 + abs(mid)):
-                break
-        return 0.5 * (lo + hi)
-
-    def h(s):
-        return s - g(t_of(s), s).imag
-
-    s = z0.imag
-    width = max(1.0, abs(s))
-    lo, hi = s - width, s + width
-    rounds = 0
-    while h(lo) > 0.0 or h(hi) < 0.0:
-        rounds += 1
-        if rounds > 80:
-            raise SolverError("outer bracket expansion failed")
-        width *= cfg.bracket_expansion
-        lo, hi = s - width, s + width
-    iterations = 0
-    for _ in range(90):
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _REFINE_FLOOR * (1.0 + abs(mid)):
-            break
-    s = 0.5 * (lo + hi)
-    t = t_of(s)
-    z = complex(t, s)
-    residual = abs(z - g(t, s))
-    if residual > cfg.tolerance * 10.0:
-        raise SolverError(f"nested solve residual {residual:.3e} above tolerance")
-    return SolveResult(value=z, eta=y + x * z, residual=float(residual),
-                       iterations=iterations, converged=True)

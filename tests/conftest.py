@@ -10,14 +10,3 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def sample_ball(rng, dim, radius, count):
-    g = rng.standard_normal((count, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return g * (radius * rng.random(count)[:, None] ** (1.0 / dim))
-
-
-def sample_sphere(rng, dim, count):
-    g = rng.standard_normal((count, dim))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)

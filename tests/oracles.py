@@ -1,12 +1,15 @@
-"""Closed-form reference values used as independent oracles in tests.
+"""Reference values used as independent oracles in tests.
 
-These are written directly from the printed formulas with numpy
-arithmetic, separate from the package's catalog implementations, so the
-constructive solvers and the catalog transcriptions are both checked
-against a second route.
+The closed forms are written directly from the printed formulas with
+numpy arithmetic, separate from the package's catalog implementations, so
+the constructive solvers and the catalog transcriptions are both checked
+against a second route.  ``solve_complex_nested`` is a second route to
+the complex fixed point, built from the public norm interface only.
 """
 
 import numpy as np
+
+from projflat import SolveResult, SolverConfig, SolverError
 
 
 def _d(x, y):
@@ -103,3 +106,66 @@ def zhou_two_term(d1, d2, sign, x, y):
         a = 2.0 * d2 + s * 4.0 * d1**2 - xx
         total += (np.sqrt(a * yy + xy**2) + ns * xy) / a
     return 0.5 * total
+
+
+def solve_complex_nested(phi, psi, x, y, cfg=None):
+    """Independent route to the complex fixed point Z = (phi + i psi)(y + x Z):
+    for each imaginary part s, solve the real part t(s) as a scalar root by
+    bisection, then close s with an outer scalar root.  Cross-checks the
+    damped Picard iteration of ``projflat.solve_complex``."""
+    cfg = cfg or SolverConfig()
+    floor = 4.0 * float(np.finfo(float).eps)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+
+    def pair(w):
+        if not w.any():
+            return 0j
+        return complex(phi.eval_complex(w) + 1j * psi.eval_complex(w))
+
+    def g(t, s):
+        return pair(y + x * (t + 1j * s))
+
+    def bracket(fn, center, what):
+        width = max(1.0, abs(center))
+        lo, hi = center - width, center + width
+        rounds = 0
+        while fn(lo) > 0.0 or fn(hi) < 0.0:
+            rounds += 1
+            if rounds > 80:
+                raise SolverError(f"{what} bracket expansion failed")
+            width *= cfg.bracket_expansion
+            lo, hi = center - width, center + width
+        return lo, hi
+
+    def bisect(fn, lo, hi):
+        iterations = 0
+        for _ in range(90):
+            iterations += 1
+            mid = 0.5 * (lo + hi)
+            if fn(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= floor * (1.0 + abs(mid)):
+                break
+        return 0.5 * (lo + hi), iterations
+
+    z0 = pair(y)
+
+    def t_of(s):
+        def f(t):
+            return t - g(t, s).real
+        return bisect(f, *bracket(f, z0.real, "inner"))[0]
+
+    def h(s):
+        return s - g(t_of(s), s).imag
+
+    s, iterations = bisect(h, *bracket(h, z0.imag, "outer"))
+    t = t_of(s)
+    z = complex(t, s)
+    residual = abs(z - g(t, s))
+    if residual > cfg.tolerance * 10.0:
+        raise SolverError(f"nested solve residual {residual:.3e} above tolerance")
+    return SolveResult(value=z, eta=y + x * z, residual=float(residual),
+                       iterations=iterations, converged=True)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import sample_ball, sample_sphere
 from projflat import (BryantPair, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
                       ScaledNorm, ZeroNorm, as_evaluator, broken_metric,
                       build_k0, build_kneg1, build_kpos1, bryant_all_real,
@@ -18,6 +17,7 @@ from projflat import (BryantPair, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
                       integrate_geodesic, master_pde_residual,
                       projective_factor_numeric, solve_real,
                       zhou_reduction_check)
+from projflat.sampling import ball_points, sphere_points
 
 E2 = EuclideanNorm(2)
 Z2 = ZeroNorm(2)
@@ -31,8 +31,8 @@ def report(num, name, ok, detail):
 
 def curvature_sweep(metric, radius, count, seed=SEED):
     rng = np.random.default_rng(seed)
-    xs = sample_ball(rng, metric.dimension, radius, count)
-    ys = sample_sphere(rng, metric.dimension, count)
+    xs = ball_points(rng, metric.dimension, radius, count)
+    ys = sphere_points(rng, metric.dimension, count)
     return np.array([flag_curvature(metric, x, y) for x, y in zip(xs, ys)])
 
 
@@ -65,8 +65,8 @@ def test_criterion_04_bryant():
     ent = catalog_entry("bryant", 2, alpha=alpha)
     worst_forms = 0.0
     for _ in range(50):
-        x = sample_ball(rng, 2, 0.5, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+        x = ball_points(rng, 2, 0.5, 1)[0]
+        y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
         worst_forms = max(worst_forms,
                           abs(eval_catalog(ent, x, y) - bryant_all_real(alpha, x, y)))
     ok = worst_k <= 1e-3 and worst_forms <= 1e-12
@@ -117,8 +117,8 @@ def test_criterion_05_constructor_catalog_equivalence():
             else reference.eval
         worst = 0.0
         for _ in range(100):
-            x = sample_ball(rng, 2, radius, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+            x = ball_points(rng, 2, radius, 1)[0]
+            y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
             a = built.eval(x, y)
             b = ref(x, y)
             worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
@@ -133,8 +133,8 @@ def test_criterion_06_double_sqrt_example():
     rng = np.random.default_rng(SEED)
     worst_h, worst_k = 0.0, 0.0
     for _ in range(20):
-        x = sample_ball(rng, 2, 0.2, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.2, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         worst_h = max(worst_h, hamel_residual(m, x, y))
         worst_k = max(worst_k, abs(flag_curvature(m, x, y) - 1.0))
     worst_r = 0.0
@@ -157,8 +157,8 @@ def test_criterion_07_zhou():
         limit = np.sqrt(2.0 * (d2 - d1))
         for sign in (1, -1):
             for _ in range(20):
-                x = sample_ball(rng, 2, 0.8 * limit, 1)[0]
-                y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+                x = ball_points(rng, 2, 0.8 * limit, 1)[0]
+                y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
                 lhs, rhs = zhou_reduction_check(d1, d2, sign, x, y)
                 worst_id = max(worst_id, abs(lhs - rhs))
         m = as_evaluator(catalog_entry("zhou", 2, d1=d1, d2=d2, sign=1))
@@ -183,7 +183,7 @@ def test_criterion_08_origin_recovery():
         for build in (build_k0, build_kneg1, build_kpos1):
             m = build(psi, phi)
             for _ in range(5):
-                y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+                y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
                 worst = max(worst, abs(m.eval(np.zeros(2), y) - psi.eval_real(y)))
                 worst = max(worst, abs(m.projective_factor_exact(np.zeros(2), y)
                                        - phi.eval_real(y)))
@@ -196,8 +196,8 @@ def test_criterion_09_master_pde():
     worst_exact = 0.0
     for phi in (ScaledNorm(2, 0.3), EuclideanNorm(2), RandersNorm(2, (0.2, 0.1))):
         for _ in range(20):
-            x = sample_ball(rng, 2, 0.25, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0]
+            x = ball_points(rng, 2, 0.25, 1)[0]
+            y = sphere_points(rng, 2, 1)[0]
             res = solve_real(phi, x, y)
             p_y, p_x = implicit_derivatives(phi, res, x, y)
             p_back = phi.eval_real(res.eta)
@@ -206,8 +206,8 @@ def test_criterion_09_master_pde():
     for m in (build_kneg1(E2, ScaledNorm(2, 0.3)),
               build_kpos1(E2, ScaledNorm(2, 0.3))):
         for _ in range(15):
-            x = sample_ball(rng, 2, 0.8 * m.domain_radius, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0]
+            x = ball_points(rng, 2, 0.8 * m.domain_radius, 1)[0]
+            y = sphere_points(rng, 2, 1)[0]
             worst_fd = max(worst_fd, master_pde_residual(m, x, y))
     ok = worst_exact <= 1e-10 and worst_fd <= 1e-6
     report(9, "transport identity Phi_x = Phi Phi_y", ok,
@@ -228,8 +228,8 @@ def test_criterion_10_geodesic_straightness():
     for name, m in metrics.items():
         inner = 0.2 * min(m.domain_radius, 1.0)
         for _ in range(5):
-            x0 = sample_ball(rng, 2, inner, 1)[0]
-            v0 = sample_sphere(rng, 2, 1)[0]
+            x0 = ball_points(rng, 2, inner, 1)[0]
+            v0 = sphere_points(rng, 2, 1)[0]
             traj = integrate_geodesic(m, x0, v0, 0.15, 100)
             assert traj.points.shape[0] >= 10, name
             worst = max(worst, collinearity_score(traj, x0, v0))
@@ -245,10 +245,10 @@ def test_criterion_11_solver_oracle():
     unique = True
     for i in range(100):
         phi = phis[i % len(phis)]
-        sup = max(abs(phi.eval_real(u)) for u in sample_sphere(rng, 2, 16)) or 0.0
+        sup = max(abs(phi.eval_real(u)) for u in sphere_points(rng, 2, 16)) or 0.0
         radius = 0.8 * (0.5 / max(sup, 1e-9)) if sup else 1.0
-        x = sample_ball(rng, 2, min(radius, 2.0), 1)[0]
-        y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+        x = ball_points(rng, 2, min(radius, 2.0), 1)[0]
+        y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
         res = solve_real(phi, x, y)
         eta = y + x * res.value
         f_back = abs(res.value - (phi.eval_real(eta) if eta.any() else 0.0))
@@ -291,8 +291,8 @@ def test_criterion_12_negative_control():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(10):
-        x = sample_ball(rng, 2, 0.5, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.5, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         worst = max(worst, hamel_residual(m, x, y))
     report(12, "broken metric fails the flatness check", worst > 1e-3,
            f"max residual = {worst:.2e}")

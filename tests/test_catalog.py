@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import sample_ball, sample_sphere
 from projflat import (DomainError, SpecParseError, as_evaluator, bryant_all_real,
                       catalog_entry, eval_catalog, flag_curvature,
                       hamel_residual, list_catalog, parse_catalog,
                       zhou_reduction_check)
-from projflat.sampling import rotation_matrix
+from projflat.sampling import ball_points, rotation_matrix, sphere_points
 
 
 def test_funk_values():
@@ -33,8 +32,8 @@ def test_bryant_two_renderings_agree(rng):
     for alpha in (np.pi / 6, np.pi / 4, np.pi / 3):
         ent = catalog_entry("bryant", 2, alpha=alpha)
         for _ in range(40):
-            x = sample_ball(rng, 2, 0.5, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+            x = ball_points(rng, 2, 0.5, 1)[0]
+            y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
             a = eval_catalog(ent, x, y)
             b = bryant_all_real(alpha, x, y)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
@@ -45,8 +44,8 @@ def test_bryant_no_domain_error_on_half_ball(rng):
     for alpha in (np.pi / 6, np.pi / 4, np.pi / 3):
         ent = catalog_entry("bryant", 2, alpha=alpha)
         for _ in range(25):
-            x = sample_ball(rng, 2, 0.5, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0]
+            x = ball_points(rng, 2, 0.5, 1)[0]
+            y = sphere_points(rng, 2, 1)[0]
             assert eval_catalog(ent, x, y) > 0.0
 
 
@@ -68,8 +67,8 @@ def test_double_sqrt_restriction_to_first_block():
 def test_double_sqrt_matches_oracle(rng):
     ent = catalog_entry("dsr-new", 2, n=1, m=1)
     for _ in range(20):
-        x = sample_ball(rng, 2, 0.3, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.3, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         assert eval_catalog(ent, x, y) == pytest.approx(
             oracles.double_sqrt_metric(1, x, y), rel=1e-12)
 
@@ -80,8 +79,8 @@ def test_sph_families_match_oracles(rng):
     kn = catalog_entry("sph-kneg1", 2, c=c)
     kp = catalog_entry("sph-kpos1", 2, c=c)
     for _ in range(20):
-        x = sample_ball(rng, 2, 0.5, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+        x = ball_points(rng, 2, 0.5, 1)[0]
+        y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
         assert eval_catalog(k0, x, y) == pytest.approx(oracles.sph_k0(c, 1, x, y), rel=1e-12)
         assert eval_catalog(kn, x, y) == pytest.approx(oracles.sph_kneg1(c, x, y), rel=1e-12)
         assert eval_catalog(kp, x, y) == pytest.approx(oracles.sph_kpos1(c, x, y), rel=1e-12)
@@ -92,8 +91,8 @@ def test_sph_k0_branches_swap_under_drift_sign(rng):
     plus = catalog_entry("sph-k0", 2, c=0.3, branch=1)
     minus = catalog_entry("sph-k0", 2, c=-0.3, branch=-1)
     for _ in range(10):
-        x = sample_ball(rng, 2, 0.5, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.5, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         assert eval_catalog(plus, x, y) == pytest.approx(
             eval_catalog(minus, x, y), rel=1e-13)
 
@@ -101,8 +100,8 @@ def test_sph_k0_branches_swap_under_drift_sign(rng):
 def test_sph_kneg1_unit_constant_matches_display(rng):
     ent = catalog_entry("sph-kneg1", 2, c=1.0)
     for _ in range(10):
-        x = sample_ball(rng, 2, 0.4, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.4, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         assert eval_catalog(ent, x, y) == pytest.approx(
             oracles.kneg1_unit_pair_display(x, y), rel=1e-12)
 
@@ -127,15 +126,15 @@ def test_zhou_reduction_sweep(rng):
         limit = math.sqrt(2.0 * (d2 - d1))
         worst = 0.0
         for _ in range(20):
-            x = sample_ball(rng, 2, 0.8 * limit, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+            x = ball_points(rng, 2, 0.8 * limit, 1)[0]
+            y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
             for sign in (1, -1):
                 lhs, rhs = zhou_reduction_check(d1, d2, sign, x, y)
                 worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-9
         # cross-check against the independent two-term oracle
-        x = sample_ball(rng, 2, 0.5 * limit, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.5 * limit, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         lhs, _ = zhou_reduction_check(d1, d2, 1, x, y)
         assert lhs == pytest.approx(oracles.zhou_two_term(d1, d2, 1, x, y), rel=1e-12)
 
@@ -169,8 +168,8 @@ def test_spherical_symmetry_under_rotations(rng):
     for ent in entries:
         for _ in range(10):
             s = rotation_matrix(rng, 3)
-            x = sample_ball(rng, 3, 0.3, 1)[0]
-            y = sample_sphere(rng, 3, 1)[0]
+            x = ball_points(rng, 3, 0.3, 1)[0]
+            y = sphere_points(rng, 3, 1)[0]
             a = eval_catalog(ent, x, y)
             b = eval_catalog(ent, s @ x, s @ y)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a)), ent.name
@@ -183,8 +182,8 @@ def test_double_sqrt_blockwise_symmetry(rng):
         s1 = rotation_matrix(rng, 2)
         s2 = rotation_matrix(rng, 2)
         s = np.block([[s1, np.zeros((2, 2))], [np.zeros((2, 2)), s2]])
-        x = sample_ball(rng, 4, 0.25, 1)[0]
-        y = sample_sphere(rng, 4, 1)[0]
+        x = ball_points(rng, 4, 0.25, 1)[0]
+        y = sphere_points(rng, 4, 1)[0]
         a = eval_catalog(ent, x, y)
         b = eval_catalog(ent, s @ x, s @ y)
         assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
@@ -243,8 +242,8 @@ def test_all_entries_projectively_flat_with_known_curvature(rng):
         tol_k = 1e-3 if ent.name == "dsr-new" else 1e-4
         ks = []
         for _ in range(50):
-            x = sample_ball(rng, 2, radius, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0]
+            x = ball_points(rng, 2, radius, 1)[0]
+            y = sphere_points(rng, 2, 1)[0]
             assert hamel_residual(m, x, y) <= 1e-6, ent.name
             ks.append(flag_curvature(m, x, y))
         ks = np.asarray(ks)

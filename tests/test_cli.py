@@ -259,3 +259,43 @@ def test_thread_env_does_not_change_output(tmp_path):
                        env=child_env(FINSLER_THREADS="4"), cwd=tmp_path)
     assert a.returncode == b.returncode == 0, (a.stderr, b.stderr)
     assert a.stdout == b.stdout
+
+
+FUNK_PAIR = ("--metric", "catalog:funk", "--metric-b", "catalog:funk")
+BRYANT_EVAL = ("eval", "--metric", "construct:1:bryant:0.5236", "--x", "0.1,0", "--y", "0,1")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--metric", "test:broken", "--checks", "hamel", "--samples", "0"), "--samples"),
+    (("verify", "--metric", "catalog:funk", "--checks", "hamel", "--radius", "-1"), "--radius"),
+    (("verify", "--metric", "catalog:funk", "--checks", "hamel", "--radius", "0"), "--radius"),
+    (("compare",) + FUNK_PAIR + ("--samples", "0"), "--samples"),
+    (("compare",) + FUNK_PAIR + ("--radius", "-1"), "--radius"),
+    (("verify", "--metric", "catalog:funk", "--checks", "hamel", "--dim", "0"), "--dim"),
+    (("compare",) + FUNK_PAIR + ("--dim", "0"), "--dim"),
+    (("eval", "--metric", "catalog:funk", "--x", "nan,0", "--y", "0,1"), "non-finite"),
+    (("eval", "--metric", "catalog:funk", "--x", "0,0", "--y", "inf,1"), "non-finite"),
+    (("geodesic", "--metric", "catalog:funk", "--x", "0.1,0", "--y", "0,1", "--steps", "0"),
+     "--steps"),
+    (("sample", "--metric", "catalog:funk", "--grid=nan:0.5:3,0:0:1", "--y", "0,1",
+      "--out", "unused.csv"), "non-finite"),
+    (BRYANT_EVAL + ("--solver-tol", "0"), "tolerance"),
+    (BRYANT_EVAL + ("--solver-iters", "0"), "max_iterations"),
+    (BRYANT_EVAL + ("--solver-damping", "0"), "damping"),
+])
+def test_bad_input_exits_parse_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["type"] == "parse"
+    assert message in error["message"]
+
+
+def test_import_does_not_load_scipy(tmp_path):
+    probe = "import sys, projflat; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import sample_ball, sample_sphere
 from projflat import (BryantPair, EuclideanNorm, RandersNorm, ScaledNorm,
                       SolverConfig, SolverError, ZeroNorm, combine,
                       implicit_derivatives, pair_radius_estimate,
-                      radius_estimate, solve_complex, solve_complex_nested,
-                      solve_real)
+                      radius_estimate, solve_complex, solve_real)
+from projflat.sampling import ball_points, sphere_points
 
 
 def bisect_oracle(fn, lo, hi, iters=200):
@@ -56,8 +55,8 @@ def test_negative_scale_closed_form(rng):
     c = -0.6
     phi = ScaledNorm(2, c)
     for _ in range(20):
-        x = sample_ball(rng, 2, 0.8 * radius_estimate(phi), 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.8 * radius_estimate(phi), 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         res = solve_real(phi, x, y)
         assert res.value == pytest.approx(oracles.root_scaled(c, x, y), abs=1e-10)
 
@@ -77,8 +76,8 @@ def test_residual_recheck_independent(rng):
     for phi in PHIS:
         r = 0.8 * min(radius_estimate(phi), 10.0)
         for _ in range(20):
-            x = sample_ball(rng, 2, r, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+            x = ball_points(rng, 2, r, 1)[0]
+            y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
             res = solve_real(phi, x, y)
             eta = y + x * res.value
             recheck = abs(res.value - (phi.eval_real(eta) if eta.any() else 0.0))
@@ -93,10 +92,10 @@ def test_uniqueness_scan_and_bisection_match(rng):
     while instances < 100:
         phi = PHIS[instances % len(PHIS)]
         r = 0.8 * min(radius_estimate(phi), 10.0)
-        x = sample_ball(rng, 2, r, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
+        x = ball_points(rng, 2, r, 1)[0]
+        y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
         instances += 1
-        sup = max(abs(phi.eval_real(u)) for u in sample_sphere(rng, 2, 32))
+        sup = max(abs(phi.eval_real(u)) for u in sphere_points(rng, 2, 32))
         bound = sup * float(np.linalg.norm(y)) / max(1.0 - sup * float(np.linalg.norm(x)), 0.1)
         t_max = 1.5 * bound + 1.0
 
@@ -140,8 +139,8 @@ def test_master_pde_by_finite_differences(rng):
     for i in range(100):
         phi = PHIS[i % len(PHIS)]
         r = 0.7 * min(radius_estimate(phi), 10.0)
-        x = sample_ball(rng, 2, r, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, r, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         val = solve_real(phi, x, y).value
 
         def field(xx, yy):
@@ -160,8 +159,8 @@ def test_implicit_derivatives_match_finite_differences(rng):
     h = 1e-6
     for phi in [EuclideanNorm(2), ScaledNorm(2, 0.5), RandersNorm(2, (0.2, 0.1))]:
         for _ in range(10):
-            x = sample_ball(rng, 2, 0.7 * radius_estimate(phi), 1)[0]
-            y = sample_sphere(rng, 2, 1)[0]
+            x = ball_points(rng, 2, 0.7 * radius_estimate(phi), 1)[0]
+            y = sphere_points(rng, 2, 1)[0]
             res = solve_real(phi, x, y)
             p_y, p_x = implicit_derivatives(phi, res, x, y)
             for k in range(2):
@@ -236,18 +235,18 @@ def test_complex_picard_agrees_with_nested(rng):
     ]
     for phi, psi, r in cases:
         for _ in range(10):
-            x = sample_ball(rng, 2, r, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0]
+            x = ball_points(rng, 2, r, 1)[0]
+            y = sphere_points(rng, 2, 1)[0]
             a = solve_complex(phi, psi, x, y)
-            b = solve_complex_nested(phi, psi, x, y)
+            b = oracles.solve_complex_nested(phi, psi, x, y)
             assert abs(a.value - b.value) < 1e-11
 
 
 def test_complex_metric_branch_positive(rng):
     phi, psi = ScaledNorm(2, 0.3), EuclideanNorm(2)
     for _ in range(25):
-        x = sample_ball(rng, 2, 0.3, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.3, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         res = solve_complex(phi, psi, x, y)
         assert res.value.imag > 0.0
         # residual recheck, independent of the iteration
@@ -259,8 +258,8 @@ def test_complex_metric_branch_positive(rng):
 def test_complex_degenerates_to_real_when_psi_zero(rng):
     phi = ScaledNorm(2, 0.4)
     for _ in range(10):
-        x = sample_ball(rng, 2, 0.8 * radius_estimate(phi), 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.8 * radius_estimate(phi), 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         zres = solve_complex(phi, ZeroNorm(2), x, y)
         rres = solve_real(phi, x, y)
         assert zres.value.imag == pytest.approx(0.0, abs=1e-13)

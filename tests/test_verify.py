@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sample_ball, sample_sphere
 from projflat import (DomainError, EuclideanNorm, ScaledNorm, ZeroNorm,
                       as_evaluator, berwald_system_residual, broken_metric,
                       build_k0, build_kneg1, catalog_entry, collinearity_score,
@@ -13,6 +12,7 @@ from projflat import (DomainError, EuclideanNorm, ScaledNorm, ZeroNorm,
                       geodesic_coefficients_general, hamel_residual,
                       integrate_geodesic, jet, master_pde_residual,
                       projective_factor_numeric)
+from projflat.sampling import ball_points, sphere_points
 from projflat.verify import VerificationReport, make_report
 
 E2 = EuclideanNorm(2)
@@ -84,8 +84,8 @@ def test_projective_factor_consistency(rng):
     # numeric projective factor vs the exact solver value
     m = build_k0(E2, ScaledNorm(2, 0.3))
     for _ in range(10):
-        x = sample_ball(rng, 2, 0.5, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.5, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         exact = m.projective_factor_exact(x, y)
         numeric = projective_factor_numeric(m, x, y)
         assert numeric == pytest.approx(exact, rel=1e-6, abs=1e-8)
@@ -93,8 +93,8 @@ def test_projective_factor_consistency(rng):
 
 def test_flag_curvature_funk(rng):
     for _ in range(10):
-        x = sample_ball(rng, 2, 0.6, 1)[0]
-        y = sample_sphere(rng, 2, 1)[0]
+        x = ball_points(rng, 2, 0.6, 1)[0]
+        y = sphere_points(rng, 2, 1)[0]
         assert flag_curvature(_funk(), x, y) == pytest.approx(-0.25, abs=1e-4)
 
 
@@ -111,8 +111,8 @@ def test_berwald_system_residuals(rng):
     ]
     for m, radius in cases:
         for _ in range(5):
-            x = sample_ball(rng, 2, radius, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0]
+            x = ball_points(rng, 2, radius, 1)[0]
+            y = sphere_points(rng, 2, 1)[0]
             r1, r2 = berwald_system_residual(m, x, y)
             assert r1 <= 1e-5
             assert r2 <= 1e-5
@@ -122,8 +122,8 @@ def test_master_pde_catalog_fields(rng):
     for name, kwargs in (("berwald", {}), ("funk", {}), ("space-form", {"lam": 1.0})):
         m = as_evaluator(catalog_entry(name, 2, **kwargs))
         for _ in range(5):
-            x = sample_ball(rng, 2, 0.4, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0]
+            x = ball_points(rng, 2, 0.4, 1)[0]
+            y = sphere_points(rng, 2, 1)[0]
             assert master_pde_residual(m, x, y) <= 1e-6, name
 
 
@@ -153,8 +153,8 @@ def test_geodesic_coefficients_flat_norm():
 def test_geodesic_coefficients_reduce_to_projective_form(rng):
     for m in (_funk(), as_evaluator(catalog_entry("space-form", 2, lam=1.0))):
         for _ in range(5):
-            x = sample_ball(rng, 2, 0.4, 1)[0]
-            y = sample_sphere(rng, 2, 1)[0] * rng.uniform(0.8, 1.2)
+            x = ball_points(rng, 2, 0.4, 1)[0]
+            y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.8, 1.2)
             g = geodesic_coefficients_general(m, x, y)
             p = projective_factor_numeric(m, x, y)
             scale = max(float(np.abs(p * y).max()), 1e-3)
