@@ -14,12 +14,12 @@ from .errors import (BranchCutError, DimensionMismatchError, DomainError,
                      ProjFlatError, SolverError, SpecParseError)
 from .norms import (BryantPair, CombinedNorm, DoubleSqrtNorm, EuclideanNorm,
                     HomogeneousFunction, RandersNorm, ScaledNorm, ZeroNorm,
-                    check_minkowski, combine, format_norm, parse_norm)
+                    combine, format_norm, parse_norm)
 from .solver import (SolveResult, SolverConfig, implicit_derivatives,
                      pair_radius_estimate, radius_estimate, solve_complex,
                      solve_real)
 from .verify import (GeodesicResult, JetData, VerificationReport,
-                     berwald_system_residual, collinearity_score,
+                     berwald_system_residual, check_minkowski, collinearity_score,
                      convexity_check, flag_curvature,
                      geodesic_coefficients_general, hamel_residual,
                      integrate_geodesic, jet, master_pde_residual,

@@ -2,10 +2,12 @@
 
 JSON goes to stdout (for scripts), a one-line human summary to stderr.
 Exit codes: 0 success / all checks passed, 1 checks ran but some failed,
-2 parse error, 3 domain error, 4 solver failure.  Identical command line
-and seed produce byte-identical output.  Inputs are checked before any
-evaluation: vectors and grid bounds must be finite, and dim, samples,
-radius and steps positive; a bad value exits 2.
+2 parse error, 3 domain error, 4 solver failure, 5 internal error (an
+unexpected exception, reported as error JSON instead of a traceback).
+Identical command line and seed produce byte-identical output.  Inputs
+are checked before any evaluation: vectors, grid bounds and tolerance
+overrides must be finite, and dim, samples, radius, steps and the
+geodesic end time positive; a bad value exits 2.
 """
 
 import argparse
@@ -217,6 +219,8 @@ def _parse_tol_overrides(text):
         if key not in out or not val:
             raise SpecParseError(f"bad tolerance override '{chunk}'")
         out[key] = float(val)
+        if not math.isfinite(out[key]):
+            raise SpecParseError(f"--tol-override {key} must be finite; got {val}")
     return out
 
 
@@ -351,6 +355,7 @@ def cmd_geodesic(args) -> int:
     if x0.size != v0.size:
         raise SpecParseError("x and y must have the same length")
     _require_positive("--steps", args.steps)
+    _require_positive("--t-end", args.t_end)
     metric = parse_metric(args.metric, x0.size, _solver_cfg(args))
     traj = vfy.integrate_geodesic(metric, x0, v0, args.t_end, args.steps)
     score = vfy.collinearity_score(traj, x0, v0)
@@ -453,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_exit(kind: str, exc: Exception, code: int) -> int:
-    print(json.dumps({"error": {"type": kind, "message": str(exc)}}),
+def _error_exit(kind: str, message, code: int) -> int:
+    print(json.dumps({"error": {"type": kind, "message": str(message)}}),
           file=sys.stderr)
     return code
 
@@ -478,6 +483,8 @@ def main(argv=None) -> int:
         return _error_exit("error", exc, 2)
     except ValueError as exc:
         return _error_exit("parse", exc, 2)
+    except Exception as exc:  # exit 1 stays "checks ran and failed"
+        return _error_exit("internal", f"{type(exc).__name__}: {exc}", 5)
 
 
 if __name__ == "__main__":

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ProjFlatError
-from .norms import BryantPair, HomogeneousFunction, check_minkowski, combine
+from .norms import BryantPair, HomogeneousFunction, combine
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
+from .verify import check_minkowski
 
 DOMAIN_SAFETY = 0.8
 _MINKOWSKI_PROBE = 64

@@ -18,6 +18,11 @@ arguments are always available:
 * ``combo``       a formal linear combination of the above (used for
                   phi +/- psi without numeric differentiation)
 
+``eval_real`` and ``grad_real`` take one vector ``(n,)`` or rows ``(N, n)``
+and act along the last axis: a row gives the same bits as the same vector
+passed alone.  One vector yields a float (value) or an ``(n,)`` array
+(gradient); rows yield ``(N,)`` values or ``(N, n)`` gradients.
+
 Complex continuation uses principal square roots throughout (cut on the
 negative real axis, the cut itself resolved from above as in IEEE/numpy).
 ``bryant-pair`` is the one family whose complex value at a real vector is
@@ -31,10 +36,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SpecParseError
-from .sampling import unit_directions
-from .verify import STEP_FIRST, VerificationReport, fd_hessian, make_report
 
-MINKOWSKI_EIG_FLOOR = 1e-5
+
+def lengths(v: np.ndarray):
+    """Euclidean length along the last axis.
+
+    ``np.vecdot`` rounds each row exactly as ``np.linalg.norm`` rounds a
+    lone vector, which ``norm(axis=...)``, ``einsum`` and ``sum`` do not.
+    """
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _value(out):
+    """A lone vector's value as a float; rows stay an array."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -45,7 +60,7 @@ class HomogeneousFunction:
 
     family = "abstract"
 
-    def eval_real(self, y) -> float:
+    def eval_real(self, y):
         raise NotImplementedError
 
     def eval_complex(self, z) -> complex:
@@ -60,13 +75,17 @@ class HomogeneousFunction:
     # -- shared input handling -------------------------------------------
 
     def _vec(self, y, allow_zero=False) -> np.ndarray:
-        v = np.asarray(y, dtype=float).reshape(-1)
-        if v.size != self.dimension:
+        """``y`` as floats, checked along the last axis: ``dimension``
+        components, all finite, and (unless ``allow_zero``) no zero row."""
+        v = np.asarray(y, dtype=float)
+        if v.shape[-1:] != (self.dimension,):
+            got = v.shape[-1] if v.ndim else v.size
             raise DimensionMismatchError(
-                f"expected {self.dimension} components, got {v.size}")
-        if not np.all(np.isfinite(v)):
+                f"expected {self.dimension} components, got {got}")
+        if not np.isfinite(v).all():
             raise DomainError("non-finite vector")
-        if not allow_zero and not v.any():
+        # .flat yields one flag for a lone vector, one per row otherwise
+        if not allow_zero and not all(v.any(axis=-1).flat):
             raise DomainError("y = 0 is outside the domain of this family")
         return v
 
@@ -94,17 +113,15 @@ class ZeroNorm(HomogeneousFunction):
 
     family = "zero"
 
-    def eval_real(self, y) -> float:
-        self._vec(y, allow_zero=True)
-        return 0.0
+    def eval_real(self, y):
+        return _value(np.zeros(self._vec(y, allow_zero=True).shape[:-1]))
 
     def eval_complex(self, z) -> complex:
         self._cvec(z)
         return 0j
 
     def grad_real(self, y) -> np.ndarray:
-        self._vec(y, allow_zero=True)
-        return np.zeros(self.dimension)
+        return np.zeros(self._vec(y, allow_zero=True).shape)
 
 
 class EuclideanNorm(HomogeneousFunction):
@@ -112,15 +129,15 @@ class EuclideanNorm(HomogeneousFunction):
 
     family = "euclidean"
 
-    def eval_real(self, y) -> float:
-        return float(np.linalg.norm(self._vec(y)))
+    def eval_real(self, y):
+        return _value(lengths(self._vec(y)))
 
     def eval_complex(self, z) -> complex:
         return _csqrt(_csum_sq(self._cvec(z)))
 
     def grad_real(self, y) -> np.ndarray:
         v = self._vec(y)
-        return v / np.linalg.norm(v)
+        return v / lengths(v)[..., None]
 
 
 @dataclass(frozen=True)
@@ -131,15 +148,15 @@ class ScaledNorm(HomogeneousFunction):
 
     family = "scaled"
 
-    def eval_real(self, y) -> float:
-        return self.scale * float(np.linalg.norm(self._vec(y)))
+    def eval_real(self, y):
+        return _value(self.scale * lengths(self._vec(y)))
 
     def eval_complex(self, z) -> complex:
         return self.scale * _csqrt(_csum_sq(self._cvec(z)))
 
     def grad_real(self, y) -> np.ndarray:
         v = self._vec(y)
-        return self.scale * v / np.linalg.norm(v)
+        return self.scale * v / lengths(v)[..., None]
 
 
 @dataclass(frozen=True)
@@ -154,9 +171,9 @@ class RandersNorm(HomogeneousFunction):
         if len(self.drift) != self.dimension:
             raise DimensionMismatchError("drift vector length must equal dimension")
 
-    def eval_real(self, y) -> float:
+    def eval_real(self, y):
         v = self._vec(y)
-        return float(np.linalg.norm(v) + np.dot(self.drift, v))
+        return _value(lengths(v) + np.vecdot(v, self.drift))
 
     def eval_complex(self, z) -> complex:
         v = self._cvec(z)
@@ -164,7 +181,7 @@ class RandersNorm(HomogeneousFunction):
 
     def grad_real(self, y) -> np.ndarray:
         v = self._vec(y)
-        return v / np.linalg.norm(v) + np.asarray(self.drift, dtype=float)
+        return v / lengths(v)[..., None] + np.asarray(self.drift, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -197,20 +214,23 @@ class DoubleSqrtNorm(HomogeneousFunction):
         return "dsr-b" if self.plus else "dsr-a"
 
     def _blocks(self, v):
-        return v[: self.first_block], v[self.first_block:]
+        return v[..., : self.first_block], v[..., self.first_block:]
 
-    def eval_real(self, y) -> float:
-        v = self._vec(y)
+    def _squares(self, v):
+        """Block squares |u|^2, |w|^2 and S = hypot of the two."""
         u, w = self._blocks(v)
-        uu = float(u @ u)
-        ww = float(w @ w)
-        s = float(np.hypot(uu, ww))
+        uu = np.vecdot(u, u)
+        ww = np.vecdot(w, w)
+        return u, w, uu, ww, np.hypot(uu, ww)
+
+    def eval_real(self, y):
+        _, _, uu, ww, s = self._squares(self._vec(y))
         if self.plus:
-            return float(np.sqrt((s + uu) / 2.0))
-        # s - uu == ww^2 / (s + uu), exact algebra, no cancellation
-        if s + uu == 0.0:
-            return 0.0
-        return float(np.sqrt(ww * ww / (s + uu) / 2.0))
+            return _value(np.sqrt((s + uu) / 2.0))
+        # s - uu == ww^2 / (s + uu), exact algebra, no cancellation; the sum
+        # is 0 only where both blocks underflow, and there f = 0
+        total = s + uu
+        return _value(np.sqrt(ww * ww / np.where(total == 0.0, 1.0, total) / 2.0))
 
     def eval_complex(self, z) -> complex:
         # The two components are continued jointly through the conjugate
@@ -229,24 +249,18 @@ class DoubleSqrtNorm(HomogeneousFunction):
         return (h_plus + h_minus) / 2.0
 
     def grad_real(self, y) -> np.ndarray:
-        v = self._vec(y)
-        u, w = self._blocks(v)
-        uu = float(u @ u)
-        ww = float(w @ w)
-        s = float(np.hypot(uu, ww))
-        out = np.zeros(self.dimension)
+        u, w, uu, ww, s = self._squares(self._vec(y))
         if self.plus:
-            val = float(np.sqrt((s + uu) / 2.0))
+            val = np.sqrt((s + uu) / 2.0)
             d_uu = (uu / s + 1.0) / (4.0 * val)
             d_ww = ww / (4.0 * s * val)
         else:
             # derivatives of sqrt((S - uu)/2) written in cancellation-free form
-            root = float(np.sqrt(2.0 * (s + uu)))
+            root = np.sqrt(2.0 * (s + uu))
             d_uu = -ww * np.sqrt(2.0) / (4.0 * s * np.sqrt(s + uu))
             d_ww = root / (4.0 * s)
-        out[: self.first_block] = 2.0 * d_uu * u
-        out[self.first_block:] = 2.0 * d_ww * w
-        return out
+        return np.concatenate([2.0 * d_uu[..., None] * u, 2.0 * d_ww[..., None] * w],
+                              axis=-1)
 
 
 @dataclass(frozen=True)
@@ -267,8 +281,8 @@ class BryantPair(HomogeneousFunction):
         if not 0.0 < self.angle < np.pi / 2.0:
             raise SpecParseError("bryant-pair angle must lie in (0, pi/2)")
 
-    def eval_real(self, y) -> float:
-        return float(np.sin(self.angle)) * float(np.linalg.norm(self._vec(y)))
+    def eval_real(self, y):
+        return _value(float(np.sin(self.angle)) * lengths(self._vec(y)))
 
     def eval_complex(self, z) -> complex:
         v = self._cvec(z)
@@ -276,7 +290,7 @@ class BryantPair(HomogeneousFunction):
 
     def grad_real(self, y) -> np.ndarray:
         v = self._vec(y)
-        return float(np.sin(self.angle)) * v / np.linalg.norm(v)
+        return float(np.sin(self.angle)) * v / lengths(v)[..., None]
 
     @property
     def phi_component(self) -> ScaledNorm:
@@ -304,56 +318,20 @@ class CombinedNorm(HomogeneousFunction):
             if f.dimension != self.dimension:
                 raise DimensionMismatchError("all terms must share the dimension")
 
-    def eval_real(self, y) -> float:
-        return float(sum(c * f.eval_real(y) for c, f in self.terms))
+    def eval_real(self, y):
+        return _value(sum(c * f.eval_real(y) for c, f in self.terms))
 
     def eval_complex(self, z) -> complex:
         return complex(sum(c * f.eval_complex(z) for c, f in self.terms))
 
     def grad_real(self, y) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        for c, f in self.terms:
-            out += c * f.grad_real(y)
-        return out
+        return sum(c * f.grad_real(y) for c, f in self.terms)
 
 
 def combine(*weighted) -> CombinedNorm:
     """combine((c1, f1), (c2, f2), ...) -> CombinedNorm."""
     dim = weighted[0][1].dimension
     return CombinedNorm(dim, tuple((float(c), f) for c, f in weighted))
-
-
-# ---------------------------------------------------------------------------
-# Minkowski-norm validity
-
-
-def check_minkowski(f: HomogeneousFunction, samples: int,
-                    eig_floor: float = MINKOWSKI_EIG_FLOOR) -> VerificationReport:
-    """Strong-convexity and positivity test over deterministic directions.
-
-    At each unit direction the Hessian of f^2/2 is formed by central
-    differences (step eps^(1/3), the standard second-difference
-    tradeoff) and its minimum eigenvalue recorded.  The per-direction
-    residual is max(-lambda_min, -f), so the report passes iff every
-    direction has lambda_min >= eig_floor and f >= eig_floor.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    dirs = unit_directions(f.dimension, samples)
-    zero = np.zeros(f.dimension)
-    residuals = []
-    points = []
-    min_eig = np.inf
-    for u in dirs:
-        val = f.eval_real(u)
-        hess = fd_hessian(lambda yy: 0.5 * f.eval_real(yy) ** 2, u,
-                          STEP_FIRST * max(1.0, float(np.linalg.norm(u))))
-        lam = float(np.linalg.eigvalsh(hess).min())
-        min_eig = min(min_eig, lam)
-        residuals.append(max(-lam, -val))
-        points.append((zero, u))
-    return make_report("minkowski", points, residuals, tolerance=-eig_floor,
-                       extra={"min_eigenvalue": min_eig})
 
 
 # ---------------------------------------------------------------------------

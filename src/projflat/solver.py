@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .norms import HomogeneousFunction
+from .norms import HomogeneousFunction, lengths
 from .sampling import unit_directions
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
@@ -151,30 +151,24 @@ def implicit_derivatives(phi: HomogeneousFunction, res: SolveResult, x, y):
     return p_y, p_x
 
 
-def radius_estimate(phi: HomogeneousFunction, samples: int = 256) -> float:
-    """Validity-ball radius 1 / (2 sup |grad phi|), supremum sampled over
-    deterministic unit directions.  Infinite for the zero function."""
-    dirs = unit_directions(phi.dimension, samples)
-    worst = 0.0
-    for u in dirs:
-        worst = max(worst, float(np.linalg.norm(phi.grad_real(u))))
+def _radius(slopes: np.ndarray) -> float:
+    worst = float(np.max(slopes, initial=0.0))
     if worst == 0.0:
         return math.inf
     return 1.0 / (2.0 * worst)
+
+
+def radius_estimate(phi: HomogeneousFunction, samples: int = 256) -> float:
+    """Validity-ball radius 1 / (2 sup |grad phi|), supremum sampled over
+    deterministic unit directions.  Infinite for the zero function."""
+    return _radius(lengths(phi.grad_real(unit_directions(phi.dimension, samples))))
 
 
 def pair_radius_estimate(phi: HomogeneousFunction, psi: HomogeneousFunction,
                          samples: int = 256) -> float:
     """Validity radius for the complex combined map phi + i psi."""
     dirs = unit_directions(phi.dimension, samples)
-    worst = 0.0
-    for u in dirs:
-        g = float(np.hypot(np.linalg.norm(phi.grad_real(u)),
-                           np.linalg.norm(psi.grad_real(u))))
-        worst = max(worst, g)
-    if worst == 0.0:
-        return math.inf
-    return 1.0 / (2.0 * worst)
+    return _radius(np.hypot(lengths(phi.grad_real(dirs)), lengths(psi.grad_real(dirs))))
 
 
 def _pair_value(phi, psi, w: np.ndarray) -> complex:

@@ -4,12 +4,16 @@ The closed forms are written directly from the printed formulas with
 numpy arithmetic, separate from the package's catalog implementations, so
 the constructive solvers and the catalog transcriptions are both checked
 against a second route.  ``solve_complex_nested`` is a second route to
-the complex fixed point, built from the public norm interface only.
+the complex fixed point, built from the public norm interface only.  The
+``*_loop`` functions are the one-direction-at-a-time references for the
+batched radius estimates and Minkowski probe.
 """
 
 import numpy as np
 
 from projflat import SolveResult, SolverConfig, SolverError
+from projflat.sampling import unit_directions
+from projflat.verify import MINKOWSKI_EIG_FLOOR, STEP_FIRST, make_report
 
 
 def _d(x, y):
@@ -169,3 +173,56 @@ def solve_complex_nested(phi, psi, x, y, cfg=None):
         raise SolverError(f"nested solve residual {residual:.3e} above tolerance")
     return SolveResult(value=z, eta=y + x * z, residual=float(residual),
                        iterations=iterations, converged=True)
+
+
+def fd_hessian_loop(fun, v, step):
+    """Central-difference Hessian of a scalar function at one point."""
+    v = np.asarray(v, dtype=float)
+    n = v.size
+    h = np.zeros((n, n))
+    f0 = fun(v)
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = step
+        h[i, i] = (fun(v + ei) - 2.0 * f0 + fun(v - ei)) / step**2
+        for j in range(i + 1, n):
+            ej = np.zeros(n)
+            ej[j] = step
+            hij = (fun(v + ei + ej) - fun(v + ei - ej)
+                   - fun(v - ei + ej) + fun(v - ei - ej)) / (4.0 * step**2)
+            h[i, j] = hij
+            h[j, i] = hij
+    return h
+
+
+def radius_estimate_loop(phi, samples=256):
+    """1 / (2 max |grad phi(u)|) with one scalar gradient call per direction."""
+    worst = 0.0
+    for u in unit_directions(phi.dimension, samples):
+        worst = max(worst, float(np.linalg.norm(phi.grad_real(u))))
+    return np.inf if worst == 0.0 else 1.0 / (2.0 * worst)
+
+
+def pair_radius_estimate_loop(phi, psi, samples=256):
+    """The pair radius with scalar gradient calls per direction."""
+    worst = 0.0
+    for u in unit_directions(phi.dimension, samples):
+        worst = max(worst, float(np.hypot(np.linalg.norm(phi.grad_real(u)),
+                                          np.linalg.norm(psi.grad_real(u)))))
+    return np.inf if worst == 0.0 else 1.0 / (2.0 * worst)
+
+
+def check_minkowski_loop(f, samples, eig_floor=MINKOWSKI_EIG_FLOOR):
+    """Minkowski probe with one scalar Hessian per direction."""
+    zero = np.zeros(f.dimension)
+    residuals, points, min_eig = [], [], np.inf
+    for u in unit_directions(f.dimension, samples):
+        val = f.eval_real(u)
+        hess = fd_hessian_loop(lambda yy: 0.5 * f.eval_real(yy) ** 2, u,
+                          STEP_FIRST * max(1.0, float(np.linalg.norm(u))))
+        lam = float(np.linalg.eigvalsh(hess).min())
+        min_eig = min(min_eig, lam)
+        residuals.append(max(-lam, -val))
+        points.append((zero, u))
+    return make_report("minkowski", points, residuals, tolerance=-eig_floor,
+                       extra={"min_eigenvalue": min_eig})

@@ -1,0 +1,155 @@
+"""Norms on (N, n) rows against the one-vector path, bit for bit.
+
+The batched radius estimates, the finite-difference Hessian on rows and
+the Minkowski probe are compared with the per-direction loops in
+``oracles``; the builders' norm-call counts guard against a loop over
+directions coming back.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from projflat import (BryantPair, DimensionMismatchError, DomainError,
+                      DoubleSqrtNorm, EuclideanNorm, HomogeneousFunction,
+                      RandersNorm, ScaledNorm, ZeroNorm, build_k0, build_kneg1,
+                      build_kpos1, check_minkowski, combine,
+                      pair_radius_estimate, radius_estimate)
+from projflat.verify import fd_hessian
+
+# (dimension, dsr block split)
+DIMS = [(2, (1, 1)), (3, (1, 2)), (5, (2, 3))]
+
+
+def families(d, blocks):
+    drift = tuple(np.linspace(0.3, -0.2, d))
+    out = [ZeroNorm(d), EuclideanNorm(d), ScaledNorm(d, 0.5), ScaledNorm(d, -0.7),
+           RandersNorm(d, drift), RandersNorm(d, tuple(np.linspace(0.9, 1.2, d))),
+           DoubleSqrtNorm(d, *blocks, plus=True), DoubleSqrtNorm(d, *blocks, plus=False),
+           BryantPair(d, np.pi / 6)]
+    out += [combine((1.0, out[4]), (1.0, out[1])), combine((1.0, out[4]), (-1.0, out[2]))]
+    return out
+
+
+CASES = [pytest.param(d, f, id=f"d{d}-{i}-{f.family}")
+         for d, blocks in DIMS for i, f in enumerate(families(d, blocks))]
+
+
+def rows(d, count=200, seed=0):
+    y = np.random.default_rng(seed + d).standard_normal((count, d))
+    y[0] = 0.0
+    y[0, -1] = 1.0  # a point on a block axis
+    y[1, :] = 1e-160  # squares underflow
+    return y
+
+
+@pytest.mark.parametrize("d, f", CASES)
+def test_rows_equal_single_vectors(d, f):
+    y = rows(d)
+    # the dsr gradients divide by zero on the underflowing row, alike per row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values, grads = f.eval_real(y), f.grad_real(y)
+        assert values.shape == (len(y),) and grads.shape == y.shape
+        for k, v in enumerate(y):
+            one = f.eval_real(v)
+            assert type(one) is float
+            assert values[k] == one
+            np.testing.assert_array_equal(grads[k], f.grad_real(v))
+
+
+@pytest.mark.parametrize("d, f", CASES)
+def test_rows_raise_the_single_vector_errors(d, f):
+    good = rows(d, count=4)
+    bad_cases = []
+    if f.family != "zero":
+        zero_row = good.copy()
+        zero_row[2] = 0.0
+        bad_cases.append((zero_row, zero_row[2], DomainError))
+    nan_row = good.copy()
+    nan_row[3, 0] = np.nan
+    bad_cases.append((nan_row, nan_row[3], DomainError))
+    inf_row = good.copy()
+    inf_row[1, -1] = -np.inf
+    bad_cases.append((inf_row, inf_row[1], DomainError))
+    wide = np.ones((4, d + 1))
+    bad_cases.append((wide, wide[0], DimensionMismatchError))
+    for batch, single, error in bad_cases:
+        for method in (f.eval_real, f.grad_real):
+            with pytest.raises(error) as one:
+                method(single)
+            with pytest.raises(error) as many:
+                method(batch)
+            assert str(one.value) == str(many.value)
+    with pytest.raises(DimensionMismatchError):
+        f.eval_real(1.0)
+
+
+@pytest.mark.parametrize("d, f", CASES)
+def test_radius_estimates_equal_direction_loops(d, f):
+    assert radius_estimate(f) == oracles.radius_estimate_loop(f)
+    assert radius_estimate(f, 7) == oracles.radius_estimate_loop(f, 7)
+    psi = EuclideanNorm(d)
+    assert pair_radius_estimate(f, psi) == oracles.pair_radius_estimate_loop(f, psi)
+    assert pair_radius_estimate(psi, f, 9) == oracles.pair_radius_estimate_loop(psi, f, 9)
+
+
+@pytest.mark.parametrize("d, f", CASES)
+def test_check_minkowski_equals_direction_loop(d, f):
+    for samples in (64, 100, 5):
+        batched = check_minkowski(f, samples)
+        loop = oracles.check_minkowski_loop(f, samples)
+        assert batched.to_json_dict() == loop.to_json_dict()
+        assert batched.extra["min_eigenvalue"] == loop.extra["min_eigenvalue"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fd_hessian_rows_equal_single_points(d):
+    rng = np.random.default_rng(d)
+    v = rng.standard_normal((6, d))
+    steps = 1e-4 * rng.uniform(0.5, 2.0, 6)
+    fun = lambda yy: np.cos(yy[..., 0]) * np.exp(np.sum(yy, axis=-1))
+    batched = fd_hessian(fun, v, steps)
+    assert batched.shape == (6, d, d)
+    for k in range(6):
+        one = fd_hessian(fun, v[k], float(steps[k]))
+        np.testing.assert_array_equal(batched[k], one)
+        np.testing.assert_array_equal(one, oracles.fd_hessian_loop(fun, v[k], float(steps[k])))
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Count eval_real / grad_real calls on every norm family."""
+    counts = {"eval_real": 0, "grad_real": 0}
+
+    def counted(name, fn):
+        def wrapper(self, y):
+            counts[name] += 1
+            return fn(self, y)
+        return wrapper
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for cls in subclasses(HomogeneousFunction):
+        for name in counts:
+            if name in cls.__dict__:
+                monkeypatch.setattr(cls, name, counted(name, cls.__dict__[name]))
+    return counts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("build, args, grads", [
+    (build_k0, lambda d: (EuclideanNorm(d), RandersNorm(d, (0.2,) + (0.1,) * (d - 1))), 1),
+    # phi +/- psi are two-term combinations: 3 gradient calls each
+    (build_kneg1, lambda d: (EuclideanNorm(d), ScaledNorm(d, 0.3)), 6),
+    (build_kpos1, lambda d: (BryantPair(d, 0.5236),), 2),
+], ids=["k0", "kneg1", "kpos1"])
+def test_builders_make_a_fixed_number_of_norm_calls(norm_calls, d, build, args, grads):
+    """One radius estimate is one grad_real call per norm, and the Minkowski
+    probe is one eval_real for the values plus one per Hessian stencil
+    offset (1 + 2d + 2d(d-1)); none of it depends on the 256 and 64
+    directions."""
+    build(*args(d))
+    assert norm_calls == {"eval_real": 2 + 2 * d * d, "grad_real": grads}

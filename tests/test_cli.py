@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from projflat import catalog_entry, eval_catalog
+from projflat import cli
 from projflat.cli import main, parse_metric
 from projflat.solver import SolverConfig
 
@@ -263,6 +264,8 @@ def test_thread_env_does_not_change_output(tmp_path):
 
 FUNK_PAIR = ("--metric", "catalog:funk", "--metric-b", "catalog:funk")
 BRYANT_EVAL = ("eval", "--metric", "construct:1:bryant:0.5236", "--x", "0.1,0", "--y", "0,1")
+FUNK_GEODESIC = ("geodesic", "--metric", "catalog:funk", "--x", "0.1,0", "--y", "0,1")
+FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -282,6 +285,13 @@ BRYANT_EVAL = ("eval", "--metric", "construct:1:bryant:0.5236", "--x", "0.1,0", 
     (BRYANT_EVAL + ("--solver-tol", "0"), "tolerance"),
     (BRYANT_EVAL + ("--solver-iters", "0"), "max_iterations"),
     (BRYANT_EVAL + ("--solver-damping", "0"), "damping"),
+    (FUNK_GEODESIC + ("--t-end", "nan"), "--t-end"),
+    (FUNK_GEODESIC + ("--t-end", "inf"), "--t-end"),
+    (FUNK_GEODESIC + ("--t-end", "0"), "--t-end"),
+    (FUNK_GEODESIC + ("--t-end", "-0.5"), "--t-end"),
+    (FUNK_HAMEL + ("--tol-override", "hamel=nan"), "--tol-override"),
+    (FUNK_HAMEL + ("--tol-override", "hamel=inf"), "--tol-override"),
+    (FUNK_HAMEL + ("--tol-override", "convexity=-inf"), "--tol-override"),
 ])
 def test_bad_input_exits_parse_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -291,6 +301,18 @@ def test_bad_input_exits_parse_error(capsys, tmp_path, monkeypatch, argv, messag
     error = json.loads(err.splitlines()[-1])["error"]
     assert error["type"] == "parse"
     assert message in error["message"]
+
+
+def test_unexpected_exception_exits_internal(capsys, monkeypatch):
+    def broken(args):
+        return 1 / 0
+
+    monkeypatch.setattr(cli, "cmd_catalog", broken)
+    code, out, err = run_cli(capsys, "catalog")
+    assert code == 5
+    assert out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error == {"type": "internal", "message": "ZeroDivisionError: division by zero"}
 
 
 def test_import_does_not_load_scipy(tmp_path):
