@@ -291,16 +291,9 @@ _BODIES = {
 
 
 def eval_catalog(entry: CatalogEntry, x, y) -> float:
-    """Evaluate the entry's printed formula at (x, y)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size != entry.dimension or y.size != entry.dimension:
-        raise DomainError(f"expected {entry.dimension}-dimensional x and y")
-    if not y.any():
-        raise DomainError("y = 0 is outside the metric domain")
-    if float(np.linalg.norm(x)) > entry.domain_radius * (1.0 + 1e-12):
-        raise DomainError("x outside the entry's validity ball")
-    return float(_BODIES[entry.name](entry, x, y))
+    """Evaluate the entry's printed formula at (x, y), with the
+    evaluator's dimension, y != 0 and validity-radius guards."""
+    return as_evaluator(entry).eval(x, y)
 
 
 def as_evaluator(entry: CatalogEntry) -> MetricEvaluator:

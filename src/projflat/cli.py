@@ -128,10 +128,7 @@ def _fmt(v: float) -> str:
 
 def _point_metrics(metric, x, y):
     f = metric.eval(x, y)
-    if metric.p_exact is not None:
-        p = metric.projective_factor_exact(x, y)
-    else:
-        p = vfy.projective_factor_numeric(metric, x, y)
+    p = vfy.projective_factor_field(metric)(x, y)
     k = vfy.flag_curvature(metric, x, y)
     return f, p, k
 
@@ -148,27 +145,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_report(name, metric, points, residual_fn, tolerance, extra=None):
+def _sweep_report(name, points, residual_fn, tolerance):
     residuals = [residual_fn(*pt) for pt in points]
-    return vfy.make_report(name, points, residuals, tolerance, extra=extra)
+    return vfy.make_report(name, points, residuals, tolerance)
 
 
 def _run_check(name, metric, rng, radius, samples, tol):
     dim = metric.dimension
-    if name == "convexity":
-        xs = ball_points(rng, dim, radius, samples)
-        us = sphere_points(rng, dim, samples)
-        points = list(zip(xs, us))
-        eigs = []
-
-        def resid(x, u):
-            r, lam = vfy.convexity_residual(metric, x, u)
-            eigs.append(lam)
-            return r
-
-        report = _sweep_report("convexity", metric, points, resid, tol)
-        report.extra["min_eigenvalue"] = float(min(eigs)) if eigs else math.inf
-        return report
     if name == "geodesic":
         count = 5
         starts = ball_points(rng, dim, 0.3 * radius, count)
@@ -180,13 +163,17 @@ def _run_check(name, metric, rng, radius, samples, tol):
             traj = vfy.integrate_geodesic(metric, x0, v0, t_end, 100)
             return vfy.collinearity_score(traj, x0, v0)
 
-        return _sweep_report("geodesic", metric, points, resid, tol)
+        return _sweep_report("geodesic", points, resid, tol)
 
     xs = ball_points(rng, dim, radius, samples)
     ys = sphere_points(rng, dim, samples)
     points = list(zip(xs, ys))
+    if name == "convexity":
+        pairs = [vfy.convexity_residual(metric, x, u) for x, u in points]
+        return vfy.make_report("convexity", points, [r for r, _ in pairs], tol,
+                               extra={"min_eigenvalue": min(lam for _, lam in pairs)})
     if name == "hamel":
-        return _sweep_report("hamel", metric, points,
+        return _sweep_report("hamel", points,
                              lambda x, y: vfy.hamel_residual(metric, x, y), tol)
     if name == "curvature":
         target = metric.intended_curvature
@@ -200,11 +187,11 @@ def _run_check(name, metric, rng, radius, samples, tol):
             extra = {"target_K": float(target), "mean_K": float(np.mean(values))}
         return vfy.make_report("curvature", points, residuals, tol, extra=extra)
     if name == "berwald":
-        return _sweep_report("berwald", metric, points,
+        return _sweep_report("berwald", points,
                              lambda x, y: max(vfy.berwald_system_residual(metric, x, y)),
                              tol)
     if name == "pde":
-        return _sweep_report("pde", metric, points,
+        return _sweep_report("pde", points,
                              lambda x, y: vfy.master_pde_residual(metric, x, y), tol)
     raise SpecParseError(f"unknown check '{name}'")
 

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ProjFlatError
-from .norms import BryantPair, HomogeneousFunction, combine
+from .norms import BryantPair, HomogeneousFunction, check_minkowski, combine
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
-from .verify import check_minkowski
 
 DOMAIN_SAFETY = 0.8
 _MINKOWSKI_PROBE = 64
@@ -48,9 +47,6 @@ class MetricEvaluator:
     f_eval: object
     p_exact: object = None
     intended_curvature: float = None
-    origin_psi: HomogeneousFunction = None
-    origin_phi: HomogeneousFunction = None
-    solver_cfg: SolverConfig = None
     domain_radius: float = math.inf
     psi_minkowski_ok: bool = None
     aux: dict = field(default_factory=dict)
@@ -60,7 +56,7 @@ class MetricEvaluator:
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.size != self.dimension or y.size != self.dimension:
             raise DomainError(f"expected {self.dimension}-dimensional x and y")
-        if not y.any():
+        if float(y.dot(y)) == 0.0:  # |y| = 0, also when its length underflows
             raise DomainError("y = 0 is outside the metric domain")
         if enforce_radius and float(np.linalg.norm(x)) > self.domain_radius * (1.0 + 1e-12):
             raise DomainError(
@@ -113,8 +109,8 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     return MetricEvaluator(
         kind="constructed-K0", dimension=psi.dimension, f_eval=f_value,
-        p_exact=p_value, intended_curvature=0.0, origin_psi=psi, origin_phi=phi,
-        solver_cfg=cfg, domain_radius=_domain_from(radius_estimate(phi)),
+        p_exact=p_value, intended_curvature=0.0,
+        domain_radius=_domain_from(radius_estimate(phi)),
         psi_minkowski_ok=minkowski_ok)
 
 
@@ -143,8 +139,7 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     return MetricEvaluator(
         kind="constructed-Kneg1", dimension=psi.dimension, f_eval=f_value,
-        p_exact=p_value, intended_curvature=-1.0, origin_psi=psi, origin_phi=phi,
-        solver_cfg=cfg, domain_radius=_domain_from(radius),
+        p_exact=p_value, intended_curvature=-1.0, domain_radius=_domain_from(radius),
         psi_minkowski_ok=minkowski_ok,
         aux={"phi_plus": phi_plus, "phi_minus": phi_minus})
 
@@ -178,8 +173,7 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction = None,
 
     return MetricEvaluator(
         kind="constructed-Kpos1", dimension=psi.dimension, f_eval=f_value,
-        p_exact=p_value, intended_curvature=1.0, origin_psi=psi, origin_phi=phi,
-        solver_cfg=cfg, domain_radius=_domain_from(radius),
+        p_exact=p_value, intended_curvature=1.0, domain_radius=_domain_from(radius),
         psi_minkowski_ok=minkowski_ok, aux={"psi_field": z_value})
 
 

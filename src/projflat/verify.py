@@ -17,91 +17,29 @@ curvature:
                                  on the line through (x0, v0)
 
 All identity residuals are normalized (absolute residual / (1 + magnitude))
-so one tolerance transfers across evaluation scales.  First derivatives use
-central differences with step ~ eps^(1/3); second and mixed derivatives use
-step ~ eps^(1/4), which keeps their round-off floor near 1e-8 instead of
-1e-5.
+so one tolerance transfers across evaluation scales.  Every first-derivative
+stencil goes through ``fd_gradient``: derivatives of F use step
+~ eps^(1/3), derivatives of the P field (itself a difference quotient
+unless the evaluator carries an exact one) and the mixed and second
+derivatives of F use step ~ eps^(1/4), which keeps their round-off floor
+near 1e-8 instead of 1e-5.
+
+The geodesic check cannot fail: v' = -2 P(x, v) v keeps v parallel to v0
+for any P, so every trajectory stays on its line whatever the metric (the
+negative control ``test:broken`` passes it at 5e-16).  It exercises the
+integrator and the domain guards, not projective flatness.
 """
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .norms import HomogeneousFunction, lengths
+from .norms import (EPS, STEP_FIRST, VerificationReport, fd_hessian,
+                    make_report)
 from .sampling import unit_directions
 
-EPS = float(np.finfo(float).eps)
-STEP_FIRST = EPS ** (1.0 / 3.0)
 STEP_SECOND = EPS ** 0.25
-
-FAILURE_CAP = 10
-MINKOWSKI_EIG_FLOOR = 1e-5
-
-
-@dataclass
-class VerificationReport:
-    """Residual statistics of one check over a sample sweep.
-
-    Invariant: ``passed`` is exactly ``max_residual <= tolerance`` and
-    ``failures`` is nonempty iff the check failed (capped list).
-    """
-
-    check_name: str
-    sample_count: int
-    max_residual: float
-    mean_residual: float
-    tolerance: float
-    passed: bool
-    failures: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "check": self.check_name,
-            "samples": int(self.sample_count),
-            "max_residual": float(self.max_residual),
-            "mean_residual": float(self.mean_residual),
-            "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-            "failures": [
-                {"x": [float(v) for v in x], "y": [float(v) for v in y], "residual": float(r)}
-                for (x, y, r) in self.failures
-            ],
-        }
-        if self.extra:
-            out["extra"] = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                            for k, v in self.extra.items()}
-        return out
-
-
-def make_report(check_name, points, residuals, tolerance, extra=None) -> VerificationReport:
-    """Assemble a VerificationReport from per-point residuals."""
-    residuals = np.asarray(residuals, dtype=float)
-    max_res = float(residuals.max()) if residuals.size else 0.0
-    mean_res = float(residuals.mean()) if residuals.size else 0.0
-    passed = bool(max_res <= tolerance)
-    failures = []
-    if not passed:
-        order = np.argsort(residuals)[::-1]
-        for idx in order[:FAILURE_CAP]:
-            if residuals[idx] <= tolerance:
-                break
-            x, y = points[idx]
-            failures.append((tuple(float(v) for v in np.atleast_1d(x)),
-                             tuple(float(v) for v in np.atleast_1d(y)),
-                             float(residuals[idx])))
-    return VerificationReport(
-        check_name=check_name,
-        sample_count=int(residuals.size),
-        max_residual=max_res,
-        mean_residual=mean_res,
-        tolerance=float(tolerance),
-        passed=passed,
-        failures=failures,
-        extra=dict(extra or {}),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,54 +47,18 @@ def make_report(check_name, points, residuals, tolerance, extra=None) -> Verific
 
 
 def fd_gradient(fun, v, step):
-    """Central-difference gradient of a scalar function of one vector."""
+    """Central-difference gradient of a scalar function of one vector.
+
+    The result has the dtype of ``fun``'s values, so complex fields keep
+    their imaginary parts.
+    """
     v = np.asarray(v, dtype=float)
-    out = np.zeros_like(v)
+    diffs = []
     for k in range(v.size):
         e = np.zeros_like(v)
         e[k] = step
-        out[k] = (fun(v + e) - fun(v - e)) / (2.0 * step)
-    return out
-
-
-def _pow2(values):
-    """Elementwise ``values ** 2`` through Python's float power.
-
-    libm ``pow`` is not always the correctly rounded ``v * v`` (about one
-    square in a thousand differs by an ulp), and one ulp of F^2 divided
-    by a squared step reaches the convexity floors; squaring rows this
-    way keeps them equal to the per-point path bit for bit.
-    """
-    values = np.asarray(values, dtype=float)
-    return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
-
-
-def fd_hessian(fun, v, step):
-    """Symmetric central-difference Hessian of a scalar function.
-
-    ``v`` is one point ``(n,)`` with a scalar ``step``, or rows ``(N, n)``
-    with one step per row; ``fun`` maps an array shaped like ``v`` to the
-    values at its points (a scalar, or ``(N,)``), and the result is
-    ``(n, n)`` or ``(N, n, n)``.
-    """
-    v = np.asarray(v, dtype=float)
-    n = v.shape[-1]
-    step = np.asarray(step, dtype=float)
-    step_sq = _pow2(step)[()]  # a lone step divides as a scalar, not a 0-d array
-    h = np.zeros(v.shape + (n,))
-    f0 = fun(v)
-    for i in range(n):
-        ei = np.zeros(v.shape)
-        ei[..., i] = step
-        h[..., i, i] = (fun(v + ei) - 2.0 * f0 + fun(v - ei)) / step_sq
-        for j in range(i + 1, n):
-            ej = np.zeros(v.shape)
-            ej[..., j] = step
-            hij = (fun(v + ei + ej) - fun(v + ei - ej)
-                   - fun(v - ei + ej) + fun(v - ei - ej)) / (4.0 * step_sq)
-            h[..., i, j] = hij
-            h[..., j, i] = hij
-    return h
+        diffs.append((fun(v + e) - fun(v - e)) / (2.0 * step))
+    return np.array(diffs)
 
 
 @dataclass
@@ -171,13 +73,9 @@ class JetData:
     grad_y: np.ndarray
     mixed_xy: np.ndarray
     hess_yy: np.ndarray
-    step_x: float
-    step_y: float
-    step2_x: float
-    step2_y: float
 
 
-def jet(metric, x, y, h_first=None, h_second=None) -> JetData:
+def jet(metric, x, y) -> JetData:
     """Central-difference jet of F at (x, y).
 
     First derivatives use step ~ eps^(1/3) * scale; mixed and second
@@ -190,22 +88,14 @@ def jet(metric, x, y, h_first=None, h_second=None) -> JetData:
     ny = float(np.linalg.norm(y))
     if ny == 0.0:
         raise DomainError("jet requires y != 0")
-    c1 = h_first if h_first is not None else STEP_FIRST
-    c2 = h_second if h_second is not None else STEP_SECOND
-    hx = c1 * max(1.0, float(np.linalg.norm(x)))
-    hy = c1 * ny
-    hx2 = c2 * max(1.0, float(np.linalg.norm(x)))
-    hy2 = c2 * ny
+    sx = max(1.0, float(np.linalg.norm(x)))
+    hx, hy = STEP_FIRST * sx, STEP_FIRST * ny
+    hx2, hy2 = STEP_SECOND * sx, STEP_SECOND * ny
 
-    f = lambda xx, yy: metric.eval(xx, yy)
+    f = metric.eval
     f0 = f(x, y)
-    grad_x = np.zeros(n)
-    grad_y = np.zeros(n)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        grad_x[k] = (f(x + hx * e, y) - f(x - hx * e, y)) / (2.0 * hx)
-        grad_y[k] = (f(x, y + hy * e) - f(x, y - hy * e)) / (2.0 * hy)
+    grad_x = fd_gradient(lambda xx: f(xx, y), x, hx)
+    grad_y = fd_gradient(lambda yy: f(x, yy), y, hy)
 
     mixed = np.zeros((n, n))
     for l in range(n):
@@ -220,17 +110,16 @@ def jet(metric, x, y, h_first=None, h_second=None) -> JetData:
 
     hess = fd_hessian(lambda yy: f(x, yy), y, hy2)
     hess = 0.5 * (hess + hess.T)
-    return JetData(value=f0, grad_x=grad_x, grad_y=grad_y, mixed_xy=mixed,
-                   hess_yy=hess, step_x=hx, step_y=hy, step2_x=hx2, step2_y=hy2)
+    return JetData(value=f0, grad_x=grad_x, grad_y=grad_y, mixed_xy=mixed, hess_yy=hess)
 
 
 # ---------------------------------------------------------------------------
 # identity residuals
 
 
-def hamel_residual(metric, x, y, jet_data=None) -> float:
+def hamel_residual(metric, x, y) -> float:
     """Normalized residual of F_{x^k} - F_{x^l y^k} y^l = 0."""
-    jd = jet_data if jet_data is not None else jet(metric, x, y)
+    jd = jet(metric, x, y)
     y = np.asarray(y, dtype=float)
     lhs = jd.grad_x - jd.mixed_xy.T @ y
     scale = 1.0 + float(np.abs(jd.grad_x).max())
@@ -260,21 +149,16 @@ def projective_factor_field(metric):
     return lambda x, y: projective_factor_numeric(metric, x, y)
 
 
-def flag_curvature(metric, x, y, check_hamel=False, hamel_tol=1e-3) -> float:
+def flag_curvature(metric, x, y) -> float:
     """K = (P^2 - P_{x^m} y^m) / F^2 with P_x by a directional difference.
 
     The P field is exact for constructed metrics and a finite difference
     of F otherwise, so the outer differentiation never stacks more than
-    one finite-difference level on top of the field.
+    one finite-difference level on top of the field.  The formula holds
+    only where F is projectively flat; the ``hamel`` check tests that.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if check_hamel:
-        res = hamel_residual(metric, x, y)
-        if res > hamel_tol:
-            warnings.warn(f"flag curvature requested where Hamel residual {res:.3g} "
-                          f"exceeds {hamel_tol:.2g}; the scalar formula is unreliable",
-                          stacklevel=2)
     p = projective_factor_field(metric)
     ny = float(np.linalg.norm(y))
     f0 = metric.eval(x, y)
@@ -284,18 +168,17 @@ def flag_curvature(metric, x, y, check_hamel=False, hamel_tol=1e-3) -> float:
     return float((p0 * p0 - dp) / (f0 * f0))
 
 
-def berwald_system_residual(metric, x, y, curvature=None):
+def berwald_system_residual(metric, x, y):
     """Normalized residuals (r1, r2) of the first-order projective system.
 
     r1 checks F_{x^k} = (PF)_{y^k}; r2 checks
     P_{x^k} = P P_{y^k} - (1/3F)(K F^3)_{y^k}, with the last term reduced
-    to K F F_{y^k} (valid because K is constant here).
+    to K F F_{y^k} (valid because K is constant here).  K is the intended
+    curvature, or the numeric K at (x, y) for a metric without one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.size
-    if curvature is None:
-        curvature = getattr(metric, "intended_curvature", None)
+    curvature = getattr(metric, "intended_curvature", None)
     if curvature is None:
         curvature = flag_curvature(metric, x, y)
     p = projective_factor_field(metric)
@@ -305,16 +188,9 @@ def berwald_system_residual(metric, x, y, curvature=None):
 
     hx = STEP_SECOND * max(1.0, float(np.linalg.norm(x)))
     hy = STEP_SECOND * float(np.linalg.norm(y))
-    p_x = np.zeros(n)
-    p_y = np.zeros(n)
-    pf_y = np.zeros(n)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        p_x[k] = (p(x + hx * e, y) - p(x - hx * e, y)) / (2.0 * hx)
-        p_y[k] = (p(x, y + hy * e) - p(x, y - hy * e)) / (2.0 * hy)
-        pf_y[k] = (p(x, y + hy * e) * metric.eval(x, y + hy * e)
-                   - p(x, y - hy * e) * metric.eval(x, y - hy * e)) / (2.0 * hy)
+    p_x = fd_gradient(lambda xx: p(xx, y), x, hx)
+    p_y = fd_gradient(lambda yy: p(x, yy), y, hy)
+    pf_y = fd_gradient(lambda yy: p(x, yy) * metric.eval(x, yy), y, hy)
 
     r1 = float(np.abs(jd.grad_x - pf_y).max()) / (1.0 + float(np.abs(jd.grad_x).max()))
     resid2 = p_x - p0 * p_y + curvature * f0 * jd.grad_y
@@ -322,13 +198,14 @@ def berwald_system_residual(metric, x, y, curvature=None):
     return r1, r2
 
 
-def _transport_fields(metric):
+def _transport_fields(metric, x, y):
     """Scalar fields Phi with Phi_x = Phi * Phi_y for this metric.
 
     Constructed metrics expose their solver fields through ``aux``;
     otherwise the fields are assembled from P and F using the intended
-    curvature: Phi = P for K = 0, P +/- sqrt(-K) F for K < 0, and the
-    complex P + i sqrt(K) F for K > 0.
+    curvature (the numeric K at (x, y) when there is none): Phi = P for
+    K = 0, P +/- sqrt(-K) F for K < 0, and the complex P + i sqrt(K) F
+    for K > 0.
     """
     aux = getattr(metric, "aux", {}) or {}
     if "phi_plus" in aux and "phi_minus" in aux:
@@ -337,7 +214,7 @@ def _transport_fields(metric):
         return [aux["psi_field"]]
     lam = getattr(metric, "intended_curvature", None)
     if lam is None:
-        raise DomainError("transport-field residual needs a curvature target")
+        lam = flag_curvature(metric, x, y)
     p = projective_factor_field(metric)
     if lam == 0.0:
         return [p]
@@ -353,23 +230,17 @@ def master_pde_residual(metric, x, y) -> float:
     """Normalized finite-difference residual of Phi_x = Phi * Phi_y.
 
     Phi runs over the metric's transport fields (see _transport_fields);
-    complex fields are differenced componentwise.
+    complex fields are differenced in complex arithmetic.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.size
     hx = STEP_SECOND * max(1.0, float(np.linalg.norm(x)))
     hy = STEP_SECOND * float(np.linalg.norm(y))
     worst = 0.0
-    for phi in _transport_fields(metric):
+    for phi in _transport_fields(metric, x, y):
         phi0 = phi(x, y)
-        gx = np.zeros(n, dtype=complex)
-        gy = np.zeros(n, dtype=complex)
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            gx[k] = (phi(x + hx * e, y) - phi(x - hx * e, y)) / (2.0 * hx)
-            gy[k] = (phi(x, y + hy * e) - phi(x, y - hy * e)) / (2.0 * hy)
+        gx = fd_gradient(lambda xx: phi(xx, y), x, hx)
+        gy = fd_gradient(lambda yy: phi(x, yy), y, hy)
         resid = np.abs(gx - phi0 * gy).max() / (1.0 + np.abs(gx).max())
         worst = max(worst, float(resid))
     return worst
@@ -408,30 +279,6 @@ def convexity_check(metric, x, samples, eig_floor=1e-8) -> VerificationReport:
         min_eig = min(min_eig, lam)
     return make_report("convexity", points, residuals, tolerance=-eig_floor,
                        extra={"min_eigenvalue": min_eig})
-
-
-def check_minkowski(f: HomogeneousFunction, samples: int,
-                    eig_floor: float = MINKOWSKI_EIG_FLOOR) -> VerificationReport:
-    """Strong-convexity and positivity test of a norm over deterministic
-    directions.
-
-    At each unit direction the Hessian of f^2/2 is formed by central
-    differences (step eps^(1/3), the standard second-difference
-    tradeoff) and its minimum eigenvalue recorded.  The per-direction
-    residual is max(-lambda_min, -f), so the report passes iff every
-    direction has lambda_min >= eig_floor and f >= eig_floor.  All
-    directions go through the norm as one ``(samples, n)`` array.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    dirs = unit_directions(f.dimension, samples)
-    values = f.eval_real(dirs)
-    hess = fd_hessian(lambda yy: 0.5 * _pow2(f.eval_real(yy)), dirs,
-                      STEP_FIRST * np.maximum(1.0, lengths(dirs)))
-    lam = np.linalg.eigvalsh(hess).min(axis=-1)
-    zero = np.zeros(f.dimension)
-    return make_report("minkowski", [(zero, u) for u in dirs], np.maximum(-lam, -values),
-                       tolerance=-eig_floor, extra={"min_eigenvalue": float(lam.min())})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from projflat import SolveResult, SolverConfig, SolverError
 from projflat.sampling import unit_directions
-from projflat.verify import MINKOWSKI_EIG_FLOOR, STEP_FIRST, make_report
+from projflat.norms import MINKOWSKI_EIG_FLOOR, STEP_FIRST, make_report
 
 
 def _d(x, y):

@@ -15,7 +15,7 @@ from projflat import (BryantPair, DimensionMismatchError, DomainError,
                       RandersNorm, ScaledNorm, ZeroNorm, build_k0, build_kneg1,
                       build_kpos1, check_minkowski, combine,
                       pair_radius_estimate, radius_estimate)
-from projflat.verify import fd_hessian
+from projflat.norms import fd_hessian
 
 # (dimension, dsr block split)
 DIMS = [(2, (1, 1)), (3, (1, 2)), (5, (2, 3))]

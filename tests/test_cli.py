@@ -1,10 +1,13 @@
 """Command-line behavior: outputs, exit codes, determinism, round trips."""
 
+import ast
 import csv
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -81,13 +84,15 @@ def test_verify_dsr_construction(capsys):
 
 
 def test_verify_broken_fails_hamel(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--metric", "test:broken",
-                           "--checks", "hamel", "--radius", "0.4", "--samples", "20")
-    assert code == 1
-    data = json.loads(out)
-    assert data["pass"] is False
-    assert data["checks"]["hamel"]["max_residual"] > 1e-3
-    assert data["checks"]["hamel"]["failures"]
+    # the hamel check alone, then the default check set (every check runs)
+    for checks in (("--checks", "hamel"), ()):
+        code, out, _ = run_cli(capsys, "verify", "--metric", "test:broken", *checks,
+                               "--radius", "0.4", "--samples", "20")
+        assert code == 1
+        data = json.loads(out)
+        assert data["pass"] is False
+        assert data["checks"]["hamel"]["max_residual"] > 1e-3
+        assert data["checks"]["hamel"]["failures"]
 
 
 def test_compare_construct_vs_catalog(capsys):
@@ -210,6 +215,16 @@ def test_exit_code_domain_error(capsys):
                            "--x", "1.5,0", "--y", "1,0")
     assert code == 3
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "domain"
+    # a nonzero y whose length underflows to 0 is y = 0 for the evaluator
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "eval", "--metric",
+                               "construct:0:euclidean:randers:0.2,0.1",
+                               "--x", "0,0", "--y", "1e-300,0")
+    assert code == 3
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "domain"
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_exit_code_solver_error(capsys):
@@ -219,6 +234,40 @@ def test_exit_code_solver_error(capsys):
                            "--solver-iters", "1", "--solver-tol", "1e-15")
     assert code == 4
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "solver"
+
+
+def _counting(fn, counts, key):
+    def counted(*args):
+        counts[key] += 1
+        return fn(*args)
+    return counted
+
+
+# F and P evaluations per sample point (per trajectory for geodesic) of
+# each check; the funk row is the benchmark's cross-check.
+EVALS_PER_POINT = {
+    "catalog:funk": {"hamel": (34, 0), "curvature": (10, 0), "berwald": (77, 0),
+                     "convexity": (10, 0), "geodesic": (1200, 0), "pde": (72, 0)},
+    "construct:0:euclidean:randers:0.2,0.1": {
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
+        "convexity": (10, 0), "geodesic": (0, 400), "pde": (0, 9)},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(EVALS_PER_POINT))
+def test_verify_checks_evaluations_per_point(spec):
+    base = parse_metric(spec, 2, SolverConfig())
+    for name, (f_want, p_want) in EVALS_PER_POINT[spec].items():
+        counts = {"F": 0, "P": 0}
+        fields = {"f_eval": _counting(base.f_eval, counts, "F")}
+        if base.p_exact is not None:
+            fields["p_exact"] = _counting(base.p_exact, counts, "P")
+        metric = dataclasses.replace(base, **fields)
+        report = cli._run_check(name, metric, np.random.default_rng(3), 0.2, 4,
+                                cli.DEFAULT_TOLERANCES[name])
+        assert report.passed, name
+        points = report.sample_count
+        assert (counts["F"], counts["P"]) == (f_want * points, p_want * points), name
 
 
 def test_determinism_byte_identical(capsys):
@@ -321,3 +370,25 @@ def test_import_does_not_load_scipy(tmp_path):
                           env=child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Imports flow one way; construct and catalog share a layer, and catalog
+# wraps its entries in construct's evaluator.
+LAYERS = ("errors", "sampling", "norms", "solver", "construct", "catalog", "verify",
+          "cli", "__main__", "__init__")
+
+
+def test_relative_imports_point_to_earlier_layers():
+    package = os.path.join(SRC_DIR, "projflat")
+    modules = sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py"))
+    assert sorted(LAYERS) == modules
+    for module in modules:
+        with open(os.path.join(package, module + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            targets = ([node.module.split(".")[0]] if node.module
+                       else [alias.name for alias in node.names])
+            for target in targets:
+                assert LAYERS.index(target) < LAYERS.index(module), (module, target)

@@ -184,7 +184,7 @@ def test_double_sqrt_plus_degenerates_on_block_axis():
     for _, u, _ in rep.failures:
         assert abs(u[0] * u[1]) < 1e-6
     # off-axis the Hessian is strongly positive definite
-    from projflat.verify import fd_hessian
+    from projflat.norms import fd_hessian
     f = DoubleSqrtNorm(2, 1, 1, plus=True)
     u = np.array([np.cos(0.7), np.sin(0.7)])
     h = fd_hessian(lambda yy: 0.5 * f.eval_real(yy) ** 2, u, 1e-5)
