@@ -5,9 +5,8 @@ drift function), evaluate the classical closed forms, and verify the
 defining identities numerically.
 """
 
-from .catalog import (CatalogEntry, as_evaluator, bryant_all_real, catalog_entry,
-                      eval_catalog, list_catalog, parse_catalog,
-                      zhou_reduction_check)
+from .catalog import (CatalogEntry, as_evaluator, catalog_entry, eval_catalog,
+                      list_catalog, parse_catalog)
 from .construct import (MetricEvaluator, broken_metric, build_k0, build_kneg1,
                         build_kpos1)
 from .errors import (BranchCutError, DimensionMismatchError, DomainError,
@@ -16,11 +15,10 @@ from .norms import (BryantPair, CombinedNorm, DoubleSqrtNorm, EuclideanNorm,
                     HomogeneousFunction, RandersNorm, ScaledNorm,
                     VerificationReport, ZeroNorm, check_minkowski, combine,
                     format_norm, parse_norm)
-from .solver import (SolveResult, SolverConfig, implicit_derivatives,
-                     pair_radius_estimate, radius_estimate, solve_complex,
-                     solve_real)
-from .verify import (GeodesicResult, JetData, berwald_system_residual,
-                     collinearity_score, convexity_check, flag_curvature,
+from .solver import (SolveResult, SolverConfig, pair_radius_estimate,
+                     radius_estimate, solve_complex, solve_real)
+from .verify import (GeodesicResult, berwald_system_residual,
+                     collinearity_score, flag_curvature,
                      geodesic_coefficients_general, hamel_residual,
                      integrate_geodesic, jet, master_pde_residual,
                      projective_factor_numeric)

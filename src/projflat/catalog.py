@@ -20,9 +20,6 @@ sph-kneg1    -1          (Phi_{c+1} - Phi_{c-1}) / 2 with the closed root
                          of Phi = a |y + x Phi| for a = c ± 1
 sph-kpos1    +1          Im of the quadratic root of Z = (c+i)|y + x Z|
 zhou         -1          |y| c1(z1) / (c1(z1)^2 - (z2 + c2(z1))^2)
-
-The bryant entry also ships its all-real rendering (A, B, C, D radicals);
-both renderings must agree to machine precision.
 """
 
 import cmath
@@ -158,20 +155,6 @@ def _eval_bryant(alpha, x, y):
     return ((-xy + 1j * cmath.sqrt(disc)) / w).imag
 
 
-def bryant_all_real(alpha, x, y) -> float:
-    """The radical (A, B, C, D) rendering of the bryant formula."""
-    xx, yy, xy = _dots(x, y)
-    cos2a = math.cos(2.0 * alpha)
-    sin2a = math.sin(2.0 * alpha)
-    b = yy * cos2a + xx * yy - xy * xy
-    a = b * b + (yy * sin2a) ** 2
-    c = xy * sin2a
-    d = xx * xx + 2.0 * xx * cos2a + 1.0
-    if d <= _MARGIN:
-        raise DomainError("bryant denominator vanished")
-    return math.sqrt((math.sqrt(a) + b) / (2.0 * d) + (c / d) ** 2) + c / d
-
-
 def _pick_metric_root(num_plus, num_minus, denom):
     """Choose the quadratic root with positive imaginary part."""
     r1 = num_plus / denom
@@ -252,28 +235,6 @@ def _eval_zhou(d1, d2, sign, x, y):
     if denom <= _MARGIN:
         raise DomainError("zhou denominator vanished")
     return math.sqrt(yy) * c1 / denom
-
-
-def zhou_reduction_check(d1, d2, sign, x, y):
-    """(lhs, rhs): the zhou formula against its two-term expansion
-
-        rhs = 1/2 { (sqrt((2 d2 + s 4 d1^2 - |x|^2)|y|^2 + <x,y>^2) - <x,y>)
-                    / (2 d2 + s 4 d1^2 - |x|^2)
-                  + (sqrt((2 d2 - s 4 d1^2 - |x|^2)|y|^2 + <x,y>^2) + <x,y>)
-                    / (2 d2 - s 4 d1^2 - |x|^2) }
-
-    with s the sign carried by c2.  The two sides are algebraically equal
-    on the zhou domain.
-    """
-    xx, yy, xy = _dots(x, y)
-    lhs = _eval_zhou(d1, d2, sign, x, y)
-    out = 0.0
-    for s, num_sign in ((sign, -1.0), (-sign, 1.0)):
-        a = 2.0 * d2 + s * 4.0 * d1 * d1 - xx
-        if a <= _MARGIN:
-            raise DomainError("zhou reduction denominator vanished")
-        out += (math.sqrt(a * yy + xy * xy) + num_sign * xy) / a
-    return lhs, 0.5 * out
 
 
 _BODIES = {

@@ -19,9 +19,10 @@ import sys
 import numpy as np
 
 from . import catalog as cat
-from .construct import broken_metric, build_k0, build_kneg1, build_kpos1
+from .construct import (broken_metric, build_k0, build_kneg1, build_kpos1,
+                        first_errors, raise_first)
 from .errors import DomainError, ProjFlatError, SolverError, SpecParseError
-from .norms import NORM_ARITY, parse_norm
+from .norms import NORM_ARITY, make_report, parse_norm
 from .sampling import ball_points, sphere_points
 from .solver import SolverConfig
 from . import verify as vfy
@@ -126,28 +127,17 @@ def _fmt(v: float) -> str:
 # subcommands
 
 
-def _point_metrics(metric, x, y):
-    f = metric.eval(x, y)
-    p = vfy.projective_factor_field(metric)(x, y)
-    k = vfy.flag_curvature(metric, x, y)
-    return f, p, k
-
-
 def cmd_eval(args) -> int:
     x = _parse_vector(args.x)
     y = _parse_vector(args.y)
     if x.size != y.size:
         raise SpecParseError("x and y must have the same length")
     metric = parse_metric(args.metric, x.size, _solver_cfg(args))
-    f, p, k = _point_metrics(metric, x, y)
-    _emit({"F": float(f), "P": float(p), "K_numeric": float(k)},
-          f"F={f:.9g} P={p:.9g} K={k:.6g}")
+    f, p, k, errors = vfy.point_values(metric, x[None], y[None])
+    raise_first(errors)
+    f, p, k = float(f[0]), float(p[0]), float(k[0])
+    _emit({"F": f, "P": p, "K_numeric": k}, f"F={f:.9g} P={p:.9g} K={k:.6g}")
     return 0
-
-
-def _sweep_report(name, points, residual_fn, tolerance):
-    residuals = [residual_fn(*pt) for pt in points]
-    return vfy.make_report(name, points, residuals, tolerance)
 
 
 def _run_check(name, metric, rng, radius, samples, tol):
@@ -157,42 +147,36 @@ def _run_check(name, metric, rng, radius, samples, tol):
         starts = ball_points(rng, dim, 0.3 * radius, count)
         dirs = sphere_points(rng, dim, count)
         t_end = min(0.2, 0.5 * radius)
-        points = list(zip(starts, dirs))
-
-        def resid(x0, v0):
-            traj = vfy.integrate_geodesic(metric, x0, v0, t_end, 100)
-            return vfy.collinearity_score(traj, x0, v0)
-
-        return _sweep_report("geodesic", points, resid, tol)
+        trajectories = vfy.integrate_geodesic(metric, starts, dirs, t_end, 100)
+        residuals = [vfy.collinearity_score(traj, x0, v0)
+                     for traj, x0, v0 in zip(trajectories, starts, dirs)]
+        return make_report("geodesic", list(zip(starts, dirs)), residuals, tol)
 
     xs = ball_points(rng, dim, radius, samples)
     ys = sphere_points(rng, dim, samples)
     points = list(zip(xs, ys))
     if name == "convexity":
-        pairs = [vfy.convexity_residual(metric, x, u) for x, u in points]
-        return vfy.make_report("convexity", points, [r for r, _ in pairs], tol,
-                               extra={"min_eigenvalue": min(lam for _, lam in pairs)})
+        residuals, lam = vfy.convexity_residual(metric, xs, ys)
+        return make_report("convexity", points, residuals, tol,
+                           extra={"min_eigenvalue": float(lam.min())})
     if name == "hamel":
-        return _sweep_report("hamel", points,
-                             lambda x, y: vfy.hamel_residual(metric, x, y), tol)
+        return make_report("hamel", points, vfy.hamel_residual(metric, xs, ys), tol)
     if name == "curvature":
         target = metric.intended_curvature
-        values = [vfy.flag_curvature(metric, *pt) for pt in points]
+        values = vfy.flag_curvature(metric, xs, ys)
         if target is None:
             center = float(np.median(values))
-            residuals = [abs(v - center) for v in values]
+            residuals = np.abs(values - center)
             extra = {"median_K": center}
         else:
-            residuals = [abs(v - target) for v in values]
+            residuals = np.abs(values - target)
             extra = {"target_K": float(target), "mean_K": float(np.mean(values))}
-        return vfy.make_report("curvature", points, residuals, tol, extra=extra)
+        return make_report("curvature", points, residuals, tol, extra=extra)
     if name == "berwald":
-        return _sweep_report("berwald", points,
-                             lambda x, y: max(vfy.berwald_system_residual(metric, x, y)),
-                             tol)
+        return make_report("berwald", points,
+                           np.maximum(*vfy.berwald_system_residual(metric, xs, ys)), tol)
     if name == "pde":
-        return _sweep_report("pde", points,
-                             lambda x, y: vfy.master_pde_residual(metric, x, y), tol)
+        return make_report("pde", points, vfy.master_pde_residual(metric, xs, ys), tol)
     raise SpecParseError(f"unknown check '{name}'")
 
 
@@ -257,21 +241,14 @@ def cmd_compare(args) -> int:
     rng = np.random.default_rng(args.seed)
     xs = ball_points(rng, args.dim, args.radius, args.samples)
     ys = sphere_points(rng, args.dim, args.samples)
-
-    def one(pt):
-        x, y = pt
-        fa = m_a.eval(x, y)
-        fb = m_b.eval(x, y)
-        diff = abs(fa - fb)
-        return diff, diff / max(abs(fa), abs(fb), 1e-300)
-
-    results = [one(pt) for pt in zip(xs, ys)]
-    abs_diffs = [r[0] for r in results]
-    rel_diffs = [r[1] for r in results]
+    f_a, f_b = m_a.rows(xs, ys), m_b.rows(xs, ys)
+    raise_first(first_errors(f_a.errors, f_b.errors))
+    abs_diffs = np.abs(f_a.f - f_b.f)
+    rel_diffs = abs_diffs / np.maximum(np.maximum(np.abs(f_a.f), np.abs(f_b.f)), 1e-300)
     worst = int(np.argmax(rel_diffs))
     payload = {
-        "max_abs_diff": float(max(abs_diffs)),
-        "max_rel_diff": float(max(rel_diffs)),
+        "max_abs_diff": float(abs_diffs.max()),
+        "max_rel_diff": float(rel_diffs.max()),
         "worst_point": {"x": [float(v) for v in xs[worst]],
                         "y": [float(v) for v in ys[worst]]},
         "samples": int(args.samples),
@@ -310,16 +287,13 @@ def cmd_sample(args) -> int:
 
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-    def one(gp):
-        x, y = (gp, fixed) if fixed_is_y else (fixed, gp)
-        try:
-            f, p, k = _point_metrics(metric, x, y)
-            return _fmt(f), _fmt(p), _fmt(k)
-        except DomainError:
-            return "", "", ""
-
-    rows = [one(gp) for gp in grid_points]
+    others = np.broadcast_to(fixed, grid_points.shape)
+    xs, ys = (grid_points, others) if fixed_is_y else (others, grid_points)
+    f, p, k, errors = vfy.point_values(metric, xs, ys)
+    # a row outside the domain stays blank; any other failure is an error
+    raise_first([exc for exc in errors if not isinstance(exc, DomainError)])
+    rows = [("", "", "") if exc is not None else (_fmt(fv), _fmt(pv), _fmt(kv))
+            for fv, pv, kv, exc in zip(f, p, k, errors)]
     header = ([f"x{i+1}" for i in range(dim)] + [f"y{i+1}" for i in range(dim)]
               + ["F", "P", "K"])
     with open(args.out, "w", newline="") as fh:

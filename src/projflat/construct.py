@@ -16,15 +16,20 @@ curvature is the stated constant and whose origin data is exactly
 Every evaluator owns an open validity ball |x| < 0.8 * r where r is the
 sampled contraction-radius estimate of its solve(s); evaluations beyond
 it raise DomainError instead of returning garbage.
+
+``MetricEvaluator.rows`` evaluates N points ``(N, n)`` at once.  A
+constructed metric solves all of them together, once per point for F and
+P both; a closed form runs its formula point by point.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ProjFlatError
-from .norms import BryantPair, HomogeneousFunction, check_minkowski, combine
+from .norms import (BryantPair, HomogeneousFunction, check_minkowski, combine,
+                    lengths, per_row)
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
@@ -32,40 +37,123 @@ DOMAIN_SAFETY = 0.8
 _MINKOWSKI_PROBE = 64
 
 
+@dataclass
+class RowValues:
+    """Values at N points.
+
+    ``f`` and ``p`` are ``(N,)`` arrays when asked for (None otherwise);
+    ``fields`` holds a constructed metric's solved transport fields, the
+    ones with Phi_x = Phi Phi_y: ``(P,)`` for curvature 0,
+    ``(Phi_+, Phi_-)`` for -1 and the complex ``(Z,)`` for +1, and is
+    empty for a closed form.  ``errors[i]`` is the error row i raises on
+    its own, None where it evaluated; a failed row holds nan.
+    """
+
+    f: np.ndarray
+    p: np.ndarray
+    fields: tuple
+    errors: list
+
+
+def first_errors(*per_row) -> list:
+    """Per row, the first error of several per-row error lists, in order."""
+    if not any(map(any, per_row)):
+        return [None] * len(per_row[0])
+    return [next((exc for exc in row if exc is not None), None) for row in zip(*per_row)]
+
+
+def raise_first(errors) -> None:
+    """Raise the first error of a per-row error list, if there is one."""
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 @dataclass(frozen=True)
 class MetricEvaluator:
-    """A callable metric F(x, y), with exact projective factor when known.
+    """A metric F(x, y), with exact projective factor when constructed.
 
     ``kind`` is one of constructed-K0 / constructed-Kneg1 /
-    constructed-Kpos1 / catalog:<name> / test:broken.  ``aux`` carries the
-    construction's transport fields for identity checks (``phi_plus`` /
-    ``phi_minus`` for curvature -1, ``psi_field`` for +1).
+    constructed-Kpos1 / catalog:<name> / test:broken.  A closed form
+    carries ``f_eval``, its formula at one point; a constructed metric
+    carries ``solve``, which maps rows ``x``, ``y`` and whether F is
+    wanted to ``(F, P, fields, errors)`` (see RowValues) from one solve
+    per row.
     """
 
     kind: str
     dimension: int
-    f_eval: object
-    p_exact: object = None
+    f_eval: object = None
+    solve: object = None
     intended_curvature: float = None
     domain_radius: float = math.inf
     psi_minkowski_ok: bool = None
-    aux: dict = field(default_factory=dict)
 
-    def _check_point(self, x, y, enforce_radius=True):
+    def _check_point(self, x, y):
         x = np.asarray(x, dtype=float).reshape(-1)
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.size != self.dimension or y.size != self.dimension:
             raise DomainError(f"expected {self.dimension}-dimensional x and y")
         if float(y.dot(y)) == 0.0:  # |y| = 0, also when its length underflows
             raise DomainError("y = 0 is outside the metric domain")
-        if enforce_radius and float(np.linalg.norm(x)) > self.domain_radius * (1.0 + 1e-12):
-            raise DomainError(
-                f"|x| = {np.linalg.norm(x):.6g} exceeds the validity radius "
-                f"{self.domain_radius:.6g} of this evaluator")
+        if float(np.linalg.norm(x)) > self.domain_radius * (1.0 + 1e-12):
+            raise DomainError(self._radius_message(np.linalg.norm(x)))
         return x, y
+
+    def _radius_message(self, length):
+        return (f"|x| = {length:.6g} exceeds the validity radius "
+                f"{self.domain_radius:.6g} of this evaluator")
+
+    def rows(self, x, y, with_f=True, with_p=False) -> RowValues:
+        """F, and the exact P when ``with_p``, at each row of ``x`` and ``y``
+        (both ``(N, n)``).
+
+        Each row passes the point guard on its own: y != 0 (a y whose
+        length underflows counts as zero) and, when F is asked for, the
+        validity radius.  P is not radius-guarded: the fixed point extends
+        beyond the guaranteed ball wherever bracketing succeeds, and the
+        solve fails honestly where it does not.  A failed row gets nan and
+        its own error (see RowValues); the other rows are unaffected.  A
+        closed form evaluates its rows one ``eval`` at a time and has no
+        exact P.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 2 or x.shape != y.shape or x.shape[1] != self.dimension:
+            raise DomainError(f"expected {self.dimension}-dimensional x and y")
+        count = len(y)
+        if self.solve is None:
+            if with_p:
+                raise ProjFlatError(f"{self.kind} has no exact projective factor; "
+                                    "use the numeric fallback in verify")
+            f = np.full(count, np.nan)
+            errors = [None] * count
+            for i in range(count):
+                try:
+                    f[i] = self.eval(x[i], y[i])
+                except ProjFlatError as exc:
+                    errors[i] = exc.with_traceback(None)  # no frame cycle
+            return RowValues(f, None, (), errors)
+
+        errors = [None] * count
+        for i in np.flatnonzero(np.vecdot(y, y) == 0.0):
+            errors[i] = DomainError("y = 0 is outside the metric domain")
+        if with_f:
+            length = lengths(x)
+            for i in np.flatnonzero(length > self.domain_radius * (1.0 + 1e-12)):
+                errors[i] = errors[i] or DomainError(self._radius_message(length[i]))
+        ok = np.array([exc is None for exc in errors], dtype=bool)
+        f, p, fields, solved = self.solve(x[ok], y[ok], with_f)
+        for i, exc in zip(np.flatnonzero(ok), solved):
+            errors[i] = exc
+        return RowValues(_spread(f, ok) if with_f else None,
+                         _spread(p, ok) if with_p else None,
+                         tuple(_spread(v, ok) for v in fields), errors)
 
     def eval(self, x, y) -> float:
         """Metric value F(x, y); positive for y != 0 inside the domain."""
+        if self.solve is not None:
+            return float(self._point(x, y, with_f=True).f[0])
         x, y = self._check_point(x, y)
         return float(self.f_eval(x, y))
 
@@ -74,15 +162,36 @@ class MetricEvaluator:
     def projective_factor_exact(self, x, y) -> float:
         """Exact projective factor; only constructed metrics carry one.
 
-        Not radius-guarded: the fixed point extends beyond the guaranteed
-        ball wherever bracketing succeeds, and the solve fails honestly
-        where it does not.
+        Not radius-guarded, like P in ``rows``.
         """
-        if self.p_exact is None:
+        if self.solve is None:
             raise ProjFlatError(f"{self.kind} has no exact projective factor; "
                                 "use the numeric fallback in verify")
-        x, y = self._check_point(x, y, enforce_radius=False)
-        return float(self.p_exact(x, y))
+        return float(self._point(x, y, with_f=False, with_p=True).p[0])
+
+    def _point(self, x, y, **want) -> RowValues:
+        values = self.rows(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), **want)
+        raise_first(values.errors)
+        return values
+
+
+def _spread(values, ok):
+    """Values of the rows where ``ok`` holds, nan on the others."""
+    out = np.full(ok.shape, np.nan, dtype=np.result_type(values, float))
+    out[ok] = values
+    return out
+
+
+def _on_live(fn, v, errors):
+    """``fn`` on the rows of ``v`` without an error yet (nan on the others);
+    a row that makes ``fn`` raise gets that error in ``errors``."""
+    live = np.flatnonzero([exc is None for exc in errors])
+    values, failed = per_row(fn, v[live])
+    out = np.full((len(v),) + np.shape(values)[1:], np.nan)
+    out[live] = values
+    for i, exc in zip(live, failed):
+        errors[i] = exc
+    return out
 
 
 def _domain_from(radius: float) -> float:
@@ -97,20 +206,20 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
     cfg = cfg or SolverConfig()
     minkowski_ok = bool(check_minkowski(psi, _MINKOWSKI_PROBE).passed)
 
-    def p_value(x, y):
-        return solve_real(phi, x, y, cfg).value
-
-    def f_value(x, y):
+    def solve(x, y, with_f):
         res = solve_real(phi, x, y, cfg)
-        denom = 1.0 - float(phi.grad_real(res.eta) @ x)
-        if denom < 1e-8:
-            raise DomainError("construction denominator vanishes")
-        return psi.eval_real(res.eta) / denom
+        errors = list(res.errors)
+        f = None
+        if with_f:
+            denom = 1.0 - np.vecdot(_on_live(phi.grad_real, res.eta, errors), x)
+            for i in np.flatnonzero(denom < 1e-8):
+                errors[i] = errors[i] or DomainError("construction denominator vanishes")
+            f = _on_live(psi.eval_real, res.eta, errors) / denom
+        return f, res.value, (res.value,), errors
 
     return MetricEvaluator(
-        kind="constructed-K0", dimension=psi.dimension, f_eval=f_value,
-        p_exact=p_value, intended_curvature=0.0,
-        domain_radius=_domain_from(radius_estimate(phi)),
+        kind="constructed-K0", dimension=psi.dimension, solve=solve,
+        intended_curvature=0.0, domain_radius=_domain_from(radius_estimate(phi)),
         psi_minkowski_ok=minkowski_ok)
 
 
@@ -125,23 +234,17 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     f_minus = combine((1.0, phi), (-1.0, psi))
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
 
-    def phi_plus(x, y):
-        return solve_real(f_plus, x, y, cfg).value
-
-    def phi_minus(x, y):
-        return solve_real(f_minus, x, y, cfg).value
-
-    def f_value(x, y):
-        return 0.5 * (phi_plus(x, y) - phi_minus(x, y))
-
-    def p_value(x, y):
-        return 0.5 * (phi_plus(x, y) + phi_minus(x, y))
+    def solve(x, y, with_f):
+        plus = solve_real(f_plus, x, y, cfg)
+        minus = solve_real(f_minus, x, y, cfg)
+        a, b = plus.value, minus.value
+        errors = [e or e_minus for e, e_minus in zip(plus.errors, minus.errors)]
+        return 0.5 * (a - b), 0.5 * (a + b), (a, b), errors
 
     return MetricEvaluator(
-        kind="constructed-Kneg1", dimension=psi.dimension, f_eval=f_value,
-        p_exact=p_value, intended_curvature=-1.0, domain_radius=_domain_from(radius),
-        psi_minkowski_ok=minkowski_ok,
-        aux={"phi_plus": phi_plus, "phi_minus": phi_minus})
+        kind="constructed-Kneg1", dimension=psi.dimension, solve=solve,
+        intended_curvature=-1.0, domain_radius=_domain_from(radius),
+        psi_minkowski_ok=minkowski_ok)
 
 
 def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction = None,
@@ -162,19 +265,15 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction = None,
     minkowski_ok = bool(check_minkowski(psi, _MINKOWSKI_PROBE).passed)
     radius = pair_radius_estimate(phi, psi)
 
-    def z_value(x, y):
-        return solve_complex(phi, psi, x, y, cfg).value
-
-    def f_value(x, y):
-        return z_value(x, y).imag
-
-    def p_value(x, y):
-        return z_value(x, y).real
+    def solve(x, y, with_f):
+        res = solve_complex(phi, psi, x, y, cfg)
+        z = res.value
+        return z.imag, z.real, (z,), list(res.errors)
 
     return MetricEvaluator(
-        kind="constructed-Kpos1", dimension=psi.dimension, f_eval=f_value,
-        p_exact=p_value, intended_curvature=1.0, domain_radius=_domain_from(radius),
-        psi_minkowski_ok=minkowski_ok, aux={"psi_field": z_value})
+        kind="constructed-Kpos1", dimension=psi.dimension, solve=solve,
+        intended_curvature=1.0, domain_radius=_domain_from(radius),
+        psi_minkowski_ok=minkowski_ok)
 
 
 def broken_metric(dimension: int = 2) -> MetricEvaluator:

@@ -18,10 +18,13 @@ arguments are always available:
 * ``combo``       a formal linear combination of the above (used for
                   phi +/- psi without numeric differentiation)
 
-``eval_real`` and ``grad_real`` take one vector ``(n,)`` or rows ``(N, n)``
-and act along the last axis: a row gives the same bits as the same vector
-passed alone.  One vector yields a float (value) or an ``(n,)`` array
-(gradient); rows yield ``(N,)`` values or ``(N, n)`` gradients.
+``eval_real``, ``grad_real`` and ``eval_complex`` take one vector ``(n,)``
+or rows ``(N, n)`` and act along the last axis: a row gives the same bits
+as the same vector passed alone.  One vector yields a float or
+complex (value) or an ``(n,)`` array (gradient); rows yield ``(N,)``
+values or ``(N, n)`` gradients.  A real row whose squared length is 0,
+also when it underflows, is outside the domain of every family but
+``zero``.
 
 Complex continuation uses principal square roots throughout (cut on the
 negative real axis, the cut itself resolved from above as in IEEE/numpy).
@@ -40,7 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, SpecParseError
+from .errors import (DimensionMismatchError, DomainError, ProjFlatError,
+                     SpecParseError)
 from .sampling import unit_directions
 
 EPS = float(np.finfo(float).eps)
@@ -75,7 +79,7 @@ class HomogeneousFunction:
     def eval_real(self, y):
         raise NotImplementedError
 
-    def eval_complex(self, z) -> complex:
+    def eval_complex(self, z):
         raise NotImplementedError
 
     def grad_real(self, y) -> np.ndarray:
@@ -96,28 +100,60 @@ class HomogeneousFunction:
                 f"expected {self.dimension} components, got {got}")
         if not np.isfinite(v).all():
             raise DomainError("non-finite vector")
-        # .flat yields one flag for a lone vector, one per row otherwise
-        if not allow_zero and not all(v.any(axis=-1).flat):
+        # a squared length of 0 is the zero row, also when it underflows
+        if not allow_zero and (np.vecdot(v, v) == 0.0).any():
             raise DomainError("y = 0 is outside the domain of this family")
         return v
 
-    def _cvec(self, z) -> np.ndarray:
-        v = np.asarray(z, dtype=complex).reshape(-1)
-        if v.size != self.dimension:
+    def _cvec(self, z):
+        """``z`` as rows of complex numbers, ``dimension`` components each,
+        all finite, and whether it was one vector.
+
+        One vector is computed as a single row: numpy's complex products
+        can differ from its scalar (and Python's) products in the last
+        ulp, and the same array path keeps a row's value independent of
+        the rows around it.
+        """
+        v = np.asarray(z, dtype=complex)
+        if v.shape[-1:] != (self.dimension,):
+            got = v.shape[-1] if v.ndim else v.size
             raise DimensionMismatchError(
-                f"expected {self.dimension} components, got {v.size}")
-        if not np.all(np.isfinite(v)):
+                f"expected {self.dimension} components, got {got}")
+        if not np.isfinite(v).all():
             raise DomainError("non-finite vector")
-        return v
+        return np.atleast_2d(v), v.ndim == 1
 
 
-def _csqrt(w) -> complex:
-    """Principal square root as a plain complex number."""
-    return complex(cmath.sqrt(complex(w)))
+def _cvalue(out, lone):
+    """A lone vector's complex value as a complex; rows stay an array."""
+    return complex(out[0]) if lone else out
 
 
-def _csum_sq(v: np.ndarray) -> complex:
-    return complex(np.sum(v * v))
+def _csum_sq(v: np.ndarray):
+    """sum(z_k^2) along the last axis (no conjugation, unlike vecdot)."""
+    return np.sum(v * v, axis=-1)
+
+
+def per_row(fn, v):
+    """``fn`` on the rows ``v`` in one call, and each row's error.
+
+    Returns ``(values, errors)``.  When the call raises a library error,
+    ``fn`` runs again row by row: a failing row gets nan and the error it
+    raises alone, the other rows their values.
+    """
+    try:
+        return fn(v), [None] * len(v)
+    except ProjFlatError:
+        pass
+    values, errors = [], []
+    for row in v:
+        try:
+            values.append(fn(row))
+            errors.append(None)
+        except ProjFlatError as exc:
+            values.append(np.nan)
+            errors.append(exc.with_traceback(None))  # no frame cycle
+    return np.array(values), errors
 
 
 class ZeroNorm(HomogeneousFunction):
@@ -128,9 +164,9 @@ class ZeroNorm(HomogeneousFunction):
     def eval_real(self, y):
         return _value(np.zeros(self._vec(y, allow_zero=True).shape[:-1]))
 
-    def eval_complex(self, z) -> complex:
-        self._cvec(z)
-        return 0j
+    def eval_complex(self, z):
+        v, lone = self._cvec(z)
+        return _cvalue(np.zeros(len(v), dtype=complex), lone)
 
     def grad_real(self, y) -> np.ndarray:
         return np.zeros(self._vec(y, allow_zero=True).shape)
@@ -144,8 +180,9 @@ class EuclideanNorm(HomogeneousFunction):
     def eval_real(self, y):
         return _value(lengths(self._vec(y)))
 
-    def eval_complex(self, z) -> complex:
-        return _csqrt(_csum_sq(self._cvec(z)))
+    def eval_complex(self, z):
+        v, lone = self._cvec(z)
+        return _cvalue(np.sqrt(_csum_sq(v)), lone)
 
     def grad_real(self, y) -> np.ndarray:
         v = self._vec(y)
@@ -163,8 +200,9 @@ class ScaledNorm(HomogeneousFunction):
     def eval_real(self, y):
         return _value(self.scale * lengths(self._vec(y)))
 
-    def eval_complex(self, z) -> complex:
-        return self.scale * _csqrt(_csum_sq(self._cvec(z)))
+    def eval_complex(self, z):
+        v, lone = self._cvec(z)
+        return _cvalue(self.scale * np.sqrt(_csum_sq(v)), lone)
 
     def grad_real(self, y) -> np.ndarray:
         v = self._vec(y)
@@ -187,9 +225,10 @@ class RandersNorm(HomogeneousFunction):
         v = self._vec(y)
         return _value(lengths(v) + np.vecdot(v, self.drift))
 
-    def eval_complex(self, z) -> complex:
-        v = self._cvec(z)
-        return _csqrt(_csum_sq(v)) + complex(np.dot(np.asarray(self.drift), v))
+    def eval_complex(self, z):
+        v, lone = self._cvec(z)
+        drift = np.sum(v * np.asarray(self.drift, dtype=float), axis=-1)
+        return _cvalue(np.sqrt(_csum_sq(v)) + drift, lone)
 
     def grad_real(self, y) -> np.ndarray:
         v = self._vec(y)
@@ -244,21 +283,21 @@ class DoubleSqrtNorm(HomogeneousFunction):
         total = s + uu
         return _value(np.sqrt(ww * ww / np.where(total == 0.0, 1.0, total) / 2.0))
 
-    def eval_complex(self, z) -> complex:
+    def eval_complex(self, z):
         # The two components are continued jointly through the conjugate
         # pair h+ = i sqrt(q - i qt), h- = -i sqrt(q + i qt), which keeps
         # the product identity 2 * phi * psi = qt intact; independently
         # chosen principal branches of sqrt((S -+ q)/2) would break it
         # once q leaves the right half plane.
-        v = self._cvec(z)
+        v, lone = self._cvec(z)
         u, w = self._blocks(v)
         q = _csum_sq(u)
         qt = _csum_sq(w)
-        h_plus = 1j * _csqrt(q - 1j * qt)
-        h_minus = -1j * _csqrt(q + 1j * qt)
+        h_plus = 1j * np.sqrt(q - 1j * qt)
+        h_minus = -1j * np.sqrt(q + 1j * qt)
         if self.plus:
-            return (h_plus - h_minus) / 2j
-        return (h_plus + h_minus) / 2.0
+            return _cvalue((h_plus - h_minus) / 2j, lone)
+        return _cvalue((h_plus + h_minus) / 2.0, lone)
 
     def grad_real(self, y) -> np.ndarray:
         u, w, uu, ww, s = self._squares(self._vec(y))
@@ -296,9 +335,9 @@ class BryantPair(HomogeneousFunction):
     def eval_real(self, y):
         return _value(float(np.sin(self.angle)) * lengths(self._vec(y)))
 
-    def eval_complex(self, z) -> complex:
-        v = self._cvec(z)
-        return 1j * cmath.exp(-1j * self.angle) * _csqrt(_csum_sq(v))
+    def eval_complex(self, z):
+        v, lone = self._cvec(z)
+        return _cvalue(1j * cmath.exp(-1j * self.angle) * np.sqrt(_csum_sq(v)), lone)
 
     def grad_real(self, y) -> np.ndarray:
         v = self._vec(y)
@@ -333,8 +372,9 @@ class CombinedNorm(HomogeneousFunction):
     def eval_real(self, y):
         return _value(sum(c * f.eval_real(y) for c, f in self.terms))
 
-    def eval_complex(self, z) -> complex:
-        return complex(sum(c * f.eval_complex(z) for c, f in self.terms))
+    def eval_complex(self, z):
+        v, lone = self._cvec(z)
+        return _cvalue(sum(c * f.eval_complex(v) for c, f in self.terms), lone)
 
     def grad_real(self, y) -> np.ndarray:
         return sum(c * f.grad_real(y) for c, f in self.terms)
@@ -483,7 +523,7 @@ def make_report(check_name, points, residuals, tolerance, extra=None) -> Verific
     )
 
 
-def _pow2(values):
+def pow2(values):
     """Elementwise ``values ** 2`` through Python's float power.
 
     libm ``pow`` is not always the correctly rounded ``v * v`` (about one
@@ -495,32 +535,56 @@ def _pow2(values):
     return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
 
 
+def axis_step(v, k, step):
+    """Zeros shaped like ``v`` with ``step`` in component k (one step per
+    row for rows)."""
+    e = np.zeros(v.shape)
+    e[..., k] = step
+    return e
+
+
+def hessian_points(v, step) -> list:
+    """The points ``fd_hessian`` evaluates, in its order: ``v``, then for
+    each i the pair ``v +- e_i`` followed by ``v +- e_i +- e_j`` for j > i
+    (e_k is ``step`` along component k)."""
+    n = v.shape[-1]
+    points = [v]
+    for i in range(n):
+        ei = axis_step(v, i, step)
+        points += [v + ei, v - ei]
+        for j in range(i + 1, n):
+            ej = axis_step(v, j, step)
+            points += [v + ei + ej, v + ei - ej, v - ei + ej, v - ei - ej]
+    return points
+
+
+def hessian_from(values, step, n):
+    """The symmetric central-difference Hessian from the values at
+    ``hessian_points``: ``(n, n)``, or ``(N, n, n)`` for rows."""
+    values = iter(values)
+    f0 = next(values)
+    step_sq = pow2(step)[()]  # a lone step divides as a scalar, not a 0-d array
+    h = np.zeros(np.shape(f0) + (n, n))
+    for i in range(n):
+        h[..., i, i] = (next(values) - 2.0 * f0 + next(values)) / step_sq
+        for j in range(i + 1, n):
+            hij = (next(values) - next(values) - next(values) + next(values)) / (4.0 * step_sq)
+            h[..., i, j] = hij
+            h[..., j, i] = hij
+    return h
+
+
 def fd_hessian(fun, v, step):
     """Symmetric central-difference Hessian of a scalar function.
 
     ``v`` is one point ``(n,)`` with a scalar ``step``, or rows ``(N, n)``
     with one step per row; ``fun`` maps an array shaped like ``v`` to the
-    values at its points (a scalar, or ``(N,)``), and the result is
-    ``(n, n)`` or ``(N, n, n)``.
+    values at its points (a scalar, or ``(N,)``), one call per stencil
+    point, and the result is ``(n, n)`` or ``(N, n, n)``.
     """
     v = np.asarray(v, dtype=float)
-    n = v.shape[-1]
     step = np.asarray(step, dtype=float)
-    step_sq = _pow2(step)[()]  # a lone step divides as a scalar, not a 0-d array
-    h = np.zeros(v.shape + (n,))
-    f0 = fun(v)
-    for i in range(n):
-        ei = np.zeros(v.shape)
-        ei[..., i] = step
-        h[..., i, i] = (fun(v + ei) - 2.0 * f0 + fun(v - ei)) / step_sq
-        for j in range(i + 1, n):
-            ej = np.zeros(v.shape)
-            ej[..., j] = step
-            hij = (fun(v + ei + ej) - fun(v + ei - ej)
-                   - fun(v - ei + ej) + fun(v - ei - ej)) / (4.0 * step_sq)
-            h[..., i, j] = hij
-            h[..., j, i] = hij
-    return h
+    return hessian_from([fun(p) for p in hessian_points(v, step)], step, v.shape[-1])
 
 
 def check_minkowski(f: HomogeneousFunction, samples: int,
@@ -539,7 +603,7 @@ def check_minkowski(f: HomogeneousFunction, samples: int,
         raise ValueError("samples must be >= 1")
     dirs = unit_directions(f.dimension, samples)
     values = f.eval_real(dirs)
-    hess = fd_hessian(lambda yy: 0.5 * _pow2(f.eval_real(yy)), dirs,
+    hess = fd_hessian(lambda yy: 0.5 * pow2(f.eval_real(yy)), dirs,
                       STEP_FIRST * np.maximum(1.0, lengths(dirs)))
     lam = np.linalg.eigvalsh(hess).min(axis=-1)
     zero = np.zeros(f.dimension)

@@ -1,7 +1,7 @@
-"""Fixed-point solves for the implicit transport fields.
+"""Fixed-point solves for the implicit transport fields, on rows.
 
-The scalar real problem is: given a degree-1 homogeneous phi, find the
-unique t with
+The real problem is: given a degree-1 homogeneous phi, find the unique t
+with
 
     t = phi(y + x t),
 
@@ -16,13 +16,12 @@ The complex problem Z = phi(y + x Z) + i psi(y + x Z) is solved by damped
 Picard iteration seeded at phi(y) + i psi(y); the map is a contraction on
 the same ball.
 
-First derivatives of the solved field follow from implicit
-differentiation:
-
-    P_{y^k} = phi_{eta^k}(eta) / (1 - <grad phi(eta), x>),
-    P_{x^k} = P * P_{y^k},
-
-the second line being the defining transport identity Phi_x = Phi Phi_y.
+Both solves take rows ``x``, ``y`` of shape ``(N, n)`` and run every row
+in lockstep with numpy, each row masked out once it is done: the
+problems are independent per point, so a row gets exactly the steps (and
+bits) it would get alone.  A row that fails keeps its own error in
+``SolveResult.errors`` and the others go on.  One vector ``(n,)`` is a
+single row that raises its error.
 """
 
 import math
@@ -30,11 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverError
-from .norms import HomogeneousFunction, lengths
+from .errors import SolverError
+from .norms import HomogeneousFunction, lengths, per_row
 from .sampling import unit_directions
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
+_MAX_EXPANSIONS = 80
+_MIN_DAMPING = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
@@ -60,95 +61,163 @@ DEFAULT_CONFIG = SolverConfig()
 
 @dataclass
 class SolveResult:
-    """Converged fixed-point value with its shifted argument and residual."""
+    """Fixed-point values with their shifted arguments and residuals.
 
-    value: complex
+    For rows, ``value`` and ``residual`` are ``(N,)`` arrays, ``eta`` is
+    ``(N, n)`` and ``errors[i]`` is row i's SolverError (or the library
+    error its norm call raised), None where the row converged; a failed
+    row holds nan.  For one vector they are scalars, ``(n,)`` and
+    ``[None]``.  ``iterations`` counts Newton or Picard steps, summed
+    over rows.
+    """
+
+    value: object
     eta: np.ndarray
-    residual: float
+    residual: object
     iterations: int
-    converged: bool
+    errors: list
 
 
-def _value_at(phi: HomogeneousFunction, w: np.ndarray) -> float:
-    # degree-1 homogeneity forces phi -> 0 at the origin
-    if not w.any():
-        return 0.0
-    return phi.eval_real(w)
+class _Rows:
+    """Per-row inputs, outputs and failures of one solve."""
+
+    def __init__(self, x, y, dtype):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self.lone = y.ndim == 1
+        self.x, self.y = np.atleast_2d(x), np.atleast_2d(y)
+        count = len(self.y)
+        self.value = np.full(count, np.nan, dtype=dtype)
+        self.residual = np.full(count, np.nan)
+        self.failed = np.zeros(count, dtype=bool)
+        self.errors = [None] * count
+
+    def fail(self, rows, error):
+        for i in rows:
+            self.failed[i] = True
+            self.errors[i] = error(i) if callable(error) else error
+
+    def live(self, rows):
+        """The rows that have not failed."""
+        return rows[~self.failed[rows]]
+
+    def evaluate(self, fn, rows, w, nonzero):
+        """``fn`` on the points ``w`` of ``rows``; 0 where ``nonzero(w)`` is
+        False, since degree-1 homogeneity forces fn -> 0 at the origin.  A
+        row that makes ``fn`` raise fails with that error."""
+        keep = nonzero(w)
+        out = np.zeros(len(rows), dtype=self.value.dtype)
+        if keep.any():
+            values, errors = per_row(fn, w[keep])
+            out[keep] = values
+            for i, exc in zip(rows[keep], errors):
+                if exc is not None:
+                    self.fail([i], exc)
+        return out
+
+    def shifted(self, rows, t):
+        """y + x t on ``rows``."""
+        return self.y[rows] + self.x[rows] * t[:, None]
+
+    def result(self, iterations):
+        done = ~self.failed
+        eta = np.full(self.y.shape, np.nan, dtype=self.value.dtype)
+        eta[done] = self.shifted(done, self.value[done])
+        if not self.lone:
+            return SolveResult(self.value, eta, self.residual, int(iterations), self.errors)
+        if self.errors[0] is not None:
+            raise self.errors[0]
+        return SolveResult(self.value[0].item(), eta[0], float(self.residual[0]),
+                           int(iterations), [None])
+
+
+def _real_nonzero(w):
+    return np.vecdot(w, w) != 0.0  # the norms reject a squared length of 0
 
 
 def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> SolveResult:
-    """Solve t = phi(y + x t) by bracketing plus safeguarded Newton."""
+    """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row."""
     cfg = cfg or DEFAULT_CONFIG
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    rows = _Rows(x, y, float)
+    every = np.arange(len(rows.y))
 
-    def f(t):
-        return t - _value_at(phi, y + x * t)
+    def f(act, t):
+        return t - rows.evaluate(phi.eval_real, act, rows.shifted(act, t), _real_nonzero)
 
-    t0 = _value_at(phi, y)
-    width = max(1.0, abs(t0))
-    lo, hi = t0 - width, t0 + width
-    flo, fhi = f(lo), f(hi)
-    expansions = 0
-    while flo > 0.0 or fhi < 0.0:
-        expansions += 1
-        if expansions > 80 or not (math.isfinite(flo) and math.isfinite(fhi)):
-            raise SolverError(
-                "no sign change within the bracket expansion budget; "
-                "the base point is likely outside the validity region")
-        width *= cfg.bracket_expansion
-        lo, hi = t0 - width, t0 + width
-        flo, fhi = f(lo), f(hi)
+    def bracket(act):
+        """lo, hi and f there on ``act``; f(hi) only where f(lo) succeeded."""
+        lo[act], hi[act] = t0[act] - width[act], t0[act] + width[act]
+        flo[act] = f(act, lo[act])
+        act = rows.live(act)
+        fhi[act] = f(act, hi[act])
+        act = rows.live(act)
+        return act[(flo[act] > 0.0) | (fhi[act] < 0.0)]
 
-    kink_scale = 1e-9 * (1.0 + float(np.linalg.norm(y)))
-    t = min(max(t0, lo), hi)
-    ft = f(t)
-    iterations = 0
+    t0 = rows.evaluate(phi.eval_real, every, rows.y, _real_nonzero)
+    width = np.maximum(1.0, np.abs(t0))
+    lo, hi, flo, fhi = (np.full(len(every), np.nan) for _ in range(4))
+    expansions = np.zeros(len(every), dtype=int)
+    act = bracket(rows.live(every))
+    while act.size:
+        expansions[act] += 1
+        stuck = (expansions[act] > _MAX_EXPANSIONS) | ~(
+            np.isfinite(flo[act]) & np.isfinite(fhi[act]))
+        rows.fail(act[stuck], SolverError(
+            "no sign change within the bracket expansion budget; "
+            "the base point is likely outside the validity region"))
+        act = act[~stuck]
+        width[act] *= cfg.bracket_expansion
+        act = bracket(act)
+
+    kink_scale = 1e-9 * (1.0 + lengths(rows.y))
+    t = np.minimum(np.maximum(t0, lo), hi)
+    act = rows.live(every)
+    ft = np.full(len(every), np.nan)
+    ft[act] = f(act, t[act])
+    act = rows.live(act)
     target = cfg.tolerance
-    while abs(ft) > _REFINE_FLOOR * (1.0 + abs(t)):
-        if iterations >= cfg.max_iterations:
-            if abs(ft) <= target:
-                break
-            raise SolverError(f"iteration cap {cfg.max_iterations} exceeded "
-                              f"(residual {abs(ft):.3e})")
-        iterations += 1
-        if ft > 0.0:
-            hi = t
-        else:
-            lo = t
-        eta = y + x * t
-        step_ok = False
-        if float(np.linalg.norm(eta)) > kink_scale:
-            slope = 1.0 - float(phi.grad_real(eta) @ x)
-            if slope > 1e-12:
-                t_new = t - ft / slope
-                if lo < t_new < hi:
-                    t, step_ok = t_new, True
-        if not step_ok:
-            t = 0.5 * (lo + hi)
-        ft = f(t)
-        if hi - lo <= _REFINE_FLOOR * (1.0 + abs(t)) and abs(ft) <= target:
+    iterations = 0
+    steps = 0
+    act = act[np.abs(ft[act]) > _REFINE_FLOOR * (1.0 + np.abs(t[act]))]
+    while act.size:
+        if steps >= cfg.max_iterations:  # every live row has taken ``steps`` steps
+            over = act[np.abs(ft[act]) > target]
+            rows.fail(over, lambda i: SolverError(
+                f"iteration cap {cfg.max_iterations} exceeded "
+                f"(residual {abs(ft[i]):.3e})"))
             break
-    residual = abs(f(t))
-    if residual > target:
-        raise SolverError(f"fixed-point residual {residual:.3e} above tolerance")
-    return SolveResult(value=float(t), eta=y + x * t, residual=float(residual),
-                       iterations=iterations, converged=True)
+        steps += 1
+        iterations += act.size
+        ta, fa = t[act], ft[act]
+        up = fa > 0.0
+        hi[act[up]] = ta[up]
+        lo[act[~up]] = ta[~up]
+        la, ha = lo[act], hi[act]
+        xa = rows.x[act]
+        eta = rows.y[act] + xa * ta[:, None]
+        t_next = 0.5 * (la + ha)
+        newton = np.flatnonzero(lengths(eta) > kink_scale[act])
+        if newton.size:
+            slope = 1.0 - np.vecdot(phi.grad_real(eta[newton]), xa[newton])
+            newton, slope = newton[slope > 1e-12], slope[slope > 1e-12]
+            t_new = ta[newton] - fa[newton] / slope
+            inside = (la[newton] < t_new) & (t_new < ha[newton])
+            t_next[newton[inside]] = t_new[inside]
+        t[act] = t_next
+        ft[act] = f(act, t_next)
+        act = rows.live(act)
+        width_now = hi[act] - lo[act]
+        floor = _REFINE_FLOOR * (1.0 + np.abs(t[act]))
+        settled = (width_now <= floor) & (np.abs(ft[act]) <= target)
+        act = act[~settled & (np.abs(ft[act]) > floor)]
 
-
-def implicit_derivatives(phi: HomogeneousFunction, res: SolveResult, x, y):
-    """Exact first derivatives (P_y, P_x) of the solved field at (x, y)."""
-    if not res.converged:
-        raise SolverError("implicit derivatives need a converged solve")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    grad = phi.grad_real(res.eta)
-    denom = 1.0 - float(grad @ x)
-    if denom < 1e-8:
-        raise DomainError("implicit-derivative denominator vanishes; "
-                          "the point sits on the validity boundary")
-    p_y = grad / denom
-    p_x = res.value * p_y
-    return p_y, p_x
+    done = rows.live(every)
+    rows.value[done] = t[done]
+    rows.residual[done] = np.abs(ft[done])
+    loose = done[rows.residual[done] > target]
+    rows.fail(loose, lambda i: SolverError(
+        f"fixed-point residual {rows.residual[i]:.3e} above tolerance"))
+    return rows.result(iterations)
 
 
 def _radius(slopes: np.ndarray) -> float:
@@ -171,58 +240,71 @@ def pair_radius_estimate(phi: HomogeneousFunction, psi: HomogeneousFunction,
     return _radius(np.hypot(lengths(phi.grad_real(dirs)), lengths(psi.grad_real(dirs))))
 
 
-def _pair_value(phi, psi, w: np.ndarray) -> complex:
-    if not w.any():
-        return 0j
-    return complex(phi.eval_complex(w) + 1j * psi.eval_complex(w))
-
-
 def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
                   cfg: SolverConfig = None) -> SolveResult:
     """Solve Z = phi(y + x Z) + i psi(y + x Z) by damped Picard iteration.
 
-    Seeded at phi(y) + i psi(y); the damping halves on divergence.  The
-    metric branch Im Z >= 0 is enforced: a converged value with negative
-    imaginary part is rejected as a branch failure.
+    Each row is seeded at phi(y) + i psi(y) and restarts from there with
+    half its damping when its iteration diverges, stalls above the
+    tolerance or hits the iteration cap.  The metric branch Im Z >= 0 is
+    enforced: a converged value with negative imaginary part is rejected
+    as a branch failure.
     """
     cfg = cfg or DEFAULT_CONFIG
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    rows = _Rows(x, y, complex)
+    every = np.arange(len(rows.y))
 
-    def g(zz):
-        return _pair_value(phi, psi, y + x * zz)
+    def pair(w):
+        return phi.eval_complex(w) + 1j * psi.eval_complex(w)
 
-    z0 = _pair_value(phi, psi, y)
-    scale = 1.0 + abs(z0)
-    damping = cfg.damping
-    total_iters = 0
-    for _ in range(8):
-        z = z0
-        best = math.inf
-        diverged = False
-        for _ in range(cfg.max_iterations):
-            total_iters += 1
-            val = g(z)
-            if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-                diverged = True
-                break
-            res = abs(z - val)
-            best = min(best, res)
-            z = (1.0 - damping) * z + damping * val
-            if res <= _REFINE_FLOOR * scale:
-                break
-            if res > 1e6 * scale:
-                diverged = True
-                break
-        final = abs(z - g(z))
-        if not diverged and final <= cfg.tolerance:
-            if z.imag < -cfg.tolerance * scale:
-                raise SolverError("iteration converged to the non-metric branch "
-                                  "(negative imaginary part)")
-            return SolveResult(value=complex(z), eta=y + x * z, residual=float(final),
-                               iterations=total_iters, converged=True)
-        damping *= 0.5
-        if damping < 1.0 / 64.0:
-            break
-    raise SolverError("complex fixed-point iteration failed to converge; "
-                      "the base point is likely outside the validity region")
+    def g(act, z):
+        return rows.evaluate(pair, act, z, lambda w: w.any(axis=-1))
+
+    def g(act, z):
+        return rows.evaluate(pair, act, rows.shifted(act, z), lambda w: w.any(axis=-1))
+
+    z0 = rows.evaluate(pair, every, rows.y, lambda w: w.any(axis=-1))
+    scale = 1.0 + np.abs(z0)
+    damping = np.full(len(every), cfg.damping)
+    z = z0.copy()
+    count = np.zeros(len(every), dtype=int)
+    iterations = 0
+    act = rows.live(every)
+    while act.size:
+        iterations += act.size
+        count[act] += 1
+        val = g(act, z[act])
+        live = ~rows.failed[act]
+        act, val = act[live], val[live]
+        za = z[act]
+        finite = np.isfinite(val.real) & np.isfinite(val.imag)
+        res = np.abs(za - val)
+        z[act] = np.where(finite, (1.0 - damping[act]) * za + damping[act] * val, za)
+        diverged = ~finite | (res > 1e6 * scale[act])
+        converged = finite & (res <= _REFINE_FLOOR * scale[act])
+        leave = diverged | converged | (count[act] >= cfg.max_iterations)
+        out, diverged = act[leave], diverged[leave]
+        act = act[~leave]
+        if not out.size:
+            continue
+        final = np.abs(z[out] - g(out, z[out]))
+        kept = ~rows.failed[out]
+        out, final, diverged = out[kept], final[kept], diverged[kept]
+        good = ~diverged & (final <= cfg.tolerance)
+        ok, final = out[good], final[good]
+        wrong = z[ok].imag < -cfg.tolerance * scale[ok]
+        rows.fail(ok[wrong], SolverError(
+            "iteration converged to the non-metric branch (negative imaginary part)"))
+        rows.value[ok[~wrong]] = z[ok[~wrong]]
+        rows.residual[ok[~wrong]] = final[~wrong]
+        again = out[~good]
+        damping[again] *= 0.5
+        lost = damping[again] < _MIN_DAMPING
+        rows.fail(again[lost], SolverError(
+            "complex fixed-point iteration failed to converge; "
+            "the base point is likely outside the validity region"))
+        again = again[~lost]
+        z[again] = z0[again]
+        count[again] = 0
+        act = np.concatenate([act, again])
+    return rows.result(iterations)

@@ -1,9 +1,9 @@
 """Numerical differential checks for metric evaluators.
 
-A metric is treated as a black box ``F(x, y)`` (plus an optional exact
-projective-factor callable).  The functions here measure residuals of the
-identities that characterize projectively flat metrics of constant flag
-curvature:
+A metric is treated as a black box ``F(x, y)`` evaluated on rows through
+``MetricEvaluator.rows`` (with the exact projective factor P when it was
+constructed).  The functions here measure residuals of the identities
+that characterize projectively flat metrics of constant flag curvature:
 
 * Hamel's criterion              F_{x^k} = F_{x^l y^k} y^l
 * projective factor              P = F_{x^k} y^k / (2F)
@@ -16,10 +16,15 @@ curvature:
 * geodesic straightness          trajectories of  v' = -2 P(x, v) v  stay
                                  on the line through (x0, v0)
 
+Every function takes one point ``x``, ``y`` of shape ``(n,)`` and returns
+floats, or N points ``(N, n)`` and returns one value per row.  It builds
+the finite-difference stencils of all points up front and evaluates them
+with one rows call per field (F, P, or both), sample by sample, so an
+error raised is the one of the first failing sample.
+
 All identity residuals are normalized (absolute residual / (1 + magnitude))
-so one tolerance transfers across evaluation scales.  Every first-derivative
-stencil goes through ``fd_gradient``: derivatives of F use step
-~ eps^(1/3), derivatives of the P field (itself a difference quotient
+so one tolerance transfers across evaluation scales.  Derivatives of F use
+step ~ eps^(1/3), derivatives of the P field (itself a difference quotient
 unless the evaluator carries an exact one) and the mixed and second
 derivatives of F use step ~ eps^(1/4), which keeps their round-off floor
 near 1e-8 instead of 1e-5.
@@ -34,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .construct import first_errors, raise_first
 from .errors import DomainError
-from .norms import (EPS, STEP_FIRST, VerificationReport, fd_hessian,
-                    make_report)
-from .sampling import unit_directions
+from .norms import (EPS, STEP_FIRST, axis_step, hessian_from, hessian_points,
+                    lengths, pow2)
 
 STEP_SECOND = EPS ** 0.25
 
@@ -46,29 +51,109 @@ STEP_SECOND = EPS ** 0.25
 # finite-difference primitives
 
 
-def fd_gradient(fun, v, step):
-    """Central-difference gradient of a scalar function of one vector.
+def gradient_points(v, step) -> list:
+    """The points of a central-difference gradient: ``v + e_k`` and
+    ``v - e_k`` for each k, e_k being ``step`` along component k (one step
+    per row for rows)."""
+    points = []
+    for k in range(v.shape[-1]):
+        e = axis_step(v, k, step)
+        points += [v + e, v - e]
+    return points
 
-    The result has the dtype of ``fun``'s values, so complex fields keep
-    their imaginary parts.
+
+def gradient_from(values, step):
+    """Central differences from the values at ``gradient_points``, in the
+    values' dtype, so complex fields keep their imaginary parts."""
+    values = list(values)
+    return np.stack([(values[2 * k] - values[2 * k + 1]) / (2.0 * step)
+                     for k in range(len(values) // 2)], axis=-1)
+
+
+def _as_rows(x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.atleast_2d(x), np.atleast_2d(y), y.ndim == 1
+
+
+def _out(values, lone):
+    """Per-row results; a lone point's value as a float."""
+    return float(values[0]) if lone else values
+
+
+def _on_stencil(field, pairs):
+    """``field`` at the M stencil points ``pairs`` [(X_m, Y_m)] of N samples
+    in one call on all N * M points, sample-major.
+
+    ``field(X, Y)`` returns (outputs, errors) on rows.  Returns, per
+    output, the M value arrays of length N, and the M per-sample error
+    lists.
     """
-    v = np.asarray(v, dtype=float)
-    diffs = []
-    for k in range(v.size):
-        e = np.zeros_like(v)
-        e[k] = step
-        diffs.append((fun(v + e) - fun(v - e)) / (2.0 * step))
-    return np.array(diffs)
+    m = len(pairs)
+    n = pairs[0][0].shape[-1]
+    xs = np.stack([a for a, _ in pairs], axis=1).reshape(-1, n)
+    ys = np.stack([b for _, b in pairs], axis=1).reshape(-1, n)
+    outputs, errors = field(xs, ys)
+    return ([list(v.reshape(-1, m).T) for v in outputs],
+            [errors[k::m] for k in range(m)])
+
+
+def _f(metric, x, y):
+    values = metric.rows(x, y)
+    return (values.f,), values.errors
+
+
+def _p(metric, x, y):
+    """P on rows: exact for a constructed metric, else numeric."""
+    if metric.solve is not None:
+        values = metric.rows(x, y, with_f=False, with_p=True)
+        return (values.p,), values.errors
+    p, errors = _p_numeric(metric, x, y)
+    return (p,), errors
+
+
+def _fp(metric, x, y):
+    """F and P at the same rows, from one solve when constructed."""
+    if metric.solve is not None:
+        values = metric.rows(x, y, with_p=True)
+        return (values.f, values.p), values.errors
+    (p,), p_errors = _p(metric, x, y)
+    (f,), f_errors = _f(metric, x, y)
+    return (f, p), first_errors(p_errors, f_errors)
+
+
+def _flagged(mask, message):
+    """A DomainError(message) on the rows where ``mask`` holds, else None."""
+    return [DomainError(message) if flag else None for flag in mask]
+
+
+def _p_numeric(metric, x, y):
+    """P = F_{x^k} y^k / (2F) on rows, and each row's first error."""
+    ny = lengths(y)
+    zero = ny == 0.0
+    h = STEP_FIRST * np.maximum(1.0, lengths(x)) / np.where(zero, 1.0, ny)
+    step = h[:, None] * y
+    ((f0, f_up, f_down),), (e0, e_up, e_down) = _on_stencil(
+        lambda a, b: _f(metric, a, b), [(x, y), (x + step, y), (x - step, y)])
+    errors = first_errors(_flagged(zero, "projective factor requires y != 0"), e0,
+                          _flagged(f0 <= 0.0, "projective factor requires F > 0"),  # nan: failed
+                          e_up, e_down)
+    dfdt = (f_up - f_down) / (2.0 * h)
+    return dfdt / (2.0 * f0), errors
+
+
+# ---------------------------------------------------------------------------
+# jets and identity residuals
 
 
 @dataclass
 class JetData:
-    """Value and low-order derivatives of F at one point.
+    """Value and low-order derivatives of F at one point, or at each row.
 
-    ``mixed_xy[l, k]`` is d^2 F / dx^l dy^k.
+    ``mixed_xy[..., l, k]`` is d^2 F / dx^l dy^k.
     """
 
-    value: float
+    value: object
     grad_x: np.ndarray
     grad_y: np.ndarray
     mixed_xy: np.ndarray
@@ -82,74 +167,86 @@ def jet(metric, x, y) -> JetData:
     derivatives use their own step ~ eps^(1/4) * scale.  Raises
     DomainError if the stencil leaves the evaluator's domain.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    ny = float(np.linalg.norm(y))
-    if ny == 0.0:
+    xs, ys, lone = _as_rows(x, y)
+    n = xs.shape[1]
+    ny = lengths(ys)
+    if (ny == 0.0).any():
         raise DomainError("jet requires y != 0")
-    sx = max(1.0, float(np.linalg.norm(x)))
+    sx = np.maximum(1.0, lengths(xs))
     hx, hy = STEP_FIRST * sx, STEP_FIRST * ny
     hx2, hy2 = STEP_SECOND * sx, STEP_SECOND * ny
-
-    f = metric.eval
-    f0 = f(x, y)
-    grad_x = fd_gradient(lambda xx: f(xx, y), x, hx)
-    grad_y = fd_gradient(lambda yy: f(x, yy), y, hy)
-
-    mixed = np.zeros((n, n))
+    pairs = [(xs, ys)]
+    pairs += [(p, ys) for p in gradient_points(xs, hx)]
+    pairs += [(xs, p) for p in gradient_points(ys, hy)]
     for l in range(n):
-        el = np.zeros(n)
-        el[l] = 1.0
+        el = axis_step(xs, l, hx2)
         for k in range(n):
-            ek = np.zeros(n)
-            ek[k] = 1.0
-            mixed[l, k] = (f(x + hx2 * el, y + hy2 * ek) - f(x + hx2 * el, y - hy2 * ek)
-                           - f(x - hx2 * el, y + hy2 * ek) + f(x - hx2 * el, y - hy2 * ek)
-                           ) / (4.0 * hx2 * hy2)
+            ek = axis_step(ys, k, hy2)
+            pairs += [(xs + el, ys + ek), (xs + el, ys - ek),
+                      (xs - el, ys + ek), (xs - el, ys - ek)]
+    pairs += [(xs, p) for p in hessian_points(ys, hy2)]
+    (values,), errors = _on_stencil(lambda a, b: _f(metric, a, b), pairs)
+    raise_first(first_errors(*errors))
 
-    hess = fd_hessian(lambda yy: f(x, yy), y, hy2)
-    hess = 0.5 * (hess + hess.T)
-    return JetData(value=f0, grad_x=grad_x, grad_y=grad_y, mixed_xy=mixed, hess_yy=hess)
+    values = iter(values)
+    f0 = next(values)
+    grad_x = gradient_from([next(values) for _ in range(2 * n)], hx)
+    grad_y = gradient_from([next(values) for _ in range(2 * n)], hy)
+    mixed = np.zeros((len(ys), n, n))
+    for l in range(n):
+        for k in range(n):
+            mixed[:, l, k] = (next(values) - next(values) - next(values) + next(values)
+                              ) / (4.0 * hx2 * hy2)
+    hess = hessian_from(values, hy2, n)
+    hess = 0.5 * (hess + hess.swapaxes(-1, -2))
+    if lone:
+        return JetData(float(f0[0]), grad_x[0], grad_y[0], mixed[0], hess[0])
+    return JetData(f0, grad_x, grad_y, mixed, hess)
 
 
-# ---------------------------------------------------------------------------
-# identity residuals
+def _mixed_times_y(jd: JetData, ys):
+    """F_{x^l y^k} y^l at each row, one small matrix product per row."""
+    return np.stack([m.T @ y for m, y in zip(jd.mixed_xy, ys)])
 
 
-def hamel_residual(metric, x, y) -> float:
+def hamel_residual(metric, x, y):
     """Normalized residual of F_{x^k} - F_{x^l y^k} y^l = 0."""
-    jd = jet(metric, x, y)
-    y = np.asarray(y, dtype=float)
-    lhs = jd.grad_x - jd.mixed_xy.T @ y
-    scale = 1.0 + float(np.abs(jd.grad_x).max())
-    return float(np.abs(lhs).max()) / scale
+    xs, ys, lone = _as_rows(x, y)
+    jd = jet(metric, xs, ys)
+    lhs = jd.grad_x - _mixed_times_y(jd, ys)
+    scale = 1.0 + np.abs(jd.grad_x).max(axis=-1)
+    return _out(np.abs(lhs).max(axis=-1) / scale, lone)
 
 
-def projective_factor_numeric(metric, x, y) -> float:
+def projective_factor_numeric(metric, x, y):
     """P = F_{x^k} y^k / (2F) via a directional central difference in x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ny = float(np.linalg.norm(y))
-    if ny == 0.0:
-        raise DomainError("projective factor requires y != 0")
-    f0 = metric.eval(x, y)
-    if f0 <= 0.0:
-        raise DomainError("projective factor requires F > 0")
-    h = STEP_FIRST * max(1.0, float(np.linalg.norm(x))) / ny
-    dfdt = (metric.eval(x + h * y, y) - metric.eval(x - h * y, y)) / (2.0 * h)
-    return float(dfdt / (2.0 * f0))
+    xs, ys, lone = _as_rows(x, y)
+    p, errors = _p_numeric(metric, xs, ys)
+    raise_first(errors)
+    return _out(p, lone)
 
 
-def projective_factor_field(metric):
-    """Callable (x, y) -> P, exact when the evaluator carries one."""
-    p_exact = getattr(metric, "p_exact", None)
-    if p_exact is not None:
-        return lambda x, y: float(p_exact(x, y))
-    return lambda x, y: projective_factor_numeric(metric, x, y)
+def _curvature(metric, xs, ys):
+    """K at each row, and each row's first error.
+
+    K has degree 0 in y, so it is evaluated at u = y / |y|: a tiny y
+    would otherwise make F^2 underflow.  y is first divided by its
+    largest component, so |y| itself cannot underflow or overflow.
+    """
+    top = np.abs(ys).max(axis=-1, keepdims=True)
+    w = ys / np.where(top == 0.0, 1.0, top)  # y = 0 stays 0 and fails in F
+    nw = lengths(w)
+    u = w / np.where(nw == 0.0, 1.0, nw)[:, None]
+    h = STEP_SECOND * np.maximum(1.0, lengths(xs))
+    step = h[:, None] * u
+    (f0,), f_errors = _f(metric, xs, u)
+    ((p0, p_up, p_down),), p_errors = _on_stencil(
+        lambda a, b: _p(metric, a, b), [(xs, u), (xs + step, u), (xs - step, u)])
+    dp = (p_up - p_down) / (2.0 * h)
+    return (p0 * p0 - dp) / (f0 * f0), first_errors(f_errors, *p_errors)
 
 
-def flag_curvature(metric, x, y) -> float:
+def flag_curvature(metric, x, y):
     """K = (P^2 - P_{x^m} y^m) / F^2 with P_x by a directional difference.
 
     The P field is exact for constructed metrics and a finite difference
@@ -157,15 +254,26 @@ def flag_curvature(metric, x, y) -> float:
     one finite-difference level on top of the field.  The formula holds
     only where F is projectively flat; the ``hamel`` check tests that.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = projective_factor_field(metric)
-    ny = float(np.linalg.norm(y))
-    f0 = metric.eval(x, y)
-    p0 = p(x, y)
-    h = STEP_SECOND * max(1.0, float(np.linalg.norm(x))) / ny
-    dp = (p(x + h * y, y) - p(x - h * y, y)) / (2.0 * h)
-    return float((p0 * p0 - dp) / (f0 * f0))
+    xs, ys, lone = _as_rows(x, y)
+    k, errors = _curvature(metric, xs, ys)
+    raise_first(errors)
+    return _out(k, lone)
+
+
+def point_values(metric, x, y):
+    """F, P and K at each row of ``x`` and ``y`` (``(N, n)``), and each
+    row's first error (F's, then P's, then K's), for ``eval`` and
+    ``sample``; a failed row holds nan."""
+    xs, ys, _ = _as_rows(x, y)
+    (f, p), errors = _fp(metric, xs, ys)
+    k, k_errors = _curvature(metric, xs, ys)
+    return f, p, k, first_errors(errors, k_errors)
+
+
+def _p_stencil(xs, ys, hx, hy):
+    """(x, y), then the gradient stencils in x and in y."""
+    return ([(xs, ys)] + [(p, ys) for p in gradient_points(xs, hx)]
+            + [(xs, p) for p in gradient_points(ys, hy)])
 
 
 def berwald_system_residual(metric, x, y):
@@ -176,74 +284,87 @@ def berwald_system_residual(metric, x, y):
     to K F F_{y^k} (valid because K is constant here).  K is the intended
     curvature, or the numeric K at (x, y) for a metric without one.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    curvature = getattr(metric, "intended_curvature", None)
+    xs, ys, lone = _as_rows(x, y)
+    n = xs.shape[1]
+    curvature = metric.intended_curvature
     if curvature is None:
-        curvature = flag_curvature(metric, x, y)
-    p = projective_factor_field(metric)
-    jd = jet(metric, x, y)
-    f0 = jd.value
-    p0 = p(x, y)
+        curvature = flag_curvature(metric, xs, ys)
+    jd = jet(metric, xs, ys)
+    hx = STEP_SECOND * np.maximum(1.0, lengths(xs))
+    hy = STEP_SECOND * lengths(ys)
+    (p_values,), p_errors = _on_stencil(lambda a, b: _p(metric, a, b),
+                                        _p_stencil(xs, ys, hx, hy))
+    (f_values, pf_values), pf_errors = _on_stencil(
+        lambda a, b: _fp(metric, a, b), [(xs, p) for p in gradient_points(ys, hy)])
+    raise_first(first_errors(*p_errors, *pf_errors))
+    p0 = p_values[0]
+    p_x = gradient_from(p_values[1:2 * n + 1], hx)
+    p_y = gradient_from(p_values[2 * n + 1:], hy)
+    pf_y = gradient_from([p * f for f, p in zip(f_values, pf_values)], hy)
 
-    hx = STEP_SECOND * max(1.0, float(np.linalg.norm(x)))
-    hy = STEP_SECOND * float(np.linalg.norm(y))
-    p_x = fd_gradient(lambda xx: p(xx, y), x, hx)
-    p_y = fd_gradient(lambda yy: p(x, yy), y, hy)
-    pf_y = fd_gradient(lambda yy: p(x, yy) * metric.eval(x, yy), y, hy)
-
-    r1 = float(np.abs(jd.grad_x - pf_y).max()) / (1.0 + float(np.abs(jd.grad_x).max()))
-    resid2 = p_x - p0 * p_y + curvature * f0 * jd.grad_y
-    r2 = float(np.abs(resid2).max()) / (1.0 + float(np.abs(p_x).max()))
-    return r1, r2
+    r1 = np.abs(jd.grad_x - pf_y).max(axis=-1) / (1.0 + np.abs(jd.grad_x).max(axis=-1))
+    resid2 = p_x - p0[:, None] * p_y + (curvature * jd.value)[..., None] * jd.grad_y
+    r2 = np.abs(resid2).max(axis=-1) / (1.0 + np.abs(p_x).max(axis=-1))
+    return _out(r1, lone), _out(r2, lone)
 
 
-def _transport_fields(metric, x, y):
-    """Scalar fields Phi with Phi_x = Phi * Phi_y for this metric.
+def _transport_fields(metric, pairs):
+    """Yields (rows, fields, errors): the scalar fields Phi with
+    Phi_x = Phi * Phi_y on the stencil ``pairs`` of the samples ``rows``.
 
-    Constructed metrics expose their solver fields through ``aux``;
-    otherwise the fields are assembled from P and F using the intended
-    curvature (the numeric K at (x, y) when there is none): Phi = P for
-    K = 0, P +/- sqrt(-K) F for K < 0, and the complex P + i sqrt(K) F
-    for K > 0.
+    A constructed metric's fields are its solved ones, from one rows call.
+    Otherwise they are assembled from P and F using the intended curvature
+    (the numeric K at each sample when there is none): Phi = P for K = 0,
+    P +/- sqrt(-K) F for K < 0, and the complex P + i sqrt(K) F for K > 0,
+    each field evaluated on its own.
     """
-    aux = getattr(metric, "aux", {}) or {}
-    if "phi_plus" in aux and "phi_minus" in aux:
-        return [aux["phi_plus"], aux["phi_minus"]]
-    if "psi_field" in aux:
-        return [aux["psi_field"]]
-    lam = getattr(metric, "intended_curvature", None)
+    count = len(pairs[0][0])
+    if metric.solve is not None:
+        def solved(a, b):
+            values = metric.rows(a, b, with_f=False, with_p=True)
+            return values.fields, values.errors
+        yield (np.ones(count, dtype=bool),) + _on_stencil(solved, pairs)
+        return
+    lam = metric.intended_curvature
     if lam is None:
-        lam = flag_curvature(metric, x, y)
-    p = projective_factor_field(metric)
-    if lam == 0.0:
-        return [p]
-    if lam < 0.0:
-        s = float(np.sqrt(-lam))
-        return [lambda x, y: p(x, y) + s * metric.eval(x, y),
-                lambda x, y: p(x, y) - s * metric.eval(x, y)]
-    s = float(np.sqrt(lam))
-    return [lambda x, y: p(x, y) + 1j * s * metric.eval(x, y)]
+        lam = flag_curvature(metric, *pairs[0])
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (count,))
+    s = np.sqrt(np.abs(lam))
+    for rows, signs in ((lam == 0.0, (0.0,)), (lam < 0.0, (1.0, -1.0)), (lam > 0.0, (1j,))):
+        if not rows.any():
+            continue
+        sub = [(a[rows], b[rows]) for a, b in pairs]
+        coef = np.repeat(s[rows], len(pairs))  # sample-major, like _on_stencil
+        for sign in signs:
+            def field(a, b, c=sign * coef):
+                (p,), errors = _p(metric, a, b)
+                if not c.any():
+                    return (p,), errors
+                (f,), f_errors = _f(metric, a, b)
+                return (p + c * f,), first_errors(errors, f_errors)
+            yield (rows,) + _on_stencil(field, sub)
 
 
-def master_pde_residual(metric, x, y) -> float:
+def master_pde_residual(metric, x, y):
     """Normalized finite-difference residual of Phi_x = Phi * Phi_y.
 
     Phi runs over the metric's transport fields (see _transport_fields);
     complex fields are differenced in complex arithmetic.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hx = STEP_SECOND * max(1.0, float(np.linalg.norm(x)))
-    hy = STEP_SECOND * float(np.linalg.norm(y))
-    worst = 0.0
-    for phi in _transport_fields(metric, x, y):
-        phi0 = phi(x, y)
-        gx = fd_gradient(lambda xx: phi(xx, y), x, hx)
-        gy = fd_gradient(lambda yy: phi(x, yy), y, hy)
-        resid = np.abs(gx - phi0 * gy).max() / (1.0 + np.abs(gx).max())
-        worst = max(worst, float(resid))
-    return worst
+    xs, ys, lone = _as_rows(x, y)
+    n = xs.shape[1]
+    hx = STEP_SECOND * np.maximum(1.0, lengths(xs))
+    hy = STEP_SECOND * lengths(ys)
+    worst = np.zeros(len(ys))
+    for rows, fields, errors in _transport_fields(metric, _p_stencil(xs, ys, hx, hy)):
+        raise_first(first_errors(*errors))
+        for phi in fields:
+            gx = gradient_from(phi[1:2 * n + 1], hx[rows])
+            gy = gradient_from(phi[2 * n + 1:], hy[rows])
+            resid = (np.abs(gx - phi[0][:, None] * gy).max(axis=-1)
+                     / (1.0 + np.abs(gx).max(axis=-1)))
+            worst[rows] = np.where(resid > worst[rows], resid, worst[rows])
+    return _out(worst, lone)
 
 
 # ---------------------------------------------------------------------------
@@ -256,36 +377,21 @@ def convexity_residual(metric, x, u):
     residual = max(-lambda_min, -F): negative when the Hessian of F^2/2
     in y is positive definite and F > 0.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    f0 = metric.eval(x, u)
-    half_sq = lambda yy: 0.5 * metric.eval(x, yy) ** 2
-    h = fd_hessian(half_sq, u, STEP_SECOND * float(np.linalg.norm(u)))
-    lam_min = float(np.linalg.eigvalsh(h).min())
-    return max(-lam_min, -float(f0)), lam_min
-
-
-def convexity_check(metric, x, samples, eig_floor=1e-8) -> VerificationReport:
-    """Positive definiteness of [F^2/2]_{yy} over deterministic directions."""
-    x = np.asarray(x, dtype=float)
-    dirs = unit_directions(metric.dimension, samples)
-    residuals = []
-    points = []
-    min_eig = np.inf
-    for u in dirs:
-        r, lam = convexity_residual(metric, x, u)
-        residuals.append(r)
-        points.append((x, u))
-        min_eig = min(min_eig, lam)
-    return make_report("convexity", points, residuals, tolerance=-eig_floor,
-                       extra={"min_eigenvalue": min_eig})
+    xs, us, lone = _as_rows(x, u)
+    h = STEP_SECOND * lengths(us)
+    pairs = [(xs, us)] + [(xs, p) for p in hessian_points(us, h)]
+    (values,), errors = _on_stencil(lambda a, b: _f(metric, a, b), pairs)
+    raise_first(first_errors(*errors))
+    hess = hessian_from([0.5 * pow2(v) for v in values[1:]], h, xs.shape[1])
+    lam_min = np.linalg.eigvalsh(hess).min(axis=-1)
+    return _out(np.maximum(-lam_min, -values[0]), lone), _out(lam_min, lone)
 
 
 # ---------------------------------------------------------------------------
 # geodesics
 
 
-def geodesic_coefficients_general(metric, x, y) -> np.ndarray:
+def geodesic_coefficients_general(metric, x, y):
     """Geodesic coefficients from the metric tensor:
 
         G^i = (1/4) g^{il} ( [F^2]_{x^m y^l} y^m - [F^2]_{x^l} ),
@@ -294,17 +400,18 @@ def geodesic_coefficients_general(metric, x, y) -> np.ndarray:
     Everything comes from the finite-difference jet; for projectively
     flat metrics this must match P(x, y) * y^i.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    jd = jet(metric, x, y)
-    f0 = jd.value
-    g = np.outer(jd.grad_y, jd.grad_y) + f0 * jd.hess_yy
-    b = 2.0 * (float(jd.grad_x @ y) * jd.grad_y + f0 * (jd.mixed_xy.T @ y) - f0 * jd.grad_x)
+    xs, ys, lone = _as_rows(x, y)
+    jd = jet(metric, xs, ys)
+    f0 = jd.value[:, None]
+    g = jd.grad_y[:, :, None] * jd.grad_y[:, None, :] + f0[..., None] * jd.hess_yy
+    b = 2.0 * (np.vecdot(jd.grad_x, ys)[:, None] * jd.grad_y
+               + f0 * _mixed_times_y(jd, ys) - f0 * jd.grad_x)
     try:
-        sol = np.linalg.solve(g, b)
+        sol = np.linalg.solve(g, b[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise DomainError("metric tensor is singular at this point") from exc
-    return 0.25 * sol
+    sol = 0.25 * sol
+    return sol[0] if lone else sol
 
 
 @dataclass
@@ -317,49 +424,59 @@ class GeodesicResult:
     completed: bool
 
 
-def integrate_geodesic(metric, x0, v0, t_end, steps) -> GeodesicResult:
+def integrate_geodesic(metric, x0, v0, t_end, steps):
     """Classic RK4 on (x, v) with v' = -2 P(x, v) v.
 
-    Uses the exact projective factor when the evaluator carries one.
-    Integration stops early (flagged) if the trajectory or a stage point
-    leaves the evaluator's domain.
+    ``x0`` and ``v0`` are one start ``(n,)``, giving a GeodesicResult, or
+    T starts ``(T, n)``, giving a list of T results: the trajectories step
+    together, one rows call of P per RK stage.  Uses the exact projective
+    factor when the evaluator carries one.  A trajectory stops early
+    (flagged) if it or one of its stage points leaves the evaluator's
+    domain; the others go on.
     """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    if float(np.linalg.norm(v0)) == 0.0:
+    xs0, vs0, lone = _as_rows(x0, v0)
+    if (lengths(vs0) == 0.0).any():
         raise DomainError("geodesic needs a nonzero initial velocity")
-    p = projective_factor_field(metric)
     h = float(t_end) / int(steps)
-
-    def rhs(state):
-        x, v = state
-        return v, -2.0 * p(x, v) * v
-
-    xs = [x0.copy()]
-    vs = [v0.copy()]
-    ts = [0.0]
-    x, v = x0.copy(), v0.copy()
-    completed = True
+    limit = getattr(metric, "domain_radius", np.inf)
+    points = np.zeros((int(steps) + 1,) + xs0.shape)
+    velocities = np.zeros_like(points)
+    points[0], velocities[0] = xs0, vs0
+    taken = np.zeros(len(xs0), dtype=int)
+    completed = np.ones(len(xs0), dtype=bool)
+    act = np.arange(len(xs0))
     for i in range(int(steps)):
-        try:
-            k1x, k1v = rhs((x, v))
-            k2x, k2v = rhs((x + 0.5 * h * k1x, v + 0.5 * h * k1v))
-            k3x, k3v = rhs((x + 0.5 * h * k2x, v + 0.5 * h * k2v))
-            k4x, k4v = rhs((x + h * k3x, v + h * k3v))
-        except DomainError:
-            completed = False
+        if not act.size:
             break
+        x, v = points[i, act], velocities[i, act]
+        sx, sv, slopes = x, v, []
+        for coef in (0.5, 0.5, 1.0, None):
+            (p,), errors = _p(metric, sx, sv)
+            if any(errors):
+                raise_first([e for e in errors if not isinstance(e, DomainError)])
+                keep = np.array([e is None for e in errors], dtype=bool)
+                completed[act[~keep]] = False
+                act, x, v, sv, p = act[keep], x[keep], v[keep], sv[keep], p[keep]
+                slopes = [(a[keep], b[keep]) for a, b in slopes]
+            slopes.append((sv, (-2.0 * p)[:, None] * sv))
+            if coef is not None:
+                kx, kv = slopes[-1]
+                sx, sv = x + coef * h * kx, v + coef * h * kv
+        (k1x, k1v), (k2x, k2v), (k3x, k3v), (k4x, k4v) = slopes
         x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        limit = getattr(metric, "domain_radius", np.inf)
-        if float(np.linalg.norm(x)) > limit:
-            completed = False
-            break
-        xs.append(x.copy())
-        vs.append(v.copy())
-        ts.append((i + 1) * h)
-    return GeodesicResult(times=np.asarray(ts), points=np.asarray(xs),
-                          velocities=np.asarray(vs), completed=completed)
+        out = lengths(x) > limit
+        if out.any():
+            completed[act[out]] = False
+            act, x, v = act[~out], x[~out], v[~out]
+        points[i + 1, act], velocities[i + 1, act] = x, v
+        taken[act] += 1
+    results = [GeodesicResult(times=np.arange(taken[j] + 1) * h,
+                              points=points[:taken[j] + 1, j].copy(),
+                              velocities=velocities[:taken[j] + 1, j].copy(),
+                              completed=bool(completed[j]))
+               for j in range(len(xs0))]
+    return results[0] if lone else results
 
 
 def collinearity_score(result: GeodesicResult, x0, v0) -> float:

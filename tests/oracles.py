@@ -6,14 +6,22 @@ the constructive solvers and the catalog transcriptions are both checked
 against a second route.  ``solve_complex_nested`` is a second route to
 the complex fixed point, built from the public norm interface only.  The
 ``*_loop`` functions are the one-direction-at-a-time references for the
-batched radius estimates and Minkowski probe.
+batched radius estimates and Minkowski probe, and ``solve_real_scalar``,
+``solve_complex_scalar`` and ``constructed_fp`` are the one-point
+references for the solves and metric builders on rows.
 """
+
+import math
 
 import numpy as np
 
-from projflat import SolveResult, SolverConfig, SolverError
+from projflat import (DomainError, SolveResult, SolverConfig, SolverError,
+                      catalog_entry, eval_catalog)
+from projflat.norms import MINKOWSKI_EIG_FLOOR, STEP_FIRST, combine, make_report
 from projflat.sampling import unit_directions
-from projflat.norms import MINKOWSKI_EIG_FLOOR, STEP_FIRST, make_report
+from projflat.verify import convexity_residual, gradient_from, gradient_points
+
+_REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
 
 
 def _d(x, y):
@@ -172,7 +180,14 @@ def solve_complex_nested(phi, psi, x, y, cfg=None):
     if residual > cfg.tolerance * 10.0:
         raise SolverError(f"nested solve residual {residual:.3e} above tolerance")
     return SolveResult(value=z, eta=y + x * z, residual=float(residual),
-                       iterations=iterations, converged=True)
+                       iterations=iterations, errors=[None])
+
+
+def fd_gradient(fun, v, step):
+    """Central-difference gradient of a scalar function of one vector, one
+    ``fun`` call per stencil point of ``verify.gradient_points``."""
+    v = np.asarray(v, dtype=float)
+    return gradient_from([fun(p) for p in gradient_points(v, step)], step)
 
 
 def fd_hessian_loop(fun, v, step):
@@ -225,4 +240,223 @@ def check_minkowski_loop(f, samples, eig_floor=MINKOWSKI_EIG_FLOOR):
         residuals.append(max(-lam, -val))
         points.append((zero, u))
     return make_report("minkowski", points, residuals, tolerance=-eig_floor,
+                       extra={"min_eigenvalue": min_eig})
+
+
+# ---------------------------------------------------------------------------
+# one-point solves and builders
+
+
+def _value_at(phi, w: np.ndarray) -> float:
+    # degree-1 homogeneity forces phi -> 0 at the origin; the norms reject
+    # a squared length of 0, so such a w counts as the origin
+    if float(w.dot(w)) == 0.0:
+        return 0.0
+    return phi.eval_real(w)
+
+
+def solve_real_scalar(phi, x, y, cfg=None) -> SolveResult:
+    """Solve t = phi(y + x t) at one point by bracketing plus safeguarded
+    Newton: the reference for ``projflat.solve_real`` on rows."""
+    cfg = cfg or SolverConfig()
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+
+    def f(t):
+        return t - _value_at(phi, y + x * t)
+
+    t0 = _value_at(phi, y)
+    width = max(1.0, abs(t0))
+    lo, hi = t0 - width, t0 + width
+    flo, fhi = f(lo), f(hi)
+    expansions = 0
+    while flo > 0.0 or fhi < 0.0:
+        expansions += 1
+        if expansions > 80 or not (math.isfinite(flo) and math.isfinite(fhi)):
+            raise SolverError(
+                "no sign change within the bracket expansion budget; "
+                "the base point is likely outside the validity region")
+        width *= cfg.bracket_expansion
+        lo, hi = t0 - width, t0 + width
+        flo, fhi = f(lo), f(hi)
+
+    kink_scale = 1e-9 * (1.0 + float(np.linalg.norm(y)))
+    t = min(max(t0, lo), hi)
+    ft = f(t)
+    iterations = 0
+    target = cfg.tolerance
+    while abs(ft) > _REFINE_FLOOR * (1.0 + abs(t)):
+        if iterations >= cfg.max_iterations:
+            if abs(ft) <= target:
+                break
+            raise SolverError(f"iteration cap {cfg.max_iterations} exceeded "
+                              f"(residual {abs(ft):.3e})")
+        iterations += 1
+        if ft > 0.0:
+            hi = t
+        else:
+            lo = t
+        eta = y + x * t
+        step_ok = False
+        if float(np.linalg.norm(eta)) > kink_scale:
+            slope = 1.0 - float(phi.grad_real(eta) @ x)
+            if slope > 1e-12:
+                t_new = t - ft / slope
+                if lo < t_new < hi:
+                    t, step_ok = t_new, True
+        if not step_ok:
+            t = 0.5 * (lo + hi)
+        ft = f(t)
+        if hi - lo <= _REFINE_FLOOR * (1.0 + abs(t)) and abs(ft) <= target:
+            break
+    residual = abs(f(t))
+    if residual > target:
+        raise SolverError(f"fixed-point residual {residual:.3e} above tolerance")
+    return SolveResult(value=float(t), eta=y + x * t, residual=float(residual),
+                       iterations=iterations, errors=[None])
+
+
+def _pair_value(phi, psi, w: np.ndarray) -> complex:
+    if not w.any():
+        return 0j
+    return complex(phi.eval_complex(w) + 1j * psi.eval_complex(w))
+
+
+def solve_complex_scalar(phi, psi, x, y, cfg=None) -> SolveResult:
+    """Solve Z = phi(y + x Z) + i psi(y + x Z) at one point by damped
+    Picard iteration: the reference for ``projflat.solve_complex``."""
+    cfg = cfg or SolverConfig()
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+
+    def g(zz):
+        return _pair_value(phi, psi, y + x * zz)
+
+    z0 = _pair_value(phi, psi, y)
+    scale = 1.0 + abs(z0)
+    damping = cfg.damping
+    total_iters = 0
+    for _ in range(8):
+        z = z0
+        diverged = False
+        for _ in range(cfg.max_iterations):
+            total_iters += 1
+            val = g(z)
+            if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+                diverged = True
+                break
+            res = abs(z - val)
+            z = (1.0 - damping) * z + damping * val
+            if res <= _REFINE_FLOOR * scale:
+                break
+            if res > 1e6 * scale:
+                diverged = True
+                break
+        final = abs(z - g(z))
+        if not diverged and final <= cfg.tolerance:
+            if z.imag < -cfg.tolerance * scale:
+                raise SolverError("iteration converged to the non-metric branch "
+                                  "(negative imaginary part)")
+            return SolveResult(value=complex(z), eta=y + x * z, residual=float(final),
+                               iterations=total_iters, errors=[None])
+        damping *= 0.5
+        if damping < 1.0 / 64.0:
+            break
+    raise SolverError("complex fixed-point iteration failed to converge; "
+                      "the base point is likely outside the validity region")
+
+
+def implicit_derivatives(phi, res, x, y):
+    """Exact first derivatives (P_y, P_x) of the solved field at (x, y):
+    P_y = grad phi(eta) / (1 - <grad phi(eta), x>) and P_x = P P_y, the
+    transport identity."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    grad = phi.grad_real(res.eta)
+    denom = 1.0 - float(grad @ x)
+    if denom < 1e-8:
+        raise DomainError("implicit-derivative denominator vanishes; "
+                          "the point sits on the validity boundary")
+    p_y = grad / denom
+    p_x = res.value * p_y
+    return p_y, p_x
+
+
+def constructed_fp(curvature, psi, phi, x, y, cfg=None):
+    """(F, P) of a constructed metric at one point, one solve per field as
+    the builders define them; the reference for ``MetricEvaluator.rows``.
+    Raises what the point raises; no point guard."""
+    if curvature == 0:
+        res = solve_real_scalar(phi, x, y, cfg)
+        denom = 1.0 - float(phi.grad_real(res.eta) @ np.asarray(x, dtype=float))
+        if denom < 1e-8:
+            raise DomainError("construction denominator vanishes")
+        return psi.eval_real(res.eta) / denom, res.value
+    if curvature == -1:
+        plus = solve_real_scalar(combine((1.0, phi), (1.0, psi)), x, y, cfg).value
+        minus = solve_real_scalar(combine((1.0, phi), (-1.0, psi)), x, y, cfg).value
+        return 0.5 * (plus - minus), 0.5 * (plus + minus)
+    z = solve_complex_scalar(phi, psi, x, y, cfg).value
+    return z.imag, z.real
+
+
+# ---------------------------------------------------------------------------
+# test-only cross-checks of the catalog and the convexity sweep
+
+_MARGIN = 1e-12
+
+
+def _dots(x, y):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    return float(x @ x), float(y @ y), float(x @ y)
+
+
+def bryant_all_real(alpha, x, y) -> float:
+    """The radical (A, B, C, D) rendering of the bryant formula."""
+    xx, yy, xy = _dots(x, y)
+    cos2a = math.cos(2.0 * alpha)
+    sin2a = math.sin(2.0 * alpha)
+    b = yy * cos2a + xx * yy - xy * xy
+    a = b * b + (yy * sin2a) ** 2
+    c = xy * sin2a
+    d = xx * xx + 2.0 * xx * cos2a + 1.0
+    if d <= _MARGIN:
+        raise DomainError("bryant denominator vanished")
+    return math.sqrt((math.sqrt(a) + b) / (2.0 * d) + (c / d) ** 2) + c / d
+
+
+def zhou_reduction_check(d1, d2, sign, x, y):
+    """(lhs, rhs): the zhou formula against its two-term expansion
+
+        rhs = 1/2 { (sqrt((2 d2 + s 4 d1^2 - |x|^2)|y|^2 + <x,y>^2) - <x,y>)
+                    / (2 d2 + s 4 d1^2 - |x|^2)
+                  + (sqrt((2 d2 - s 4 d1^2 - |x|^2)|y|^2 + <x,y>^2) + <x,y>)
+                    / (2 d2 - s 4 d1^2 - |x|^2) }
+
+    with s the sign carried by c2.  The two sides are algebraically equal
+    on the zhou domain.
+    """
+    xx, yy, xy = _dots(x, y)
+    lhs = eval_catalog(catalog_entry("zhou", len(np.atleast_1d(x)), d1=d1, d2=d2,
+                                     sign=sign), x, y)
+    out = 0.0
+    for s, num_sign in ((sign, -1.0), (-sign, 1.0)):
+        a = 2.0 * d2 + s * 4.0 * d1 * d1 - xx
+        if a <= _MARGIN:
+            raise DomainError("zhou reduction denominator vanished")
+        out += (math.sqrt(a * yy + xy * xy) + num_sign * xy) / a
+    return lhs, 0.5 * out
+
+
+def convexity_check(metric, x, samples, eig_floor=1e-8):
+    """Positive definiteness of [F^2/2]_{yy} over deterministic directions
+    at one base point, one direction at a time."""
+    x = np.asarray(x, dtype=float)
+    residuals, points, min_eig = [], [], np.inf
+    for u in unit_directions(metric.dimension, samples):
+        r, lam = convexity_residual(metric, x, u)
+        residuals.append(r)
+        points.append((x, u))
+        min_eig = min(min_eig, lam)
+    return make_report("convexity", points, residuals, tolerance=-eig_floor,
                        extra={"min_eigenvalue": min_eig})

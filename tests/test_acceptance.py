@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import bryant_all_real, implicit_derivatives, zhou_reduction_check
 from projflat import (BryantPair, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
                       ScaledNorm, ZeroNorm, as_evaluator, broken_metric,
-                      build_k0, build_kneg1, build_kpos1, bryant_all_real,
-                      catalog_entry, collinearity_score, eval_catalog,
-                      flag_curvature, hamel_residual, implicit_derivatives,
-                      integrate_geodesic, master_pde_residual,
-                      projective_factor_numeric, solve_real,
-                      zhou_reduction_check)
+                      build_k0, build_kneg1, build_kpos1, catalog_entry,
+                      collinearity_score, eval_catalog, flag_curvature,
+                      hamel_residual, integrate_geodesic, master_pde_residual,
+                      projective_factor_numeric, solve_real)
 from projflat.sampling import ball_points, sphere_points
 
 E2 = EuclideanNorm(2)

@@ -39,14 +39,14 @@ def rows(d, count=200, seed=0):
     y = np.random.default_rng(seed + d).standard_normal((count, d))
     y[0] = 0.0
     y[0, -1] = 1.0  # a point on a block axis
-    y[1, :] = 1e-160  # squares underflow
+    y[1, :] = 1e-160  # squares are subnormal, their sum is not 0
     return y
 
 
 @pytest.mark.parametrize("d, f", CASES)
 def test_rows_equal_single_vectors(d, f):
     y = rows(d)
-    # the dsr gradients divide by zero on the underflowing row, alike per row
+    # the dsr gradients divide by zero on the subnormal row, alike per row
     with np.errstate(divide="ignore", invalid="ignore"):
         values, grads = f.eval_real(y), f.grad_real(y)
         assert values.shape == (len(y),) and grads.shape == y.shape
@@ -65,6 +65,9 @@ def test_rows_raise_the_single_vector_errors(d, f):
         zero_row = good.copy()
         zero_row[2] = 0.0
         bad_cases.append((zero_row, zero_row[2], DomainError))
+        underflow_row = good.copy()
+        underflow_row[0] = 1e-170  # squares underflow to 0: the zero row
+        bad_cases.append((underflow_row, underflow_row[0], DomainError))
     nan_row = good.copy()
     nan_row[3, 0] = np.nan
     bad_cases.append((nan_row, nan_row[3], DomainError))

@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from projflat import catalog_entry, eval_catalog
+from projflat import MetricEvaluator, catalog_entry, eval_catalog
 from projflat import cli
 from projflat.cli import main, parse_metric
 from projflat.solver import SolverConfig
@@ -227,6 +226,16 @@ def test_exit_code_domain_error(capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("metric, curvature", [
+    ("construct:0:euclidean:randers:0.2,0.1", 0.0), ("catalog:funk", -0.25)])
+def test_eval_curvature_at_tiny_y(capsys, metric, curvature):
+    # K has degree 0 in y: a y whose F^2 is subnormal gives the same K
+    code, out, _ = run_cli(capsys, "eval", "--metric", metric,
+                           "--x", "0,0", "--y", "1e-160,1e-160")
+    assert code == 0
+    assert json.loads(out)["K_numeric"] == pytest.approx(curvature, abs=1e-4)
+
+
 def test_exit_code_solver_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--metric",
                            "construct:0:euclidean:randers:0.2,-0.3",
@@ -236,15 +245,9 @@ def test_exit_code_solver_error(capsys):
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "solver"
 
 
-def _counting(fn, counts, key):
-    def counted(*args):
-        counts[key] += 1
-        return fn(*args)
-    return counted
-
-
 # F and P evaluations per sample point (per trajectory for geodesic) of
-# each check; the funk row is the benchmark's cross-check.
+# each check, counted as rows asked of the evaluator; the funk row is the
+# benchmark's cross-check.
 EVALS_PER_POINT = {
     "catalog:funk": {"hamel": (34, 0), "curvature": (10, 0), "berwald": (77, 0),
                      "convexity": (10, 0), "geodesic": (1200, 0), "pde": (72, 0)},
@@ -255,19 +258,31 @@ EVALS_PER_POINT = {
 
 
 @pytest.mark.parametrize("spec", sorted(EVALS_PER_POINT))
-def test_verify_checks_evaluations_per_point(spec):
-    base = parse_metric(spec, 2, SolverConfig())
+def test_verify_checks_evaluations_per_point(spec, monkeypatch):
+    metric = parse_metric(spec, 2, SolverConfig())
+    counts = {}
+    rows, one = MetricEvaluator.rows, MetricEvaluator.eval
+
+    def counted_rows(self, x, y, with_f=True, with_p=False):
+        counts["F"] += len(x) * with_f
+        counts["P"] += len(x) * with_p
+        return rows(self, x, y, with_f, with_p)
+
+    def counted_eval(self, x, y):
+        counts["eval"] += 1
+        return one(self, x, y)
+
+    monkeypatch.setattr(MetricEvaluator, "rows", counted_rows)
+    monkeypatch.setattr(MetricEvaluator, "eval", counted_eval)
     for name, (f_want, p_want) in EVALS_PER_POINT[spec].items():
-        counts = {"F": 0, "P": 0}
-        fields = {"f_eval": _counting(base.f_eval, counts, "F")}
-        if base.p_exact is not None:
-            fields["p_exact"] = _counting(base.p_exact, counts, "P")
-        metric = dataclasses.replace(base, **fields)
+        counts.update(F=0, P=0, eval=0)
         report = cli._run_check(name, metric, np.random.default_rng(3), 0.2, 4,
                                 cli.DEFAULT_TOLERANCES[name])
         assert report.passed, name
         points = report.sample_count
         assert (counts["F"], counts["P"]) == (f_want * points, p_want * points), name
+        # a closed form runs its rows through eval one at a time
+        assert counts["eval"] == (counts["F"] if metric.solve is None else 0), name
 
 
 def test_determinism_byte_identical(capsys):

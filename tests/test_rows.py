@@ -1,0 +1,245 @@
+"""The rows evaluation core against the one-point references in ``oracles``.
+
+Real solves must match bit for bit, complex solves within 1e-14 relative
+(numpy's complex products may differ from Python's in the last ulp), and
+a failing row must raise what the one-point path raises, without
+touching the other rows.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from projflat import (BryantPair, DomainError, DoubleSqrtNorm, EuclideanNorm,
+                      HomogeneousFunction, ProjFlatError, RandersNorm,
+                      ScaledNorm, SolverConfig, SolverError, ZeroNorm,
+                      build_k0, build_kneg1, build_kpos1, combine,
+                      integrate_geodesic, solve_complex, solve_real)
+from projflat.cli import parse_metric
+from projflat.verify import point_values
+
+
+def origin_data(d):
+    """(psi, phi) pairs at dimension d, dsr blocks (1, d - 1) included."""
+    drift = tuple(np.linspace(0.2, -0.1, d))
+    return [
+        (EuclideanNorm(d), RandersNorm(d, drift)),
+        (EuclideanNorm(d), ScaledNorm(d, 0.3)),
+        (RandersNorm(d, drift), ScaledNorm(d, -0.25)),
+        (EuclideanNorm(d), ZeroNorm(d)),
+        (DoubleSqrtNorm(d, 1, d - 1, plus=True), DoubleSqrtNorm(d, 1, d - 1, plus=False)),
+        (BryantPair(d, 0.5236).psi_component, BryantPair(d, 0.5236).phi_component),
+    ]
+
+
+CURVATURES = {0: build_k0, -1: build_kneg1, 1: build_kpos1}
+CASES = [pytest.param(d, k, psi, phi, id=f"d{d}-K{k}-{psi.family}-{phi.family}")
+         for d in (2, 3) for k in CURVATURES for psi, phi in origin_data(d)]
+
+
+def sweep(metric, d, count=60, seed=0):
+    """Seeded points up to 1.3 domain radii, so some rows fail."""
+    rng = np.random.default_rng(seed + d)
+    radius = min(metric.domain_radius, 2.0)
+    x = rng.standard_normal((count, d))
+    x *= (radius * rng.uniform(0.0, 1.3, count) / np.linalg.norm(x, axis=1))[:, None]
+    x[:4] *= radius / np.linalg.norm(x[:4], axis=1)[:, None]  # on the guard
+    y = rng.standard_normal((count, d)) * rng.uniform(0.2, 3.0, (count, 1))
+    y[4] = 0.0
+    y[5] = 1e-170  # squared length underflows to zero
+    return x, y
+
+
+def one_point(metric, k, psi, phi, x, y, cfg, with_f):
+    """(F, P) at one point by the one-point route, or the error it raises."""
+    try:
+        if with_f:
+            metric._check_point(x, y)
+        elif float(y.dot(y)) == 0.0:
+            raise DomainError("y = 0 is outside the metric domain")
+        return oracles.constructed_fp(k, psi, phi, x, y, cfg), None
+    except ProjFlatError as exc:
+        return None, exc
+
+
+def assert_same(got, want, k):
+    if k == 1:
+        assert abs(got - want) <= 1e-14 * abs(want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("d, k, psi, phi", CASES)
+def test_rows_equal_one_point_references(d, k, psi, phi):
+    cfg = SolverConfig()
+    metric = CURVATURES[k](psi, phi, cfg)
+    x, y = sweep(metric, d)
+    for with_f in (True, False):
+        rows = metric.rows(x, y, with_f=with_f, with_p=True)
+        assert rows.f is None or rows.f.shape == (len(y),)
+        failed = 0
+        for i in range(len(y)):
+            want, error = one_point(metric, k, psi, phi, x[i], y[i], cfg, with_f)
+            if error is not None:
+                failed += 1
+                assert type(rows.errors[i]) is type(error), i
+                assert str(rows.errors[i]) == str(error), i
+                assert np.isnan(rows.p[i])
+                continue
+            assert rows.errors[i] is None, (i, rows.errors[i])
+            if with_f:
+                assert_same(rows.f[i], want[0], k)
+            assert_same(rows.p[i], want[1], k)
+        assert failed >= 2  # the zero and the underflowing y
+
+
+@pytest.mark.parametrize("k", sorted(CURVATURES))
+def test_solver_failures_match_one_point(k):
+    """An iteration cap or a point far outside fails alone, as it would alone."""
+    psi, phi = EuclideanNorm(2), ScaledNorm(2, 0.3)
+    for cfg in (SolverConfig(max_iterations=2, tolerance=1e-15), SolverConfig()):
+        metric = CURVATURES[k](psi, phi, cfg)
+        rng = np.random.default_rng(k + 7)
+        x = rng.uniform(-3.0, 3.0, (40, 2))
+        y = rng.standard_normal((40, 2))
+        rows = metric.rows(x, y, with_f=False, with_p=True)
+        kinds = set()
+        for i in range(len(y)):
+            want, error = one_point(metric, k, psi, phi, x[i], y[i], cfg, False)
+            if error is None:
+                assert rows.errors[i] is None
+                assert_same(rows.p[i], want[1], k)
+            else:
+                kinds.add(type(error))
+                assert (type(rows.errors[i]), str(rows.errors[i])) == (type(error), str(error))
+        assert SolverError in kinds
+
+
+def test_solves_equal_one_point_solves_with_failures():
+    rng = np.random.default_rng(11)
+    cfgs = (SolverConfig(max_iterations=40), SolverConfig(max_iterations=1, tolerance=1e-15),
+            SolverConfig(damping=0.3, max_iterations=20))
+    for cfg in cfgs:
+        for d in (1, 2, 3):
+            phi = combine((1.0, RandersNorm(d, (0.3,) * d)), (0.5, EuclideanNorm(d)))
+            psi = ScaledNorm(d, 0.5)
+            x = rng.standard_normal((30, d)) * rng.uniform(0.0, 3.0, (30, 1))
+            y = rng.standard_normal((30, d))
+            y[0], y[1] = 1e-170, 1e-160
+            for solve, scalar, args in ((solve_real, oracles.solve_real_scalar, (phi,)),
+                                        (solve_complex, oracles.solve_complex_scalar,
+                                         (phi, psi))):
+                res = solve(*args, x, y, cfg)
+                assert isinstance(res.iterations, int)
+                for i in range(len(y)):
+                    try:
+                        want = scalar(*args, x[i], y[i], cfg)
+                    except SolverError as exc:
+                        assert (type(res.errors[i]), str(res.errors[i])) == (type(exc), str(exc))
+                        continue
+                    assert res.errors[i] is None
+                    if solve is solve_real:
+                        assert res.value[i] == want.value
+                        np.testing.assert_array_equal(res.eta[i], want.eta)
+                    else:
+                        assert abs(res.value[i] - want.value) <= 1e-14 * abs(want.value)
+
+
+def test_closed_form_rows_run_eval_row_by_row():
+    metric = parse_metric("catalog:funk", 2, SolverConfig())
+    x = np.array([[0.1, 0.2], [1.5, 0.0], [0.3, -0.4]])
+    y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    rows = metric.rows(x, y)
+    assert rows.f[0] == metric.eval(x[0], y[0])
+    assert np.isnan(rows.f[1:]).all()
+    for i in (1, 2):
+        with pytest.raises(DomainError) as one:
+            metric.eval(x[i], y[i])
+        assert str(rows.errors[i]) == str(one.value)
+    with pytest.raises(ProjFlatError):
+        metric.rows(x, y, with_p=True)
+
+
+@pytest.mark.parametrize("spec", ["construct:0:euclidean:randers:0.2,0.1",
+                                  "construct:1:dsr-b:1,1:dsr-a:1,1", "catalog:funk",
+                                  "test:broken"])
+def test_point_values_rows_equal_single_rows(spec):
+    """What ``sample`` prints: each row's F, P, K and error are those the
+    row gets alone, so the same rows stay blank."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    radius = min(metric.domain_radius, 1.0)
+    axis = np.linspace(-1.2 * radius, 1.2 * radius, 7)
+    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    y = np.tile([0.6, 0.8], (len(x), 1))
+    y[3] = 0.0
+    f, p, k, errors = point_values(metric, x, y)
+    assert any(errors) and not all(errors)
+    for i in range(len(x)):
+        f1, p1, k1, e1 = point_values(metric, x[i:i + 1], y[i:i + 1])
+        assert (type(errors[i]), str(errors[i])) == (type(e1[0]), str(e1[0]))
+        if e1[0] is None:
+            assert (f[i], p[i], k[i]) == (f1[0], p1[0], k1[0])
+
+
+def test_geodesics_step_together_and_stop_alone():
+    metric = build_k0(EuclideanNorm(2), EuclideanNorm(2))  # validity ball 0.4
+    starts = np.array([[0.0, 0.0], [0.3, 0.0], [0.1, 0.1]])
+    velocities = np.array([[0.3, 0.4], [1.0, 0.0], [-0.2, 0.5]])
+    together = integrate_geodesic(metric, starts, velocities, 0.8, 40)
+    assert [t.completed for t in together] == [True, False, True]
+    for traj, x0, v0 in zip(together, starts, velocities):
+        alone = integrate_geodesic(metric, x0, v0, 0.8, 40)
+        assert traj.completed == alone.completed
+        np.testing.assert_array_equal(traj.points, alone.points)
+        np.testing.assert_array_equal(traj.velocities, alone.velocities)
+        np.testing.assert_array_equal(traj.times, alone.times)
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Count the calls of every norm method."""
+    counts = {"calls": 0}
+
+    def counted(fn):
+        def wrapper(self, y):
+            counts["calls"] += 1
+            return fn(self, y)
+        return wrapper
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for cls in subclasses(HomogeneousFunction):
+        for name in ("eval_real", "grad_real", "eval_complex"):
+            if name in cls.__dict__:
+                monkeypatch.setattr(cls, name, counted(cls.__dict__[name]))
+    return counts
+
+
+@pytest.mark.parametrize("spec", ["construct:0:euclidean:randers:0.2,0.1",
+                                  "construct:-1:euclidean:scaled:0.3",
+                                  "construct:1:bryant:0.5236",
+                                  "construct:1:dsr-b:1,1:dsr-a:1,1"])
+def test_norm_calls_do_not_grow_with_rows(norm_calls, spec):
+    """F and P on 4 and on 136 rows (one 4-sample hamel stencil) share
+    every norm call: the count is bounded by that of the slowest row
+    evaluated alone (its extra iterations), not summed over the rows as
+    a loop over rows would make it."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    rng = np.random.default_rng(5)
+    for count in (4, 136):
+        x = rng.standard_normal((count, 2))
+        x *= (0.2 * rng.random(count) / np.linalg.norm(x, axis=1))[:, None]
+        y = rng.standard_normal((count, 2))
+        alone = []
+        for i in range(count):
+            norm_calls["calls"] = 0
+            metric.rows(x[i:i + 1], y[i:i + 1], with_p=True)
+            alone.append(norm_calls["calls"])
+        norm_calls["calls"] = 0
+        rows = metric.rows(x, y, with_p=True)
+        assert not any(rows.errors)
+        assert norm_calls["calls"] <= 2 * max(alone), (count, norm_calls["calls"], max(alone))
+        assert count == 4 or norm_calls["calls"] < sum(alone) / 10

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import implicit_derivatives
 from projflat import (BryantPair, EuclideanNorm, RandersNorm, ScaledNorm,
                       SolverConfig, SolverError, ZeroNorm, combine,
-                      implicit_derivatives, pair_radius_estimate,
-                      radius_estimate, solve_complex, solve_real)
+                      pair_radius_estimate, radius_estimate, solve_complex,
+                      solve_real)
 from projflat.sampling import ball_points, sphere_points
 
 

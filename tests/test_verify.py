@@ -8,12 +8,13 @@ import pytest
 from projflat import (DomainError, EuclideanNorm, ScaledNorm, ZeroNorm,
                       as_evaluator, berwald_system_residual, broken_metric,
                       build_k0, build_kneg1, catalog_entry, collinearity_score,
-                      convexity_check, flag_curvature,
+                      flag_curvature,
                       geodesic_coefficients_general, hamel_residual,
                       integrate_geodesic, jet, master_pde_residual,
                       projective_factor_numeric)
+from oracles import convexity_check, fd_gradient
 from projflat.sampling import ball_points, sphere_points
-from projflat.verify import VerificationReport, fd_gradient, make_report
+from projflat.norms import VerificationReport, make_report
 
 E2 = EuclideanNorm(2)
 Z2 = ZeroNorm(2)
