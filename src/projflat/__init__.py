@@ -12,12 +12,12 @@ from .construct import (MetricEvaluator, broken_metric, build_k0, build_kneg1,
 from .errors import (BranchCutError, DimensionMismatchError, DomainError,
                      ProjFlatError, SolverError, SpecParseError)
 from .norms import (BryantPair, CombinedNorm, DoubleSqrtNorm, EuclideanNorm,
-                    HomogeneousFunction, RandersNorm, ScaledNorm,
-                    VerificationReport, ZeroNorm, check_minkowski, combine,
-                    format_norm, parse_norm)
+                    HomogeneousFunction, RandersNorm, ScaledNorm, ZeroNorm,
+                    combine, format_norm, parse_norm)
 from .solver import (SolveResult, SolverConfig, pair_radius_estimate,
                      radius_estimate, solve_complex, solve_real)
-from .verify import (GeodesicResult, berwald_system_residual,
+from .verify import (GeodesicResult, VerificationReport,
+                     berwald_system_residual, check_minkowski,
                      collinearity_score, flag_curvature,
                      geodesic_coefficients_general, hamel_residual,
                      integrate_geodesic, jet, master_pde_residual,

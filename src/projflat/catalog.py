@@ -48,12 +48,6 @@ class CatalogEntry:
     known_curvature: float
     domain_radius: float
 
-    def describe(self) -> str:
-        if not self.params:
-            return self.name
-        inner = ",".join(f"{k}={v}" for k, v in self.params.items())
-        return f"{self.name}({inner})"
-
 
 def catalog_entry(name: str, dimension: int, **params) -> CatalogEntry:
     """Validated entry factory; see module docstring for the name list."""

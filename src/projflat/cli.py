@@ -6,8 +6,9 @@ Exit codes: 0 success / all checks passed, 1 checks ran but some failed,
 unexpected exception, reported as error JSON instead of a traceback).
 Identical command line and seed produce byte-identical output.  Inputs
 are checked before any evaluation: vectors, grid bounds and tolerance
-overrides must be finite, and dim, samples, radius, steps and the
-geodesic end time positive; a bad value exits 2.
+overrides must be finite, as must the squared length of a vector or grid
+point, and dim, samples, radius, steps and the geodesic end time
+positive; a bad value, or a flag the subcommand does not read, exits 2.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from . import catalog as cat
 from .construct import (broken_metric, build_k0, build_kneg1, build_kpos1,
                         first_errors, raise_first)
 from .errors import DomainError, ProjFlatError, SolverError, SpecParseError
-from .norms import NORM_ARITY, make_report, parse_norm
+from .norms import NORM_ARITY, parse_norm
 from .sampling import ball_points, sphere_points
 from .solver import SolverConfig
 from . import verify as vfy
@@ -39,14 +40,22 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(flag: str, text: str) -> np.ndarray:
     try:
         vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise SpecParseError(f"bad vector '{text}'") from exc
-    if not np.isfinite(vec).all():
-        raise SpecParseError(f"vector '{text}' has non-finite components")
+        raise SpecParseError(f"{flag}: bad vector '{text}'") from exc
+    _require_finite(flag, vec)
     return vec
+
+
+def _require_finite(flag: str, vectors: np.ndarray) -> None:
+    """Finite components and squared lengths: a vector whose squared
+    length overflows (beyond about 1e154) overflows every metric."""
+    with np.errstate(over="ignore"):
+        squares = np.vecdot(vectors, vectors)
+    if not np.isfinite(squares).all():
+        raise SpecParseError(f"{flag}: non-finite component or squared length")
 
 
 def _require_positive(flag: str, value) -> None:
@@ -128,8 +137,8 @@ def _fmt(v: float) -> str:
 
 
 def cmd_eval(args) -> int:
-    x = _parse_vector(args.x)
-    y = _parse_vector(args.y)
+    x = _parse_vector("--x", args.x)
+    y = _parse_vector("--y", args.y)
     if x.size != y.size:
         raise SpecParseError("x and y must have the same length")
     metric = parse_metric(args.metric, x.size, _solver_cfg(args))
@@ -150,17 +159,17 @@ def _run_check(name, metric, rng, radius, samples, tol):
         trajectories = vfy.integrate_geodesic(metric, starts, dirs, t_end, 100)
         residuals = [vfy.collinearity_score(traj, x0, v0)
                      for traj, x0, v0 in zip(trajectories, starts, dirs)]
-        return make_report("geodesic", list(zip(starts, dirs)), residuals, tol)
+        return vfy.make_report("geodesic", list(zip(starts, dirs)), residuals, tol)
 
     xs = ball_points(rng, dim, radius, samples)
     ys = sphere_points(rng, dim, samples)
     points = list(zip(xs, ys))
     if name == "convexity":
         residuals, lam = vfy.convexity_residual(metric, xs, ys)
-        return make_report("convexity", points, residuals, tol,
-                           extra={"min_eigenvalue": float(lam.min())})
+        return vfy.make_report("convexity", points, residuals, tol,
+                               extra={"min_eigenvalue": float(lam.min())})
     if name == "hamel":
-        return make_report("hamel", points, vfy.hamel_residual(metric, xs, ys), tol)
+        return vfy.make_report("hamel", points, vfy.hamel_residual(metric, xs, ys), tol)
     if name == "curvature":
         target = metric.intended_curvature
         values = vfy.flag_curvature(metric, xs, ys)
@@ -171,12 +180,12 @@ def _run_check(name, metric, rng, radius, samples, tol):
         else:
             residuals = np.abs(values - target)
             extra = {"target_K": float(target), "mean_K": float(np.mean(values))}
-        return make_report("curvature", points, residuals, tol, extra=extra)
+        return vfy.make_report("curvature", points, residuals, tol, extra=extra)
     if name == "berwald":
-        return make_report("berwald", points,
-                           np.maximum(*vfy.berwald_system_residual(metric, xs, ys)), tol)
+        return vfy.make_report("berwald", points,
+                               np.maximum(*vfy.berwald_system_residual(metric, xs, ys)), tol)
     if name == "pde":
-        return make_report("pde", points, vfy.master_pde_residual(metric, xs, ys), tol)
+        return vfy.make_report("pde", points, vfy.master_pde_residual(metric, xs, ys), tol)
     raise SpecParseError(f"unknown check '{name}'")
 
 
@@ -278,7 +287,7 @@ def cmd_sample(args) -> int:
         raise SpecParseError("sample needs exactly one of --x (fixed x, grid "
                              "over y) or --y (fixed y, grid over x)")
     fixed_is_y = args.y is not None
-    fixed = _parse_vector(args.y if fixed_is_y else args.x)
+    fixed = _parse_vector("--y", args.y) if fixed_is_y else _parse_vector("--x", args.x)
     axes = _parse_grid(args.grid)
     dim = fixed.size
     if len(axes) != dim:
@@ -287,6 +296,7 @@ def cmd_sample(args) -> int:
 
     mesh = np.meshgrid(*axes, indexing="ij")
     grid_points = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    _require_finite("--grid", grid_points)
     others = np.broadcast_to(fixed, grid_points.shape)
     xs, ys = (grid_points, others) if fixed_is_y else (others, grid_points)
     f, p, k, errors = vfy.point_values(metric, xs, ys)
@@ -311,8 +321,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    x0 = _parse_vector(args.x)
-    v0 = _parse_vector(args.y)
+    x0 = _parse_vector("--x", args.x)
+    v0 = _parse_vector("--y", args.y)
     if x0.size != v0.size:
         raise SpecParseError("x and y must have the same length")
     _require_positive("--steps", args.steps)
@@ -355,32 +365,40 @@ def cmd_catalog(args) -> int:
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad or unknown flag as a parse error (exit 2, error JSON)."""
+
+    def error(self, message):
+        raise SpecParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="projflat",
         description="Evaluate, verify, and compare projectively flat metrics "
                     "of constant flag curvature.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, metric=True):
-        if metric:
-            p.add_argument("--metric", required=True,
-                           help="catalog:<name[:params]> | "
-                                "construct:<K>:<psi>[:<phi>] | test:broken")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--dim", type=int, default=2)
+    def metric_flags(p, sweep=False):
+        """--metric and the solver settings; --seed and --dim for a sweep."""
+        p.add_argument("--metric", required=True,
+                       help="catalog:<name[:params]> | "
+                            "construct:<K>:<psi>[:<phi>] | test:broken")
+        if sweep:
+            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--dim", type=int, default=2)
         p.add_argument("--solver-tol", type=float, default=None)
         p.add_argument("--solver-iters", type=int, default=None)
         p.add_argument("--solver-damping", type=float, default=None)
 
     p = sub.add_parser("eval", help="F, P, and numeric K at one point")
-    common(p)
+    metric_flags(p)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="identity checks over a seeded sweep")
-    common(p)
+    metric_flags(p, sweep=True)
     p.add_argument("--checks", default=None,
                    help="comma list from: " + ",".join(CHECK_NAMES))
     p.add_argument("--radius", type=float, default=0.3)
@@ -390,14 +408,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("compare", help="sweep |F_A - F_B| over seeded points")
-    common(p)
+    metric_flags(p, sweep=True)
     p.add_argument("--metric-b", required=True)
     p.add_argument("--radius", type=float, default=0.3)
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("sample", help="CSV of F, P, K over a coordinate grid")
-    common(p)
+    metric_flags(p)
     p.add_argument("--x", default=None, help="fixed base point (grid over y)")
     p.add_argument("--y", default=None, help="fixed tangent (grid over x)")
     p.add_argument("--grid", required=True, help="min:max:count per axis, comma-separated")
@@ -405,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("geodesic", help="integrate one geodesic and score straightness")
-    common(p)
+    metric_flags(p)
     p.add_argument("--x", required=True, help="initial position")
     p.add_argument("--y", required=True, help="initial velocity")
     p.add_argument("--t-end", type=float, default=0.5)
@@ -414,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_geodesic)
 
     p = sub.add_parser("catalog", help="list the closed-form entries")
-    common(p, metric=False)
+    p.add_argument("--dim", type=int, default=2)
     p.set_defaults(fn=cmd_catalog)
     return parser
 
@@ -426,14 +444,11 @@ def _error_exit(kind: str, message, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad flags, matching the parse-error code
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except SpecParseError as exc:
         return _error_exit("parse", exc, 2)
     except SolverError as exc:

@@ -17,6 +17,10 @@ Every evaluator owns an open validity ball |x| < 0.8 * r where r is the
 sampled contraction-radius estimate of its solve(s); evaluations beyond
 it raise DomainError instead of returning garbage.
 
+The builders do not vet psi: ``verify.check_minkowski(psi, 64)``, or the
+``convexity`` check of the built metric, reports a psi that is not a
+Minkowski norm.
+
 ``MetricEvaluator.rows`` evaluates N points ``(N, n)`` at once.  A
 constructed metric solves all of them together, once per point for F and
 P both; a closed form runs its formula point by point.
@@ -28,13 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ProjFlatError
-from .norms import (BryantPair, HomogeneousFunction, check_minkowski, combine,
-                    lengths, per_row)
+from .norms import BryantPair, HomogeneousFunction, combine, lengths, per_row
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
 DOMAIN_SAFETY = 0.8
-_MINKOWSKI_PROBE = 64
 
 
 @dataclass
@@ -87,7 +89,6 @@ class MetricEvaluator:
     solve: object = None
     intended_curvature: float = None
     domain_radius: float = math.inf
-    psi_minkowski_ok: bool = None
 
     def _check_point(self, x, y):
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -143,12 +144,13 @@ class MetricEvaluator:
             for i in np.flatnonzero(length > self.domain_radius * (1.0 + 1e-12)):
                 errors[i] = errors[i] or DomainError(self._radius_message(length[i]))
         ok = np.array([exc is None for exc in errors], dtype=bool)
-        f, p, fields, solved = self.solve(x[ok], y[ok], with_f)
+        e = _scale_exponents(y[ok])
+        f, p, fields, solved = self.solve(x[ok], np.ldexp(y[ok], -e[:, None]), with_f)
         for i, exc in zip(np.flatnonzero(ok), solved):
             errors[i] = exc
-        return RowValues(_spread(f, ok) if with_f else None,
-                         _spread(p, ok) if with_p else None,
-                         tuple(_spread(v, ok) for v in fields), errors)
+        return RowValues(_spread(_times_pow2(f, e), ok) if with_f else None,
+                         _spread(_times_pow2(p, e), ok) if with_p else None,
+                         tuple(_spread(_times_pow2(v, e), ok) for v in fields), errors)
 
     def eval(self, x, y) -> float:
         """Metric value F(x, y); positive for y != 0 inside the domain."""
@@ -173,6 +175,24 @@ class MetricEvaluator:
         values = self.rows(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), **want)
         raise_first(values.errors)
         return values
+
+
+def _scale_exponents(y):
+    """Per row, the e that brings the largest |component| of ``y * 2^-e``
+    into [1/2, 1), or 0 where it lies in [2^-8, 2^8).  The solves stop on
+    absolute floors, so a row with e != 0 is solved at ``y * 2^-e`` and,
+    F, P and the fields having degree 1 in y, scaled back by ``2^e``."""
+    _, e = np.frexp(np.abs(y).max(axis=-1, initial=0.0))
+    return np.where((e >= -7) & (e <= 8), 0, e)
+
+
+def _times_pow2(values, e):
+    """``values * 2^e`` per row, exact; e = 0 keeps the bits."""
+    out = np.array(values)
+    out.real = np.ldexp(values.real, e)
+    if np.iscomplexobj(values):
+        out.imag = np.ldexp(values.imag, e)
+    return out
 
 
 def _spread(values, ok):
@@ -204,7 +224,6 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
     if psi.dimension != phi.dimension:
         raise DomainError("psi and phi must share the dimension")
     cfg = cfg or SolverConfig()
-    minkowski_ok = bool(check_minkowski(psi, _MINKOWSKI_PROBE).passed)
 
     def solve(x, y, with_f):
         res = solve_real(phi, x, y, cfg)
@@ -219,8 +238,7 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     return MetricEvaluator(
         kind="constructed-K0", dimension=psi.dimension, solve=solve,
-        intended_curvature=0.0, domain_radius=_domain_from(radius_estimate(phi)),
-        psi_minkowski_ok=minkowski_ok)
+        intended_curvature=0.0, domain_radius=_domain_from(radius_estimate(phi)))
 
 
 def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
@@ -229,7 +247,6 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     if psi.dimension != phi.dimension:
         raise DomainError("psi and phi must share the dimension")
     cfg = cfg or SolverConfig()
-    minkowski_ok = bool(check_minkowski(psi, _MINKOWSKI_PROBE).passed)
     f_plus = combine((1.0, phi), (1.0, psi))
     f_minus = combine((1.0, phi), (-1.0, psi))
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
@@ -243,8 +260,7 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     return MetricEvaluator(
         kind="constructed-Kneg1", dimension=psi.dimension, solve=solve,
-        intended_curvature=-1.0, domain_radius=_domain_from(radius),
-        psi_minkowski_ok=minkowski_ok)
+        intended_curvature=-1.0, domain_radius=_domain_from(radius))
 
 
 def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction = None,
@@ -262,7 +278,6 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction = None,
     if psi.dimension != phi.dimension:
         raise DomainError("psi and phi must share the dimension")
     cfg = cfg or SolverConfig()
-    minkowski_ok = bool(check_minkowski(psi, _MINKOWSKI_PROBE).passed)
     radius = pair_radius_estimate(phi, psi)
 
     def solve(x, y, with_f):
@@ -272,8 +287,7 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction = None,
 
     return MetricEvaluator(
         kind="constructed-Kpos1", dimension=psi.dimension, solve=solve,
-        intended_curvature=1.0, domain_radius=_domain_from(radius),
-        psi_minkowski_ok=minkowski_ok)
+        intended_curvature=1.0, domain_radius=_domain_from(radius))
 
 
 def broken_metric(dimension: int = 2) -> MetricEvaluator:

@@ -31,27 +31,15 @@ negative real axis, the cut itself resolved from above as in IEEE/numpy).
 ``bryant-pair`` is the one family whose complex value at a real vector is
 genuinely complex; its ``eval_real`` returns the real component
 sin(alpha)|y|.
-
-``check_minkowski`` tests a norm's strong convexity with the batched
-``fd_hessian``; both live here, with the ``VerificationReport`` they
-produce, so the metric builders can vet their origin data without
-importing ``verify``.
 """
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, ProjFlatError,
                      SpecParseError)
-from .sampling import unit_directions
-
-EPS = float(np.finfo(float).eps)
-STEP_FIRST = EPS ** (1.0 / 3.0)
-
-FAILURE_CAP = 10
-MINKOWSKI_EIG_FLOOR = 1e-5
 
 
 def lengths(v: np.ndarray):
@@ -453,159 +441,3 @@ def format_norm(f: HomogeneousFunction) -> str:
     if isinstance(f, CombinedNorm):
         return "+".join(f"{c:g}*({format_norm(g)})" for c, g in f.terms)
     raise SpecParseError(f"cannot format {type(f).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# verification reports and the Minkowski check
-
-
-@dataclass
-class VerificationReport:
-    """Residual statistics of one check over a sample sweep.
-
-    Invariant: ``passed`` is exactly ``max_residual <= tolerance`` and
-    ``failures`` is nonempty iff the check failed (capped list).
-    """
-
-    check_name: str
-    sample_count: int
-    max_residual: float
-    mean_residual: float
-    tolerance: float
-    passed: bool
-    failures: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "check": self.check_name,
-            "samples": int(self.sample_count),
-            "max_residual": float(self.max_residual),
-            "mean_residual": float(self.mean_residual),
-            "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-            "failures": [
-                {"x": [float(v) for v in x], "y": [float(v) for v in y], "residual": float(r)}
-                for (x, y, r) in self.failures
-            ],
-        }
-        if self.extra:
-            out["extra"] = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                            for k, v in self.extra.items()}
-        return out
-
-
-def make_report(check_name, points, residuals, tolerance, extra=None) -> VerificationReport:
-    """Assemble a VerificationReport from per-point residuals."""
-    residuals = np.asarray(residuals, dtype=float)
-    max_res = float(residuals.max()) if residuals.size else 0.0
-    mean_res = float(residuals.mean()) if residuals.size else 0.0
-    passed = bool(max_res <= tolerance)
-    failures = []
-    if not passed:
-        order = np.argsort(residuals)[::-1]
-        for idx in order[:FAILURE_CAP]:
-            if residuals[idx] <= tolerance:
-                break
-            x, y = points[idx]
-            failures.append((tuple(float(v) for v in np.atleast_1d(x)),
-                             tuple(float(v) for v in np.atleast_1d(y)),
-                             float(residuals[idx])))
-    return VerificationReport(
-        check_name=check_name,
-        sample_count=int(residuals.size),
-        max_residual=max_res,
-        mean_residual=mean_res,
-        tolerance=float(tolerance),
-        passed=passed,
-        failures=failures,
-        extra=dict(extra or {}),
-    )
-
-
-def pow2(values):
-    """Elementwise ``values ** 2`` through Python's float power.
-
-    libm ``pow`` is not always the correctly rounded ``v * v`` (about one
-    square in a thousand differs by an ulp), and one ulp of F^2 divided
-    by a squared step reaches the convexity floors; squaring rows this
-    way keeps them equal to the per-point path bit for bit.
-    """
-    values = np.asarray(values, dtype=float)
-    return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
-
-
-def axis_step(v, k, step):
-    """Zeros shaped like ``v`` with ``step`` in component k (one step per
-    row for rows)."""
-    e = np.zeros(v.shape)
-    e[..., k] = step
-    return e
-
-
-def hessian_points(v, step) -> list:
-    """The points ``fd_hessian`` evaluates, in its order: ``v``, then for
-    each i the pair ``v +- e_i`` followed by ``v +- e_i +- e_j`` for j > i
-    (e_k is ``step`` along component k)."""
-    n = v.shape[-1]
-    points = [v]
-    for i in range(n):
-        ei = axis_step(v, i, step)
-        points += [v + ei, v - ei]
-        for j in range(i + 1, n):
-            ej = axis_step(v, j, step)
-            points += [v + ei + ej, v + ei - ej, v - ei + ej, v - ei - ej]
-    return points
-
-
-def hessian_from(values, step, n):
-    """The symmetric central-difference Hessian from the values at
-    ``hessian_points``: ``(n, n)``, or ``(N, n, n)`` for rows."""
-    values = iter(values)
-    f0 = next(values)
-    step_sq = pow2(step)[()]  # a lone step divides as a scalar, not a 0-d array
-    h = np.zeros(np.shape(f0) + (n, n))
-    for i in range(n):
-        h[..., i, i] = (next(values) - 2.0 * f0 + next(values)) / step_sq
-        for j in range(i + 1, n):
-            hij = (next(values) - next(values) - next(values) + next(values)) / (4.0 * step_sq)
-            h[..., i, j] = hij
-            h[..., j, i] = hij
-    return h
-
-
-def fd_hessian(fun, v, step):
-    """Symmetric central-difference Hessian of a scalar function.
-
-    ``v`` is one point ``(n,)`` with a scalar ``step``, or rows ``(N, n)``
-    with one step per row; ``fun`` maps an array shaped like ``v`` to the
-    values at its points (a scalar, or ``(N,)``), one call per stencil
-    point, and the result is ``(n, n)`` or ``(N, n, n)``.
-    """
-    v = np.asarray(v, dtype=float)
-    step = np.asarray(step, dtype=float)
-    return hessian_from([fun(p) for p in hessian_points(v, step)], step, v.shape[-1])
-
-
-def check_minkowski(f: HomogeneousFunction, samples: int,
-                    eig_floor: float = MINKOWSKI_EIG_FLOOR) -> VerificationReport:
-    """Strong-convexity and positivity test of a norm over deterministic
-    directions.
-
-    At each unit direction the Hessian of f^2/2 is formed by central
-    differences (step eps^(1/3), the standard second-difference
-    tradeoff) and its minimum eigenvalue recorded.  The per-direction
-    residual is max(-lambda_min, -f), so the report passes iff every
-    direction has lambda_min >= eig_floor and f >= eig_floor.  All
-    directions go through the norm as one ``(samples, n)`` array.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    dirs = unit_directions(f.dimension, samples)
-    values = f.eval_real(dirs)
-    hess = fd_hessian(lambda yy: 0.5 * pow2(f.eval_real(yy)), dirs,
-                      STEP_FIRST * np.maximum(1.0, lengths(dirs)))
-    lam = np.linalg.eigvalsh(hess).min(axis=-1)
-    zero = np.zeros(f.dimension)
-    return make_report("minkowski", [(zero, u) for u in dirs], np.maximum(-lam, -values),
-                       tolerance=-eig_floor, extra={"min_eigenvalue": float(lam.min())})

@@ -84,12 +84,3 @@ def ball_points(rng: np.random.Generator, dim: int, radius: float, count: int) -
     radii = radius * rng.random(count) ** (1.0 / dim)
     return directions * radii[:, None]
 
-
-def rotation_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Seeded random rotation (special orthogonal matrix)."""
-    a = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

@@ -36,6 +36,7 @@ from .sampling import unit_directions
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
 _MAX_EXPANSIONS = 80
 _MIN_DAMPING = 1.0 / 64.0
+BRACKET_EXPANSION = 2.0  # bracket width factor per expansion
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class SolverConfig:
 
     tolerance: float = 1e-13
     max_iterations: int = 200
-    bracket_expansion: float = 2.0
     damping: float = 1.0
 
     def __post_init__(self):
@@ -135,6 +135,10 @@ def _real_nonzero(w):
     return np.vecdot(w, w) != 0.0  # the norms reject a squared length of 0
 
 
+def _complex_nonzero(w):
+    return w.any(axis=-1)
+
+
 def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> SolveResult:
     """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row."""
     cfg = cfg or DEFAULT_CONFIG
@@ -166,7 +170,7 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
             "no sign change within the bracket expansion budget; "
             "the base point is likely outside the validity region"))
         act = act[~stuck]
-        width[act] *= cfg.bracket_expansion
+        width[act] *= BRACKET_EXPANSION
         act = bracket(act)
 
     kink_scale = 1e-9 * (1.0 + lengths(rows.y))
@@ -258,12 +262,9 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         return phi.eval_complex(w) + 1j * psi.eval_complex(w)
 
     def g(act, z):
-        return rows.evaluate(pair, act, z, lambda w: w.any(axis=-1))
+        return rows.evaluate(pair, act, rows.shifted(act, z), _complex_nonzero)
 
-    def g(act, z):
-        return rows.evaluate(pair, act, rows.shifted(act, z), lambda w: w.any(axis=-1))
-
-    z0 = rows.evaluate(pair, every, rows.y, lambda w: w.any(axis=-1))
+    z0 = rows.evaluate(pair, every, rows.y, _complex_nonzero)
     scale = 1.0 + np.abs(z0)
     damping = np.full(len(every), cfg.damping)
     z = z0.copy()

@@ -22,6 +22,9 @@ the finite-difference stencils of all points up front and evaluates them
 with one rows call per field (F, P, or both), sample by sample, so an
 error raised is the one of the first failing sample.
 
+``check_minkowski`` runs the strong-convexity test on a norm (such as
+psi) instead of a metric; ``make_report`` builds a check's report.
+
 All identity residuals are normalized (absolute residual / (1 + magnitude))
 so one tolerance transfers across evaluation scales.  Derivatives of F use
 step ~ eps^(1/3), derivatives of the P field (itself a difference quotient
@@ -35,20 +38,145 @@ negative control ``test:broken`` passes it at 5e-16).  It exercises the
 integrator and the domain guards, not projective flatness.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .construct import first_errors, raise_first
 from .errors import DomainError
-from .norms import (EPS, STEP_FIRST, axis_step, hessian_from, hessian_points,
-                    lengths, pow2)
+from .norms import HomogeneousFunction, lengths
+from .sampling import unit_directions
 
+EPS = float(np.finfo(float).eps)
+STEP_FIRST = EPS ** (1.0 / 3.0)
 STEP_SECOND = EPS ** 0.25
+
+FAILURE_CAP = 10
+MINKOWSKI_EIG_FLOOR = 1e-5
+
+
+# ---------------------------------------------------------------------------
+# check reports
+
+
+@dataclass
+class VerificationReport:
+    """Residual statistics of one check over a sample sweep.
+
+    Invariant: ``passed`` is exactly ``max_residual <= tolerance`` and
+    ``failures`` is nonempty iff the check failed (capped list).
+    """
+
+    check_name: str
+    sample_count: int
+    max_residual: float
+    mean_residual: float
+    tolerance: float
+    passed: bool
+    failures: list = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "check": self.check_name,
+            "samples": int(self.sample_count),
+            "max_residual": float(self.max_residual),
+            "mean_residual": float(self.mean_residual),
+            "tolerance": float(self.tolerance),
+            "pass": bool(self.passed),
+            "failures": [
+                {"x": [float(v) for v in x], "y": [float(v) for v in y], "residual": float(r)}
+                for (x, y, r) in self.failures
+            ],
+        }
+        if self.extra:
+            out["extra"] = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
+                            for k, v in self.extra.items()}
+        return out
+
+
+def make_report(check_name, points, residuals, tolerance, extra=None) -> VerificationReport:
+    """Assemble a VerificationReport from per-point residuals."""
+    residuals = np.asarray(residuals, dtype=float)
+    max_res = float(residuals.max()) if residuals.size else 0.0
+    mean_res = float(residuals.mean()) if residuals.size else 0.0
+    passed = bool(max_res <= tolerance)
+    failures = []
+    if not passed:
+        order = np.argsort(residuals)[::-1]
+        for idx in order[:FAILURE_CAP]:
+            if residuals[idx] <= tolerance:
+                break
+            x, y = points[idx]
+            failures.append((tuple(float(v) for v in np.atleast_1d(x)),
+                             tuple(float(v) for v in np.atleast_1d(y)),
+                             float(residuals[idx])))
+    return VerificationReport(
+        check_name=check_name,
+        sample_count=int(residuals.size),
+        max_residual=max_res,
+        mean_residual=mean_res,
+        tolerance=float(tolerance),
+        passed=passed,
+        failures=failures,
+        extra=dict(extra or {}),
+    )
 
 
 # ---------------------------------------------------------------------------
 # finite-difference primitives
+
+
+def pow2(values):
+    """Elementwise ``values ** 2`` through Python's float power.
+
+    libm ``pow`` is not always the correctly rounded ``v * v`` (about one
+    square in a thousand differs by an ulp), and one ulp of F^2 divided
+    by a squared step reaches the convexity floors; squaring rows this
+    way keeps them equal to the per-point path bit for bit.
+    """
+    values = np.asarray(values, dtype=float)
+    return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
+
+
+def axis_step(v, k, step):
+    """Zeros shaped like ``v`` with ``step`` in component k (one step per
+    row for rows)."""
+    e = np.zeros(v.shape)
+    e[..., k] = step
+    return e
+
+
+def hessian_points(v, step) -> list:
+    """The points of a central-difference Hessian, in the order
+    ``hessian_from`` reads their values: ``v``, then for each i the pair
+    ``v +- e_i`` followed by ``v +- e_i +- e_j`` for j > i (e_k is
+    ``step`` along component k)."""
+    n = v.shape[-1]
+    points = [v]
+    for i in range(n):
+        ei = axis_step(v, i, step)
+        points += [v + ei, v - ei]
+        for j in range(i + 1, n):
+            ej = axis_step(v, j, step)
+            points += [v + ei + ej, v + ei - ej, v - ei + ej, v - ei - ej]
+    return points
+
+
+def hessian_from(values, step, n):
+    """The symmetric central-difference Hessian from the values at
+    ``hessian_points``: ``(n, n)``, or ``(N, n, n)`` for rows."""
+    values = iter(values)
+    f0 = next(values)
+    step_sq = pow2(step)[()]  # a lone step divides as a scalar, not a 0-d array
+    h = np.zeros(np.shape(f0) + (n, n))
+    for i in range(n):
+        h[..., i, i] = (next(values) - 2.0 * f0 + next(values)) / step_sq
+        for j in range(i + 1, n):
+            hij = (next(values) - next(values) - next(values) + next(values)) / (4.0 * step_sq)
+            h[..., i, j] = hij
+            h[..., j, i] = hij
+    return h
 
 
 def gradient_points(v, step) -> list:
@@ -368,7 +496,7 @@ def master_pde_residual(metric, x, y):
 
 
 # ---------------------------------------------------------------------------
-# convexity
+# convexity of the metric and of a norm
 
 
 def convexity_residual(metric, x, u):
@@ -385,6 +513,29 @@ def convexity_residual(metric, x, u):
     hess = hessian_from([0.5 * pow2(v) for v in values[1:]], h, xs.shape[1])
     lam_min = np.linalg.eigvalsh(hess).min(axis=-1)
     return _out(np.maximum(-lam_min, -values[0]), lone), _out(lam_min, lone)
+
+
+def check_minkowski(f: HomogeneousFunction, samples: int) -> VerificationReport:
+    """Strong-convexity and positivity test of a norm over deterministic
+    directions.
+
+    At each unit direction the Hessian of f^2/2 is formed by central
+    differences (step eps^(1/3), the standard second-difference
+    tradeoff) and its minimum eigenvalue recorded.  The per-direction
+    residual is max(-lambda_min, -f), so the report passes iff every
+    direction has lambda_min and f at or above MINKOWSKI_EIG_FLOOR.  All
+    stencil points of all directions go through the norm in one call.
+    """
+    dirs = unit_directions(f.dimension, samples)
+    step = STEP_FIRST * np.maximum(1.0, lengths(dirs))
+    points = hessian_points(dirs, step)
+    values = f.eval_real(np.concatenate(points)).reshape(len(points), samples)
+    hess = hessian_from(0.5 * pow2(values), step, f.dimension)
+    lam = np.linalg.eigvalsh(hess).min(axis=-1)
+    zero = np.zeros(f.dimension)
+    return make_report("minkowski", [(zero, u) for u in dirs], np.maximum(-lam, -values[0]),
+                       tolerance=-MINKOWSKI_EIG_FLOOR,
+                       extra={"min_eigenvalue": float(lam.min())})
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ import numpy as np
 
 from projflat import (DomainError, SolveResult, SolverConfig, SolverError,
                       catalog_entry, eval_catalog)
-from projflat.norms import MINKOWSKI_EIG_FLOOR, STEP_FIRST, combine, make_report
+from projflat.norms import combine
 from projflat.sampling import unit_directions
-from projflat.verify import convexity_residual, gradient_from, gradient_points
+from projflat.solver import BRACKET_EXPANSION
+from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, convexity_residual,
+                             gradient_from, gradient_points, make_report)
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
 
@@ -146,7 +148,7 @@ def solve_complex_nested(phi, psi, x, y, cfg=None):
             rounds += 1
             if rounds > 80:
                 raise SolverError(f"{what} bracket expansion failed")
-            width *= cfg.bracket_expansion
+            width *= BRACKET_EXPANSION
             lo, hi = center - width, center + width
         return lo, hi
 
@@ -276,7 +278,7 @@ def solve_real_scalar(phi, x, y, cfg=None) -> SolveResult:
             raise SolverError(
                 "no sign change within the bracket expansion budget; "
                 "the base point is likely outside the validity region")
-        width *= cfg.bracket_expansion
+        width *= BRACKET_EXPANSION
         lo, hi = t0 - width, t0 + width
         flo, fhi = f(lo), f(hi)
 

@@ -3,7 +3,7 @@
 The batched radius estimates, the finite-difference Hessian on rows and
 the Minkowski probe are compared with the per-direction loops in
 ``oracles``; the builders' norm-call counts guard against a loop over
-directions coming back.
+directions, or a probe of psi, coming back.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from projflat import (BryantPair, DimensionMismatchError, DomainError,
                       RandersNorm, ScaledNorm, ZeroNorm, build_k0, build_kneg1,
                       build_kpos1, check_minkowski, combine,
                       pair_radius_estimate, radius_estimate)
-from projflat.norms import fd_hessian
+from projflat.verify import hessian_from, hessian_points
 
 # (dimension, dsr block split)
 DIMS = [(2, (1, 1)), (3, (1, 2)), (5, (2, 3))]
@@ -105,16 +105,24 @@ def test_check_minkowski_equals_direction_loop(d, f):
         assert batched.extra["min_eigenvalue"] == loop.extra["min_eigenvalue"]
 
 
+def stencil_hessian(fun, v, step):
+    """The Hessian from ``fun`` at each ``hessian_points`` point, one call
+    per point."""
+    v = np.asarray(v, dtype=float)
+    step = np.asarray(step, dtype=float)
+    return hessian_from([fun(p) for p in hessian_points(v, step)], step, v.shape[-1])
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_fd_hessian_rows_equal_single_points(d):
     rng = np.random.default_rng(d)
     v = rng.standard_normal((6, d))
     steps = 1e-4 * rng.uniform(0.5, 2.0, 6)
     fun = lambda yy: np.cos(yy[..., 0]) * np.exp(np.sum(yy, axis=-1))
-    batched = fd_hessian(fun, v, steps)
+    batched = stencil_hessian(fun, v, steps)
     assert batched.shape == (6, d, d)
     for k in range(6):
-        one = fd_hessian(fun, v[k], float(steps[k]))
+        one = stencil_hessian(fun, v[k], float(steps[k]))
         np.testing.assert_array_equal(batched[k], one)
         np.testing.assert_array_equal(one, oracles.fd_hessian_loop(fun, v[k], float(steps[k])))
 
@@ -150,9 +158,7 @@ def norm_calls(monkeypatch):
     (build_kpos1, lambda d: (BryantPair(d, 0.5236),), 2),
 ], ids=["k0", "kneg1", "kpos1"])
 def test_builders_make_a_fixed_number_of_norm_calls(norm_calls, d, build, args, grads):
-    """One radius estimate is one grad_real call per norm, and the Minkowski
-    probe is one eval_real for the values plus one per Hessian stencil
-    offset (1 + 2d + 2d(d-1)); none of it depends on the 256 and 64
-    directions."""
+    """One radius estimate is one grad_real call per norm, whatever the 256
+    directions; a build evaluates no norm value (it does not probe psi)."""
     build(*args(d))
-    assert norm_calls == {"eval_real": 2 + 2 * d * d, "grad_real": grads}
+    assert norm_calls == {"eval_real": 0, "grad_real": grads}

@@ -10,7 +10,17 @@ from oracles import bryant_all_real, zhou_reduction_check
 from projflat import (DomainError, SpecParseError, as_evaluator, catalog_entry,
                       eval_catalog, flag_curvature, hamel_residual,
                       list_catalog, parse_catalog)
-from projflat.sampling import ball_points, rotation_matrix, sphere_points
+from projflat.sampling import ball_points, sphere_points
+
+
+def rotation_matrix(rng, dim):
+    """Seeded random rotation (special orthogonal matrix)."""
+    a = rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def test_funk_values():

@@ -236,6 +236,24 @@ def test_eval_curvature_at_tiny_y(capsys, metric, curvature):
     assert json.loads(out)["K_numeric"] == pytest.approx(curvature, abs=1e-4)
 
 
+@pytest.mark.parametrize("metric, x, scale", [
+    ("construct:0:euclidean:randers:0.2,0.1", "0.1,0.05", 1e-20),
+    ("construct:-1:euclidean:scaled:0.3", "0.1,0.05", 1e-20),
+    ("construct:1:bryant:0.5236", "0.1,0.05", 1e-8),
+    ("construct:0:dsr-b:1,1:dsr-a:1,1", "0.05,0", 1e-150)])
+def test_eval_has_degree_one_at_tiny_y(capsys, metric, x, scale):
+    # the solves stop on absolute floors, so a tiny y is solved rescaled
+    code, out, _ = run_cli(capsys, "eval", "--metric", metric, "--x", x, "--y", "1,1")
+    assert code == 0
+    unit = json.loads(out)
+    code, out, _ = run_cli(capsys, "eval", "--metric", metric, "--x", x,
+                           "--y", f"{scale!r},{scale!r}")
+    assert code == 0
+    tiny = json.loads(out)
+    for key in ("F", "P"):
+        assert tiny[key] == pytest.approx(scale * unit[key], rel=1e-12, abs=0.0), key
+
+
 def test_exit_code_solver_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--metric",
                            "construct:0:euclidean:randers:0.2,-0.3",
@@ -356,6 +374,28 @@ FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
     (FUNK_HAMEL + ("--tol-override", "hamel=nan"), "--tol-override"),
     (FUNK_HAMEL + ("--tol-override", "hamel=inf"), "--tol-override"),
     (FUNK_HAMEL + ("--tol-override", "convexity=-inf"), "--tol-override"),
+    # a vector whose squared length overflows
+    (("eval", "--metric", "catalog:funk", "--x", "0,0", "--y", "1e300,1"), "--y"),
+    (("eval", "--metric", "construct:0:euclidean:randers:0.2,0.1", "--x", "0,0",
+      "--y", "1e300,1"), "--y"),
+    (("eval", "--metric", "catalog:funk", "--x", "1e300,0", "--y", "0,1"), "--x"),
+    (("geodesic", "--metric", "catalog:funk", "--x", "0,0", "--y", "1e300,1",
+      "--steps", "5"), "--y"),
+    (("sample", "--metric", "catalog:funk", "--grid=1e200:1e200:1,0:0:1", "--y", "0,1",
+      "--out", "unused.csv"), "--grid"),
+    (("sample", "--metric", "catalog:funk", "--grid=0:0.5:3,0:0:1", "--y", "1e300,1",
+      "--out", "unused.csv"), "--y"),
+    # flags a subcommand does not read
+    (("eval", "--metric", "catalog:funk", "--dim", "3", "--x", "0.1,0", "--y", "0,1"),
+     "--dim"),
+    (("eval", "--metric", "catalog:funk", "--seed", "1", "--x", "0.1,0", "--y", "0,1"),
+     "--seed"),
+    (("sample", "--metric", "catalog:funk", "--grid=0:0.5:3,0:0:1", "--y", "0,1",
+      "--out", "unused.csv", "--seed", "1"), "--seed"),
+    (FUNK_GEODESIC + ("--dim", "2"), "--dim"),
+    (("catalog", "--solver-tol", "0", "--solver-iters", "-3"), "--solver-tol"),
+    (("catalog", "--solver-damping", "0.5"), "--solver-damping"),
+    (("catalog", "--seed", "1"), "--seed"),
 ])
 def test_bad_input_exits_parse_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -407,3 +447,5 @@ def test_relative_imports_point_to_earlier_layers():
                        else [alias.name for alias in node.names])
             for target in targets:
                 assert LAYERS.index(target) < LAYERS.index(module), (module, target)
+                # the norm families stand alone: no check or sampling code
+                assert module != "norms" or target == "errors", target

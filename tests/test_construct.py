@@ -1,5 +1,7 @@
 """Builders: oracle equivalence, origin recovery, transport identities."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ import oracles
 from projflat import (BryantPair, DomainError, DoubleSqrtNorm, EuclideanNorm,
                       ProjFlatError, RandersNorm, ScaledNorm, ZeroNorm,
                       broken_metric, build_k0, build_kneg1, build_kpos1,
-                      master_pde_residual)
+                      check_minkowski, master_pde_residual)
+from projflat.cli import main
 from projflat.sampling import ball_points, sphere_points
 
 E2 = EuclideanNorm(2)
@@ -170,12 +173,16 @@ def test_domain_guard():
     assert m.eval([0.4, 0.0], [0.0, 1.0]) > 0.0
 
 
-def test_minkowski_flagging():
+def test_minkowski_flagging(capsys):
+    # the builders do not vet psi; check_minkowski and the convexity check do
     bad = RandersNorm(2, (1.2, 0.0))
-    m = build_k0(bad, Z2)
-    assert m.psi_minkowski_ok is False
-    good = build_k0(E2, Z2)
-    assert good.psi_minkowski_ok is True
+    assert build_k0(bad, Z2).eval([0.1, 0.0], [1.0, 0.0]) > 0.0
+    assert not check_minkowski(bad, 64).passed
+    assert check_minkowski(E2, 64).passed
+    code = main(["verify", "--metric", "construct:0:randers:1.2,0:zero",
+                 "--checks", "convexity"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["checks"]["convexity"]["pass"] is False
 
 
 def test_pair_mode_requires_bryant():

@@ -184,10 +184,10 @@ def test_double_sqrt_plus_degenerates_on_block_axis():
     for _, u, _ in rep.failures:
         assert abs(u[0] * u[1]) < 1e-6
     # off-axis the Hessian is strongly positive definite
-    from projflat.norms import fd_hessian
+    from projflat.verify import hessian_from, hessian_points
     f = DoubleSqrtNorm(2, 1, 1, plus=True)
     u = np.array([np.cos(0.7), np.sin(0.7)])
-    h = fd_hessian(lambda yy: 0.5 * f.eval_real(yy) ** 2, u, 1e-5)
+    h = hessian_from([0.5 * f.eval_real(p) ** 2 for p in hessian_points(u, 1e-5)], 1e-5, 2)
     assert np.linalg.eigvalsh(h).min() > 0.05
 
 

@@ -8,6 +8,8 @@ touching the other rows.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from projflat import (BryantPair, DomainError, DoubleSqrtNorm, EuclideanNorm,
@@ -243,3 +245,28 @@ def test_norm_calls_do_not_grow_with_rows(norm_calls, spec):
         assert not any(rows.errors)
         assert norm_calls["calls"] <= 2 * max(alone), (count, norm_calls["calls"], max(alone))
         assert count == 4 or norm_calls["calls"] < sum(alone) / 10
+
+
+# the benchmark's four constructions
+BENCH_CONSTRUCTIONS = ("construct:0:euclidean:randers:0.2,0.1",
+                       "construct:-1:euclidean:scaled:0.3", "construct:1:bryant:0.5236",
+                       "construct:1:dsr-b:1,1:dsr-a:1,1")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(BENCH_CONSTRUCTIONS), st.integers(0, 2**32 - 1),
+       st.floats(-150.0, 150.0))
+def test_f_and_p_have_degree_one_in_y(spec, seed, log_scale):
+    """F(x, s y) = s F(x, y) and P likewise for s in [1e-150, 1e150]; the
+    solves stop on absolute floors, so a tiny or huge y must be rescaled.
+    P can pass through 0, so its error is measured against F."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, 2))
+    x *= 0.5 * metric.domain_radius * rng.random() / np.linalg.norm(x)
+    y /= np.linalg.norm(y)
+    scale = 10.0 ** log_scale
+    one = metric.rows(x[None], y[None], with_p=True)
+    scaled = metric.rows(x[None], scale * y[None], with_p=True)
+    np.testing.assert_allclose(scaled.f / scale, one.f, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(scaled.p / scale, one.p, rtol=1e-12, atol=1e-12 * one.f[0])

@@ -14,7 +14,7 @@ from projflat import (DomainError, EuclideanNorm, ScaledNorm, ZeroNorm,
                       projective_factor_numeric)
 from oracles import convexity_check, fd_gradient
 from projflat.sampling import ball_points, sphere_points
-from projflat.norms import VerificationReport, make_report
+from projflat.verify import VerificationReport, make_report
 
 E2 = EuclideanNorm(2)
 Z2 = ZeroNorm(2)
