@@ -261,13 +261,15 @@ def as_evaluator(entry: CatalogEntry) -> MetricEvaluator:
 
 
 def list_catalog(dimension: int = 2) -> list:
-    """All nine entries with representative default parameters."""
+    """The entries with representative parameters; dsr-new needs dimension >= 2."""
+    two_blocks = [catalog_entry("dsr-new", dimension, n=dimension - 1, m=1)
+                  ] if dimension >= 2 else []
     return [
         catalog_entry("space-form", dimension, lam=-1.0),
         catalog_entry("funk", dimension),
         catalog_entry("berwald", dimension),
         catalog_entry("bryant", dimension, alpha=math.pi / 4.0),
-        catalog_entry("dsr-new", dimension, n=max(1, dimension - 1), m=1),
+        *two_blocks,
         catalog_entry("sph-k0", dimension, c=0.3, branch=-1),
         catalog_entry("sph-kneg1", dimension, c=0.3),
         catalog_entry("sph-kpos1", dimension, c=0.3),

@@ -32,11 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ProjFlatError
-from .norms import BryantPair, HomogeneousFunction, combine, lengths, per_row
+from .norms import (BryantPair, HomogeneousFunction, combine, lengths, per_row,
+                    scale_exponents, times_pow2)
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
 DOMAIN_SAFETY = 0.8
+NON_FINITE = "x and y must be finite, with finite squared lengths"
 
 
 @dataclass
@@ -76,7 +78,8 @@ class MetricEvaluator:
     """A metric F(x, y), with exact projective factor when constructed.
 
     ``kind`` is one of constructed-K0 / constructed-Kneg1 /
-    constructed-Kpos1 / catalog:<name> / test:broken.  A closed form
+    constructed-Kpos1 / catalog:<name> / test:broken, and
+    ``intended_curvature`` its constant flag curvature K.  A closed form
     carries ``f_eval``, its formula at one point; a constructed metric
     carries ``solve``, which maps rows ``x``, ``y`` and whether F is
     wanted to ``(F, P, fields, errors)`` (see RowValues) from one solve
@@ -85,9 +88,9 @@ class MetricEvaluator:
 
     kind: str
     dimension: int
+    intended_curvature: float
     f_eval: object = None
     solve: object = None
-    intended_curvature: float = None
     domain_radius: float = math.inf
 
     def _check_point(self, x, y):
@@ -95,10 +98,14 @@ class MetricEvaluator:
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.size != self.dimension or y.size != self.dimension:
             raise DomainError(f"expected {self.dimension}-dimensional x and y")
-        if float(y.dot(y)) == 0.0:  # |y| = 0, also when its length underflows
+        yy = float(y.dot(y))
+        length = float(np.linalg.norm(x))
+        if not (math.isfinite(yy) and math.isfinite(length)):
+            raise DomainError(NON_FINITE)
+        if yy == 0.0:  # |y| = 0, also when its length underflows
             raise DomainError("y = 0 is outside the metric domain")
-        if float(np.linalg.norm(x)) > self.domain_radius * (1.0 + 1e-12):
-            raise DomainError(self._radius_message(np.linalg.norm(x)))
+        if length > self.domain_radius * (1.0 + 1e-12):
+            raise DomainError(self._radius_message(length))
         return x, y
 
     def _radius_message(self, length):
@@ -109,14 +116,14 @@ class MetricEvaluator:
         """F, and the exact P when ``with_p``, at each row of ``x`` and ``y``
         (both ``(N, n)``).
 
-        Each row passes the point guard on its own: y != 0 (a y whose
-        length underflows counts as zero) and, when F is asked for, the
-        validity radius.  P is not radius-guarded: the fixed point extends
-        beyond the guaranteed ball wherever bracketing succeeds, and the
-        solve fails honestly where it does not.  A failed row gets nan and
-        its own error (see RowValues); the other rows are unaffected.  A
-        closed form evaluates its rows one ``eval`` at a time and has no
-        exact P.
+        Each row passes the point guard on its own: finite x, y and squared
+        lengths, y != 0 (a y whose length underflows counts as zero) and,
+        when F is asked for, the validity radius.  P is not radius-guarded:
+        the fixed point extends beyond the guaranteed ball wherever
+        bracketing succeeds, and the solve fails honestly where it does
+        not.  A failed row gets nan and its own error (see RowValues); the
+        other rows are unaffected.  A closed form evaluates its rows one
+        ``eval`` at a time and has no exact P.
         """
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -137,20 +144,23 @@ class MetricEvaluator:
             return RowValues(f, None, (), errors)
 
         errors = [None] * count
-        for i in np.flatnonzero(np.vecdot(y, y) == 0.0):
-            errors[i] = DomainError("y = 0 is outside the metric domain")
+        squares, length = np.vecdot(y, y), lengths(x)
+        for i in np.flatnonzero(~(np.isfinite(squares) & np.isfinite(length))):
+            errors[i] = DomainError(NON_FINITE)
+        for i in np.flatnonzero(squares == 0.0):
+            errors[i] = errors[i] or DomainError("y = 0 is outside the metric domain")
         if with_f:
-            length = lengths(x)
             for i in np.flatnonzero(length > self.domain_radius * (1.0 + 1e-12)):
                 errors[i] = errors[i] or DomainError(self._radius_message(length[i]))
         ok = np.array([exc is None for exc in errors], dtype=bool)
-        e = _scale_exponents(y[ok])
+        # the solves stop on absolute floors: solve tiny and huge rows rescaled
+        e = scale_exponents(y[ok])
         f, p, fields, solved = self.solve(x[ok], np.ldexp(y[ok], -e[:, None]), with_f)
         for i, exc in zip(np.flatnonzero(ok), solved):
             errors[i] = exc
-        return RowValues(_spread(_times_pow2(f, e), ok) if with_f else None,
-                         _spread(_times_pow2(p, e), ok) if with_p else None,
-                         tuple(_spread(_times_pow2(v, e), ok) for v in fields), errors)
+        return RowValues(_spread(times_pow2(f, e), ok) if with_f else None,
+                         _spread(times_pow2(p, e), ok) if with_p else None,
+                         tuple(_spread(times_pow2(v, e), ok) for v in fields), errors)
 
     def eval(self, x, y) -> float:
         """Metric value F(x, y); positive for y != 0 inside the domain."""
@@ -164,35 +174,14 @@ class MetricEvaluator:
     def projective_factor_exact(self, x, y) -> float:
         """Exact projective factor; only constructed metrics carry one.
 
-        Not radius-guarded, like P in ``rows``.
+        Not radius-guarded, like P in ``rows``; a closed form raises ProjFlatError.
         """
-        if self.solve is None:
-            raise ProjFlatError(f"{self.kind} has no exact projective factor; "
-                                "use the numeric fallback in verify")
         return float(self._point(x, y, with_f=False, with_p=True).p[0])
 
     def _point(self, x, y, **want) -> RowValues:
         values = self.rows(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), **want)
         raise_first(values.errors)
         return values
-
-
-def _scale_exponents(y):
-    """Per row, the e that brings the largest |component| of ``y * 2^-e``
-    into [1/2, 1), or 0 where it lies in [2^-8, 2^8).  The solves stop on
-    absolute floors, so a row with e != 0 is solved at ``y * 2^-e`` and,
-    F, P and the fields having degree 1 in y, scaled back by ``2^e``."""
-    _, e = np.frexp(np.abs(y).max(axis=-1, initial=0.0))
-    return np.where((e >= -7) & (e <= 8), 0, e)
-
-
-def _times_pow2(values, e):
-    """``values * 2^e`` per row, exact; e = 0 keeps the bits."""
-    out = np.array(values)
-    out.real = np.ldexp(values.real, e)
-    if np.iscomplexobj(values):
-        out.imag = np.ldexp(values.imag, e)
-    return out
 
 
 def _spread(values, ok):
@@ -295,11 +284,12 @@ def broken_metric(dimension: int = 2) -> MetricEvaluator:
 
     Degree-1 homogeneous in y but not projectively flat, so the Hamel
     residual check must reject it; guards the test harness against
-    trivially passing sweeps.
+    trivially passing sweeps.  It perturbs the flat F(0, y) = |y|, so it
+    states K = 0, which the curvature, berwald and pde checks reject too.
     """
     def f_value(x, y):
         ny = float(np.linalg.norm(y))
         return ny + 0.1 * float(x[0]) * float(y[0]) ** 2 / ny
 
     return MetricEvaluator(kind="test:broken", dimension=dimension,
-                           f_eval=f_value, intended_curvature=None)
+                           f_eval=f_value, intended_curvature=0.0)

@@ -51,6 +51,23 @@ def lengths(v: np.ndarray):
     return np.sqrt(np.vecdot(v, v))
 
 
+def scale_exponents(y):
+    """Per row, the e that brings the largest |component| of ``y * 2^-e``
+    into [1/2, 1), or 0 where it lies in [2^-8, 2^8).  A degree-1 value
+    at ``y * 2^-e`` times ``2^e`` (``times_pow2``) is the value at y."""
+    _, e = np.frexp(np.abs(y).max(axis=-1, initial=0.0))
+    return np.where((e >= -7) & (e <= 8), 0, e)
+
+
+def times_pow2(values, e):
+    """``values * 2^e`` per row, exact; e = 0 keeps the bits."""
+    out = np.array(values)
+    out.real = np.ldexp(values.real, e)
+    if np.iscomplexobj(values):
+        out.imag = np.ldexp(values.imag, e)
+    return out
+
+
 def _value(out):
     """A lone vector's value as a float; rows stay an array."""
     return float(out) if np.ndim(out) == 0 else out
@@ -256,20 +273,22 @@ class DoubleSqrtNorm(HomogeneousFunction):
         return v[..., : self.first_block], v[..., self.first_block:]
 
     def _squares(self, v):
-        """Block squares |u|^2, |w|^2 and S = hypot of the two."""
-        u, w = self._blocks(v)
+        """Block squares |u|^2, |w|^2 and S = hypot of the two of ``v * 2^-e``,
+        and e (scale_exponents): they over- or underflow at a huge or tiny v."""
+        e = scale_exponents(v)
+        u, w = self._blocks(np.ldexp(v, -e[..., None]))
         uu = np.vecdot(u, u)
         ww = np.vecdot(w, w)
-        return u, w, uu, ww, np.hypot(uu, ww)
+        return u, w, uu, ww, np.hypot(uu, ww), e
 
     def eval_real(self, y):
-        _, _, uu, ww, s = self._squares(self._vec(y))
-        if self.plus:
-            return _value(np.sqrt((s + uu) / 2.0))
-        # s - uu == ww^2 / (s + uu), exact algebra, no cancellation; the sum
-        # is 0 only where both blocks underflow, and there f = 0
-        total = s + uu
-        return _value(np.sqrt(ww * ww / np.where(total == 0.0, 1.0, total) / 2.0))
+        _, _, uu, ww, s, e = self._squares(self._vec(y))
+        twice_square = s + uu  # 2 f^2 of the plus variant
+        if not self.plus:
+            # s - uu == ww^2 / (s + uu), exact algebra, no cancellation; the sum
+            # is 0 only where both blocks underflow, and there f = 0
+            twice_square = ww * ww / np.where(twice_square == 0.0, 1.0, twice_square)
+        return _value(times_pow2(np.sqrt(twice_square / 2.0), e))
 
     def eval_complex(self, z):
         # The two components are continued jointly through the conjugate
@@ -288,7 +307,8 @@ class DoubleSqrtNorm(HomogeneousFunction):
         return _cvalue((h_plus + h_minus) / 2.0, lone)
 
     def grad_real(self, y) -> np.ndarray:
-        u, w, uu, ww, s = self._squares(self._vec(y))
+        # degree 0: the gradient at the rescaled row is the one at y
+        u, w, uu, ww, s, _ = self._squares(self._vec(y))
         if self.plus:
             val = np.sqrt((s + uu) / 2.0)
             d_uu = (uu / s + 1.0) / (4.0 * val)

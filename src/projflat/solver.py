@@ -87,7 +87,8 @@ class _Rows:
         self.lone = y.ndim == 1
         self.x, self.y = np.atleast_2d(x), np.atleast_2d(y)
         count = len(self.y)
-        self.value = np.full(count, np.nan, dtype=dtype)
+        self.missing = complex(np.nan, np.nan) if dtype is complex else np.nan
+        self.value = np.full(count, self.missing, dtype=dtype)
         self.residual = np.full(count, np.nan)
         self.failed = np.zeros(count, dtype=bool)
         self.errors = [None] * count
@@ -121,7 +122,7 @@ class _Rows:
 
     def result(self, iterations):
         done = ~self.failed
-        eta = np.full(self.y.shape, np.nan, dtype=self.value.dtype)
+        eta = np.full(self.y.shape, self.missing, dtype=self.value.dtype)
         eta[done] = self.shifted(done, self.value[done])
         if not self.lone:
             return SolveResult(self.value, eta, self.residual, int(iterations), self.errors)

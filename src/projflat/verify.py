@@ -409,14 +409,12 @@ def berwald_system_residual(metric, x, y):
 
     r1 checks F_{x^k} = (PF)_{y^k}; r2 checks
     P_{x^k} = P P_{y^k} - (1/3F)(K F^3)_{y^k}, with the last term reduced
-    to K F F_{y^k} (valid because K is constant here).  K is the intended
-    curvature, or the numeric K at (x, y) for a metric without one.
+    to K F F_{y^k} (valid because K is constant).  K is the metric's
+    intended curvature, so a metric whose numeric K differs fails r2.
     """
     xs, ys, lone = _as_rows(x, y)
     n = xs.shape[1]
     curvature = metric.intended_curvature
-    if curvature is None:
-        curvature = flag_curvature(metric, xs, ys)
     jd = jet(metric, xs, ys)
     hx = STEP_SECOND * np.maximum(1.0, lengths(xs))
     hy = STEP_SECOND * lengths(ys)
@@ -437,40 +435,33 @@ def berwald_system_residual(metric, x, y):
 
 
 def _transport_fields(metric, pairs):
-    """Yields (rows, fields, errors): the scalar fields Phi with
-    Phi_x = Phi * Phi_y on the stencil ``pairs`` of the samples ``rows``.
+    """The scalar fields Phi with Phi_x = Phi * Phi_y on the stencil
+    ``pairs``, each as its M value arrays, and the per-sample error lists.
 
     A constructed metric's fields are its solved ones, from one rows call.
-    Otherwise they are assembled from P and F using the intended curvature
-    (the numeric K at each sample when there is none): Phi = P for K = 0,
-    P +/- sqrt(-K) F for K < 0, and the complex P + i sqrt(K) F for K > 0,
-    each field evaluated on its own.
+    A closed form's are assembled from P and F with its intended curvature
+    K: Phi = P for K = 0, P +/- sqrt(-K) F for K < 0 and the complex
+    P + i sqrt(K) F for K > 0, each field evaluated on its own.
     """
-    count = len(pairs[0][0])
     if metric.solve is not None:
         def solved(a, b):
             values = metric.rows(a, b, with_f=False, with_p=True)
             return values.fields, values.errors
-        yield (np.ones(count, dtype=bool),) + _on_stencil(solved, pairs)
-        return
-    lam = metric.intended_curvature
-    if lam is None:
-        lam = flag_curvature(metric, *pairs[0])
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (count,))
-    s = np.sqrt(np.abs(lam))
-    for rows, signs in ((lam == 0.0, (0.0,)), (lam < 0.0, (1.0, -1.0)), (lam > 0.0, (1j,))):
-        if not rows.any():
-            continue
-        sub = [(a[rows], b[rows]) for a, b in pairs]
-        coef = np.repeat(s[rows], len(pairs))  # sample-major, like _on_stencil
-        for sign in signs:
-            def field(a, b, c=sign * coef):
-                (p,), errors = _p(metric, a, b)
-                if not c.any():
-                    return (p,), errors
-                (f,), f_errors = _f(metric, a, b)
-                return (p + c * f,), first_errors(errors, f_errors)
-            yield (rows,) + _on_stencil(field, sub)
+        return _on_stencil(solved, pairs)
+    k = metric.intended_curvature
+    s = float(np.sqrt(abs(k)))
+    fields, errors = [], []
+    for c in ((0.0,) if k == 0.0 else (s, -s) if k < 0.0 else (1j * s,)):
+        def field(a, b, c=c):
+            (p,), p_errors = _p(metric, a, b)
+            if c == 0.0:
+                return (p,), p_errors
+            (f,), f_errors = _f(metric, a, b)
+            return (p + c * f,), first_errors(p_errors, f_errors)
+        (values,), field_errors = _on_stencil(field, pairs)
+        fields.append(values)
+        errors += field_errors
+    return fields, errors
 
 
 def master_pde_residual(metric, x, y):
@@ -483,15 +474,15 @@ def master_pde_residual(metric, x, y):
     n = xs.shape[1]
     hx = STEP_SECOND * np.maximum(1.0, lengths(xs))
     hy = STEP_SECOND * lengths(ys)
+    fields, errors = _transport_fields(metric, _p_stencil(xs, ys, hx, hy))
+    raise_first(first_errors(*errors))
     worst = np.zeros(len(ys))
-    for rows, fields, errors in _transport_fields(metric, _p_stencil(xs, ys, hx, hy)):
-        raise_first(first_errors(*errors))
-        for phi in fields:
-            gx = gradient_from(phi[1:2 * n + 1], hx[rows])
-            gy = gradient_from(phi[2 * n + 1:], hy[rows])
-            resid = (np.abs(gx - phi[0][:, None] * gy).max(axis=-1)
-                     / (1.0 + np.abs(gx).max(axis=-1)))
-            worst[rows] = np.where(resid > worst[rows], resid, worst[rows])
+    for phi in fields:
+        gx = gradient_from(phi[1:2 * n + 1], hx)
+        gy = gradient_from(phi[2 * n + 1:], hy)
+        resid = (np.abs(gx - phi[0][:, None] * gy).max(axis=-1)
+                 / (1.0 + np.abs(gx).max(axis=-1)))
+        worst = np.where(resid > worst, resid, worst)
     return _out(worst, lone)
 
 

@@ -3,6 +3,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -202,6 +203,18 @@ def test_catalog_listing(capsys):
     assert "funk" in names and "zhou" in names
 
 
+def test_catalog_listing_in_one_dimension(capsys):
+    # dsr-new needs two blocks; the other eight entries evaluate at d = 1
+    code, out, _ = run_cli(capsys, "catalog", "--dim", "1")
+    assert code == 0
+    names = [e["name"] for e in json.loads(out)["entries"]]
+    assert names == [n for n in cli.cat.CATALOG_NAMES if n != "dsr-new"]
+    for entry in cli.cat.list_catalog(1):
+        for x, y in (([0.1], [1.0]), ([-0.2], [-0.5])):
+            value = cli.cat.as_evaluator(entry).eval(x, y)
+            assert math.isfinite(value) and value > 0.0
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--metric", "catalog:nosuch",
                            "--x", "0,0", "--y", "1,0")
@@ -396,6 +409,8 @@ FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
     (("catalog", "--solver-tol", "0", "--solver-iters", "-3"), "--solver-tol"),
     (("catalog", "--solver-damping", "0.5"), "--solver-damping"),
     (("catalog", "--seed", "1"), "--seed"),
+    (("catalog", "--dim", "0"), "--dim"),
+    (("catalog", "--dim", "-2"), "--dim"),
 ])
 def test_bad_input_exits_parse_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -193,6 +193,6 @@ def test_pair_mode_requires_bryant():
 def test_broken_metric_evaluates():
     br = broken_metric(2)
     assert br.eval([0.3, 0.2], [1.0, 1.0]) > 0.0
-    assert br.intended_curvature is None
+    assert br.intended_curvature == 0.0
     with pytest.raises(ProjFlatError):
         br.projective_factor_exact([0.1, 0.0], [1.0, 0.0])

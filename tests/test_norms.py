@@ -151,6 +151,22 @@ def test_double_sqrt_gradient_on_block_axis():
     np.testing.assert_allclose(f.grad_real([1.0, 0.0]), [0.0, 0.0], atol=1e-14)
 
 
+@pytest.mark.parametrize("plus", [True, False])
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1)])
+def test_double_sqrt_commutes_with_powers_of_two(plus, blocks):
+    """eval_real(2^k v) == 2^k eval_real(v) and grad_real(2^k v) ==
+    grad_real(v) bit for bit, also where the squares of 2^k v would
+    underflow or overflow."""
+    f = DoubleSqrtNorm(sum(blocks), *blocks, plus=plus)
+    rng = np.random.default_rng(sum(blocks) + plus)
+    v = rng.choice([-1.0, 1.0], (20, f.dimension)) * rng.uniform(0.1, 1.0, (20, f.dimension))
+    value, grad = f.eval_real(v), f.grad_real(v)
+    for k in range(-490, 491):
+        w = np.ldexp(v, k)
+        np.testing.assert_array_equal(f.eval_real(w), np.ldexp(value, k))
+        np.testing.assert_array_equal(f.grad_real(w), grad)
+
+
 def test_check_minkowski_euclidean():
     rep = check_minkowski(EuclideanNorm(2), 100)
     assert rep.passed

@@ -117,6 +117,16 @@ def test_solver_failures_match_one_point(k):
         assert SolverError in kinds
 
 
+def test_failed_kpos1_row_holds_nan():
+    """A K = +1 row whose solve fails gets F = nan, not the imaginary part
+    0 of a real nan."""
+    metric = parse_metric("construct:1:bryant:0.5236", 2, SolverConfig(max_iterations=2))
+    rows = metric.rows([[0.1, 0.0]], [[0.0, 1.0]], with_p=True)
+    assert isinstance(rows.errors[0], SolverError)
+    (z,) = rows.fields
+    assert np.isnan([rows.f[0], rows.p[0], z[0].real, z[0].imag]).all()
+
+
 def test_solves_equal_one_point_solves_with_failures():
     rng = np.random.default_rng(11)
     cfgs = (SolverConfig(max_iterations=40), SolverConfig(max_iterations=1, tolerance=1e-15),
@@ -197,6 +207,21 @@ def test_geodesics_step_together_and_stop_alone():
         np.testing.assert_array_equal(traj.times, alone.times)
 
 
+def test_geodesic_stops_alone_at_an_rk_stage():
+    """A closed form's numeric P fails at an RK stage beyond |x| = 1: that
+    trajectory stops with its start point only, the other completes."""
+    metric = parse_metric("catalog:funk", 2, SolverConfig())
+    starts = np.array([[0.9, 0.0], [0.0, 0.0]])
+    velocities = np.array([[1.0, 0.0], [0.0, 1.0]])
+    together = integrate_geodesic(metric, starts, velocities, 0.5, 2)
+    assert [(t.completed, len(t.points)) for t in together] == [(False, 1), (True, 3)]
+    for traj, x0, v0 in zip(together, starts, velocities):
+        alone = integrate_geodesic(metric, x0, v0, 0.5, 2)
+        assert traj.completed == alone.completed
+        np.testing.assert_array_equal(traj.points, alone.points)
+        np.testing.assert_array_equal(traj.velocities, alone.velocities)
+
+
 @pytest.fixture
 def norm_calls(monkeypatch):
     """Count the calls of every norm method."""
@@ -270,3 +295,20 @@ def test_f_and_p_have_degree_one_in_y(spec, seed, log_scale):
     scaled = metric.rows(x[None], scale * y[None], with_p=True)
     np.testing.assert_allclose(scaled.f / scale, one.f, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(scaled.p / scale, one.p, rtol=1e-12, atol=1e-12 * one.f[0])
+
+
+@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
+def test_point_guard_rejects_non_finite_points(spec):
+    """Every metric kind rejects a non-finite x or y at its point guard, in
+    ``eval`` and per row in ``rows``; the other rows keep their values."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    x = np.array([[np.nan, 0.0], [0.1, 0.05], [0.0, 0.0]])
+    y = np.array([[1.0, 0.0], [0.6, 0.8], [np.inf, 1.0]])
+    for i in (0, 2):
+        with pytest.raises(DomainError, match="must be finite"):
+            metric.eval(x[i], y[i])
+    rows = metric.rows(x, y)
+    assert rows.errors[1] is None and rows.f[1] == metric.rows(x[1:2], y[1:2]).f[0]
+    for i in (0, 2):
+        assert np.isnan(rows.f[i])
+        assert isinstance(rows.errors[i], DomainError) and "must be finite" in str(rows.errors[i])

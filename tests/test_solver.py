@@ -7,8 +7,8 @@ import pytest
 
 import oracles
 from oracles import implicit_derivatives
-from projflat import (BryantPair, EuclideanNorm, RandersNorm, ScaledNorm,
-                      SolverConfig, SolverError, ZeroNorm, combine,
+from projflat import (BryantPair, DomainError, EuclideanNorm, RandersNorm,
+                      ScaledNorm, SolverConfig, SolverError, ZeroNorm, combine,
                       pair_radius_estimate, radius_estimate, solve_complex,
                       solve_real)
 from projflat.sampling import ball_points, sphere_points
@@ -265,3 +265,21 @@ def test_complex_degenerates_to_real_when_psi_zero(rng):
         rres = solve_real(phi, x, y)
         assert zres.value.imag == pytest.approx(0.0, abs=1e-13)
         assert zres.value.real == pytest.approx(rres.value, abs=1e-11)
+
+
+@pytest.mark.parametrize("solve, norms", [
+    (solve_real, (RandersNorm(2, (0.2, 0.1)),)),
+    (solve_complex, (RandersNorm(2, (0.2, 0.1)), EuclideanNorm(2))),
+])
+def test_row_whose_norm_call_raises_fails_alone(solve, norms):
+    """A norm call that raises on one row runs again row by row: that row
+    gets its error and nan, the other the bits it gets alone."""
+    x = np.array([[np.nan, 0.0], [0.1, 0.05]])
+    y = np.array([[1.0, 0.0], [0.0, 1.0]])
+    res = solve(*norms, x, y)
+    assert isinstance(res.errors[0], DomainError)
+    assert np.isnan(res.value[0])
+    alone = solve(*norms, x[1:], y[1:])
+    assert res.errors[1] is None and alone.errors[0] is None
+    assert res.value[1] == alone.value[0]
+    np.testing.assert_array_equal(res.eta[1], alone.eta[0])
