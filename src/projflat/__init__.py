@@ -13,7 +13,7 @@ from .errors import (BranchCutError, DimensionMismatchError, DomainError,
                      ProjFlatError, SolverError, SpecParseError)
 from .norms import (BryantPair, CombinedNorm, DoubleSqrtNorm, EuclideanNorm,
                     HomogeneousFunction, RandersNorm, ScaledNorm, ZeroNorm,
-                    combine, format_norm, parse_norm)
+                    combine, parse_norm)
 from .solver import (SolveResult, SolverConfig, pair_radius_estimate,
                      radius_estimate, solve_complex, solve_real)
 from .verify import (GeodesicResult, VerificationReport,

@@ -24,6 +24,7 @@ zhou         -1          |y| c1(z1) / (c1(z1)^2 - (z2 + c2(z1))^2)
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -33,9 +34,6 @@ from .construct import MetricEvaluator
 from .errors import BranchCutError, DomainError, SpecParseError
 
 _MARGIN = 1e-12
-
-CATALOG_NAMES = ("space-form", "funk", "berwald", "bryant", "dsr-new",
-                 "sph-k0", "sph-kneg1", "sph-kpos1", "zhou")
 
 
 @dataclass(frozen=True)
@@ -50,62 +48,21 @@ class CatalogEntry:
 
 
 def catalog_entry(name: str, dimension: int, **params) -> CatalogEntry:
-    """Validated entry factory; see module docstring for the name list."""
-    if name == "space-form":
-        lam = float(params.get("lam", -1.0))
-        radius = math.inf if lam >= 0.0 else 1.0 / math.sqrt(-lam)
-        return CatalogEntry(name, dimension, MappingProxyType({"lam": lam}), lam, radius)
-    if name == "funk":
-        return CatalogEntry(name, dimension, MappingProxyType({}), -0.25, 1.0)
-    if name == "berwald":
-        return CatalogEntry(name, dimension, MappingProxyType({}), 0.0, 1.0)
-    if name == "bryant":
-        alpha = float(params.get("alpha", math.pi / 4.0))
-        if not 0.0 < alpha < math.pi / 2.0:
-            raise SpecParseError("bryant angle must lie in (0, pi/2)")
-        return CatalogEntry(name, dimension, MappingProxyType({"alpha": alpha}), 1.0, math.inf)
-    if name == "dsr-new":
-        n = int(params.get("n", 1))
-        m = int(params.get("m", 1))
-        if n < 1 or m < 1 or n + m != dimension:
-            raise SpecParseError("dsr-new block sizes must be >= 1 and sum to the dimension")
-        return CatalogEntry(name, dimension, MappingProxyType({"n": n, "m": m}), 1.0, 0.7)
-    if name == "sph-k0":
-        c = float(params.get("c", 0.3))
-        branch = int(params.get("branch", -1))
-        if c == 0.0:
-            raise SpecParseError("sph-k0 needs a nonzero constant c")
-        if branch not in (-1, 1):
-            raise SpecParseError("sph-k0 branch must be +1 or -1")
-        return CatalogEntry(name, dimension,
-                            MappingProxyType({"c": c, "branch": branch}), 0.0,
-                            1.0 / abs(c))
-    if name == "sph-kneg1":
-        c = float(params.get("c", 0.3))
-        return CatalogEntry(name, dimension, MappingProxyType({"c": c}), -1.0,
-                            1.0 / (1.0 + abs(c)))
-    if name == "sph-kpos1":
-        c = float(params.get("c", 0.3))
-        return CatalogEntry(name, dimension, MappingProxyType({"c": c}), 1.0, 1.0)
-    if name == "zhou":
-        d1 = float(params.get("d1", 0.5))
-        d2 = float(params.get("d2", 1.0))
-        sign = int(params.get("sign", 1))
-        if not (d2 > d1 > 0.0):
-            raise SpecParseError("zhou needs d2 > d1 > 0")
-        if d2 < 2.0 * d1 * d1:
-            raise SpecParseError("zhou needs d2 >= 2 d1^2")
-        if sign not in (-1, 1):
-            raise SpecParseError("zhou sign must be +1 or -1")
-        radius_sq = min(2.0 * (d2 - d1), 2.0 * (d2 - 2.0 * d1 * d1))
-        return CatalogEntry(name, dimension,
-                            MappingProxyType({"d1": d1, "d2": d2, "sign": sign}), -1.0,
-                            math.sqrt(max(radius_sq, 0.0)))
-    raise SpecParseError(f"unknown catalog entry '{name}'")
+    """Validated entry factory; parameters left out take the defaults of
+    the entry's row in ``_TABLE``."""
+    if name not in _TABLE:
+        raise SpecParseError(f"unknown catalog entry '{name}'")
+    row = _TABLE[name]
+    unknown = sorted(params.keys() - {key for key, _, _ in row.params})
+    if unknown:
+        raise SpecParseError(f"catalog entry '{name}' has no parameter {', '.join(unknown)}")
+    values = {key: kind(params.get(key, default)) for key, kind, default in row.params}
+    curvature, radius = row.check(dimension, *values.values())
+    return CatalogEntry(name, dimension, MappingProxyType(values), curvature, radius)
 
 
 # ---------------------------------------------------------------------------
-# formula bodies
+# parameter checks and formula bodies
 
 
 def _dots(x, y):
@@ -142,6 +99,12 @@ def _eval_berwald(x, y):
     return (root + xy) ** 2 / (denom * denom * root)
 
 
+def _check_bryant(dimension, alpha):
+    if not 0.0 < alpha < math.pi / 2.0:
+        raise SpecParseError("bryant angle must lie in (0, pi/2)")
+    return 1.0, math.inf
+
+
 def _eval_bryant(alpha, x, y):
     xx, yy, xy = _dots(x, y)
     w = cmath.exp(2j * alpha) + xx
@@ -157,6 +120,12 @@ def _pick_metric_root(num_plus, num_minus, denom):
     if len(pos) != 1:
         raise BranchCutError("no unique metric branch (positive imaginary part)")
     return pos[0]
+
+
+def _check_double_sqrt(dimension, n, m):
+    if n < 1 or m < 1 or n + m != dimension:
+        raise SpecParseError("dsr-new block sizes must be >= 1 and sum to the dimension")
+    return 1.0, 0.7
 
 
 def _eval_double_sqrt(n, m, x, y):
@@ -184,6 +153,14 @@ def _root_scaled(a, x, y):
     return (a * a * xy + math.copysign(1.0, a) * math.sqrt(rad)) / denom
 
 
+def _check_sph_k0(dimension, c, branch):
+    if c == 0.0:
+        raise SpecParseError("sph-k0 needs a nonzero constant c")
+    if branch not in (-1, 1):
+        raise SpecParseError("sph-k0 branch must be +1 or -1")
+    return 0.0, 1.0 / abs(c)
+
+
 def _eval_sph_k0(c, branch, x, y):
     xx, yy, xy = _dots(x, y)
     denom = 1.0 - c * c * xx
@@ -208,7 +185,18 @@ def _eval_sph_kpos1(c, x, y):
     return _pick_metric_root(b2 * xy + root, b2 * xy - root, denom).imag
 
 
-def _zhou_pieces(d1, d2, sign, x, y):
+def _check_zhou(dimension, d1, d2, sign):
+    if not (d2 > d1 > 0.0):
+        raise SpecParseError("zhou needs d2 > d1 > 0")
+    if d2 < 2.0 * d1 * d1:
+        raise SpecParseError("zhou needs d2 >= 2 d1^2")
+    if sign not in (-1, 1):
+        raise SpecParseError("zhou sign must be +1 or -1")
+    radius_sq = min(2.0 * (d2 - d1), 2.0 * (d2 - 2.0 * d1 * d1))
+    return -1.0, math.sqrt(max(radius_sq, 0.0))
+
+
+def _eval_zhou(d1, d2, sign, x, y):
     xx, yy, xy = _dots(x, y)
     z2 = xy / math.sqrt(yy)
     z1_sq = max(xx - z2 * z2, 0.0)
@@ -219,30 +207,49 @@ def _zhou_pieces(d1, d2, sign, x, y):
     r = math.sqrt(rad)
     c1 = math.sqrt((u + r) / 2.0)
     c2 = sign * math.sqrt((u - r) / 2.0)
-    return z2, c1, c2
-
-
-def _eval_zhou(d1, d2, sign, x, y):
-    _, yy, _ = _dots(x, y)
-    z2, c1, c2 = _zhou_pieces(d1, d2, sign, x, y)
     denom = c1 * c1 - (z2 + c2) ** 2
     if denom <= _MARGIN:
         raise DomainError("zhou denominator vanished")
     return math.sqrt(yy) * c1 / denom
 
 
-_BODIES = {
-    "space-form": lambda e, x, y: _eval_space_form(e.params["lam"], x, y),
-    "funk": lambda e, x, y: _eval_funk(x, y),
-    "berwald": lambda e, x, y: _eval_berwald(x, y),
-    "bryant": lambda e, x, y: _eval_bryant(e.params["alpha"], x, y),
-    "dsr-new": lambda e, x, y: _eval_double_sqrt(e.params["n"], e.params["m"], x, y),
-    "sph-k0": lambda e, x, y: _eval_sph_k0(e.params["c"], e.params["branch"], x, y),
-    "sph-kneg1": lambda e, x, y: _eval_sph_kneg1(e.params["c"], x, y),
-    "sph-kpos1": lambda e, x, y: _eval_sph_kpos1(e.params["c"], x, y),
-    "zhou": lambda e, x, y: _eval_zhou(e.params["d1"], e.params["d2"],
-                                       e.params["sign"], x, y),
+def _sign(value) -> int:
+    """A sign parameter: a spec token (+, -, +1, -1, plus, minus) or an int."""
+    if not isinstance(value, str):
+        return int(value)
+    if value in ("+", "+1", "plus"):
+        return 1
+    if value in ("-", "-1", "minus"):
+        return -1
+    raise SpecParseError(f"expected '+' or '-', got '{value}'")
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One entry, declared once: its parameters, their check and its formula."""
+
+    params: tuple  # (name, type, default) per parameter, in spec order
+    check: Callable  # check(dimension, *values) -> (known curvature, radius)
+    formula: Callable  # formula(*values, x, y) -> F
+
+
+_TABLE = {
+    "space-form": _Row((("lam", float, -1.0),),
+                       lambda d, lam: (lam, math.inf if lam >= 0.0 else 1.0 / math.sqrt(-lam)),
+                       _eval_space_form),
+    "funk": _Row((), lambda d: (-0.25, 1.0), _eval_funk),
+    "berwald": _Row((), lambda d: (0.0, 1.0), _eval_berwald),
+    "bryant": _Row((("alpha", float, math.pi / 4.0),), _check_bryant, _eval_bryant),
+    "dsr-new": _Row((("n", int, 1), ("m", int, 1)), _check_double_sqrt, _eval_double_sqrt),
+    "sph-k0": _Row((("c", float, 0.3), ("branch", _sign, -1)), _check_sph_k0, _eval_sph_k0),
+    "sph-kneg1": _Row((("c", float, 0.3),), lambda d, c: (-1.0, 1.0 / (1.0 + abs(c))),
+                      _eval_sph_kneg1),
+    "sph-kpos1": _Row((("c", float, 0.3),), lambda d, c: (1.0, 1.0), _eval_sph_kpos1),
+    "zhou": _Row((("d1", float, 0.5), ("d2", float, 1.0), ("sign", _sign, 1)),
+                 _check_zhou, _eval_zhou),
 }
+
+CATALOG_NAMES = tuple(_TABLE)
 
 
 def eval_catalog(entry: CatalogEntry, x, y) -> float:
@@ -253,69 +260,36 @@ def eval_catalog(entry: CatalogEntry, x, y) -> float:
 
 def as_evaluator(entry: CatalogEntry) -> MetricEvaluator:
     """Wrap an entry as a MetricEvaluator (numeric projective factor)."""
+    formula = _TABLE[entry.name].formula
+    args = tuple(entry.params.values())
     return MetricEvaluator(
         kind=f"catalog:{entry.name}", dimension=entry.dimension,
-        f_eval=lambda x, y: _BODIES[entry.name](entry, x, y),
+        f_eval=lambda x, y: formula(*args, x, y),
         intended_curvature=entry.known_curvature,
         domain_radius=entry.domain_radius)
 
 
 def list_catalog(dimension: int = 2) -> list:
-    """The entries with representative parameters; dsr-new needs dimension >= 2."""
-    two_blocks = [catalog_entry("dsr-new", dimension, n=dimension - 1, m=1)
-                  ] if dimension >= 2 else []
-    return [
-        catalog_entry("space-form", dimension, lam=-1.0),
-        catalog_entry("funk", dimension),
-        catalog_entry("berwald", dimension),
-        catalog_entry("bryant", dimension, alpha=math.pi / 4.0),
-        *two_blocks,
-        catalog_entry("sph-k0", dimension, c=0.3, branch=-1),
-        catalog_entry("sph-kneg1", dimension, c=0.3),
-        catalog_entry("sph-kpos1", dimension, c=0.3),
-        catalog_entry("zhou", dimension, d1=0.5, d2=1.0, sign=1),
-    ]
+    """Every entry at its defaults; dsr-new, with blocks (dimension - 1, 1),
+    only from dimension 2 on."""
+    return [catalog_entry(name, dimension, n=dimension - 1)
+            if name == "dsr-new" else catalog_entry(name, dimension)
+            for name in _TABLE if name != "dsr-new" or dimension >= 2]
 
 
 def parse_catalog(text: str, dimension: int) -> CatalogEntry:
-    """Parse ``<name>[:<params>]`` using the per-entry parameter syntax:
-    space-form:<lam>, funk, berwald, bryant:<alpha>, dsr-new:<n>,<m>,
-    sph-k0:<c>,<branch(+|-)>, sph-kneg1:<c>, sph-kpos1:<c>,
-    zhou:<d1>,<d2>,<sign(+|-)>."""
+    """Parse ``<name>[:<params>]``: every parameter of the entry, comma-
+    separated in the order of its row in ``_TABLE`` (a sign as + or -)."""
     name, _, rest = text.strip().partition(":")
-    if name not in CATALOG_NAMES:
+    if name not in _TABLE:
         raise SpecParseError(f"unknown catalog entry '{name}'")
-    args = rest.split(",") if rest else []
-
-    def _sign(token):
-        if token in ("+", "+1", "plus"):
-            return 1
-        if token in ("-", "-1", "minus"):
-            return -1
-        raise SpecParseError(f"expected '+' or '-', got '{token}'")
-
+    spec = _TABLE[name].params
+    tokens = rest.split(",") if rest else []
+    if len(tokens) != len(spec):
+        raise SpecParseError(f"catalog entry '{name}' takes {len(spec)} "
+                             f"parameter(s), got {len(tokens)}")
     try:
-        if name in ("funk", "berwald"):
-            if args:
-                raise SpecParseError(f"'{name}' takes no parameters")
-            return catalog_entry(name, dimension)
-        if name == "space-form":
-            (lam,) = args
-            return catalog_entry(name, dimension, lam=float(lam))
-        if name == "bryant":
-            (alpha,) = args
-            return catalog_entry(name, dimension, alpha=float(alpha))
-        if name == "dsr-new":
-            n, m = args
-            return catalog_entry(name, dimension, n=int(n), m=int(m))
-        if name == "sph-k0":
-            c, branch = args
-            return catalog_entry(name, dimension, c=float(c), branch=_sign(branch))
-        if name in ("sph-kneg1", "sph-kpos1"):
-            (c,) = args
-            return catalog_entry(name, dimension, c=float(c))
-        d1, d2, sign = args
-        return catalog_entry(name, dimension, d1=float(d1), d2=float(d2),
-                             sign=_sign(sign))
+        return catalog_entry(name, dimension,
+                             **{key: tok for (key, _, _), tok in zip(spec, tokens)})
     except (ValueError, TypeError) as exc:
         raise SpecParseError(f"bad parameters for catalog entry '{name}': {exc}") from exc

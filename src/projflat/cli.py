@@ -13,6 +13,7 @@ positive; a bad value, or a flag the subcommand does not read, exits 2.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -239,8 +240,6 @@ def cmd_compare(args) -> int:
     cfg = _solver_cfg(args)
     m_a = parse_metric(args.metric, args.dim, cfg)
     m_b = parse_metric(args.metric_b, args.dim, cfg)
-    if m_a.dimension != m_b.dimension:
-        raise SpecParseError("metrics must share the dimension")
     rng = np.random.default_rng(args.seed)
     xs = ball_points(rng, args.dim, args.radius, args.samples)
     ys = sphere_points(rng, args.dim, args.samples)
@@ -346,8 +345,7 @@ def cmd_catalog(args) -> int:
     entries = cat.list_catalog(args.dim)
     payload = {"entries": [
         {"name": e.name,
-         "params": {k: (int(v) if isinstance(v, (int, np.integer)) else float(v))
-                    for k, v in e.params.items()},
+         "params": dict(e.params),
          "known_curvature": float(e.known_curvature),
          "domain_radius": (None if math.isinf(e.domain_radius)
                            else float(e.domain_radius))}
@@ -367,6 +365,7 @@ class _Parser(argparse.ArgumentParser):
         raise SpecParseError(message)
 
 
+@functools.cache  # built on the first call, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="projflat",

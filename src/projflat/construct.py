@@ -98,8 +98,9 @@ class MetricEvaluator:
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.size != self.dimension or y.size != self.dimension:
             raise DomainError(f"expected {self.dimension}-dimensional x and y")
-        yy = float(y.dot(y))
-        length = float(np.linalg.norm(x))
+        # squares of Python floats overflow to inf without a warning
+        yy = sum(c * c for c in y.tolist())
+        length = math.sqrt(sum(c * c for c in x.tolist()))
         if not (math.isfinite(yy) and math.isfinite(length)):
             raise DomainError(NON_FINITE)
         if yy == 0.0:  # |y| = 0, also when its length underflows
@@ -144,7 +145,8 @@ class MetricEvaluator:
             return RowValues(f, None, (), errors)
 
         errors = [None] * count
-        squares, length = np.vecdot(y, y), lengths(x)
+        with np.errstate(over="ignore"):  # an overflow is reported per row
+            squares, length = np.vecdot(y, y), lengths(x)
         for i in np.flatnonzero(~(np.isfinite(squares) & np.isfinite(length))):
             errors[i] = DomainError(NON_FINITE)
         for i in np.flatnonzero(squares == 0.0):

@@ -61,6 +61,8 @@ def scale_exponents(y):
 
 def times_pow2(values, e):
     """``values * 2^e`` per row, exact; e = 0 keeps the bits."""
+    if not e.any():
+        return values
     out = np.array(values)
     out.real = np.ldexp(values.real, e)
     if np.iscomplexobj(values):
@@ -295,16 +297,17 @@ class DoubleSqrtNorm(HomogeneousFunction):
         # pair h+ = i sqrt(q - i qt), h- = -i sqrt(q + i qt), which keeps
         # the product identity 2 * phi * psi = qt intact; independently
         # chosen principal branches of sqrt((S -+ q)/2) would break it
-        # once q leaves the right half plane.
+        # once q leaves the right half plane.  As in eval_real, a row is
+        # evaluated at z * 2^-e (e from the moduli) and scaled back by 2^e.
         v, lone = self._cvec(z)
-        u, w = self._blocks(v)
+        e = scale_exponents(v)
+        u, w = self._blocks(times_pow2(v, -e[..., None]))
         q = _csum_sq(u)
         qt = _csum_sq(w)
         h_plus = 1j * np.sqrt(q - 1j * qt)
         h_minus = -1j * np.sqrt(q + 1j * qt)
-        if self.plus:
-            return _cvalue((h_plus - h_minus) / 2j, lone)
-        return _cvalue((h_plus + h_minus) / 2.0, lone)
+        value = (h_plus - h_minus) / 2j if self.plus else (h_plus + h_minus) / 2.0
+        return _cvalue(times_pow2(value, e), lone)
 
     def grad_real(self, y) -> np.ndarray:
         # degree 0: the gradient at the rescaled row is the one at y
@@ -442,22 +445,3 @@ def parse_norm(text: str, dimension: int) -> HomogeneousFunction:
         return BryantPair(dimension, float(args[0]))
     except (ValueError, DimensionMismatchError) as exc:
         raise SpecParseError(f"bad parameters for norm '{name}': {exc}") from exc
-
-
-def format_norm(f: HomogeneousFunction) -> str:
-    """Inverse of parse_norm for the enumerated families."""
-    if isinstance(f, ZeroNorm):
-        return "zero"
-    if isinstance(f, ScaledNorm):
-        return f"scaled:{f.scale:g}"
-    if isinstance(f, EuclideanNorm):
-        return "euclidean"
-    if isinstance(f, RandersNorm):
-        return "randers:" + ",".join(f"{v:g}" for v in f.drift)
-    if isinstance(f, DoubleSqrtNorm):
-        return f"{f.family}:{f.first_block},{f.second_block}"
-    if isinstance(f, BryantPair):
-        return f"bryant:{f.angle:g}"
-    if isinstance(f, CombinedNorm):
-        return "+".join(f"{c:g}*({format_norm(g)})" for c, g in f.terms)
-    raise SpecParseError(f"cannot format {type(f).__name__}")

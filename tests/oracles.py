@@ -8,15 +8,18 @@ the complex fixed point, built from the public norm interface only.  The
 ``*_loop`` functions are the one-direction-at-a-time references for the
 batched radius estimates and Minkowski probe, and ``solve_real_scalar``,
 ``solve_complex_scalar`` and ``constructed_fp`` are the one-point
-references for the solves and metric builders on rows.
+references for the solves and metric builders on rows.  ``format_norm``
+writes a norm back as the descriptor ``parse_norm`` reads.
 """
 
 import math
 
 import numpy as np
 
-from projflat import (DomainError, SolveResult, SolverConfig, SolverError,
-                      catalog_entry, eval_catalog)
+from projflat import (BryantPair, CombinedNorm, DomainError, DoubleSqrtNorm,
+                      EuclideanNorm, HomogeneousFunction, RandersNorm,
+                      ScaledNorm, SolveResult, SolverConfig, SolverError,
+                      SpecParseError, ZeroNorm, catalog_entry, eval_catalog)
 from projflat.norms import combine
 from projflat.sampling import unit_directions
 from projflat.solver import BRACKET_EXPANSION
@@ -462,3 +465,22 @@ def convexity_check(metric, x, samples, eig_floor=1e-8):
         min_eig = min(min_eig, lam)
     return make_report("convexity", points, residuals, tolerance=-eig_floor,
                        extra={"min_eigenvalue": min_eig})
+
+
+def format_norm(f: HomogeneousFunction) -> str:
+    """Inverse of parse_norm for the enumerated families."""
+    if isinstance(f, ZeroNorm):
+        return "zero"
+    if isinstance(f, ScaledNorm):
+        return f"scaled:{f.scale:g}"
+    if isinstance(f, EuclideanNorm):
+        return "euclidean"
+    if isinstance(f, RandersNorm):
+        return "randers:" + ",".join(f"{v:g}" for v in f.drift)
+    if isinstance(f, DoubleSqrtNorm):
+        return f"{f.family}:{f.first_block},{f.second_block}"
+    if isinstance(f, BryantPair):
+        return f"bryant:{f.angle:g}"
+    if isinstance(f, CombinedNorm):
+        return "+".join(f"{c:g}*({format_norm(g)})" for c, g in f.terms)
+    raise SpecParseError(f"cannot format {type(f).__name__}")

@@ -227,6 +227,18 @@ def test_entry_parameter_validation():
         catalog_entry("dsr-new", 2, n=2, m=2)
 
 
+@pytest.mark.parametrize("name, params, message", [
+    ("bryant", {"alhpa": 0.3}, "'bryant' has no parameter alhpa"),
+    ("funk", {"lam": 3.0}, "'funk' has no parameter lam"),
+    ("zhou", {"d1": 0.5, "c": 1.0, "b": 2.0}, "'zhou' has no parameter b, c"),
+])
+def test_entry_rejects_unknown_parameters(name, params, message):
+    # a misspelt parameter must not silently give the default metric
+    with pytest.raises(SpecParseError) as info:
+        catalog_entry(name, 2, **params)
+    assert message in str(info.value)
+
+
 def test_parse_catalog_round_trip():
     texts = ["funk", "berwald", "space-form:-1", "bryant:0.5236",
              "dsr-new:1,1", "sph-k0:0.3,-", "sph-kneg1:0.3", "sph-kpos1:0.3",
@@ -240,6 +252,48 @@ def test_parse_catalog_round_trip():
         parse_catalog("funk:1", 2)
     with pytest.raises(SpecParseError):
         parse_catalog("zhou:0.5,1,x", 2)
+    # every entry with non-default parameters, at d = 3, equals the same
+    # catalog_entry
+    specs = [
+        ("space-form:0.5", {"lam": 0.5}),
+        ("funk", {}),
+        ("berwald", {}),
+        ("bryant:0.3", {"alpha": 0.3}),
+        ("dsr-new:2,1", {"n": 2, "m": 1}),
+        ("sph-k0:-0.4,+", {"c": -0.4, "branch": 1}),
+        ("sph-kneg1:-0.2", {"c": -0.2}),
+        ("sph-kpos1:0.6", {"c": 0.6}),
+        ("zhou:0.25,2,-", {"d1": 0.25, "d2": 2.0, "sign": -1}),
+    ]
+    x, y = np.array([0.05, -0.02, 0.03]), np.array([0.3, 1.0, -0.4])
+    for text, params in specs:
+        got = parse_catalog(text, 3)
+        want = catalog_entry(got.name, 3, **params)
+        assert dict(got.params) == params == dict(want.params), text
+        assert [type(v) for v in got.params.values()] == [type(v) for v in params.values()]
+        assert got.known_curvature == want.known_curvature, text
+        assert got.domain_radius == want.domain_radius, text
+        assert eval_catalog(got, x, y) == eval_catalog(want, x, y), text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("nope", "unknown catalog entry 'nope'"),
+    ("", "unknown catalog entry ''"),
+    ("funk:1", "'funk' takes 0 parameter(s), got 1"),
+    ("bryant:0.5,1", "'bryant' takes 1 parameter(s), got 2"),
+    ("zhou:0.5,1,+,2", "'zhou' takes 3 parameter(s), got 4"),
+    ("space-form:", "'space-form' takes 1 parameter(s), got 0"),
+    ("dsr-new:1", "'dsr-new' takes 2 parameter(s), got 1"),
+    ("zhou:0.5,1,x", "expected '+' or '-', got 'x'"),
+    ("sph-k0:0.3,2", "expected '+' or '-', got '2'"),
+    ("sph-kneg1:x", "could not convert string to float"),
+    ("dsr-new:1.5,1", "invalid literal for int()"),
+    ("bryant:2", "bryant angle must lie in (0, pi/2)"),
+])
+def test_parse_catalog_errors(text, message):
+    with pytest.raises(SpecParseError) as info:
+        parse_catalog(text, 2)
+    assert message in str(info.value)
 
 
 def test_all_entries_projectively_flat_with_known_curvature(rng):

@@ -19,6 +19,7 @@ from projflat.solver import SolverConfig
 
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def child_env(**extra):
@@ -213,6 +214,43 @@ def test_catalog_listing_in_one_dimension(capsys):
         for x, y in (([0.1], [1.0]), ([-0.2], [-0.5])):
             value = cli.cat.as_evaluator(entry).eval(x, y)
             assert math.isfinite(value) and value > 0.0
+
+
+def test_catalog_listing_is_pinned(capsys):
+    # stdout of `catalog --dim 1`, `2`, `3` and `5`, one line each, as
+    # listed before the entries were declared in one table
+    with open(os.path.join(DATA_DIR, "catalog_listing.txt")) as fh:
+        want = fh.read().splitlines(keepends=True)
+    got = [run_cli(capsys, "catalog", "--dim", dim)[:2] for dim in ("1", "2", "3", "5")]
+    assert got == [(0, line) for line in want]
+
+
+def test_parser_is_built_once_and_requests_stay_independent(capsys, tmp_path):
+    """Two main calls build one parser, and a mixed sequence of requests in
+    one process prints what each request prints with a parser of its own."""
+    requests = [
+        ["verify", "--metric", "catalog:funk", "--checks", "hamel,curvature",
+         "--samples", "4"],
+        ["eval", "--metric", "catalog:zhou:0.25,2,-", "--x", "0.1,0", "--y", "0,1"],
+        ["eval", "--metric", "catalog:funk", "--x", "0,0", "--y", "0,1", "--radius", "1"],
+        ["sample", "--metric", "catalog:sph-k0:-0.4,+", "--y", "0,1",
+         "--grid=-0.1:0.1:3,0:0.1:2", "--out", str(tmp_path / "grid.csv")],
+        ["compare", "--metric", "catalog:space-form:0.5", "--metric-b",
+         "catalog:space-form:0.5", "--samples", "5"],
+        ["catalog", "--dim", "3"],
+        ["verify", "--metric", "catalog:funk", "--checks", "hamel,curvature",
+         "--samples", "4"],
+    ]
+    alone = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv)[:2])
+    cli._build_parser.cache_clear()
+    mixed = [run_cli(capsys, *argv)[:2] for argv in requests]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(requests) - 1)
+    assert mixed == alone
+    assert [code for code, _ in mixed] == [0, 0, 2, 0, 0, 0, 0]
 
 
 def test_exit_code_parse_error(capsys):
@@ -426,7 +464,7 @@ def test_unexpected_exception_exits_internal(capsys, monkeypatch):
     def broken(args):
         return 1 / 0
 
-    monkeypatch.setattr(cli, "cmd_catalog", broken)
+    monkeypatch.setattr(cli.cat, "list_catalog", broken)
     code, out, err = run_cli(capsys, "catalog")
     assert code == 5
     assert out == ""

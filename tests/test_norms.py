@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import format_norm
+
 from projflat import (BryantPair, DimensionMismatchError, DomainError,
                       DoubleSqrtNorm, EuclideanNorm, RandersNorm, ScaledNorm,
                       SpecParseError, ZeroNorm, check_minkowski, combine,
-                      format_norm, parse_norm)
+                      parse_norm)
 
 FAMILIES_2D = [
     ZeroNorm(2),
@@ -156,15 +158,26 @@ def test_double_sqrt_gradient_on_block_axis():
 def test_double_sqrt_commutes_with_powers_of_two(plus, blocks):
     """eval_real(2^k v) == 2^k eval_real(v) and grad_real(2^k v) ==
     grad_real(v) bit for bit, also where the squares of 2^k v would
-    underflow or overflow."""
+    underflow or overflow.  eval_complex(2^k z) == 2^k eval_complex(z) bit
+    for bit on real and complex rows z, over the wider range of k where
+    the squares of a component underflow to subnormals or overflow (the
+    real methods reject a row whose squared length underflows to 0)."""
+    def times(z, k):
+        return np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k)
+
     f = DoubleSqrtNorm(sum(blocks), *blocks, plus=plus)
     rng = np.random.default_rng(sum(blocks) + plus)
     v = rng.choice([-1.0, 1.0], (20, f.dimension)) * rng.uniform(0.1, 1.0, (20, f.dimension))
+    v = np.vstack([v, np.diag(rng.uniform(-1.0, 1.0, f.dimension))])  # axis rows
     value, grad = f.eval_real(v), f.grad_real(v)
     for k in range(-490, 491):
         w = np.ldexp(v, k)
         np.testing.assert_array_equal(f.eval_real(w), np.ldexp(value, k))
         np.testing.assert_array_equal(f.grad_real(w), grad)
+    for z in (v + 0j, v + 1j * rng.uniform(-0.5, 0.5, v.shape)):
+        cvalue = f.eval_complex(z)
+        for k in range(-1000, 1001):
+            np.testing.assert_array_equal(f.eval_complex(times(z, k)), times(cvalue, k))
 
 
 def test_check_minkowski_euclidean():

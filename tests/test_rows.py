@@ -6,6 +6,8 @@ a failing row must raise what the one-point path raises, without
 touching the other rows.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -312,3 +314,22 @@ def test_point_guard_rejects_non_finite_points(spec):
     for i in (0, 2):
         assert np.isnan(rows.f[i])
         assert isinstance(rows.errors[i], DomainError) and "must be finite" in str(rows.errors[i])
+
+
+@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
+def test_point_guard_rejects_overflowing_squares_without_a_warning(spec):
+    """A finite x or y whose squared length overflows (or y whose squared
+    length underflows) raises the guard's DomainError with no numpy
+    warning, so it raises the same under ``-W error``."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    cases = [([0.0, 0.0], [1e200, 0.0], "must be finite"),
+             ([1e200, 0.0], [1.0, 0.0], "must be finite"),
+             ([0.0, 0.0], [1e-170, 1e-170], "y = 0")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y, message in cases:
+            with pytest.raises(DomainError, match=message):
+                metric.eval(x, y)
+        rows = metric.rows(np.array([x for x, _, _ in cases]), np.array([y for _, y, _ in cases]))
+    for exc, (_, _, message) in zip(rows.errors, cases):
+        assert isinstance(exc, DomainError) and message in str(exc)
