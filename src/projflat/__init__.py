@@ -11,9 +11,8 @@ from .construct import (MetricEvaluator, broken_metric, build_k0, build_kneg1,
                         build_kpos1)
 from .errors import (BranchCutError, DimensionMismatchError, DomainError,
                      ProjFlatError, SolverError, SpecParseError)
-from .norms import (BryantPair, CombinedNorm, DoubleSqrtNorm, EuclideanNorm,
-                    HomogeneousFunction, RandersNorm, ScaledNorm, ZeroNorm,
-                    combine, parse_norm)
+from .norms import (CombinedNorm, DoubleSqrtNorm, EuclideanNorm, HomogeneousFunction,
+                    RandersNorm, ScaledNorm, ZeroNorm, combine, parse_norms)
 from .solver import (SolveResult, SolverConfig, pair_radius_estimate,
                      radius_estimate, solve_complex, solve_real)
 from .verify import (GeodesicResult, VerificationReport,

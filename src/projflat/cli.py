@@ -24,7 +24,7 @@ from . import catalog as cat
 from .construct import (broken_metric, build_k0, build_kneg1, build_kpos1,
                         first_errors, raise_first)
 from .errors import DomainError, ProjFlatError, SolverError, SpecParseError
-from .norms import NORM_ARITY, parse_norm
+from .norms import parse_norms
 from .sampling import ball_points, sphere_points
 from .solver import SolverConfig
 from . import verify as vfy
@@ -67,14 +67,13 @@ def _require_positive(flag: str, value) -> None:
 def _solver_cfg(args) -> SolverConfig:
     """Solver settings from the flags that were given; SolverConfig holds
     the defaults and rejects out-of-range values."""
-    flags = {"tolerance": args.solver_tol, "max_iterations": args.solver_iters,
-             "damping": args.solver_damping}
+    flags = {"tolerance": args.solver_tol, "max_iterations": args.solver_iters}
     return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
 
 
 def parse_metric(text: str, dimension: int, cfg: SolverConfig):
-    """Build an evaluator from ``catalog:...``, ``construct:...`` or
-    ``test:broken``."""
+    """Build an evaluator from ``catalog:...``, ``construct:<K>:<psi>:<phi>``
+    (two norm descriptors; ``bryant:<alpha>`` names both) or ``test:broken``."""
     text = text.strip()
     if text == "test:broken":
         return broken_metric(dimension)
@@ -89,35 +88,15 @@ def parse_metric(text: str, dimension: int, cfg: SolverConfig):
         curvature = int(k_text)
     except ValueError as exc:
         raise SpecParseError(f"bad curvature '{k_text}'") from exc
-    if curvature not in (0, -1, 1):
+    # looked up per call, so a rebinding of the module names (bench/tracing.py
+    # wraps the builders) reaches every construction
+    builders = {0: build_k0, -1: build_kneg1, 1: build_kpos1}
+    if curvature not in builders:
         raise SpecParseError("curvature must be one of 0, -1, 1")
-    tokens = norm_part.split(":") if norm_part else []
-
-    def take_descriptor(pos):
-        if pos >= len(tokens):
-            return None, pos
-        fam = tokens[pos]
-        if fam not in NORM_ARITY:
-            raise SpecParseError(f"unknown norm family '{fam}'")
-        end = pos + 1 + NORM_ARITY[fam]
-        if end > len(tokens):
-            raise SpecParseError(f"norm '{fam}' is missing parameters")
-        return ":".join(tokens[pos:end]), end
-
-    psi_text, pos = take_descriptor(0)
-    if psi_text is None:
-        raise SpecParseError("construct spec needs at least one norm descriptor")
-    phi_text, pos = take_descriptor(pos)
-    if pos != len(tokens):
-        raise SpecParseError(f"trailing tokens in metric spec: {tokens[pos:]}")
-    psi = parse_norm(psi_text, dimension)
-    phi = parse_norm(phi_text, dimension) if phi_text is not None else None
-    if curvature == 1:
-        return build_kpos1(psi, phi, cfg)
-    if phi is None:
-        raise SpecParseError("curvature 0 and -1 constructions need two norms")
-    builder = build_k0 if curvature == 0 else build_kneg1
-    return builder(psi, phi, cfg)
+    norms = parse_norms(norm_part, dimension)
+    if len(norms) != 2:
+        raise SpecParseError(f"construct:<K> takes two norms, psi and phi; got {len(norms)}")
+    return builders[curvature](*norms, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +356,12 @@ def _build_parser() -> argparse.ArgumentParser:
         """--metric and the solver settings; --seed and --dim for a sweep."""
         p.add_argument("--metric", required=True,
                        help="catalog:<name[:params]> | "
-                            "construct:<K>:<psi>[:<phi>] | test:broken")
+                            "construct:<K>:<psi>:<phi> | test:broken")
         if sweep:
             p.add_argument("--seed", type=int, default=42)
             p.add_argument("--dim", type=int, default=2)
         p.add_argument("--solver-tol", type=float, default=None)
         p.add_argument("--solver-iters", type=int, default=None)
-        p.add_argument("--solver-damping", type=float, default=None)
 
     p = sub.add_parser("eval", help="F, P, and numeric K at one point")
     metric_flags(p)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ProjFlatError
-from .norms import (BryantPair, HomogeneousFunction, combine, lengths, per_row,
-                    scale_exponents, times_pow2)
+from .norms import (HomogeneousFunction, combine, lengths, per_row, scale_exponents,
+                    times_pow2)
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
@@ -214,7 +214,6 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
     """Flat (curvature 0) metric from origin data (psi, phi)."""
     if psi.dimension != phi.dimension:
         raise DomainError("psi and phi must share the dimension")
-    cfg = cfg or SolverConfig()
 
     def solve(x, y, with_f):
         res = solve_real(phi, x, y, cfg)
@@ -237,7 +236,6 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     """Curvature -1 metric from origin data (psi, phi)."""
     if psi.dimension != phi.dimension:
         raise DomainError("psi and phi must share the dimension")
-    cfg = cfg or SolverConfig()
     f_plus = combine((1.0, phi), (1.0, psi))
     f_minus = combine((1.0, phi), (-1.0, psi))
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
@@ -254,21 +252,11 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
         intended_curvature=-1.0, domain_radius=_domain_from(radius))
 
 
-def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction = None,
+def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction,
                 cfg: SolverConfig = None) -> MetricEvaluator:
-    """Curvature +1 metric from complex-extensible origin data.
-
-    A BryantPair may be passed alone (as ``psi``); it supplies both
-    components through phi + i psi = i e^{-i alpha} |y|.
-    """
-    if phi is None:
-        if not isinstance(psi, BryantPair):
-            raise DomainError("a single norm argument must be a bryant pair")
-        pair = psi
-        psi, phi = pair.psi_component, pair.phi_component
+    """Curvature +1 metric from origin data (psi, phi)."""
     if psi.dimension != phi.dimension:
         raise DomainError("psi and phi must share the dimension")
-    cfg = cfg or SolverConfig()
     radius = pair_radius_estimate(phi, psi)
 
     def solve(x, y, with_f):

@@ -13,8 +13,6 @@ arguments are always available:
 * ``dsr-a``       f(y) = sqrt(2)/2 * sqrt( sqrt(|u|^4 + |v|^4) - |u|^2 )
 * ``dsr-b``       f(y) = sqrt(2)/2 * sqrt( sqrt(|u|^4 + |v|^4) + |u|^2 )
                   where u, v are the two coordinate blocks of y
-* ``bryant-pair`` the packaged combination phi + i psi = i e^{-i alpha} |y|,
-                  i.e. phi = sin(alpha) |y| and psi = cos(alpha) |y|
 * ``combo``       a formal linear combination of the above (used for
                   phi +/- psi without numeric differentiation)
 
@@ -27,13 +25,15 @@ also when it underflows, is outside the domain of every family but
 ``zero``.
 
 Complex continuation uses principal square roots throughout (cut on the
-negative real axis, the cut itself resolved from above as in IEEE/numpy).
-``bryant-pair`` is the one family whose complex value at a real vector is
-genuinely complex; its ``eval_real`` returns the real component
-sin(alpha)|y|.
+negative real axis, the cut itself resolved from above as in IEEE/numpy),
+so at a real vector every family's complex value is its real value, up
+to rounding.
+
+``parse_norms`` reads descriptors such as ``scaled:0.3`` through one
+table, ``NORM_FAMILIES``; ``bryant:<alpha>`` names two norms, Bryant's
+origin data psi = cos(alpha)|y| and phi = sin(alpha)|y|.
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,44 +326,6 @@ class DoubleSqrtNorm(HomogeneousFunction):
 
 
 @dataclass(frozen=True)
-class BryantPair(HomogeneousFunction):
-    """The packaged pair phi + i psi = i e^{-i alpha} |y|, 0 < alpha < pi/2.
-
-    Restricted to real y the components are phi = sin(alpha)|y| and
-    psi = cos(alpha)|y|; ``eval_real`` returns phi.  ``eval_complex``
-    returns the full packaged value, so this family intentionally has a
-    nonzero imaginary part at real arguments.
-    """
-
-    angle: float = np.pi / 4.0
-
-    family = "bryant-pair"
-
-    def __post_init__(self):
-        if not 0.0 < self.angle < np.pi / 2.0:
-            raise SpecParseError("bryant-pair angle must lie in (0, pi/2)")
-
-    def eval_real(self, y):
-        return _value(float(np.sin(self.angle)) * lengths(self._vec(y)))
-
-    def eval_complex(self, z):
-        v, lone = self._cvec(z)
-        return _cvalue(1j * cmath.exp(-1j * self.angle) * np.sqrt(_csum_sq(v)), lone)
-
-    def grad_real(self, y) -> np.ndarray:
-        v = self._vec(y)
-        return float(np.sin(self.angle)) * v / lengths(v)[..., None]
-
-    @property
-    def phi_component(self) -> ScaledNorm:
-        return ScaledNorm(self.dimension, float(np.sin(self.angle)))
-
-    @property
-    def psi_component(self) -> ScaledNorm:
-        return ScaledNorm(self.dimension, float(np.cos(self.angle)))
-
-
-@dataclass(frozen=True)
 class CombinedNorm(HomogeneousFunction):
     """Formal linear combination sum_i c_i f_i of family members.
 
@@ -400,48 +362,56 @@ def combine(*weighted) -> CombinedNorm:
 # ---------------------------------------------------------------------------
 # descriptor mini-language
 
-# number of ':'-separated parameter tokens each family consumes
-NORM_ARITY = {
-    "zero": 0,
-    "euclidean": 0,
-    "scaled": 1,
-    "randers": 1,
-    "dsr-a": 1,
-    "dsr-b": 1,
-    "bryant": 1,
+
+def _block_sizes(text):
+    sizes = tuple(int(v) for v in text.split(","))
+    if len(sizes) != 2:
+        raise SpecParseError("dsr families take two block sizes")
+    return sizes
+
+
+def _bryant(dimension, angle):
+    """Bryant's origin data, psi = cos(alpha)|y| and phi = sin(alpha)|y|."""
+    alpha = float(angle)
+    if not 0.0 < alpha < np.pi / 2.0:
+        raise SpecParseError("bryant angle must lie in (0, pi/2)")
+    return (ScaledNorm(dimension, float(np.cos(alpha))),
+            ScaledNorm(dimension, float(np.sin(alpha))))
+
+
+# family -> (number of ':'-separated parameter groups, builder of the
+# norms the descriptor names from the dimension and those groups)
+NORM_FAMILIES = {
+    "zero": (0, lambda d: (ZeroNorm(d),)),
+    "euclidean": (0, lambda d: (EuclideanNorm(d),)),
+    "scaled": (1, lambda d, c: (ScaledNorm(d, float(c)),)),
+    "randers": (1, lambda d, a: (RandersNorm(d, tuple(float(v) for v in a.split(","))),)),
+    "dsr-a": (1, lambda d, nm: (DoubleSqrtNorm(d, *_block_sizes(nm), plus=False),)),
+    "dsr-b": (1, lambda d, nm: (DoubleSqrtNorm(d, *_block_sizes(nm), plus=True),)),
+    "bryant": (1, _bryant),
 }
 
 
-def parse_norm(text: str, dimension: int) -> HomogeneousFunction:
-    """Parse a norm descriptor: ``zero``, ``euclidean``, ``scaled:<c>``,
-    ``randers:<a1>,...,<an>``, ``dsr-a:<n>,<m>``, ``dsr-b:<n>,<m>``,
-    ``bryant:<alpha>``."""
-    parts = text.strip().split(":")
-    name = parts[0]
-    args = parts[1:]
-    if name not in NORM_ARITY:
-        raise SpecParseError(f"unknown norm family '{name}'")
-    if len(args) != NORM_ARITY[name]:
-        raise SpecParseError(f"norm '{name}' takes {NORM_ARITY[name]} parameter group(s)")
-    try:
-        if name == "zero":
-            return ZeroNorm(dimension)
-        if name == "euclidean":
-            return EuclideanNorm(dimension)
-        if name == "scaled":
-            return ScaledNorm(dimension, float(args[0]))
-        if name == "randers":
-            a = tuple(float(v) for v in args[0].split(","))
-            if len(a) != dimension:
-                raise SpecParseError("randers drift length must equal the dimension")
-            return RandersNorm(dimension, a)
-        if name in ("dsr-a", "dsr-b"):
-            nm = [int(v) for v in args[0].split(",")]
-            if len(nm) != 2:
-                raise SpecParseError("dsr families take two block sizes")
-            if nm[0] + nm[1] != dimension:
-                raise SpecParseError("dsr block sizes must sum to the dimension")
-            return DoubleSqrtNorm(dimension, nm[0], nm[1], plus=(name == "dsr-b"))
-        return BryantPair(dimension, float(args[0]))
-    except (ValueError, DimensionMismatchError) as exc:
-        raise SpecParseError(f"bad parameters for norm '{name}': {exc}") from exc
+def parse_norms(text: str, dimension: int) -> tuple:
+    """The norms named by ``text``, a ':'-separated run of descriptors.
+
+    Descriptors: ``zero``, ``euclidean``, ``scaled:<c>``,
+    ``randers:<a1>,...,<an>``, ``dsr-a:<n>,<m>``, ``dsr-b:<n>,<m>`` and
+    ``bryant:<alpha>``, which names two norms: cos(alpha)|y|, then
+    sin(alpha)|y|.
+    """
+    tokens = text.split(":") if text else []
+    norms = []
+    while tokens:
+        name = tokens.pop(0)
+        if name not in NORM_FAMILIES:
+            raise SpecParseError(f"unknown norm family '{name}'")
+        arity, build = NORM_FAMILIES[name]
+        if len(tokens) < arity:
+            raise SpecParseError(f"norm '{name}' is missing parameters")
+        args, tokens = tokens[:arity], tokens[arity:]
+        try:
+            norms += build(dimension, *args)
+        except ValueError as exc:  # also the families' own dimension checks
+            raise SpecParseError(f"bad parameters for norm '{name}': {exc}") from exc
+    return tuple(norms)

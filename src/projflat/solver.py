@@ -45,15 +45,12 @@ class SolverConfig:
 
     tolerance: float = 1e-13
     max_iterations: int = 200
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -249,11 +246,11 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
                   cfg: SolverConfig = None) -> SolveResult:
     """Solve Z = phi(y + x Z) + i psi(y + x Z) by damped Picard iteration.
 
-    Each row is seeded at phi(y) + i psi(y) and restarts from there with
-    half its damping when its iteration diverges, stalls above the
-    tolerance or hits the iteration cap.  The metric branch Im Z >= 0 is
-    enforced: a converged value with negative imaginary part is rejected
-    as a branch failure.
+    Each row is seeded at phi(y) + i psi(y) with damping 1 (plain Picard
+    steps) and restarts from there with half its damping when its
+    iteration diverges, stalls above the tolerance or hits the iteration
+    cap.  The metric branch Im Z >= 0 is enforced: a converged value with
+    negative imaginary part is rejected as a branch failure.
     """
     cfg = cfg or DEFAULT_CONFIG
     rows = _Rows(x, y, complex)
@@ -267,7 +264,7 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
 
     z0 = rows.evaluate(pair, every, rows.y, _complex_nonzero)
     scale = 1.0 + np.abs(z0)
-    damping = np.full(len(every), cfg.damping)
+    damping = np.ones(len(every))
     z = z0.copy()
     count = np.zeros(len(every), dtype=int)
     iterations = 0

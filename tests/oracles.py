@@ -9,14 +9,14 @@ the complex fixed point, built from the public norm interface only.  The
 batched radius estimates and Minkowski probe, and ``solve_real_scalar``,
 ``solve_complex_scalar`` and ``constructed_fp`` are the one-point
 references for the solves and metric builders on rows.  ``format_norm``
-writes a norm back as the descriptor ``parse_norm`` reads.
+writes a norm back as the descriptor ``parse_norms`` reads.
 """
 
 import math
 
 import numpy as np
 
-from projflat import (BryantPair, CombinedNorm, DomainError, DoubleSqrtNorm,
+from projflat import (CombinedNorm, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, HomogeneousFunction, RandersNorm,
                       ScaledNorm, SolveResult, SolverConfig, SolverError,
                       SpecParseError, ZeroNorm, catalog_entry, eval_catalog)
@@ -339,7 +339,7 @@ def solve_complex_scalar(phi, psi, x, y, cfg=None) -> SolveResult:
 
     z0 = _pair_value(phi, psi, y)
     scale = 1.0 + abs(z0)
-    damping = cfg.damping
+    damping = 1.0
     total_iters = 0
     for _ in range(8):
         z = z0
@@ -468,7 +468,7 @@ def convexity_check(metric, x, samples, eig_floor=1e-8):
 
 
 def format_norm(f: HomogeneousFunction) -> str:
-    """Inverse of parse_norm for the enumerated families."""
+    """Inverse of parse_norms for one norm of the enumerated families."""
     if isinstance(f, ZeroNorm):
         return "zero"
     if isinstance(f, ScaledNorm):
@@ -479,8 +479,6 @@ def format_norm(f: HomogeneousFunction) -> str:
         return "randers:" + ",".join(f"{v:g}" for v in f.drift)
     if isinstance(f, DoubleSqrtNorm):
         return f"{f.family}:{f.first_block},{f.second_block}"
-    if isinstance(f, BryantPair):
-        return f"bryant:{f.angle:g}"
     if isinstance(f, CombinedNorm):
         return "+".join(f"{c:g}*({format_norm(g)})" for c, g in f.terms)
     raise SpecParseError(f"cannot format {type(f).__name__}")

@@ -10,12 +10,12 @@ import pytest
 
 import oracles
 from oracles import bryant_all_real, implicit_derivatives, zhou_reduction_check
-from projflat import (BryantPair, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
-                      ScaledNorm, ZeroNorm, as_evaluator, broken_metric,
-                      build_k0, build_kneg1, build_kpos1, catalog_entry,
+from projflat import (DoubleSqrtNorm, EuclideanNorm, RandersNorm, ScaledNorm,
+                      ZeroNorm, as_evaluator, broken_metric, build_k0,
+                      build_kneg1, build_kpos1, catalog_entry,
                       collinearity_score, eval_catalog, flag_curvature,
                       hamel_residual, integrate_geodesic, master_pde_residual,
-                      projective_factor_numeric, solve_real)
+                      parse_norms, projective_factor_numeric, solve_real)
 from projflat.sampling import ball_points, sphere_points
 
 E2 = EuclideanNorm(2)
@@ -86,7 +86,6 @@ def _matched_k0_branch(c):
 
 def test_criterion_05_constructor_catalog_equivalence():
     c = 0.3
-    pair = BryantPair(2, np.pi / 6)
     cases = {
         "a: k0(|y|,|y|) = berwald": (
             build_k0(E2, E2), as_evaluator(catalog_entry("berwald", 2)), 0.4),
@@ -98,7 +97,8 @@ def test_criterion_05_constructor_catalog_equivalence():
         "d: kpos1(|y|,0) = space form +1": (
             build_kpos1(E2, Z2), as_evaluator(catalog_entry("space-form", 2, lam=1.0)), 0.4),
         "e: kpos1(bryant pair) = bryant": (
-            build_kpos1(pair), as_evaluator(catalog_entry("bryant", 2, alpha=np.pi / 6)), 0.3),
+            build_kpos1(*parse_norms(f"bryant:{np.pi / 6!r}", 2)),
+            as_evaluator(catalog_entry("bryant", 2, alpha=np.pi / 6)), 0.3),
         "f: k0(|y|,c|y|) = sph-k0": (
             build_k0(E2, ScaledNorm(2, c)), _matched_k0_branch(c), 0.5),
         "g: kneg1(|y|,c|y|) = sph-kneg1": (

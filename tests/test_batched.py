@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import oracles
-from projflat import (BryantPair, DimensionMismatchError, DomainError,
-                      DoubleSqrtNorm, EuclideanNorm, HomogeneousFunction,
-                      RandersNorm, ScaledNorm, ZeroNorm, build_k0, build_kneg1,
-                      build_kpos1, check_minkowski, combine,
-                      pair_radius_estimate, radius_estimate)
+from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
+                      EuclideanNorm, HomogeneousFunction, RandersNorm,
+                      ScaledNorm, ZeroNorm, build_k0, build_kneg1, build_kpos1,
+                      check_minkowski, combine, pair_radius_estimate,
+                      parse_norms, radius_estimate)
 from projflat.verify import hessian_from, hessian_points
 
 # (dimension, dsr block split)
@@ -26,7 +26,7 @@ def families(d, blocks):
     out = [ZeroNorm(d), EuclideanNorm(d), ScaledNorm(d, 0.5), ScaledNorm(d, -0.7),
            RandersNorm(d, drift), RandersNorm(d, tuple(np.linspace(0.9, 1.2, d))),
            DoubleSqrtNorm(d, *blocks, plus=True), DoubleSqrtNorm(d, *blocks, plus=False),
-           BryantPair(d, np.pi / 6)]
+           ScaledNorm(d, float(np.cos(np.pi / 6)))]  # bryant's psi at alpha = pi/6
     out += [combine((1.0, out[4]), (1.0, out[1])), combine((1.0, out[4]), (-1.0, out[2]))]
     return out
 
@@ -155,7 +155,7 @@ def norm_calls(monkeypatch):
     (build_k0, lambda d: (EuclideanNorm(d), RandersNorm(d, (0.2,) + (0.1,) * (d - 1))), 1),
     # phi +/- psi are two-term combinations: 3 gradient calls each
     (build_kneg1, lambda d: (EuclideanNorm(d), ScaledNorm(d, 0.3)), 6),
-    (build_kpos1, lambda d: (BryantPair(d, 0.5236),), 2),
+    (build_kpos1, lambda d: parse_norms("bryant:0.5236", d), 2),
 ], ids=["k0", "kneg1", "kpos1"])
 def test_builders_make_a_fixed_number_of_norm_calls(norm_calls, d, build, args, grads):
     """One radius estimate is one grad_real call per norm, whatever the 256

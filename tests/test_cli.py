@@ -370,9 +370,48 @@ def test_metric_spec_parsing_errors():
         parse_metric("construct:0:euclidean", 2, cfg)
     with pytest.raises(Exception):
         parse_metric("banana", 2, cfg)
-    # pair mode: a single descriptor is only valid for curvature +1 bryant
+    # bryant:<alpha> names both norms
     m = parse_metric("construct:1:bryant:0.5236", 2, cfg)
     assert m.kind == "constructed-Kpos1"
+
+
+# construct:<K> takes exactly two norms; bryant:<alpha> counts as two
+@pytest.mark.parametrize("spec, code, kind", [
+    ("construct:1:euclidean", 2, "parse"),
+    ("construct:1:euclidean:bryant:0.5", 2, "parse"),
+    ("construct:1:bryant:0.5:euclidean", 2, "parse"),
+    ("construct:0:bryant:0.5:euclidean", 2, "parse"),
+    ("construct:0:bryant:0.5", 0, None),
+    ("construct:-1:bryant:0.5", 0, None),
+    ("construct:1:bryant:0.5", 0, None),
+    ("construct:0", 2, "parse"),
+    ("construct:2:euclidean:zero", 2, "parse"),
+    ("construct:0:nope:zero", 2, "parse"),
+    ("construct:1:bryant", 2, "parse"),
+    ("construct:1:bryant:2.0", 2, "parse"),
+    ("construct:0:randers:0.1:zero", 2, "parse"),
+    ("construct:1:dsr-b:1,1:dsr-a:2,1", 2, "parse"),
+])
+def test_construct_spec_grammar(capsys, spec, code, kind):
+    got, out, err = run_cli(capsys, "eval", "--metric", spec, "--x", "0.1,0", "--y", "0,1")
+    assert got == code, err
+    if kind is None:
+        assert set(json.loads(out)) == {"F", "P", "K_numeric"}
+    else:
+        assert out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["type"] == kind
+
+
+def test_construct_bryant_output_is_pinned(capsys):
+    # stdout as printed while bryant:<alpha> was a packaged pair norm
+    with open(os.path.join(DATA_DIR, "construct_bryant.txt")) as fh:
+        want = fh.read().splitlines(keepends=True)
+    spec = "construct:1:bryant:0.5236"
+    got = [run_cli(capsys, *argv)[:2] for argv in (
+        ("eval", "--metric", spec, "--x", "0.1,0", "--y", "0,1"),
+        ("verify", "--metric", spec, "--checks", "hamel,pde", "--samples", "4"),
+        ("compare", "--metric", spec, "--metric-b", "catalog:bryant:0.5236"))]
+    assert got == [(0, line) for line in want]
 
 
 def test_module_entry_point(tmp_path):
@@ -417,7 +456,7 @@ FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
       "--out", "unused.csv"), "non-finite"),
     (BRYANT_EVAL + ("--solver-tol", "0"), "tolerance"),
     (BRYANT_EVAL + ("--solver-iters", "0"), "max_iterations"),
-    (BRYANT_EVAL + ("--solver-damping", "0"), "damping"),
+    (BRYANT_EVAL + ("--solver-damping", "0"), "unrecognized arguments: --solver-damping"),
     (FUNK_GEODESIC + ("--t-end", "nan"), "--t-end"),
     (FUNK_GEODESIC + ("--t-end", "inf"), "--t-end"),
     (FUNK_GEODESIC + ("--t-end", "0"), "--t-end"),
@@ -445,7 +484,7 @@ FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
       "--out", "unused.csv", "--seed", "1"), "--seed"),
     (FUNK_GEODESIC + ("--dim", "2"), "--dim"),
     (("catalog", "--solver-tol", "0", "--solver-iters", "-3"), "--solver-tol"),
-    (("catalog", "--solver-damping", "0.5"), "--solver-damping"),
+    (("catalog", "--solver-damping", "0.5"), "unrecognized arguments: --solver-damping"),
     (("catalog", "--seed", "1"), "--seed"),
     (("catalog", "--dim", "0"), "--dim"),
     (("catalog", "--dim", "-2"), "--dim"),

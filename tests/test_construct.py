@@ -1,16 +1,17 @@
 """Builders: oracle equivalence, origin recovery, transport identities."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import oracles
-from projflat import (BryantPair, DomainError, DoubleSqrtNorm, EuclideanNorm,
+from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm,
                       ProjFlatError, RandersNorm, ScaledNorm, ZeroNorm,
                       broken_metric, build_k0, build_kneg1, build_kpos1,
                       check_minkowski, master_pde_residual)
-from projflat.cli import main
+from projflat.cli import main, parse_metric
 from projflat.sampling import ball_points, sphere_points
 
 E2 = EuclideanNorm(2)
@@ -72,14 +73,13 @@ def test_kpos1_zero_drift_is_positive_space_form(rng):
 
 
 def test_kpos1_bryant_pair_matches_radical_form(rng):
-    m = build_kpos1(BryantPair(2, np.pi / 6))
-    sweep_compare(m, lambda x, y: oracles.bryant_abcd(np.pi / 6, x, y), rng, 0.3,
-                  tol=1e-8)
-    # the explicit scaled-component route builds the same metric
-    pair = BryantPair(2, np.pi / 6)
-    m2 = build_kpos1(pair.psi_component, pair.phi_component)
+    alpha = np.pi / 6
+    m = build_kpos1(ScaledNorm(2, float(np.cos(alpha))), ScaledNorm(2, float(np.sin(alpha))))
+    sweep_compare(m, lambda x, y: oracles.bryant_abcd(alpha, x, y), rng, 0.3, tol=1e-8)
+    # the bryant descriptor names the same two norms
+    m2 = parse_metric(f"construct:1:bryant:{alpha!r}", 2, None)
     x, y = np.array([0.2, -0.1]), np.array([0.7, 0.7])
-    assert m.eval(x, y) == pytest.approx(m2.eval(x, y), abs=1e-13)
+    assert m.eval(x, y) == m2.eval(x, y)
 
 
 def test_kpos1_double_sqrt_matches_closed_form(rng):
@@ -115,6 +115,50 @@ def test_origin_recovery_all_builders(rng):
                 assert abs(m.eval(zero, y) - psi.eval_real(y)) <= 1e-10
                 assert abs(m.projective_factor_exact(zero, y)
                            - phi.eval_real(y)) <= 1e-10
+
+
+def reference_values(descriptor, y):
+    """One norm descriptor's values at the rows ``y``, from its formula."""
+    name, _, arg = descriptor.partition(":")
+    length = np.sqrt(np.sum(y * y, axis=1))
+    if name == "zero":
+        return np.zeros(len(y))
+    if name == "euclidean":
+        return length
+    if name == "scaled":
+        return float(arg) * length
+    if name == "randers":
+        return length + y @ np.array([float(a) for a in arg.split(",")])
+    n = int(arg.split(",")[0])
+    uu, ww = np.sum(y[:, :n] ** 2, axis=1), np.sum(y[:, n:] ** 2, axis=1)
+    s = np.hypot(uu, ww)
+    return np.sqrt((s + uu) / 2.0) if name == "dsr-b" else np.sqrt(ww * ww / (s + uu) / 2.0)
+
+
+def origin_cases(d):
+    """(norm part of a construct: spec, psi descriptor, phi descriptor)."""
+    drift = "randers:" + ",".join(["0.2", "-0.1", "0.05"][:d])
+    psis = ["euclidean", "scaled:0.7", drift, f"dsr-b:1,{d - 1}"]
+    phis = ["zero", "euclidean", "scaled:-0.3", drift, f"dsr-a:1,{d - 1}"]
+    cases = [(f"{psi}:{phi}", psi, phi) for psi in psis for phi in phis]
+    for alpha in (0.5236, 0.3):
+        cases.append((f"bryant:{alpha}", f"scaled:{math.cos(alpha)!r}",
+                      f"scaled:{math.sin(alpha)!r}"))
+    return cases
+
+
+@pytest.mark.parametrize("d, k, norms, psi, phi", [
+    pytest.param(d, k, norms, psi, phi, id=f"d{d}-K{k}-{norms}")
+    for d in (2, 3) for k in (0, -1, 1) for norms, psi, phi in origin_cases(d)])
+def test_spec_origin_data_is_psi_and_phi(d, k, norms, psi, phi):
+    """F(0, .) = psi and P(0, .) = phi for every construct: spec."""
+    metric = parse_metric(f"construct:{k}:{norms}", d, None)
+    y = np.random.default_rng(d).standard_normal((12, d))
+    y[-2:] *= np.array([[1e-20], [1e20]])  # rows the evaluator rescales
+    rows = metric.rows(np.zeros_like(y), y, with_p=True)
+    assert rows.errors == [None] * len(y)
+    for got, want in ((rows.f, reference_values(psi, y)), (rows.p, reference_values(phi, y))):
+        assert (np.abs(got - want) <= 1e-12 * np.abs(want)).all(), (got, want)
 
 
 def test_homogeneity_in_y(rng):
@@ -183,11 +227,6 @@ def test_minkowski_flagging(capsys):
                  "--checks", "convexity"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["checks"]["convexity"]["pass"] is False
-
-
-def test_pair_mode_requires_bryant():
-    with pytest.raises(DomainError):
-        build_kpos1(E2)
 
 
 def test_broken_metric_evaluates():

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import format_norm
 
-from projflat import (BryantPair, DimensionMismatchError, DomainError,
-                      DoubleSqrtNorm, EuclideanNorm, RandersNorm, ScaledNorm,
-                      SpecParseError, ZeroNorm, check_minkowski, combine,
-                      parse_norm)
+from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
+                      EuclideanNorm, RandersNorm, ScaledNorm, SpecParseError,
+                      ZeroNorm, check_minkowski, combine, parse_norms)
 
 FAMILIES_2D = [
     ZeroNorm(2),
@@ -22,7 +21,6 @@ FAMILIES_2D = [
     RandersNorm(2, (0.3, -0.1)),
     DoubleSqrtNorm(2, 1, 1, plus=True),
     DoubleSqrtNorm(2, 1, 1, plus=False),
-    BryantPair(2, np.pi / 6),
 ]
 
 
@@ -88,26 +86,12 @@ def test_euler_relation(rng):
 
 def test_complex_restriction_matches_real(rng):
     for f in FAMILIES_2D:
-        if f.family == "bryant-pair":
-            continue
         for _ in range(25):
             y = rng.standard_normal(2)
             if np.linalg.norm(y) < 1e-9:
                 continue
             z = f.eval_complex(y.astype(complex))
             assert abs(z - f.eval_real(y)) <= 1e-12 * (1.0 + abs(z))
-
-
-def test_bryant_pair_packaging():
-    pair = BryantPair(2, np.pi / 6)
-    z = pair.eval_complex(np.array([0.0, 1.0], dtype=complex))
-    expected = 1j * cmath.exp(-1j * np.pi / 6)
-    assert abs(z - expected) < 1e-14
-    assert z.real == pytest.approx(np.sin(np.pi / 6), abs=1e-15)
-    assert z.imag == pytest.approx(np.cos(np.pi / 6), abs=1e-15)
-    # components are the matching scaled norms
-    y = np.array([1.3, -0.4])
-    assert pair.eval_real(y) == pytest.approx(pair.phi_component.eval_real(y), abs=1e-15)
 
 
 def test_principal_branch_square_root():
@@ -245,19 +229,27 @@ def test_descriptor_round_trip():
     texts = ["zero", "euclidean", "scaled:0.5", "randers:0.3,-0.1",
              "dsr-a:1,1", "dsr-b:1,1", "bryant:0.5236"]
     for text in texts:
-        f = parse_norm(text, 2)
-        again = parse_norm(format_norm(f), 2)
-        assert type(again) is type(f)
+        for f in parse_norms(text, 2):
+            (again,) = parse_norms(format_norm(f), 2)
+            assert type(again) is type(f)
+
+
+def test_descriptors_name_norms_in_order():
+    alpha = 0.5236
+    bryant = (ScaledNorm(3, float(np.cos(alpha))), ScaledNorm(3, float(np.sin(alpha))))
+    assert parse_norms("bryant:0.5236", 3) == bryant
+    assert parse_norms("euclidean:bryant:0.5236:zero", 3) == (
+        (EuclideanNorm(3),) + bryant + (ZeroNorm(3),))
+    assert parse_norms("dsr-b:2,1:randers:0.1,0,0.2", 3) == (
+        DoubleSqrtNorm(3, 2, 1, plus=True), RandersNorm(3, (0.1, 0.0, 0.2)))
+    assert parse_norms("", 3) == ()
 
 
 def test_descriptor_errors():
-    with pytest.raises(SpecParseError):
-        parse_norm("nope", 2)
-    with pytest.raises(SpecParseError):
-        parse_norm("scaled", 2)
-    with pytest.raises(SpecParseError):
-        parse_norm("randers:0.1", 2)
-    with pytest.raises(SpecParseError):
-        parse_norm("dsr-a:2,2", 2)
-    with pytest.raises(SpecParseError):
-        parse_norm("bryant:2.0", 2)  # angle outside (0, pi/2)
+    # unknown family, missing parameter, drift or blocks that do not fit
+    # d = 2, angle outside (0, pi/2), one or three block sizes, a bad
+    # number, an empty descriptor after a ':'
+    for text in ("nope", "scaled", "randers:0.1", "dsr-a:2,2", "bryant:2.0", "bryant:0",
+                 "dsr-a:1", "dsr-b:1,1,0", "scaled:x", "euclidean:"):
+        with pytest.raises(SpecParseError):
+            parse_norms(text, 2)

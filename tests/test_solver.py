@@ -7,10 +7,10 @@ import pytest
 
 import oracles
 from oracles import implicit_derivatives
-from projflat import (BryantPair, DomainError, EuclideanNorm, RandersNorm,
-                      ScaledNorm, SolverConfig, SolverError, ZeroNorm, combine,
-                      pair_radius_estimate, radius_estimate, solve_complex,
-                      solve_real)
+from projflat import (DomainError, EuclideanNorm, RandersNorm, ScaledNorm,
+                      SolverConfig, SolverError, ZeroNorm, combine,
+                      pair_radius_estimate, parse_norms, radius_estimate,
+                      solve_complex, solve_real)
 from projflat.sampling import ball_points, sphere_points
 
 
@@ -222,17 +222,18 @@ def test_complex_space_form_value():
 
 
 def test_complex_bryant_pair_matches_radicals():
-    pair = BryantPair(2, np.pi / 6)
+    psi, phi = parse_norms(f"bryant:{np.pi / 6!r}", 2)
     x, y = np.array([0.2, 0.1]), np.array([1.0, 0.0])
-    res = solve_complex(pair.phi_component, pair.psi_component, x, y)
+    res = solve_complex(phi, psi, x, y)
     assert res.value.imag == pytest.approx(oracles.bryant_abcd(np.pi / 6, x, y), abs=1e-9)
 
 
 def test_complex_picard_agrees_with_nested(rng):
+    bryant_psi, bryant_phi = parse_norms(f"bryant:{np.pi / 4!r}", 2)
     cases = [
         (ZeroNorm(2), EuclideanNorm(2), 0.35),
         (ScaledNorm(2, 0.3), EuclideanNorm(2), 0.3),
-        (BryantPair(2, np.pi / 4).phi_component, BryantPair(2, np.pi / 4).psi_component, 0.3),
+        (bryant_phi, bryant_psi, 0.3),
     ]
     for phi, psi, r in cases:
         for _ in range(10):
