@@ -32,6 +32,7 @@ import numpy as np
 
 from .construct import MetricEvaluator
 from .errors import BranchCutError, DomainError, SpecParseError
+from .norms import finite_float
 
 _MARGIN = 1e-12
 
@@ -228,24 +229,24 @@ def _sign(value) -> int:
 class _Row:
     """One entry, declared once: its parameters, their check and its formula."""
 
-    params: tuple  # (name, type, default) per parameter, in spec order
+    params: tuple  # (name, conversion, default) per parameter, in spec order
     check: Callable  # check(dimension, *values) -> (known curvature, radius)
     formula: Callable  # formula(*values, x, y) -> F
 
 
 _TABLE = {
-    "space-form": _Row((("lam", float, -1.0),),
+    "space-form": _Row((("lam", finite_float, -1.0),),
                        lambda d, lam: (lam, math.inf if lam >= 0.0 else 1.0 / math.sqrt(-lam)),
                        _eval_space_form),
     "funk": _Row((), lambda d: (-0.25, 1.0), _eval_funk),
     "berwald": _Row((), lambda d: (0.0, 1.0), _eval_berwald),
-    "bryant": _Row((("alpha", float, math.pi / 4.0),), _check_bryant, _eval_bryant),
+    "bryant": _Row((("alpha", finite_float, math.pi / 4.0),), _check_bryant, _eval_bryant),
     "dsr-new": _Row((("n", int, 1), ("m", int, 1)), _check_double_sqrt, _eval_double_sqrt),
-    "sph-k0": _Row((("c", float, 0.3), ("branch", _sign, -1)), _check_sph_k0, _eval_sph_k0),
-    "sph-kneg1": _Row((("c", float, 0.3),), lambda d, c: (-1.0, 1.0 / (1.0 + abs(c))),
+    "sph-k0": _Row((("c", finite_float, 0.3), ("branch", _sign, -1)), _check_sph_k0, _eval_sph_k0),
+    "sph-kneg1": _Row((("c", finite_float, 0.3),), lambda d, c: (-1.0, 1.0 / (1.0 + abs(c))),
                       _eval_sph_kneg1),
-    "sph-kpos1": _Row((("c", float, 0.3),), lambda d, c: (1.0, 1.0), _eval_sph_kpos1),
-    "zhou": _Row((("d1", float, 0.5), ("d2", float, 1.0), ("sign", _sign, 1)),
+    "sph-kpos1": _Row((("c", finite_float, 0.3),), lambda d, c: (1.0, 1.0), _eval_sph_kpos1),
+    "zhou": _Row((("d1", finite_float, 0.5), ("d2", finite_float, 1.0), ("sign", _sign, 1)),
                  _check_zhou, _eval_zhou),
 }
 

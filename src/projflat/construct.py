@@ -32,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ProjFlatError
-from .norms import (HomogeneousFunction, combine, lengths, per_row, scale_exponents,
-                    times_pow2)
+from .norms import HomogeneousFunction, combine, lengths, per_row
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
@@ -155,14 +154,12 @@ class MetricEvaluator:
             for i in np.flatnonzero(length > self.domain_radius * (1.0 + 1e-12)):
                 errors[i] = errors[i] or DomainError(self._radius_message(length[i]))
         ok = np.array([exc is None for exc in errors], dtype=bool)
-        # the solves stop on absolute floors: solve tiny and huge rows rescaled
-        e = scale_exponents(y[ok])
-        f, p, fields, solved = self.solve(x[ok], np.ldexp(y[ok], -e[:, None]), with_f)
+        f, p, fields, solved = self.solve(x[ok], y[ok], with_f)
         for i, exc in zip(np.flatnonzero(ok), solved):
             errors[i] = exc
-        return RowValues(_spread(times_pow2(f, e), ok) if with_f else None,
-                         _spread(times_pow2(p, e), ok) if with_p else None,
-                         tuple(_spread(times_pow2(v, e), ok) for v in fields), errors)
+        return RowValues(_spread(f, ok) if with_f else None,
+                         _spread(p, ok) if with_p else None,
+                         tuple(_spread(v, ok) for v in fields), errors)
 
     def eval(self, x, y) -> float:
         """Metric value F(x, y); positive for y != 0 inside the domain."""

@@ -24,6 +24,21 @@ values or ``(N, n)`` gradients.  A real row whose squared length is 0,
 also when it underflows, is outside the domain of every family but
 ``zero``.
 
+These public methods are implemented once, in ``HomogeneousFunction``:
+they check the input (dimension, finite components, no zero real row),
+evaluate each row at ``y * 2^-e`` with e from ``scale_exponents``, and
+scale a value back by ``2^e`` (``times_pow2``); a gradient has degree 0
+and needs no scale-back.  A power-of-two rescale is exact, so squares
+that would underflow or overflow cost no accuracy, and every family
+commutes with power-of-two scaling bit for bit.  A family implements
+only its row kernels ``_real``, ``_grad`` and ``_complex``.  A kernel
+takes 2-D rows ``(N, n)`` that are finite and in range, with no square
+that underflows or overflows (true of a row whose largest component lies
+in [2^-8, 2^8)), nonzero for ``_real`` and ``_grad``, complex for
+``_complex``; it checks nothing and raises no library error.
+The solvers check and range-scale their rows once per solve and then
+call the kernels directly.
+
 Complex continuation uses principal square roots throughout (cut on the
 negative real axis, the cut itself resolved from above as in IEEE/numpy),
 so at a real vector every family's complex value is its real value, up
@@ -70,70 +85,96 @@ def times_pow2(values, e):
     return out
 
 
-def _value(out):
-    """A lone vector's value as a float; rows stay an array."""
-    return float(out) if np.ndim(out) == 0 else out
-
-
 @dataclass(frozen=True)
 class HomogeneousFunction:
-    """Base class: a positively homogeneous function of degree one on R^n."""
+    """Base class: a positively homogeneous function of degree one on R^n.
+
+    A family implements three row kernels, ``_real(v)``, ``_grad(v)`` and
+    ``_complex(v)``: the value, the gradient and the complex value on 2-D
+    rows ``(N, n)``, computed with no checks.  The public methods check
+    their input, bring each row into range by a power of two, call the
+    kernel and scale the result back.
+    """
 
     dimension: int
 
     family = "abstract"
+    zero_ok = False  # whether the real domain holds y = 0
+
+    def _real(self, v):
+        raise NotImplementedError
+
+    def _grad(self, v):
+        raise NotImplementedError
+
+    def _complex(self, v):
+        raise NotImplementedError
 
     def eval_real(self, y):
-        raise NotImplementedError
-
-    def eval_complex(self, z):
-        raise NotImplementedError
+        """f(y): a float for one vector, an array of values for rows."""
+        return _unwrap(self._in_range(self._real, self._vec(y), scale_back=True))
 
     def grad_real(self, y) -> np.ndarray:
-        raise NotImplementedError
+        """The gradient of f at y, shaped like y."""
+        return self._in_range(self._grad, self._vec(y), scale_back=False)
+
+    def eval_complex(self, z):
+        """The principal continuation of f at z: a complex for one vector,
+        an array of values for rows."""
+        return _unwrap(self._in_range(self._complex, self._cvec(z), scale_back=True))
 
     def __call__(self, y) -> float:
         return self.eval_real(y)
 
     # -- shared input handling -------------------------------------------
 
-    def _vec(self, y, allow_zero=False) -> np.ndarray:
-        """``y`` as floats, checked along the last axis: ``dimension``
-        components, all finite, and (unless ``allow_zero``) no zero row."""
-        v = np.asarray(y, dtype=float)
+    def _in_range(self, kernel, v, scale_back):
+        """``kernel`` on ``v`` as rows, each row at ``v * 2^-e``
+        (``scale_exponents``); a value (degree 1) is scaled back by 2^e, a
+        gradient (degree 0) needs no scale-back.
+
+        A lone vector is computed as a single row, so it gets the bits the
+        same row gets among others: numpy's complex products can differ
+        from its scalar products in the last ulp.
+        """
+        rows = v.reshape(-1, self.dimension)
+        e = scale_exponents(rows)
+        out = kernel(times_pow2(rows, -e[:, None]))
+        if scale_back:
+            out = times_pow2(out, e)
+        return out.reshape(v.shape[:-1] + out.shape[1:])
+
+    def _checked(self, v):
+        """``v`` if it has ``dimension`` components along the last axis, all finite."""
         if v.shape[-1:] != (self.dimension,):
             got = v.shape[-1] if v.ndim else v.size
             raise DimensionMismatchError(
                 f"expected {self.dimension} components, got {got}")
         if not np.isfinite(v).all():
             raise DomainError("non-finite vector")
-        # a squared length of 0 is the zero row, also when it underflows
-        if not allow_zero and (np.vecdot(v, v) == 0.0).any():
-            raise DomainError("y = 0 is outside the domain of this family")
+        return v
+
+    def _vec(self, y) -> np.ndarray:
+        """``y`` as floats, checked along the last axis: ``dimension``
+        components, all finite, and (unless ``zero_ok``) no zero row."""
+        v = self._checked(np.asarray(y, dtype=float))
+        if not self.zero_ok:
+            # a squared length of 0 is the zero row, also when it underflows;
+            # one that overflows is not, and the rescale evaluates it
+            with np.errstate(over="ignore"):
+                if (np.vecdot(v, v) == 0.0).any():
+                    raise DomainError("y = 0 is outside the domain of this family")
         return v
 
     def _cvec(self, z):
-        """``z`` as rows of complex numbers, ``dimension`` components each,
-        all finite, and whether it was one vector.
-
-        One vector is computed as a single row: numpy's complex products
-        can differ from its scalar (and Python's) products in the last
-        ulp, and the same array path keeps a row's value independent of
-        the rows around it.
-        """
-        v = np.asarray(z, dtype=complex)
-        if v.shape[-1:] != (self.dimension,):
-            got = v.shape[-1] if v.ndim else v.size
-            raise DimensionMismatchError(
-                f"expected {self.dimension} components, got {got}")
-        if not np.isfinite(v).all():
-            raise DomainError("non-finite vector")
-        return np.atleast_2d(v), v.ndim == 1
+        """``z`` as complex numbers, ``dimension`` components along the
+        last axis, all finite."""
+        return self._checked(np.asarray(z, dtype=complex))
 
 
-def _cvalue(out, lone):
-    """A lone vector's complex value as a complex; rows stay an array."""
-    return complex(out[0]) if lone else out
+def _unwrap(out):
+    """A lone vector's value as a Python float or complex; rows stay an array."""
+    return out.item() if out.ndim == 0 else out
 
 
 def _csum_sq(v: np.ndarray):
@@ -145,8 +186,9 @@ def per_row(fn, v):
     """``fn`` on the rows ``v`` in one call, and each row's error.
 
     Returns ``(values, errors)``.  When the call raises a library error,
-    ``fn`` runs again row by row: a failing row gets nan and the error it
-    raises alone, the other rows their values.
+    ``fn`` runs again row by row: a failing row gets nan (a nan row of
+    the shape the other rows' values have) and the error it raises alone,
+    the other rows their values.
     """
     try:
         return fn(v), [None] * len(v)
@@ -158,25 +200,27 @@ def per_row(fn, v):
             values.append(fn(row))
             errors.append(None)
         except ProjFlatError as exc:
-            values.append(np.nan)
+            values.append(None)
             errors.append(exc.with_traceback(None))  # no frame cycle
-    return np.array(values), errors
+    shape = next((np.shape(value) for value in values if value is not None), ())
+    return np.array([np.full(shape, np.nan) if value is None else value
+                     for value in values]), errors
 
 
 class ZeroNorm(HomogeneousFunction):
     """The zero function; the drift-free origin datum."""
 
     family = "zero"
+    zero_ok = True
 
-    def eval_real(self, y):
-        return _value(np.zeros(self._vec(y, allow_zero=True).shape[:-1]))
+    def _real(self, v):
+        return np.zeros(len(v))
 
-    def eval_complex(self, z):
-        v, lone = self._cvec(z)
-        return _cvalue(np.zeros(len(v), dtype=complex), lone)
+    def _grad(self, v):
+        return np.zeros(v.shape)
 
-    def grad_real(self, y) -> np.ndarray:
-        return np.zeros(self._vec(y, allow_zero=True).shape)
+    def _complex(self, v):
+        return np.zeros(len(v), dtype=complex)
 
 
 class EuclideanNorm(HomogeneousFunction):
@@ -184,16 +228,14 @@ class EuclideanNorm(HomogeneousFunction):
 
     family = "euclidean"
 
-    def eval_real(self, y):
-        return _value(lengths(self._vec(y)))
+    def _real(self, v):
+        return lengths(v)
 
-    def eval_complex(self, z):
-        v, lone = self._cvec(z)
-        return _cvalue(np.sqrt(_csum_sq(v)), lone)
+    def _grad(self, v):
+        return v / lengths(v)[:, None]
 
-    def grad_real(self, y) -> np.ndarray:
-        v = self._vec(y)
-        return v / lengths(v)[..., None]
+    def _complex(self, v):
+        return np.sqrt(_csum_sq(v))
 
 
 @dataclass(frozen=True)
@@ -204,16 +246,14 @@ class ScaledNorm(HomogeneousFunction):
 
     family = "scaled"
 
-    def eval_real(self, y):
-        return _value(self.scale * lengths(self._vec(y)))
+    def _real(self, v):
+        return self.scale * lengths(v)
 
-    def eval_complex(self, z):
-        v, lone = self._cvec(z)
-        return _cvalue(self.scale * np.sqrt(_csum_sq(v)), lone)
+    def _grad(self, v):
+        return self.scale * v / lengths(v)[:, None]
 
-    def grad_real(self, y) -> np.ndarray:
-        v = self._vec(y)
-        return self.scale * v / lengths(v)[..., None]
+    def _complex(self, v):
+        return self.scale * np.sqrt(_csum_sq(v))
 
 
 @dataclass(frozen=True)
@@ -228,18 +268,15 @@ class RandersNorm(HomogeneousFunction):
         if len(self.drift) != self.dimension:
             raise DimensionMismatchError("drift vector length must equal dimension")
 
-    def eval_real(self, y):
-        v = self._vec(y)
-        return _value(lengths(v) + np.vecdot(v, self.drift))
+    def _real(self, v):
+        return lengths(v) + np.vecdot(v, self.drift)
 
-    def eval_complex(self, z):
-        v, lone = self._cvec(z)
+    def _grad(self, v):
+        return v / lengths(v)[:, None] + np.asarray(self.drift, dtype=float)
+
+    def _complex(self, v):
         drift = np.sum(v * np.asarray(self.drift, dtype=float), axis=-1)
-        return _cvalue(np.sqrt(_csum_sq(v)) + drift, lone)
-
-    def grad_real(self, y) -> np.ndarray:
-        v = self._vec(y)
-        return v / lengths(v)[..., None] + np.asarray(self.drift, dtype=float)
+        return np.sqrt(_csum_sq(v)) + drift
 
 
 @dataclass(frozen=True)
@@ -272,46 +309,39 @@ class DoubleSqrtNorm(HomogeneousFunction):
         return "dsr-b" if self.plus else "dsr-a"
 
     def _blocks(self, v):
-        return v[..., : self.first_block], v[..., self.first_block:]
+        return v[:, : self.first_block], v[:, self.first_block:]
 
     def _squares(self, v):
-        """Block squares |u|^2, |w|^2 and S = hypot of the two of ``v * 2^-e``,
-        and e (scale_exponents): they over- or underflow at a huge or tiny v."""
-        e = scale_exponents(v)
-        u, w = self._blocks(np.ldexp(v, -e[..., None]))
+        """The blocks u, w of ``v``, |u|^2, |w|^2 and S, their hypot."""
+        u, w = self._blocks(v)
         uu = np.vecdot(u, u)
         ww = np.vecdot(w, w)
-        return u, w, uu, ww, np.hypot(uu, ww), e
+        return u, w, uu, ww, np.hypot(uu, ww)
 
-    def eval_real(self, y):
-        _, _, uu, ww, s, e = self._squares(self._vec(y))
+    def _real(self, v):
+        _, _, uu, ww, s = self._squares(v)
         twice_square = s + uu  # 2 f^2 of the plus variant
         if not self.plus:
             # s - uu == ww^2 / (s + uu), exact algebra, no cancellation; the sum
             # is 0 only where both blocks underflow, and there f = 0
             twice_square = ww * ww / np.where(twice_square == 0.0, 1.0, twice_square)
-        return _value(times_pow2(np.sqrt(twice_square / 2.0), e))
+        return np.sqrt(twice_square / 2.0)
 
-    def eval_complex(self, z):
+    def _complex(self, v):
         # The two components are continued jointly through the conjugate
         # pair h+ = i sqrt(q - i qt), h- = -i sqrt(q + i qt), which keeps
         # the product identity 2 * phi * psi = qt intact; independently
         # chosen principal branches of sqrt((S -+ q)/2) would break it
-        # once q leaves the right half plane.  As in eval_real, a row is
-        # evaluated at z * 2^-e (e from the moduli) and scaled back by 2^e.
-        v, lone = self._cvec(z)
-        e = scale_exponents(v)
-        u, w = self._blocks(times_pow2(v, -e[..., None]))
+        # once q leaves the right half plane.
+        u, w = self._blocks(v)
         q = _csum_sq(u)
         qt = _csum_sq(w)
         h_plus = 1j * np.sqrt(q - 1j * qt)
         h_minus = -1j * np.sqrt(q + 1j * qt)
-        value = (h_plus - h_minus) / 2j if self.plus else (h_plus + h_minus) / 2.0
-        return _cvalue(times_pow2(value, e), lone)
+        return (h_plus - h_minus) / 2j if self.plus else (h_plus + h_minus) / 2.0
 
-    def grad_real(self, y) -> np.ndarray:
-        # degree 0: the gradient at the rescaled row is the one at y
-        u, w, uu, ww, s, _ = self._squares(self._vec(y))
+    def _grad(self, v):
+        u, w, uu, ww, s = self._squares(v)
         if self.plus:
             val = np.sqrt((s + uu) / 2.0)
             d_uu = (uu / s + 1.0) / (4.0 * val)
@@ -321,8 +351,7 @@ class DoubleSqrtNorm(HomogeneousFunction):
             root = np.sqrt(2.0 * (s + uu))
             d_uu = -ww * np.sqrt(2.0) / (4.0 * s * np.sqrt(s + uu))
             d_ww = root / (4.0 * s)
-        return np.concatenate([2.0 * d_uu[..., None] * u, 2.0 * d_ww[..., None] * w],
-                              axis=-1)
+        return np.concatenate([2.0 * d_uu[:, None] * u, 2.0 * d_ww[:, None] * w], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -342,15 +371,18 @@ class CombinedNorm(HomogeneousFunction):
             if f.dimension != self.dimension:
                 raise DimensionMismatchError("all terms must share the dimension")
 
-    def eval_real(self, y):
-        return _value(sum(c * f.eval_real(y) for c, f in self.terms))
+    @property
+    def zero_ok(self) -> bool:
+        return all(f.zero_ok for _, f in self.terms)
 
-    def eval_complex(self, z):
-        v, lone = self._cvec(z)
-        return _cvalue(sum(c * f.eval_complex(v) for c, f in self.terms), lone)
+    def _real(self, v):
+        return sum(c * f._real(v) for c, f in self.terms)
 
-    def grad_real(self, y) -> np.ndarray:
-        return sum(c * f.grad_real(y) for c, f in self.terms)
+    def _grad(self, v):
+        return sum(c * f._grad(v) for c, f in self.terms)
+
+    def _complex(self, v):
+        return sum(c * f._complex(v) for c, f in self.terms)
 
 
 def combine(*weighted) -> CombinedNorm:
@@ -361,6 +393,14 @@ def combine(*weighted) -> CombinedNorm:
 
 # ---------------------------------------------------------------------------
 # descriptor mini-language
+
+
+def finite_float(text) -> float:
+    """A real parameter: a number that is neither nan nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise SpecParseError(f"expected a finite number, got '{text}'")
+    return value
 
 
 def _block_sizes(text):
@@ -384,8 +424,8 @@ def _bryant(dimension, angle):
 NORM_FAMILIES = {
     "zero": (0, lambda d: (ZeroNorm(d),)),
     "euclidean": (0, lambda d: (EuclideanNorm(d),)),
-    "scaled": (1, lambda d, c: (ScaledNorm(d, float(c)),)),
-    "randers": (1, lambda d, a: (RandersNorm(d, tuple(float(v) for v in a.split(","))),)),
+    "scaled": (1, lambda d, c: (ScaledNorm(d, finite_float(c)),)),
+    "randers": (1, lambda d, a: (RandersNorm(d, tuple(map(finite_float, a.split(",")))),)),
     "dsr-a": (1, lambda d, nm: (DoubleSqrtNorm(d, *_block_sizes(nm), plus=False),)),
     "dsr-b": (1, lambda d, nm: (DoubleSqrtNorm(d, *_block_sizes(nm), plus=True),)),
     "bryant": (1, _bryant),

@@ -22,6 +22,11 @@ problems are independent per point, so a row gets exactly the steps (and
 bits) it would get alone.  A row that fails keeps its own error in
 ``SolveResult.errors`` and the others go on.  One vector ``(n,)`` is a
 single row that raises its error.
+
+Each solve checks its rows once, at entry, and brings each y into range
+by a power of two (see ``_Rows``); the Newton, bracket and Picard loops
+then call the norms' row kernels (``_real``, ``_grad``, ``_complex``),
+which skip the checks and the rescale of the public norm methods.
 """
 
 import math
@@ -29,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
-from .norms import HomogeneousFunction, lengths, per_row
+from .errors import DimensionMismatchError, DomainError, SolverError
+from .norms import HomogeneousFunction, lengths, scale_exponents, times_pow2
 from .sampling import unit_directions
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
@@ -61,11 +66,11 @@ class SolveResult:
     """Fixed-point values with their shifted arguments and residuals.
 
     For rows, ``value`` and ``residual`` are ``(N,)`` arrays, ``eta`` is
-    ``(N, n)`` and ``errors[i]`` is row i's SolverError (or the library
-    error its norm call raised), None where the row converged; a failed
-    row holds nan.  For one vector they are scalars, ``(n,)`` and
-    ``[None]``.  ``iterations`` counts Newton or Picard steps, summed
-    over rows.
+    ``(N, n)`` and ``errors[i]`` is row i's SolverError (or the
+    DomainError of a row with a non-finite input), None where the row
+    converged; a failed row holds nan.  For one vector they are scalars,
+    ``(n,)`` and ``[None]``.  ``iterations`` counts Newton or Picard
+    steps, summed over rows.
     """
 
     value: object
@@ -76,19 +81,38 @@ class SolveResult:
 
 
 class _Rows:
-    """Per-row inputs, outputs and failures of one solve."""
+    """Per-row inputs, outputs and failures of one solve.
 
-    def __init__(self, x, y, dtype):
+    The inputs are checked here, once per solve: ``x`` and ``y`` are one
+    vector or rows of ``dimension`` components, of one shape, and a row
+    with a non-finite component fails with a DomainError (and is held at
+    x = y = 0, which no loop visits).  Each y is brought into range by
+    ``scale_exponents``: the solves stop on absolute floors, and the
+    fixed point has degree one in y, so ``result`` scales the value, eta
+    and residual back by exactly 2^e.  The loops then call the norms'
+    row kernels, which check nothing.
+    """
+
+    def __init__(self, dimension, x, y, dtype):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        if y.shape[-1:] != (dimension,) or x.shape != y.shape or y.ndim > 2:
+            raise DimensionMismatchError(
+                f"x and y must be {dimension}-component vectors or rows of one shape")
         self.lone = y.ndim == 1
-        self.x, self.y = np.atleast_2d(x), np.atleast_2d(y)
-        count = len(self.y)
+        x, y = np.atleast_2d(x), np.atleast_2d(y)
+        count = len(y)
         self.missing = complex(np.nan, np.nan) if dtype is complex else np.nan
         self.value = np.full(count, self.missing, dtype=dtype)
         self.residual = np.full(count, np.nan)
         self.failed = np.zeros(count, dtype=bool)
         self.errors = [None] * count
+        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
+        if bad.any():
+            self.fail(np.flatnonzero(bad), DomainError("non-finite vector"))
+            x, y = np.where(bad[:, None], 0.0, x), np.where(bad[:, None], 0.0, y)
+        self.e = scale_exponents(y)
+        self.x, self.y = x, times_pow2(y, -self.e[:, None])
 
     def fail(self, rows, error):
         for i in rows:
@@ -99,20 +123,6 @@ class _Rows:
         """The rows that have not failed."""
         return rows[~self.failed[rows]]
 
-    def evaluate(self, fn, rows, w, nonzero):
-        """``fn`` on the points ``w`` of ``rows``; 0 where ``nonzero(w)`` is
-        False, since degree-1 homogeneity forces fn -> 0 at the origin.  A
-        row that makes ``fn`` raise fails with that error."""
-        keep = nonzero(w)
-        out = np.zeros(len(rows), dtype=self.value.dtype)
-        if keep.any():
-            values, errors = per_row(fn, w[keep])
-            out[keep] = values
-            for i, exc in zip(rows[keep], errors):
-                if exc is not None:
-                    self.fail([i], exc)
-        return out
-
     def shifted(self, rows, t):
         """y + x t on ``rows``."""
         return self.y[rows] + self.x[rows] * t[:, None]
@@ -121,16 +131,31 @@ class _Rows:
         done = ~self.failed
         eta = np.full(self.y.shape, self.missing, dtype=self.value.dtype)
         eta[done] = self.shifted(done, self.value[done])
+        e = self.e
+        value, residual = times_pow2(self.value, e), times_pow2(self.residual, e)
+        eta = times_pow2(eta, e[:, None])
         if not self.lone:
-            return SolveResult(self.value, eta, self.residual, int(iterations), self.errors)
+            return SolveResult(value, eta, residual, int(iterations), self.errors)
         if self.errors[0] is not None:
             raise self.errors[0]
-        return SolveResult(self.value[0].item(), eta[0], float(self.residual[0]),
+        return SolveResult(value[0].item(), eta[0], float(residual[0]),
                            int(iterations), [None])
 
 
+def _at(kernel, w, nonzero):
+    """``kernel`` on the points ``w``; 0 where ``nonzero(w)`` is False,
+    since degree-1 homogeneity forces the value to 0 at the origin."""
+    keep = nonzero(w)
+    if keep.all():
+        return kernel(w)
+    out = np.zeros(len(w), dtype=w.dtype)
+    if keep.any():
+        out[keep] = kernel(w[keep])
+    return out
+
+
 def _real_nonzero(w):
-    return np.vecdot(w, w) != 0.0  # the norms reject a squared length of 0
+    return np.vecdot(w, w) != 0.0  # the real kernels need a nonzero squared length
 
 
 def _complex_nonzero(w):
@@ -140,22 +165,20 @@ def _complex_nonzero(w):
 def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> SolveResult:
     """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row."""
     cfg = cfg or DEFAULT_CONFIG
-    rows = _Rows(x, y, float)
+    rows = _Rows(phi.dimension, x, y, float)
     every = np.arange(len(rows.y))
 
     def f(act, t):
-        return t - rows.evaluate(phi.eval_real, act, rows.shifted(act, t), _real_nonzero)
+        return t - _at(phi._real, rows.shifted(act, t), _real_nonzero)
 
     def bracket(act):
-        """lo, hi and f there on ``act``; f(hi) only where f(lo) succeeded."""
+        """lo, hi and f there on ``act``; the rows without a sign change."""
         lo[act], hi[act] = t0[act] - width[act], t0[act] + width[act]
         flo[act] = f(act, lo[act])
-        act = rows.live(act)
         fhi[act] = f(act, hi[act])
-        act = rows.live(act)
         return act[(flo[act] > 0.0) | (fhi[act] < 0.0)]
 
-    t0 = rows.evaluate(phi.eval_real, every, rows.y, _real_nonzero)
+    t0 = _at(phi._real, rows.y, _real_nonzero)
     width = np.maximum(1.0, np.abs(t0))
     lo, hi, flo, fhi = (np.full(len(every), np.nan) for _ in range(4))
     expansions = np.zeros(len(every), dtype=int)
@@ -176,7 +199,6 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
     act = rows.live(every)
     ft = np.full(len(every), np.nan)
     ft[act] = f(act, t[act])
-    act = rows.live(act)
     target = cfg.tolerance
     iterations = 0
     steps = 0
@@ -200,14 +222,13 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
         t_next = 0.5 * (la + ha)
         newton = np.flatnonzero(lengths(eta) > kink_scale[act])
         if newton.size:
-            slope = 1.0 - np.vecdot(phi.grad_real(eta[newton]), xa[newton])
+            slope = 1.0 - np.vecdot(phi._grad(eta[newton]), xa[newton])
             newton, slope = newton[slope > 1e-12], slope[slope > 1e-12]
             t_new = ta[newton] - fa[newton] / slope
             inside = (la[newton] < t_new) & (t_new < ha[newton])
             t_next[newton[inside]] = t_new[inside]
         t[act] = t_next
         ft[act] = f(act, t_next)
-        act = rows.live(act)
         width_now = hi[act] - lo[act]
         floor = _REFINE_FLOOR * (1.0 + np.abs(t[act]))
         settled = (width_now <= floor) & (np.abs(ft[act]) <= target)
@@ -253,16 +274,18 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     negative imaginary part is rejected as a branch failure.
     """
     cfg = cfg or DEFAULT_CONFIG
-    rows = _Rows(x, y, complex)
+    if psi.dimension != phi.dimension:
+        raise DimensionMismatchError("phi and psi must share the dimension")
+    rows = _Rows(phi.dimension, x, y, complex)
     every = np.arange(len(rows.y))
 
     def pair(w):
-        return phi.eval_complex(w) + 1j * psi.eval_complex(w)
+        return phi._complex(w) + 1j * psi._complex(w)
 
     def g(act, z):
-        return rows.evaluate(pair, act, rows.shifted(act, z), _complex_nonzero)
+        return _at(pair, rows.shifted(act, z), _complex_nonzero)
 
-    z0 = rows.evaluate(pair, every, rows.y, _complex_nonzero)
+    z0 = _at(pair, rows.y.astype(complex), _complex_nonzero)
     scale = 1.0 + np.abs(z0)
     damping = np.ones(len(every))
     z = z0.copy()
@@ -273,8 +296,6 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         iterations += act.size
         count[act] += 1
         val = g(act, z[act])
-        live = ~rows.failed[act]
-        act, val = act[live], val[live]
         za = z[act]
         finite = np.isfinite(val.real) & np.isfinite(val.imag)
         res = np.abs(za - val)
@@ -287,8 +308,6 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         if not out.size:
             continue
         final = np.abs(z[out] - g(out, z[out]))
-        kept = ~rows.failed[out]
-        out, final, diverged = out[kept], final[kept], diverged[kept]
         good = ~diverged & (final <= cfg.tolerance)
         ok, final = out[good], final[good]
         wrong = z[ok].imag < -cfg.tolerance * scale[ok]

@@ -260,12 +260,27 @@ def _value_at(phi, w: np.ndarray) -> float:
     return phi.eval_real(w)
 
 
+def _range_exponent(y) -> int:
+    """The e with which a solve runs at y * 2^-e: the one that brings the
+    largest |y| component into [1/2, 1), or 0 where it lies in [2^-8, 2^8).
+    The fixed point has degree one in y, so the result is scaled back by
+    2^e, exactly."""
+    e = math.frexp(float(np.max(np.abs(y), initial=0.0)))[1]
+    return 0 if -7 <= e <= 8 else e
+
+
+def _times_pow2(value, e):
+    return complex(math.ldexp(value.real, e), math.ldexp(value.imag, e))
+
+
 def solve_real_scalar(phi, x, y, cfg=None) -> SolveResult:
     """Solve t = phi(y + x t) at one point by bracketing plus safeguarded
     Newton: the reference for ``projflat.solve_real`` on rows."""
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
+    e = _range_exponent(y)
+    y = np.ldexp(y, -e)
 
     def f(t):
         return t - _value_at(phi, y + x * t)
@@ -317,8 +332,9 @@ def solve_real_scalar(phi, x, y, cfg=None) -> SolveResult:
     residual = abs(f(t))
     if residual > target:
         raise SolverError(f"fixed-point residual {residual:.3e} above tolerance")
-    return SolveResult(value=float(t), eta=y + x * t, residual=float(residual),
-                       iterations=iterations, errors=[None])
+    return SolveResult(value=math.ldexp(t, e), eta=np.ldexp(y + x * t, e),
+                       residual=math.ldexp(residual, e), iterations=iterations,
+                       errors=[None])
 
 
 def _pair_value(phi, psi, w: np.ndarray) -> complex:
@@ -333,6 +349,8 @@ def solve_complex_scalar(phi, psi, x, y, cfg=None) -> SolveResult:
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
+    e = _range_exponent(y)
+    y = np.ldexp(y, -e)
 
     def g(zz):
         return _pair_value(phi, psi, y + x * zz)
@@ -362,8 +380,10 @@ def solve_complex_scalar(phi, psi, x, y, cfg=None) -> SolveResult:
             if z.imag < -cfg.tolerance * scale:
                 raise SolverError("iteration converged to the non-metric branch "
                                   "(negative imaginary part)")
-            return SolveResult(value=complex(z), eta=y + x * z, residual=float(final),
-                               iterations=total_iters, errors=[None])
+            return SolveResult(value=_times_pow2(z, e),
+                               eta=np.array([_times_pow2(c, e) for c in y + x * z]),
+                               residual=math.ldexp(final, e), iterations=total_iters,
+                               errors=[None])
         damping *= 0.5
         if damping < 1.0 / 64.0:
             break

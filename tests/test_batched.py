@@ -129,8 +129,9 @@ def test_fd_hessian_rows_equal_single_points(d):
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """Count eval_real / grad_real calls on every norm family."""
-    counts = {"eval_real": 0, "grad_real": 0}
+    """Count value and gradient kernel calls (``_real``, ``_grad``) on every
+    norm family; the public methods call the kernel once per call."""
+    counts = {"_real": 0, "_grad": 0}
 
     def counted(name, fn):
         def wrapper(self, y):
@@ -158,7 +159,7 @@ def norm_calls(monkeypatch):
     (build_kpos1, lambda d: parse_norms("bryant:0.5236", d), 2),
 ], ids=["k0", "kneg1", "kpos1"])
 def test_builders_make_a_fixed_number_of_norm_calls(norm_calls, d, build, args, grads):
-    """One radius estimate is one grad_real call per norm, whatever the 256
+    """One radius estimate is one gradient call per norm, whatever the 256
     directions; a build evaluates no norm value (it does not probe psi)."""
     build(*args(d))
-    assert norm_calls == {"eval_real": 0, "grad_real": grads}
+    assert norm_calls == {"_real": 0, "_grad": grads}

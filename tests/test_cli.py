@@ -414,6 +414,33 @@ def test_construct_bryant_output_is_pinned(capsys):
     assert got == [(0, line) for line in want]
 
 
+def test_verify_constructed_output_is_pinned(capsys):
+    # stdout of verify with all six checks, recorded while the solves still
+    # called the checked public norm methods on every iteration
+    with open(os.path.join(DATA_DIR, "verify_constructed.txt")) as fh:
+        want = fh.read().splitlines(keepends=True)
+    runs = [("construct:0:euclidean:randers:0.2,0.1", "2"),
+            ("construct:-1:euclidean:scaled:0.3", "2"), ("construct:1:bryant:0.5236", "2"),
+            ("construct:1:dsr-b:1,1:dsr-a:1,1", "2"), ("construct:1:dsr-b:2,1:dsr-a:2,1", "3")]
+    got = [run_cli(capsys, "verify", "--metric", spec, "--dim", dim, "--checks",
+                   "hamel,curvature,berwald,convexity,geodesic,pde", "--samples", "4",
+                   "--radius", "0.2", "--seed", "42")[:2] for spec, dim in runs]
+    assert got == [(0, line) for line in want]
+
+
+@pytest.mark.parametrize("spec", [
+    "construct:0:euclidean:scaled:nan", "construct:-1:euclidean:randers:nan,0",
+    "construct:1:scaled:inf:zero", "construct:0:euclidean:randers:0.1,-inf",
+    "catalog:space-form:nan", "catalog:sph-k0:nan,+", "catalog:sph-kneg1:inf"])
+def test_non_finite_parameters_are_parse_errors(spec):
+    proc = subprocess.run(
+        [sys.executable, "-m", "projflat", "eval", "--metric", spec, "--x", "0.1,0",
+         "--y", "0,1"], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 2, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1])["error"]["type"] == "parse"
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "projflat", "eval", "--metric", "catalog:funk",

@@ -1,6 +1,7 @@
 """Origin-data families: values, gradients, complex continuation, validity."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import format_norm
 from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, RandersNorm, ScaledNorm, SpecParseError,
                       ZeroNorm, check_minkowski, combine, parse_norms)
+from projflat.norms import per_row
 
 FAMILIES_2D = [
     ZeroNorm(2),
@@ -137,24 +139,22 @@ def test_double_sqrt_gradient_on_block_axis():
     np.testing.assert_allclose(f.grad_real([1.0, 0.0]), [0.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("plus", [True, False])
-@pytest.mark.parametrize("blocks", [(1, 1), (2, 1)])
-def test_double_sqrt_commutes_with_powers_of_two(plus, blocks):
+def assert_commutes_with_powers_of_two(f, seed):
     """eval_real(2^k v) == 2^k eval_real(v) and grad_real(2^k v) ==
-    grad_real(v) bit for bit, also where the squares of 2^k v would
-    underflow or overflow.  eval_complex(2^k z) == 2^k eval_complex(z) bit
-    for bit on real and complex rows z, over the wider range of k where
-    the squares of a component underflow to subnormals or overflow (the
-    real methods reject a row whose squared length underflows to 0)."""
+    grad_real(v) bit for bit, also where the squares of 2^k v underflow to
+    subnormals or overflow (the real methods reject a row whose squared
+    length underflows to 0).  eval_complex(2^k z) == 2^k eval_complex(z)
+    bit for bit on real and complex rows z, over the range of k where the
+    components stay normal."""
     def times(z, k):
         return np.ldexp(z.real, k) + 1j * np.ldexp(z.imag, k)
 
-    f = DoubleSqrtNorm(sum(blocks), *blocks, plus=plus)
-    rng = np.random.default_rng(sum(blocks) + plus)
-    v = rng.choice([-1.0, 1.0], (20, f.dimension)) * rng.uniform(0.1, 1.0, (20, f.dimension))
-    v = np.vstack([v, np.diag(rng.uniform(-1.0, 1.0, f.dimension))])  # axis rows
+    rng = np.random.default_rng(seed)
+    d = f.dimension
+    v = rng.choice([-1.0, 1.0], (20, d)) * rng.uniform(0.25, 1.0, (20, d))
+    v = np.vstack([v, np.diag(rng.choice([-1.0, 1.0], d) * rng.uniform(0.25, 1.0, d))])
     value, grad = f.eval_real(v), f.grad_real(v)
-    for k in range(-490, 491):
+    for k in range(-520, 1021):
         w = np.ldexp(v, k)
         np.testing.assert_array_equal(f.eval_real(w), np.ldexp(value, k))
         np.testing.assert_array_equal(f.grad_real(w), grad)
@@ -162,6 +162,45 @@ def test_double_sqrt_commutes_with_powers_of_two(plus, blocks):
         cvalue = f.eval_complex(z)
         for k in range(-1000, 1001):
             np.testing.assert_array_equal(f.eval_complex(times(z, k)), times(cvalue, k))
+
+
+@pytest.mark.parametrize("plus", [True, False])
+@pytest.mark.parametrize("blocks", [(1, 1), (2, 1)])
+def test_double_sqrt_commutes_with_powers_of_two(plus, blocks):
+    assert_commutes_with_powers_of_two(
+        DoubleSqrtNorm(sum(blocks), *blocks, plus=plus), sum(blocks) + plus)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("make", [
+    ZeroNorm, EuclideanNorm, lambda d: ScaledNorm(d, -0.7),
+    lambda d: RandersNorm(d, tuple(np.linspace(0.3, -0.2, d))),
+    lambda d: combine((1.0, ScaledNorm(d, 0.3)), (-1.0, EuclideanNorm(d))),
+    lambda d: combine((0.5, DoubleSqrtNorm(d, 1, d - 1, plus=False)),
+                      (1.0, RandersNorm(d, (0.2,) * d))),
+], ids=["zero", "euclidean", "scaled", "randers", "combo", "combo-dsr"])
+def test_every_family_commutes_with_powers_of_two(make, d):
+    """Every family evaluates a row at the power-of-two rescale the base
+    class applies, so it is exact where the squares under- or overflow."""
+    assert_commutes_with_powers_of_two(make(d), d)
+
+
+def test_huge_rows_evaluate_without_overflow():
+    f = EuclideanNorm(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(f.grad_real([1e200, 1.0]), [1.0, 1e-200])
+        assert f.eval_real([1e200, 1.0]) == 1e200
+
+
+def test_per_row_fills_failed_rows_with_nan_of_the_value_shape():
+    values, errors = per_row(EuclideanNorm(2).grad_real, [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(values, [[1.0, 0.0], [np.nan, np.nan], [0.0, 1.0]])
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], DomainError)
+    values, errors = per_row(EuclideanNorm(2).eval_real, [[3.0, 4.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(values, [5.0, np.nan])
+    assert errors[0] is None and isinstance(errors[1], DomainError)
 
 
 def test_check_minkowski_euclidean():

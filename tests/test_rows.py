@@ -226,7 +226,7 @@ def test_geodesic_stops_alone_at_an_rk_stage():
 
 @pytest.fixture
 def norm_calls(monkeypatch):
-    """Count the calls of every norm method."""
+    """Count the calls of every norm row kernel."""
     counts = {"calls": 0}
 
     def counted(fn):
@@ -241,7 +241,7 @@ def norm_calls(monkeypatch):
             yield from subclasses(sub)
 
     for cls in subclasses(HomogeneousFunction):
-        for name in ("eval_real", "grad_real", "eval_complex"):
+        for name in ("_real", "_grad", "_complex"):
             if name in cls.__dict__:
                 monkeypatch.setattr(cls, name, counted(cls.__dict__[name]))
     return counts

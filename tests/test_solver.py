@@ -272,9 +272,9 @@ def test_complex_degenerates_to_real_when_psi_zero(rng):
     (solve_real, (RandersNorm(2, (0.2, 0.1)),)),
     (solve_complex, (RandersNorm(2, (0.2, 0.1)), EuclideanNorm(2))),
 ])
-def test_row_whose_norm_call_raises_fails_alone(solve, norms):
-    """A norm call that raises on one row runs again row by row: that row
-    gets its error and nan, the other the bits it gets alone."""
+def test_row_with_a_non_finite_input_fails_alone(solve, norms):
+    """The entry check fails a row with a non-finite component: that row
+    gets a DomainError and nan, the other the bits it gets alone."""
     x = np.array([[np.nan, 0.0], [0.1, 0.05]])
     y = np.array([[1.0, 0.0], [0.0, 1.0]])
     res = solve(*norms, x, y)
