@@ -104,7 +104,11 @@ def parse_metric(text: str, dimension: int, cfg: SolverConfig):
 
 
 def _emit(payload: dict, summary: str) -> None:
-    print(json.dumps(payload, allow_nan=False))
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:  # JSON has no nan or inf
+        raise DomainError("an output value is not finite") from None
+    print(text)
     print(summary, file=sys.stderr)
 
 

@@ -12,9 +12,13 @@ t0 = phi(y) and then runs Newton steps safeguarded by bisection (analytic
 gradients supply f'; near the kink of the degenerate ray y proportional
 to x it falls back to pure bisection).
 
-The complex problem Z = phi(y + x Z) + i psi(y + x Z) is solved by damped
-Picard iteration seeded at phi(y) + i psi(y); the map is a contraction on
-the same ball.
+The complex problem Z = g(Z) = phi(y + x Z) + i psi(y + x Z) is solved by
+fixed-point iteration seeded at phi(y) + i psi(y); g is a contraction on
+the same ball.  Picard steps converge only linearly there, so each row
+takes secant steps on the residual h = z - g(z) (Anderson acceleration
+with memory 1; Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which
+converge superlinearly without a derivative, and falls back to damped
+Picard iteration when its secant root fails a check or does not attract.
 
 Both solves take rows ``x``, ``y`` of shape ``(N, n)`` and run every row
 in lockstep with numpy, each row masked out once it is done: the
@@ -24,9 +28,10 @@ bits) it would get alone.  A row that fails keeps its own error in
 single row that raises its error.
 
 Each solve checks its rows once, at entry, and brings each y into range
-by a power of two (see ``_Rows``); the Newton, bracket and Picard loops
-then call the norms' row kernels (``_real``, ``_grad``, ``_complex``),
-which skip the checks and the rescale of the public norm methods.
+by a power of two (see ``_Rows``); the Newton, bracket and complex
+fixed-point loops then call the norms' row kernels (``_real``,
+``_grad``, ``_complex``), which skip the checks and the rescale of the
+public norm methods.
 """
 
 import math
@@ -69,8 +74,9 @@ class SolveResult:
     ``(N, n)`` and ``errors[i]`` is row i's SolverError (or the
     DomainError of a row with a non-finite input), None where the row
     converged; a failed row holds nan.  For one vector they are scalars,
-    ``(n,)`` and ``[None]``.  ``iterations`` counts Newton or Picard
-    steps, summed over rows.
+    ``(n,)`` and ``[None]``.  ``iterations`` counts Newton steps, or the
+    complex solve's secant and Picard steps (a fallback's included),
+    summed over rows.
     """
 
     value: object
@@ -162,6 +168,12 @@ def _complex_nonzero(w):
     return w.any(axis=-1)
 
 
+# a non-finite value fails its own row, so the loops run without numpy's
+# warnings (a far x overflows the shifted argument y + x t)
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_QUIET
 def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> SolveResult:
     """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row."""
     cfg = cfg or DEFAULT_CONFIG
@@ -263,15 +275,24 @@ def pair_radius_estimate(phi: HomogeneousFunction, psi: HomogeneousFunction,
     return _radius(np.hypot(lengths(phi.grad_real(dirs)), lengths(psi.grad_real(dirs))))
 
 
+@_QUIET
 def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
                   cfg: SolverConfig = None) -> SolveResult:
-    """Solve Z = phi(y + x Z) + i psi(y + x Z) by damped Picard iteration.
+    """Solve Z = phi(y + x Z) + i psi(y + x Z) by secant-accelerated
+    fixed-point iteration, with damped Picard iteration as the fallback.
 
-    Each row is seeded at phi(y) + i psi(y) with damping 1 (plain Picard
-    steps) and restarts from there with half its damping when its
-    iteration diverges, stalls above the tolerance or hits the iteration
-    cap.  The metric branch Im Z >= 0 is enforced: a converged value with
-    negative imaginary part is rejected as a branch failure.
+    Each row is seeded at z0 = phi(y) + i psi(y).  On its first attempt it
+    takes the secant step z - h (z - z_prev) / (h - h_prev) on the
+    residual h = z - g(z) wherever that step is defined and finite, and
+    the plain Picard step z <- g(z) otherwise (always on the first step).
+    A row that took a secant step keeps its root only if it passes the
+    checks below and attracts, |g'(Z)| < 1 with g' = 1 - dh/dz from the
+    last secant slope; any other such row restarts from z0 on the Picard
+    path.  On that path a row restarts from z0 with half its damping when
+    its iteration diverges, stalls above the tolerance or hits the
+    iteration cap, down to a damping of 1/64.  The metric branch
+    Im Z >= 0 is enforced: a converged value with negative imaginary part
+    is rejected as a branch failure.
     """
     cfg = cfg or DEFAULT_CONFIG
     if psi.dimension != phi.dimension:
@@ -290,6 +311,10 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     damping = np.ones(len(every))
     z = z0.copy()
     count = np.zeros(len(every), dtype=int)
+    secant = np.ones(len(every), dtype=bool)  # rows on their accelerated attempt
+    # the previous iterate and residual, and the slope dh/dz of the last
+    # secant step (nan until the row takes one)
+    z_prev, h_prev, slope = (np.full(len(every), rows.missing) for _ in range(3))
     iterations = 0
     act = rows.live(every)
     while act.size:
@@ -297,11 +322,19 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         count[act] += 1
         val = g(act, z[act])
         za = z[act]
-        finite = np.isfinite(val.real) & np.isfinite(val.imag)
-        res = np.abs(za - val)
-        z[act] = np.where(finite, (1.0 - damping[act]) * za + damping[act] * val, za)
-        diverged = ~finite | (res > 1e6 * scale[act])
-        converged = finite & (res <= _REFINE_FLOOR * scale[act])
+        h = za - val
+        finite = np.isfinite(val)
+        res = np.abs(h)
+        sa, da = scale[act], damping[act]
+        step = np.where(finite, (1.0 - da) * za + da * val, za)
+        dz, dh = za - z_prev[act], h - h_prev[act]
+        secant_step = za - h * dz / dh  # nan on a row's first step
+        take = secant[act] & finite & np.isfinite(secant_step)
+        z[act] = np.where(take, secant_step, step)
+        slope[act] = np.where(take, dh / dz, slope[act])
+        z_prev[act], h_prev[act] = za, h
+        diverged = ~finite | (res > 1e6 * sa)
+        converged = finite & (res <= _REFINE_FLOOR * sa)
         leave = diverged | converged | (count[act] >= cfg.max_iterations)
         out, diverged = act[leave], diverged[leave]
         act = act[~leave]
@@ -309,20 +342,26 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
             continue
         final = np.abs(z[out] - g(out, z[out]))
         good = ~diverged & (final <= cfg.tolerance)
-        ok, final = out[good], final[good]
-        wrong = z[ok].imag < -cfg.tolerance * scale[ok]
+        wrong = z[out].imag < -cfg.tolerance * scale[out]
+        # a secant root is kept only if it passes the checks and attracts,
+        # |g'(Z)| < 1 with g' = 1 - dh/dz; else the row retries with Picard
+        retry = ~np.isnan(slope[out]) & ~(good & ~wrong & (np.abs(1.0 - slope[out]) < 1.0))
+        good &= ~retry
+        ok, final, wrong = out[good], final[good], wrong[good]
         rows.fail(ok[wrong], SolverError(
             "iteration converged to the non-metric branch (negative imaginary part)"))
         rows.value[ok[~wrong]] = z[ok[~wrong]]
         rows.residual[ok[~wrong]] = final[~wrong]
-        again = out[~good]
+        again = out[~good & ~retry]
         damping[again] *= 0.5
         lost = damping[again] < _MIN_DAMPING
         rows.fail(again[lost], SolverError(
             "complex fixed-point iteration failed to converge; "
             "the base point is likely outside the validity region"))
-        again = again[~lost]
+        again = np.concatenate([out[retry], again[~lost]])
         z[again] = z0[again]
         count[again] = 0
+        secant[again] = False
+        slope[again] = rows.missing
         act = np.concatenate([act, again])
     return rows.result(iterations)

@@ -371,7 +371,11 @@ def _curvature(metric, xs, ys):
     ((p0, p_up, p_down),), p_errors = _on_stencil(
         lambda a, b: _p(metric, a, b), [(xs, u), (xs + step, u), (xs - step, u)])
     dp = (p_up - p_down) / (2.0 * h)
-    return (p0 * p0 - dp) / (f0 * f0), first_errors(f_errors, *p_errors)
+    f2 = f0 * f0
+    flat = ~(f2 > 0.0)  # F = 0, or F^2 underflows (nan: F failed)
+    k = np.where(flat, np.nan, (p0 * p0 - dp) / np.where(flat, 1.0, f2))
+    return k, first_errors(f_errors, _flagged(flat, "flag curvature requires F^2 > 0"),
+                           *p_errors)
 
 
 def flag_curvature(metric, x, y):

@@ -8,8 +8,10 @@ the complex fixed point, built from the public norm interface only.  The
 ``*_loop`` functions are the one-direction-at-a-time references for the
 batched radius estimates and Minkowski probe, and ``solve_real_scalar``,
 ``solve_complex_scalar`` and ``constructed_fp`` are the one-point
-references for the solves and metric builders on rows.  ``format_norm``
-writes a norm back as the descriptor ``parse_norms`` reads.
+references for the solves and metric builders on rows;
+``solve_complex_picard`` is the complex solve on rows without its secant
+steps.  ``format_norm`` writes a norm back as the descriptor
+``parse_norms`` reads.
 """
 
 import math
@@ -22,7 +24,7 @@ from projflat import (CombinedNorm, DomainError, DoubleSqrtNorm,
                       SpecParseError, ZeroNorm, catalog_entry, eval_catalog)
 from projflat.norms import combine
 from projflat.sampling import unit_directions
-from projflat.solver import BRACKET_EXPANSION
+from projflat.solver import BRACKET_EXPANSION, _at, _complex_nonzero, _Rows
 from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, convexity_residual,
                              gradient_from, gradient_points, make_report)
 
@@ -129,7 +131,7 @@ def solve_complex_nested(phi, psi, x, y, cfg=None):
     """Independent route to the complex fixed point Z = (phi + i psi)(y + x Z):
     for each imaginary part s, solve the real part t(s) as a scalar root by
     bisection, then close s with an outer scalar root.  Cross-checks the
-    damped Picard iteration of ``projflat.solve_complex``."""
+    fixed-point iteration of ``projflat.solve_complex``."""
     cfg = cfg or SolverConfig()
     floor = 4.0 * float(np.finfo(float).eps)
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -343,9 +345,17 @@ def _pair_value(phi, psi, w: np.ndarray) -> complex:
     return complex(phi.eval_complex(w) + 1j * psi.eval_complex(w))
 
 
+def _finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 def solve_complex_scalar(phi, psi, x, y, cfg=None) -> SolveResult:
-    """Solve Z = phi(y + x Z) + i psi(y + x Z) at one point by damped
-    Picard iteration: the reference for ``projflat.solve_complex``."""
+    """Solve Z = phi(y + x Z) + i psi(y + x Z) at one point: the reference
+    for ``projflat.solve_complex``.  The first attempt takes the secant
+    step on h = z - g(z) wherever it is defined and finite (else a Picard
+    step) and keeps its root only if the root passes every check and
+    attracts, |1 - dh/dz| < 1; otherwise the damped Picard attempts run
+    from z0."""
     cfg = cfg or SolverConfig()
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -358,26 +368,41 @@ def solve_complex_scalar(phi, psi, x, y, cfg=None) -> SolveResult:
     z0 = _pair_value(phi, psi, y)
     scale = 1.0 + abs(z0)
     damping = 1.0
+    secant = True
     total_iters = 0
-    for _ in range(8):
-        z = z0
+    while True:
+        z, prev, slope = z0, None, None
         diverged = False
         for _ in range(cfg.max_iterations):
             total_iters += 1
             val = g(z)
-            if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+            if not _finite(val):
                 diverged = True
                 break
-            res = abs(z - val)
-            z = (1.0 - damping) * z + damping * val
+            h = z - val
+            res = abs(h)
+            step = (1.0 - damping) * z + damping * val
+            if secant:
+                if prev is not None and h != prev[1]:
+                    dz, dh = z - prev[0], h - prev[1]
+                    candidate = z - h * dz / dh
+                    if _finite(candidate):
+                        step, slope = candidate, dh / dz
+                prev = (z, h)
+            z = step
             if res <= _REFINE_FLOOR * scale:
                 break
             if res > 1e6 * scale:
                 diverged = True
                 break
         final = abs(z - g(z))
-        if not diverged and final <= cfg.tolerance:
-            if z.imag < -cfg.tolerance * scale:
+        good = not diverged and final <= cfg.tolerance
+        wrong = z.imag < -cfg.tolerance * scale
+        secant = False
+        if slope is not None and not (good and not wrong and abs(1.0 - slope) < 1.0):
+            continue  # the secant root is not kept: restart on the Picard path
+        if good:
+            if wrong:
                 raise SolverError("iteration converged to the non-metric branch "
                                   "(negative imaginary part)")
             return SolveResult(value=_times_pow2(z, e),
@@ -386,9 +411,65 @@ def solve_complex_scalar(phi, psi, x, y, cfg=None) -> SolveResult:
                                errors=[None])
         damping *= 0.5
         if damping < 1.0 / 64.0:
-            break
-    raise SolverError("complex fixed-point iteration failed to converge; "
-                      "the base point is likely outside the validity region")
+            raise SolverError("complex fixed-point iteration failed to converge; "
+                              "the base point is likely outside the validity region")
+
+
+def solve_complex_picard(phi, psi, x, y, cfg=None) -> SolveResult:
+    """Damped Picard iteration alone, on rows, with the numpy arithmetic of
+    ``projflat.solve_complex``: the path a row takes there when its secant
+    root is not kept, so such a row must get these bits."""
+    cfg = cfg or SolverConfig()
+    rows = _Rows(phi.dimension, x, y, complex)
+    every = np.arange(len(rows.y))
+
+    def pair(w):
+        return phi._complex(w) + 1j * psi._complex(w)
+
+    def g(act, z):
+        return _at(pair, rows.shifted(act, z), _complex_nonzero)
+
+    z0 = _at(pair, rows.y.astype(complex), _complex_nonzero)
+    scale = 1.0 + np.abs(z0)
+    damping = np.ones(len(every))
+    z = z0.copy()
+    count = np.zeros(len(every), dtype=int)
+    iterations = 0
+    act = rows.live(every)
+    while act.size:
+        iterations += act.size
+        count[act] += 1
+        val = g(act, z[act])
+        za = z[act]
+        finite = np.isfinite(val.real) & np.isfinite(val.imag)
+        res = np.abs(za - val)
+        z[act] = np.where(finite, (1.0 - damping[act]) * za + damping[act] * val, za)
+        diverged = ~finite | (res > 1e6 * scale[act])
+        converged = finite & (res <= _REFINE_FLOOR * scale[act])
+        leave = diverged | converged | (count[act] >= cfg.max_iterations)
+        out, diverged = act[leave], diverged[leave]
+        act = act[~leave]
+        if not out.size:
+            continue
+        final = np.abs(z[out] - g(out, z[out]))
+        good = ~diverged & (final <= cfg.tolerance)
+        ok, final = out[good], final[good]
+        wrong = z[ok].imag < -cfg.tolerance * scale[ok]
+        rows.fail(ok[wrong], SolverError(
+            "iteration converged to the non-metric branch (negative imaginary part)"))
+        rows.value[ok[~wrong]] = z[ok[~wrong]]
+        rows.residual[ok[~wrong]] = final[~wrong]
+        again = out[~good]
+        damping[again] *= 0.5
+        lost = damping[again] < 1.0 / 64.0
+        rows.fail(again[lost], SolverError(
+            "complex fixed-point iteration failed to converge; "
+            "the base point is likely outside the validity region"))
+        again = again[~lost]
+        z[again] = z0[again]
+        count[again] = 0
+        act = np.concatenate([act, again])
+    return rows.result(iterations)
 
 
 def implicit_derivatives(phi, res, x, y):

@@ -441,6 +441,31 @@ def test_non_finite_parameters_are_parse_errors(spec):
     assert json.loads(proc.stderr.splitlines()[-1])["error"]["type"] == "parse"
 
 
+@pytest.mark.parametrize("spec", [
+    "construct:0:zero:zero", "construct:1:zero:zero", "construct:0:scaled:1e-320:zero"])
+def test_vanishing_f_is_a_domain_error(spec):
+    """F = 0, or an F whose square underflows, has no flag curvature: exit 3
+    at the K step, with no numpy warning on the way."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "projflat", "eval", "--metric", spec, "--x", "0.1,0",
+         "--y", "0,1"], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 3, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == {
+        "type": "domain", "message": "flag curvature requires F^2 > 0"}
+
+
+def test_non_finite_output_is_a_domain_error(capsys, monkeypatch):
+    def values(metric, x, y):
+        return np.array([math.inf]), np.array([1.0]), np.array([0.0]), [None]
+
+    monkeypatch.setattr(cli.vfy, "point_values", values)
+    code, out, err = run_cli(capsys, "eval", "--metric", "catalog:funk",
+                             "--x", "0,0", "--y", "1,0")
+    assert (code, out) == (3, "")
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "domain"
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "projflat", "eval", "--metric", "catalog:funk",

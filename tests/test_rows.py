@@ -21,6 +21,7 @@ from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm,
                       integrate_geodesic, parse_norms, solve_complex,
                       solve_real)
 from projflat.cli import parse_metric
+from projflat.sampling import ball_points, sphere_points
 from projflat.verify import point_values
 
 
@@ -157,6 +158,77 @@ def test_solves_equal_one_point_solves_with_failures():
                         np.testing.assert_array_equal(res.eta[i], want.eta)
                     else:
                         assert abs(res.value[i] - want.value) <= 1e-14 * abs(want.value)
+
+
+KPOS1_PAIRS = [pytest.param(d, psi, phi, id=f"d{d}-{psi.family}-{phi.family}")
+               for d in (2, 3) for psi, phi in origin_data(d)]
+
+
+def in_ball(psi, phi, fraction, count=500):
+    """x uniform in ``fraction`` of the K = +1 domain ball, y on the unit
+    sphere (so |Z| is comparable with the solver's floor 1 + |z0|)."""
+    rng = np.random.default_rng(psi.dimension)
+    radius = min(build_kpos1(psi, phi).domain_radius, 2.0)
+    return (ball_points(rng, psi.dimension, fraction * radius, count),
+            sphere_points(rng, psi.dimension, count))
+
+
+@pytest.mark.parametrize("d, psi, phi", KPOS1_PAIRS)
+def test_secant_solve_agrees_with_picard(d, psi, phi):
+    """The secant steps reach damped Picard's root: within 8 eps |Z| at 500
+    points of the validity ball (Picard stops within about 4 eps (1 + |z0|)
+    of the root)."""
+    x, y = in_ball(psi, phi, 0.95)
+    fast = solve_complex(phi, psi, x, y)
+    slow = oracles.solve_complex_picard(phi, psi, x, y)
+    assert not any(fast.errors) and not any(slow.errors)
+    bound = 8.0 * np.finfo(float).eps * np.abs(slow.value)
+    assert (np.abs(fast.value - slow.value) <= bound).all()
+
+
+@pytest.mark.parametrize("d", (2, 3))
+@pytest.mark.parametrize("pair", ("bryant", "dsr"))
+def test_secant_solve_takes_few_steps(d, pair):
+    """About 5.5 steps per row where Picard takes about 20; a mean above 8
+    means rows silently fell back to Picard."""
+    if pair == "bryant":
+        psi, phi = parse_norms("bryant:0.5236", d)
+    else:
+        psi, phi = (DoubleSqrtNorm(d, 1, d - 1, plus=True),
+                    DoubleSqrtNorm(d, 1, d - 1, plus=False))
+    x, y = in_ball(psi, phi, 0.8)
+    fast = solve_complex(phi, psi, x, y)
+    slow = oracles.solve_complex_picard(phi, psi, x, y)
+    assert not any(fast.errors)
+    assert fast.iterations <= 8 * len(y) < slow.iterations / 2
+
+
+# beyond the dsr validity ball, where damping-1 Picard hits its iteration
+# cap and damping 1/2 converges: the secant root there does not attract
+# (|g'(Z)| >= 1), so the row restarts on the Picard path
+FALLBACK_POINTS = [
+    ([-0.587, -0.227], [-0.153, 0.123]),
+    ([0.307, 0.526], [0.33, -0.261]),
+    ([-0.458, -0.412, -0.117], [-1.394, 1.117, 1.487]),
+]
+
+
+def test_rejected_secant_root_gets_picard_bits():
+    """A row whose secant root is not kept gets exactly damped Picard's
+    value, alone and among rows that keep theirs."""
+    for x, y in FALLBACK_POINTS:
+        d = len(x)
+        psi, phi = DoubleSqrtNorm(d, 1, d - 1, plus=True), DoubleSqrtNorm(d, 1, d - 1, plus=False)
+        fast = solve_complex(phi, psi, [x], [y])
+        slow = oracles.solve_complex_picard(phi, psi, [x], [y])
+        assert fast.errors == slow.errors == [None]
+        assert fast.iterations > slow.iterations  # the rejected attempt came first
+        assert fast.value[0] == slow.value[0]
+        np.testing.assert_array_equal(fast.eta, slow.eta)
+        xs, ys = in_ball(psi, phi, 0.8, count=20)
+        xs, ys = np.vstack([xs, [x]]), np.vstack([ys, [y]])
+        mixed = solve_complex(phi, psi, xs, ys)
+        assert not any(mixed.errors) and mixed.value[-1] == slow.value[0]
 
 
 def test_closed_form_rows_run_eval_row_by_row():
@@ -314,6 +386,20 @@ def test_point_guard_rejects_non_finite_points(spec):
     for i in (0, 2):
         assert np.isnan(rows.f[i])
         assert isinstance(rows.errors[i], DomainError) and "must be finite" in str(rows.errors[i])
+
+
+@pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)
+def test_far_x_fails_its_row_without_a_warning(spec):
+    """P is not radius-guarded, so an x of 1e150 reaches the solves, where
+    y + x t overflows: that row gets a SolverError, with no numpy warning,
+    and the other row its value."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    x, y = np.array([[1e150, 0.0], [0.1, 0.0]]), np.array([[0.3, 1.0], [0.3, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = metric.rows(x, y, with_f=False, with_p=True)
+    assert isinstance(rows.errors[0], SolverError) and np.isnan(rows.p[0])
+    assert rows.errors[1] is None and rows.p[1] == metric.rows(x[1:], y[1:], with_p=True).p[0]
 
 
 @pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
