@@ -5,8 +5,8 @@ drift function), evaluate the classical closed forms, and verify the
 defining identities numerically.
 """
 
-from .catalog import (CatalogEntry, as_evaluator, catalog_entry, eval_catalog,
-                      list_catalog, parse_catalog)
+from .catalog import (CatalogEntry, as_evaluator, catalog_entry, list_catalog,
+                      parse_catalog)
 from .construct import (MetricEvaluator, broken_metric, build_k0, build_kneg1,
                         build_kpos1)
 from .errors import (BranchCutError, DimensionMismatchError, DomainError,

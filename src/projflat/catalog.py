@@ -253,12 +253,6 @@ _TABLE = {
 CATALOG_NAMES = tuple(_TABLE)
 
 
-def eval_catalog(entry: CatalogEntry, x, y) -> float:
-    """Evaluate the entry's printed formula at (x, y), with the
-    evaluator's dimension, y != 0 and validity-radius guards."""
-    return as_evaluator(entry).eval(x, y)
-
-
 def as_evaluator(entry: CatalogEntry) -> MetricEvaluator:
     """Wrap an entry as a MetricEvaluator (numeric projective factor)."""
     formula = _TABLE[entry.name].formula

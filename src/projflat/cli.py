@@ -193,7 +193,7 @@ def cmd_verify(args) -> int:
             raise SpecParseError(f"unknown check '{c}'")
     tols = _parse_tol_overrides(args.tol_override)
     radius = args.radius
-    limit = getattr(metric, "domain_radius", math.inf)
+    limit = metric.domain_radius
     if radius > limit:
         raise DomainError(f"radius {radius} exceeds the metric's validity "
                           f"radius {limit:.6g}")
@@ -304,7 +304,7 @@ def cmd_geodesic(args) -> int:
     _require_positive("--steps", args.steps)
     _require_positive("--t-end", args.t_end)
     metric = parse_metric(args.metric, x0.size, _solver_cfg(args))
-    traj = vfy.integrate_geodesic(metric, x0, v0, args.t_end, args.steps)
+    [traj] = vfy.integrate_geodesic(metric, x0[None], v0[None], args.t_end, args.steps)
     score = vfy.collinearity_score(traj, x0, v0)
     if args.out:
         header = (["t"] + [f"x{i+1}" for i in range(x0.size)]

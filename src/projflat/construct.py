@@ -21,9 +21,10 @@ The builders do not vet psi: ``verify.check_minkowski(psi, 64)``, or the
 ``convexity`` check of the built metric, reports a psi that is not a
 Minkowski norm.
 
-``MetricEvaluator.rows`` evaluates N points ``(N, n)`` at once.  A
+``MetricEvaluator.rows`` evaluates N points, rows ``x`` and ``y`` of
+shape ``(N, n)``, at once; it is the one way to evaluate a metric.  A
 constructed metric solves all of them together, once per point for F and
-P both; a closed form runs its formula point by point.
+P both; a closed form runs its formula point by point (``eval``).
 """
 
 import math
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ProjFlatError
-from .norms import HomogeneousFunction, combine, lengths, per_row
+from .errors import DimensionMismatchError, DomainError, ProjFlatError
+from .norms import HomogeneousFunction, as_rows, combine, lengths, per_row
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
@@ -79,10 +80,10 @@ class MetricEvaluator:
     ``kind`` is one of constructed-K0 / constructed-Kneg1 /
     constructed-Kpos1 / catalog:<name> / test:broken, and
     ``intended_curvature`` its constant flag curvature K.  A closed form
-    carries ``f_eval``, its formula at one point; a constructed metric
-    carries ``solve``, which maps rows ``x``, ``y`` and whether F is
-    wanted to ``(F, P, fields, errors)`` (see RowValues) from one solve
-    per row.
+    carries ``f_eval``, its formula at one point, which ``rows`` calls
+    through ``eval`` once per row; a constructed metric carries ``solve``,
+    which maps rows ``x``, ``y`` and whether F is wanted to
+    ``(F, P, fields, errors)`` (see RowValues) from one solve per row.
     """
 
     kind: str
@@ -96,7 +97,7 @@ class MetricEvaluator:
         x = np.asarray(x, dtype=float).reshape(-1)
         y = np.asarray(y, dtype=float).reshape(-1)
         if x.size != self.dimension or y.size != self.dimension:
-            raise DomainError(f"expected {self.dimension}-dimensional x and y")
+            raise DimensionMismatchError(f"expected {self.dimension}-dimensional x and y")
         # squares of Python floats overflow to inf without a warning
         yy = sum(c * c for c in y.tolist())
         length = math.sqrt(sum(c * c for c in x.tolist()))
@@ -104,17 +105,21 @@ class MetricEvaluator:
             raise DomainError(NON_FINITE)
         if yy == 0.0:  # |y| = 0, also when its length underflows
             raise DomainError("y = 0 is outside the metric domain")
-        if length > self.domain_radius * (1.0 + 1e-12):
-            raise DomainError(self._radius_message(length))
+        if self.beyond_radius(length):
+            raise DomainError(self.radius_message(length))
         return x, y
 
-    def _radius_message(self, length):
+    def beyond_radius(self, length):
+        """Whether |x| = ``length`` lies beyond the validity radius."""
+        return length > self.domain_radius * (1.0 + 1e-12)
+
+    def radius_message(self, length):
         return (f"|x| = {length:.6g} exceeds the validity radius "
                 f"{self.domain_radius:.6g} of this evaluator")
 
     def rows(self, x, y, with_f=True, with_p=False) -> RowValues:
         """F, and the exact P when ``with_p``, at each row of ``x`` and ``y``
-        (both ``(N, n)``).
+        (both ``(N, n)``; any other shape is a DimensionMismatchError).
 
         Each row passes the point guard on its own: finite x, y and squared
         lengths, y != 0 (a y whose length underflows counts as zero) and,
@@ -125,10 +130,7 @@ class MetricEvaluator:
         other rows are unaffected.  A closed form evaluates its rows one
         ``eval`` at a time and has no exact P.
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or x.shape != y.shape or x.shape[1] != self.dimension:
-            raise DomainError(f"expected {self.dimension}-dimensional x and y")
+        x, y = as_rows(self.dimension, x, y)
         count = len(y)
         if self.solve is None:
             if with_p:
@@ -151,8 +153,8 @@ class MetricEvaluator:
         for i in np.flatnonzero(squares == 0.0):
             errors[i] = errors[i] or DomainError("y = 0 is outside the metric domain")
         if with_f:
-            for i in np.flatnonzero(length > self.domain_radius * (1.0 + 1e-12)):
-                errors[i] = errors[i] or DomainError(self._radius_message(length[i]))
+            for i in np.flatnonzero(self.beyond_radius(length)):
+                errors[i] = errors[i] or DomainError(self.radius_message(length[i]))
         ok = np.array([exc is None for exc in errors], dtype=bool)
         f, p, fields, solved = self.solve(x[ok], y[ok], with_f)
         for i, exc in zip(np.flatnonzero(ok), solved):
@@ -162,25 +164,12 @@ class MetricEvaluator:
                          tuple(_spread(v, ok) for v in fields), errors)
 
     def eval(self, x, y) -> float:
-        """Metric value F(x, y); positive for y != 0 inside the domain."""
-        if self.solve is not None:
-            return float(self._point(x, y, with_f=True).f[0])
+        """A closed form's F at one point, behind the point guard; ``rows``
+        calls it once per row.  A constructed metric evaluates on rows only."""
+        if self.f_eval is None:
+            raise ProjFlatError(f"{self.kind} evaluates on rows only; use rows()")
         x, y = self._check_point(x, y)
         return float(self.f_eval(x, y))
-
-    __call__ = eval
-
-    def projective_factor_exact(self, x, y) -> float:
-        """Exact projective factor; only constructed metrics carry one.
-
-        Not radius-guarded, like P in ``rows``; a closed form raises ProjFlatError.
-        """
-        return float(self._point(x, y, with_f=False, with_p=True).p[0])
-
-    def _point(self, x, y, **want) -> RowValues:
-        values = self.rows(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), **want)
-        raise_first(values.errors)
-        return values
 
 
 def _spread(values, ok):

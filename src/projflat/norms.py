@@ -16,13 +16,15 @@ arguments are always available:
 * ``combo``       a formal linear combination of the above (used for
                   phi +/- psi without numeric differentiation)
 
-``eval_real``, ``grad_real`` and ``eval_complex`` take one vector ``(n,)``
-or rows ``(N, n)`` and act along the last axis: a row gives the same bits
-as the same vector passed alone.  One vector yields a float or
-complex (value) or an ``(n,)`` array (gradient); rows yield ``(N,)``
-values or ``(N, n)`` gradients.  A real row whose squared length is 0,
-also when it underflows, is outside the domain of every family but
-``zero``.
+``eval_real``, ``grad_real`` and ``eval_complex`` take rows ``(N, n)`` and
+yield ``(N,)`` values or ``(N, n)`` gradients.  They act along the last
+axis, so they also take the single vector ``(n,)`` that origin data is
+(psi(y) = F(0, y)), and yield a float or complex value or an ``(n,)``
+gradient; it gets the bits of the same vector as a row among others.
+Everything above the norms (the solves, the evaluators and the checks)
+takes rows only; ``as_rows`` is their shape check.  A real row whose
+squared length is 0, also when it underflows, is outside the domain of
+every family but ``zero``.
 
 These public methods are implemented once, in ``HomogeneousFunction``:
 they check the input (dimension, finite components, no zero real row),
@@ -61,9 +63,21 @@ def lengths(v: np.ndarray):
     """Euclidean length along the last axis.
 
     ``np.vecdot`` rounds each row exactly as ``np.linalg.norm`` rounds a
-    lone vector, which ``norm(axis=...)``, ``einsum`` and ``sum`` do not.
+    single vector, which ``norm(axis=...)``, ``einsum`` and ``sum`` do not.
     """
     return np.sqrt(np.vecdot(v, v))
+
+
+def as_rows(dimension: int, x, y):
+    """``x`` and ``y`` as float arrays, if both are rows ``(N, dimension)``
+    of one shape; a DimensionMismatchError otherwise."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or x.shape != y.shape or y.shape[1] != dimension:
+        raise DimensionMismatchError(
+            f"x and y must be rows (N, {dimension}) of one shape; "
+            f"got {x.shape} and {y.shape}")
+    return x, y
 
 
 def scale_exponents(y):
@@ -133,7 +147,7 @@ class HomogeneousFunction:
         (``scale_exponents``); a value (degree 1) is scaled back by 2^e, a
         gradient (degree 0) needs no scale-back.
 
-        A lone vector is computed as a single row, so it gets the bits the
+        A single vector is computed as a single row, so it gets the bits the
         same row gets among others: numpy's complex products can differ
         from its scalar products in the last ulp.
         """
@@ -173,7 +187,7 @@ class HomogeneousFunction:
 
 
 def _unwrap(out):
-    """A lone vector's value as a Python float or complex; rows stay an array."""
+    """A single vector's value as a Python float or complex; rows stay an array."""
     return out.item() if out.ndim == 0 else out
 
 
@@ -187,7 +201,7 @@ def per_row(fn, v):
 
     Returns ``(values, errors)``.  When the call raises a library error,
     ``fn`` runs again row by row: a failing row gets nan (a nan row of
-    the shape the other rows' values have) and the error it raises alone,
+    the shape the other rows' values have) and the error it raises on its own,
     the other rows their values.
     """
     try:

@@ -20,12 +20,11 @@ with memory 1; Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which
 converge superlinearly without a derivative, and falls back to damped
 Picard iteration when its secant root fails a check or does not attract.
 
-Both solves take rows ``x``, ``y`` of shape ``(N, n)`` and run every row
-in lockstep with numpy, each row masked out once it is done: the
-problems are independent per point, so a row gets exactly the steps (and
-bits) it would get alone.  A row that fails keeps its own error in
-``SolveResult.errors`` and the others go on.  One vector ``(n,)`` is a
-single row that raises its error.
+Both solves take rows ``x``, ``y`` of shape ``(N, n)``, and only rows,
+and run every row in lockstep with numpy, each row masked out once it is
+done: the problems are independent per point, so a row gets exactly the
+steps (and bits) it would get in a batch of one.  A row that fails keeps
+its own error in ``SolveResult.errors`` and the others go on.
 
 Each solve checks its rows once, at entry, and brings each y into range
 by a power of two (see ``_Rows``); the Newton, bracket and complex
@@ -40,13 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
-from .norms import HomogeneousFunction, lengths, scale_exponents, times_pow2
+from .norms import (HomogeneousFunction, as_rows, lengths, scale_exponents,
+                    times_pow2)
 from .sampling import unit_directions
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
 _MAX_EXPANSIONS = 80
 _MIN_DAMPING = 1.0 / 64.0
 BRACKET_EXPANSION = 2.0  # bracket width factor per expansion
+RADIUS_DIRECTIONS = 256  # unit directions sampled by the radius estimates
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,16 @@ DEFAULT_CONFIG = SolverConfig()
 class SolveResult:
     """Fixed-point values with their shifted arguments and residuals.
 
-    For rows, ``value`` and ``residual`` are ``(N,)`` arrays, ``eta`` is
-    ``(N, n)`` and ``errors[i]`` is row i's SolverError (or the
-    DomainError of a row with a non-finite input), None where the row
-    converged; a failed row holds nan.  For one vector they are scalars,
-    ``(n,)`` and ``[None]``.  ``iterations`` counts Newton steps, or the
-    complex solve's secant and Picard steps (a fallback's included),
-    summed over rows.
+    ``value`` and ``residual`` are ``(N,)`` arrays, ``eta`` is ``(N, n)``
+    and ``errors[i]`` is row i's SolverError (or the DomainError of a row
+    with a non-finite input), None where the row converged; a failed row
+    holds nan.  ``iterations`` counts Newton steps, or the complex solve's
+    secant and Picard steps (a fallback's included), summed over rows.
     """
 
-    value: object
+    value: np.ndarray
     eta: np.ndarray
-    residual: object
+    residual: np.ndarray
     iterations: int
     errors: list
 
@@ -89,9 +88,9 @@ class SolveResult:
 class _Rows:
     """Per-row inputs, outputs and failures of one solve.
 
-    The inputs are checked here, once per solve: ``x`` and ``y`` are one
-    vector or rows of ``dimension`` components, of one shape, and a row
-    with a non-finite component fails with a DomainError (and is held at
+    The inputs are checked here, once per solve: ``x`` and ``y`` are rows
+    ``(N, dimension)`` of one shape (``as_rows``), and a row with a
+    non-finite component fails with a DomainError (and is held at
     x = y = 0, which no loop visits).  Each y is brought into range by
     ``scale_exponents``: the solves stop on absolute floors, and the
     fixed point has degree one in y, so ``result`` scales the value, eta
@@ -100,13 +99,7 @@ class _Rows:
     """
 
     def __init__(self, dimension, x, y, dtype):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1:] != (dimension,) or x.shape != y.shape or y.ndim > 2:
-            raise DimensionMismatchError(
-                f"x and y must be {dimension}-component vectors or rows of one shape")
-        self.lone = y.ndim == 1
-        x, y = np.atleast_2d(x), np.atleast_2d(y)
+        x, y = as_rows(dimension, x, y)
         count = len(y)
         self.missing = complex(np.nan, np.nan) if dtype is complex else np.nan
         self.value = np.full(count, self.missing, dtype=dtype)
@@ -140,12 +133,7 @@ class _Rows:
         e = self.e
         value, residual = times_pow2(self.value, e), times_pow2(self.residual, e)
         eta = times_pow2(eta, e[:, None])
-        if not self.lone:
-            return SolveResult(value, eta, residual, int(iterations), self.errors)
-        if self.errors[0] is not None:
-            raise self.errors[0]
-        return SolveResult(value[0].item(), eta[0], float(residual[0]),
-                           int(iterations), [None])
+        return SolveResult(value, eta, residual, int(iterations), self.errors)
 
 
 def _at(kernel, w, nonzero):
@@ -262,16 +250,16 @@ def _radius(slopes: np.ndarray) -> float:
     return 1.0 / (2.0 * worst)
 
 
-def radius_estimate(phi: HomogeneousFunction, samples: int = 256) -> float:
+def radius_estimate(phi: HomogeneousFunction) -> float:
     """Validity-ball radius 1 / (2 sup |grad phi|), supremum sampled over
-    deterministic unit directions.  Infinite for the zero function."""
-    return _radius(lengths(phi.grad_real(unit_directions(phi.dimension, samples))))
+    RADIUS_DIRECTIONS deterministic unit directions.  Infinite for the
+    zero function."""
+    return _radius(lengths(phi.grad_real(unit_directions(phi.dimension, RADIUS_DIRECTIONS))))
 
 
-def pair_radius_estimate(phi: HomogeneousFunction, psi: HomogeneousFunction,
-                         samples: int = 256) -> float:
+def pair_radius_estimate(phi: HomogeneousFunction, psi: HomogeneousFunction) -> float:
     """Validity radius for the complex combined map phi + i psi."""
-    dirs = unit_directions(phi.dimension, samples)
+    dirs = unit_directions(phi.dimension, RADIUS_DIRECTIONS)
     return _radius(np.hypot(lengths(phi.grad_real(dirs)), lengths(psi.grad_real(dirs))))
 
 

@@ -6,7 +6,9 @@ the constructive solvers and the catalog transcriptions are both checked
 against a second route.  ``solve_complex_nested`` is a second route to
 the complex fixed point, built from the public norm interface only.  The
 ``*_loop`` functions are the one-direction-at-a-time references for the
-batched radius estimates and Minkowski probe, and ``solve_real_scalar``,
+batched radius estimates and Minkowski probe.  ``f_at`` and ``p_exact_at``
+read F and the exact P at one point from a one-row batch of
+``MetricEvaluator.rows``.  ``solve_real_scalar``,
 ``solve_complex_scalar`` and ``constructed_fp`` are the one-point
 references for the solves and metric builders on rows;
 ``solve_complex_picard`` is the complex solve on rows without its secant
@@ -21,10 +23,12 @@ import numpy as np
 from projflat import (CombinedNorm, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, HomogeneousFunction, RandersNorm,
                       ScaledNorm, SolveResult, SolverConfig, SolverError,
-                      SpecParseError, ZeroNorm, catalog_entry, eval_catalog)
+                      SpecParseError, ZeroNorm, as_evaluator, catalog_entry)
+from projflat.construct import raise_first
 from projflat.norms import combine
 from projflat.sampling import unit_directions
-from projflat.solver import BRACKET_EXPANSION, _at, _complex_nonzero, _Rows
+from projflat.solver import (BRACKET_EXPANSION, RADIUS_DIRECTIONS, _at,
+                             _complex_nonzero, _Rows)
 from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, convexity_residual,
                              gradient_from, gradient_points, make_report)
 
@@ -217,18 +221,18 @@ def fd_hessian_loop(fun, v, step):
     return h
 
 
-def radius_estimate_loop(phi, samples=256):
+def radius_estimate_loop(phi):
     """1 / (2 max |grad phi(u)|) with one scalar gradient call per direction."""
     worst = 0.0
-    for u in unit_directions(phi.dimension, samples):
+    for u in unit_directions(phi.dimension, RADIUS_DIRECTIONS):
         worst = max(worst, float(np.linalg.norm(phi.grad_real(u))))
     return np.inf if worst == 0.0 else 1.0 / (2.0 * worst)
 
 
-def pair_radius_estimate_loop(phi, psi, samples=256):
+def pair_radius_estimate_loop(phi, psi):
     """The pair radius with scalar gradient calls per direction."""
     worst = 0.0
-    for u in unit_directions(phi.dimension, samples):
+    for u in unit_directions(phi.dimension, RADIUS_DIRECTIONS):
         worst = max(worst, float(np.hypot(np.linalg.norm(phi.grad_real(u)),
                                           np.linalg.norm(psi.grad_real(u)))))
     return np.inf if worst == 0.0 else 1.0 / (2.0 * worst)
@@ -251,7 +255,25 @@ def check_minkowski_loop(f, samples, eig_floor=MINKOWSKI_EIG_FLOOR):
 
 
 # ---------------------------------------------------------------------------
-# one-point solves and builders
+# one-row batches, one-point solves and builders
+
+
+def _one_row(metric, x, y, **want):
+    values = metric.rows(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), **want)
+    raise_first(values.errors)
+    return values
+
+
+def f_at(metric, x, y) -> float:
+    """F at the point (x, y), from ``metric.rows`` on that one-row batch;
+    raises the row's error."""
+    return float(_one_row(metric, x, y).f[0])
+
+
+def p_exact_at(metric, x, y) -> float:
+    """A constructed metric's exact P at (x, y), from ``metric.rows`` on
+    that one-row batch (not radius-guarded); raises the row's error."""
+    return float(_one_row(metric, x, y, with_f=False, with_p=True).p[0])
 
 
 def _value_at(phi, w: np.ndarray) -> float:
@@ -472,18 +494,18 @@ def solve_complex_picard(phi, psi, x, y, cfg=None) -> SolveResult:
     return rows.result(iterations)
 
 
-def implicit_derivatives(phi, res, x, y):
-    """Exact first derivatives (P_y, P_x) of the solved field at (x, y):
-    P_y = grad phi(eta) / (1 - <grad phi(eta), x>) and P_x = P P_y, the
-    transport identity."""
+def implicit_derivatives(phi, res, x):
+    """Exact first derivatives (P_y, P_x) of the solved field at x, from the
+    one-row solve ``res`` there: P_y = grad phi(eta) / (1 - <grad phi(eta), x>)
+    and P_x = P P_y, the transport identity."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    grad = phi.grad_real(res.eta)
+    grad = phi.grad_real(res.eta[0])
     denom = 1.0 - float(grad @ x)
     if denom < 1e-8:
         raise DomainError("implicit-derivative denominator vanishes; "
                           "the point sits on the validity boundary")
     p_y = grad / denom
-    p_x = res.value * p_y
+    p_x = res.value[0] * p_y
     return p_y, p_x
 
 
@@ -543,8 +565,8 @@ def zhou_reduction_check(d1, d2, sign, x, y):
     on the zhou domain.
     """
     xx, yy, xy = _dots(x, y)
-    lhs = eval_catalog(catalog_entry("zhou", len(np.atleast_1d(x)), d1=d1, d2=d2,
-                                     sign=sign), x, y)
+    lhs = f_at(as_evaluator(catalog_entry("zhou", len(np.atleast_1d(x)), d1=d1,
+                                          d2=d2, sign=sign)), x, y)
     out = 0.0
     for s, num_sign in ((sign, -1.0), (-sign, 1.0)):
         a = 2.0 * d2 + s * 4.0 * d1 * d1 - xx
@@ -560,10 +582,10 @@ def convexity_check(metric, x, samples, eig_floor=1e-8):
     x = np.asarray(x, dtype=float)
     residuals, points, min_eig = [], [], np.inf
     for u in unit_directions(metric.dimension, samples):
-        r, lam = convexity_residual(metric, x, u)
-        residuals.append(r)
+        r, lam = convexity_residual(metric, x[None], u[None])
+        residuals.append(r[0])
         points.append((x, u))
-        min_eig = min(min_eig, lam)
+        min_eig = min(min_eig, lam[0])
     return make_report("convexity", points, residuals, tolerance=-eig_floor,
                        extra={"min_eigenvalue": min_eig})
 

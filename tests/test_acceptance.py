@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import bryant_all_real, implicit_derivatives, zhou_reduction_check
+from oracles import (bryant_all_real, f_at, implicit_derivatives, p_exact_at,
+                     zhou_reduction_check)
 from projflat import (DoubleSqrtNorm, EuclideanNorm, RandersNorm, ScaledNorm,
                       ZeroNorm, as_evaluator, broken_metric, build_k0,
                       build_kneg1, build_kpos1, catalog_entry,
-                      collinearity_score, eval_catalog, flag_curvature,
+                      collinearity_score, flag_curvature,
                       hamel_residual, integrate_geodesic, master_pde_residual,
                       parse_norms, projective_factor_numeric, solve_real)
 from projflat.sampling import ball_points, sphere_points
@@ -32,7 +33,7 @@ def curvature_sweep(metric, radius, count, seed=SEED):
     rng = np.random.default_rng(seed)
     xs = ball_points(rng, metric.dimension, radius, count)
     ys = sphere_points(rng, metric.dimension, count)
-    return np.array([flag_curvature(metric, x, y) for x, y in zip(xs, ys)])
+    return flag_curvature(metric, xs, ys)
 
 
 def test_criterion_01_funk_curvature():
@@ -61,13 +62,13 @@ def test_criterion_04_bryant():
     ks = curvature_sweep(as_evaluator(catalog_entry("bryant", 2, alpha=alpha)), 0.3, 30)
     worst_k = float(np.abs(ks - 1.0).max())
     rng = np.random.default_rng(SEED)
-    ent = catalog_entry("bryant", 2, alpha=alpha)
+    bryant = as_evaluator(catalog_entry("bryant", 2, alpha=alpha))
     worst_forms = 0.0
     for _ in range(50):
         x = ball_points(rng, 2, 0.5, 1)[0]
         y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
         worst_forms = max(worst_forms,
-                          abs(eval_catalog(ent, x, y) - bryant_all_real(alpha, x, y)))
+                          abs(f_at(bryant, x, y) - bryant_all_real(alpha, x, y)))
     ok = worst_k <= 1e-3 and worst_forms <= 1e-12
     report(4, "bryant K = 1 and matching renderings", ok,
            f"max |K - 1| = {worst_k:.2e}, renderings diff = {worst_forms:.2e}")
@@ -78,7 +79,7 @@ def _matched_k0_branch(c):
     y0 = np.array([0.0, 1.0])
     for branch in (-1, 1):
         m = as_evaluator(catalog_entry("sph-k0", 2, c=c, branch=branch))
-        p0 = projective_factor_numeric(m, np.zeros(2), y0)
+        [p0] = projective_factor_numeric(m, np.zeros((1, 2)), [y0])
         if np.sign(p0) == np.sign(c):
             return m
     raise AssertionError("no branch matches the drift sign")
@@ -112,13 +113,13 @@ def test_criterion_05_constructor_catalog_equivalence():
     ok = True
     for label, (built, reference, radius) in cases.items():
         rng = np.random.default_rng(SEED)
-        ref = reference if callable(reference) and not hasattr(reference, "eval") \
-            else reference.eval
+        ref = reference if callable(reference) else (
+            lambda x, y, m=reference: f_at(m, x, y))
         worst = 0.0
         for _ in range(100):
             x = ball_points(rng, 2, radius, 1)[0]
             y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
-            a = built.eval(x, y)
+            a = f_at(built, x, y)
             b = ref(x, y)
             worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
         details.append(f"{label.split(':')[0]}={worst:.1e}")
@@ -127,20 +128,19 @@ def test_criterion_05_constructor_catalog_equivalence():
 
 
 def test_criterion_06_double_sqrt_example():
-    ent = catalog_entry("dsr-new", 2, n=1, m=1)
-    m = as_evaluator(ent)
+    m = as_evaluator(catalog_entry("dsr-new", 2, n=1, m=1))
     rng = np.random.default_rng(SEED)
     worst_h, worst_k = 0.0, 0.0
     for _ in range(20):
         x = ball_points(rng, 2, 0.2, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        worst_h = max(worst_h, hamel_residual(m, x, y))
-        worst_k = max(worst_k, abs(flag_curvature(m, x, y) - 1.0))
+        worst_h = max(worst_h, hamel_residual(m, [x], [y])[0])
+        worst_k = max(worst_k, abs(flag_curvature(m, [x], [y])[0] - 1.0))
     worst_r = 0.0
     for _ in range(20):
         x1 = rng.uniform(-0.6, 0.6)
         y1 = rng.uniform(0.2, 2.0) * (1 if rng.random() < 0.5 else -1)
-        got = eval_catalog(ent, [x1, 0.0], [y1, 0.0])
+        got = f_at(m, [x1, 0.0], [y1, 0.0])
         want = oracles.space_form(1.0, [x1], [y1])
         worst_r = max(worst_r, abs(got - want))
     ok = worst_h <= 1e-6 and worst_k <= 1e-3 and worst_r <= 1e-10
@@ -183,9 +183,8 @@ def test_criterion_08_origin_recovery():
             m = build(psi, phi)
             for _ in range(5):
                 y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
-                worst = max(worst, abs(m.eval(np.zeros(2), y) - psi.eval_real(y)))
-                worst = max(worst, abs(m.projective_factor_exact(np.zeros(2), y)
-                                       - phi.eval_real(y)))
+                worst = max(worst, abs(f_at(m, np.zeros(2), y) - psi.eval_real(y)))
+                worst = max(worst, abs(p_exact_at(m, np.zeros(2), y) - phi.eval_real(y)))
     report(8, "origin recovery F(0,.) = psi, P(0,.) = phi", worst <= 1e-10,
            f"max deviation = {worst:.2e}")
 
@@ -197,9 +196,9 @@ def test_criterion_09_master_pde():
         for _ in range(20):
             x = ball_points(rng, 2, 0.25, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            res = solve_real(phi, x, y)
-            p_y, p_x = implicit_derivatives(phi, res, x, y)
-            p_back = phi.eval_real(res.eta)
+            res = solve_real(phi, [x], [y])
+            p_y, p_x = implicit_derivatives(phi, res, x)
+            p_back = phi.eval_real(res.eta[0])
             worst_exact = max(worst_exact, float(np.abs(p_x - p_back * p_y).max()))
     worst_fd = 0.0
     for m in (build_kneg1(E2, ScaledNorm(2, 0.3)),
@@ -207,7 +206,7 @@ def test_criterion_09_master_pde():
         for _ in range(15):
             x = ball_points(rng, 2, 0.8 * m.domain_radius, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            worst_fd = max(worst_fd, master_pde_residual(m, x, y))
+            worst_fd = max(worst_fd, master_pde_residual(m, [x], [y])[0])
     ok = worst_exact <= 1e-10 and worst_fd <= 1e-6
     report(9, "transport identity Phi_x = Phi Phi_y", ok,
            f"exact = {worst_exact:.2e}, finite-difference = {worst_fd:.2e}")
@@ -229,7 +228,7 @@ def test_criterion_10_geodesic_straightness():
         for _ in range(5):
             x0 = ball_points(rng, 2, inner, 1)[0]
             v0 = sphere_points(rng, 2, 1)[0]
-            traj = integrate_geodesic(m, x0, v0, 0.15, 100)
+            [traj] = integrate_geodesic(m, [x0], [v0], 0.15, 100)
             assert traj.points.shape[0] >= 10, name
             worst = max(worst, collinearity_score(traj, x0, v0))
     report(10, "geodesics stay on straight lines", worst <= 1e-8,
@@ -248,9 +247,9 @@ def test_criterion_11_solver_oracle():
         radius = 0.8 * (0.5 / max(sup, 1e-9)) if sup else 1.0
         x = ball_points(rng, 2, min(radius, 2.0), 1)[0]
         y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
-        res = solve_real(phi, x, y)
-        eta = y + x * res.value
-        f_back = abs(res.value - (phi.eval_real(eta) if eta.any() else 0.0))
+        [value] = solve_real(phi, [x], [y]).value
+        eta = y + x * value
+        f_back = abs(value - (phi.eval_real(eta) if eta.any() else 0.0))
         worst_res = max(worst_res, f_back)
 
         def f(t):
@@ -278,7 +277,7 @@ def test_criterion_11_solver_oracle():
                     lo = mid
                 else:
                     hi = mid
-        worst_match = max(worst_match, abs(res.value - 0.5 * (lo + hi)))
+        worst_match = max(worst_match, abs(value - 0.5 * (lo + hi)))
     ok = worst_res <= 1e-12 and worst_match <= 1e-10 and unique
     report(11, "solver residuals, oracle match, uniqueness", ok,
            f"residual = {worst_res:.2e}, oracle diff = {worst_match:.2e}, "
@@ -292,6 +291,6 @@ def test_criterion_12_negative_control():
     for _ in range(10):
         x = ball_points(rng, 2, 0.5, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        worst = max(worst, hamel_residual(m, x, y))
+        worst = max(worst, hamel_residual(m, [x], [y])[0])
     report(12, "broken metric fails the flatness check", worst > 1e-3,
            f"max residual = {worst:.2e}")

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import bryant_all_real, zhou_reduction_check
+from oracles import bryant_all_real, f_at, zhou_reduction_check
 from projflat import (DomainError, SpecParseError, as_evaluator, catalog_entry,
-                      eval_catalog, flag_curvature, hamel_residual,
-                      list_catalog, parse_catalog)
+                      flag_curvature, hamel_residual, list_catalog,
+                      parse_catalog)
 from projflat.sampling import ball_points, sphere_points
+
+
+def value(entry, x, y):
+    """The entry's F at (x, y), from a one-row batch of its evaluator."""
+    return f_at(as_evaluator(entry), x, y)
 
 
 def rotation_matrix(rng, dim):
@@ -26,8 +31,8 @@ def rotation_matrix(rng, dim):
 def test_funk_values():
     funk = catalog_entry("funk", 2)
     y = np.array([1.2, -0.7])
-    assert eval_catalog(funk, [0.0, 0.0], y) == pytest.approx(np.linalg.norm(y), abs=1e-14)
-    got = eval_catalog(funk, [0.5, 0.0], [0.0, 1.0])
+    assert value(funk, [0.0, 0.0], y) == pytest.approx(np.linalg.norm(y), abs=1e-14)
+    got = value(funk, [0.5, 0.0], [0.0, 1.0])
     assert got == pytest.approx(math.sqrt(0.75) / 0.75, abs=1e-12)
     assert got == pytest.approx(1.1547005383792515, abs=1e-12)
 
@@ -35,7 +40,7 @@ def test_funk_values():
 def test_berwald_origin_is_norm():
     ent = catalog_entry("berwald", 2)
     y = np.array([0.6, 0.8])
-    assert eval_catalog(ent, [0.0, 0.0], y) == pytest.approx(1.0, abs=1e-14)
+    assert value(ent, [0.0, 0.0], y) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_bryant_two_renderings_agree(rng):
@@ -44,7 +49,7 @@ def test_bryant_two_renderings_agree(rng):
         for _ in range(40):
             x = ball_points(rng, 2, 0.5, 1)[0]
             y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
-            a = eval_catalog(ent, x, y)
+            a = value(ent, x, y)
             b = bryant_all_real(alpha, x, y)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
@@ -56,19 +61,19 @@ def test_bryant_no_domain_error_on_half_ball(rng):
         for _ in range(25):
             x = ball_points(rng, 2, 0.5, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            assert eval_catalog(ent, x, y) > 0.0
+            assert value(ent, x, y) > 0.0
 
 
 def test_bryant_origin_value():
     ent = catalog_entry("bryant", 2, alpha=np.pi / 6)
-    got = eval_catalog(ent, [0.0, 0.0], [1.0, 0.0])
+    got = value(ent, [0.0, 0.0], [1.0, 0.0])
     assert got == pytest.approx(np.cos(np.pi / 6), abs=1e-14)
 
 
 def test_double_sqrt_restriction_to_first_block():
     # with the second block zeroed the metric is the positive space form
     ent = catalog_entry("dsr-new", 2, n=1, m=1)
-    got = eval_catalog(ent, [0.5, 0.0], [1.0, 0.0])
+    got = value(ent, [0.5, 0.0], [1.0, 0.0])
     want = oracles.space_form(1.0, [0.5], [1.0])
     assert got == pytest.approx(want, abs=1e-14)
     assert got == pytest.approx(0.8, abs=1e-14)
@@ -79,7 +84,7 @@ def test_double_sqrt_matches_oracle(rng):
     for _ in range(20):
         x = ball_points(rng, 2, 0.3, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        assert eval_catalog(ent, x, y) == pytest.approx(
+        assert value(ent, x, y) == pytest.approx(
             oracles.double_sqrt_metric(1, x, y), rel=1e-12)
 
 
@@ -91,9 +96,9 @@ def test_sph_families_match_oracles(rng):
     for _ in range(20):
         x = ball_points(rng, 2, 0.5, 1)[0]
         y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
-        assert eval_catalog(k0, x, y) == pytest.approx(oracles.sph_k0(c, 1, x, y), rel=1e-12)
-        assert eval_catalog(kn, x, y) == pytest.approx(oracles.sph_kneg1(c, x, y), rel=1e-12)
-        assert eval_catalog(kp, x, y) == pytest.approx(oracles.sph_kpos1(c, x, y), rel=1e-12)
+        assert value(k0, x, y) == pytest.approx(oracles.sph_k0(c, 1, x, y), rel=1e-12)
+        assert value(kn, x, y) == pytest.approx(oracles.sph_kneg1(c, x, y), rel=1e-12)
+        assert value(kp, x, y) == pytest.approx(oracles.sph_kpos1(c, x, y), rel=1e-12)
 
 
 def test_sph_k0_branches_swap_under_drift_sign(rng):
@@ -103,8 +108,8 @@ def test_sph_k0_branches_swap_under_drift_sign(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.5, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        assert eval_catalog(plus, x, y) == pytest.approx(
-            eval_catalog(minus, x, y), rel=1e-13)
+        assert value(plus, x, y) == pytest.approx(
+            value(minus, x, y), rel=1e-13)
 
 
 def test_sph_kneg1_unit_constant_matches_display(rng):
@@ -112,7 +117,7 @@ def test_sph_kneg1_unit_constant_matches_display(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.4, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        assert eval_catalog(ent, x, y) == pytest.approx(
+        assert value(ent, x, y) == pytest.approx(
             oracles.kneg1_unit_pair_display(x, y), rel=1e-12)
 
 
@@ -180,8 +185,8 @@ def test_spherical_symmetry_under_rotations(rng):
             s = rotation_matrix(rng, 3)
             x = ball_points(rng, 3, 0.3, 1)[0]
             y = sphere_points(rng, 3, 1)[0]
-            a = eval_catalog(ent, x, y)
-            b = eval_catalog(ent, s @ x, s @ y)
+            a = value(ent, x, y)
+            b = value(ent, s @ x, s @ y)
             assert abs(a - b) <= 1e-12 * (1.0 + abs(a)), ent.name
 
 
@@ -194,24 +199,24 @@ def test_double_sqrt_blockwise_symmetry(rng):
         s = np.block([[s1, np.zeros((2, 2))], [np.zeros((2, 2)), s2]])
         x = ball_points(rng, 4, 0.25, 1)[0]
         y = sphere_points(rng, 4, 1)[0]
-        a = eval_catalog(ent, x, y)
-        b = eval_catalog(ent, s @ x, s @ y)
+        a = value(ent, x, y)
+        b = value(ent, s @ x, s @ y)
         assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 
 def test_domain_guards():
     with pytest.raises(DomainError):
-        eval_catalog(catalog_entry("funk", 2), [1.0, 0.0], [0.0, 1.0])
+        value(catalog_entry("funk", 2), [1.0, 0.0], [0.0, 1.0])
     with pytest.raises(DomainError):
-        eval_catalog(catalog_entry("berwald", 2), [1.1, 0.0], [0.0, 1.0])
+        value(catalog_entry("berwald", 2), [1.1, 0.0], [0.0, 1.0])
     with pytest.raises(DomainError):
-        eval_catalog(catalog_entry("space-form", 2, lam=-1.0), [1.2, 0.0], [0.0, 1.0])
+        value(catalog_entry("space-form", 2, lam=-1.0), [1.2, 0.0], [0.0, 1.0])
     with pytest.raises(DomainError):
-        eval_catalog(catalog_entry("sph-k0", 2, c=0.5, branch=-1), [2.5, 0.0], [0.0, 1.0])
+        value(catalog_entry("sph-k0", 2, c=0.5, branch=-1), [2.5, 0.0], [0.0, 1.0])
     with pytest.raises(DomainError):
-        eval_catalog(catalog_entry("zhou", 2, d1=0.5, d2=1.0, sign=1), [1.05, 0.0], [0.0, 1.0])
+        value(catalog_entry("zhou", 2, d1=0.5, d2=1.0, sign=1), [1.05, 0.0], [0.0, 1.0])
     with pytest.raises(DomainError):
-        eval_catalog(catalog_entry("funk", 2), [0.2, 0.0], [0.0, 0.0])
+        value(catalog_entry("funk", 2), [0.2, 0.0], [0.0, 0.0])
 
 
 def test_entry_parameter_validation():
@@ -273,7 +278,7 @@ def test_parse_catalog_round_trip():
         assert [type(v) for v in got.params.values()] == [type(v) for v in params.values()]
         assert got.known_curvature == want.known_curvature, text
         assert got.domain_radius == want.domain_radius, text
-        assert eval_catalog(got, x, y) == eval_catalog(want, x, y), text
+        assert value(got, x, y) == value(want, x, y), text
 
 
 @pytest.mark.parametrize("text, message", [
@@ -308,8 +313,8 @@ def test_all_entries_projectively_flat_with_known_curvature(rng):
         for _ in range(50):
             x = ball_points(rng, 2, radius, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            assert hamel_residual(m, x, y) <= 1e-6, ent.name
-            ks.append(flag_curvature(m, x, y))
+            assert hamel_residual(m, [x], [y])[0] <= 1e-6, ent.name
+            ks.append(flag_curvature(m, [x], [y])[0])
         ks = np.asarray(ks)
         if ent.name == "zhou":
             assert float(ks.max() - ks.min()) <= 1e-4

@@ -12,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from projflat import MetricEvaluator, catalog_entry, eval_catalog
+from oracles import f_at
+from projflat import MetricEvaluator, as_evaluator, catalog_entry
 from projflat import cli
 from projflat.cli import main, parse_metric
 from projflat.solver import SolverConfig
@@ -133,11 +134,11 @@ def test_sample_grid_csv(tmp_path, capsys):
     assert rows[0] == ["x1", "x2", "y1", "y2", "F", "P", "K"]
     assert len(rows) == 442
     # round trip: re-evaluate F from the parsed coordinates, exact match
-    ent = catalog_entry("funk", 2)
+    funk = as_evaluator(catalog_entry("funk", 2))
     for row in rows[1:6]:
         x = np.array([float(row[0]), float(row[1])])
         y = np.array([float(row[2]), float(row[3])])
-        assert float(row[4]) == pytest.approx(eval_catalog(ent, x, y), abs=1e-12)
+        assert float(row[4]) == pytest.approx(f_at(funk, x, y), abs=1e-12)
 
 
 def test_sample_constant_column_for_flat_norm(tmp_path, capsys):
@@ -161,10 +162,10 @@ def test_sample_grid_over_y(tmp_path, capsys):
     with open(out_file) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 10
-    ent = catalog_entry("funk", 2)
+    funk = as_evaluator(catalog_entry("funk", 2))
     row = rows[1]
     assert float(row[0]) == 0.2 and float(row[1]) == 0.0
-    want = eval_catalog(ent, [0.2, 0.0], [float(row[2]), float(row[3])])
+    want = f_at(funk, [0.2, 0.0], [float(row[2]), float(row[3])])
     assert float(row[4]) == pytest.approx(want, abs=1e-12)
 
 
@@ -195,6 +196,19 @@ def test_geodesic_command(tmp_path, capsys):
     assert len(rows) == data["points"] + 1
 
 
+@pytest.mark.parametrize("spec, radius", [
+    ("catalog:funk", "1"), ("construct:1:dsr-b:1,1:dsr-a:1,1", "0.336361"),
+    ("construct:1:bryant:0.5236", "0.4"), ("construct:0:euclidean:randers:0.2,0.1", "0.326906")])
+def test_geodesic_start_outside_the_validity_ball_is_a_domain_error(capsys, spec, radius):
+    # refused before any step: the exact P is not radius-guarded, and a
+    # closed form's guard used to end the trajectory at its start, exit 0
+    code, out, err = run_cli(capsys, "geodesic", "--metric", spec, "--x", "2,0", "--y", "0,1")
+    assert (code, out) == (3, "")
+    assert json.loads(err.splitlines()[-1])["error"] == {
+        "type": "domain",
+        "message": f"|x| = 2 exceeds the validity radius {radius} of this evaluator"}
+
+
 def test_catalog_listing(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
@@ -212,7 +226,7 @@ def test_catalog_listing_in_one_dimension(capsys):
     assert names == [n for n in cli.cat.CATALOG_NAMES if n != "dsr-new"]
     for entry in cli.cat.list_catalog(1):
         for x, y in (([0.1], [1.0]), ([-0.2], [-0.5])):
-            value = cli.cat.as_evaluator(entry).eval(x, y)
+            value = f_at(cli.cat.as_evaluator(entry), x, y)
             assert math.isfinite(value) and value > 0.0
 
 

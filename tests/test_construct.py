@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import f_at, p_exact_at
 from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm,
                       ProjFlatError, RandersNorm, ScaledNorm, ZeroNorm,
                       broken_metric, build_k0, build_kneg1, build_kpos1,
@@ -23,7 +24,7 @@ def sweep_compare(metric, oracle, rng, radius, count=20, tol=1e-10):
     for _ in range(count):
         x = ball_points(rng, 2, radius, 1)[0]
         y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
-        a = metric.eval(x, y)
+        a = f_at(metric, x, y)
         b = oracle(x, y)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
     assert worst <= tol, worst
@@ -31,17 +32,17 @@ def sweep_compare(metric, oracle, rng, radius, count=20, tol=1e-10):
 
 def test_k0_zero_drift_is_flat_norm(rng):
     m = build_k0(E2, Z2)
-    assert m.eval([0.4, 0.4], [1.0, 2.0]) == pytest.approx(np.sqrt(5.0), abs=1e-13)
+    assert f_at(m, [0.4, 0.4], [1.0, 2.0]) == pytest.approx(np.sqrt(5.0), abs=1e-13)
     for _ in range(10):
         x = ball_points(rng, 2, 3.0, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        assert m.eval(x, y) == pytest.approx(1.0, abs=1e-13)
+        assert f_at(m, x, y) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_k0_unit_drift_matches_berwald_form(rng):
     m = build_k0(E2, E2)
     x, y = np.array([0.3, 0.0]), np.array([0.0, 1.0])
-    assert m.eval(x, y) == pytest.approx(oracles.berwald(x, y), abs=1e-10)
+    assert f_at(m, x, y) == pytest.approx(oracles.berwald(x, y), abs=1e-10)
     sweep_compare(m, oracles.berwald, rng, 0.38)
 
 
@@ -79,7 +80,7 @@ def test_kpos1_bryant_pair_matches_radical_form(rng):
     # the bryant descriptor names the same two norms
     m2 = parse_metric(f"construct:1:bryant:{alpha!r}", 2, None)
     x, y = np.array([0.2, -0.1]), np.array([0.7, 0.7])
-    assert m.eval(x, y) == m2.eval(x, y)
+    assert f_at(m, x, y) == f_at(m2, x, y)
 
 
 def test_kpos1_double_sqrt_matches_closed_form(rng):
@@ -89,7 +90,7 @@ def test_kpos1_double_sqrt_matches_closed_form(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.2, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        a = m.eval(x, y)
+        a = f_at(m, x, y)
         b = oracles.double_sqrt_metric(1, x, y)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
     assert worst <= 1e-7
@@ -112,9 +113,8 @@ def test_origin_recovery_all_builders(rng):
             for _ in range(15):
                 y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
                 zero = np.zeros(2)
-                assert abs(m.eval(zero, y) - psi.eval_real(y)) <= 1e-10
-                assert abs(m.projective_factor_exact(zero, y)
-                           - phi.eval_real(y)) <= 1e-10
+                assert abs(f_at(m, zero, y) - psi.eval_real(y)) <= 1e-10
+                assert abs(p_exact_at(m, zero, y) - phi.eval_real(y)) <= 1e-10
 
 
 def reference_values(descriptor, y):
@@ -167,9 +167,9 @@ def test_homogeneity_in_y(rng):
         for _ in range(10):
             x = ball_points(rng, 2, 0.3, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            f1 = m.eval(x, y)
+            f1 = f_at(m, x, y)
             for lam in (0.5, 3.0):
-                assert abs(m.eval(x, lam * y) - lam * f1) <= 1e-10 * (1 + lam * f1)
+                assert abs(f_at(m, x, lam * y) - lam * f1) <= 1e-10 * (1 + lam * f1)
 
 
 def test_kneg1_transport_fields_satisfy_pde(rng):
@@ -177,7 +177,7 @@ def test_kneg1_transport_fields_satisfy_pde(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.25, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        assert master_pde_residual(m, x, y) <= 1e-6
+        assert master_pde_residual(m, [x], [y])[0] <= 1e-6
 
 
 def test_kpos1_complex_field_satisfies_pde(rng):
@@ -185,7 +185,7 @@ def test_kpos1_complex_field_satisfies_pde(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.3, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        assert master_pde_residual(m, x, y) <= 1e-6
+        assert master_pde_residual(m, [x], [y])[0] <= 1e-6
 
 
 def test_positivity_inside_domain(rng):
@@ -194,33 +194,36 @@ def test_positivity_inside_domain(rng):
         for _ in range(25):
             x = ball_points(rng, 2, 0.95 * m.domain_radius, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            assert m.eval(x, y) > 0.0
+            assert f_at(m, x, y) > 0.0
 
 
 def test_projective_factor_exact_values():
     m = build_k0(E2, Z2)
-    assert m.projective_factor_exact([0.2, 0.1], [1.0, 2.0]) == 0.0
+    assert p_exact_at(m, [0.2, 0.1], [1.0, 2.0]) == 0.0
     m1 = build_k0(EuclideanNorm(1), EuclideanNorm(1))
-    assert m1.projective_factor_exact([0.5], [1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert p_exact_at(m1, [0.5], [1.0]) == pytest.approx(2.0, abs=1e-12)
     mp = build_kpos1(E2, Z2)
-    assert mp.projective_factor_exact([0.0, 0.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-13)
+    assert p_exact_at(mp, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_domain_guard():
     m = build_k0(E2, E2)  # validity radius 0.5 -> guard at 0.4
     assert m.domain_radius == pytest.approx(0.4, abs=1e-12)
     with pytest.raises(DomainError):
-        m.eval([0.45, 0.0], [1.0, 0.0])
+        f_at(m, [0.45, 0.0], [1.0, 0.0])
     with pytest.raises(DomainError):
-        m.eval([0.1, 0.0], [0.0, 0.0])
+        f_at(m, [0.1, 0.0], [0.0, 0.0])
     # the boundary itself is allowed (inclusive guard)
-    assert m.eval([0.4, 0.0], [0.0, 1.0]) > 0.0
+    assert f_at(m, [0.4, 0.0], [0.0, 1.0]) > 0.0
+    # a constructed metric evaluates on rows only
+    with pytest.raises(ProjFlatError, match="rows only"):
+        m.eval([0.1, 0.0], [1.0, 0.0])
 
 
 def test_minkowski_flagging(capsys):
     # the builders do not vet psi; check_minkowski and the convexity check do
     bad = RandersNorm(2, (1.2, 0.0))
-    assert build_k0(bad, Z2).eval([0.1, 0.0], [1.0, 0.0]) > 0.0
+    assert f_at(build_k0(bad, Z2), [0.1, 0.0], [1.0, 0.0]) > 0.0
     assert not check_minkowski(bad, 64).passed
     assert check_minkowski(E2, 64).passed
     code = main(["verify", "--metric", "construct:0:randers:1.2,0:zero",
@@ -231,7 +234,7 @@ def test_minkowski_flagging(capsys):
 
 def test_broken_metric_evaluates():
     br = broken_metric(2)
-    assert br.eval([0.3, 0.2], [1.0, 1.0]) > 0.0
+    assert f_at(br, [0.3, 0.2], [1.0, 1.0]) > 0.0
     assert br.intended_curvature == 0.0
     with pytest.raises(ProjFlatError):
-        br.projective_factor_exact([0.1, 0.0], [1.0, 0.0])
+        p_exact_at(br, [0.1, 0.0], [1.0, 0.0])

@@ -14,15 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm,
-                      HomogeneousFunction, ProjFlatError, RandersNorm,
-                      ScaledNorm, SolverConfig, SolverError, ZeroNorm,
-                      build_k0, build_kneg1, build_kpos1, combine,
-                      integrate_geodesic, parse_norms, solve_complex,
+from oracles import f_at
+from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
+                      EuclideanNorm, HomogeneousFunction, ProjFlatError,
+                      RandersNorm, ScaledNorm, SolverConfig, SolverError,
+                      ZeroNorm, berwald_system_residual, build_k0,
+                      build_kneg1, build_kpos1, combine, flag_curvature,
+                      geodesic_coefficients_general, hamel_residual,
+                      integrate_geodesic, jet, master_pde_residual,
+                      parse_norms, projective_factor_numeric, solve_complex,
                       solve_real)
 from projflat.cli import parse_metric
 from projflat.sampling import ball_points, sphere_points
-from projflat.verify import point_values
+from projflat.verify import convexity_residual, point_values
 
 
 def origin_data(d):
@@ -231,6 +235,39 @@ def test_rejected_secant_root_gets_picard_bits():
         assert not any(mixed.errors) and mixed.value[-1] == slow.value[0]
 
 
+RANDERS = RandersNorm(2, (0.2, 0.1))
+# every function that evaluates a metric (or solves) on rows, called on (x, y)
+ROWS_FUNCTIONS = {
+    "solve_real": lambda metric, x, y: solve_real(RANDERS, x, y),
+    "solve_complex": lambda metric, x, y: solve_complex(RANDERS, EuclideanNorm(2), x, y),
+    "MetricEvaluator.rows": lambda metric, x, y: metric.rows(x, y),
+    "integrate_geodesic": lambda metric, x, y: integrate_geodesic(metric, x, y, 0.1, 2),
+    **{fn.__name__: fn for fn in (
+        jet, hamel_residual, projective_factor_numeric, flag_curvature, point_values,
+        berwald_system_residual, master_pde_residual, convexity_residual,
+        geodesic_coefficients_general)},
+}
+BAD_SHAPES = {
+    "one point": ([0.1, 0.0], [1.0, 0.0]),
+    "rows and one point": ([[0.1, 0.0], [0.2, 0.0]], [1.0, 0.0]),
+    "mismatched rows": ([[0.1, 0.0], [0.2, 0.0]], [[1.0, 0.0]]),
+    "wrong width": ([[0.1, 0.0, 0.0]], [[1.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_SHAPES))
+@pytest.mark.parametrize("name", sorted(ROWS_FUNCTIONS))
+@pytest.mark.parametrize("spec", ["catalog:funk", "construct:0:euclidean:randers:0.2,0.1"])
+def test_rows_functions_reject_other_shapes(spec, name, shape):
+    """Rows ``(N, n)`` of one shape are the only input: a single point, two
+    shapes or the wrong width is a DimensionMismatchError, not a DomainError
+    (exit 3), before anything is evaluated."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    x, y = BAD_SHAPES[shape]
+    with pytest.raises(DimensionMismatchError, match=r"must be rows \(N, 2\) of one shape"):
+        ROWS_FUNCTIONS[name](metric, x, y)
+
+
 def test_closed_form_rows_run_eval_row_by_row():
     metric = parse_metric("catalog:funk", 2, SolverConfig())
     x = np.array([[0.1, 0.2], [1.5, 0.0], [0.3, -0.4]])
@@ -244,6 +281,8 @@ def test_closed_form_rows_run_eval_row_by_row():
         assert str(rows.errors[i]) == str(one.value)
     with pytest.raises(ProjFlatError):
         metric.rows(x, y, with_p=True)
+    with pytest.raises(DimensionMismatchError):
+        metric.eval([0.1, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("spec", ["construct:0:euclidean:randers:0.2,0.1",
@@ -274,7 +313,7 @@ def test_geodesics_step_together_and_stop_alone():
     together = integrate_geodesic(metric, starts, velocities, 0.8, 40)
     assert [t.completed for t in together] == [True, False, True]
     for traj, x0, v0 in zip(together, starts, velocities):
-        alone = integrate_geodesic(metric, x0, v0, 0.8, 40)
+        [alone] = integrate_geodesic(metric, x0[None], v0[None], 0.8, 40)
         assert traj.completed == alone.completed
         np.testing.assert_array_equal(traj.points, alone.points)
         np.testing.assert_array_equal(traj.velocities, alone.velocities)
@@ -290,7 +329,7 @@ def test_geodesic_stops_alone_at_an_rk_stage():
     together = integrate_geodesic(metric, starts, velocities, 0.5, 2)
     assert [(t.completed, len(t.points)) for t in together] == [(False, 1), (True, 3)]
     for traj, x0, v0 in zip(together, starts, velocities):
-        alone = integrate_geodesic(metric, x0, v0, 0.5, 2)
+        [alone] = integrate_geodesic(metric, x0[None], v0[None], 0.5, 2)
         assert traj.completed == alone.completed
         np.testing.assert_array_equal(traj.points, alone.points)
         np.testing.assert_array_equal(traj.velocities, alone.velocities)
@@ -374,13 +413,14 @@ def test_f_and_p_have_degree_one_in_y(spec, seed, log_scale):
 @pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
 def test_point_guard_rejects_non_finite_points(spec):
     """Every metric kind rejects a non-finite x or y at its point guard, in
-    ``eval`` and per row in ``rows``; the other rows keep their values."""
+    a one-row batch and per row among others; the other rows keep their
+    values."""
     metric = parse_metric(spec, 2, SolverConfig())
     x = np.array([[np.nan, 0.0], [0.1, 0.05], [0.0, 0.0]])
     y = np.array([[1.0, 0.0], [0.6, 0.8], [np.inf, 1.0]])
     for i in (0, 2):
         with pytest.raises(DomainError, match="must be finite"):
-            metric.eval(x[i], y[i])
+            f_at(metric, x[i], y[i])
     rows = metric.rows(x, y)
     assert rows.errors[1] is None and rows.f[1] == metric.rows(x[1:2], y[1:2]).f[0]
     for i in (0, 2):
@@ -415,7 +455,7 @@ def test_point_guard_rejects_overflowing_squares_without_a_warning(spec):
         warnings.simplefilter("error")
         for x, y, message in cases:
             with pytest.raises(DomainError, match=message):
-                metric.eval(x, y)
+                f_at(metric, x, y)
         rows = metric.rows(np.array([x for x, _, _ in cases]), np.array([y for _, y, _ in cases]))
     for exc, (_, _, message) in zip(rows.errors, cases):
         assert isinstance(exc, DomainError) and message in str(exc)

@@ -28,28 +28,28 @@ def bisect_oracle(fn, lo, hi, iters=200):
 
 
 def test_zero_drift_gives_zero():
-    res = solve_real(ZeroNorm(2), [0.3, 0.1], [1.0, 2.0])
-    assert res.value == 0.0
-    assert res.residual == 0.0
-    np.testing.assert_allclose(res.eta, [1.0, 2.0])
+    res = solve_real(ZeroNorm(2), [[0.3, 0.1]], [[1.0, 2.0]])
+    assert res.value[0] == 0.0
+    assert res.residual[0] == 0.0
+    np.testing.assert_allclose(res.eta, [[1.0, 2.0]])
 
 
 def test_one_dimensional_euclidean_closed_form():
     # t = |1 + 0.5 t| has the unique root t = 2
-    res = solve_real(EuclideanNorm(1), [0.5], [1.0])
-    assert res.value == pytest.approx(2.0, abs=1e-12)
+    res = solve_real(EuclideanNorm(1), [[0.5]], [[1.0]])
+    assert res.value[0] == pytest.approx(2.0, abs=1e-12)
     f = lambda t: t - abs(1.0 + 0.5 * t)
     root = bisect_oracle(f, 0.0, 4.0)
-    assert res.value == pytest.approx(root, abs=1e-12)
+    assert res.value[0] == pytest.approx(root, abs=1e-12)
 
 
 def test_scaled_drift_matches_closed_form():
     c, x, y = 0.7, np.array([0.3, 0.1]), np.array([1.0, 2.0])
-    res = solve_real(ScaledNorm(2, c), x, y)
+    res = solve_real(ScaledNorm(2, c), [x], [y])
     xx, yy, xy = float(x @ x), float(y @ y), float(x @ y)
     closed = (c**2 * xy + np.sign(c) * np.sqrt(
         c**2 * (1 - c**2 * xx) * yy + c**4 * xy**2)) / (1 - c**2 * xx)
-    assert res.value == pytest.approx(closed, abs=1e-10)
+    assert res.value[0] == pytest.approx(closed, abs=1e-10)
 
 
 def test_negative_scale_closed_form(rng):
@@ -58,8 +58,8 @@ def test_negative_scale_closed_form(rng):
     for _ in range(20):
         x = ball_points(rng, 2, 0.8 * radius_estimate(phi), 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        res = solve_real(phi, x, y)
-        assert res.value == pytest.approx(oracles.root_scaled(c, x, y), abs=1e-10)
+        res = solve_real(phi, [x], [y])
+        assert res.value[0] == pytest.approx(oracles.root_scaled(c, x, y), abs=1e-10)
 
 
 PHIS = [
@@ -79,11 +79,11 @@ def test_residual_recheck_independent(rng):
         for _ in range(20):
             x = ball_points(rng, 2, r, 1)[0]
             y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
-            res = solve_real(phi, x, y)
-            eta = y + x * res.value
-            recheck = abs(res.value - (phi.eval_real(eta) if eta.any() else 0.0))
+            res = solve_real(phi, [x], [y])
+            eta = y + x * res.value[0]
+            recheck = abs(res.value[0] - (phi.eval_real(eta) if eta.any() else 0.0))
             assert recheck <= 1e-13
-            np.testing.assert_allclose(res.eta, eta)
+            np.testing.assert_allclose(res.eta[0], eta)
 
 
 def test_uniqueness_scan_and_bisection_match(rng):
@@ -118,8 +118,8 @@ def test_uniqueness_scan_and_bisection_match(rng):
         assert len(roots) == 1, f"{phi.family}: {len(roots)} roots in scan"
         lo, hi = roots[0]
         root = lo if lo == hi else bisect_oracle(f, lo, hi)
-        res = solve_real(phi, x, y)
-        assert res.value == pytest.approx(root, abs=1e-10)
+        res = solve_real(phi, [x], [y])
+        assert res.value[0] == pytest.approx(root, abs=1e-10)
 
 
 def test_degenerate_ray(rng):
@@ -128,9 +128,9 @@ def test_degenerate_ray(rng):
     for lam in (0.5, -0.8, 2.0):
         x = np.array([0.3, 0.1])
         y = lam * x
-        res = solve_real(phi, x, y)
-        eta = y + x * res.value
-        assert abs(res.value - np.linalg.norm(eta)) <= 1e-12
+        res = solve_real(phi, [x], [y])
+        eta = y + x * res.value[0]
+        assert abs(res.value[0] - np.linalg.norm(eta)) <= 1e-12
 
 
 def test_master_pde_by_finite_differences(rng):
@@ -142,10 +142,10 @@ def test_master_pde_by_finite_differences(rng):
         r = 0.7 * min(radius_estimate(phi), 10.0)
         x = ball_points(rng, 2, r, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        val = solve_real(phi, x, y).value
-
         def field(xx, yy):
-            return solve_real(phi, xx, yy).value
+            return solve_real(phi, [xx], [yy]).value[0]
+
+        val = field(x, y)
 
         for k in range(2):
             e = np.zeros(2)
@@ -162,27 +162,27 @@ def test_implicit_derivatives_match_finite_differences(rng):
         for _ in range(10):
             x = ball_points(rng, 2, 0.7 * radius_estimate(phi), 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            res = solve_real(phi, x, y)
-            p_y, p_x = implicit_derivatives(phi, res, x, y)
+            res = solve_real(phi, [x], [y])
+            p_y, p_x = implicit_derivatives(phi, res, x)
             for k in range(2):
                 e = np.zeros(2)
                 e[k] = h
-                fd_y = (solve_real(phi, x, y + e).value
-                        - solve_real(phi, x, y - e).value) / (2 * h)
-                fd_x = (solve_real(phi, x + e, y).value
-                        - solve_real(phi, x - e, y).value) / (2 * h)
+                fd_y = (solve_real(phi, [x], [y + e]).value[0]
+                        - solve_real(phi, [x], [y - e]).value[0]) / (2 * h)
+                fd_x = (solve_real(phi, [x + e], [y]).value[0]
+                        - solve_real(phi, [x - e], [y]).value[0]) / (2 * h)
                 assert p_y[k] == pytest.approx(fd_y, rel=1e-6, abs=1e-8)
                 assert p_x[k] == pytest.approx(fd_x, rel=1e-6, abs=1e-8)
 
 
 def test_implicit_derivatives_trivial_cases():
-    res = solve_real(ZeroNorm(2), [0.3, 0.0], [1.0, 1.0])
-    p_y, p_x = implicit_derivatives(ZeroNorm(2), res, [0.3, 0.0], [1.0, 1.0])
+    res = solve_real(ZeroNorm(2), [[0.3, 0.0]], [[1.0, 1.0]])
+    p_y, p_x = implicit_derivatives(ZeroNorm(2), res, [0.3, 0.0])
     np.testing.assert_allclose(p_y, 0.0)
     np.testing.assert_allclose(p_x, 0.0)
     y = np.array([1.0, 1.0])
-    res = solve_real(EuclideanNorm(2), [0.0, 0.0], y)
-    p_y, p_x = implicit_derivatives(EuclideanNorm(2), res, [0.0, 0.0], y)
+    res = solve_real(EuclideanNorm(2), [[0.0, 0.0]], [y])
+    p_y, p_x = implicit_derivatives(EuclideanNorm(2), res, [0.0, 0.0])
     np.testing.assert_allclose(p_y, y / np.linalg.norm(y), atol=1e-14)
     np.testing.assert_allclose(p_x, y, atol=1e-13)
 
@@ -195,14 +195,16 @@ def test_radius_estimates():
 
 
 def test_solver_failure_far_outside():
-    with pytest.raises(SolverError):
-        solve_real(ScaledNorm(1, 1.0), [2.0], [1.0])
+    res = solve_real(ScaledNorm(1, 1.0), [[2.0]], [[1.0]])
+    assert isinstance(res.errors[0], SolverError)
+    assert np.isnan(res.value[0])
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_fails_the_row():
     cfg = SolverConfig(max_iterations=1, tolerance=1e-15)
-    with pytest.raises(SolverError):
-        solve_real(RandersNorm(2, (0.2, -0.3)), [0.3, 0.1], [5.0, -2.0], cfg)
+    res = solve_real(RandersNorm(2, (0.2, -0.3)), [[0.3, 0.1]], [[5.0, -2.0]], cfg)
+    assert isinstance(res.errors[0], SolverError)
+    assert "iteration cap" in str(res.errors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +212,22 @@ def test_iteration_cap_raises():
 
 
 def test_complex_explicit_at_origin():
-    res = solve_complex(ZeroNorm(2), EuclideanNorm(2), [0.0, 0.0], [3.0, 4.0])
-    assert res.value == pytest.approx(5j, abs=1e-14)
+    res = solve_complex(ZeroNorm(2), EuclideanNorm(2), [[0.0, 0.0]], [[3.0, 4.0]])
+    assert res.value[0] == pytest.approx(5j, abs=1e-14)
 
 
 def test_complex_space_form_value():
-    res = solve_complex(ZeroNorm(2), EuclideanNorm(2), [0.5, 0.0], [0.0, 1.0])
+    res = solve_complex(ZeroNorm(2), EuclideanNorm(2), [[0.5, 0.0]], [[0.0, 1.0]])
     want = math.sqrt(1.25) / 1.25  # = 1/sqrt(1.25)
-    assert res.value.imag == pytest.approx(want, abs=1e-12)
-    assert res.value.real == pytest.approx(0.0, abs=1e-12)
+    assert res.value[0].imag == pytest.approx(want, abs=1e-12)
+    assert res.value[0].real == pytest.approx(0.0, abs=1e-12)
 
 
 def test_complex_bryant_pair_matches_radicals():
     psi, phi = parse_norms(f"bryant:{np.pi / 6!r}", 2)
     x, y = np.array([0.2, 0.1]), np.array([1.0, 0.0])
-    res = solve_complex(phi, psi, x, y)
-    assert res.value.imag == pytest.approx(oracles.bryant_abcd(np.pi / 6, x, y), abs=1e-9)
+    res = solve_complex(phi, psi, [x], [y])
+    assert res.value[0].imag == pytest.approx(oracles.bryant_abcd(np.pi / 6, x, y), abs=1e-9)
 
 
 def test_complex_picard_agrees_with_nested(rng):
@@ -239,9 +241,9 @@ def test_complex_picard_agrees_with_nested(rng):
         for _ in range(10):
             x = ball_points(rng, 2, r, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            a = solve_complex(phi, psi, x, y)
+            a = solve_complex(phi, psi, [x], [y])
             b = oracles.solve_complex_nested(phi, psi, x, y)
-            assert abs(a.value - b.value) < 1e-11
+            assert abs(a.value[0] - b.value) < 1e-11
 
 
 def test_complex_metric_branch_positive(rng):
@@ -249,12 +251,12 @@ def test_complex_metric_branch_positive(rng):
     for _ in range(25):
         x = ball_points(rng, 2, 0.3, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        res = solve_complex(phi, psi, x, y)
-        assert res.value.imag > 0.0
+        z = solve_complex(phi, psi, [x], [y]).value[0]
+        assert z.imag > 0.0
         # residual recheck, independent of the iteration
-        eta = y + x * res.value
+        eta = y + x * z
         again = phi.eval_complex(eta) + 1j * psi.eval_complex(eta)
-        assert abs(res.value - again) <= 1e-13
+        assert abs(z - again) <= 1e-13
 
 
 def test_complex_degenerates_to_real_when_psi_zero(rng):
@@ -262,10 +264,10 @@ def test_complex_degenerates_to_real_when_psi_zero(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.8 * radius_estimate(phi), 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        zres = solve_complex(phi, ZeroNorm(2), x, y)
-        rres = solve_real(phi, x, y)
-        assert zres.value.imag == pytest.approx(0.0, abs=1e-13)
-        assert zres.value.real == pytest.approx(rres.value, abs=1e-11)
+        z = solve_complex(phi, ZeroNorm(2), [x], [y]).value[0]
+        t = solve_real(phi, [x], [y]).value[0]
+        assert z.imag == pytest.approx(0.0, abs=1e-13)
+        assert z.real == pytest.approx(t, abs=1e-11)
 
 
 @pytest.mark.parametrize("solve, norms", [

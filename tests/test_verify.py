@@ -10,9 +10,10 @@ from projflat import (DomainError, EuclideanNorm, ScaledNorm, ZeroNorm,
                       build_k0, build_kneg1, catalog_entry, collinearity_score,
                       flag_curvature,
                       geodesic_coefficients_general, hamel_residual,
-                      integrate_geodesic, jet, master_pde_residual,
-                      projective_factor_numeric)
-from oracles import convexity_check, fd_gradient
+                      integrate_geodesic, jet, list_catalog,
+                      master_pde_residual, projective_factor_numeric)
+from projflat import cli
+from oracles import convexity_check, f_at, fd_gradient, p_exact_at
 from projflat.sampling import ball_points, sphere_points
 from projflat.verify import VerificationReport, make_report
 
@@ -26,29 +27,29 @@ def _funk():
 
 def test_jet_of_flat_norm():
     m = build_k0(E2, Z2)
-    jd = jet(m, [0.2, 0.1], [1.0, 0.0])
-    np.testing.assert_allclose(jd.grad_y, [1.0, 0.0], atol=1e-9)
-    np.testing.assert_allclose(jd.grad_x, [0.0, 0.0], atol=1e-9)
-    assert jd.value == pytest.approx(1.0, abs=1e-14)
+    jd = jet(m, [[0.2, 0.1]], [[1.0, 0.0]])
+    np.testing.assert_allclose(jd.grad_y, [[1.0, 0.0]], atol=1e-9)
+    np.testing.assert_allclose(jd.grad_x, [[0.0, 0.0]], atol=1e-9)
+    assert jd.value[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_jet_funk_at_origin():
     # d F / d x^k at x = 0 equals y_k, so <F_x, y>/(2F) = |y|/2
-    jd = jet(_funk(), [0.0, 0.0], [0.0, 1.0])
-    np.testing.assert_allclose(jd.grad_x, [0.0, 1.0], atol=1e-9)
-    p = projective_factor_numeric(_funk(), [0.0, 0.0], [0.0, 1.0])
-    assert p == pytest.approx(0.5, abs=1e-9)
+    jd = jet(_funk(), [[0.0, 0.0]], [[0.0, 1.0]])
+    np.testing.assert_allclose(jd.grad_x, [[0.0, 1.0]], atol=1e-9)
+    p = projective_factor_numeric(_funk(), [[0.0, 0.0]], [[0.0, 1.0]])
+    assert p[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_jet_space_form_even_at_origin():
     m = as_evaluator(catalog_entry("space-form", 2, lam=1.0))
-    jd = jet(m, [0.0, 0.0], [1.0, 2.0])
+    jd = jet(m, [[0.0, 0.0]], [[1.0, 2.0]])
     np.testing.assert_allclose(jd.grad_x, 0.0, atol=1e-9)
 
 
 def test_jet_requires_nonzero_y():
     with pytest.raises(DomainError):
-        jet(_funk(), [0.0, 0.0], [0.0, 0.0])
+        jet(_funk(), [[0.0, 0.0]], [[0.0, 0.0]])
 
 
 def test_finite_difference_order():
@@ -61,7 +62,7 @@ def test_finite_difference_order():
         + 2 * x * (z + xy) / (1 - xx) ** 2
     errs = []
     for h in (1e-4, 5e-5):
-        grad_x = fd_gradient(lambda xx: m.eval(xx, y), x, h)
+        grad_x = fd_gradient(lambda xx: f_at(m, xx, y), x, h)
         errs.append(float(np.abs(grad_x - exact_fx).max()))
     order = math.log2(errs[0] / errs[1])
     assert order >= 1.8
@@ -84,16 +85,16 @@ def test_fd_gradient_unit_stencil_and_complex_values():
 
 def test_hamel_flat_norm_tiny():
     m = build_k0(E2, Z2)
-    assert hamel_residual(m, [0.3, 0.2], [1.0, 1.0]) <= 1e-9
+    assert hamel_residual(m, [[0.3, 0.2]], [[1.0, 1.0]])[0] <= 1e-9
 
 
 def test_hamel_funk_small():
-    assert hamel_residual(_funk(), [0.3, 0.2], [1.0, 1.0]) <= 1e-6
+    assert hamel_residual(_funk(), [[0.3, 0.2]], [[1.0, 1.0]])[0] <= 1e-6
 
 
 def test_hamel_broken_metric_fails():
-    res = hamel_residual(broken_metric(2), [0.3, 0.2], [1.0, 1.0])
-    assert res > 1e-3
+    res = hamel_residual(broken_metric(2), [[0.3, 0.2]], [[1.0, 1.0]])
+    assert res[0] > 1e-3
 
 
 def test_projective_factor_consistency(rng):
@@ -102,8 +103,8 @@ def test_projective_factor_consistency(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.5, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        exact = m.projective_factor_exact(x, y)
-        numeric = projective_factor_numeric(m, x, y)
+        exact = p_exact_at(m, x, y)
+        [numeric] = projective_factor_numeric(m, [x], [y])
         assert numeric == pytest.approx(exact, rel=1e-6, abs=1e-8)
 
 
@@ -111,7 +112,7 @@ def test_flag_curvature_funk(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.6, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        assert flag_curvature(_funk(), x, y) == pytest.approx(-0.25, abs=1e-4)
+        assert flag_curvature(_funk(), [x], [y])[0] == pytest.approx(-0.25, abs=1e-4)
 
 
 def test_berwald_system_residuals(rng):
@@ -124,9 +125,9 @@ def test_berwald_system_residuals(rng):
         for _ in range(5):
             x = ball_points(rng, 2, radius, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            r1, r2 = berwald_system_residual(m, x, y)
-            assert r1 <= 1e-5
-            assert r2 <= 1e-5
+            r1, r2 = berwald_system_residual(m, [x], [y])
+            assert r1[0] <= 1e-5
+            assert r2[0] <= 1e-5
 
 
 def test_master_pde_catalog_fields(rng):
@@ -135,7 +136,7 @@ def test_master_pde_catalog_fields(rng):
         for _ in range(5):
             x = ball_points(rng, 2, 0.4, 1)[0]
             y = sphere_points(rng, 2, 1)[0]
-            assert master_pde_residual(m, x, y) <= 1e-6, name
+            assert master_pde_residual(m, [x], [y])[0] <= 1e-6, name
 
 
 def test_convexity_funk_origin():
@@ -157,7 +158,7 @@ def test_convexity_kneg1_build():
 
 def test_geodesic_coefficients_flat_norm():
     m = build_k0(E2, Z2)
-    g = geodesic_coefficients_general(m, [0.2, 0.1], [1.0, 2.0])
+    g = geodesic_coefficients_general(m, [[0.2, 0.1]], [[1.0, 2.0]])
     np.testing.assert_allclose(g, 0.0, atol=1e-7)
 
 
@@ -166,22 +167,22 @@ def test_geodesic_coefficients_reduce_to_projective_form(rng):
         for _ in range(5):
             x = ball_points(rng, 2, 0.4, 1)[0]
             y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.8, 1.2)
-            g = geodesic_coefficients_general(m, x, y)
-            p = projective_factor_numeric(m, x, y)
+            [g] = geodesic_coefficients_general(m, [x], [y])
+            [p] = projective_factor_numeric(m, [x], [y])
             scale = max(float(np.abs(p * y).max()), 1e-3)
             assert float(np.abs(g - p * y).max()) / scale <= 1e-5
 
 
 def test_integrate_flat_norm_straight_line():
     m = build_k0(E2, Z2)
-    traj = integrate_geodesic(m, [0.1, 0.0], [0.3, 0.4], 1.0, 50)
+    [traj] = integrate_geodesic(m, [[0.1, 0.0]], [[0.3, 0.4]], 1.0, 50)
     assert traj.completed
     want = np.array([0.1, 0.0]) + np.outer(traj.times, [0.3, 0.4])
     np.testing.assert_allclose(traj.points, want, atol=1e-12)
 
 
 def test_integrate_funk_collinearity():
-    traj = integrate_geodesic(_funk(), [0.1, 0.0], [0.0, 1.0], 0.5, 200)
+    [traj] = integrate_geodesic(_funk(), [[0.1, 0.0]], [[0.0, 1.0]], 0.5, 200)
     assert collinearity_score(traj, [0.1, 0.0], [0.0, 1.0]) <= 1e-8
 
 
@@ -189,8 +190,8 @@ def test_integrate_berwald_richardson(rng):
     # halved-step agreement confirms the integrator order on a real case
     m = as_evaluator(catalog_entry("berwald", 2))
     x0, v0 = np.array([0.1, -0.05]), np.array([0.6, 0.8])
-    a = integrate_geodesic(m, x0, v0, 0.4, 100)
-    b = integrate_geodesic(m, x0, v0, 0.4, 200)
+    [a] = integrate_geodesic(m, [x0], [v0], 0.4, 100)
+    [b] = integrate_geodesic(m, [x0], [v0], 0.4, 200)
     assert a.completed and b.completed
     diff = float(np.abs(a.points[-1] - b.points[-1]).max())
     assert diff <= 1e-9
@@ -199,7 +200,7 @@ def test_integrate_berwald_richardson(rng):
 
 def test_integrate_stops_at_domain_boundary():
     m = build_k0(E2, E2)  # validity ball 0.4
-    traj = integrate_geodesic(m, [0.3, 0.0], [1.0, 0.0], 2.0, 100)
+    [traj] = integrate_geodesic(m, [[0.3, 0.0]], [[1.0, 0.0]], 2.0, 100)
     assert not traj.completed
     assert traj.points.shape[0] < 101
 
@@ -215,3 +216,17 @@ def test_report_invariants():
     d = bad.to_json_dict()
     assert d["check"] == "demo" and d["samples"] == 2 and not d["pass"]
     assert isinstance(ok, VerificationReport)
+
+
+@pytest.mark.parametrize("entry", [e for e in list_catalog(2) if math.isfinite(e.domain_radius)],
+                         ids=lambda e: e.name)
+def test_checks_hold_to_eight_tenths_of_the_validity_radius(entry):
+    """The radius the README and the verify docstring state: every closed
+    form with a finite validity radius R passes all six checks at 0.8 R
+    (d = 2, 50 samples, seed 42, default tolerances), as ``verify`` runs
+    them, each check on a fresh rng at the seed."""
+    metric = as_evaluator(entry)
+    for name in cli.CHECK_NAMES:
+        report = cli._run_check(name, metric, np.random.default_rng(42),
+                                0.8 * entry.domain_radius, 50, cli.DEFAULT_TOLERANCES[name])
+        assert report.passed, (name, report.max_residual)
