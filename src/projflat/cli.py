@@ -29,8 +29,6 @@ from .sampling import ball_points, sphere_points
 from .solver import SolverConfig
 from . import verify as vfy
 
-CHECK_NAMES = ("hamel", "curvature", "berwald", "convexity", "geodesic", "pde")
-
 DEFAULT_TOLERANCES = {
     "hamel": 1e-6,
     "curvature": 1e-4,
@@ -39,6 +37,7 @@ DEFAULT_TOLERANCES = {
     "geodesic": 1e-8,
     "pde": 1e-6,
 }
+CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 
 
 def _parse_vector(flag: str, text: str) -> np.ndarray:

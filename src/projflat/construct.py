@@ -22,9 +22,11 @@ The builders do not vet psi: ``verify.check_minkowski(psi, 64)``, or the
 Minkowski norm.
 
 ``MetricEvaluator.rows`` evaluates N points, rows ``x`` and ``y`` of
-shape ``(N, n)``, at once; it is the one way to evaluate a metric.  A
-constructed metric solves all of them together, once per point for F and
-P both; a closed form runs its formula point by point (``eval``).
+shape ``(N, n)``, at once; it is the one way to evaluate a metric.  Every
+metric kind passes its rows through one point guard there.  A constructed
+metric then solves the rows that passed together, once per point for F
+and P both; a closed form runs its formula on them point by point
+(``eval``).
 """
 
 import math
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ProjFlatError
-from .norms import HomogeneousFunction, as_rows, combine, lengths, per_row
+from .norms import HomogeneousFunction, as_rows, combine, lengths
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
@@ -59,11 +61,11 @@ class RowValues:
     errors: list
 
 
-def first_errors(*per_row) -> list:
+def first_errors(*error_lists) -> list:
     """Per row, the first error of several per-row error lists, in order."""
-    if not any(map(any, per_row)):
-        return [None] * len(per_row[0])
-    return [next((exc for exc in row if exc is not None), None) for row in zip(*per_row)]
+    if not any(map(any, error_lists)):
+        return [None] * len(error_lists[0])
+    return [next((exc for exc in row if exc is not None), None) for row in zip(*error_lists)]
 
 
 def raise_first(errors) -> None:
@@ -79,10 +81,11 @@ class MetricEvaluator:
 
     ``kind`` is one of constructed-K0 / constructed-Kneg1 /
     constructed-Kpos1 / catalog:<name> / test:broken, and
-    ``intended_curvature`` its constant flag curvature K.  A closed form
-    carries ``f_eval``, its formula at one point, which ``rows`` calls
-    through ``eval`` once per row; a constructed metric carries ``solve``,
-    which maps rows ``x``, ``y`` and whether F is wanted to
+    ``intended_curvature`` its constant flag curvature K.  ``rows`` guards
+    the points of every kind.  A closed form carries ``f_eval``, its
+    formula at one point, which ``rows`` calls through ``eval`` once per
+    guarded row; a constructed metric carries ``solve``, which maps the
+    guarded rows ``x``, ``y`` and whether F is wanted to
     ``(F, P, fields, errors)`` (see RowValues) from one solve per row.
     """
 
@@ -92,22 +95,6 @@ class MetricEvaluator:
     f_eval: object = None
     solve: object = None
     domain_radius: float = math.inf
-
-    def _check_point(self, x, y):
-        x = np.asarray(x, dtype=float).reshape(-1)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if x.size != self.dimension or y.size != self.dimension:
-            raise DimensionMismatchError(f"expected {self.dimension}-dimensional x and y")
-        # squares of Python floats overflow to inf without a warning
-        yy = sum(c * c for c in y.tolist())
-        length = math.sqrt(sum(c * c for c in x.tolist()))
-        if not (math.isfinite(yy) and math.isfinite(length)):
-            raise DomainError(NON_FINITE)
-        if yy == 0.0:  # |y| = 0, also when its length underflows
-            raise DomainError("y = 0 is outside the metric domain")
-        if self.beyond_radius(length):
-            raise DomainError(self.radius_message(length))
-        return x, y
 
     def beyond_radius(self, length):
         """Whether |x| = ``length`` lies beyond the validity radius."""
@@ -121,31 +108,22 @@ class MetricEvaluator:
         """F, and the exact P when ``with_p``, at each row of ``x`` and ``y``
         (both ``(N, n)``; any other shape is a DimensionMismatchError).
 
-        Each row passes the point guard on its own: finite x, y and squared
-        lengths, y != 0 (a y whose length underflows counts as zero) and,
-        when F is asked for, the validity radius.  P is not radius-guarded:
-        the fixed point extends beyond the guaranteed ball wherever
-        bracketing succeeds, and the solve fails honestly where it does
-        not.  A failed row gets nan and its own error (see RowValues); the
-        other rows are unaffected.  A closed form evaluates its rows one
-        ``eval`` at a time and has no exact P.
+        Every metric kind passes each row through this one point guard:
+        finite x, y and squared lengths, y != 0 (a y whose length
+        underflows counts as zero) and, when F is asked for, the validity
+        radius.  P is not radius-guarded: the fixed point extends beyond
+        the guaranteed ball wherever bracketing succeeds, and the solve
+        fails honestly where it does not.  The rows that pass go to the
+        constructed metric's solve, or one at a time to a closed form's
+        formula (``eval``); a closed form has no exact P.  A failed row
+        gets nan and its own error (see RowValues); the other rows are
+        unaffected.
         """
         x, y = as_rows(self.dimension, x, y)
-        count = len(y)
-        if self.solve is None:
-            if with_p:
-                raise ProjFlatError(f"{self.kind} has no exact projective factor; "
-                                    "use the numeric fallback in verify")
-            f = np.full(count, np.nan)
-            errors = [None] * count
-            for i in range(count):
-                try:
-                    f[i] = self.eval(x[i], y[i])
-                except ProjFlatError as exc:
-                    errors[i] = exc.with_traceback(None)  # no frame cycle
-            return RowValues(f, None, (), errors)
-
-        errors = [None] * count
+        if self.solve is None and with_p:
+            raise ProjFlatError(f"{self.kind} has no exact projective factor; "
+                                "use the numeric fallback in verify")
+        errors = [None] * len(y)
         with np.errstate(over="ignore"):  # an overflow is reported per row
             squares, length = np.vecdot(y, y), lengths(x)
         for i in np.flatnonzero(~(np.isfinite(squares) & np.isfinite(length))):
@@ -156,19 +134,31 @@ class MetricEvaluator:
             for i in np.flatnonzero(self.beyond_radius(length)):
                 errors[i] = errors[i] or DomainError(self.radius_message(length[i]))
         ok = np.array([exc is None for exc in errors], dtype=bool)
-        f, p, fields, solved = self.solve(x[ok], y[ok], with_f)
+        f, p, fields, solved = (self.solve or self._formula)(x[ok], y[ok], with_f)
         for i, exc in zip(np.flatnonzero(ok), solved):
             errors[i] = exc
         return RowValues(_spread(f, ok) if with_f else None,
                          _spread(p, ok) if with_p else None,
                          tuple(_spread(v, ok) for v in fields), errors)
 
+    def _formula(self, x, y, with_f):
+        """A closed form's rows solve: ``eval`` on each guarded row, a
+        formula's own error failing its row alone."""
+        f = np.full(len(y), np.nan)
+        errors = [None] * len(y)
+        for i in range(len(y)):
+            try:
+                f[i] = self.eval(x[i], y[i])
+            except ProjFlatError as exc:
+                errors[i] = exc.with_traceback(None)  # no frame cycle
+        return f, None, (), errors
+
     def eval(self, x, y) -> float:
-        """A closed form's F at one point, behind the point guard; ``rows``
-        calls it once per row.  A constructed metric evaluates on rows only."""
+        """A closed form's formula at one point, for a row that already
+        passed the point guard in ``rows``; callers use ``rows``.  A
+        constructed metric evaluates on rows only."""
         if self.f_eval is None:
             raise ProjFlatError(f"{self.kind} evaluates on rows only; use rows()")
-        x, y = self._check_point(x, y)
         return float(self.f_eval(x, y))
 
 
@@ -179,37 +169,33 @@ def _spread(values, ok):
     return out
 
 
-def _on_live(fn, v, errors):
-    """``fn`` on the rows of ``v`` without an error yet (nan on the others);
-    a row that makes ``fn`` raise gets that error in ``errors``."""
-    live = np.flatnonzero([exc is None for exc in errors])
-    values, failed = per_row(fn, v[live])
-    out = np.full((len(v),) + np.shape(values)[1:], np.nan)
-    out[live] = values
-    for i, exc in zip(live, failed):
-        errors[i] = exc
-    return out
-
-
 def _domain_from(radius: float) -> float:
     return math.inf if math.isinf(radius) else DOMAIN_SAFETY * radius
+
+
+def _same_dimension(psi, phi) -> None:
+    if psi.dimension != phi.dimension:
+        raise DimensionMismatchError("psi and phi must share the dimension")
 
 
 def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
              cfg: SolverConfig = None) -> MetricEvaluator:
     """Flat (curvature 0) metric from origin data (psi, phi)."""
-    if psi.dimension != phi.dimension:
-        raise DomainError("psi and phi must share the dimension")
+    _same_dimension(psi, phi)
 
     def solve(x, y, with_f):
         res = solve_real(phi, x, y, cfg)
         errors = list(res.errors)
         f = None
-        if with_f:
-            denom = 1.0 - np.vecdot(_on_live(phi.grad_real, res.eta, errors), x)
-            for i in np.flatnonzero(denom < 1e-8):
-                errors[i] = errors[i] or DomainError("construction denominator vanishes")
-            f = _on_live(psi.eval_real, res.eta, errors) / denom
+        if with_f:  # a guarded row's eta is finite and nonzero
+            live = np.flatnonzero([exc is None for exc in errors])
+            denom = 1.0 - np.vecdot(phi.grad_real(res.eta[live]), x[live])
+            vanishes = denom < 1e-8
+            for i in live[vanishes]:
+                errors[i] = DomainError("construction denominator vanishes")
+            rest = live[~vanishes]
+            f = np.full(len(y), np.nan)
+            f[rest] = psi.eval_real(res.eta[rest]) / denom[~vanishes]
         return f, res.value, (res.value,), errors
 
     return MetricEvaluator(
@@ -220,8 +206,7 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
 def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
                 cfg: SolverConfig = None) -> MetricEvaluator:
     """Curvature -1 metric from origin data (psi, phi)."""
-    if psi.dimension != phi.dimension:
-        raise DomainError("psi and phi must share the dimension")
+    _same_dimension(psi, phi)
     f_plus = combine((1.0, phi), (1.0, psi))
     f_minus = combine((1.0, phi), (-1.0, psi))
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
@@ -241,8 +226,7 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
 def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction,
                 cfg: SolverConfig = None) -> MetricEvaluator:
     """Curvature +1 metric from origin data (psi, phi)."""
-    if psi.dimension != phi.dimension:
-        raise DomainError("psi and phi must share the dimension")
+    _same_dimension(psi, phi)
     radius = pair_radius_estimate(phi, psi)
 
     def solve(x, y, with_f):

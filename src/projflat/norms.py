@@ -55,8 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, DomainError, ProjFlatError,
-                     SpecParseError)
+from .errors import DimensionMismatchError, DomainError, SpecParseError
 
 
 def lengths(v: np.ndarray):
@@ -194,31 +193,6 @@ def _unwrap(out):
 def _csum_sq(v: np.ndarray):
     """sum(z_k^2) along the last axis (no conjugation, unlike vecdot)."""
     return np.sum(v * v, axis=-1)
-
-
-def per_row(fn, v):
-    """``fn`` on the rows ``v`` in one call, and each row's error.
-
-    Returns ``(values, errors)``.  When the call raises a library error,
-    ``fn`` runs again row by row: a failing row gets nan (a nan row of
-    the shape the other rows' values have) and the error it raises on its own,
-    the other rows their values.
-    """
-    try:
-        return fn(v), [None] * len(v)
-    except ProjFlatError:
-        pass
-    values, errors = [], []
-    for row in v:
-        try:
-            values.append(fn(row))
-            errors.append(None)
-        except ProjFlatError as exc:
-            values.append(None)
-            errors.append(exc.with_traceback(None))  # no frame cycle
-    shape = next((np.shape(value) for value in values if value is not None), ())
-    return np.array([np.full(shape, np.nan) if value is None else value
-                     for value in values]), errors
 
 
 class ZeroNorm(HomogeneousFunction):

@@ -6,9 +6,10 @@ the constructive solvers and the catalog transcriptions are both checked
 against a second route.  ``solve_complex_nested`` is a second route to
 the complex fixed point, built from the public norm interface only.  The
 ``*_loop`` functions are the one-direction-at-a-time references for the
-batched radius estimates and Minkowski probe.  ``f_at`` and ``p_exact_at``
-read F and the exact P at one point from a one-row batch of
-``MetricEvaluator.rows``.  ``solve_real_scalar``,
+batched radius estimates and Minkowski probe.  ``point_guard`` is the
+point guard of ``MetricEvaluator.rows`` at one point, in Python floats.
+``f_at`` and ``p_exact_at`` read F and the exact P at one point from a
+one-row batch of ``MetricEvaluator.rows``.  ``solve_real_scalar``,
 ``solve_complex_scalar`` and ``constructed_fp`` are the one-point
 references for the solves and metric builders on rows;
 ``solve_complex_picard`` is the complex solve on rows without its secant
@@ -24,7 +25,7 @@ from projflat import (CombinedNorm, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, HomogeneousFunction, RandersNorm,
                       ScaledNorm, SolveResult, SolverConfig, SolverError,
                       SpecParseError, ZeroNorm, as_evaluator, catalog_entry)
-from projflat.construct import raise_first
+from projflat.construct import NON_FINITE, raise_first
 from projflat.norms import combine
 from projflat.sampling import unit_directions
 from projflat.solver import (BRACKET_EXPANSION, RADIUS_DIRECTIONS, _at,
@@ -262,6 +263,20 @@ def _one_row(metric, x, y, **want):
     values = metric.rows(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), **want)
     raise_first(values.errors)
     return values
+
+
+def point_guard(metric, x, y, with_f=True) -> None:
+    """The point guard of ``MetricEvaluator.rows`` at one point, in Python
+    floats: raises the DomainError the row gets, or returns None."""
+    # squares of Python floats overflow to inf without a warning
+    yy = sum(c * c for c in np.asarray(y, dtype=float).tolist())
+    length = math.sqrt(sum(c * c for c in np.asarray(x, dtype=float).tolist()))
+    if not (math.isfinite(yy) and math.isfinite(length)):
+        raise DomainError(NON_FINITE)
+    if yy == 0.0:  # |y| = 0, also when its length underflows
+        raise DomainError("y = 0 is outside the metric domain")
+    if with_f and metric.beyond_radius(length):
+        raise DomainError(metric.radius_message(length))
 
 
 def f_at(metric, x, y) -> float:

@@ -8,10 +8,10 @@ import pytest
 
 import oracles
 from oracles import f_at, p_exact_at
-from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm,
-                      ProjFlatError, RandersNorm, ScaledNorm, ZeroNorm,
-                      broken_metric, build_k0, build_kneg1, build_kpos1,
-                      check_minkowski, master_pde_residual)
+from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
+                      EuclideanNorm, ProjFlatError, RandersNorm, ScaledNorm,
+                      ZeroNorm, broken_metric, build_k0, build_kneg1,
+                      build_kpos1, check_minkowski, master_pde_residual)
 from projflat.cli import main, parse_metric
 from projflat.sampling import ball_points, sphere_points
 
@@ -28,6 +28,12 @@ def sweep_compare(metric, oracle, rng, radius, count=20, tol=1e-10):
         b = oracle(x, y)
         worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
     assert worst <= tol, worst
+
+
+@pytest.mark.parametrize("build", [build_k0, build_kneg1, build_kpos1])
+def test_builders_reject_origin_data_of_two_dimensions(build):
+    with pytest.raises(DimensionMismatchError, match="psi and phi must share the dimension"):
+        build(EuclideanNorm(2), EuclideanNorm(3))
 
 
 def test_k0_zero_drift_is_flat_norm(rng):

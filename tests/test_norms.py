@@ -13,7 +13,6 @@ from oracles import format_norm
 from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, RandersNorm, ScaledNorm, SpecParseError,
                       ZeroNorm, check_minkowski, combine, parse_norms)
-from projflat.norms import per_row
 
 FAMILIES_2D = [
     ZeroNorm(2),
@@ -191,16 +190,6 @@ def test_huge_rows_evaluate_without_overflow():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(f.grad_real([1e200, 1.0]), [1.0, 1e-200])
         assert f.eval_real([1e200, 1.0]) == 1e200
-
-
-def test_per_row_fills_failed_rows_with_nan_of_the_value_shape():
-    values, errors = per_row(EuclideanNorm(2).grad_real, [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_array_equal(values, [[1.0, 0.0], [np.nan, np.nan], [0.0, 1.0]])
-    assert errors[0] is None and errors[2] is None
-    assert isinstance(errors[1], DomainError)
-    values, errors = per_row(EuclideanNorm(2).eval_real, [[3.0, 4.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(values, [5.0, np.nan])
-    assert errors[0] is None and isinstance(errors[1], DomainError)
 
 
 def test_check_minkowski_euclidean():

@@ -6,6 +6,7 @@ a failing row must raise what the one-point path raises, without
 touching the other rows.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -16,14 +17,14 @@ from hypothesis import strategies as st
 import oracles
 from oracles import f_at
 from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
-                      EuclideanNorm, HomogeneousFunction, ProjFlatError,
-                      RandersNorm, ScaledNorm, SolverConfig, SolverError,
-                      ZeroNorm, berwald_system_residual, build_k0,
-                      build_kneg1, build_kpos1, combine, flag_curvature,
-                      geodesic_coefficients_general, hamel_residual,
-                      integrate_geodesic, jet, master_pde_residual,
-                      parse_norms, projective_factor_numeric, solve_complex,
-                      solve_real)
+                      EuclideanNorm, HomogeneousFunction, MetricEvaluator,
+                      ProjFlatError, RandersNorm, ScaledNorm, SolverConfig,
+                      SolverError, ZeroNorm, berwald_system_residual,
+                      build_k0, build_kneg1, build_kpos1, combine,
+                      flag_curvature, geodesic_coefficients_general,
+                      hamel_residual, integrate_geodesic, jet,
+                      master_pde_residual, parse_norms,
+                      projective_factor_numeric, solve_complex, solve_real)
 from projflat.cli import parse_metric
 from projflat.sampling import ball_points, sphere_points
 from projflat.verify import convexity_residual, point_values
@@ -63,10 +64,7 @@ def sweep(metric, d, count=60, seed=0):
 def one_point(metric, k, psi, phi, x, y, cfg, with_f):
     """(F, P) at one point by the one-point route, or the error it raises."""
     try:
-        if with_f:
-            metric._check_point(x, y)
-        elif float(y.dot(y)) == 0.0:
-            raise DomainError("y = 0 is outside the metric domain")
+        oracles.point_guard(metric, x, y, with_f)
         return oracles.constructed_fp(k, psi, phi, x, y, cfg), None
     except ProjFlatError as exc:
         return None, exc
@@ -268,21 +266,32 @@ def test_rows_functions_reject_other_shapes(spec, name, shape):
         ROWS_FUNCTIONS[name](metric, x, y)
 
 
-def test_closed_form_rows_run_eval_row_by_row():
+def test_closed_form_rows_run_eval_row_by_row(monkeypatch):
+    """A closed form's rows pass the point guard first; ``eval`` then runs
+    once on each row that passed, and never on a guarded-out row.  A
+    formula's own DomainError fails its row alone: funk at |x| = 1 - 1e-13
+    is inside the guard's radius 1 but outside the formula's ball."""
     metric = parse_metric("catalog:funk", 2, SolverConfig())
-    x = np.array([[0.1, 0.2], [1.5, 0.0], [0.3, -0.4]])
-    y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    x = np.array([[0.1, 0.2], [1.5, 0.0], [0.3, -0.4], [1.0 - 1e-13, 0.0],
+                  [np.nan, 0.0], [-0.2, 0.5]])
+    y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.3, 0.1]])
+    evaluated = []
+    formula = MetricEvaluator.eval
+
+    def counted(self, xi, yi):
+        evaluated.append(xi.tolist())
+        return formula(self, xi, yi)
+
+    monkeypatch.setattr(MetricEvaluator, "eval", counted)
     rows = metric.rows(x, y)
-    assert rows.f[0] == metric.eval(x[0], y[0])
-    assert np.isnan(rows.f[1:]).all()
-    for i in (1, 2):
-        with pytest.raises(DomainError) as one:
-            metric.eval(x[i], y[i])
-        assert str(rows.errors[i]) == str(one.value)
+    assert evaluated == [x[i].tolist() for i in (0, 3, 5)]
+    for i in (0, 5):
+        assert rows.errors[i] is None and rows.f[i] == formula(metric, x[i], y[i])
+    assert np.isnan(rows.f[1:5]).all()
+    assert all(type(exc) is DomainError for exc in rows.errors[1:5])
+    assert str(rows.errors[3]) == "funk metric lives on the open unit ball"
     with pytest.raises(ProjFlatError):
         metric.rows(x, y, with_p=True)
-    with pytest.raises(DimensionMismatchError):
-        metric.eval([0.1, 0.0, 0.0], [1.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("spec", ["construct:0:euclidean:randers:0.2,0.1",
@@ -412,20 +421,31 @@ def test_f_and_p_have_degree_one_in_y(spec, seed, log_scale):
 
 @pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
 def test_point_guard_rejects_non_finite_points(spec):
-    """Every metric kind rejects a non-finite x or y at its point guard, in
-    a one-row batch and per row among others; the other rows keep their
-    values."""
+    """Every metric kind rejects at its one point guard a non-finite x or
+    y, a y = 0 (also one whose squared length underflows) and an x beyond
+    the validity radius, with the same error type and message for every
+    kind, in a one-row batch and per row among others; the other rows keep
+    their values."""
     metric = parse_metric(spec, 2, SolverConfig())
-    x = np.array([[np.nan, 0.0], [0.1, 0.05], [0.0, 0.0]])
-    y = np.array([[1.0, 0.0], [0.6, 0.8], [np.inf, 1.0]])
-    for i in (0, 2):
-        with pytest.raises(DomainError, match="must be finite"):
-            f_at(metric, x[i], y[i])
+    cases = [([np.nan, 0.0], [1.0, 0.0], "x and y must be finite, with finite squared lengths"),
+             ([0.0, 0.0], [np.inf, 1.0], "x and y must be finite, with finite squared lengths"),
+             ([0.1, 0.0], [0.0, 0.0], "y = 0 is outside the metric domain"),
+             ([0.1, 0.0], [1e-170, 1e-170], "y = 0 is outside the metric domain")]
+    if math.isfinite(metric.domain_radius):  # test:broken has no radius
+        far = 1.5 * metric.domain_radius
+        cases.append(([far, 0.0], [0.0, 1.0],
+                      f"|x| = {far:.6g} exceeds the validity radius "
+                      f"{metric.domain_radius:.6g} of this evaluator"))
+    x = np.array([[0.1, 0.05]] + [case[0] for case in cases])
+    y = np.array([[0.6, 0.8]] + [case[1] for case in cases])
     rows = metric.rows(x, y)
-    assert rows.errors[1] is None and rows.f[1] == metric.rows(x[1:2], y[1:2]).f[0]
-    for i in (0, 2):
+    assert rows.errors[0] is None and rows.f[0] == metric.rows(x[:1], y[:1]).f[0]
+    for i, (_, _, message) in enumerate(cases, 1):
+        with pytest.raises(DomainError) as alone:
+            f_at(metric, x[i], y[i])
+        assert type(alone.value) is DomainError and str(alone.value) == message
+        assert type(rows.errors[i]) is DomainError and str(rows.errors[i]) == message
         assert np.isnan(rows.f[i])
-        assert isinstance(rows.errors[i], DomainError) and "must be finite" in str(rows.errors[i])
 
 
 @pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)
