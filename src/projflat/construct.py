@@ -212,10 +212,11 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
 
     def solve(x, y, with_f):
-        plus = solve_real(f_plus, x, y, cfg)
-        minus = solve_real(f_minus, x, y, cfg)
-        a, b = plus.value, minus.value
-        errors = [e or e_minus for e, e_minus in zip(plus.errors, minus.errors)]
+        # one solve on the rows stacked twice: Phi_+ on the first copy, Phi_- on the second
+        res = solve_real((f_plus, f_minus), np.vstack((x, x)), np.vstack((y, y)), cfg)
+        half = len(y)
+        a, b = res.value[:half], res.value[half:]
+        errors = [e or e_minus for e, e_minus in zip(res.errors[:half], res.errors[half:])]
         return 0.5 * (a - b), 0.5 * (a + b), (a, b), errors
 
     return MetricEvaluator(

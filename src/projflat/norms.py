@@ -192,7 +192,7 @@ def _unwrap(out):
 
 def _csum_sq(v: np.ndarray):
     """sum(z_k^2) along the last axis (no conjugation, unlike vecdot)."""
-    return np.sum(v * v, axis=-1)
+    return np.add.reduce(v * v, axis=-1)  # np.sum's reduction, without its wrapper
 
 
 class ZeroNorm(HomogeneousFunction):

@@ -21,10 +21,15 @@ converge superlinearly without a derivative, and falls back to damped
 Picard iteration when its secant root fails a check or does not attract.
 
 Both solves take rows ``x``, ``y`` of shape ``(N, n)``, and only rows,
-and run every row in lockstep with numpy, each row masked out once it is
-done: the problems are independent per point, so a row gets exactly the
-steps (and bits) it would get in a batch of one.  A row that fails keeps
-its own error in ``SolveResult.errors`` and the others go on.
+and run every row in lockstep with numpy.  The rows stay in their arrays
+under a boolean mask of the active ones: each step evaluates every row
+and updates the active rows with ``np.where``, and a row's value is
+stored, and frozen, when it leaves the mask.  The problems are
+independent per point, so a row gets exactly the steps (and bits) it
+would get in a batch of one.  A row that fails keeps its own error in
+``SolveResult.errors`` and the others go on.  ``solve_real`` also takes
+a tuple of functions, one per equal block of rows, and solves the blocks
+in one loop (the pair Phi_+, Phi_- of curvature -1).
 
 Each solve checks its rows once, at entry, and brings each y into range
 by a power of two (see ``_Rows``); the Newton, bracket and complex
@@ -75,7 +80,8 @@ class SolveResult:
     and ``errors[i]`` is row i's SolverError (or the DomainError of a row
     with a non-finite input), None where the row converged; a failed row
     holds nan.  ``iterations`` counts Newton steps, or the complex solve's
-    secant and Picard steps (a fallback's included), summed over rows.
+    secant and Picard steps (a fallback's included), summed over rows
+    (and over every block of a tuple of functions).
     """
 
     value: np.ndarray
@@ -91,10 +97,10 @@ class _Rows:
     The inputs are checked here, once per solve: ``x`` and ``y`` are rows
     ``(N, dimension)`` of one shape (``as_rows``), and a row with a
     non-finite component fails with a DomainError (and is held at
-    x = y = 0, which no loop visits).  Each y is brought into range by
-    ``scale_exponents``: the solves stop on absolute floors, and the
-    fixed point has degree one in y, so ``result`` scales the value, eta
-    and residual back by exactly 2^e.  The loops then call the norms'
+    x = y = 0, which ``_at`` evaluates as 0).  Each y is brought into
+    range by ``scale_exponents``: the solves stop on absolute floors, and
+    the fixed point has degree one in y, so ``result`` scales the value,
+    eta and residual back by exactly 2^e.  The loops then call the norms'
     row kernels, which check nothing.
     """
 
@@ -108,31 +114,25 @@ class _Rows:
         self.errors = [None] * count
         bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
         if bad.any():
-            self.fail(np.flatnonzero(bad), DomainError("non-finite vector"))
+            self.fail(bad, DomainError("non-finite vector"))
             x, y = np.where(bad[:, None], 0.0, x), np.where(bad[:, None], 0.0, y)
         self.e = scale_exponents(y)
         self.x, self.y = x, times_pow2(y, -self.e[:, None])
 
-    def fail(self, rows, error):
-        for i in rows:
+    def fail(self, mask, error):
+        """Fail the rows where ``mask`` holds with ``error``, or ``error(i)``."""
+        for i in np.flatnonzero(mask):
             self.failed[i] = True
             self.errors[i] = error(i) if callable(error) else error
 
-    def live(self, rows):
-        """The rows that have not failed."""
-        return rows[~self.failed[rows]]
-
-    def shifted(self, rows, t):
-        """y + x t on ``rows``."""
-        return self.y[rows] + self.x[rows] * t[:, None]
+    def shifted(self, t):
+        """y + x t on every row."""
+        return self.y + self.x * t[:, None]
 
     def result(self, iterations):
-        done = ~self.failed
-        eta = np.full(self.y.shape, self.missing, dtype=self.value.dtype)
-        eta[done] = self.shifted(done, self.value[done])
         e = self.e
         value, residual = times_pow2(self.value, e), times_pow2(self.residual, e)
-        eta = times_pow2(eta, e[:, None])
+        eta = times_pow2(self.shifted(self.value), e[:, None])  # nan on a failed row
         return SolveResult(value, eta, residual, int(iterations), self.errors)
 
 
@@ -140,7 +140,7 @@ def _at(kernel, w, nonzero):
     """``kernel`` on the points ``w``; 0 where ``nonzero(w)`` is False,
     since degree-1 homogeneity forces the value to 0 at the origin."""
     keep = nonzero(w)
-    if keep.all():
+    if np.logical_and.reduce(keep):
         return kernel(w)
     out = np.zeros(len(w), dtype=w.dtype)
     if keep.any():
@@ -156,89 +156,99 @@ def _complex_nonzero(w):
     return w.any(axis=-1)
 
 
-# a non-finite value fails its own row, so the loops run without numpy's
-# warnings (a far x overflows the shifted argument y + x t)
+def _by_block(kernels):
+    """A row kernel that runs ``kernels[k]`` on block k of ``len(kernels)``
+    equal blocks of rows."""
+    if len(kernels) == 1:
+        return kernels[0]
+
+    def run(w):
+        size = len(w) // len(kernels)
+        return np.concatenate([kernel(w[k * size:(k + 1) * size])
+                               for k, kernel in enumerate(kernels)])
+    return run
+
+
+# a non-finite value fails its own row, and the loops go on evaluating rows
+# that have already left, so they run without numpy's warnings (a far x
+# overflows the shifted argument y + x t)
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_QUIET
-def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> SolveResult:
-    """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row."""
+def solve_real(phi, x, y, cfg: SolverConfig = None) -> SolveResult:
+    """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row.
+
+    ``phi`` is a HomogeneousFunction, or a tuple of them that splits the
+    rows into as many equal blocks: block k is solved for ``phi[k]``
+    (rows that do not split so are a DimensionMismatchError).
+    """
     cfg = cfg or DEFAULT_CONFIG
-    rows = _Rows(phi.dimension, x, y, float)
-    every = np.arange(len(rows.y))
+    phis = phi if isinstance(phi, tuple) else (phi,)
+    if any(fn.dimension != phis[0].dimension for fn in phis):
+        raise DimensionMismatchError("the functions must share the dimension")
+    rows = _Rows(phis[0].dimension, x, y, float)
+    if len(rows.y) % len(phis):
+        raise DimensionMismatchError(
+            f"{len(rows.y)} rows do not split into {len(phis)} equal blocks")
+    value = _by_block([lambda w, fn=fn: _at(fn._real, w, _real_nonzero) for fn in phis])
+    grad = _by_block([fn._grad for fn in phis])
 
-    def f(act, t):
-        return t - _at(phi._real, rows.shifted(act, t), _real_nonzero)
+    def f(t):
+        """The residual t - phi(eta) and the shifted argument eta = y + x t."""
+        eta = rows.shifted(t)
+        return t - value(eta), eta
 
-    def bracket(act):
-        """lo, hi and f there on ``act``; the rows without a sign change."""
-        lo[act], hi[act] = t0[act] - width[act], t0[act] + width[act]
-        flo[act] = f(act, lo[act])
-        fhi[act] = f(act, hi[act])
-        return act[(flo[act] > 0.0) | (fhi[act] < 0.0)]
-
-    t0 = _at(phi._real, rows.y, _real_nonzero)
+    t0 = value(rows.y)
     width = np.maximum(1.0, np.abs(t0))
-    lo, hi, flo, fhi = (np.full(len(every), np.nan) for _ in range(4))
-    expansions = np.zeros(len(every), dtype=int)
-    act = bracket(rows.live(every))
-    while act.size:
-        expansions[act] += 1
-        stuck = (expansions[act] > _MAX_EXPANSIONS) | ~(
-            np.isfinite(flo[act]) & np.isfinite(fhi[act]))
-        rows.fail(act[stuck], SolverError(
+    lo, hi = t0 - width, t0 + width
+    (flo, _), (fhi, _) = f(lo), f(hi)
+    need = ~rows.failed & ((flo > 0.0) | (fhi < 0.0))  # no sign change yet
+    expansions = 0
+    while need.any():
+        expansions += 1
+        stuck = need if expansions > _MAX_EXPANSIONS else need & ~(
+            np.isfinite(flo) & np.isfinite(fhi))
+        rows.fail(stuck, SolverError(
             "no sign change within the bracket expansion budget; "
             "the base point is likely outside the validity region"))
-        act = act[~stuck]
-        width[act] *= BRACKET_EXPANSION
-        act = bracket(act)
+        need &= ~stuck
+        width = np.where(need, width * BRACKET_EXPANSION, width)
+        lo, hi = t0 - width, t0 + width
+        (flo, _), (fhi, _) = f(lo), f(hi)
+        need &= (flo > 0.0) | (fhi < 0.0)
 
     kink_scale = 1e-9 * (1.0 + lengths(rows.y))
     t = np.minimum(np.maximum(t0, lo), hi)
-    act = rows.live(every)
-    ft = np.full(len(every), np.nan)
-    ft[act] = f(act, t[act])
+    ft, eta = f(t)
     target = cfg.tolerance
     iterations = 0
     steps = 0
-    act = act[np.abs(ft[act]) > _REFINE_FLOOR * (1.0 + np.abs(t[act]))]
-    while act.size:
-        if steps >= cfg.max_iterations:  # every live row has taken ``steps`` steps
-            over = act[np.abs(ft[act]) > target]
-            rows.fail(over, lambda i: SolverError(
+    act = ~rows.failed & (np.abs(ft) > _REFINE_FLOOR * (1.0 + np.abs(t)))
+    while act.any():
+        if steps >= cfg.max_iterations:  # every active row has taken ``steps`` steps
+            rows.fail(act & (np.abs(ft) > target), lambda i: SolverError(
                 f"iteration cap {cfg.max_iterations} exceeded "
                 f"(residual {abs(ft[i]):.3e})"))
             break
         steps += 1
-        iterations += act.size
-        ta, fa = t[act], ft[act]
-        up = fa > 0.0
-        hi[act[up]] = ta[up]
-        lo[act[~up]] = ta[~up]
-        la, ha = lo[act], hi[act]
-        xa = rows.x[act]
-        eta = rows.y[act] + xa * ta[:, None]
-        t_next = 0.5 * (la + ha)
-        newton = np.flatnonzero(lengths(eta) > kink_scale[act])
-        if newton.size:
-            slope = 1.0 - np.vecdot(phi._grad(eta[newton]), xa[newton])
-            newton, slope = newton[slope > 1e-12], slope[slope > 1e-12]
-            t_new = ta[newton] - fa[newton] / slope
-            inside = (la[newton] < t_new) & (t_new < ha[newton])
-            t_next[newton[inside]] = t_new[inside]
-        t[act] = t_next
-        ft[act] = f(act, t_next)
-        width_now = hi[act] - lo[act]
-        floor = _REFINE_FLOOR * (1.0 + np.abs(t[act]))
-        settled = (width_now <= floor) & (np.abs(ft[act]) <= target)
-        act = act[~settled & (np.abs(ft[act]) > floor)]
+        iterations += np.count_nonzero(act)
+        up = ft > 0.0  # the bracket moves on rows that left too, which read only t
+        hi, lo = np.where(up, t, hi), np.where(up, lo, t)
+        slope = 1.0 - np.vecdot(grad(eta), rows.x)
+        t_new = t - ft / slope
+        newton = ((lengths(eta) > kink_scale) & (slope > 1e-12)
+                  & (lo < t_new) & (t_new < hi))
+        t = np.where(act, np.where(newton, t_new, 0.5 * (lo + hi)), t)
+        ft, eta = f(t)
+        floor, size = _REFINE_FLOOR * (1.0 + np.abs(t)), np.abs(ft)
+        settled = (hi - lo <= floor) & (size <= target)
+        act &= ~settled & (size > floor)
 
-    done = rows.live(every)
-    rows.value[done] = t[done]
-    rows.residual[done] = np.abs(ft[done])
-    loose = done[rows.residual[done] > target]
-    rows.fail(loose, lambda i: SolverError(
+    done = ~rows.failed
+    rows.value = np.where(done, t, rows.value)
+    rows.residual = np.where(done, np.abs(ft), rows.residual)
+    rows.fail(done & (rows.residual > target), lambda i: SolverError(
         f"fixed-point residual {rows.residual[i]:.3e} above tolerance"))
     return rows.result(iterations)
 
@@ -286,70 +296,68 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     if psi.dimension != phi.dimension:
         raise DimensionMismatchError("phi and psi must share the dimension")
     rows = _Rows(phi.dimension, x, y, complex)
-    every = np.arange(len(rows.y))
+    count = len(rows.y)
 
     def pair(w):
         return phi._complex(w) + 1j * psi._complex(w)
 
-    def g(act, z):
-        return _at(pair, rows.shifted(act, z), _complex_nonzero)
+    def g(z):
+        return _at(pair, rows.shifted(z), _complex_nonzero)
 
     z0 = _at(pair, rows.y.astype(complex), _complex_nonzero)
     scale = 1.0 + np.abs(z0)
-    damping = np.ones(len(every))
-    z = z0.copy()
-    count = np.zeros(len(every), dtype=int)
-    secant = np.ones(len(every), dtype=bool)  # rows on their accelerated attempt
+    floor, blow_up = _REFINE_FLOOR * scale, 1e6 * scale
+    damping = np.ones(count)
+    z = z0
+    steps = np.zeros(count, dtype=int)  # since the row's last (re)start
+    secant = np.ones(count, dtype=bool)  # rows on their accelerated attempt
     # the previous iterate and residual, and the slope dh/dz of the last
     # secant step (nan until the row takes one)
-    z_prev, h_prev, slope = (np.full(len(every), rows.missing) for _ in range(3))
+    z_prev = h_prev = slope = np.full(count, rows.missing)
     iterations = 0
-    act = rows.live(every)
-    while act.size:
-        iterations += act.size
-        count[act] += 1
-        val = g(act, z[act])
-        za = z[act]
-        h = za - val
+    # z, z_prev, h_prev, slope and steps also change on rows that have left:
+    # a row's value is stored when it leaves, and a retry restarts it from z0
+    act = ~rows.failed
+    while act.any():
+        iterations += np.count_nonzero(act)
+        steps += 1
+        val = g(z)
+        h = z - val
         finite = np.isfinite(val)
         res = np.abs(h)
-        sa, da = scale[act], damping[act]
-        step = np.where(finite, (1.0 - da) * za + da * val, za)
-        dz, dh = za - z_prev[act], h - h_prev[act]
-        secant_step = za - h * dz / dh  # nan on a row's first step
-        take = secant[act] & finite & np.isfinite(secant_step)
-        z[act] = np.where(take, secant_step, step)
-        slope[act] = np.where(take, dh / dz, slope[act])
-        z_prev[act], h_prev[act] = za, h
-        diverged = ~finite | (res > 1e6 * sa)
-        converged = finite & (res <= _REFINE_FLOOR * sa)
-        leave = diverged | converged | (count[act] >= cfg.max_iterations)
-        out, diverged = act[leave], diverged[leave]
-        act = act[~leave]
-        if not out.size:
+        step = np.where(finite, (1.0 - damping) * z + damping * val, z)
+        dz, dh = z - z_prev, h - h_prev
+        secant_step = z - h * dz / dh  # nan on a row's first step
+        take = secant & finite & np.isfinite(secant_step)
+        z_prev, h_prev = z, h
+        z = np.where(take, secant_step, step)
+        slope = np.where(take, dh / dz, slope)
+        diverged = ~finite | (res > blow_up)
+        leave = act & (diverged | (res <= floor) | (steps >= cfg.max_iterations))
+        if not leave.any():
             continue
-        final = np.abs(z[out] - g(out, z[out]))
-        good = ~diverged & (final <= cfg.tolerance)
-        wrong = z[out].imag < -cfg.tolerance * scale[out]
+        final = np.abs(z - g(z))
+        good = leave & ~diverged & (final <= cfg.tolerance)
+        wrong = z.imag < -cfg.tolerance * scale
         # a secant root is kept only if it passes the checks and attracts,
         # |g'(Z)| < 1 with g' = 1 - dh/dz; else the row retries with Picard
-        retry = ~np.isnan(slope[out]) & ~(good & ~wrong & (np.abs(1.0 - slope[out]) < 1.0))
+        retry = leave & ~np.isnan(slope) & ~(good & ~wrong & (np.abs(1.0 - slope) < 1.0))
         good &= ~retry
-        ok, final, wrong = out[good], final[good], wrong[good]
-        rows.fail(ok[wrong], SolverError(
+        rows.fail(good & wrong, SolverError(
             "iteration converged to the non-metric branch (negative imaginary part)"))
-        rows.value[ok[~wrong]] = z[ok[~wrong]]
-        rows.residual[ok[~wrong]] = final[~wrong]
-        again = out[~good & ~retry]
-        damping[again] *= 0.5
-        lost = damping[again] < _MIN_DAMPING
-        rows.fail(again[lost], SolverError(
+        kept = good & ~wrong
+        rows.value = np.where(kept, z, rows.value)
+        rows.residual = np.where(kept, final, rows.residual)
+        again = leave & ~good & ~retry
+        damping = np.where(again, damping * 0.5, damping)
+        lost = again & (damping < _MIN_DAMPING)
+        rows.fail(lost, SolverError(
             "complex fixed-point iteration failed to converge; "
             "the base point is likely outside the validity region"))
-        again = np.concatenate([out[retry], again[~lost]])
-        z[again] = z0[again]
-        count[again] = 0
-        secant[again] = False
-        slope[again] = rows.missing
-        act = np.concatenate([act, again])
+        restart = retry | (again & ~lost)
+        act = (act & ~leave) | restart
+        z = np.where(restart, z0, z)
+        steps = np.where(restart, 0, steps)
+        secant &= ~restart
+        slope = np.where(restart, rows.missing, slope)
     return rows.result(iterations)

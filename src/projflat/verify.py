@@ -257,13 +257,12 @@ def _flagged(mask, message):
 def _p_numeric(metric, x, y):
     """P = F_{x^k} y^k / (2F) on rows, and each row's first error."""
     ny = lengths(y)
-    zero = ny == 0.0
-    h = STEP_FIRST * np.maximum(1.0, lengths(x)) / np.where(zero, 1.0, ny)
+    # a zero y takes step 0 and fails the point guard at (x, y), in e0
+    h = STEP_FIRST * np.maximum(1.0, lengths(x)) / np.where(ny == 0.0, 1.0, ny)
     step = h[:, None] * y
     ((f0, f_up, f_down),), (e0, e_up, e_down) = _on_stencil(
         lambda a, b: _f(metric, a, b), [(x, y), (x + step, y), (x - step, y)])
-    errors = first_errors(_flagged(zero, "projective factor requires y != 0"), e0,
-                          _flagged(f0 <= 0.0, "projective factor requires F > 0"),  # nan: failed
+    errors = first_errors(e0, _flagged(f0 <= 0.0, "projective factor requires F > 0"),  # nan: failed
                           e_up, e_down)
     dfdt = (f_up - f_down) / (2.0 * h)
     return dfdt / (2.0 * f0), errors

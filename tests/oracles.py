@@ -464,7 +464,10 @@ def solve_complex_picard(phi, psi, x, y, cfg=None) -> SolveResult:
         return phi._complex(w) + 1j * psi._complex(w)
 
     def g(act, z):
-        return _at(pair, rows.shifted(act, z), _complex_nonzero)
+        return _at(pair, rows.y[act] + rows.x[act] * z[:, None], _complex_nonzero)
+
+    def fail(act, error):
+        rows.fail(np.isin(every, act), error)
 
     z0 = _at(pair, rows.y.astype(complex), _complex_nonzero)
     scale = 1.0 + np.abs(z0)
@@ -472,7 +475,7 @@ def solve_complex_picard(phi, psi, x, y, cfg=None) -> SolveResult:
     z = z0.copy()
     count = np.zeros(len(every), dtype=int)
     iterations = 0
-    act = rows.live(every)
+    act = every[~rows.failed]
     while act.size:
         iterations += act.size
         count[act] += 1
@@ -492,14 +495,14 @@ def solve_complex_picard(phi, psi, x, y, cfg=None) -> SolveResult:
         good = ~diverged & (final <= cfg.tolerance)
         ok, final = out[good], final[good]
         wrong = z[ok].imag < -cfg.tolerance * scale[ok]
-        rows.fail(ok[wrong], SolverError(
+        fail(ok[wrong], SolverError(
             "iteration converged to the non-metric branch (negative imaginary part)"))
         rows.value[ok[~wrong]] = z[ok[~wrong]]
         rows.residual[ok[~wrong]] = final[~wrong]
         again = out[~good]
         damping[again] *= 0.5
         lost = damping[again] < 1.0 / 64.0
-        rows.fail(again[lost], SolverError(
+        fail(again[lost], SolverError(
             "complex fixed-point iteration failed to converge; "
             "the base point is likely outside the validity region"))
         again = again[~lost]

@@ -479,3 +479,67 @@ def test_point_guard_rejects_overflowing_squares_without_a_warning(spec):
         rows = metric.rows(np.array([x for x, _, _ in cases]), np.array([y for _, y, _ in cases]))
     for exc, (_, _, message) in zip(rows.errors, cases):
         assert isinstance(exc, DomainError) and message in str(exc)
+
+
+@pytest.mark.parametrize("spec, solver", [(BENCH_CONSTRUCTIONS[0], "solve_real"),
+                                          (BENCH_CONSTRUCTIONS[1], "solve_real"),
+                                          (BENCH_CONSTRUCTIONS[2], "solve_complex"),
+                                          (BENCH_CONSTRUCTIONS[3], "solve_complex")])
+def test_one_solve_per_rows_call(monkeypatch, spec, solver):
+    """One ``rows`` call makes one solve, K = -1 included: its Phi_+ and
+    Phi_- are one stacked ``solve_real`` call."""
+    import projflat.construct as construct
+    metric = parse_metric(spec, 2, SolverConfig())
+    calls = {"solve_real": 0, "solve_complex": 0}
+    for name in calls:
+        def counted(*args, name=name, solve=getattr(construct, name)):
+            calls[name] += 1
+            return solve(*args)
+        monkeypatch.setattr(construct, name, counted)
+    x = np.array([[0.1, 0.05], [0.0, -0.1], [0.15, 0.0]])
+    y = np.array([[0.6, 0.8], [1.0, 0.0], [-0.3, 2.0]])
+    rows = metric.rows(x, y, with_p=True)
+    assert not any(rows.errors)
+    assert calls == {"solve_real": 0, "solve_complex": 0, solver: 1}
+
+
+@pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(max_iterations=1, tolerance=1e-15)],
+                         ids=["default", "capped"])
+@pytest.mark.parametrize("d, psi, phi", KPOS1_PAIRS)
+def test_stacked_kneg1_solve_equals_two_solves(d, psi, phi, cfg):
+    """The stacked K = -1 solve of (phi + psi, phi - psi) on [x; x], [y; y]
+    gives each half the bits and errors of its own solve, so a row that
+    fails Phi_+ or Phi_- alone fails the same way in its half.  The sweep
+    is also taken three times as far, where rows fail one solve only."""
+    f_plus, f_minus = combine((1.0, phi), (1.0, psi)), combine((1.0, phi), (-1.0, psi))
+    x, y = sweep(build_kneg1(psi, phi, cfg), d)
+    x, y = np.vstack((x, 3.0 * x)), np.vstack((y, y))
+    both = solve_real((f_plus, f_minus), np.vstack((x, x)), np.vstack((y, y)), cfg)
+    halves = (solve_real(f_plus, x, y, cfg), solve_real(f_minus, x, y, cfg))
+    for k, alone in enumerate(halves):
+        part = slice(k * len(y), (k + 1) * len(y))
+        np.testing.assert_array_equal(both.value[part], alone.value)
+        np.testing.assert_array_equal(both.eta[part], alone.eta)
+        np.testing.assert_array_equal(both.residual[part], alone.residual)
+        assert ([(type(e), str(e)) for e in both.errors[part]]
+                == [(type(e), str(e)) for e in alone.errors])
+    assert both.iterations == sum(alone.iterations for alone in halves)
+    if cfg == SolverConfig():  # capped, nearly every row fails both solves
+        plus, minus = (np.array([e is None for e in alone.errors]) for alone in halves)
+        assert (plus != minus).any()
+
+
+@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
+def test_point_values_report_a_zero_y_alike(spec):
+    """``eval`` and ``sample`` report a y = 0, or a y whose squared length
+    underflows, with the point guard's message for every metric kind: a
+    closed form's numeric P adds no message of its own."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    x = np.array([[0.1, 0.0], [0.1, 0.0], [0.1, 0.0]])
+    y = np.array([[0.0, 0.0], [1e-170, 1e-170], [0.6, 0.8]])
+    f, p, k, errors = point_values(metric, x, y)
+    for i in (0, 1):
+        assert type(errors[i]) is DomainError
+        assert str(errors[i]) == "y = 0 is outside the metric domain"
+        assert np.isnan([f[i], p[i]]).all()
+    assert errors[2] is None

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import implicit_derivatives
-from projflat import (DomainError, EuclideanNorm, RandersNorm, ScaledNorm,
-                      SolverConfig, SolverError, ZeroNorm, combine,
-                      pair_radius_estimate, parse_norms, radius_estimate,
-                      solve_complex, solve_real)
+from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
+                      EuclideanNorm, RandersNorm, ScaledNorm, SolverConfig,
+                      SolverError, ZeroNorm, combine, pair_radius_estimate,
+                      parse_norms, radius_estimate, solve_complex, solve_real)
 from projflat.sampling import ball_points, sphere_points
 
 
@@ -286,3 +288,65 @@ def test_row_with_a_non_finite_input_fails_alone(solve, norms):
     assert res.errors[1] is None and alone.errors[0] is None
     assert res.value[1] == alone.value[0]
     np.testing.assert_array_equal(res.eta[1], alone.eta[0])
+
+
+def test_blocks_that_do_not_split_evenly_are_rejected():
+    """A tuple of functions splits the rows into equal blocks, one per
+    function; rows that do not split so, or functions of two dimensions,
+    are a DimensionMismatchError."""
+    pair = (RandersNorm(2, (0.2, 0.1)), EuclideanNorm(2))
+    x, y = np.zeros((3, 2)), np.ones((3, 2))
+    with pytest.raises(DimensionMismatchError, match="3 rows do not split into 2 equal blocks"):
+        solve_real(pair, x, y)
+    with pytest.raises(DimensionMismatchError, match="share the dimension"):
+        solve_real((EuclideanNorm(2), EuclideanNorm(3)), x[:2], y[:2])
+
+
+# ---------------------------------------------------------------------------
+# the masked loops: every row takes the steps it takes alone
+
+MASK_PAIRS = [(EuclideanNorm(2), RandersNorm(2, (0.2, 0.1))),
+              (EuclideanNorm(2), ScaledNorm(2, 0.3)),
+              (DoubleSqrtNorm(2, 1, 1, plus=True), DoubleSqrtNorm(2, 1, 1, plus=False)),
+              (DoubleSqrtNorm(3, 1, 2, plus=True), DoubleSqrtNorm(3, 1, 2, plus=False)),
+              parse_norms("bryant:0.5236", 3)]
+MASK_CONFIGS = [SolverConfig(), SolverConfig(max_iterations=4, tolerance=1e-15)]
+
+
+def same_rows(batch, alone, i):
+    """Row i of ``batch`` holds the bits and the error of ``alone``'s one row."""
+    assert np.array_equal(batch.value[i:i + 1], alone.value, equal_nan=True), i
+    assert np.array_equal(batch.residual[i:i + 1], alone.residual, equal_nan=True), i
+    assert np.array_equal(batch.eta[i:i + 1], alone.eta, equal_nan=True), i
+    got, want = batch.errors[i], alone.errors[0]
+    assert (type(got), str(got)) == (type(want), str(want)), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(len(MASK_PAIRS))), st.sampled_from(range(len(MASK_CONFIGS))),
+       st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_each_masked_row_solves_as_alone(pair, config, seed, count):
+    """Rows in the validity ball, rows at 1-3 radii (where the real
+    bracket and the complex iteration fail) and, under a cap of 4 steps,
+    iteration-capped rows, in one batch: each row of ``solve_real`` and
+    ``solve_complex`` has the value, eta, residual and error it has
+    solved alone, bit for bit, and the batch's iterations are the sum of
+    the rows'."""
+    psi, phi = MASK_PAIRS[pair]
+    cfg = MASK_CONFIGS[config]
+    d = psi.dimension
+    rng = np.random.default_rng(seed)
+    reach = np.where(rng.random(count) < 0.5, rng.uniform(0.0, 1.0, count),
+                     rng.uniform(1.0, 3.0, count))
+    u = sphere_points(rng, d, count) * reach[:, None]
+    y = rng.standard_normal((count, d))
+    for solve, args, radius in ((solve_real, (phi,), radius_estimate(phi)),
+                                (solve_complex, (phi, psi), pair_radius_estimate(phi, psi))):
+        x = u * min(radius, 2.0)
+        batch = solve(*args, x, y, cfg)
+        total = 0
+        for i in range(count):
+            alone = solve(*args, x[i:i + 1], y[i:i + 1], cfg)
+            same_rows(batch, alone, i)
+            total += alone.iterations
+        assert batch.iterations == total
