@@ -26,7 +26,8 @@ shape ``(N, n)``, at once; it is the one way to evaluate a metric.  Every
 metric kind passes its rows through one point guard there.  A constructed
 metric then solves the rows that passed together, once per point for F
 and P both; a closed form runs its formula on them point by point
-(``eval``).
+(``eval``).  Nothing else leaves a solve: the transport fields that
+``verify`` checks are built from F, P and the stated curvature alone.
 """
 
 import math
@@ -47,17 +48,13 @@ NON_FINITE = "x and y must be finite, with finite squared lengths"
 class RowValues:
     """Values at N points.
 
-    ``f`` and ``p`` are ``(N,)`` arrays when asked for (None otherwise);
-    ``fields`` holds a constructed metric's solved transport fields, the
-    ones with Phi_x = Phi Phi_y: ``(P,)`` for curvature 0,
-    ``(Phi_+, Phi_-)`` for -1 and the complex ``(Z,)`` for +1, and is
-    empty for a closed form.  ``errors[i]`` is the error row i raises on
-    its own, None where it evaluated; a failed row holds nan.
+    ``f`` and ``p`` are ``(N,)`` arrays when asked for (None otherwise).
+    ``errors[i]`` is the error row i raises on its own, None where it
+    evaluated; a failed row holds nan.
     """
 
     f: np.ndarray
     p: np.ndarray
-    fields: tuple
     errors: list
 
 
@@ -86,7 +83,7 @@ class MetricEvaluator:
     formula at one point, which ``rows`` calls through ``eval`` once per
     guarded row; a constructed metric carries ``solve``, which maps the
     guarded rows ``x``, ``y`` and whether F is wanted to
-    ``(F, P, fields, errors)`` (see RowValues) from one solve per row.
+    ``(F, P, errors)`` (see RowValues) from one solve per row.
     """
 
     kind: str
@@ -134,12 +131,11 @@ class MetricEvaluator:
             for i in np.flatnonzero(self.beyond_radius(length)):
                 errors[i] = errors[i] or DomainError(self.radius_message(length[i]))
         ok = np.array([exc is None for exc in errors], dtype=bool)
-        f, p, fields, solved = (self.solve or self._formula)(x[ok], y[ok], with_f)
+        f, p, solved = (self.solve or self._formula)(x[ok], y[ok], with_f)
         for i, exc in zip(np.flatnonzero(ok), solved):
             errors[i] = exc
         return RowValues(_spread(f, ok) if with_f else None,
-                         _spread(p, ok) if with_p else None,
-                         tuple(_spread(v, ok) for v in fields), errors)
+                         _spread(p, ok) if with_p else None, errors)
 
     def _formula(self, x, y, with_f):
         """A closed form's rows solve: ``eval`` on each guarded row, a
@@ -151,7 +147,7 @@ class MetricEvaluator:
                 f[i] = self.eval(x[i], y[i])
             except ProjFlatError as exc:
                 errors[i] = exc.with_traceback(None)  # no frame cycle
-        return f, None, (), errors
+        return f, None, errors
 
     def eval(self, x, y) -> float:
         """A closed form's formula at one point, for a row that already
@@ -164,7 +160,7 @@ class MetricEvaluator:
 
 def _spread(values, ok):
     """Values of the rows where ``ok`` holds, nan on the others."""
-    out = np.full(ok.shape, np.nan, dtype=np.result_type(values, float))
+    out = np.full(ok.shape, np.nan)
     out[ok] = values
     return out
 
@@ -196,7 +192,7 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
             rest = live[~vanishes]
             f = np.full(len(y), np.nan)
             f[rest] = psi.eval_real(res.eta[rest]) / denom[~vanishes]
-        return f, res.value, (res.value,), errors
+        return f, res.value, errors
 
     return MetricEvaluator(
         kind="constructed-K0", dimension=psi.dimension, solve=solve,
@@ -217,7 +213,7 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
         half = len(y)
         a, b = res.value[:half], res.value[half:]
         errors = [e or e_minus for e, e_minus in zip(res.errors[:half], res.errors[half:])]
-        return 0.5 * (a - b), 0.5 * (a + b), (a, b), errors
+        return 0.5 * (a - b), 0.5 * (a + b), errors
 
     return MetricEvaluator(
         kind="constructed-Kneg1", dimension=psi.dimension, solve=solve,
@@ -232,8 +228,7 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     def solve(x, y, with_f):
         res = solve_complex(phi, psi, x, y, cfg)
-        z = res.value
-        return z.imag, z.real, (z,), list(res.errors)
+        return res.value.imag, res.value.real, list(res.errors)
 
     return MetricEvaluator(
         kind="constructed-Kpos1", dimension=psi.dimension, solve=solve,

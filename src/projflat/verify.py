@@ -10,8 +10,8 @@ that characterize projectively flat metrics of constant flag curvature:
 * flag curvature                 K = (P^2 - P_{x^m} y^m) / F^2
 * first-order system             F_{x^k} = (PF)_{y^k},
                                  P_{x^k} = P P_{y^k} - (1/3F)(K F^3)_{y^k}
-* transport fields               (P + s F)_{x^k} = (P + s F)(P + s F)_{y^k}
-                                 with s^2 = -K (complex s when K > 0)
+* transport fields               (P + c F)_{x^k} = (P + c F)(P + c F)_{y^k}
+                                 with c^2 = -K (complex c when K > 0)
 * strong convexity               [F^2/2]_{y^i y^j} positive definite
 * geodesic straightness          trajectories of  v' = -2 P(x, v) v  stay
                                  on the line through (x0, v0)
@@ -137,18 +137,6 @@ def make_report(check_name, points, residuals, tolerance, extra=None) -> Verific
 # finite-difference primitives
 
 
-def pow2(values):
-    """Elementwise ``values ** 2`` through Python's float power.
-
-    libm ``pow`` is not always the correctly rounded ``v * v`` (about one
-    square in a thousand differs by an ulp), and one ulp of F^2 divided
-    by a squared step reaches the convexity floors; squaring rows this
-    way keeps them equal to the per-point path bit for bit.
-    """
-    values = np.asarray(values, dtype=float)
-    return np.array([v ** 2 for v in values.ravel().tolist()]).reshape(values.shape)
-
-
 def axis_step(v, k, step):
     """Zeros shaped like ``v`` with ``step`` in component k (one step per
     row for rows)."""
@@ -178,7 +166,7 @@ def hessian_from(values, step, n):
     ``hessian_points``: ``(n, n)``, or ``(N, n, n)`` for rows."""
     values = iter(values)
     f0 = next(values)
-    step_sq = pow2(step)[()]  # a scalar step divides as a scalar, not a 0-d array
+    step_sq = step * step
     h = np.zeros(np.shape(f0) + (n, n))
     for i in range(n):
         h[..., i, i] = (next(values) - 2.0 * f0 + next(values)) / step_sq
@@ -330,8 +318,8 @@ def jet(metric, x, y) -> JetData:
 
 
 def _mixed_times_y(jd: JetData, ys):
-    """F_{x^l y^k} y^l at each row, one small matrix product per row."""
-    return np.stack([m.T @ y for m, y in zip(jd.mixed_xy, ys)])
+    """F_{x^l y^k} y^l at each row."""
+    return np.matmul(ys[:, None, :], jd.mixed_xy)[:, 0]
 
 
 def hamel_residual(metric, x, y):
@@ -394,7 +382,9 @@ def point_values(metric, x, y):
     xs, ys = as_rows(metric.dimension, x, y)
     (f, p), errors = _fp(metric, xs, ys)
     k, k_errors = _curvature(metric, xs, ys)
-    return f, p, k, first_errors(errors, k_errors)
+    errors = first_errors(errors, k_errors)
+    k[[exc is not None for exc in errors]] = np.nan
+    return f, p, k, errors
 
 
 def _p_stencil(xs, ys, hx, hy):
@@ -437,26 +427,25 @@ def _transport_fields(metric, pairs):
     """The scalar fields Phi with Phi_x = Phi * Phi_y on the stencil
     ``pairs``, each as its M value arrays, and the per-sample error lists.
 
-    A constructed metric's fields are its solved ones, from one rows call.
-    A closed form's are assembled from P and F with its intended curvature
-    K: Phi = P for K = 0, P +/- sqrt(-K) F for K < 0 and the complex
-    P + i sqrt(K) F for K > 0, each field evaluated on its own.
+    Every metric kind builds them alike, from its F and P and its stated
+    curvature K: Phi = P + c F with c = 0 for K = 0, c = +/- sqrt(-K) for
+    K < 0 and the complex c = i sqrt(K) for K > 0 (Shen's transport
+    equations).  So a wrong F or a wrong stated K fails the check.  Each
+    field is evaluated on its own: P alone for c = 0, F and P together
+    otherwise.  That keeps a closed form's F count per point (72 on funk,
+    which the benchmark's cross-check pins) where one shared F and P per
+    stencil would halve it, at the cost of a second solve per stencil
+    point on a K < 0 construction.
     """
-    if metric.solve is not None:
-        def solved(a, b):
-            values = metric.rows(a, b, with_f=False, with_p=True)
-            return values.fields, values.errors
-        return _on_stencil(solved, pairs)
     k = metric.intended_curvature
     s = float(np.sqrt(abs(k)))
     fields, errors = [], []
     for c in ((0.0,) if k == 0.0 else (s, -s) if k < 0.0 else (1j * s,)):
         def field(a, b, c=c):
-            (p,), p_errors = _p(metric, a, b)
             if c == 0.0:
-                return (p,), p_errors
-            (f,), f_errors = _f(metric, a, b)
-            return (p + c * f,), first_errors(p_errors, f_errors)
+                return _p(metric, a, b)
+            (f, p), fp_errors = _fp(metric, a, b)
+            return (p + c * f,), fp_errors
         (values,), field_errors = _on_stencil(field, pairs)
         fields.append(values)
         errors += field_errors
@@ -501,7 +490,7 @@ def convexity_residual(metric, x, u):
     pairs = [(xs, us)] + [(xs, p) for p in hessian_points(us, h)]
     (values,), errors = _on_stencil(lambda a, b: _f(metric, a, b), pairs)
     raise_first(first_errors(*errors))
-    hess = hessian_from([0.5 * pow2(v) for v in values[1:]], h, xs.shape[1])
+    hess = hessian_from([0.5 * (v * v) for v in values[1:]], h, xs.shape[1])
     lam_min = np.linalg.eigvalsh(hess).min(axis=-1)
     return np.maximum(-lam_min, -values[0]), lam_min
 
@@ -521,7 +510,7 @@ def check_minkowski(f: HomogeneousFunction, samples: int) -> VerificationReport:
     step = STEP_FIRST * np.maximum(1.0, lengths(dirs))
     points = hessian_points(dirs, step)
     values = f.eval_real(np.concatenate(points)).reshape(len(points), samples)
-    hess = hessian_from(0.5 * pow2(values), step, f.dimension)
+    hess = hessian_from(0.5 * (values * values), step, f.dimension)
     lam = np.linalg.eigvalsh(hess).min(axis=-1)
     zero = np.zeros(f.dimension)
     return make_report("minkowski", [(zero, u) for u in dirs], np.maximum(-lam, -values[0]),

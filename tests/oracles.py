@@ -14,9 +14,11 @@ one-row batch of ``MetricEvaluator.rows``.  ``solve_real_scalar``,
 references for the solves and metric builders on rows;
 ``solve_complex_picard`` is the complex solve on rows without its secant
 steps.  ``format_norm`` writes a norm back as the descriptor
-``parse_norms`` reads.
+``parse_norms`` reads.  ``altered``, ``perturbed`` and ``failing_checks``
+build and run the negative controls of a constructed metric.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +27,7 @@ from projflat import (CombinedNorm, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, HomogeneousFunction, RandersNorm,
                       ScaledNorm, SolveResult, SolverConfig, SolverError,
                       SpecParseError, ZeroNorm, as_evaluator, catalog_entry)
+from projflat.cli import CHECK_NAMES, DEFAULT_TOLERANCES, _run_check
 from projflat.construct import NON_FINITE, raise_first
 from projflat.norms import combine
 from projflat.sampling import unit_directions
@@ -211,12 +214,12 @@ def fd_hessian_loop(fun, v, step):
     for i in range(n):
         ei = np.zeros(n)
         ei[i] = step
-        h[i, i] = (fun(v + ei) - 2.0 * f0 + fun(v - ei)) / step**2
+        h[i, i] = (fun(v + ei) - 2.0 * f0 + fun(v - ei)) / (step * step)
         for j in range(i + 1, n):
             ej = np.zeros(n)
             ej[j] = step
             hij = (fun(v + ei + ej) - fun(v + ei - ej)
-                   - fun(v - ei + ej) + fun(v - ei - ej)) / (4.0 * step**2)
+                   - fun(v - ei + ej) + fun(v - ei - ej)) / (4.0 * (step * step))
             h[i, j] = hij
             h[j, i] = hij
     return h
@@ -241,12 +244,15 @@ def pair_radius_estimate_loop(phi, psi):
 
 def check_minkowski_loop(f, samples, eig_floor=MINKOWSKI_EIG_FLOOR):
     """Minkowski probe with one scalar Hessian per direction."""
+    def half_square(yy):
+        v = f.eval_real(yy)
+        return 0.5 * (v * v)
+
     zero = np.zeros(f.dimension)
     residuals, points, min_eig = [], [], np.inf
     for u in unit_directions(f.dimension, samples):
         val = f.eval_real(u)
-        hess = fd_hessian_loop(lambda yy: 0.5 * f.eval_real(yy) ** 2, u,
-                          STEP_FIRST * max(1.0, float(np.linalg.norm(u))))
+        hess = fd_hessian_loop(half_square, u, STEP_FIRST * max(1.0, float(np.linalg.norm(u))))
         lam = float(np.linalg.eigvalsh(hess).min())
         min_eig = min(min_eig, lam)
         residuals.append(max(-lam, -val))
@@ -623,3 +629,33 @@ def format_norm(f: HomogeneousFunction) -> str:
     if isinstance(f, CombinedNorm):
         return "+".join(f"{c:g}*({format_norm(g)})" for c, g in f.terms)
     raise SpecParseError(f"cannot format {type(f).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# negative controls
+
+
+def altered(metric, f=None, p=None):
+    """A constructed ``metric`` whose F becomes ``f(x, y, F, P)`` and whose
+    P becomes ``p(P)`` where given, the solve and its errors kept; the
+    stated curvature is unchanged, so the result is not of that K."""
+    def solve(x, y, with_f):
+        f0, p0, errors = metric.solve(x, y, with_f)
+        return ((f(x, y, f0, p0) if f and with_f else f0),
+                (p(p0) if p else p0), errors)
+    return dataclasses.replace(metric, solve=solve)
+
+
+def perturbed(metric, eps):
+    """``metric`` with F + eps x^1 (y^1)^2 / |y| and the exact P kept, the
+    perturbation of the negative control ``test:broken``."""
+    return altered(metric, f=lambda x, y, f, p: (
+        f + eps * x[:, 0] * y[:, 0] ** 2 / np.linalg.norm(y, axis=1)))
+
+
+def failing_checks(metric, radius=0.2, samples=50, seed=42) -> set:
+    """The names of the ``verify`` checks that fail on ``metric``, each run
+    as the CLI runs it, at its default tolerance."""
+    return {name for name in CHECK_NAMES
+            if not _run_check(name, metric, np.random.default_rng(seed), radius,
+                              samples, DEFAULT_TOLERANCES[name]).passed}

@@ -1,9 +1,9 @@
 """Norms on (N, n) rows against the one-vector path, bit for bit.
 
-The batched radius estimates, the finite-difference Hessian on rows and
-the Minkowski probe are compared with the per-direction loops in
-``oracles``; the builders' norm-call counts guard against a loop over
-directions, or a probe of psi, coming back.
+The batched radius estimates, the finite-difference Hessian on rows,
+the Minkowski probe and the jet's mixed-derivative product are compared
+with per-direction or per-row loops; the builders' norm-call counts
+guard against a loop over directions, or a probe of psi, coming back.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       ScaledNorm, ZeroNorm, build_k0, build_kneg1, build_kpos1,
                       check_minkowski, combine, pair_radius_estimate,
                       parse_norms, radius_estimate)
-from projflat.verify import hessian_from, hessian_points
+from projflat.verify import JetData, _mixed_times_y, hessian_from, hessian_points
 
 # (dimension, dsr block split)
 DIMS = [(2, (1, 1)), (3, (1, 2)), (5, (2, 3))]
@@ -123,6 +123,18 @@ def test_fd_hessian_rows_equal_single_points(d):
         one = stencil_hessian(fun, v[k], float(steps[k]))
         np.testing.assert_array_equal(batched[k], one)
         np.testing.assert_array_equal(one, oracles.fd_hessian_loop(fun, v[k], float(steps[k])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_mixed_times_y_equals_row_loop(d):
+    """The batched F_{x^l y^k} y^l against one matrix product per row, bit
+    for bit (``einsum`` sums in another order and is not)."""
+    rng = np.random.default_rng(d)
+    mixed = rng.standard_normal((2000, d, d))
+    ys = rng.standard_normal((2000, d))
+    loop = np.stack([m.T @ y for m, y in zip(mixed, ys)])
+    batched = _mixed_times_y(JetData(None, None, None, mixed, None), ys)
+    np.testing.assert_array_equal(batched, loop)
 
 
 @pytest.fixture

@@ -337,6 +337,13 @@ EVALS_PER_POINT = {
     "construct:0:euclidean:randers:0.2,0.1": {
         "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
         "convexity": (10, 0), "geodesic": (0, 400), "pde": (0, 9)},
+    # K != 0: pde evaluates F and P together for each transport field P + c F
+    "construct:-1:euclidean:scaled:0.3": {
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
+        "convexity": (10, 0), "geodesic": (0, 400), "pde": (18, 18)},
+    "construct:1:bryant:0.5236": {
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
+        "convexity": (10, 0), "geodesic": (0, 400), "pde": (9, 9)},
 }
 
 

@@ -129,8 +129,8 @@ def test_failed_kpos1_row_holds_nan():
     metric = parse_metric("construct:1:bryant:0.5236", 2, SolverConfig(max_iterations=2))
     rows = metric.rows([[0.1, 0.0]], [[0.0, 1.0]], with_p=True)
     assert isinstance(rows.errors[0], SolverError)
-    (z,) = rows.fields
-    assert np.isnan([rows.f[0], rows.p[0], z[0].real, z[0].imag]).all()
+    assert rows.f.dtype == rows.p.dtype == float
+    assert np.isnan([rows.f[0], rows.p[0]]).all()
 
 
 def test_solves_equal_one_point_solves_with_failures():
@@ -533,7 +533,9 @@ def test_stacked_kneg1_solve_equals_two_solves(d, psi, phi, cfg):
 def test_point_values_report_a_zero_y_alike(spec):
     """``eval`` and ``sample`` report a y = 0, or a y whose squared length
     underflows, with the point guard's message for every metric kind: a
-    closed form's numeric P adds no message of its own."""
+    closed form's numeric P adds no message of its own.  The failed rows
+    hold nan in F, P and K alike (K, taken at y / |y|, would be finite),
+    and the valid row keeps the values it has alone."""
     metric = parse_metric(spec, 2, SolverConfig())
     x = np.array([[0.1, 0.0], [0.1, 0.0], [0.1, 0.0]])
     y = np.array([[0.0, 0.0], [1e-170, 1e-170], [0.6, 0.8]])
@@ -541,5 +543,8 @@ def test_point_values_report_a_zero_y_alike(spec):
     for i in (0, 1):
         assert type(errors[i]) is DomainError
         assert str(errors[i]) == "y = 0 is outside the metric domain"
-        assert np.isnan([f[i], p[i]]).all()
+        assert np.isnan([f[i], p[i], k[i]]).all()
     assert errors[2] is None
+    for got, alone in zip((f, p, k), point_values(metric, x[2:], y[2:])):
+        assert np.isfinite(alone).all()
+        np.testing.assert_array_equal(got[2:], alone)
