@@ -42,6 +42,7 @@ from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
 
 DOMAIN_SAFETY = 0.8
 NON_FINITE = "x and y must be finite, with finite squared lengths"
+ZERO_Y = "y = 0 is outside the metric domain"
 
 
 @dataclass
@@ -63,6 +64,13 @@ def first_errors(*error_lists) -> list:
     if not any(map(any, error_lists)):
         return [None] * len(error_lists[0])
     return [next((exc for exc in row if exc is not None), None) for row in zip(*error_lists)]
+
+
+def error_free(errors) -> np.ndarray:
+    """The rows of a per-row error list that have no error, as a mask."""
+    if not any(errors):
+        return np.ones(len(errors), dtype=bool)
+    return np.array([exc is None for exc in errors], dtype=bool)
 
 
 def raise_first(errors) -> None:
@@ -120,18 +128,21 @@ class MetricEvaluator:
         if self.solve is None and with_p:
             raise ProjFlatError(f"{self.kind} has no exact projective factor; "
                                 "use the numeric fallback in verify")
-        errors = [None] * len(y)
         with np.errstate(over="ignore"):  # an overflow is reported per row
             squares, length = np.vecdot(y, y), lengths(x)
-        for i in np.flatnonzero(~(np.isfinite(squares) & np.isfinite(length))):
-            errors[i] = DomainError(NON_FINITE)
-        for i in np.flatnonzero(squares == 0.0):
-            errors[i] = errors[i] or DomainError("y = 0 is outside the metric domain")
-        if with_f:
-            for i in np.flatnonzero(self.beyond_radius(length)):
-                errors[i] = errors[i] or DomainError(self.radius_message(length[i]))
-        ok = np.array([exc is None for exc in errors], dtype=bool)
-        f, p, solved = (self.solve or self._formula)(x[ok], y[ok], with_f)
+        unfit = ~(np.isfinite(squares) & np.isfinite(length))
+        zero = squares == 0.0
+        far = self.beyond_radius(length) & with_f
+        ok = ~(unfit | zero | far)
+        solve = self.solve or self._formula
+        if np.logical_and.reduce(ok):  # no per-row Python when every row passes
+            f, p, errors = solve(x, y, with_f)
+            return RowValues(f if with_f else None, p if with_p else None, errors)
+        errors = [None] * len(y)
+        for i in np.flatnonzero(~ok):
+            errors[i] = DomainError(NON_FINITE if unfit[i] else ZERO_Y if zero[i]
+                                    else self.radius_message(length[i]))
+        f, p, solved = solve(x[ok], y[ok], with_f)
         for i, exc in zip(np.flatnonzero(ok), solved):
             errors[i] = exc
         return RowValues(_spread(f, ok) if with_f else None,
@@ -181,17 +192,18 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     def solve(x, y, with_f):
         res = solve_real(phi, x, y, cfg)
-        errors = list(res.errors)
-        f = None
+        errors, f = res.errors, None
         if with_f:  # a guarded row's eta is finite and nonzero
-            live = np.flatnonzero([exc is None for exc in errors])
+            live = error_free(errors)
             denom = 1.0 - np.vecdot(phi.grad_real(res.eta[live]), x[live])
             vanishes = denom < 1e-8
-            for i in live[vanishes]:
-                errors[i] = DomainError("construction denominator vanishes")
-            rest = live[~vanishes]
+            if vanishes.any():
+                for i in np.flatnonzero(live)[vanishes]:
+                    errors[i] = DomainError("construction denominator vanishes")
+                live[live] = ~vanishes
+                denom = denom[~vanishes]
             f = np.full(len(y), np.nan)
-            f[rest] = psi.eval_real(res.eta[rest]) / denom[~vanishes]
+            f[live] = psi.eval_real(res.eta[live]) / denom
         return f, res.value, errors
 
     return MetricEvaluator(
@@ -212,7 +224,9 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
         res = solve_real((f_plus, f_minus), np.vstack((x, x)), np.vstack((y, y)), cfg)
         half = len(y)
         a, b = res.value[:half], res.value[half:]
-        errors = [e or e_minus for e, e_minus in zip(res.errors[:half], res.errors[half:])]
+        errors, minus = res.errors[:half], res.errors[half:]
+        if any(minus):
+            errors = [e or e_minus for e, e_minus in zip(errors, minus)]
         return 0.5 * (a - b), 0.5 * (a + b), errors
 
     return MetricEvaluator(
@@ -228,7 +242,7 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     def solve(x, y, with_f):
         res = solve_complex(phi, psi, x, y, cfg)
-        return res.value.imag, res.value.real, list(res.errors)
+        return res.value.imag, res.value.real, res.errors
 
     return MetricEvaluator(
         kind="constructed-Kpos1", dimension=psi.dimension, solve=solve,

@@ -23,13 +23,16 @@ Picard iteration when its secant root fails a check or does not attract.
 Both solves take rows ``x``, ``y`` of shape ``(N, n)``, and only rows,
 and run every row in lockstep with numpy.  The rows stay in their arrays
 under a boolean mask of the active ones: each step evaluates every row
-and updates the active rows with ``np.where``, and a row's value is
-stored, and frozen, when it leaves the mask.  The problems are
+and updates the active rows with ``np.where``.  The real solve stores a
+row's value when the loop ends; the complex solve judges its rows once
+per round, when every row of the round has left the mask, and restarts
+the rejected ones together as the next round.  The problems are
 independent per point, so a row gets exactly the steps (and bits) it
 would get in a batch of one.  A row that fails keeps its own error in
 ``SolveResult.errors`` and the others go on.  ``solve_real`` also takes
-a tuple of functions, one per equal block of rows, and solves the blocks
-in one loop (the pair Phi_+, Phi_- of curvature -1).
+a tuple of combinations of the same norms, one per equal block of rows,
+and solves the blocks in one loop, each norm evaluated once on all the
+rows (the pair Phi_+, Phi_- of curvature -1).
 
 Each solve checks its rows once, at entry, and brings each y into range
 by a power of two (see ``_Rows``); the Newton, bracket and complex
@@ -44,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
-from .norms import (HomogeneousFunction, as_rows, lengths, scale_exponents,
-                    times_pow2)
+from .norms import (CombinedNorm, HomogeneousFunction, as_rows, lengths,
+                    scale_exponents, times_pow2)
 from .sampling import unit_directions
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
@@ -63,8 +66,8 @@ class SolverConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:  # nan fails both comparisons
+            raise ValueError(f"tolerance must be finite and positive; got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -138,14 +141,13 @@ class _Rows:
 
 def _at(kernel, w, nonzero):
     """``kernel`` on the points ``w``; 0 where ``nonzero(w)`` is False,
-    since degree-1 homogeneity forces the value to 0 at the origin."""
+    since degree-1 homogeneity forces the value to 0 at the origin.  The
+    kernel sees every row (such a row as all ones), so a kernel with
+    per-row coefficients stays aligned with its rows."""
     keep = nonzero(w)
     if np.logical_and.reduce(keep):
         return kernel(w)
-    out = np.zeros(len(w), dtype=w.dtype)
-    if keep.any():
-        out[keep] = kernel(w[keep])
-    return out
+    return np.where(keep, kernel(np.where(keep[:, None], w, 1.0)), 0.0)
 
 
 def _real_nonzero(w):
@@ -156,17 +158,29 @@ def _complex_nonzero(w):
     return w.any(axis=-1)
 
 
-def _by_block(kernels):
-    """A row kernel that runs ``kernels[k]`` on block k of ``len(kernels)``
-    equal blocks of rows."""
-    if len(kernels) == 1:
-        return kernels[0]
+def _row_kernels(phis, count):
+    """The value and gradient row kernels of ``phis`` on ``count`` rows,
+    block k of ``len(phis)`` equal blocks of rows running ``phis[k]``.
 
-    def run(w):
-        size = len(w) // len(kernels)
-        return np.concatenate([kernel(w[k * size:(k + 1) * size])
-                               for k, kernel in enumerate(kernels)])
-    return run
+    Blocks must combine the same norms (``norms.combine``): each norm then
+    runs once on all the rows, times a per-row coefficient column, which
+    is ``CombinedNorm``'s own sum ``0 + c0 f0 + c1 f1 + ...`` bit for bit.
+    """
+    if len(phis) == 1:
+        return phis[0]._real, phis[0]._grad
+    norms = [f for _, f in getattr(phis[0], "terms", ())]
+    if not all(isinstance(fn, CombinedNorm) and [f for _, f in fn.terms] == norms
+               for fn in phis):
+        raise ValueError("the functions of a tuple must combine the same norms")
+    columns = np.repeat([[c for c, _ in fn.terms] for fn in phis], count // len(phis), axis=0).T
+    grad_columns = columns[:, :, None]
+
+    def value(w):
+        return sum(c * f._real(w) for c, f in zip(columns, norms))
+
+    def grad(w):
+        return sum(c * f._grad(w) for c, f in zip(grad_columns, norms))
+    return value, grad
 
 
 # a non-finite value fails its own row, and the loops go on evaluating rows
@@ -179,9 +193,11 @@ _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_real(phi, x, y, cfg: SolverConfig = None) -> SolveResult:
     """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row.
 
-    ``phi`` is a HomogeneousFunction, or a tuple of them that splits the
-    rows into as many equal blocks: block k is solved for ``phi[k]``
-    (rows that do not split so are a DimensionMismatchError).
+    ``phi`` is a HomogeneousFunction, or a tuple of combinations of the
+    same norms (such as phi + psi and phi - psi) that splits the rows into
+    as many equal blocks: block k is solved for ``phi[k]``, with the bits
+    of its own solve (rows that do not split so are a
+    DimensionMismatchError, other tuples a ValueError).
     """
     cfg = cfg or DEFAULT_CONFIG
     phis = phi if isinstance(phi, tuple) else (phi,)
@@ -191,8 +207,10 @@ def solve_real(phi, x, y, cfg: SolverConfig = None) -> SolveResult:
     if len(rows.y) % len(phis):
         raise DimensionMismatchError(
             f"{len(rows.y)} rows do not split into {len(phis)} equal blocks")
-    value = _by_block([lambda w, fn=fn: _at(fn._real, w, _real_nonzero) for fn in phis])
-    grad = _by_block([fn._grad for fn in phis])
+    kernel, grad = _row_kernels(phis, len(rows.y))
+
+    def value(w):
+        return _at(kernel, w, _real_nonzero)
 
     def f(t):
         """The residual t - phi(eta) and the shifted argument eta = y + x t."""
@@ -290,7 +308,10 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     its iteration diverges, stalls above the tolerance or hits the
     iteration cap, down to a damping of 1/64.  The metric branch
     Im Z >= 0 is enforced: a converged value with negative imaginary part
-    is rejected as a branch failure.
+    is rejected as a branch failure.  A row that leaves the loop waits,
+    its z and slope unchanged, until every row of the round has left; one
+    evaluation of g then judges them all, and the restarted rows form the
+    next round.
     """
     cfg = cfg or DEFAULT_CONFIG
     if psi.dimension != phi.dimension:
@@ -314,16 +335,17 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     # the previous iterate and residual, and the slope dh/dz of the last
     # secant step (nan until the row takes one)
     z_prev = h_prev = slope = np.full(count, rows.missing)
+    blown = np.zeros(count, dtype=bool)  # whether a row's last step diverged
     iterations = 0
-    # z, z_prev, h_prev, slope and steps also change on rows that have left:
-    # a row's value is stored when it leaves, and a retry restarts it from z0
-    act = ~rows.failed
+    # a row that has left is parked until the round's judgement: its z and
+    # slope keep their bits, while its z_prev, h_prev and steps change unread
+    act = judged = ~rows.failed
     while act.any():
         iterations += np.count_nonzero(act)
         steps += 1
         val = g(z)
         h = z - val
-        finite = np.isfinite(val)
+        finite = act & np.isfinite(val)  # not on a parked row, which keeps its z
         res = np.abs(h)
         step = np.where(finite, (1.0 - damping) * z + damping * val, z)
         dz, dh = z - z_prev, h - h_prev
@@ -336,28 +358,31 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         leave = act & (diverged | (res <= floor) | (steps >= cfg.max_iterations))
         if not leave.any():
             continue
+        blown = np.where(leave, diverged, blown)
+        act = act & ~leave
+        if act.any():
+            continue
         final = np.abs(z - g(z))
-        good = leave & ~diverged & (final <= cfg.tolerance)
+        good = judged & ~blown & (final <= cfg.tolerance)
         wrong = z.imag < -cfg.tolerance * scale
         # a secant root is kept only if it passes the checks and attracts,
         # |g'(Z)| < 1 with g' = 1 - dh/dz; else the row retries with Picard
-        retry = leave & ~np.isnan(slope) & ~(good & ~wrong & (np.abs(1.0 - slope) < 1.0))
+        retry = judged & ~np.isnan(slope) & ~(good & ~wrong & (np.abs(1.0 - slope) < 1.0))
         good &= ~retry
         rows.fail(good & wrong, SolverError(
             "iteration converged to the non-metric branch (negative imaginary part)"))
         kept = good & ~wrong
         rows.value = np.where(kept, z, rows.value)
         rows.residual = np.where(kept, final, rows.residual)
-        again = leave & ~good & ~retry
+        again = judged & ~good & ~retry
         damping = np.where(again, damping * 0.5, damping)
         lost = again & (damping < _MIN_DAMPING)
         rows.fail(lost, SolverError(
             "complex fixed-point iteration failed to converge; "
             "the base point is likely outside the validity region"))
-        restart = retry | (again & ~lost)
-        act = (act & ~leave) | restart
-        z = np.where(restart, z0, z)
-        steps = np.where(restart, 0, steps)
-        secant &= ~restart
-        slope = np.where(restart, rows.missing, slope)
+        act = judged = retry | (again & ~lost)
+        z = np.where(act, z0, z)
+        steps = np.where(act, 0, steps)
+        secant &= ~act
+        slope = np.where(act, rows.missing, slope)
     return rows.result(iterations)

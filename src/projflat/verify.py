@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construct import first_errors, raise_first
+from .construct import error_free, first_errors, raise_first
 from .errors import DomainError
 from .norms import HomogeneousFunction, as_rows, lengths
 from .sampling import unit_directions
@@ -239,6 +239,8 @@ def _fp(metric, x, y):
 
 def _flagged(mask, message):
     """A DomainError(message) on the rows where ``mask`` holds, else None."""
+    if not np.logical_or.reduce(mask):
+        return [None] * len(mask)
     return [DomainError(message) if flag else None for flag in mask]
 
 
@@ -383,7 +385,7 @@ def point_values(metric, x, y):
     (f, p), errors = _fp(metric, xs, ys)
     k, k_errors = _curvature(metric, xs, ys)
     errors = first_errors(errors, k_errors)
-    k[[exc is not None for exc in errors]] = np.nan
+    k[~error_free(errors)] = np.nan
     return f, p, k, errors
 
 
@@ -588,7 +590,7 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
             (p,), errors = _p(metric, sx, sv)
             if any(errors):
                 raise_first([e for e in errors if not isinstance(e, DomainError)])
-                keep = np.array([e is None for e in errors], dtype=bool)
+                keep = error_free(errors)
                 completed[act[~keep]] = False
                 act, x, v, sv, p = act[keep], x[keep], v[keep], sv[keep], p[keep]
                 slopes = [(a[keep], b[keep]) for a, b in slopes]

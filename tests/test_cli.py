@@ -509,6 +509,8 @@ def test_thread_env_does_not_change_output(tmp_path):
 
 FUNK_PAIR = ("--metric", "catalog:funk", "--metric-b", "catalog:funk")
 BRYANT_EVAL = ("eval", "--metric", "construct:1:bryant:0.5236", "--x", "0.1,0", "--y", "0,1")
+RANDERS_EVAL = ("eval", "--metric", "construct:0:euclidean:randers:0.2,0.1", "--x", "0.1,0",
+                "--y", "0,1")
 FUNK_GEODESIC = ("geodesic", "--metric", "catalog:funk", "--x", "0.1,0", "--y", "0,1")
 FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
 
@@ -528,6 +530,10 @@ FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
     (("sample", "--metric", "catalog:funk", "--grid=nan:0.5:3,0:0:1", "--y", "0,1",
       "--out", "unused.csv"), "non-finite"),
     (BRYANT_EVAL + ("--solver-tol", "0"), "tolerance"),
+    (BRYANT_EVAL + ("--solver-tol", "nan"), "tolerance"),
+    (BRYANT_EVAL + ("--solver-tol", "inf"), "tolerance"),
+    (RANDERS_EVAL + ("--solver-tol", "nan"), "tolerance"),
+    (RANDERS_EVAL + ("--solver-tol", "inf"), "tolerance"),
     (BRYANT_EVAL + ("--solver-iters", "0"), "max_iterations"),
     (BRYANT_EVAL + ("--solver-damping", "0"), "unrecognized arguments: --solver-damping"),
     (FUNK_GEODESIC + ("--t-end", "nan"), "--t-end"),

@@ -10,8 +10,9 @@ import oracles
 from oracles import f_at, p_exact_at
 from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, ProjFlatError, RandersNorm, ScaledNorm,
-                      ZeroNorm, broken_metric, build_k0, build_kneg1,
-                      build_kpos1, check_minkowski, master_pde_residual)
+                      SolverConfig, ZeroNorm, broken_metric, build_k0,
+                      build_kneg1, build_kpos1, check_minkowski,
+                      master_pde_residual)
 from projflat.cli import main, parse_metric
 from projflat.sampling import ball_points, sphere_points
 
@@ -224,6 +225,23 @@ def test_domain_guard():
     # a constructed metric evaluates on rows only
     with pytest.raises(ProjFlatError, match="rows only"):
         m.eval([0.1, 0.0], [1.0, 0.0])
+
+
+def test_k0_vanishing_denominator_fails_its_row_alone():
+    """Past the validity radius, where the point guard would stop it, the
+    K = 0 denominator 1 - <grad phi(eta), x> can vanish: the builder's
+    solve fails that row with its own error and nan F, and the other rows
+    keep the bits they have without it."""
+    m = build_k0(E2, ScaledNorm(2, 1.0), SolverConfig(tolerance=1e-6))
+    x = np.array([[0.1, 0.0], [1.0 - 1e-9, 0.0], [0.0, 0.2]])
+    y = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.5]])
+    f, p, errors = m.solve(x, y, True)
+    assert errors[0] is None and errors[2] is None
+    assert type(errors[1]) is DomainError and str(errors[1]) == "construction denominator vanishes"
+    assert np.isnan(f[1]) and np.isfinite(p[1])
+    f_rest, p_rest, _ = m.solve(x[[0, 2]], y[[0, 2]], True)
+    np.testing.assert_array_equal(f[[0, 2]], f_rest)
+    np.testing.assert_array_equal(p[[0, 2]], p_rest)
 
 
 def test_minkowski_flagging(capsys):

@@ -394,6 +394,88 @@ def test_norm_calls_do_not_grow_with_rows(norm_calls, spec):
         assert count == 4 or norm_calls["calls"] < sum(alone) / 10
 
 
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """The row count of every call of each norm row kernel, keyed by
+    (family class name, kernel name)."""
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(self, v):
+            calls.setdefault(key, []).append(len(v))
+            return fn(self, v)
+        return wrapper
+
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    for cls in subclasses(HomogeneousFunction):
+        for name in ("_real", "_grad", "_complex"):
+            if name in cls.__dict__:
+                key = (cls.__name__, name)
+                monkeypatch.setattr(cls, name, counted(key, cls.__dict__[name]))
+    return calls
+
+
+@pytest.mark.parametrize("pair", ("bryant", "dsr"))
+def test_complex_solve_judges_once_per_round(kernel_rows, pair):
+    """On in-ball rows, which keep their secant roots, ``solve_complex``
+    evaluates the pair phi + i psi 1 + (loop steps) + 1 times: z0, once per
+    step and once to judge every row.  The loop runs as many steps as its
+    slowest row takes alone."""
+    if pair == "bryant":
+        psi, phi = parse_norms("bryant:0.5236", 2)
+    else:
+        psi, phi = DoubleSqrtNorm(2, 1, 1, plus=True), DoubleSqrtNorm(2, 1, 1, plus=False)
+    x, y = in_ball(psi, phi, 0.8, count=5)
+
+    def pair_evaluations(*rows):
+        kernel_rows.clear()
+        res = solve_complex(phi, psi, *rows)
+        [calls] = kernel_rows.values()  # phi and psi share their class here
+        assert len(calls) % 2 == 0 and set(calls) == {len(rows[1])}
+        assert not any(res.errors)
+        return len(calls) // 2, res.iterations
+
+    steps = []
+    for i in range(len(y)):
+        evaluations, iterations = pair_evaluations(x[i:i + 1], y[i:i + 1])
+        assert evaluations == 1 + iterations + 1
+        steps.append(iterations)
+    evaluations, iterations = pair_evaluations(x, y)
+    assert len(set(steps)) > 1  # the rows leave at different steps
+    assert evaluations == 1 + max(steps) + 1 and iterations == sum(steps)
+
+
+def test_stacked_kneg1_solve_runs_each_norm_once(kernel_rows):
+    """The stacked K = -1 solve of (phi + psi, phi - psi) on 2N rows calls
+    each of phi's and psi's ``_real`` once per value evaluation and each
+    ``_grad`` once per Newton step, every call on all 2N rows: as many
+    calls as the slower of the two solves alone makes on N rows."""
+    psi, phi = EuclideanNorm(2), ScaledNorm(2, 0.3)
+    f_plus, f_minus = combine((1.0, phi), (1.0, psi)), combine((1.0, phi), (-1.0, psi))
+    rng = np.random.default_rng(2)
+    x = ball_points(rng, 2, 0.5 * build_kneg1(psi, phi).domain_radius, 5)
+    y = sphere_points(rng, 2, 5)
+    counts = []
+    for fn in (f_plus, f_minus):
+        kernel_rows.clear()
+        solve_real(fn, x, y)
+        counts.append({key: len(calls) for key, calls in kernel_rows.items()})
+    kernel_rows.clear()
+    res = solve_real((f_plus, f_minus), np.vstack((x, x)), np.vstack((y, y)))
+    assert not any(res.errors)
+    assert set(kernel_rows) == {(cls, name) for cls in ("EuclideanNorm", "ScaledNorm")
+                                for name in ("_real", "_grad")}
+    for key, calls in kernel_rows.items():
+        assert set(calls) == {2 * len(y)}, key
+        assert len(calls) == max(count[key] for count in counts), key
+    real = kernel_rows[("ScaledNorm", "_real")]
+    assert len(real) == len(kernel_rows[("EuclideanNorm", "_real")])
+
+
 # the benchmark's four constructions
 BENCH_CONSTRUCTIONS = ("construct:0:euclidean:randers:0.2,0.1",
                        "construct:-1:euclidean:scaled:0.3", "construct:1:bryant:0.5236",
@@ -446,6 +528,44 @@ def test_point_guard_rejects_non_finite_points(spec):
         assert type(alone.value) is DomainError and str(alone.value) == message
         assert type(rows.errors[i]) is DomainError and str(rows.errors[i]) == message
         assert np.isnan(rows.f[i])
+
+
+@pytest.mark.parametrize("spec, with_f, with_p", [("catalog:funk", True, False)] + [
+    (spec, with_f, with_p) for spec in BENCH_CONSTRUCTIONS
+    for with_f, with_p in ((True, False), (True, True), (False, True))])
+def test_passing_rows_keep_their_bits_among_failing_rows(spec, with_f, with_p):
+    """``rows`` on passing rows alone takes the path with no per-row
+    Python; the same rows with failing ones interleaved (y = 0, a
+    non-finite x and, when F is asked for, an x beyond the radius) take the
+    guarded path.  Both give the passing rows the same F and P bits and no
+    error, and the failing rows keep the guard's messages."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    rng = np.random.default_rng(11)
+    x = ball_points(rng, 2, 0.5 * min(metric.domain_radius, 1.0), 6)
+    y = sphere_points(rng, 2, 6) * rng.uniform(0.5, 2.0, (6, 1))
+    bad = [([0.1, 0.0], [0.0, 0.0], "y = 0 is outside the metric domain"),
+           ([np.nan, 0.0], [1.0, 0.0], "x and y must be finite, with finite squared lengths")]
+    if with_f:
+        far = 1.5 * metric.domain_radius
+        bad.append(([far, 0.0], [0.0, 1.0], f"|x| = {far:.6g} exceeds the validity radius"))
+    at = [1, 3, 6][:len(bad)]  # where the failing rows go in the mixed batch
+    xs, ys = x.tolist(), y.tolist()
+    for i, (bx, by, _) in zip(at, bad):
+        xs.insert(i, bx)
+        ys.insert(i, by)
+    alone = metric.rows(x, y, with_f=with_f, with_p=with_p)
+    mixed = metric.rows(np.array(xs), np.array(ys), with_f=with_f, with_p=with_p)
+    good = [i for i in range(len(ys)) if i not in at]
+    assert alone.errors == [None] * len(y)
+    assert [mixed.errors[i] for i in good] == [None] * len(y)
+    for i, (_, _, message) in zip(at, bad):
+        assert type(mixed.errors[i]) is DomainError and str(mixed.errors[i]).startswith(message)
+    for got, want in ((mixed.f, alone.f), (mixed.p, alone.p)):
+        if want is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got[good], want)
+            assert np.isnan(got[at]).all()
 
 
 @pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)

@@ -293,13 +293,18 @@ def test_row_with_a_non_finite_input_fails_alone(solve, norms):
 def test_blocks_that_do_not_split_evenly_are_rejected():
     """A tuple of functions splits the rows into equal blocks, one per
     function; rows that do not split so, or functions of two dimensions,
-    are a DimensionMismatchError."""
+    are a DimensionMismatchError, and functions that are not combinations
+    of the same norms a ValueError."""
     pair = (RandersNorm(2, (0.2, 0.1)), EuclideanNorm(2))
     x, y = np.zeros((3, 2)), np.ones((3, 2))
     with pytest.raises(DimensionMismatchError, match="3 rows do not split into 2 equal blocks"):
         solve_real(pair, x, y)
     with pytest.raises(DimensionMismatchError, match="share the dimension"):
         solve_real((EuclideanNorm(2), EuclideanNorm(3)), x[:2], y[:2])
+    mixed = (combine((1.0, pair[0]), (1.0, pair[1])), combine((1.0, pair[1]), (1.0, pair[0])))
+    for functions in (pair, mixed):
+        with pytest.raises(ValueError, match="must combine the same norms"):
+            solve_real(functions, x[:2], y[:2])
 
 
 # ---------------------------------------------------------------------------
