@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ProjFlatError
-from .norms import HomogeneousFunction, as_rows, combine, lengths
+from .norms import CombinedNorm, HomogeneousFunction, as_rows, combine, lengths
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
@@ -220,13 +220,13 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
 
     def solve(x, y, with_f):
-        # one solve on the rows stacked twice: Phi_+ on the first copy, Phi_- on the second
-        res = solve_real((f_plus, f_minus), np.vstack((x, x)), np.vstack((y, y)), cfg)
+        # one solve of phi + sign psi on the rows stacked twice: Phi_+ on the
+        # first copy (sign +1), Phi_- on the second (sign -1)
         half = len(y)
+        both = CombinedNorm(psi.dimension, ((1.0, phi), (np.repeat((1.0, -1.0), half), psi)))
+        res = solve_real(both, np.vstack((x, x)), np.vstack((y, y)), cfg)
         a, b = res.value[:half], res.value[half:]
-        errors, minus = res.errors[:half], res.errors[half:]
-        if any(minus):
-            errors = [e or e_minus for e, e_minus in zip(errors, minus)]
+        errors = first_errors(res.errors[:half], res.errors[half:])
         return 0.5 * (a - b), 0.5 * (a + b), errors
 
     return MetricEvaluator(

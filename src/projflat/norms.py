@@ -136,9 +136,6 @@ class HomogeneousFunction:
         an array of values for rows."""
         return _unwrap(self._in_range(self._complex, self._cvec(z), scale_back=True))
 
-    def __call__(self, y) -> float:
-        return self.eval_real(y)
-
     # -- shared input handling -------------------------------------------
 
     def _in_range(self, kernel, v, scale_back):
@@ -347,7 +344,10 @@ class CombinedNorm(HomogeneousFunction):
     """Formal linear combination sum_i c_i f_i of family members.
 
     Keeps gradients and complex continuations exact for derived data such
-    as phi + psi and phi - psi.
+    as phi + psi and phi - psi.  A coefficient is a scalar, or a per-row
+    column ``(N,)`` that weights row k by c_i[k]: such a combination is a
+    different function on each row and takes exactly N rows (the pair
+    phi +/- psi, solved on two copies of the rows).
     """
 
     terms: tuple = ()
@@ -366,8 +366,8 @@ class CombinedNorm(HomogeneousFunction):
     def _real(self, v):
         return sum(c * f._real(v) for c, f in self.terms)
 
-    def _grad(self, v):
-        return sum(c * f._grad(v) for c, f in self.terms)
+    def _grad(self, v):  # a column weights its own row; a scalar reshapes to (1, 1)
+        return sum(np.reshape(c, (-1, 1)) * f._grad(v) for c, f in self.terms)
 
     def _complex(self, v):
         return sum(c * f._complex(v) for c, f in self.terms)

@@ -24,15 +24,17 @@ Both solves take rows ``x``, ``y`` of shape ``(N, n)``, and only rows,
 and run every row in lockstep with numpy.  The rows stay in their arrays
 under a boolean mask of the active ones: each step evaluates every row
 and updates the active rows with ``np.where``.  The real solve stores a
-row's value when the loop ends; the complex solve judges its rows once
+row's value when the loop ends, if the row passes its final residual
+test; the complex solve judges its rows once
 per round, when every row of the round has left the mask, and restarts
 the rejected ones together as the next round.  The problems are
 independent per point, so a row gets exactly the steps (and bits) it
 would get in a batch of one.  A row that fails keeps its own error in
-``SolveResult.errors`` and the others go on.  ``solve_real`` also takes
-a tuple of combinations of the same norms, one per equal block of rows,
-and solves the blocks in one loop, each norm evaluated once on all the
-rows (the pair Phi_+, Phi_- of curvature -1).
+``SolveResult.errors`` and the others go on.  A combination whose
+coefficients are per-row columns (``norms.CombinedNorm``) solves a
+different function on each row in the same loop: the pair Phi_+, Phi_- of
+curvature -1 is one solve of phi + s psi with s = +1 on one copy of the
+rows and -1 on the other.
 
 Each solve checks its rows once, at entry, and brings each y into range
 by a power of two (see ``_Rows``); the Newton, bracket and complex
@@ -47,8 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SolverError
-from .norms import (CombinedNorm, HomogeneousFunction, as_rows, lengths,
-                    scale_exponents, times_pow2)
+from .norms import HomogeneousFunction, as_rows, lengths, scale_exponents, times_pow2
 from .sampling import unit_directions
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
@@ -83,8 +84,7 @@ class SolveResult:
     and ``errors[i]`` is row i's SolverError (or the DomainError of a row
     with a non-finite input), None where the row converged; a failed row
     holds nan.  ``iterations`` counts Newton steps, or the complex solve's
-    secant and Picard steps (a fallback's included), summed over rows
-    (and over every block of a tuple of functions).
+    secant and Picard steps (a fallback's included), summed over rows.
     """
 
     value: np.ndarray
@@ -158,31 +158,6 @@ def _complex_nonzero(w):
     return w.any(axis=-1)
 
 
-def _row_kernels(phis, count):
-    """The value and gradient row kernels of ``phis`` on ``count`` rows,
-    block k of ``len(phis)`` equal blocks of rows running ``phis[k]``.
-
-    Blocks must combine the same norms (``norms.combine``): each norm then
-    runs once on all the rows, times a per-row coefficient column, which
-    is ``CombinedNorm``'s own sum ``0 + c0 f0 + c1 f1 + ...`` bit for bit.
-    """
-    if len(phis) == 1:
-        return phis[0]._real, phis[0]._grad
-    norms = [f for _, f in getattr(phis[0], "terms", ())]
-    if not all(isinstance(fn, CombinedNorm) and [f for _, f in fn.terms] == norms
-               for fn in phis):
-        raise ValueError("the functions of a tuple must combine the same norms")
-    columns = np.repeat([[c for c, _ in fn.terms] for fn in phis], count // len(phis), axis=0).T
-    grad_columns = columns[:, :, None]
-
-    def value(w):
-        return sum(c * f._real(w) for c, f in zip(columns, norms))
-
-    def grad(w):
-        return sum(c * f._grad(w) for c, f in zip(grad_columns, norms))
-    return value, grad
-
-
 # a non-finite value fails its own row, and the loops go on evaluating rows
 # that have already left, so they run without numpy's warnings (a far x
 # overflows the shifted argument y + x t)
@@ -190,27 +165,17 @@ _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_QUIET
-def solve_real(phi, x, y, cfg: SolverConfig = None) -> SolveResult:
+def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> SolveResult:
     """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row.
 
-    ``phi`` is a HomogeneousFunction, or a tuple of combinations of the
-    same norms (such as phi + psi and phi - psi) that splits the rows into
-    as many equal blocks: block k is solved for ``phi[k]``, with the bits
-    of its own solve (rows that do not split so are a
-    DimensionMismatchError, other tuples a ValueError).
+    A failed row holds nan in its value, eta and residual; one that fails
+    the final residual test reports the residual it reached.
     """
     cfg = cfg or DEFAULT_CONFIG
-    phis = phi if isinstance(phi, tuple) else (phi,)
-    if any(fn.dimension != phis[0].dimension for fn in phis):
-        raise DimensionMismatchError("the functions must share the dimension")
-    rows = _Rows(phis[0].dimension, x, y, float)
-    if len(rows.y) % len(phis):
-        raise DimensionMismatchError(
-            f"{len(rows.y)} rows do not split into {len(phis)} equal blocks")
-    kernel, grad = _row_kernels(phis, len(rows.y))
+    rows = _Rows(phi.dimension, x, y, float)
 
     def value(w):
-        return _at(kernel, w, _real_nonzero)
+        return _at(phi._real, w, _real_nonzero)
 
     def f(t):
         """The residual t - phi(eta) and the shifted argument eta = y + x t."""
@@ -253,7 +218,7 @@ def solve_real(phi, x, y, cfg: SolverConfig = None) -> SolveResult:
         iterations += np.count_nonzero(act)
         up = ft > 0.0  # the bracket moves on rows that left too, which read only t
         hi, lo = np.where(up, t, hi), np.where(up, lo, t)
-        slope = 1.0 - np.vecdot(grad(eta), rows.x)
+        slope = 1.0 - np.vecdot(phi._grad(eta), rows.x)
         t_new = t - ft / slope
         newton = ((lengths(eta) > kink_scale) & (slope > 1e-12)
                   & (lo < t_new) & (t_new < hi))
@@ -263,11 +228,12 @@ def solve_real(phi, x, y, cfg: SolverConfig = None) -> SolveResult:
         settled = (hi - lo <= floor) & (size <= target)
         act &= ~settled & (size > floor)
 
+    residual = np.abs(ft)
+    rows.fail(~rows.failed & (residual > target), lambda i: SolverError(
+        f"fixed-point residual {residual[i]:.3e} above tolerance"))
     done = ~rows.failed
     rows.value = np.where(done, t, rows.value)
-    rows.residual = np.where(done, np.abs(ft), rows.residual)
-    rows.fail(done & (rows.residual > target), lambda i: SolverError(
-        f"fixed-point residual {rows.residual[i]:.3e} above tolerance"))
+    rows.residual = np.where(done, residual, rows.residual)
     return rows.result(iterations)
 
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import f_at
-from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
-                      EuclideanNorm, HomogeneousFunction, MetricEvaluator,
+from projflat import (CombinedNorm, DimensionMismatchError, DomainError,
+                      DoubleSqrtNorm, EuclideanNorm, HomogeneousFunction, MetricEvaluator,
                       ProjFlatError, RandersNorm, ScaledNorm, SolverConfig,
                       SolverError, ZeroNorm, berwald_system_residual,
                       build_k0, build_kneg1, build_kpos1, combine,
@@ -449,11 +449,17 @@ def test_complex_solve_judges_once_per_round(kernel_rows, pair):
     assert evaluations == 1 + max(steps) + 1 and iterations == sum(steps)
 
 
+def signed_pair(psi, phi, count):
+    """phi + s psi on twice ``count`` rows, s = +1 on the first ``count``
+    and -1 on the others: ``build_kneg1``'s one solve of Phi_+ and Phi_-."""
+    return CombinedNorm(psi.dimension, ((1.0, phi), (np.repeat((1.0, -1.0), count), psi)))
+
+
 def test_stacked_kneg1_solve_runs_each_norm_once(kernel_rows):
-    """The stacked K = -1 solve of (phi + psi, phi - psi) on 2N rows calls
-    each of phi's and psi's ``_real`` once per value evaluation and each
-    ``_grad`` once per Newton step, every call on all 2N rows: as many
-    calls as the slower of the two solves alone makes on N rows."""
+    """The stacked K = -1 solve of phi + s psi on 2N rows calls each of
+    phi's, psi's and the combination's ``_real`` once per value evaluation
+    and each ``_grad`` once per Newton step, every call on all 2N rows: as
+    many calls as the slower of the two solves alone makes on N rows."""
     psi, phi = EuclideanNorm(2), ScaledNorm(2, 0.3)
     f_plus, f_minus = combine((1.0, phi), (1.0, psi)), combine((1.0, phi), (-1.0, psi))
     rng = np.random.default_rng(2)
@@ -465,9 +471,10 @@ def test_stacked_kneg1_solve_runs_each_norm_once(kernel_rows):
         solve_real(fn, x, y)
         counts.append({key: len(calls) for key, calls in kernel_rows.items()})
     kernel_rows.clear()
-    res = solve_real((f_plus, f_minus), np.vstack((x, x)), np.vstack((y, y)))
+    res = solve_real(signed_pair(psi, phi, len(y)), np.vstack((x, x)), np.vstack((y, y)))
     assert not any(res.errors)
-    assert set(kernel_rows) == {(cls, name) for cls in ("EuclideanNorm", "ScaledNorm")
+    assert set(kernel_rows) == {(cls, name)
+                                for cls in ("CombinedNorm", "EuclideanNorm", "ScaledNorm")
                                 for name in ("_real", "_grad")}
     for key, calls in kernel_rows.items():
         assert set(calls) == {2 * len(y)}, key
@@ -627,25 +634,35 @@ def test_one_solve_per_rows_call(monkeypatch, spec, solver):
                          ids=["default", "capped"])
 @pytest.mark.parametrize("d, psi, phi", KPOS1_PAIRS)
 def test_stacked_kneg1_solve_equals_two_solves(d, psi, phi, cfg):
-    """The stacked K = -1 solve of (phi + psi, phi - psi) on [x; x], [y; y]
-    gives each half the bits and errors of its own solve, so a row that
-    fails Phi_+ or Phi_- alone fails the same way in its half.  The sweep
-    is also taken three times as far, where rows fail one solve only."""
+    """The stacked K = -1 solve of phi + s psi on [x; x], [y; y] gives each
+    half the bits and errors of its own solve of phi + psi or phi - psi, so
+    a row that fails Phi_+ or Phi_- alone fails the same way in its half.
+    The sweep is also taken three times as far, where rows fail one solve
+    only, and one row at half the radius is solved alone: at d = 2 its two
+    copies are as many rows as the gradient has columns."""
     f_plus, f_minus = combine((1.0, phi), (1.0, psi)), combine((1.0, phi), (-1.0, psi))
-    x, y = sweep(build_kneg1(psi, phi, cfg), d)
-    x, y = np.vstack((x, 3.0 * x)), np.vstack((y, y))
-    both = solve_real((f_plus, f_minus), np.vstack((x, x)), np.vstack((y, y)), cfg)
-    halves = (solve_real(f_plus, x, y, cfg), solve_real(f_minus, x, y, cfg))
-    for k, alone in enumerate(halves):
-        part = slice(k * len(y), (k + 1) * len(y))
-        np.testing.assert_array_equal(both.value[part], alone.value)
-        np.testing.assert_array_equal(both.eta[part], alone.eta)
-        np.testing.assert_array_equal(both.residual[part], alone.residual)
-        assert ([(type(e), str(e)) for e in both.errors[part]]
-                == [(type(e), str(e)) for e in alone.errors])
-    assert both.iterations == sum(alone.iterations for alone in halves)
+    metric = build_kneg1(psi, phi, cfg)
+    x, y = sweep(metric, d)
+    one = 0.5 * min(metric.domain_radius, 2.0) * x[6:7] / np.linalg.norm(x[6])
+
+    def halves(x, y):
+        both = solve_real(signed_pair(psi, phi, len(y)), np.vstack((x, x)), np.vstack((y, y)), cfg)
+        alone = (solve_real(f_plus, x, y, cfg), solve_real(f_minus, x, y, cfg))
+        for k, res in enumerate(alone):
+            part = slice(k * len(y), (k + 1) * len(y))
+            np.testing.assert_array_equal(both.value[part], res.value)
+            np.testing.assert_array_equal(both.eta[part], res.eta)
+            np.testing.assert_array_equal(both.residual[part], res.residual)
+            assert ([(type(e), str(e)) for e in both.errors[part]]
+                    == [(type(e), str(e)) for e in res.errors])
+        assert both.iterations == sum(res.iterations for res in alone)
+        return alone
+
+    solved = halves(np.vstack((x, 3.0 * x)), np.vstack((y, y)))
+    single = halves(one, y[6:7])
     if cfg == SolverConfig():  # capped, nearly every row fails both solves
-        plus, minus = (np.array([e is None for e in alone.errors]) for alone in halves)
+        assert all(res.errors == [None] for res in single)
+        plus, minus = (np.array([e is None for e in res.errors]) for res in solved)
         assert (plus != minus).any()
 
 

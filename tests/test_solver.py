@@ -1,6 +1,7 @@
 """Fixed-point solves: bracketing, residuals, uniqueness, derivatives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import implicit_derivatives
-from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
-                      EuclideanNorm, RandersNorm, ScaledNorm, SolverConfig,
-                      SolverError, ZeroNorm, combine, pair_radius_estimate,
-                      parse_norms, radius_estimate, solve_complex, solve_real)
+from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
+                      ScaledNorm, SolverConfig, SolverError, ZeroNorm, combine,
+                      pair_radius_estimate, parse_norms, radius_estimate,
+                      solve_complex, solve_real)
+from projflat.cli import parse_metric
 from projflat.sampling import ball_points, sphere_points
 
 
@@ -209,6 +211,24 @@ def test_iteration_cap_fails_the_row():
     assert "iteration cap" in str(res.errors[0])
 
 
+def test_row_above_the_residual_tolerance_holds_nan():
+    """A row whose final residual is above the tolerance fails with that
+    residual in its message and holds nan, in the solve and in the metric
+    built on it, like any other failed row."""
+    cfg = SolverConfig(tolerance=1e-20)  # below the Newton loop's 4 eps (1 + |t|) floor
+    res = solve_real(ScaledNorm(2, 0.3), [[0.1, 0.0]], [[0.0, 1.0]], cfg)
+    [exc] = res.errors
+    assert isinstance(exc, SolverError)
+    assert re.fullmatch(r"fixed-point residual \d\.\d{3}e-\d\d above tolerance", str(exc))
+    assert float(str(exc).split()[2]) > 1e-20
+    assert np.isnan(res.value).all() and np.isnan(res.eta).all() and np.isnan(res.residual).all()
+    metric = parse_metric("construct:-1:euclidean:scaled:0.3", 2, cfg)
+    rows = metric.rows([[0.1, 0.0]], [[0.0, 1.0]], with_p=True)
+    assert isinstance(rows.errors[0], SolverError)
+    assert "above tolerance" in str(rows.errors[0])
+    assert np.isnan(rows.f).all() and np.isnan(rows.p).all()
+
+
 # ---------------------------------------------------------------------------
 # complex solves
 
@@ -288,23 +308,6 @@ def test_row_with_a_non_finite_input_fails_alone(solve, norms):
     assert res.errors[1] is None and alone.errors[0] is None
     assert res.value[1] == alone.value[0]
     np.testing.assert_array_equal(res.eta[1], alone.eta[0])
-
-
-def test_blocks_that_do_not_split_evenly_are_rejected():
-    """A tuple of functions splits the rows into equal blocks, one per
-    function; rows that do not split so, or functions of two dimensions,
-    are a DimensionMismatchError, and functions that are not combinations
-    of the same norms a ValueError."""
-    pair = (RandersNorm(2, (0.2, 0.1)), EuclideanNorm(2))
-    x, y = np.zeros((3, 2)), np.ones((3, 2))
-    with pytest.raises(DimensionMismatchError, match="3 rows do not split into 2 equal blocks"):
-        solve_real(pair, x, y)
-    with pytest.raises(DimensionMismatchError, match="share the dimension"):
-        solve_real((EuclideanNorm(2), EuclideanNorm(3)), x[:2], y[:2])
-    mixed = (combine((1.0, pair[0]), (1.0, pair[1])), combine((1.0, pair[1]), (1.0, pair[0])))
-    for functions in (pair, mixed):
-        with pytest.raises(ValueError, match="must combine the same norms"):
-            solve_real(functions, x[:2], y[:2])
 
 
 # ---------------------------------------------------------------------------
