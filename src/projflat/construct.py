@@ -23,9 +23,11 @@ Minkowski norm.
 
 ``MetricEvaluator.rows`` evaluates N points, rows ``x`` and ``y`` of
 shape ``(N, n)``, at once; it is the one way to evaluate a metric.  Every
-metric kind passes its rows through one point guard there.  A constructed
+metric kind passes its rows through one point guard there.  ``with_f``
+asks for F on every row or, as a per-row mask, on some rows only, so one
+call can serve a stencil whose points want F, P or both.  A constructed
 metric then solves the rows that passed together, once per point for F
-and P both; a closed form runs its formula on them point by point
+and P both; a closed form runs its formula on its F rows point by point
 (``eval``).  Nothing else leaves a solve: the transport fields that
 ``verify`` checks are built from F, P and the stated curvature alone.
 """
@@ -90,8 +92,9 @@ class MetricEvaluator:
     the points of every kind.  A closed form carries ``f_eval``, its
     formula at one point, which ``rows`` calls through ``eval`` once per
     guarded row; a constructed metric carries ``solve``, which maps the
-    guarded rows ``x``, ``y`` and whether F is wanted to
-    ``(F, P, errors)`` (see RowValues) from one solve per row.
+    guarded rows ``x``, ``y`` and the mask of rows asked for F to
+    ``(F, P, errors)`` (see RowValues) from one solve per row; its F may
+    hold values on rows not asked for, which ``rows`` blanks.
     """
 
     kind: str
@@ -110,24 +113,28 @@ class MetricEvaluator:
                 f"{self.domain_radius:.6g} of this evaluator")
 
     def rows(self, x, y, with_f=True, with_p=False) -> RowValues:
-        """F, and the exact P when ``with_p``, at each row of ``x`` and ``y``
-        (both ``(N, n)``; any other shape is a DimensionMismatchError).
+        """F on the rows ``with_f`` asks for, and the exact P when
+        ``with_p``, at each row of ``x`` and ``y`` (both ``(N, n)``; any
+        other shape is a DimensionMismatchError).
 
-        Every metric kind passes each row through this one point guard:
-        finite x, y and squared lengths, y != 0 (a y whose length
-        underflows counts as zero) and, when F is asked for, the validity
-        radius.  P is not radius-guarded: the fixed point extends beyond
-        the guaranteed ball wherever bracketing succeeds, and the solve
-        fails honestly where it does not.  The rows that pass go to the
-        constructed metric's solve, or one at a time to a closed form's
-        formula (``eval``); a closed form has no exact P.  A failed row
-        gets nan and its own error (see RowValues); the other rows are
+        ``with_f`` is a bool for every row or an ``(N,)`` bool array.  ``f``
+        holds nan on the rows not asked for F, and is None when
+        ``with_f`` is False.  Every metric kind passes each row through this one point
+        guard: finite x, y and squared lengths, y != 0 (a y whose length
+        underflows counts as zero) and, on the rows asked for F, the
+        validity radius.  P is not radius-guarded: the fixed point extends
+        beyond the guaranteed ball wherever bracketing succeeds, and the
+        solve fails honestly where it does not.  The rows that pass go to
+        the constructed metric's solve, or one at a time to a closed
+        form's formula (``eval``); a closed form has no exact P.  A failed
+        row gets nan and its own error (see RowValues); the other rows are
         unaffected.
         """
         x, y = as_rows(self.dimension, x, y)
         if self.solve is None and with_p:
             raise ProjFlatError(f"{self.kind} has no exact projective factor; "
                                 "use the numeric fallback in verify")
+        per_row = isinstance(with_f, np.ndarray)
         with np.errstate(over="ignore"):  # an overflow is reported per row
             squares, length = np.vecdot(y, y), lengths(x)
         unfit = ~(np.isfinite(squares) & np.isfinite(length))
@@ -137,23 +144,27 @@ class MetricEvaluator:
         solve = self.solve or self._formula
         if np.logical_and.reduce(ok):  # no per-row Python when every row passes
             f, p, errors = solve(x, y, with_f)
-            return RowValues(f if with_f else None, p if with_p else None, errors)
-        errors = [None] * len(y)
-        for i in np.flatnonzero(~ok):
-            errors[i] = DomainError(NON_FINITE if unfit[i] else ZERO_Y if zero[i]
-                                    else self.radius_message(length[i]))
-        f, p, solved = solve(x[ok], y[ok], with_f)
-        for i, exc in zip(np.flatnonzero(ok), solved):
-            errors[i] = exc
-        return RowValues(_spread(f, ok) if with_f else None,
-                         _spread(p, ok) if with_p else None, errors)
+        else:
+            errors = [None] * len(y)
+            for i in np.flatnonzero(~ok):
+                errors[i] = DomainError(NON_FINITE if unfit[i] else ZERO_Y if zero[i]
+                                        else self.radius_message(length[i]))
+            f, p, solved = solve(x[ok], y[ok], with_f[ok] if per_row else with_f)
+            for i, exc in zip(np.flatnonzero(ok), solved):
+                errors[i] = exc
+            f, p = _spread(f, ok), _spread(p, ok) if with_p else None
+        if per_row:
+            f = np.where(with_f, f, np.nan)  # a solve may give F on every row
+        return RowValues(f if per_row or with_f else None, p if with_p else None, errors)
 
     def _formula(self, x, y, with_f):
-        """A closed form's rows solve: ``eval`` on each guarded row, a
-        formula's own error failing its row alone."""
+        """A closed form's rows solve: ``eval`` on each guarded row asked
+        for F, a formula's own error failing its row alone."""
         f = np.full(len(y), np.nan)
         errors = [None] * len(y)
-        for i in range(len(y)):
+        asked = (np.flatnonzero(with_f).tolist() if isinstance(with_f, np.ndarray)
+                 else range(len(y) if with_f else 0))
+        for i in asked:
             try:
                 f[i] = self.eval(x[i], y[i])
             except ProjFlatError as exc:
@@ -192,9 +203,9 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     def solve(x, y, with_f):
         res = solve_real(phi, x, y, cfg)
-        errors, f = res.errors, None
-        if with_f:  # a guarded row's eta is finite and nonzero
-            live = error_free(errors)
+        errors, f = res.errors, np.full(len(y), np.nan)
+        live = error_free(errors) & with_f  # F, and its error, only where asked
+        if live.any():  # a guarded row's eta is finite and nonzero
             denom = 1.0 - np.vecdot(phi.grad_real(res.eta[live]), x[live])
             vanishes = denom < 1e-8
             if vanishes.any():
@@ -202,7 +213,6 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
                     errors[i] = DomainError("construction denominator vanishes")
                 live[live] = ~vanishes
                 denom = denom[~vanishes]
-            f = np.full(len(y), np.nan)
             f[live] = psi.eval_real(res.eta[live]) / denom
         return f, res.value, errors
 

@@ -244,17 +244,30 @@ def _radius(slopes: np.ndarray) -> float:
     return 1.0 / (2.0 * worst)
 
 
+def _slopes(grads: np.ndarray) -> np.ndarray:
+    """|grad| per row.  A row whose squared length overflows (a huge norm
+    parameter) is measured at grad * 2^-e and scaled back by 2^e; every
+    other row keeps its bits."""
+    with np.errstate(over="ignore"):
+        out = lengths(grads)
+    huge = np.isinf(out) & np.isfinite(grads).all(axis=-1)
+    if huge.any():
+        e = scale_exponents(grads[huge])
+        out[huge] = times_pow2(lengths(times_pow2(grads[huge], -e[:, None])), e)
+    return out
+
+
 def radius_estimate(phi: HomogeneousFunction) -> float:
     """Validity-ball radius 1 / (2 sup |grad phi|), supremum sampled over
     RADIUS_DIRECTIONS deterministic unit directions.  Infinite for the
     zero function."""
-    return _radius(lengths(phi.grad_real(unit_directions(phi.dimension, RADIUS_DIRECTIONS))))
+    return _radius(_slopes(phi.grad_real(unit_directions(phi.dimension, RADIUS_DIRECTIONS))))
 
 
 def pair_radius_estimate(phi: HomogeneousFunction, psi: HomogeneousFunction) -> float:
     """Validity radius for the complex combined map phi + i psi."""
     dirs = unit_directions(phi.dimension, RADIUS_DIRECTIONS)
-    return _radius(np.hypot(lengths(phi.grad_real(dirs)), lengths(psi.grad_real(dirs))))
+    return _radius(np.hypot(_slopes(phi.grad_real(dirs)), _slopes(psi.grad_real(dirs))))
 
 
 @_QUIET

@@ -20,9 +20,12 @@ The jet, the residual functions, ``point_values`` and
 ``integrate_geodesic`` take N points, rows ``x`` and ``y`` of shape
 ``(N, n)``, and return one value per row; any other shape is a
 DimensionMismatchError.  Each builds the finite-difference stencils of
-all points up front and evaluates them with one rows call per field (F,
-P, or both), sample by sample, so an error raised is the one of the
-first failing sample.
+all points up front, each stencil point tagged with the fields it needs
+(F, P or both), and evaluates them together: one rows call on a
+constructed metric, whose solve gives F and P at once, and on a closed
+form one rows call for its F points and one numeric-P call for its P
+points.  ``pde`` alone evaluates each transport field on its own.  An
+error raised is the one of the first failing sample.
 
 ``check_minkowski`` runs the strong-convexity test on a norm (such as
 psi) instead of a metric; ``make_report`` builds a check's report.
@@ -49,6 +52,7 @@ integrator and the domain guards, not projective flatness.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +66,7 @@ STEP_FIRST = EPS ** (1.0 / 3.0)
 STEP_SECOND = EPS ** 0.25
 
 FAILURE_CAP = 10
+_SQUARE_LIMIT = 2.0 ** 511  # above it a square may overflow
 MINKOWSKI_EIG_FLOOR = 1e-5
 
 
@@ -196,45 +201,91 @@ def gradient_from(values, step):
                      for k in range(len(values) // 2)], axis=-1)
 
 
-def _on_stencil(field, pairs):
-    """``field`` at the M stencil points ``pairs`` [(X_m, Y_m)] of N samples
-    in one call on all N * M points, sample-major.
+class _Values(NamedTuple):
+    """One stencil block's fields: ``f`` and ``p`` hold the M value arrays
+    of length N, ``f_errors`` and ``p_errors`` the M per-sample error
+    lists; a field the block does not ask for is not to be read."""
 
-    ``field(X, Y)`` returns (outputs, errors) on rows.  Returns, per
-    output, the M value arrays of length N, and the M per-sample error
-    lists.
-    """
-    m = len(pairs)
+    f: list
+    p: list
+    f_errors: list
+    p_errors: list
+
+
+def _stacked(pairs):
+    """The M stencil points ``pairs`` [(X_m, Y_m)] of N samples as N * M
+    rows, sample-major."""
+    if len(pairs) == 1:
+        return pairs[0]
     n = pairs[0][0].shape[-1]
-    xs = np.stack([a for a, _ in pairs], axis=1).reshape(-1, n)
-    ys = np.stack([b for _, b in pairs], axis=1).reshape(-1, n)
-    outputs, errors = field(xs, ys)
-    return ([list(v.reshape(-1, m).T) for v in outputs],
-            [errors[k::m] for k in range(m)])
+    return (np.concatenate([a for a, _ in pairs], axis=1).reshape(-1, n),
+            np.concatenate([b for _, b in pairs], axis=1).reshape(-1, n))
 
 
-def _f(metric, x, y):
-    values = metric.rows(x, y)
-    return (values.f,), values.errors
+def _columns(values, errors, m):
+    """Row values and errors of N samples x M points, sample-major, as the
+    M value arrays of length N and the M per-sample error lists."""
+    return list(values.reshape(-1, m).T), [errors[k::m] for k in range(m)]
+
+
+def _on_stencil(metric, blocks):
+    """F and P of ``metric`` on a check's stencil blocks, one _Values per
+    block.
+
+    A block is ``(want, pairs)``: ``want`` is "f", "p" or "fp", the fields
+    asked at its M stencil points ``pairs`` [(X_m, Y_m)] of N samples,
+    each ``(N, n)``.  A point a check needs both fields of belongs in an
+    "fp" block, so it is one row.  A constructed metric evaluates every
+    point in one rows call: F on the rows asked for it, the exact P on
+    all.  A closed form evaluates its F points in one rows call and its P
+    points in one numeric-P call.  Where F fails at a point, P there
+    fails with the same message: a constructed point has one error list,
+    and a numeric P reads F at the point first.
+    """
+    if metric.solve is not None:
+        pairs = [pair for _, block in blocks for pair in block]
+        wants_f = [("f" in want) for want, block in blocks for _ in block]
+        m = len(pairs)
+        xs, ys = _stacked(pairs)
+        with_f = np.tile(wants_f, len(xs) // m) if 0 < sum(wants_f) < m else wants_f[0]
+        values = metric.rows(xs, ys, with_f, with_p=any("p" in want for want, _ in blocks))
+        errors = [values.errors[k::m] for k in range(m)]
+        f, p = ([None] * m if v is None else list(v.reshape(-1, m).T)
+                for v in (values.f, values.p))
+        out, start = [], 0
+        for _, block in blocks:
+            part = slice(start, start + len(block))
+            out.append(_Values(f[part], p[part], errors[part], errors[part]))
+            start = part.stop
+        return out
+    f_pairs = [pair for want, block in blocks if "f" in want for pair in block]
+    p_pairs = [pair for want, block in blocks if "p" in want for pair in block]
+    f = f_errors = p = p_errors = []
+    if f_pairs:
+        values = metric.rows(*_stacked(f_pairs))
+        f, f_errors = _columns(values.f, values.errors, len(f_pairs))
+    if p_pairs:
+        p, p_errors = _columns(*_p_numeric(metric, *_stacked(p_pairs)), len(p_pairs))
+    out = []
+    for want, block in blocks:  # each block takes its points' columns in turn
+        m = len(block)
+        vf = ef = vp = ep = [None] * m
+        if "f" in want:
+            vf, f, ef, f_errors = f[:m], f[m:], f_errors[:m], f_errors[m:]
+        if "p" in want:
+            vp, p, ep, p_errors = p[:m], p[m:], p_errors[:m], p_errors[m:]
+        out.append(_Values(vf, vp, ef, ep))
+    return out
 
 
 def _p(metric, x, y):
-    """P on rows: exact for a constructed metric, else numeric."""
-    if metric.solve is not None:
-        values = metric.rows(x, y, with_f=False, with_p=True)
-        return (values.p,), values.errors
-    p, errors = _p_numeric(metric, x, y)
-    return (p,), errors
-
-
-def _fp(metric, x, y):
-    """F and P at the same rows, from one solve when constructed."""
-    if metric.solve is not None:
-        values = metric.rows(x, y, with_p=True)
-        return (values.f, values.p), values.errors
-    (p,), p_errors = _p(metric, x, y)
-    (f,), f_errors = _f(metric, x, y)
-    return (f, p), first_errors(p_errors, f_errors)
+    """P on rows, and each row's error: exact for a constructed metric,
+    else numeric.  The geodesic stages read P alone, one rows call each,
+    without a stencil's bookkeeping."""
+    if metric.solve is None:
+        return _p_numeric(metric, x, y)
+    values = metric.rows(x, y, with_f=False, with_p=True)
+    return values.p, values.errors
 
 
 def _flagged(mask, message):
@@ -250,8 +301,9 @@ def _p_numeric(metric, x, y):
     # a zero y takes step 0 and fails the point guard at (x, y), in e0
     h = STEP_FIRST * np.maximum(1.0, lengths(x)) / np.where(ny == 0.0, 1.0, ny)
     step = h[:, None] * y
-    ((f0, f_up, f_down),), (e0, e_up, e_down) = _on_stencil(
-        lambda a, b: _f(metric, a, b), [(x, y), (x + step, y), (x - step, y)])
+    values = metric.rows(*_stacked([(x, y), (x + step, y), (x - step, y)]))
+    f0, f_up, f_down = (values.f[k::3] for k in range(3))
+    e0, e_up, e_down = (values.errors[k::3] for k in range(3))
     errors = first_errors(e0, _flagged(f0 <= 0.0, "projective factor requires F > 0"),  # nan: failed
                           e_up, e_down)
     dfdt = (f_up - f_down) / (2.0 * h)
@@ -277,14 +329,9 @@ class JetData:
     hess_yy: np.ndarray
 
 
-def jet(metric, x, y) -> JetData:
-    """Central-difference jet of F at each row of (x, y).
-
-    First derivatives use step ~ eps^(1/3) * scale; mixed and second
-    derivatives use their own step ~ eps^(1/4) * scale.  Raises
-    DomainError if the stencil leaves the evaluator's domain.
-    """
-    xs, ys = as_rows(metric.dimension, x, y)
+def _jet_stencil(xs, ys):
+    """The stencil points of the jet at each row of (xs, ys), and its
+    steps (hx, hy, hx2, hy2); raises DomainError for a zero y."""
     n = xs.shape[1]
     ny = lengths(ys)
     if (ny == 0.0).any():
@@ -302,14 +349,18 @@ def jet(metric, x, y) -> JetData:
             pairs += [(xs + el, ys + ek), (xs + el, ys - ek),
                       (xs - el, ys + ek), (xs - el, ys - ek)]
     pairs += [(xs, p) for p in hessian_points(ys, hy2)]
-    (values,), errors = _on_stencil(lambda a, b: _f(metric, a, b), pairs)
-    raise_first(first_errors(*errors))
+    return pairs, (hx, hy, hx2, hy2)
 
+
+def _jet_from(values, steps, n) -> JetData:
+    """The jet in n dimensions from F at the points of ``_jet_stencil``,
+    in their order."""
+    hx, hy, hx2, hy2 = steps
     values = iter(values)
     f0 = next(values)
     grad_x = gradient_from([next(values) for _ in range(2 * n)], hx)
     grad_y = gradient_from([next(values) for _ in range(2 * n)], hy)
-    mixed = np.zeros((len(ys), n, n))
+    mixed = np.zeros((len(f0), n, n))
     for l in range(n):
         for k in range(n):
             mixed[:, l, k] = (next(values) - next(values) - next(values) + next(values)
@@ -317,6 +368,20 @@ def jet(metric, x, y) -> JetData:
     hess = hessian_from(values, hy2, n)
     hess = 0.5 * (hess + hess.swapaxes(-1, -2))
     return JetData(f0, grad_x, grad_y, mixed, hess)
+
+
+def jet(metric, x, y) -> JetData:
+    """Central-difference jet of F at each row of (x, y).
+
+    First derivatives use step ~ eps^(1/3) * scale; mixed and second
+    derivatives use their own step ~ eps^(1/4) * scale.  Raises
+    DomainError if the stencil leaves the evaluator's domain.
+    """
+    xs, ys = as_rows(metric.dimension, x, y)
+    pairs, steps = _jet_stencil(xs, ys)
+    [values] = _on_stencil(metric, [("f", pairs)])
+    raise_first(first_errors(*values.f_errors))
+    return _jet_from(values.f, steps, xs.shape[1])
 
 
 def _mixed_times_y(jd: JetData, ys):
@@ -340,12 +405,13 @@ def projective_factor_numeric(metric, x, y):
     return p
 
 
-def _curvature(metric, xs, ys):
-    """K at each row, and each row's first error.
+def _curvature_stencil(xs, ys):
+    """The step h at each row and K's stencil points (x, u), (x + h u)
+    and (x - h u), u = y / |y|.
 
-    K has degree 0 in y, so it is evaluated at u = y / |y|: a tiny y
-    would otherwise make F^2 underflow.  y is first divided by its
-    largest component, so |y| itself cannot underflow or overflow.
+    K has degree 0 in y, so it is evaluated at u: a tiny y would
+    otherwise make F^2 underflow.  y is first divided by its largest
+    component, so |y| itself cannot underflow or overflow.
     """
     top = np.abs(ys).max(axis=-1, keepdims=True)
     w = ys / np.where(top == 0.0, 1.0, top)  # y = 0 stays 0 and fails in F
@@ -353,15 +419,31 @@ def _curvature(metric, xs, ys):
     u = w / np.where(nw == 0.0, 1.0, nw)[:, None]
     h = STEP_SECOND * np.maximum(1.0, lengths(xs))
     step = h[:, None] * u
-    (f0,), f_errors = _f(metric, xs, u)
-    ((p0, p_up, p_down),), p_errors = _on_stencil(
-        lambda a, b: _p(metric, a, b), [(xs, u), (xs + step, u), (xs - step, u)])
+    return h, [(xs, u), (xs + step, u), (xs - step, u)]
+
+
+def _curvature(at_u, off_u, h):
+    """K at each row from F and P at (x, u) (the _Values ``at_u``) and P
+    at (x +- h u) (``off_u``), and each row's first error.
+
+    K = (P^2 - dP) / F^2 is unchanged when F and P scale by 2^e and dP by
+    2^2e, so a row whose F^2 would overflow is evaluated with F brought
+    into [1/2, 1); every other row keeps its bits.  A P^2 beyond range
+    gives an infinite K, which the callers report.
+    """
+    f0, p0 = at_u.f[0], at_u.p[0]
+    p_up, p_down = off_u.p
     dp = (p_up - p_down) / (2.0 * h)
+    huge = np.abs(f0) > _SQUARE_LIMIT  # nan: F failed
+    if huge.any():
+        e = np.where(huge, -np.frexp(f0)[1], 0)
+        f0, p0, dp = np.ldexp(f0, e), np.ldexp(p0, e), np.ldexp(dp, 2 * e)
     f2 = f0 * f0
     flat = ~(f2 > 0.0)  # F = 0, or F^2 underflows (nan: F failed)
-    k = np.where(flat, np.nan, (p0 * p0 - dp) / np.where(flat, 1.0, f2))
-    return k, first_errors(f_errors, _flagged(flat, "flag curvature requires F^2 > 0"),
-                           *p_errors)
+    with np.errstate(over="ignore"):
+        k = np.where(flat, np.nan, (p0 * p0 - dp) / np.where(flat, 1.0, f2))
+    return k, first_errors(at_u.f_errors[0], _flagged(flat, "flag curvature requires F^2 > 0"),
+                           at_u.p_errors[0], *off_u.p_errors)
 
 
 def flag_curvature(metric, x, y):
@@ -372,7 +454,9 @@ def flag_curvature(metric, x, y):
     one finite-difference level on top of the field.  The formula holds
     only where F is projectively flat; the ``hamel`` check tests that.
     """
-    k, errors = _curvature(metric, *as_rows(metric.dimension, x, y))
+    xs, ys = as_rows(metric.dimension, x, y)
+    h, pairs = _curvature_stencil(xs, ys)
+    k, errors = _curvature(*_on_stencil(metric, [("fp", pairs[:1]), ("p", pairs[1:])]), h)
     raise_first(errors)
     return k
 
@@ -382,11 +466,13 @@ def point_values(metric, x, y):
     row's first error (F's, then P's, then K's), for ``eval`` and
     ``sample``; a failed row holds nan."""
     xs, ys = as_rows(metric.dimension, x, y)
-    (f, p), errors = _fp(metric, xs, ys)
-    k, k_errors = _curvature(metric, xs, ys)
-    errors = first_errors(errors, k_errors)
+    h, pairs = _curvature_stencil(xs, ys)
+    here, at_u, off_u = _on_stencil(metric, [("fp", [(xs, ys)]), ("fp", pairs[:1]),
+                                             ("p", pairs[1:])])
+    k, k_errors = _curvature(at_u, off_u, h)
+    errors = first_errors(here.p_errors[0], k_errors)  # P's error covers F's
     k[~error_free(errors)] = np.nan
-    return f, p, k, errors
+    return here.f[0], here.p[0], k, errors
 
 
 def _p_stencil(xs, ys, hx, hy):
@@ -402,22 +488,25 @@ def berwald_system_residual(metric, x, y):
     P_{x^k} = P P_{y^k} - (1/3F)(K F^3)_{y^k}, with the last term reduced
     to K F F_{y^k} (valid because K is constant).  K is the metric's
     intended curvature, so a metric whose numeric K differs fails r2.
+    The jet's errors are raised before the P stencils'.
     """
     xs, ys = as_rows(metric.dimension, x, y)
     n = xs.shape[1]
     curvature = metric.intended_curvature
-    jd = jet(metric, xs, ys)
-    hx = STEP_SECOND * np.maximum(1.0, lengths(xs))
-    hy = STEP_SECOND * lengths(ys)
-    (p_values,), p_errors = _on_stencil(lambda a, b: _p(metric, a, b),
-                                        _p_stencil(xs, ys, hx, hy))
-    (f_values, pf_values), pf_errors = _on_stencil(
-        lambda a, b: _fp(metric, a, b), [(xs, p) for p in gradient_points(ys, hy)])
-    raise_first(first_errors(*p_errors, *pf_errors))
+    jet_pairs, steps = _jet_stencil(xs, ys)
+    hx, hy = steps[2:]  # the jet's second-derivative steps
+    centre, jet_rest, p_rest, pf = _on_stencil(metric, [
+        ("fp", jet_pairs[:1]), ("f", jet_pairs[1:]),
+        ("p", _p_stencil(xs, ys, hx, hy)[1:]),
+        ("fp", [(xs, p) for p in gradient_points(ys, hy)])])
+    raise_first(first_errors(*centre.f_errors, *jet_rest.f_errors))
+    jd = _jet_from(centre.f + jet_rest.f, steps, n)
+    raise_first(first_errors(*centre.p_errors, *p_rest.p_errors, *pf.p_errors))
+    p_values = centre.p + p_rest.p
     p0 = p_values[0]
     p_x = gradient_from(p_values[1:2 * n + 1], hx)
     p_y = gradient_from(p_values[2 * n + 1:], hy)
-    pf_y = gradient_from([p * f for f, p in zip(f_values, pf_values)], hy)
+    pf_y = gradient_from([p * f for f, p in zip(pf.f, pf.p)], hy)
 
     r1 = np.abs(jd.grad_x - pf_y).max(axis=-1) / (1.0 + np.abs(jd.grad_x).max(axis=-1))
     resid2 = p_x - p0[:, None] * p_y + (curvature * jd.value)[..., None] * jd.grad_y
@@ -443,14 +532,9 @@ def _transport_fields(metric, pairs):
     s = float(np.sqrt(abs(k)))
     fields, errors = [], []
     for c in ((0.0,) if k == 0.0 else (s, -s) if k < 0.0 else (1j * s,)):
-        def field(a, b, c=c):
-            if c == 0.0:
-                return _p(metric, a, b)
-            (f, p), fp_errors = _fp(metric, a, b)
-            return (p + c * f,), fp_errors
-        (values,), field_errors = _on_stencil(field, pairs)
-        fields.append(values)
-        errors += field_errors
+        [values] = _on_stencil(metric, [("p" if c == 0.0 else "fp", pairs)])
+        fields.append(values.p if c == 0.0 else [p + c * f for f, p in zip(values.f, values.p)])
+        errors += values.p_errors  # P's error covers F's
     return fields, errors
 
 
@@ -490,11 +574,11 @@ def convexity_residual(metric, x, u):
     xs, us = as_rows(metric.dimension, x, u)
     h = STEP_SECOND * lengths(us)
     pairs = [(xs, us)] + [(xs, p) for p in hessian_points(us, h)]
-    (values,), errors = _on_stencil(lambda a, b: _f(metric, a, b), pairs)
-    raise_first(first_errors(*errors))
-    hess = hessian_from([0.5 * (v * v) for v in values[1:]], h, xs.shape[1])
+    [values] = _on_stencil(metric, [("f", pairs)])
+    raise_first(first_errors(*values.f_errors))
+    hess = hessian_from([0.5 * (v * v) for v in values.f[1:]], h, xs.shape[1])
     lam_min = np.linalg.eigvalsh(hess).min(axis=-1)
-    return np.maximum(-lam_min, -values[0]), lam_min
+    return np.maximum(-lam_min, -values.f[0]), lam_min
 
 
 def check_minkowski(f: HomogeneousFunction, samples: int) -> VerificationReport:
@@ -587,7 +671,7 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
         x, v = points[i, act], velocities[i, act]
         sx, sv, slopes = x, v, []
         for coef in (0.5, 0.5, 1.0, None):
-            (p,), errors = _p(metric, sx, sv)
+            p, errors = _p(metric, sx, sv)
             if any(errors):
                 raise_first([e for e in errors if not isinstance(e, DomainError)])
                 keep = error_free(errors)

@@ -14,7 +14,10 @@ one-row batch of ``MetricEvaluator.rows``.  ``solve_real_scalar``,
 references for the solves and metric builders on rows;
 ``solve_complex_picard`` is the complex solve on rows without its secant
 steps.  ``format_norm`` writes a norm back as the descriptor
-``parse_norms`` reads.  ``altered``, ``perturbed`` and ``failing_checks``
+``parse_norms`` reads.  ``point_values_composed``,
+``flag_curvature_composed`` and ``berwald_composed`` are the point checks
+of ``verify`` as separate calls, one per field group (F, P, or both) and
+stencil, against which their one-call forms are checked bit for bit.  ``altered``, ``perturbed`` and ``failing_checks``
 build and run the negative controls of a constructed metric.
 """
 
@@ -28,13 +31,15 @@ from projflat import (CombinedNorm, DomainError, DoubleSqrtNorm,
                       ScaledNorm, SolveResult, SolverConfig, SolverError,
                       SpecParseError, ZeroNorm, as_evaluator, catalog_entry)
 from projflat.cli import CHECK_NAMES, DEFAULT_TOLERANCES, _run_check
-from projflat.construct import NON_FINITE, raise_first
+from projflat.construct import NON_FINITE, error_free, first_errors, raise_first
 from projflat.norms import combine
 from projflat.sampling import unit_directions
 from projflat.solver import (BRACKET_EXPANSION, RADIUS_DIRECTIONS, _at,
                              _complex_nonzero, _Rows)
-from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, convexity_residual,
-                             gradient_from, gradient_points, make_report)
+from projflat.norms import lengths
+from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, STEP_SECOND, _p_numeric,
+                             convexity_residual, gradient_from, gradient_points, jet,
+                             make_report)
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
 
@@ -552,6 +557,96 @@ def constructed_fp(curvature, psi, phi, x, y, cfg=None):
 
 
 # ---------------------------------------------------------------------------
+# the point checks of verify, one call per field group and stencil
+
+
+def _fields_at(metric, pairs, want):
+    """``want`` ("f", "p" or "fp") of ``metric`` at the M stencil points
+    ``pairs`` [(X_m, Y_m)] of N samples, in one call per field group: the
+    M value arrays of each field, and the M per-sample error lists.  A
+    closed form's P is the numeric one, its error read before F's."""
+    m, n = len(pairs), pairs[0][0].shape[-1]
+    xs = np.stack([a for a, _ in pairs], axis=1).reshape(-1, n)
+    ys = np.stack([b for _, b in pairs], axis=1).reshape(-1, n)
+    if want == "f":
+        values = metric.rows(xs, ys)
+        fields, errors = (values.f,), values.errors
+    elif metric.solve is not None:
+        values = metric.rows(xs, ys, with_f=want == "fp", with_p=True)
+        fields = (values.f, values.p) if want == "fp" else (values.p,)
+        errors = values.errors
+    else:
+        p, errors = _p_numeric(metric, xs, ys)
+        fields = (p,)
+        if want == "fp":
+            values = metric.rows(xs, ys)
+            fields, errors = (values.f, p), first_errors(errors, values.errors)
+    return ([list(v.reshape(-1, m).T) for v in fields],
+            [errors[k::m] for k in range(m)])
+
+
+def _curvature_composed(metric, xs, ys):
+    top = np.abs(ys).max(axis=-1, keepdims=True)
+    w = ys / np.where(top == 0.0, 1.0, top)
+    nw = lengths(w)
+    u = w / np.where(nw == 0.0, 1.0, nw)[:, None]
+    h = STEP_SECOND * np.maximum(1.0, lengths(xs))
+    step = h[:, None] * u
+    ((f0,),), (f_errors,) = _fields_at(metric, [(xs, u)], "f")
+    ((p0, p_up, p_down),), p_errors = _fields_at(
+        metric, [(xs, u), (xs + step, u), (xs - step, u)], "p")
+    dp = (p_up - p_down) / (2.0 * h)
+    f2 = f0 * f0
+    flat = ~(f2 > 0.0)
+    k = np.where(flat, np.nan, (p0 * p0 - dp) / np.where(flat, 1.0, f2))
+    flagged = [DomainError("flag curvature requires F^2 > 0") if flag else None
+               for flag in flat]
+    return k, first_errors(f_errors, flagged, *p_errors)
+
+
+def flag_curvature_composed(metric, xs, ys):
+    """``verify.flag_curvature`` with F at (x, u) and P on its stencil
+    evaluated in two calls."""
+    k, errors = _curvature_composed(metric, xs, ys)
+    raise_first(errors)
+    return k
+
+
+def point_values_composed(metric, xs, ys):
+    """``verify.point_values`` with F and P at (x, y), F at (x, u) and P
+    on K's stencil evaluated in three calls."""
+    ((f,), (p,)), (errors,) = _fields_at(metric, [(xs, ys)], "fp")
+    k, k_errors = _curvature_composed(metric, xs, ys)
+    errors = first_errors(errors, k_errors)
+    k[~error_free(errors)] = np.nan
+    return f, p, k, errors
+
+
+def berwald_composed(metric, xs, ys):
+    """``verify.berwald_system_residual`` with the jet, the P stencil and
+    the F-and-P stencil evaluated in three calls."""
+    n = xs.shape[1]
+    jd = jet(metric, xs, ys)
+    hx = STEP_SECOND * np.maximum(1.0, lengths(xs))
+    hy = STEP_SECOND * lengths(ys)
+    p_pairs = ([(xs, ys)] + [(q, ys) for q in gradient_points(xs, hx)]
+               + [(xs, q) for q in gradient_points(ys, hy)])
+    (p_values,), p_errors = _fields_at(metric, p_pairs, "p")
+    (f_values, pf_values), pf_errors = _fields_at(
+        metric, [(xs, q) for q in gradient_points(ys, hy)], "fp")
+    raise_first(first_errors(*p_errors, *pf_errors))
+    p0 = p_values[0]
+    p_x = gradient_from(p_values[1:2 * n + 1], hx)
+    p_y = gradient_from(p_values[2 * n + 1:], hy)
+    pf_y = gradient_from([q * f for f, q in zip(f_values, pf_values)], hy)
+    r1 = np.abs(jd.grad_x - pf_y).max(axis=-1) / (1.0 + np.abs(jd.grad_x).max(axis=-1))
+    resid2 = (p_x - p0[:, None] * p_y
+              + (metric.intended_curvature * jd.value)[..., None] * jd.grad_y)
+    r2 = np.abs(resid2).max(axis=-1) / (1.0 + np.abs(p_x).max(axis=-1))
+    return r1, r2
+
+
+# ---------------------------------------------------------------------------
 # test-only cross-checks of the catalog and the convexity sweep
 
 _MARGIN = 1e-12
@@ -638,10 +733,12 @@ def format_norm(f: HomogeneousFunction) -> str:
 def altered(metric, f=None, p=None):
     """A constructed ``metric`` whose F becomes ``f(x, y, F, P)`` and whose
     P becomes ``p(P)`` where given, the solve and its errors kept; the
-    stated curvature is unchanged, so the result is not of that K."""
+    stated curvature is unchanged, so the result is not of that K.  The
+    solve's ``with_f`` is a per-row mask; ``f`` maps every row, and the
+    rows not asked for F stay blank in ``rows``."""
     def solve(x, y, with_f):
         f0, p0, errors = metric.solve(x, y, with_f)
-        return ((f(x, y, f0, p0) if f and with_f else f0),
+        return ((f(x, y, f0, p0) if f and np.any(with_f) else f0),
                 (p(p0) if p else p0), errors)
     return dataclasses.replace(metric, solve=solve)
 

@@ -329,20 +329,21 @@ def test_exit_code_solver_error(capsys):
 
 
 # F and P evaluations per sample point (per trajectory for geodesic) of
-# each check, counted as rows asked of the evaluator; the funk row is the
-# benchmark's cross-check.
+# each check, counted as rows asked of the evaluator (F rows from the
+# with_f mask); the funk row is the benchmark's cross-check.  A
+# construction's berwald makes one rows call with P on all its 46 rows.
 EVALS_PER_POINT = {
     "catalog:funk": {"hamel": (34, 0), "curvature": (10, 0), "berwald": (77, 0),
                      "convexity": (10, 0), "geodesic": (1200, 0), "pde": (72, 0)},
     "construct:0:euclidean:randers:0.2,0.1": {
-        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 46),
         "convexity": (10, 0), "geodesic": (0, 400), "pde": (0, 9)},
     # K != 0: pde evaluates F and P together for each transport field P + c F
     "construct:-1:euclidean:scaled:0.3": {
-        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 46),
         "convexity": (10, 0), "geodesic": (0, 400), "pde": (18, 18)},
     "construct:1:bryant:0.5236": {
-        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 46),
         "convexity": (10, 0), "geodesic": (0, 400), "pde": (9, 9)},
 }
 
@@ -354,7 +355,7 @@ def test_verify_checks_evaluations_per_point(spec, monkeypatch):
     rows, one = MetricEvaluator.rows, MetricEvaluator.eval
 
     def counted_rows(self, x, y, with_f=True, with_p=False):
-        counts["F"] += len(x) * with_f
+        counts["F"] += int(np.count_nonzero(np.broadcast_to(with_f, len(x))))
         counts["P"] += len(x) * with_p
         return rows(self, x, y, with_f, with_p)
 
@@ -373,6 +374,36 @@ def test_verify_checks_evaluations_per_point(spec, monkeypatch):
         assert (counts["F"], counts["P"]) == (f_want * points, p_want * points), name
         # a closed form runs its rows through eval one at a time
         assert counts["eval"] == (counts["F"] if metric.solve is None else 0), name
+
+
+BENCHMARK_CONSTRUCTIONS = ["construct:0:euclidean:randers:0.2,0.1",
+                           "construct:-1:euclidean:scaled:0.3",
+                           "construct:1:bryant:0.5236",
+                           "construct:1:dsr-b:1,1:dsr-a:1,1"]
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_CONSTRUCTIONS)
+def test_one_rows_call_per_command_and_check(spec, capsys, tmp_path, monkeypatch):
+    # a construction's solve gives F and P at once, so each of these reads
+    # every stencil point it needs from one rows call
+    calls = []
+    rows = MetricEvaluator.rows
+
+    def counted_rows(self, x, y, with_f=True, with_p=False):
+        calls.append(with_p)
+        return rows(self, x, y, with_f, with_p)
+
+    monkeypatch.setattr(MetricEvaluator, "rows", counted_rows)
+    out = str(tmp_path / "grid.csv")
+    for argv in (["eval", "--metric", spec, "--x", "0.1,0", "--y", "0,1"],
+                 ["sample", "--metric", spec, "--y", "0.6,0.8",
+                  "--grid=-0.2:0.2:8,-0.2:0.2:8", "--out", out],
+                 ["verify", "--metric", spec, "--checks", "curvature"],
+                 ["verify", "--metric", spec, "--checks", "berwald"]):
+        calls.clear()
+        assert main(argv) == 0, argv
+        assert calls == [True], argv
+    capsys.readouterr()
 
 
 def test_determinism_byte_identical(capsys):
@@ -474,6 +505,23 @@ def test_vanishing_f_is_a_domain_error(spec):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == {
         "type": "domain", "message": "flag curvature requires F^2 > 0"}
+
+
+@pytest.mark.parametrize("spec, code", [
+    ("construct:0:scaled:1e200:zero", 0), ("construct:0:euclidean:scaled:1e300", 4),
+    ("construct:1:scaled:1e300:zero", 4), ("construct:-1:scaled:1e300:zero", 4)])
+def test_huge_finite_parameters_print_no_numpy_warning(spec, code):
+    """A huge finite norm parameter gives a tiny validity radius and a huge
+    F; the radius estimate and the flag curvature rescale such rows by a
+    power of two instead of overflowing."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "projflat", "eval",
+         "--metric", spec, "--x", "0,0", "--y", "1,0"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout) == {"F": 1e200, "P": 0.0, "K_numeric": 0.0}
 
 
 def test_non_finite_output_is_a_domain_error(capsys, monkeypatch):

@@ -575,6 +575,32 @@ def test_passing_rows_keep_their_bits_among_failing_rows(spec, with_f, with_p):
             assert np.isnan(got[at]).all()
 
 
+@pytest.mark.parametrize("spec", ("catalog:funk",) + BENCH_CONSTRUCTIONS)
+def test_with_f_mask_rows_equal_the_calls_they_replace(spec):
+    """A per-row ``with_f`` mask gives its F rows what ``with_f=True``
+    gives them (F, radius guard and errors) and its other rows what
+    ``with_f=False`` gives them: nan F and an unguarded P."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    with_p = metric.solve is not None
+    rng = np.random.default_rng(5)
+    x = np.vstack([ball_points(rng, 2, 0.4 * min(metric.domain_radius, 1.0), 4),
+                   [[1.05 * metric.domain_radius, 0.0]] * 2])
+    y = sphere_points(rng, 2, 6)
+    mask = np.array([True, False, False, True, True, False])
+    mixed = metric.rows(x, y, with_f=mask, with_p=with_p)
+    full = metric.rows(x, y, with_p=with_p)
+    p_only = metric.rows(x, y, with_f=False, with_p=with_p)
+    np.testing.assert_array_equal(mixed.f[mask], full.f[mask])
+    assert np.isnan(mixed.f[~mask]).all()
+    if with_p:
+        np.testing.assert_array_equal(mixed.p, np.where(mask, full.p, p_only.p))
+        assert not np.isnan(mixed.p[-1])  # beyond the radius, asked for P only
+    assert isinstance(mixed.errors[4], DomainError)  # beyond the radius, asked for F
+    for i, exc in enumerate(mixed.errors):
+        want = (full if mask[i] else p_only).errors[i]
+        assert (type(exc), str(exc)) == (type(want), str(want))
+
+
 @pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)
 def test_far_x_fails_its_row_without_a_warning(spec):
     """P is not radius-guarded, so an x of 1e150 reaches the solves, where

@@ -198,6 +198,17 @@ def test_radius_estimates():
     assert pair_radius_estimate(ZeroNorm(2), EuclideanNorm(2)) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_radius_estimates_of_huge_parameters(recwarn):
+    # a gradient whose squared length overflows is measured after a
+    # power-of-two rescale, so the estimate commutes with one
+    big = 2.0 ** 1000
+    assert radius_estimate(ScaledNorm(2, 3.0 * big)) == radius_estimate(ScaledNorm(2, 3.0)) / big
+    assert (pair_radius_estimate(ScaledNorm(2, big), ScaledNorm(2, 3.0 * big))
+            == pair_radius_estimate(ScaledNorm(2, 1.0), ScaledNorm(2, 3.0)) / big)
+    assert radius_estimate(ScaledNorm(2, 1e300)) == pytest.approx(5e-301, rel=1e-12)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_solver_failure_far_outside():
     res = solve_real(ScaledNorm(1, 1.0), [[2.0]], [[1.0]])
     assert isinstance(res.errors[0], SolverError)

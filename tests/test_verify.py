@@ -12,10 +12,11 @@ from projflat import (DomainError, EuclideanNorm, ScaledNorm, ZeroNorm,
                       geodesic_coefficients_general, hamel_residual,
                       integrate_geodesic, jet, list_catalog,
                       master_pde_residual, projective_factor_numeric)
-from projflat import cli
-from oracles import convexity_check, f_at, fd_gradient, p_exact_at
+from projflat import ProjFlatError, SolverConfig, cli
+from oracles import (berwald_composed, convexity_check, f_at, fd_gradient,
+                     flag_curvature_composed, p_exact_at, point_values_composed)
 from projflat.sampling import ball_points, sphere_points
-from projflat.verify import VerificationReport, make_report
+from projflat.verify import VerificationReport, make_report, point_values
 
 E2 = EuclideanNorm(2)
 Z2 = ZeroNorm(2)
@@ -230,3 +231,45 @@ def test_checks_hold_to_eight_tenths_of_the_validity_radius(entry):
         report = cli._run_check(name, metric, np.random.default_rng(42),
                                 0.8 * entry.domain_radius, 50, cli.DEFAULT_TOLERANCES[name])
         assert report.passed, (name, report.max_residual)
+
+
+def _outcome(check, metric, xs, ys):
+    """A check's values as bytes, or the type and message of its error."""
+    try:
+        out = check(metric, xs, ys)
+    except ProjFlatError as exc:
+        return type(exc), str(exc)
+    return [np.asarray(v).tobytes() for v in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("spec, dim", [
+    ("construct:0:euclidean:randers:0.2,0.1", 2), ("construct:-1:euclidean:scaled:0.3", 2),
+    ("construct:1:bryant:0.5236", 2), ("construct:1:dsr-b:1,1:dsr-a:1,1", 2),
+    ("construct:-1:euclidean:scaled:0.3", 3), ("construct:1:dsr-b:2,1:dsr-a:2,1", 3),
+    ("catalog:funk", 2)])
+@pytest.mark.parametrize("iterations", [100, 1])
+def test_one_call_checks_match_the_multi_call_composition(spec, dim, iterations):
+    # one iteration fails every solve away from x = 0, the F and P at
+    # (0, y) of point_values excepted
+    metric = cli.parse_metric(spec, dim, SolverConfig(max_iterations=iterations))
+    rng = np.random.default_rng(7)
+    radius = metric.domain_radius
+    # at (1 - 1e-9) R, F is inside the radius guard and the P-only rows of
+    # K's stencil cross it; the jet's F rows cross it too.  At 3 R the F
+    # rows fail the guard and the P-only rows their solve.
+    xs = np.vstack([np.zeros((1, dim)), ball_points(rng, dim, 0.5 * min(radius, 1.0), 6),
+                    (1.0 - 1e-9) * radius * sphere_points(rng, dim, 3),
+                    3.0 * radius * sphere_points(rng, dim, 1)])
+    ys = sphere_points(rng, dim, len(xs))
+    got, want = point_values(metric, xs, ys), point_values_composed(metric, xs, ys)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert ([None if e is None else (type(e), str(e)) for e in got[3]]
+            == [None if e is None else (type(e), str(e)) for e in want[3]])
+    if iterations > 1 and metric.solve is not None:
+        assert not any(got[3][:10]) and got[3][10]  # the P-only rows near R solve
+    for check, composed in ((flag_curvature, flag_curvature_composed),
+                            (berwald_system_residual, berwald_composed)):
+        for rows in (slice(0, 7), slice(0, 10), slice(7, None)):
+            assert (_outcome(check, metric, xs[rows], ys[rows])
+                    == _outcome(composed, metric, xs[rows], ys[rows]))
