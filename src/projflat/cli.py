@@ -186,7 +186,8 @@ def cmd_verify(args) -> int:
     _require_positive("--samples", args.samples)
     _require_positive("--radius", args.radius)
     metric = parse_metric(args.metric, args.dim, _solver_cfg(args))
-    names = [c.strip() for c in args.checks.split(",")] if args.checks else list(CHECK_NAMES)
+    names = args.checks.split(",") if args.checks else CHECK_NAMES
+    names = list(dict.fromkeys(c.strip() for c in names))  # each once, first-named order
     for c in names:
         if c not in CHECK_NAMES:
             raise SpecParseError(f"unknown check '{c}'")

@@ -22,14 +22,17 @@ The builders do not vet psi: ``verify.check_minkowski(psi, 64)``, or the
 Minkowski norm.
 
 ``MetricEvaluator.rows`` evaluates N points, rows ``x`` and ``y`` of
-shape ``(N, n)``, at once; it is the one way to evaluate a metric.  Every
-metric kind passes its rows through one point guard there.  ``with_f``
-asks for F on every row or, as a per-row mask, on some rows only, so one
-call can serve a stencil whose points want F, P or both.  A constructed
-metric then solves the rows that passed together, once per point for F
-and P both; a closed form runs its formula on its F rows point by point
-(``eval``).  Nothing else leaves a solve: the transport fields that
-``verify`` checks are built from F, P and the stated curvature alone.
+shape ``(N, n)``, at once; it is the one way to evaluate a metric, and it
+gives F and P on every metric kind.  Every kind passes its rows through
+one point guard there.  ``with_f`` and ``with_p`` each ask for their
+field on every row or, as a per-row mask, on some rows only, so one call
+can serve a stencil whose points want F, P or both.  A constructed metric
+then solves the rows that passed together, once per point for F and P
+both, and its P is exact; a closed form runs its formula on its F rows
+point by point (``eval``), and its P is the difference quotient
+P = F_{x^k} y^k / (2F) of ``p_numeric`` (Shen).  Nothing else leaves a
+solve: the transport fields that ``verify`` checks are built from F, P
+and the stated curvature alone.
 """
 
 import math
@@ -43,6 +46,7 @@ from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
 DOMAIN_SAFETY = 0.8
+STEP_FIRST = float(np.finfo(float).eps) ** (1.0 / 3.0)  # first differences of F
 NON_FINITE = "x and y must be finite, with finite squared lengths"
 ZERO_Y = "y = 0 is outside the metric domain"
 
@@ -51,9 +55,10 @@ ZERO_Y = "y = 0 is outside the metric domain"
 class RowValues:
     """Values at N points.
 
-    ``f`` and ``p`` are ``(N,)`` arrays when asked for (None otherwise).
-    ``errors[i]`` is the error row i raises on its own, None where it
-    evaluated; a failed row holds nan.
+    ``f`` and ``p`` are ``(N,)`` arrays when asked for (None otherwise),
+    nan on the rows their mask leaves out.  ``errors[i]`` is the error row
+    i raises on its own, F's before P's, None where it evaluated or was
+    asked for nothing; a failed row holds nan.
     """
 
     f: np.ndarray
@@ -84,17 +89,18 @@ def raise_first(errors) -> None:
 
 @dataclass(frozen=True)
 class MetricEvaluator:
-    """A metric F(x, y), with exact projective factor when constructed.
+    """A metric F(x, y) and its projective factor P(x, y).
 
     ``kind`` is one of constructed-K0 / constructed-Kneg1 /
     constructed-Kpos1 / catalog:<name> / test:broken, and
     ``intended_curvature`` its constant flag curvature K.  ``rows`` guards
-    the points of every kind.  A closed form carries ``f_eval``, its
-    formula at one point, which ``rows`` calls through ``eval`` once per
-    guarded row; a constructed metric carries ``solve``, which maps the
-    guarded rows ``x``, ``y`` and the mask of rows asked for F to
-    ``(F, P, errors)`` (see RowValues) from one solve per row; its F may
-    hold values on rows not asked for, which ``rows`` blanks.
+    the points of every kind and gives F and P on each.  A closed form
+    carries ``f_eval``, its formula at one point, which ``rows`` calls
+    through ``eval`` once per guarded F row and, for the numeric P, at
+    three points per P row; a constructed metric carries ``solve``, which
+    maps the guarded rows ``x``, ``y`` and the mask of rows asked for F to
+    ``(F, P, errors)`` (see RowValues) from one solve per row; its F and P
+    may hold values on rows not asked for, which ``rows`` blanks.
     """
 
     kind: str
@@ -113,63 +119,78 @@ class MetricEvaluator:
                 f"{self.domain_radius:.6g} of this evaluator")
 
     def rows(self, x, y, with_f=True, with_p=False) -> RowValues:
-        """F on the rows ``with_f`` asks for, and the exact P when
-        ``with_p``, at each row of ``x`` and ``y`` (both ``(N, n)``; any
-        other shape is a DimensionMismatchError).
+        """F on the rows ``with_f`` asks for and P on the rows ``with_p``
+        asks for, at each row of ``x`` and ``y`` (both ``(N, n)``; any other
+        shape is a DimensionMismatchError).
 
-        ``with_f`` is a bool for every row or an ``(N,)`` bool array.  ``f``
-        holds nan on the rows not asked for F, and is None when
-        ``with_f`` is False.  Every metric kind passes each row through this one point
-        guard: finite x, y and squared lengths, y != 0 (a y whose length
-        underflows counts as zero) and, on the rows asked for F, the
-        validity radius.  P is not radius-guarded: the fixed point extends
-        beyond the guaranteed ball wherever bracketing succeeds, and the
-        solve fails honestly where it does not.  The rows that pass go to
-        the constructed metric's solve, or one at a time to a closed
-        form's formula (``eval``); a closed form has no exact P.  A failed
-        row gets nan and its own error (see RowValues); the other rows are
-        unaffected.
+        ``with_f`` and ``with_p`` are each a bool for every row or an
+        ``(N,)`` bool array.  ``f`` and ``p`` hold nan on the rows not asked
+        for them, and are None when their flag is False; a row asked for
+        neither is skipped.  Every metric kind passes each asked row through
+        this one point guard: finite x, y and squared lengths, y != 0 (a y
+        whose length underflows counts as zero) and, on the rows asked for
+        F, the validity radius.  P is not radius-guarded: a constructed P
+        extends beyond the guaranteed ball wherever bracketing succeeds, and
+        a closed form's numeric P guards the points of its own quotient.
+        The rows that pass go to the constructed metric's solve, or to a
+        closed form's ``_formula``.  A failed row gets nan and its own error;
+        the other rows are unaffected.
         """
         x, y = as_rows(self.dimension, x, y)
-        if self.solve is None and with_p:
-            raise ProjFlatError(f"{self.kind} has no exact projective factor; "
-                                "use the numeric fallback in verify")
-        per_row = isinstance(with_f, np.ndarray)
+        per_f, per_p = isinstance(with_f, np.ndarray), isinstance(with_p, np.ndarray)
         with np.errstate(over="ignore"):  # an overflow is reported per row
             squares, length = np.vecdot(y, y), lengths(x)
-        unfit = ~(np.isfinite(squares) & np.isfinite(length))
-        zero = squares == 0.0
-        far = self.beyond_radius(length) & with_f
-        ok = ~(unfit | zero | far)
-        solve = self.solve or self._formula
-        if np.logical_and.reduce(ok):  # no per-row Python when every row passes
-            f, p, errors = solve(x, y, with_f)
+            # both are >= 0 (or nan), so their sum is finite iff both are
+            fails = ~np.isfinite(squares + length) | (squares == 0.0)
+        if per_f or with_f:
+            fails |= self.beyond_radius(length) & with_f
+        asked = with_f | with_p
+        ok = ~fails if asked is True else ~fails & asked
+        solve = self._formula if self.solve is None else lambda x, y, f, _: self.solve(x, y, f)
+        if ok.all():  # no per-row Python when every row passes
+            f, p, errors = solve(x, y, with_f, with_p)
         else:
             errors = [None] * len(y)
-            for i in np.flatnonzero(~ok):
-                errors[i] = DomainError(NON_FINITE if unfit[i] else ZERO_Y if zero[i]
-                                        else self.radius_message(length[i]))
-            f, p, solved = solve(x[ok], y[ok], with_f[ok] if per_row else with_f)
-            for i, exc in zip(np.flatnonzero(ok), solved):
-                errors[i] = exc
-            f, p = _spread(f, ok), _spread(p, ok) if with_p else None
-        if per_row:
-            f = np.where(with_f, f, np.nan)  # a solve may give F on every row
-        return RowValues(f if per_row or with_f else None, p if with_p else None, errors)
+            for i in np.flatnonzero(fails & asked):
+                yy, r = float(squares[i]), float(length[i])
+                errors[i] = DomainError(NON_FINITE if not math.isfinite(yy + r) else ZERO_Y
+                                        if yy == 0.0 else self.radius_message(r))
+            f, p = np.full(len(y), np.nan), np.full(len(y), np.nan)
+            if ok.any():
+                f, p, solved = solve(x[ok], y[ok], with_f[ok] if per_f else with_f,
+                                     with_p[ok] if per_p else with_p)
+                for i, exc in zip(np.flatnonzero(ok), solved):
+                    errors[i] = exc
+                f, p = _spread(f, ok), _spread(p, ok)
+        if self.solve is not None:  # a solve gives F and P on every row it solves
+            f = np.where(with_f, f, np.nan) if per_f else f
+            p = np.where(with_p, p, np.nan) if per_p else p
+        return RowValues(f if per_f or with_f else None, p if per_p or with_p else None, errors)
 
-    def _formula(self, x, y, with_f):
+    def _formula(self, x, y, with_f, with_p):
         """A closed form's rows solve: ``eval`` on each guarded row asked
-        for F, a formula's own error failing its row alone."""
-        f = np.full(len(y), np.nan)
-        errors = [None] * len(y)
-        asked = (np.flatnonzero(with_f).tolist() if isinstance(with_f, np.ndarray)
-                 else range(len(y) if with_f else 0))
-        for i in asked:
+        for F, then the numeric P (``p_numeric``) on the rows asked for P.
+        A formula's own error, or a math overflow or domain error in it,
+        fails its row alone; a row's error is F's, else P's."""
+        per_row, p, errors = isinstance(with_f, np.ndarray), None, [None] * len(y)
+        f = np.full(len(y), np.nan) if per_row or with_f else None
+        for i in np.flatnonzero(with_f).tolist() if per_row else range(len(y) if with_f else 0):
             try:
                 f[i] = self.eval(x[i], y[i])
             except ProjFlatError as exc:
                 errors[i] = exc.with_traceback(None)  # no frame cycle
-        return f, None, errors
+            except (ArithmeticError, ValueError) as exc:  # math's, on this row's values
+                fault = "overflows" if isinstance(exc, OverflowError) else f"fails ({exc})"
+                errors[i] = DomainError(f"{self.kind} formula {fault} at this point")
+        if isinstance(with_p, np.ndarray):
+            p = np.full(len(y), np.nan)
+            p[with_p], p_errors = p_numeric(self, x[with_p], y[with_p])
+            for i, exc in zip(np.flatnonzero(with_p), p_errors):
+                errors[i] = errors[i] or exc
+        elif with_p:
+            p, p_errors = p_numeric(self, x, y)
+            errors = first_errors(errors, p_errors)
+        return f, p, errors
 
     def eval(self, x, y) -> float:
         """A closed form's formula at one point, for a row that already
@@ -181,10 +202,40 @@ class MetricEvaluator:
 
 
 def _spread(values, ok):
-    """Values of the rows where ``ok`` holds, nan on the others."""
+    """Values of the rows where ``ok`` holds, nan elsewhere; None stays None."""
+    if values is None:
+        return None
     out = np.full(ok.shape, np.nan)
     out[ok] = values
     return out
+
+
+def flagged(mask, message):
+    """A DomainError(message) on the rows where ``mask`` holds, else None."""
+    if not np.logical_or.reduce(mask):
+        return [None] * len(mask)
+    return [DomainError(message) if flag else None for flag in mask]
+
+
+def p_numeric(metric, x, y):
+    """P = F_{x^k} y^k / (2F) on rows by a central difference of F along
+    y in x, step STEP_FIRST max(1, |x|) / |y|, and each row's first error.
+    F comes from one ``rows`` call at (x, y) and x +- step y, so a point of
+    the quotient beyond the validity radius fails its row; a zero y takes
+    step 0 and fails the point guard at (x, y)."""
+    n = x.shape[1]
+    ny = lengths(y)
+    h = STEP_FIRST * np.maximum(1.0, lengths(x)) / np.where(ny == 0.0, 1.0, ny)
+    step = h[:, None] * y
+    values = metric.rows(np.concatenate((x, x + step, x - step), axis=1).reshape(-1, n),
+                         np.repeat(y, 3, axis=0))
+    f0, f_up, f_down = (values.f[k::3] for k in range(3))
+    e0, e_up, e_down = (values.errors[k::3] for k in range(3))
+    errors = first_errors(e0, flagged(f0 <= 0.0, "projective factor requires F > 0"),  # nan: failed
+                          e_up, e_down)
+    dfdt = (f_up - f_down) / (2.0 * h)
+    with np.errstate(divide="ignore", invalid="ignore"):  # F <= 0 is flagged
+        return dfdt / (2.0 * f0), errors
 
 
 def _domain_from(radius: float) -> float:

@@ -1,8 +1,9 @@
 """Numerical differential checks for metric evaluators.
 
-A metric is treated as a black box ``F(x, y)`` evaluated on rows through
-``MetricEvaluator.rows`` (with the exact projective factor P when it was
-constructed).  The functions here measure residuals of the identities
+A metric is treated as a black box ``F(x, y)`` and ``P(x, y)`` evaluated
+on rows through ``MetricEvaluator.rows``, whatever its kind (P is exact
+on a construction and a difference quotient of F on a closed form).  The
+functions here measure residuals of the identities
 that characterize projectively flat metrics of constant flag curvature:
 
 * Hamel's criterion              F_{x^k} = F_{x^l y^k} y^l
@@ -21,11 +22,10 @@ The jet, the residual functions, ``point_values`` and
 ``(N, n)``, and return one value per row; any other shape is a
 DimensionMismatchError.  Each builds the finite-difference stencils of
 all points up front, each stencil point tagged with the fields it needs
-(F, P or both), and evaluates them together: one rows call on a
-constructed metric, whose solve gives F and P at once, and on a closed
-form one rows call for its F points and one numeric-P call for its P
-points.  ``pde`` alone evaluates each transport field on its own.  An
-error raised is the one of the first failing sample.
+(F, P or both), and evaluates them together in one rows call with F and P
+masks.  ``pde`` alone evaluates each transport field on its own, and each
+geodesic RK stage asks P alone.  An error raised is the one of the first
+failing sample.
 
 ``check_minkowski`` runs the strong-convexity test on a norm (such as
 psi) instead of a metric; ``make_report`` builds a check's report.
@@ -33,9 +33,8 @@ psi) instead of a metric; ``make_report`` builds a check's report.
 All identity residuals are normalized (absolute residual / (1 + magnitude))
 so one tolerance transfers across evaluation scales.  Derivatives of F use
 step ~ eps^(1/3), derivatives of the P field (itself a difference quotient
-unless the evaluator carries an exact one) and the mixed and second
-derivatives of F use step ~ eps^(1/4), which keeps their round-off floor
-near 1e-8 instead of 1e-5.
+on a closed form) and the mixed and second derivatives of F use step ~
+eps^(1/4), which keeps their round-off floor near 1e-8 instead of 1e-5.
 
 The checks hold their tolerances out to a sweep radius of 0.8 R, R
 being the metric's ``domain_radius``: at d = 2, 50 samples and seed 42,
@@ -52,18 +51,17 @@ integrator and the domain guards, not projective flatness.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .construct import error_free, first_errors, raise_first
+from .construct import STEP_FIRST, error_free, first_errors, flagged, p_numeric, raise_first
 from .errors import DomainError
 from .norms import HomogeneousFunction, as_rows, lengths
 from .sampling import unit_directions
 
-EPS = float(np.finfo(float).eps)
-STEP_FIRST = EPS ** (1.0 / 3.0)
-STEP_SECOND = EPS ** 0.25
+STEP_SECOND = float(np.finfo(float).eps) ** 0.25
 
 FAILURE_CAP = 10
 _SQUARE_LIMIT = 2.0 ** 511  # above it a square may overflow
@@ -203,13 +201,12 @@ def gradient_from(values, step):
 
 class _Values(NamedTuple):
     """One stencil block's fields: ``f`` and ``p`` hold the M value arrays
-    of length N, ``f_errors`` and ``p_errors`` the M per-sample error
-    lists; a field the block does not ask for is not to be read."""
+    of length N, ``errors`` the M per-sample error lists; a field the
+    block does not ask for is not to be read."""
 
     f: list
     p: list
-    f_errors: list
-    p_errors: list
+    errors: list
 
 
 def _stacked(pairs):
@@ -222,92 +219,34 @@ def _stacked(pairs):
             np.concatenate([b for _, b in pairs], axis=1).reshape(-1, n))
 
 
-def _columns(values, errors, m):
-    """Row values and errors of N samples x M points, sample-major, as the
-    M value arrays of length N and the M per-sample error lists."""
-    return list(values.reshape(-1, m).T), [errors[k::m] for k in range(m)]
-
-
 def _on_stencil(metric, blocks):
     """F and P of ``metric`` on a check's stencil blocks, one _Values per
-    block.
+    block, from one rows call.
 
-    A block is ``(want, pairs)``: ``want`` is "f", "p" or "fp", the fields
-    asked at its M stencil points ``pairs`` [(X_m, Y_m)] of N samples,
-    each ``(N, n)``.  A point a check needs both fields of belongs in an
-    "fp" block, so it is one row.  A constructed metric evaluates every
-    point in one rows call: F on the rows asked for it, the exact P on
-    all.  A closed form evaluates its F points in one rows call and its P
-    points in one numeric-P call.  Where F fails at a point, P there
-    fails with the same message: a constructed point has one error list,
-    and a numeric P reads F at the point first.
+    A block is ``(want, pairs)`` or ``(want, pairs, samples)``: ``want``
+    is "f", "p" or "fp", the fields asked at its M stencil points
+    ``pairs`` [(X_m, Y_m)] of N samples, each ``(N, n)``; ``samples``, an
+    ``(N,)`` mask, leaves the other samples' points unasked (nan, no
+    error).  A point that needs both fields belongs in an "fp" block, so
+    it is one row, and its error is F's, else P's.
     """
-    if metric.solve is not None:
-        pairs = [pair for _, block in blocks for pair in block]
-        wants_f = [("f" in want) for want, block in blocks for _ in block]
-        m = len(pairs)
-        xs, ys = _stacked(pairs)
-        with_f = np.tile(wants_f, len(xs) // m) if 0 < sum(wants_f) < m else wants_f[0]
-        values = metric.rows(xs, ys, with_f, with_p=any("p" in want for want, _ in blocks))
-        errors = [values.errors[k::m] for k in range(m)]
-        f, p = ([None] * m if v is None else list(v.reshape(-1, m).T)
-                for v in (values.f, values.p))
-        out, start = [], 0
-        for _, block in blocks:
-            part = slice(start, start + len(block))
-            out.append(_Values(f[part], p[part], errors[part], errors[part]))
-            start = part.stop
-        return out
-    f_pairs = [pair for want, block in blocks if "f" in want for pair in block]
-    p_pairs = [pair for want, block in blocks if "p" in want for pair in block]
-    f = f_errors = p = p_errors = []
-    if f_pairs:
-        values = metric.rows(*_stacked(f_pairs))
-        f, f_errors = _columns(values.f, values.errors, len(f_pairs))
-    if p_pairs:
-        p, p_errors = _columns(*_p_numeric(metric, *_stacked(p_pairs)), len(p_pairs))
-    out = []
-    for want, block in blocks:  # each block takes its points' columns in turn
-        m = len(block)
-        vf = ef = vp = ep = [None] * m
-        if "f" in want:
-            vf, f, ef, f_errors = f[:m], f[m:], f_errors[:m], f_errors[m:]
-        if "p" in want:
-            vp, p, ep, p_errors = p[:m], p[m:], p_errors[:m], p_errors[m:]
-        out.append(_Values(vf, vp, ef, ep))
-    return out
+    pairs = [pair for _, block, *_ in blocks for pair in block]
+    m, ends = len(pairs), list(accumulate(len(block) for _, block, *_ in blocks))
+    spans = list(zip([0] + ends, ends))
 
+    def mask(field):  # the sample-major rows mask; one bool when all rows agree
+        asked = [(span, on) for (want, _, *on), span in zip(blocks, spans) if field in want]
+        if len(asked) in (0, len(blocks)) and not any(on for _, on in asked):
+            return bool(asked)  # no block asks, or every block asks on every sample
+        rows = np.zeros((len(pairs[0][0]), m), dtype=bool)
+        for (a, b), on in asked:
+            rows[:, a:b] = on[0][:, None] if on else True
+        return rows.reshape(-1)
 
-def _p(metric, x, y):
-    """P on rows, and each row's error: exact for a constructed metric,
-    else numeric.  The geodesic stages read P alone, one rows call each,
-    without a stencil's bookkeeping."""
-    if metric.solve is None:
-        return _p_numeric(metric, x, y)
-    values = metric.rows(x, y, with_f=False, with_p=True)
-    return values.p, values.errors
-
-
-def _flagged(mask, message):
-    """A DomainError(message) on the rows where ``mask`` holds, else None."""
-    if not np.logical_or.reduce(mask):
-        return [None] * len(mask)
-    return [DomainError(message) if flag else None for flag in mask]
-
-
-def _p_numeric(metric, x, y):
-    """P = F_{x^k} y^k / (2F) on rows, and each row's first error."""
-    ny = lengths(y)
-    # a zero y takes step 0 and fails the point guard at (x, y), in e0
-    h = STEP_FIRST * np.maximum(1.0, lengths(x)) / np.where(ny == 0.0, 1.0, ny)
-    step = h[:, None] * y
-    values = metric.rows(*_stacked([(x, y), (x + step, y), (x - step, y)]))
-    f0, f_up, f_down = (values.f[k::3] for k in range(3))
-    e0, e_up, e_down = (values.errors[k::3] for k in range(3))
-    errors = first_errors(e0, _flagged(f0 <= 0.0, "projective factor requires F > 0"),  # nan: failed
-                          e_up, e_down)
-    dfdt = (f_up - f_down) / (2.0 * h)
-    return dfdt / (2.0 * f0), errors
+    values = metric.rows(*_stacked(pairs), mask("f"), mask("p"))
+    f, p = ([None] * m if v is None else list(v.reshape(-1, m).T) for v in (values.f, values.p))
+    errors = [values.errors[k::m] for k in range(m)]
+    return [_Values(f[a:b], p[a:b], errors[a:b]) for a, b in spans]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +319,7 @@ def jet(metric, x, y) -> JetData:
     xs, ys = as_rows(metric.dimension, x, y)
     pairs, steps = _jet_stencil(xs, ys)
     [values] = _on_stencil(metric, [("f", pairs)])
-    raise_first(first_errors(*values.f_errors))
+    raise_first(first_errors(*values.errors))
     return _jet_from(values.f, steps, xs.shape[1])
 
 
@@ -399,8 +338,10 @@ def hamel_residual(metric, x, y):
 
 
 def projective_factor_numeric(metric, x, y):
-    """P = F_{x^k} y^k / (2F) via a directional central difference in x."""
-    p, errors = _p_numeric(metric, *as_rows(metric.dimension, x, y))
+    """P = F_{x^k} y^k / (2F) via a directional central difference in x,
+    on any metric kind (``construct.p_numeric``); raises the first
+    failing row's error."""
+    p, errors = p_numeric(metric, *as_rows(metric.dimension, x, y))
     raise_first(errors)
     return p
 
@@ -442,8 +383,8 @@ def _curvature(at_u, off_u, h):
     flat = ~(f2 > 0.0)  # F = 0, or F^2 underflows (nan: F failed)
     with np.errstate(over="ignore"):
         k = np.where(flat, np.nan, (p0 * p0 - dp) / np.where(flat, 1.0, f2))
-    return k, first_errors(at_u.f_errors[0], _flagged(flat, "flag curvature requires F^2 > 0"),
-                           at_u.p_errors[0], *off_u.p_errors)
+    return k, first_errors(at_u.errors[0], flagged(flat, "flag curvature requires F^2 > 0"),
+                           *off_u.errors)
 
 
 def flag_curvature(metric, x, y):
@@ -467,10 +408,13 @@ def point_values(metric, x, y):
     ``sample``; a failed row holds nan."""
     xs, ys = as_rows(metric.dimension, x, y)
     h, pairs = _curvature_stencil(xs, ys)
-    here, at_u, off_u = _on_stencil(metric, [("fp", [(xs, ys)]), ("fp", pairs[:1]),
-                                             ("p", pairs[1:])])
+    far = metric.beyond_radius(lengths(xs))
+    # K's rows of a sample whose F fails the radius guard are asked nothing
+    live = (~far,) if far.any() else ()
+    here, at_u, off_u = _on_stencil(metric, [("fp", [(xs, ys)]), ("fp", pairs[:1], *live),
+                                             ("p", pairs[1:], *live)])
     k, k_errors = _curvature(at_u, off_u, h)
-    errors = first_errors(here.p_errors[0], k_errors)  # P's error covers F's
+    errors = first_errors(here.errors[0], k_errors)
     k[~error_free(errors)] = np.nan
     return here.f[0], here.p[0], k, errors
 
@@ -488,21 +432,21 @@ def berwald_system_residual(metric, x, y):
     P_{x^k} = P P_{y^k} - (1/3F)(K F^3)_{y^k}, with the last term reduced
     to K F F_{y^k} (valid because K is constant).  K is the metric's
     intended curvature, so a metric whose numeric K differs fails r2.
-    The jet's errors are raised before the P stencils'.
+    The jet's errors are raised before the P stencils', so the jet and the
+    P stencil each hold the centre (x, y), F on one row and P on another.
     """
     xs, ys = as_rows(metric.dimension, x, y)
     n = xs.shape[1]
     curvature = metric.intended_curvature
     jet_pairs, steps = _jet_stencil(xs, ys)
     hx, hy = steps[2:]  # the jet's second-derivative steps
-    centre, jet_rest, p_rest, pf = _on_stencil(metric, [
-        ("fp", jet_pairs[:1]), ("f", jet_pairs[1:]),
-        ("p", _p_stencil(xs, ys, hx, hy)[1:]),
+    jet_f, p_stencil, pf = _on_stencil(metric, [
+        ("f", jet_pairs), ("p", _p_stencil(xs, ys, hx, hy)),
         ("fp", [(xs, p) for p in gradient_points(ys, hy)])])
-    raise_first(first_errors(*centre.f_errors, *jet_rest.f_errors))
-    jd = _jet_from(centre.f + jet_rest.f, steps, n)
-    raise_first(first_errors(*centre.p_errors, *p_rest.p_errors, *pf.p_errors))
-    p_values = centre.p + p_rest.p
+    raise_first(first_errors(*jet_f.errors))
+    jd = _jet_from(jet_f.f, steps, n)
+    raise_first(first_errors(*p_stencil.errors, *pf.errors))
+    p_values = p_stencil.p
     p0 = p_values[0]
     p_x = gradient_from(p_values[1:2 * n + 1], hx)
     p_y = gradient_from(p_values[2 * n + 1:], hy)
@@ -534,7 +478,7 @@ def _transport_fields(metric, pairs):
     for c in ((0.0,) if k == 0.0 else (s, -s) if k < 0.0 else (1j * s,)):
         [values] = _on_stencil(metric, [("p" if c == 0.0 else "fp", pairs)])
         fields.append(values.p if c == 0.0 else [p + c * f for f, p in zip(values.f, values.p)])
-        errors += values.p_errors  # P's error covers F's
+        errors += values.errors
     return fields, errors
 
 
@@ -575,7 +519,7 @@ def convexity_residual(metric, x, u):
     h = STEP_SECOND * lengths(us)
     pairs = [(xs, us)] + [(xs, p) for p in hessian_points(us, h)]
     [values] = _on_stencil(metric, [("f", pairs)])
-    raise_first(first_errors(*values.f_errors))
+    raise_first(first_errors(*values.errors))
     hess = hessian_from([0.5 * (v * v) for v in values.f[1:]], h, xs.shape[1])
     lam_min = np.linalg.eigvalsh(hess).min(axis=-1)
     return np.maximum(-lam_min, -values.f[0]), lam_min
@@ -645,10 +589,10 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
 
     ``x0`` and ``v0`` are T starts ``(T, n)``, giving a list of T
     results: the trajectories step together, one rows call of P per RK
-    stage.  Uses the exact projective factor when the evaluator carries
-    one.  A start beyond the validity radius raises the point guard's
-    DomainError.  A trajectory stops early (flagged) if it or one of its
-    stage points leaves the evaluator's domain; the others go on.
+    stage, exact on a construction and numeric on a closed form.  A start
+    beyond the validity radius raises the point guard's DomainError.  A
+    trajectory stops early (flagged) if it or one of its stage points
+    leaves the evaluator's domain; the others go on.
     """
     xs0, vs0 = as_rows(metric.dimension, x0, v0)
     if (lengths(vs0) == 0.0).any():
@@ -671,7 +615,8 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
         x, v = points[i, act], velocities[i, act]
         sx, sv, slopes = x, v, []
         for coef in (0.5, 0.5, 1.0, None):
-            p, errors = _p(metric, sx, sv)
+            values = metric.rows(sx, sv, with_f=False, with_p=True)
+            p, errors = values.p, values.errors
             if any(errors):
                 raise_first([e for e in errors if not isinstance(e, DomainError)])
                 keep = error_free(errors)

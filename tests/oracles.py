@@ -8,10 +8,11 @@ the complex fixed point, built from the public norm interface only.  The
 ``*_loop`` functions are the one-direction-at-a-time references for the
 batched radius estimates and Minkowski probe.  ``point_guard`` is the
 point guard of ``MetricEvaluator.rows`` at one point, in Python floats.
-``f_at`` and ``p_exact_at`` read F and the exact P at one point from a
-one-row batch of ``MetricEvaluator.rows``.  ``solve_real_scalar``,
-``solve_complex_scalar`` and ``constructed_fp`` are the one-point
-references for the solves and metric builders on rows;
+``f_at`` and ``p_at`` read F and P (exact on a construction, numeric on
+a closed form) at one point from a one-row batch of
+``MetricEvaluator.rows``; ``_p_numeric`` is the numeric P from F alone.
+``solve_real_scalar``, ``solve_complex_scalar`` and ``constructed_fp``
+are the one-point references for the solves and metric builders on rows;
 ``solve_complex_picard`` is the complex solve on rows without its secant
 steps.  ``format_norm`` writes a norm back as the descriptor
 ``parse_norms`` reads.  ``point_values_composed``,
@@ -37,7 +38,7 @@ from projflat.sampling import unit_directions
 from projflat.solver import (BRACKET_EXPANSION, RADIUS_DIRECTIONS, _at,
                              _complex_nonzero, _Rows)
 from projflat.norms import lengths
-from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, STEP_SECOND, _p_numeric,
+from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, STEP_SECOND,
                              convexity_residual, gradient_from, gradient_points, jet,
                              make_report)
 
@@ -296,9 +297,9 @@ def f_at(metric, x, y) -> float:
     return float(_one_row(metric, x, y).f[0])
 
 
-def p_exact_at(metric, x, y) -> float:
-    """A constructed metric's exact P at (x, y), from ``metric.rows`` on
-    that one-row batch (not radius-guarded); raises the row's error."""
+def p_at(metric, x, y) -> float:
+    """P at (x, y), from ``metric.rows`` on that one-row batch (not
+    radius-guarded); raises the row's error."""
     return float(_one_row(metric, x, y, with_f=False, with_p=True).p[0])
 
 
@@ -558,6 +559,22 @@ def constructed_fp(curvature, psi, phi, x, y, cfg=None):
 
 # ---------------------------------------------------------------------------
 # the point checks of verify, one call per field group and stencil
+
+
+def _p_numeric(metric, xs, ys):
+    """P = F_{x^k} y^k / (2F) on rows from F alone, as separate F rows
+    calls at (x, y) and at x +- h y, h = STEP_FIRST max(1, |x|) / |y|;
+    and each row's first error (F's at (x, y), F <= 0, then the two
+    offset points').  The reference for a closed form's ``rows`` P."""
+    with np.errstate(all="ignore"):  # a non-finite row fails in F, F <= 0 is flagged
+        ny = np.sqrt(np.vecdot(ys, ys))
+        h = STEP_FIRST * np.maximum(1.0, np.sqrt(np.vecdot(xs, xs))) / np.where(ny == 0.0, 1.0, ny)
+        step = h[:, None] * ys
+        at, up, down = (metric.rows(p, ys) for p in (xs, xs + step, xs - step))
+        p = (up.f - down.f) / (2.0 * h) / (2.0 * at.f)
+    flagged = [DomainError("projective factor requires F > 0") if f <= 0.0 else None
+               for f in at.f]
+    return p, first_errors(at.errors, flagged, up.errors, down.errors)
 
 
 def _fields_at(metric, pairs, want):

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import f_at
+from oracles import f_at, point_values_composed
 from projflat import MetricEvaluator, as_evaluator, catalog_entry
 from projflat import cli
 from projflat.cli import main, parse_metric
@@ -181,6 +182,41 @@ def test_sample_marks_domain_exits(tmp_path, capsys):
     assert rows[0][4] != ""
 
 
+def test_sample_solves_no_curvature_rows_beyond_the_radius(tmp_path, capsys, monkeypatch):
+    """A grid point whose F fails the radius guard asks nothing of K's
+    rows: on construct:-1:euclidean:scaled:0.3, an 8 x 8 grid over
+    [-1.1 R, 1.1 R]^2 solves 128 rows (192 while the P-only K rows of the
+    32 points outside were solved), and the CSV holds what the three-call
+    composition of ``oracles`` gives, blank where a point fails."""
+    spec = "construct:-1:euclidean:scaled:0.3"
+    metric = parse_metric(spec, 2, SolverConfig())
+    solved, build = [], cli.build_kneg1
+
+    def counted_build(*args):
+        built = build(*args)
+
+        def solve(x, y, with_f):
+            solved.append(len(y))
+            return built.solve(x, y, with_f)
+        return dataclasses.replace(built, solve=solve)
+
+    monkeypatch.setattr(cli, "build_kneg1", counted_build)
+    edge = 1.1 * metric.domain_radius
+    out_file = str(tmp_path / "crossing.csv")
+    code, _, _ = run_cli(capsys, "sample", "--metric", spec, "--y", "0.6,0.8",
+                         f"--grid={-edge!r}:{edge!r}:8,{-edge!r}:{edge!r}:8", "--out", out_file)
+    assert code == 0 and sum(solved) == 128
+    with open(out_file) as fh:
+        rows = list(csv.reader(fh))[1:]
+    xs = np.array([[float(v) for v in row[:2]] for row in rows])
+    ys = np.broadcast_to([0.6, 0.8], xs.shape)
+    f, p, k, errors = point_values_composed(metric, xs, ys)
+    assert sum(exc is not None for exc in errors) == 32
+    assert [row[4:] for row in rows] == [
+        ["", "", ""] if exc is not None else [repr(float(v)) for v in (fv, pv, kv)]
+        for fv, pv, kv, exc in zip(f, p, k, errors)]
+
+
 def test_geodesic_command(tmp_path, capsys):
     out_file = str(tmp_path / "traj.csv")
     code, out, _ = run_cli(capsys, "geodesic", "--metric", "catalog:funk",
@@ -330,20 +366,21 @@ def test_exit_code_solver_error(capsys):
 
 # F and P evaluations per sample point (per trajectory for geodesic) of
 # each check, counted as rows asked of the evaluator (F rows from the
-# with_f mask); the funk row is the benchmark's cross-check.  A
-# construction's berwald makes one rows call with P on all its 46 rows.
+# with_f mask, P rows from the with_p mask); the funk F column is the
+# benchmark's cross-check.  A closed form's P rows evaluate F three times
+# each through a nested rows call, counted in its F column.
 EVALS_PER_POINT = {
-    "catalog:funk": {"hamel": (34, 0), "curvature": (10, 0), "berwald": (77, 0),
-                     "convexity": (10, 0), "geodesic": (1200, 0), "pde": (72, 0)},
+    "catalog:funk": {"hamel": (34, 0), "curvature": (10, 3), "berwald": (77, 13),
+                     "convexity": (10, 0), "geodesic": (1200, 400), "pde": (72, 18)},
     "construct:0:euclidean:randers:0.2,0.1": {
-        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 46),
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
         "convexity": (10, 0), "geodesic": (0, 400), "pde": (0, 9)},
     # K != 0: pde evaluates F and P together for each transport field P + c F
     "construct:-1:euclidean:scaled:0.3": {
-        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 46),
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
         "convexity": (10, 0), "geodesic": (0, 400), "pde": (18, 18)},
     "construct:1:bryant:0.5236": {
-        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 46),
+        "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
         "convexity": (10, 0), "geodesic": (0, 400), "pde": (9, 9)},
 }
 
@@ -356,7 +393,7 @@ def test_verify_checks_evaluations_per_point(spec, monkeypatch):
 
     def counted_rows(self, x, y, with_f=True, with_p=False):
         counts["F"] += int(np.count_nonzero(np.broadcast_to(with_f, len(x))))
-        counts["P"] += len(x) * with_p
+        counts["P"] += int(np.count_nonzero(np.broadcast_to(with_p, len(x))))
         return rows(self, x, y, with_f, with_p)
 
     def counted_eval(self, x, y):
@@ -382,18 +419,24 @@ BENCHMARK_CONSTRUCTIONS = ["construct:0:euclidean:randers:0.2,0.1",
                            "construct:1:dsr-b:1,1:dsr-a:1,1"]
 
 
-@pytest.mark.parametrize("spec", BENCHMARK_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", BENCHMARK_CONSTRUCTIONS + ["catalog:funk", "test:broken"])
 def test_one_rows_call_per_command_and_check(spec, capsys, tmp_path, monkeypatch):
-    # a construction's solve gives F and P at once, so each of these reads
-    # every stencil point it needs from one rows call
-    calls = []
+    # each of these reads every stencil point it needs, F, P or both, from
+    # one rows call; a closed form's P rows make one nested rows call for
+    # the F of their difference quotients
+    calls, depth = [], [0]
     rows = MetricEvaluator.rows
 
     def counted_rows(self, x, y, with_f=True, with_p=False):
-        calls.append(with_p)
-        return rows(self, x, y, with_f, with_p)
+        calls.append((depth[0], bool(np.any(with_p))))
+        depth[0] += 1
+        try:
+            return rows(self, x, y, with_f, with_p)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(MetricEvaluator, "rows", counted_rows)
+    want = [(0, True)] if spec.startswith("construct:") else [(0, True), (1, False)]
     out = str(tmp_path / "grid.csv")
     for argv in (["eval", "--metric", spec, "--x", "0.1,0", "--y", "0,1"],
                  ["sample", "--metric", spec, "--y", "0.6,0.8",
@@ -401,9 +444,26 @@ def test_one_rows_call_per_command_and_check(spec, capsys, tmp_path, monkeypatch
                  ["verify", "--metric", spec, "--checks", "curvature"],
                  ["verify", "--metric", spec, "--checks", "berwald"]):
         calls.clear()
-        assert main(argv) == 0, argv
-        assert calls == [True], argv
+        assert main(argv) == (1 if spec == "test:broken" and argv[0] == "verify" else 0), argv
+        assert calls == want, argv
     capsys.readouterr()
+
+
+def test_repeated_check_runs_once(capsys, monkeypatch):
+    """``--checks`` runs each named check once, in the order first named:
+    a repeated name changes neither the output nor the work."""
+    ran, run_check = [], cli._run_check
+
+    def counted(name, *args):
+        ran.append(name)
+        return run_check(name, *args)
+
+    monkeypatch.setattr(cli, "_run_check", counted)
+    base = ("verify", "--metric", "catalog:funk", "--samples", "5", "--checks")
+    twice = run_cli(capsys, *base, "curvature,hamel,curvature, hamel")
+    assert ran == ["curvature", "hamel"]
+    assert twice == run_cli(capsys, *base, "curvature,hamel")
+    assert twice[2] == "verify catalog:funk: curvature=ok hamel=ok\n"
 
 
 def test_determinism_byte_identical(capsys):
@@ -522,6 +582,25 @@ def test_huge_finite_parameters_print_no_numpy_warning(spec, code):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     if code == 0:
         assert json.loads(proc.stdout) == {"F": 1e200, "P": 0.0, "K_numeric": 0.0}
+
+
+@pytest.mark.parametrize("spec, x, y, message", [
+    ("catalog:berwald", "0.5,0", "1.3e154,0", "catalog:berwald formula overflows at this point"),
+    ("catalog:sph-kneg1:1e80", "0,0", "1,0", "catalog:sph-kneg1 formula overflows at this point"),
+    ("catalog:zhou:0.5,1e200,+", "0,0", "1,0",
+     "catalog:zhou formula fails (math domain error) at this point")])
+def test_closed_form_arithmetic_failure_is_a_domain_error(spec, x, y, message):
+    """A closed form whose formula overflows or leaves math's domain at a
+    point fails that row with a DomainError: exit 3, with no numpy
+    warning (these exited 5 and 2 while the formula's own exception
+    escaped)."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "projflat", "eval",
+         "--metric", spec, "--x", x, "--y", y],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 3, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1])["error"] == {"type": "domain", "message": message}
 
 
 def test_non_finite_output_is_a_domain_error(capsys, monkeypatch):

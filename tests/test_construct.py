@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import f_at, p_exact_at
+from oracles import f_at, p_at
 from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, ProjFlatError, RandersNorm, ScaledNorm,
                       SolverConfig, ZeroNorm, broken_metric, build_k0,
@@ -121,7 +121,7 @@ def test_origin_recovery_all_builders(rng):
                 y = sphere_points(rng, 2, 1)[0] * rng.uniform(0.5, 2.0)
                 zero = np.zeros(2)
                 assert abs(f_at(m, zero, y) - psi.eval_real(y)) <= 1e-10
-                assert abs(p_exact_at(m, zero, y) - phi.eval_real(y)) <= 1e-10
+                assert abs(p_at(m, zero, y) - phi.eval_real(y)) <= 1e-10
 
 
 def reference_values(descriptor, y):
@@ -206,11 +206,11 @@ def test_positivity_inside_domain(rng):
 
 def test_projective_factor_exact_values():
     m = build_k0(E2, Z2)
-    assert p_exact_at(m, [0.2, 0.1], [1.0, 2.0]) == 0.0
+    assert p_at(m, [0.2, 0.1], [1.0, 2.0]) == 0.0
     m1 = build_k0(EuclideanNorm(1), EuclideanNorm(1))
-    assert p_exact_at(m1, [0.5], [1.0]) == pytest.approx(2.0, abs=1e-12)
+    assert p_at(m1, [0.5], [1.0]) == pytest.approx(2.0, abs=1e-12)
     mp = build_kpos1(E2, Z2)
-    assert p_exact_at(mp, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-13)
+    assert p_at(mp, [0.0, 0.0], [1.0, 2.0]) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_domain_guard():
@@ -260,5 +260,12 @@ def test_broken_metric_evaluates():
     br = broken_metric(2)
     assert f_at(br, [0.3, 0.2], [1.0, 1.0]) > 0.0
     assert br.intended_curvature == 0.0
-    with pytest.raises(ProjFlatError):
-        p_exact_at(br, [0.1, 0.0], [1.0, 0.0])
+    # its P is the numeric one, bit for bit, whatever the point
+    x = np.array([[0.1, 0.0], [-10.0, 0.0], [0.2, 0.3]])
+    y = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    rows = br.rows(x, y, with_f=False, with_p=True)
+    p, errors = oracles._p_numeric(br, x, y)
+    assert rows.p.tobytes() == p.tobytes()
+    assert [(type(e), str(e)) for e in rows.errors] == [(type(e), str(e)) for e in errors]
+    assert p_at(br, x[0], y[0]) == p[0] and errors[0] is None
+    assert str(errors[1]) == "projective factor requires F > 0"  # F = 0 at x^1 = -10

@@ -19,11 +19,11 @@ from oracles import f_at
 from projflat import (CombinedNorm, DimensionMismatchError, DomainError,
                       DoubleSqrtNorm, EuclideanNorm, HomogeneousFunction, MetricEvaluator,
                       ProjFlatError, RandersNorm, ScaledNorm, SolverConfig,
-                      SolverError, ZeroNorm, berwald_system_residual,
-                      build_k0, build_kneg1, build_kpos1, combine,
+                      SolverError, ZeroNorm, as_evaluator, berwald_system_residual,
+                      broken_metric, build_k0, build_kneg1, build_kpos1, combine,
                       flag_curvature, geodesic_coefficients_general,
                       hamel_residual, integrate_geodesic, jet,
-                      master_pde_residual, parse_norms,
+                      list_catalog, master_pde_residual, parse_norms,
                       projective_factor_numeric, solve_complex, solve_real)
 from projflat.cli import parse_metric
 from projflat.sampling import ball_points, sphere_points
@@ -270,7 +270,9 @@ def test_closed_form_rows_run_eval_row_by_row(monkeypatch):
     """A closed form's rows pass the point guard first; ``eval`` then runs
     once on each row that passed, and never on a guarded-out row.  A
     formula's own DomainError fails its row alone: funk at |x| = 1 - 1e-13
-    is inside the guard's radius 1 but outside the formula's ball."""
+    is inside the guard's radius 1 but outside the formula's ball.  Its P
+    is the numeric one of ``oracles._p_numeric``, bit for bit, with the
+    same per-row errors (F's first on a row asked for both)."""
     metric = parse_metric("catalog:funk", 2, SolverConfig())
     x = np.array([[0.1, 0.2], [1.5, 0.0], [0.3, -0.4], [1.0 - 1e-13, 0.0],
                   [np.nan, 0.0], [-0.2, 0.5]])
@@ -290,8 +292,65 @@ def test_closed_form_rows_run_eval_row_by_row(monkeypatch):
     assert np.isnan(rows.f[1:5]).all()
     assert all(type(exc) is DomainError for exc in rows.errors[1:5])
     assert str(rows.errors[3]) == "funk metric lives on the open unit ball"
-    with pytest.raises(ProjFlatError):
-        metric.rows(x, y, with_p=True)
+    p, p_errors = oracles._p_numeric(metric, x, y)
+    for with_f in (True, False):
+        both = metric.rows(x, y, with_f=with_f, with_p=True)
+        assert same_bits(both.p, p)
+        assert messages(both.errors) == messages(p_errors)
+
+
+def same_bits(a, b):
+    """Equal arrays, nan where the other is nan and the same bits elsewhere."""
+    nan = np.isnan(a)
+    return (nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def messages(errors):
+    return [None if e is None else (type(e), str(e)) for e in errors]
+
+
+def closed_forms(d):
+    return [pytest.param(as_evaluator(entry), id=f"d{d}-{entry.name}")
+            for entry in list_catalog(d)] + [pytest.param(broken_metric(d), id=f"d{d}-broken")]
+
+
+@pytest.mark.parametrize("metric", closed_forms(2) + closed_forms(3))
+def test_closed_form_masks_equal_uniform_calls(metric):
+    """On every closed form, per-row ``with_f`` and ``with_p`` masks give
+    each row what the uniform call for its fields gives it: F, P and error
+    of ``with_f=True, with_p=True`` on a row asked for both, of the F-only
+    or the P-only call on a row asked for one, and nan with no error on a
+    row asked for neither.  The P-only call equals ``oracles._p_numeric``
+    bit for bit.  The rows hold points beyond the validity radius, a zero
+    and an underflowing y, non-finite input, and a tiny y."""
+    d = metric.dimension
+    rng = np.random.default_rng(d)
+    radius = min(metric.domain_radius, 2.0)
+    x = np.vstack([ball_points(rng, d, 0.7 * radius, 8),
+                   1.05 * radius * sphere_points(rng, d, 2), 3.0 * sphere_points(rng, d, 1),
+                   np.zeros((5, d))])
+    y = sphere_points(rng, d, len(x)) * rng.uniform(0.5, 2.0, (len(x), 1))
+    y[11], y[12], y[13] = 0.0, 1e-170, 1e-100
+    x[14, 0], y[15, -1] = np.nan, np.inf
+    f_mask, p_mask = rng.random((2, len(x))) < 0.6
+    f_mask[:4], p_mask[:4] = [True, True, False, False], [True, False, True, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = metric.rows(x, y, with_f=f_mask, with_p=p_mask)
+        uniform = {(True, True): metric.rows(x, y, with_p=True),
+                   (True, False): metric.rows(x, y),
+                   (False, True): metric.rows(x, y, with_f=False, with_p=True)}
+    p, p_errors = oracles._p_numeric(metric, x, y)
+    assert same_bits(uniform[False, True].p, p)
+    assert messages(uniform[False, True].errors) == messages(p_errors)
+    for i, asked in enumerate(zip(f_mask.tolist(), p_mask.tolist())):
+        want = uniform.get(asked)
+        if want is None:
+            assert mixed.errors[i] is None and np.isnan([mixed.f[i], mixed.p[i]]).all()
+            continue
+        assert messages(mixed.errors[i:i + 1]) == messages(want.errors[i:i + 1]), i
+        for got, ref, on in ((mixed.f, want.f, asked[0]), (mixed.p, want.p, asked[1])):
+            assert same_bits(got[i:i + 1], ref[i:i + 1]) if on else np.isnan(got[i]), i
 
 
 @pytest.mark.parametrize("spec", ["construct:0:euclidean:randers:0.2,0.1",

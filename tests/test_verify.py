@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from projflat import (DomainError, EuclideanNorm, ScaledNorm, ZeroNorm,
+from projflat import (DomainError, EuclideanNorm, MetricEvaluator, ScaledNorm, ZeroNorm,
                       as_evaluator, berwald_system_residual, broken_metric,
                       build_k0, build_kneg1, catalog_entry, collinearity_score,
                       flag_curvature,
@@ -14,7 +14,7 @@ from projflat import (DomainError, EuclideanNorm, ScaledNorm, ZeroNorm,
                       master_pde_residual, projective_factor_numeric)
 from projflat import ProjFlatError, SolverConfig, cli
 from oracles import (berwald_composed, convexity_check, f_at, fd_gradient,
-                     flag_curvature_composed, p_exact_at, point_values_composed)
+                     flag_curvature_composed, p_at, point_values_composed)
 from projflat.sampling import ball_points, sphere_points
 from projflat.verify import VerificationReport, make_report, point_values
 
@@ -104,7 +104,7 @@ def test_projective_factor_consistency(rng):
     for _ in range(10):
         x = ball_points(rng, 2, 0.5, 1)[0]
         y = sphere_points(rng, 2, 1)[0]
-        exact = p_exact_at(m, x, y)
+        exact = p_at(m, x, y)
         [numeric] = projective_factor_numeric(m, [x], [y])
         assert numeric == pytest.approx(exact, rel=1e-6, abs=1e-8)
 
@@ -273,3 +273,24 @@ def test_one_call_checks_match_the_multi_call_composition(spec, dim, iterations)
         for rows in (slice(0, 7), slice(0, 10), slice(7, None)):
             assert (_outcome(check, metric, xs[rows], ys[rows])
                     == _outcome(composed, metric, xs[rows], ys[rows]))
+
+
+def test_berwald_raises_the_jet_error_before_the_p_error():
+    """A closed form whose F fails on the jet's stencil and whose numeric
+    P fails at the centre, with different messages: ``berwald`` raises the
+    jet's error, as its docstring says.  F fails wherever x^1 or x^2 has
+    left the centre (0.5, 0); with y = (0, 1) the jet's first failing
+    point moves x^1, the centre's difference quotient moves x^2."""
+    def f_value(x, y):
+        if x[0] != 0.5:
+            raise DomainError("x^1 moved")
+        if x[1] != 0.0:
+            raise DomainError("x^2 moved")
+        return float(np.linalg.norm(y))
+
+    probe = MetricEvaluator(kind="test:probe", dimension=2, f_eval=f_value,
+                            intended_curvature=0.0)
+    with pytest.raises(DomainError, match="x\\^1 moved"):
+        berwald_system_residual(probe, [[0.5, 0.0]], [[0.0, 1.0]])
+    with pytest.raises(DomainError, match="x\\^2 moved"):
+        projective_factor_numeric(probe, [[0.5, 0.0]], [[0.0, 1.0]])
