@@ -24,6 +24,7 @@ zhou         -1          |y| c1(z1) / (c1(z1)^2 - (z2 + c2(z1))^2)
 
 import cmath
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -167,9 +168,13 @@ def _eval_sph_k0(c, branch, x, y):
     denom = 1.0 - c * c * xx
     if denom <= _MARGIN:
         raise DomainError("sph-k0 needs |x| < 1/|c|")
+    quartic = yy * yy
+    if quartic < sys.float_info.min:  # |y|^4 underflows: F has degree 1, so
+        e = math.frexp(float(np.abs(y).max()))[1]  # evaluate at y 2^-e, exactly
+        return math.ldexp(_eval_sph_k0(c, branch, x, np.ldexp(y, -e)), e)
     z = math.sqrt(denom * yy + c * c * xy * xy)
     base = c * xy + branch * z
-    return yy * yy / (z * base * base)
+    return quartic / (z * base * base)
 
 
 def _eval_sph_kneg1(c, x, y):

@@ -141,17 +141,17 @@ class MetricEvaluator:
         with np.errstate(over="ignore"):  # an overflow is reported per row
             squares, length = np.vecdot(y, y), lengths(x)
             # both are >= 0 (or nan), so their sum is finite iff both are
-            fails = ~np.isfinite(squares + length) | (squares == 0.0)
+            passes = np.isfinite(squares + length) & (squares != 0.0)
         if per_f or with_f:
-            fails |= self.beyond_radius(length) & with_f
+            passes &= ~(self.beyond_radius(length) & with_f)
         asked = with_f | with_p
-        ok = ~fails if asked is True else ~fails & asked
+        ok = passes if asked is True else passes & asked
         solve = self._formula if self.solve is None else lambda x, y, f, _: self.solve(x, y, f)
-        if ok.all():  # no per-row Python when every row passes
+        if np.count_nonzero(ok) == len(ok):  # no per-row Python when every row passes
             f, p, errors = solve(x, y, with_f, with_p)
         else:
             errors = [None] * len(y)
-            for i in np.flatnonzero(fails & asked):
+            for i in np.flatnonzero(~passes & asked):
                 yy, r = float(squares[i]), float(length[i])
                 errors[i] = DomainError(NON_FINITE if not math.isfinite(yy + r) else ZERO_Y
                                         if yy == 0.0 else self.radius_message(r))
@@ -224,9 +224,10 @@ def p_numeric(metric, x, y):
     the quotient beyond the validity radius fails its row; a zero y takes
     step 0 and fails the point guard at (x, y)."""
     n = x.shape[1]
-    ny = lengths(y)
-    h = STEP_FIRST * np.maximum(1.0, lengths(x)) / np.where(ny == 0.0, 1.0, ny)
-    step = h[:, None] * y
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails in ``rows``
+        ny = lengths(y)
+        h = STEP_FIRST * np.maximum(1.0, lengths(x)) / np.where(ny == 0.0, 1.0, ny)
+        step = h[:, None] * y
     values = metric.rows(np.concatenate((x, x + step, x - step), axis=1).reshape(-1, n),
                          np.repeat(y, 3, axis=0))
     f0, f_up, f_down = (values.f[k::3] for k in range(3))
@@ -256,7 +257,7 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
         res = solve_real(phi, x, y, cfg)
         errors, f = res.errors, np.full(len(y), np.nan)
         live = error_free(errors) & with_f  # F, and its error, only where asked
-        if live.any():  # a guarded row's eta is finite and nonzero
+        if np.count_nonzero(live):  # a guarded row's eta is finite and nonzero
             denom = 1.0 - np.vecdot(phi.grad_real(res.eta[live]), x[live])
             vanishes = denom < 1e-8
             if vanishes.any():
@@ -272,6 +273,9 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
         intended_curvature=0.0, domain_radius=_domain_from(radius_estimate(phi)))
 
 
+_SIGNS = np.array([1.0, -1.0])
+
+
 def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
                 cfg: SolverConfig = None) -> MetricEvaluator:
     """Curvature -1 metric from origin data (psi, phi)."""
@@ -284,8 +288,8 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
         # one solve of phi + sign psi on the rows stacked twice: Phi_+ on the
         # first copy (sign +1), Phi_- on the second (sign -1)
         half = len(y)
-        both = CombinedNorm(psi.dimension, ((1.0, phi), (np.repeat((1.0, -1.0), half), psi)))
-        res = solve_real(both, np.vstack((x, x)), np.vstack((y, y)), cfg)
+        both = CombinedNorm(psi.dimension, ((1.0, phi), (_SIGNS.repeat(half), psi)))
+        res = solve_real(both, np.concatenate((x, x)), np.concatenate((y, y)), cfg)
         a, b = res.value[:half], res.value[half:]
         errors = first_errors(res.errors[:half], res.errors[half:])
         return 0.5 * (a - b), 0.5 * (a + b), errors

@@ -52,6 +52,7 @@ origin data psi = cos(alpha)|y| and phi = sin(alpha)|y|.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +90,7 @@ def scale_exponents(y):
 
 def times_pow2(values, e):
     """``values * 2^e`` per row, exact; e = 0 keeps the bits."""
-    if not e.any():
+    if not np.count_nonzero(e):
         return values
     out = np.array(values)
     out.real = np.ldexp(values.real, e)
@@ -253,15 +254,18 @@ class RandersNorm(HomogeneousFunction):
         if len(self.drift) != self.dimension:
             raise DimensionMismatchError("drift vector length must equal dimension")
 
+    @cached_property
+    def _drift(self):
+        return np.asarray(self.drift, dtype=float)
+
     def _real(self, v):
-        return lengths(v) + np.vecdot(v, self.drift)
+        return lengths(v) + np.vecdot(v, self._drift)
 
     def _grad(self, v):
-        return v / lengths(v)[:, None] + np.asarray(self.drift, dtype=float)
+        return v / lengths(v)[:, None] + self._drift
 
     def _complex(self, v):
-        drift = np.sum(v * np.asarray(self.drift, dtype=float), axis=-1)
-        return np.sqrt(_csum_sq(v)) + drift
+        return np.sqrt(_csum_sq(v)) + np.add.reduce(v * self._drift, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -320,9 +324,9 @@ class DoubleSqrtNorm(HomogeneousFunction):
         # once q leaves the right half plane.
         u, w = self._blocks(v)
         q = _csum_sq(u)
-        qt = _csum_sq(w)
-        h_plus = 1j * np.sqrt(q - 1j * qt)
-        h_minus = -1j * np.sqrt(q + 1j * qt)
+        iqt = 1j * _csum_sq(w)
+        h_plus = 1j * np.sqrt(q - iqt)
+        h_minus = -1j * np.sqrt(q + iqt)
         return (h_plus - h_minus) / 2j if self.plus else (h_plus + h_minus) / 2.0
 
     def _grad(self, v):
@@ -363,14 +367,30 @@ class CombinedNorm(HomogeneousFunction):
     def zero_ok(self) -> bool:
         return all(f.zero_ok for _, f in self.terms)
 
-    def _real(self, v):
-        return sum(c * f._real(v) for c, f in self.terms)
+    @cached_property
+    def _columns(self):
+        """The coefficients as gradient weights: a column weights its own
+        row, and a scalar reshapes to (1, 1)."""
+        return tuple((np.reshape(c, (-1, 1)), f) for c, f in self.terms)
 
-    def _grad(self, v):  # a column weights its own row; a scalar reshapes to (1, 1)
-        return sum(np.reshape(c, (-1, 1)) * f._grad(v) for c, f in self.terms)
+    # each sum starts from 0, as ``sum`` does, so a -0.0 sum reads +0.0
+    def _real(self, v):
+        total = 0
+        for c, f in self.terms:
+            total = total + c * f._real(v)
+        return total
+
+    def _grad(self, v):
+        total = 0
+        for c, f in self._columns:
+            total = total + c * f._grad(v)
+        return total
 
     def _complex(self, v):
-        return sum(c * f._complex(v) for c, f in self.terms)
+        total = 0
+        for c, f in self.terms:
+            total = total + c * f._complex(v)
+        return total
 
 
 def combine(*weighted) -> CombinedNorm:

@@ -22,25 +22,30 @@ Picard iteration when its secant root fails a check or does not attract.
 
 Both solves take rows ``x``, ``y`` of shape ``(N, n)``, and only rows,
 and run every row in lockstep with numpy.  The rows stay in their arrays
-under a boolean mask of the active ones: each step evaluates every row
-and updates the active rows with ``np.where``.  The real solve stores a
-row's value when the loop ends, if the row passes its final residual
-test; the complex solve judges its rows once
-per round, when every row of the round has left the mask, and restarts
-the rejected ones together as the next round.  The problems are
-independent per point, so a row gets exactly the steps (and bits) it
-would get in a batch of one.  A row that fails keeps its own error in
+under a boolean mask of the active ones: each step evaluates every row,
+updates the active rows with ``np.where`` (or takes the new values whole
+when every row is active) and counts the active rows with
+``np.count_nonzero``.  The real solve stores a row's value when the loop
+ends, if the row passes its final residual test.  The complex solve runs
+in rounds.  Every row of a round starts from z0 at the same step, so the
+rows share one step count, and only the first round takes secant steps;
+a step forms the Picard step only if some row takes it.  The solve
+judges its rows once per round, when every row of the round has left the
+mask, and restarts the rejected ones together as the next round.  The
+problems are independent per point, so a row gets exactly the steps (and
+bits) it would get in a batch of one.  A row that fails keeps its own error in
 ``SolveResult.errors`` and the others go on.  A combination whose
 coefficients are per-row columns (``norms.CombinedNorm``) solves a
 different function on each row in the same loop: the pair Phi_+, Phi_- of
 curvature -1 is one solve of phi + s psi with s = +1 on one copy of the
 rows and -1 on the other.
 
-Each solve checks its rows once, at entry, and brings each y into range
-by a power of two (see ``_Rows``); the Newton, bracket and complex
-fixed-point loops then call the norms' row kernels (``_real``,
-``_grad``, ``_complex``), which skip the checks and the rescale of the
-public norm methods.
+Each solve checks its rows once, at entry (one count of the finite
+components, then a per-row check only if one is not finite), and brings
+each y into range by a power of two (see ``_Rows``); the Newton, bracket
+and complex fixed-point loops then call the norms' row kernels
+(``_real``, ``_grad``, ``_complex``), which skip the checks and the
+rescale of the public norm methods.
 """
 
 import math
@@ -103,8 +108,10 @@ class _Rows:
     x = y = 0, which ``_at`` evaluates as 0).  Each y is brought into
     range by ``scale_exponents``: the solves stop on absolute floors, and
     the fixed point has degree one in y, so ``result`` scales the value,
-    eta and residual back by exactly 2^e.  The loops then call the norms'
-    row kernels, which check nothing.
+    eta and residual back by exactly 2^e.  ``x`` and ``y`` are kept in the
+    solve's dtype, so a complex solve casts them once, not on every step
+    (numpy casts a real operand of a complex product the same way).  The
+    loops then call the norms' row kernels, which check nothing.
     """
 
     def __init__(self, dimension, x, y, dtype):
@@ -115,17 +122,19 @@ class _Rows:
         self.residual = np.full(count, np.nan)
         self.failed = np.zeros(count, dtype=bool)
         self.errors = [None] * count
-        bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
-        if bad.any():
+        if np.count_nonzero(np.isfinite(x)) + np.count_nonzero(np.isfinite(y)) < 2 * y.size:
+            bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
             self.fail(bad, DomainError("non-finite vector"))
             x, y = np.where(bad[:, None], 0.0, x), np.where(bad[:, None], 0.0, y)
         self.e = scale_exponents(y)
-        self.x, self.y = x, times_pow2(y, -self.e[:, None])
+        self.x = x.astype(dtype, copy=False)
+        self.y = times_pow2(y, -self.e[:, None]).astype(dtype, copy=False)
 
     def fail(self, mask, error):
         """Fail the rows where ``mask`` holds with ``error``, or ``error(i)``."""
-        for i in np.flatnonzero(mask):
-            self.failed[i] = True
+        where = mask.nonzero()[0]
+        self.failed[where] = True
+        for i in where.tolist():
             self.errors[i] = error(i) if callable(error) else error
 
     def shifted(self, t):
@@ -139,23 +148,21 @@ class _Rows:
         return SolveResult(value, eta, residual, int(iterations), self.errors)
 
 
-def _at(kernel, w, nonzero):
-    """``kernel`` on the points ``w``; 0 where ``nonzero(w)`` is False,
-    since degree-1 homogeneity forces the value to 0 at the origin.  The
-    kernel sees every row (such a row as all ones), so a kernel with
-    per-row coefficients stays aligned with its rows."""
-    keep = nonzero(w)
-    if np.logical_and.reduce(keep):
+def _at(kernel, w, keep):
+    """``kernel`` on the points ``w``, and 0 on the rows where the mask
+    ``keep`` is False (``True`` keeps every row): degree-1 homogeneity
+    forces the value to 0 at the origin.  The kernel sees every row (a
+    dropped row as all ones), so a kernel with per-row coefficients stays
+    aligned with its rows."""
+    if keep is True or np.count_nonzero(keep) == len(keep):
         return kernel(w)
     return np.where(keep, kernel(np.where(keep[:, None], w, 1.0)), 0.0)
 
 
-def _real_nonzero(w):
-    return np.vecdot(w, w) != 0.0  # the real kernels need a nonzero squared length
-
-
 def _complex_nonzero(w):
-    return w.any(axis=-1)
+    """The rows of ``w`` with a nonzero component; True when every
+    component is nonzero, which one count tells."""
+    return True if np.count_nonzero(w) == w.size else w.any(axis=-1)
 
 
 # a non-finite value fails its own row, and the loops go on evaluating rows
@@ -175,20 +182,25 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
     rows = _Rows(phi.dimension, x, y, float)
 
     def value(w):
-        return _at(phi._real, w, _real_nonzero)
+        """phi at the points ``w`` (the real kernels need a nonzero
+        squared length), and those squared lengths."""
+        squares = np.vecdot(w, w)
+        return _at(phi._real, w, squares != 0.0), squares
 
     def f(t):
-        """The residual t - phi(eta) and the shifted argument eta = y + x t."""
+        """The residual t - phi(eta), the shifted argument eta = y + x t
+        and its squared length."""
         eta = rows.shifted(t)
-        return t - value(eta), eta
+        phi_eta, squares = value(eta)
+        return t - phi_eta, eta, squares
 
-    t0 = value(rows.y)
+    t0, squares = value(rows.y)
     width = np.maximum(1.0, np.abs(t0))
     lo, hi = t0 - width, t0 + width
-    (flo, _), (fhi, _) = f(lo), f(hi)
+    flo, fhi = f(lo)[0], f(hi)[0]
     need = ~rows.failed & ((flo > 0.0) | (fhi < 0.0))  # no sign change yet
     expansions = 0
-    while need.any():
+    while np.count_nonzero(need):
         expansions += 1
         stuck = need if expansions > _MAX_EXPANSIONS else need & ~(
             np.isfinite(flo) & np.isfinite(fhi))
@@ -198,35 +210,40 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
         need &= ~stuck
         width = np.where(need, width * BRACKET_EXPANSION, width)
         lo, hi = t0 - width, t0 + width
-        (flo, _), (fhi, _) = f(lo), f(hi)
+        flo, fhi = f(lo)[0], f(hi)[0]
         need &= (flo > 0.0) | (fhi < 0.0)
 
-    kink_scale = 1e-9 * (1.0 + lengths(rows.y))
+    kink_scale = 1e-9 * (1.0 + np.sqrt(squares))  # |y|, as ``lengths`` rounds it
     t = np.minimum(np.maximum(t0, lo), hi)
-    ft, eta = f(t)
+    ft, eta, squares = f(t)
     target = cfg.tolerance
     iterations = 0
     steps = 0
     act = ~rows.failed & (np.abs(ft) > _REFINE_FLOOR * (1.0 + np.abs(t)))
-    while act.any():
+    active = np.count_nonzero(act)
+    while active:
         if steps >= cfg.max_iterations:  # every active row has taken ``steps`` steps
             rows.fail(act & (np.abs(ft) > target), lambda i: SolverError(
                 f"iteration cap {cfg.max_iterations} exceeded "
                 f"(residual {abs(ft[i]):.3e})"))
             break
         steps += 1
-        iterations += np.count_nonzero(act)
+        iterations += active
         up = ft > 0.0  # the bracket moves on rows that left too, which read only t
         hi, lo = np.where(up, t, hi), np.where(up, lo, t)
         slope = 1.0 - np.vecdot(phi._grad(eta), rows.x)
         t_new = t - ft / slope
-        newton = ((lengths(eta) > kink_scale) & (slope > 1e-12)
+        newton = ((np.sqrt(squares) > kink_scale) & (slope > 1e-12)
                   & (lo < t_new) & (t_new < hi))
-        t = np.where(act, np.where(newton, t_new, 0.5 * (lo + hi)), t)
-        ft, eta = f(t)
+        if active == len(t) and np.count_nonzero(newton) == active:
+            t = t_new  # every row active and taking its Newton step
+        else:
+            t = np.where(act, np.where(newton, t_new, 0.5 * (lo + hi)), t)
+        ft, eta, squares = f(t)
         floor, size = _REFINE_FLOOR * (1.0 + np.abs(t)), np.abs(ft)
         settled = (hi - lo <= floor) & (size <= target)
         act &= ~settled & (size > floor)
+        active = np.count_nonzero(act)
 
     residual = np.abs(ft)
     rows.fail(~rows.failed & (residual > target), lambda i: SolverError(
@@ -302,45 +319,57 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         return phi._complex(w) + 1j * psi._complex(w)
 
     def g(z):
-        return _at(pair, rows.shifted(z), _complex_nonzero)
+        w = rows.shifted(z)
+        return _at(pair, w, _complex_nonzero(w))
 
-    z0 = _at(pair, rows.y.astype(complex), _complex_nonzero)
+    z0 = _at(pair, rows.y, _complex_nonzero(rows.y))
     scale = 1.0 + np.abs(z0)
     floor, blow_up = _REFINE_FLOOR * scale, 1e6 * scale
     damping = np.ones(count)
     z = z0
-    steps = np.zeros(count, dtype=int)  # since the row's last (re)start
-    secant = np.ones(count, dtype=bool)  # rows on their accelerated attempt
-    # the previous iterate and residual, and the slope dh/dz of the last
-    # secant step (nan until the row takes one)
-    z_prev = h_prev = slope = np.full(count, rows.missing)
-    blown = np.zeros(count, dtype=bool)  # whether a row's last step diverged
+    # the slope dh/dz of a row's last secant step (nan until it takes one)
+    slope = np.full(count, rows.missing)
     iterations = 0
-    # a row that has left is parked until the round's judgement: its z and
-    # slope keep their bits, while its z_prev, h_prev and steps change unread
-    act = judged = ~rows.failed
-    while act.any():
-        iterations += np.count_nonzero(act)
-        steps += 1
-        val = g(z)
-        h = z - val
-        finite = act & np.isfinite(val)  # not on a parked row, which keeps its z
-        res = np.abs(h)
-        step = np.where(finite, (1.0 - damping) * z + damping * val, z)
-        dz, dh = z - z_prev, h - h_prev
-        secant_step = z - h * dz / dh  # nan on a row's first step
-        take = secant & finite & np.isfinite(secant_step)
-        z_prev, h_prev = z, h
-        z = np.where(take, secant_step, step)
-        slope = np.where(take, dh / dz, slope)
-        diverged = ~finite | (res > blow_up)
-        leave = act & (diverged | (res <= floor) | (steps >= cfg.max_iterations))
-        if not leave.any():
-            continue
-        blown = np.where(leave, diverged, blown)
-        act = act & ~leave
-        if act.any():
-            continue
+    # every row of a round starts from z0 together, so they share the step
+    # count, and only the first round takes secant steps
+    judged, first = ~rows.failed, True
+    while np.count_nonzero(judged):
+        act, active = judged, np.count_nonzero(judged)
+        blown = np.zeros(count, dtype=bool)  # whether a row's last step diverged
+        keep = 1.0 - damping
+        for steps in range(1, cfg.max_iterations + 1):
+            iterations += active
+            val = g(z)
+            h = z - val
+            res = np.abs(h)
+            finite = act & np.isfinite(val)  # not on a parked row, which keeps its z
+            # each finite row takes the secant step where it is defined and
+            # finite (not on a row's first step, where it is nan), else the
+            # Picard step; the Picard step is formed only if a row takes it
+            step, taken = z, 0
+            if first and steps > 1:
+                dz, dh = z - z_prev, h - h_prev
+                secant_step = z - h * dz / dh
+                take = finite & np.isfinite(secant_step)
+                taken = np.count_nonzero(take)
+                if taken == count:
+                    step, slope = secant_step, dh / dz
+                elif taken:
+                    step, slope = np.where(take, secant_step, z), np.where(take, dh / dz, slope)
+            if taken < active:
+                picard = finite & ~take if taken else finite
+                step = np.where(picard, keep * z + damping * val, step)
+            z_prev, h_prev, z = z, h, step
+            if steps == cfg.max_iterations:  # every active row leaves at the cap
+                stay = np.zeros(count, dtype=bool)
+            else:
+                stay = finite & ~((res <= floor) | (res > blow_up))
+            left = active - np.count_nonzero(stay)
+            if left:
+                blown |= act & ~stay & (~finite | (res > blow_up))
+                act, active = stay, active - left
+                if not active:
+                    break
         final = np.abs(z - g(z))
         good = judged & ~blown & (final <= cfg.tolerance)
         wrong = z.imag < -cfg.tolerance * scale
@@ -348,20 +377,20 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         # |g'(Z)| < 1 with g' = 1 - dh/dz; else the row retries with Picard
         retry = judged & ~np.isnan(slope) & ~(good & ~wrong & (np.abs(1.0 - slope) < 1.0))
         good &= ~retry
-        rows.fail(good & wrong, SolverError(
-            "iteration converged to the non-metric branch (negative imaginary part)"))
         kept = good & ~wrong
         rows.value = np.where(kept, z, rows.value)
         rows.residual = np.where(kept, final, rows.residual)
+        if np.count_nonzero(kept) == np.count_nonzero(judged):
+            break  # every row of the round is done
+        rows.fail(good & wrong, SolverError(
+            "iteration converged to the non-metric branch (negative imaginary part)"))
         again = judged & ~good & ~retry
         damping = np.where(again, damping * 0.5, damping)
         lost = again & (damping < _MIN_DAMPING)
         rows.fail(lost, SolverError(
             "complex fixed-point iteration failed to converge; "
             "the base point is likely outside the validity region"))
-        act = judged = retry | (again & ~lost)
-        z = np.where(act, z0, z)
-        steps = np.where(act, 0, steps)
-        secant &= ~act
-        slope = np.where(act, rows.missing, slope)
+        judged, first = retry | (again & ~lost), False
+        z = np.where(judged, z0, z)
+        slope = np.where(judged, rows.missing, slope)
     return rows.result(iterations)

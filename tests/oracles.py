@@ -476,12 +476,13 @@ def solve_complex_picard(phi, psi, x, y, cfg=None) -> SolveResult:
         return phi._complex(w) + 1j * psi._complex(w)
 
     def g(act, z):
-        return _at(pair, rows.y[act] + rows.x[act] * z[:, None], _complex_nonzero)
+        w = rows.y[act] + rows.x[act] * z[:, None]
+        return _at(pair, w, _complex_nonzero(w))
 
     def fail(act, error):
         rows.fail(np.isin(every, act), error)
 
-    z0 = _at(pair, rows.y.astype(complex), _complex_nonzero)
+    z0 = _at(pair, rows.y, _complex_nonzero(rows.y))
     scale = 1.0 + np.abs(z0)
     damping = np.ones(len(every))
     z = z0.copy()

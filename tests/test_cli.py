@@ -355,6 +355,23 @@ def test_eval_has_degree_one_at_tiny_y(capsys, metric, x, scale):
         assert tiny[key] == pytest.approx(scale * unit[key], rel=1e-12, abs=0.0), key
 
 
+@pytest.mark.parametrize("branch", ["+", "-"])
+@pytest.mark.parametrize("x", ["0.1,0", "0.1,0,0.05"])
+def test_sph_k0_has_degree_one_where_its_quartic_underflows(capsys, branch, x):
+    # |y|^4 underflows near |y| = 1e-100, so sph-k0 evaluates such a y rescaled
+    metric, d = f"catalog:sph-k0:0.3,{branch}", x.count(",") + 1
+    y = np.full(d, 1e-100)
+    code, out, _ = run_cli(capsys, "eval", "--metric", metric, "--x", x,
+                           "--y", ",".join(map(repr, y.tolist())))
+    assert code == 0
+    length = float(np.linalg.norm(y))
+    code, unit, _ = run_cli(capsys, "eval", "--metric", metric, "--x", x,
+                            "--y", ",".join(map(repr, (y / length).tolist())))
+    assert code == 0
+    assert json.loads(out)["F"] == pytest.approx(length * json.loads(unit)["F"],
+                                                 rel=1e-12, abs=0.0)
+
+
 def test_exit_code_solver_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--metric",
                            "construct:0:euclidean:randers:0.2,-0.3",

@@ -693,6 +693,19 @@ def test_point_guard_rejects_overflowing_squares_without_a_warning(spec):
         assert isinstance(exc, DomainError) and message in str(exc)
 
 
+@pytest.mark.parametrize("spec", ("catalog:funk",) + BENCH_CONSTRUCTIONS)
+def test_numeric_p_rejects_a_non_finite_y_without_a_warning(spec):
+    """``projective_factor_numeric`` forms its step |y|-scaled before the
+    point guard, so a non-finite or overflowing y must raise the guard's
+    DomainError with no numpy warning, also under ``-W error``."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in ([1.0, np.inf], [np.nan, 1.0], [1e200, 0.0]):
+            with pytest.raises(DomainError, match="must be finite"):
+                projective_factor_numeric(metric, [[0.1, 0.0]], [y])
+
+
 @pytest.mark.parametrize("spec, solver", [(BENCH_CONSTRUCTIONS[0], "solve_real"),
                                           (BENCH_CONSTRUCTIONS[1], "solve_real"),
                                           (BENCH_CONSTRUCTIONS[2], "solve_complex"),

@@ -1,6 +1,8 @@
 """Fixed-point solves: bracketing, residuals, uniqueness, derivatives."""
 
+import json
 import math
+import os
 import re
 
 import numpy as np
@@ -16,6 +18,7 @@ from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
                       solve_complex, solve_real)
 from projflat.cli import parse_metric
 from projflat.sampling import ball_points, sphere_points
+from projflat.verify import integrate_geodesic
 
 
 def bisect_oracle(fn, lo, hi, iters=200):
@@ -369,3 +372,89 @@ def test_each_masked_row_solves_as_alone(pair, config, seed, count):
             same_rows(batch, alone, i)
             total += alone.iterations
         assert batch.iterations == total
+
+
+# ---------------------------------------------------------------------------
+# golden bits: the tests above compare a batch with its rows solved alone,
+# which a change to both alike passes; these values, stored as float.hex
+# text, pin the bits themselves.  Regenerate them only for a documented
+# change of bits:
+#   PYTHONPATH=src:tests python -c "import json, test_solver as t; \
+#     print(json.dumps(t.golden_values(), indent=0, sort_keys=True))" \
+#     > tests/data/solver_golden.json
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "solver_golden.json")
+GEODESIC_SPECS = ("construct:0:euclidean:randers:0.2,0.1", "construct:-1:euclidean:scaled:0.3",
+                  "construct:1:bryant:0.5236", "construct:1:dsr-b:1,1:dsr-a:1,1")
+
+
+def hex_text(values):
+    """Each number of ``values`` as float.hex text; a complex array as
+    [real parts, imaginary parts]."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a):
+        return [hex_text(a.real), hex_text(a.imag)]
+    return [float(v).hex() for v in a.ravel()]
+
+
+def solve_record(res):
+    return {"value": hex_text(res.value), "residual": hex_text(res.residual),
+            "eta": hex_text(res.eta), "iterations": res.iterations,
+            "errors": [None if e is None else f"{type(e).__name__}: {e}" for e in res.errors]}
+
+
+def golden_values():
+    """Per ``MASK_PAIRS`` entry, one seeded batch of 12 rows, 6 in the
+    validity ball and 6 at 1-3 radii, solved real and complex under each
+    of ``MASK_CONFIGS`` (whose cap of 4 steps fails rows on the cap); and
+    the last point of each trajectory of the ``geodesic`` check on the four
+    benchmark constructions, from the CLI's starts at seed 42 and its
+    default radius 0.3."""
+    out = {}
+    for pair, (psi, phi) in enumerate(MASK_PAIRS):
+        d = psi.dimension
+        rng = np.random.default_rng(1000 + pair)
+        reach = np.concatenate((rng.uniform(0.0, 1.0, 6), rng.uniform(1.0, 3.0, 6)))
+        u = sphere_points(rng, d, 12) * reach[:, None]
+        y = rng.standard_normal((12, d))
+        for config, cfg in enumerate(MASK_CONFIGS):
+            for solve, args, radius in ((solve_real, (phi,), radius_estimate(phi)),
+                                        (solve_complex, (phi, psi),
+                                         pair_radius_estimate(phi, psi))):
+                res = solve(*args, u * min(radius, 2.0), y, cfg)
+                out[f"{solve.__name__} pair {pair} config {config}"] = solve_record(res)
+    for spec in GEODESIC_SPECS:
+        rng = np.random.default_rng(42)
+        starts, dirs = ball_points(rng, 2, 0.3 * 0.3, 5), sphere_points(rng, 2, 5)
+        metric = parse_metric(spec, 2, SolverConfig())
+        out[f"geodesic {spec}"] = [
+            {"x": hex_text(t.points[-1]), "v": hex_text(t.velocities[-1]),
+             "steps": len(t.times) - 1, "completed": t.completed}
+            for t in integrate_geodesic(metric, starts, dirs, 0.15, 100)]
+    return out
+
+
+with open(GOLDEN) as _golden:
+    GOLDEN_VALUES = json.load(_golden)
+
+
+@pytest.fixture(scope="module")
+def golden_now():
+    return golden_values()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_VALUES))
+def test_solves_keep_their_golden_bits(golden_now, key):
+    """Value, residual, eta, iterations and error text of every row, and
+    each geodesic's last point, equal the stored bits."""
+    assert golden_now[key] == GOLDEN_VALUES[key]
+
+
+def test_golden_batches_hold_every_kind_of_row():
+    """The golden batches hold converged rows, rows that fail beyond the
+    ball and, under the cap of 4 steps, capped rows."""
+    errors = [e for key, record in GOLDEN_VALUES.items() if key.startswith("solve")
+              for e in record["errors"]]
+    assert None in errors
+    for text in ("no sign change", "iteration cap", "failed to converge"):
+        assert any(e and text in e for e in errors), text
