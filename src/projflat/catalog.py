@@ -27,6 +27,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
 
 import numpy as np
@@ -68,9 +69,9 @@ def catalog_entry(name: str, dimension: int, **params) -> CatalogEntry:
 
 
 def _dots(x, y):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    return float(x @ x), float(y @ y), float(x @ y)
+    """|x|^2, |y|^2 and <x, y> of two 1-D float rows, as ``rows`` passes
+    them: ``ndarray.dot`` is the BLAS ddot of ``@``, without its dispatch."""
+    return float(x.dot(x)), float(y.dot(y)), float(x.dot(y))
 
 
 def _eval_space_form(lam, x, y):
@@ -118,10 +119,9 @@ def _pick_metric_root(num_plus, num_minus, denom):
     """Choose the quadratic root with positive imaginary part."""
     r1 = num_plus / denom
     r2 = num_minus / denom
-    pos = [r for r in (r1, r2) if r.imag > 0.0]
-    if len(pos) != 1:
+    if (r1.imag > 0.0) == (r2.imag > 0.0):
         raise BranchCutError("no unique metric branch (positive imaginary part)")
-    return pos[0]
+    return r1 if r1.imag > 0.0 else r2
 
 
 def _check_double_sqrt(dimension, n, m):
@@ -131,23 +131,21 @@ def _check_double_sqrt(dimension, n, m):
 
 
 def _eval_double_sqrt(n, m, x, y):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
     x1, x2 = x[:n], x[n:]
     y1, y2 = y[:n], y[n:]
-    a = 1.0 + float(x1 @ x1) - 1j * float(x2 @ x2)
-    b = float(x1 @ y1) - 1j * float(x2 @ y2)
-    c = float(y1 @ y1) - 1j * float(y2 @ y2)
+    a = 1.0 + float(x1.dot(x1)) - 1j * float(x2.dot(x2))
+    b = float(x1.dot(y1)) - 1j * float(x2.dot(y2))
+    c = float(y1.dot(y1)) - 1j * float(y2.dot(y2))
     disc = c * a - b * b
     root = cmath.sqrt(disc)
     return _pick_metric_root(-b + 1j * root, -b - 1j * root, a).imag
 
 
-def _root_scaled(a, x, y):
-    """Closed root of Phi = a |y + x Phi| (zero when a == 0)."""
+def _root_scaled(a, xx, yy, xy):
+    """Closed root of Phi = a |y + x Phi| (zero when a == 0), from the
+    dots of x and y."""
     if a == 0.0:
         return 0.0
-    xx, yy, xy = _dots(x, y)
     denom = 1.0 - a * a * xx
     if denom <= _MARGIN:
         raise DomainError("scaled-root denominator vanished")
@@ -169,16 +167,17 @@ def _eval_sph_k0(c, branch, x, y):
     if denom <= _MARGIN:
         raise DomainError("sph-k0 needs |x| < 1/|c|")
     quartic = yy * yy
-    if quartic < sys.float_info.min:  # |y|^4 underflows: F has degree 1, so
-        e = math.frexp(float(np.abs(y).max()))[1]  # evaluate at y 2^-e, exactly
-        return math.ldexp(_eval_sph_k0(c, branch, x, np.ldexp(y, -e)), e)
+    if not sys.float_info.min <= quartic < math.inf:  # |y|^4 under- or overflows:
+        e = math.frexp(float(np.abs(y).max()))[1]  # F has degree 1, so evaluate
+        return math.ldexp(_eval_sph_k0(c, branch, x, np.ldexp(y, -e)), e)  # at y 2^-e
     z = math.sqrt(denom * yy + c * c * xy * xy)
     base = c * xy + branch * z
     return quartic / (z * base * base)
 
 
 def _eval_sph_kneg1(c, x, y):
-    return 0.5 * (_root_scaled(c + 1.0, x, y) - _root_scaled(c - 1.0, x, y))
+    dots = _dots(x, y)
+    return 0.5 * (_root_scaled(c + 1.0, *dots) - _root_scaled(c - 1.0, *dots))
 
 
 def _eval_sph_kpos1(c, x, y):
@@ -260,11 +259,9 @@ CATALOG_NAMES = tuple(_TABLE)
 
 def as_evaluator(entry: CatalogEntry) -> MetricEvaluator:
     """Wrap an entry as a MetricEvaluator (numeric projective factor)."""
-    formula = _TABLE[entry.name].formula
-    args = tuple(entry.params.values())
     return MetricEvaluator(
         kind=f"catalog:{entry.name}", dimension=entry.dimension,
-        f_eval=lambda x, y: formula(*args, x, y),
+        f_eval=partial(_TABLE[entry.name].formula, *entry.params.values()),
         intended_curvature=entry.known_curvature,
         domain_radius=entry.domain_radius)
 

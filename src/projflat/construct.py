@@ -33,6 +33,12 @@ point by point (``eval``), and its P is the difference quotient
 P = F_{x^k} y^k / (2F) of ``p_numeric`` (Shen).  Nothing else leaves a
 solve: the transport fields that ``verify`` checks are built from F, P
 and the stated curvature alone.
+
+A closed form keeps exactly one ``eval`` call per F row: the tests'
+``EVALS_PER_POINT`` table and the benchmark's tracer count those calls,
+so formulas on whole arrays wait until the benchmark counts rows instead
+(ROADMAP.md, items 2 and 4).  Each call costs about its own arithmetic:
+the formulas take the 1-D float rows as they are, with no conversion.
 """
 
 import math
@@ -49,6 +55,7 @@ DOMAIN_SAFETY = 0.8
 STEP_FIRST = float(np.finfo(float).eps) ** (1.0 / 3.0)  # first differences of F
 NON_FINITE = "x and y must be finite, with finite squared lengths"
 ZERO_Y = "y = 0 is outside the metric domain"
+P_OVERFLOWS = "projective factor overflows at this point"
 
 
 @dataclass
@@ -95,9 +102,11 @@ class MetricEvaluator:
     constructed-Kpos1 / catalog:<name> / test:broken, and
     ``intended_curvature`` its constant flag curvature K.  ``rows`` guards
     the points of every kind and gives F and P on each.  A closed form
-    carries ``f_eval``, its formula at one point, which ``rows`` calls
-    through ``eval`` once per guarded F row and, for the numeric P, at
-    three points per P row; a constructed metric carries ``solve``, which
+    carries ``f_eval``, its formula at one point on 1-D float rows, which
+    ``rows`` calls through ``eval`` once per guarded F row and, for the
+    numeric P, at three points per P row (the count that the tests and the
+    benchmark's tracer check, which is why the formulas are not yet
+    written on arrays); a constructed metric carries ``solve``, which
     maps the guarded rows ``x``, ``y`` and the mask of rows asked for F to
     ``(F, P, errors)`` (see RowValues) from one solve per row; its F and P
     may hold values on rows not asked for, which ``rows`` blanks.
@@ -170,18 +179,31 @@ class MetricEvaluator:
     def _formula(self, x, y, with_f, with_p):
         """A closed form's rows solve: ``eval`` on each guarded row asked
         for F, then the numeric P (``p_numeric``) on the rows asked for P.
-        A formula's own error, or a math overflow or domain error in it,
-        fails its row alone; a row's error is F's, else P's."""
-        per_row, p, errors = isinstance(with_f, np.ndarray), None, [None] * len(y)
-        f = np.full(len(y), np.nan) if per_row or with_f else None
-        for i in np.flatnonzero(with_f).tolist() if per_row else range(len(y) if with_f else 0):
-            try:
-                f[i] = self.eval(x[i], y[i])
-            except ProjFlatError as exc:
-                errors[i] = exc.with_traceback(None)  # no frame cycle
-            except (ArithmeticError, ValueError) as exc:  # math's, on this row's values
-                fault = "overflows" if isinstance(exc, OverflowError) else f"fails ({exc})"
-                errors[i] = DomainError(f"{self.kind} formula {fault} at this point")
+        A formula's own error, a math overflow or domain error in it, or a
+        non-finite F fails its row alone; a row's error is F's, else P's."""
+        per_row, f, p, errors = isinstance(with_f, np.ndarray), None, None, [None] * len(y)
+        if per_row or with_f:
+            at = np.flatnonzero(with_f) if per_row else slice(None)
+            index = at.tolist() if per_row else range(len(y))
+            f_eval, values = self.eval, []  # looked up once: one eval call per F row
+            for i, xi, yi in zip(index, x[at], y[at]):
+                try:
+                    values.append(f_eval(xi, yi))
+                    continue
+                except ProjFlatError as exc:
+                    errors[i] = exc.with_traceback(None)  # no frame cycle
+                except (ArithmeticError, ValueError) as exc:  # math's, on this row's values
+                    fault = "overflows" if isinstance(exc, OverflowError) else f"fails ({exc})"
+                    errors[i] = DomainError(f"{self.kind} formula {fault} at this point")
+                values.append(math.nan)
+            f = np.full(len(y), np.nan)
+            f[at] = values
+            # a Python float product overflows to inf without raising
+            for k in np.flatnonzero(~np.isfinite(f[at])).tolist():
+                i = index[k]
+                if errors[i] is None:
+                    errors[i] = DomainError(f"{self.kind} formula gives F = {f[i]} at this point")
+                    f[i] = math.nan
         if isinstance(with_p, np.ndarray):
             p = np.full(len(y), np.nan)
             p[with_p], p_errors = p_numeric(self, x[with_p], y[with_p])
@@ -232,9 +254,12 @@ def p_numeric(metric, x, y):
                          np.repeat(y, 3, axis=0))
     f0, f_up, f_down = (values.f[k::3] for k in range(3))
     e0, e_up, e_down = (values.errors[k::3] for k in range(3))
+    with np.errstate(over="ignore"):  # F_{x^k} y^k ~ |y|^2 overflows near |y| = 1.3e154
+        dfdt = (f_up - f_down) / (2.0 * h)
+    overflows = np.isinf(dfdt)
+    dfdt[overflows] = np.nan
     errors = first_errors(e0, flagged(f0 <= 0.0, "projective factor requires F > 0"),  # nan: failed
-                          e_up, e_down)
-    dfdt = (f_up - f_down) / (2.0 * h)
+                          e_up, e_down, flagged(overflows, P_OVERFLOWS))
     with np.errstate(divide="ignore", invalid="ignore"):  # F <= 0 is flagged
         return dfdt / (2.0 * f0), errors
 
@@ -323,7 +348,7 @@ def broken_metric(dimension: int = 2) -> MetricEvaluator:
     states K = 0, which the curvature, berwald and pde checks reject too.
     """
     def f_value(x, y):
-        ny = float(np.linalg.norm(y))
+        ny = math.sqrt(y.dot(y))  # np.linalg.norm's arithmetic on a 1-D row
         return ny + 0.1 * float(x[0]) * float(y[0]) ** 2 / ny
 
     return MetricEvaluator(kind="test:broken", dimension=dimension,

@@ -32,7 +32,7 @@ from projflat import (CombinedNorm, DomainError, DoubleSqrtNorm,
                       ScaledNorm, SolveResult, SolverConfig, SolverError,
                       SpecParseError, ZeroNorm, as_evaluator, catalog_entry)
 from projflat.cli import CHECK_NAMES, DEFAULT_TOLERANCES, _run_check
-from projflat.construct import NON_FINITE, error_free, first_errors, raise_first
+from projflat.construct import NON_FINITE, P_OVERFLOWS, error_free, first_errors, raise_first
 from projflat.norms import combine
 from projflat.sampling import unit_directions
 from projflat.solver import (BRACKET_EXPANSION, RADIUS_DIRECTIONS, _at,
@@ -565,17 +565,20 @@ def constructed_fp(curvature, psi, phi, x, y, cfg=None):
 def _p_numeric(metric, xs, ys):
     """P = F_{x^k} y^k / (2F) on rows from F alone, as separate F rows
     calls at (x, y) and at x +- h y, h = STEP_FIRST max(1, |x|) / |y|;
-    and each row's first error (F's at (x, y), F <= 0, then the two
-    offset points').  The reference for a closed form's ``rows`` P."""
+    and each row's first error (F's at (x, y), F <= 0, the two offset
+    points', then an overflowing difference quotient).  The reference for
+    a closed form's ``rows`` P."""
     with np.errstate(all="ignore"):  # a non-finite row fails in F, F <= 0 is flagged
         ny = np.sqrt(np.vecdot(ys, ys))
         h = STEP_FIRST * np.maximum(1.0, np.sqrt(np.vecdot(xs, xs))) / np.where(ny == 0.0, 1.0, ny)
         step = h[:, None] * ys
         at, up, down = (metric.rows(p, ys) for p in (xs, xs + step, xs - step))
-        p = (up.f - down.f) / (2.0 * h) / (2.0 * at.f)
+        dfdt = (up.f - down.f) / (2.0 * h)
+        p = np.where(np.isinf(dfdt), np.nan, dfdt) / (2.0 * at.f)
     flagged = [DomainError("projective factor requires F > 0") if f <= 0.0 else None
                for f in at.f]
-    return p, first_errors(at.errors, flagged, up.errors, down.errors)
+    overflows = [DomainError(P_OVERFLOWS) if np.isinf(v) else None for v in dfdt]
+    return p, first_errors(at.errors, flagged, up.errors, down.errors, overflows)
 
 
 def _fields_at(metric, pairs, want):
@@ -774,3 +777,16 @@ def failing_checks(metric, radius=0.2, samples=50, seed=42) -> set:
     return {name for name in CHECK_NAMES
             if not _run_check(name, metric, np.random.default_rng(seed), radius,
                               samples, DEFAULT_TOLERANCES[name]).passed}
+
+
+# ---------------------------------------------------------------------------
+# golden bits
+
+
+def hex_text(values):
+    """Each number of ``values`` as float.hex text; a complex array as
+    [real parts, imaginary parts]."""
+    a = np.asarray(values)
+    if np.iscomplexobj(a):
+        return [hex_text(a.real), hex_text(a.imag)]
+    return [float(v).hex() for v in a.ravel()]

@@ -1,14 +1,16 @@
 """Catalog closed forms: values, domains, symmetries, reduction identities."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import oracles
-from oracles import bryant_all_real, f_at, zhou_reduction_check
-from projflat import (DomainError, SpecParseError, as_evaluator, catalog_entry,
-                      flag_curvature, hamel_residual, list_catalog,
+from oracles import bryant_all_real, f_at, hex_text, zhou_reduction_check
+from projflat import (DomainError, SpecParseError, as_evaluator, broken_metric,
+                      catalog_entry, flag_curvature, hamel_residual, list_catalog,
                       parse_catalog)
 from projflat.sampling import ball_points, sphere_points
 
@@ -320,3 +322,90 @@ def test_all_entries_projectively_flat_with_known_curvature(rng):
             assert float(ks.max() - ks.min()) <= 1e-4
         else:
             assert float(np.abs(ks - ent.known_curvature).max()) <= tol_k, ent.name
+
+
+# ---------------------------------------------------------------------------
+# golden bits: F, P and error text of every closed form on seeded rows,
+# stored as float.hex text.  The tests above compare values within a
+# tolerance; these pin the bits themselves.  Regenerate them only for a
+# documented change of bits:
+#   PYTHONPATH=src:tests python -c "import json, test_catalog as t; \
+#     print(json.dumps(t.golden_values(), indent=0, sort_keys=True))" \
+#     > tests/data/catalog_golden.json
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "catalog_golden.json")
+GOLDEN_EXTRA = ("sph-k0:0.3,+", "zhou:0.5,1,-", "space-form:1")
+
+
+def golden_metrics(d):
+    """Label and evaluator of every ``list_catalog(d)`` entry, the extra
+    parameter choices of ``GOLDEN_EXTRA`` and ``test:broken``."""
+    def label(entry):
+        params = ",".join(map(str, entry.params.values()))
+        return f"catalog:{entry.name}:{params}" if params else f"catalog:{entry.name}"
+
+    entries = list_catalog(d) + [parse_catalog(text, d) for text in GOLDEN_EXTRA]
+    return [(label(e), as_evaluator(e)) for e in entries] + [("test:broken", broken_metric(d))]
+
+
+def golden_rows(rng, d, radius):
+    """25 seeded rows: 12 inside the ball, three beyond the validity
+    radius, one just inside it, a y of length 1e-100, 1e60, 1e96 and
+    1.2e154 (twice, twice, once, once), a zero, an underflowing and an
+    infinite y, and a nan x."""
+    x = np.vstack([ball_points(rng, d, 0.9 * radius, 12),
+                   radius * np.array([1.02, 1.5, 3.0, 1.0 - 1e-13])[:, None]
+                   * sphere_points(rng, d, 4),
+                   ball_points(rng, d, 0.5 * radius, 9)])
+    y = sphere_points(rng, d, 25) * rng.uniform(0.2, 3.0, (25, 1))
+    y[16:24] *= np.array([1e-100, 1e-100, 1e60, 1e60, 1e96, 1.0, 0.0, 1e-170])[:, None]
+    y[21] = 1.2e154 * sphere_points(rng, d, 1)[0]  # |y|^2 finite, |y|^4 not
+    y[24, 0], x[23, -1] = np.inf, np.nan
+    return x, y
+
+
+def golden_values():
+    """Per metric at d = 2 and 3: the rows of ``golden_rows`` and, on
+    them, F, P and each row's error text from ``rows(with_p=True)``, and
+    the error text of the P-only call."""
+    text = lambda errors: [None if e is None else f"{type(e).__name__}: {e}" for e in errors]
+    out = {}
+    for d in (2, 3):
+        for k, (label, metric) in enumerate(golden_metrics(d)):
+            x, y = golden_rows(np.random.default_rng(500 + 20 * d + k), d,
+                               min(metric.domain_radius, 2.0))
+            both = metric.rows(x, y, with_p=True)
+            p_only = metric.rows(x, y, with_f=False, with_p=True)
+            out[f"d{d} {label}"] = {
+                "x": hex_text(x), "y": hex_text(y), "f": hex_text(both.f), "p": hex_text(both.p),
+                "errors": text(both.errors), "p_errors": text(p_only.errors)}
+    return out
+
+
+with open(GOLDEN) as _golden:
+    GOLDEN_VALUES = json.load(_golden)
+
+
+@pytest.fixture(scope="module")
+def golden_now():
+    return golden_values()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_VALUES))
+def test_closed_forms_keep_their_golden_bits(golden_now, key):
+    """Rows, F, P and error text of every row equal the stored bits."""
+    assert golden_now[key] == GOLDEN_VALUES[key]
+
+
+def test_golden_rows_hold_every_kind_of_row():
+    """The golden rows hold values and failures of the point guard, of the
+    formulas and of the numeric P, and F and P at |y| = 1e96 on sph-k0."""
+    texts = [e for record in GOLDEN_VALUES.values()
+             for e in record["errors"] + record["p_errors"] if e]
+    for part in ("exceeds the validity radius", "y = 0 is outside", "must be finite",
+                 "funk metric lives on the open unit ball", "formula gives F = inf",
+                 "projective factor overflows"):
+        assert any(part in e for e in texts), part
+    for key in ("d2 catalog:sph-k0:0.3,1", "d3 catalog:sph-k0:0.3,-1"):
+        assert all(math.isfinite(float.fromhex(GOLDEN_VALUES[key][field][20]))
+                   for field in ("f", "p"))

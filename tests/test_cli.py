@@ -372,6 +372,37 @@ def test_sph_k0_has_degree_one_where_its_quartic_underflows(capsys, branch, x):
                                                  rel=1e-12, abs=0.0)
 
 
+SPH_K0_LARGE_Y = "3.9941075755111586e+95,2.6284627315109884e+96"
+
+
+def test_sph_k0_has_degree_one_where_its_quartic_overflows(capsys):
+    # |y|^4 overflows beyond |y| = 1.2e77, so sph-k0 evaluates such a y at
+    # y 2^-e, e the exponent of its largest entry, and F is 2^e F(x, y 2^-e)
+    x = "-0.019566642440506182,-0.03604462887829899"
+    code, out, err = run_cli(capsys, "eval", "--metric", "catalog:sph-k0:0.3,-", f"--x={x}",
+                             f"--y={SPH_K0_LARGE_Y}")
+    assert code == 0, err
+    y = np.array([float(v) for v in SPH_K0_LARGE_Y.split(",")])
+    e = math.frexp(float(np.abs(y).max()))[1]
+    code, scaled, _ = run_cli(capsys, "eval", "--metric", "catalog:sph-k0:0.3,-", f"--x={x}",
+                              "--y", ",".join(map(repr, np.ldexp(y, -e).tolist())))
+    assert code == 0
+    assert json.loads(out)["F"] == math.ldexp(json.loads(scaled)["F"], e)
+    assert all(math.isfinite(v) for v in json.loads(out).values())
+
+
+def test_sample_writes_no_inf_where_sph_k0_quartic_overflows(tmp_path, capsys):
+    path = tmp_path / "k0.csv"
+    code, _, err = run_cli(capsys, "sample", "--metric", "catalog:sph-k0:0.3,-",
+                           f"--y={SPH_K0_LARGE_Y}", "--grid=-0.1:0.1:2,-0.1:0.1:2",
+                           "--out", str(path))
+    assert code == 0, err
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert all(math.isfinite(float(row[key])) for row in rows for key in ("F", "P", "K"))
+
+
 def test_exit_code_solver_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--metric",
                            "construct:0:euclidean:randers:0.2,-0.3",

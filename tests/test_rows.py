@@ -353,6 +353,33 @@ def test_closed_form_masks_equal_uniform_calls(metric):
             assert same_bits(got[i:i + 1], ref[i:i + 1]) if on else np.isnan(got[i]), i
 
 
+@pytest.mark.parametrize("metric", closed_forms(2) + closed_forms(3))
+def test_closed_form_masked_rows_call_eval_once_per_f_row(metric, monkeypatch):
+    """Per-row ``with_f`` and ``with_p`` masks give the asked rows the bits
+    of the unmasked call, F and P, and nan elsewhere.  ``eval`` runs once
+    per row asked for F, and three times per row asked for P (its
+    quotient's points, all inside the guard here)."""
+    d = metric.dimension
+    rng = np.random.default_rng(40 + d)
+    x = ball_points(rng, d, 0.5 * min(metric.domain_radius, 2.0), 40)
+    y = sphere_points(rng, d, 40) * rng.uniform(0.5, 2.0, (40, 1))
+    f_mask, p_mask = rng.random((2, 40)) < 0.5
+    full = metric.rows(x, y, with_p=True)
+    calls = []
+    formula = MetricEvaluator.eval
+    monkeypatch.setattr(MetricEvaluator, "eval",
+                        lambda self, xi, yi: calls.append(1) or formula(self, xi, yi))
+    f_only = metric.rows(x, y, with_f=f_mask)
+    assert len(calls) == np.count_nonzero(f_mask)
+    mixed = metric.rows(x, y, with_f=f_mask, with_p=p_mask)
+    assert len(calls) == 2 * np.count_nonzero(f_mask) + 3 * np.count_nonzero(p_mask)
+    for got in (f_only, mixed):
+        assert same_bits(got.f, np.where(f_mask, full.f, np.nan))
+    assert same_bits(mixed.p, np.where(p_mask, full.p, np.nan))
+    assert not np.isnan(full.f).any() and not np.isnan(full.p).any()
+    assert all(exc is None for exc in full.errors + mixed.errors)
+
+
 @pytest.mark.parametrize("spec", ["construct:0:euclidean:randers:0.2,0.1",
                                   "construct:1:dsr-b:1,1:dsr-a:1,1", "catalog:funk",
                                   "test:broken"])

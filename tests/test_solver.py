@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import implicit_derivatives
+from oracles import hex_text, implicit_derivatives
 from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
                       ScaledNorm, SolverConfig, SolverError, ZeroNorm, combine,
                       pair_radius_estimate, parse_norms, radius_estimate,
@@ -386,15 +386,6 @@ def test_each_masked_row_solves_as_alone(pair, config, seed, count):
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "solver_golden.json")
 GEODESIC_SPECS = ("construct:0:euclidean:randers:0.2,0.1", "construct:-1:euclidean:scaled:0.3",
                   "construct:1:bryant:0.5236", "construct:1:dsr-b:1,1:dsr-a:1,1")
-
-
-def hex_text(values):
-    """Each number of ``values`` as float.hex text; a complex array as
-    [real parts, imaginary parts]."""
-    a = np.asarray(values)
-    if np.iscomplexobj(a):
-        return [hex_text(a.real), hex_text(a.imag)]
-    return [float(v).hex() for v in a.ravel()]
 
 
 def solve_record(res):
