@@ -111,10 +111,6 @@ def _emit(payload: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -278,18 +274,18 @@ def cmd_sample(args) -> int:
     f, p, k, errors = vfy.point_values(metric, xs, ys)
     # a row outside the domain stays blank; any other failure is an error
     raise_first([exc for exc in errors if not isinstance(exc, DomainError)])
-    rows = [("", "", "") if exc is not None else (_fmt(fv), _fmt(pv), _fmt(kv))
-            for fv, pv, kv, exc in zip(f, p, k, errors)]
+    values = [("", "", "") if exc is not None else (repr(fv), repr(pv), repr(kv))
+              for fv, pv, kv, exc in zip(f.tolist(), p.tolist(), k.tolist(), errors)]
+    fixed_cells = list(map(repr, fixed.tolist()))
     header = ([f"x{i+1}" for i in range(dim)] + [f"y{i+1}" for i in range(dim)]
               + ["F", "P", "K"])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for gp, (fv, pv, kv) in zip(grid_points, rows):
-            x, y = (gp, fixed) if fixed_is_y else (fixed, gp)
-            writer.writerow([_fmt(v) for v in x] + [_fmt(v) for v in y]
-                            + [fv, pv, kv])
-    n_ok = sum(1 for r in rows if r[0] != "")
+        writer.writerows([*map(repr, gp), *fixed_cells, *v] if fixed_is_y
+                         else [*fixed_cells, *map(repr, gp), *v]
+                         for gp, v in zip(grid_points.tolist(), values))
+    n_ok = errors.count(None)
     payload = {"out": args.out, "rows": int(grid_points.shape[0]),
                "evaluated": int(n_ok)}
     _emit(payload, f"sample: wrote {payload['rows']} rows to {args.out}")
@@ -312,8 +308,8 @@ def cmd_geodesic(args) -> int:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for t, p, v in zip(traj.times, traj.points, traj.velocities):
-                writer.writerow([_fmt(t)] + [_fmt(c) for c in p] + [_fmt(c) for c in v])
+            writer.writerows([repr(t), *map(repr, p), *map(repr, v)] for t, p, v in zip(
+                traj.times.tolist(), traj.points.tolist(), traj.velocities.tolist()))
     payload = {"collinearity": float(score), "points": int(traj.points.shape[0]),
                "completed": bool(traj.completed)}
     if args.out:

@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, ProjFlatError
-from .norms import CombinedNorm, HomogeneousFunction, as_rows, combine, lengths
+from .norms import (CombinedNorm, HomogeneousFunction, as_rows, combine, lengths,
+                    scale_exponents, times_pow2)
 from .solver import (SolverConfig, pair_radius_estimate, radius_estimate,
                      solve_complex, solve_real)
 
@@ -282,15 +283,20 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
         res = solve_real(phi, x, y, cfg)
         errors, f = res.errors, np.full(len(y), np.nan)
         live = error_free(errors) & with_f  # F, and its error, only where asked
-        if np.count_nonzero(live):  # a guarded row's eta is finite and nonzero
-            denom = 1.0 - np.vecdot(phi.grad_real(res.eta[live]), x[live])
+        if np.count_nonzero(live):
+            # a guarded row's eta is finite and nonzero, so the kernels take it
+            # at eta 2^-e and F scales back by 2^e, as the public norm methods
+            # would compute it, without their checks
+            e = scale_exponents(res.eta[live])
+            eta = times_pow2(res.eta[live], -e[:, None])
+            denom = 1.0 - np.vecdot(phi._grad(eta), x[live])
             vanishes = denom < 1e-8
             if vanishes.any():
                 for i in np.flatnonzero(live)[vanishes]:
                     errors[i] = DomainError("construction denominator vanishes")
                 live[live] = ~vanishes
-                denom = denom[~vanishes]
-            f[live] = psi.eval_real(res.eta[live]) / denom
+                eta, e, denom = eta[~vanishes], e[~vanishes], denom[~vanishes]
+            f[live] = times_pow2(psi._real(eta), e) / denom
         return f, res.value, errors
 
     return MetricEvaluator(

@@ -3,8 +3,12 @@
 The batched radius estimates, the finite-difference Hessian on rows,
 the Minkowski probe and the jet's mixed-derivative product are compared
 with per-direction or per-row loops; the builders' norm-call counts
-guard against a loop over directions, or a probe of psi, coming back.
+guard against a loop over directions, or a probe of psi, coming back, and
+pin the radius memo: its estimates keep their bits, and each equal norm
+is estimated once.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       ScaledNorm, ZeroNorm, build_k0, build_kneg1, build_kpos1,
                       check_minkowski, combine, pair_radius_estimate,
                       parse_norms, radius_estimate)
+from projflat.solver import RADIUS_MEMO
 from projflat.verify import JetData, _mixed_times_y, hessian_from, hessian_points
 
 # (dimension, dsr block split)
@@ -87,11 +92,66 @@ def test_rows_raise_the_single_vector_errors(d, f):
         f.eval_real(1.0)
 
 
+def clear_radius_memo():
+    radius_estimate.cache_clear()
+    pair_radius_estimate.cache_clear()
+
+
+def memo_hits():
+    return radius_estimate.cache_info().hits + pair_radius_estimate.cache_info().hits
+
+
 @pytest.mark.parametrize("d, f", CASES)
 def test_radius_estimates_equal_direction_loops(d, f):
-    assert radius_estimate(f) == oracles.radius_estimate_loop(f)
+    """Cold, then warm from an equal norm built separately: both have the
+    loops' bits, and the warm estimates come from the memo."""
+    clear_radius_memo()
     psi = EuclideanNorm(d)
-    assert pair_radius_estimate(f, psi) == oracles.pair_radius_estimate_loop(f, psi)
+    want = (oracles.radius_estimate_loop(f), oracles.pair_radius_estimate_loop(f, psi))
+    assert (radius_estimate(f), pair_radius_estimate(f, psi)) == want
+    assert memo_hits() == 0
+    f, psi = dataclasses.replace(f), EuclideanNorm(d)
+    assert (radius_estimate(f), pair_radius_estimate(f, psi)) == want
+    assert memo_hits() == 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_memoized_radius_estimates_of_huge_parameters(d, recwarn):
+    """A huge parameter's estimate, cold and warm, is the loop's estimate of
+    the norm scaled down by a power of two, scaled back (the loops' squared
+    lengths would overflow); 1e300 is memoized with the bits it had cold."""
+    big = 2.0 ** 1000
+    cases = [((ScaledNorm(d, 3.0 * big),), oracles.radius_estimate_loop(ScaledNorm(d, 3.0)) / big),
+             ((ScaledNorm(d, big), ScaledNorm(d, 3.0 * big)),
+              oracles.pair_radius_estimate_loop(ScaledNorm(d, 1.0), ScaledNorm(d, 3.0)) / big)]
+    clear_radius_memo()
+    for _ in range(2):
+        got = [(radius_estimate if len(norms) == 1 else pair_radius_estimate)(*norms)
+               for norms, _ in cases]
+        assert got == [want for _, want in cases]
+        cases = [(tuple(map(dataclasses.replace, norms)), want) for norms, want in cases]
+    cold = radius_estimate(ScaledNorm(d, 1e300))
+    assert radius_estimate(ScaledNorm(d, 1e300)) == cold == pytest.approx(5e-301, rel=1e-12)
+    assert memo_hits() == 3
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_radius_memo_keys_norms_by_exact_value():
+    """Adjacent doubles, and the zero and Euclidean norms (whose hashes
+    collide), are separate entries; a norm that does not hash is estimated
+    afresh; the table holds at most RADIUS_MEMO entries."""
+    clear_radius_memo()
+    near = [ScaledNorm(2, 0.3), ScaledNorm(2, float(np.nextafter(0.3, 1.0)))]
+    assert [radius_estimate(f) for f in near] == list(map(oracles.radius_estimate_loop, near))
+    assert [radius_estimate(f) for f in (ZeroNorm(2), EuclideanNorm(2))] == [np.inf, 0.5]
+    info = radius_estimate.cache_info()
+    assert (info.hits, info.currsize) == (0, 4)
+    listed = RandersNorm(2, [0.2, 0.1])  # a list parameter: the norm does not hash
+    assert radius_estimate(listed) == oracles.radius_estimate_loop(RandersNorm(2, (0.2, 0.1)))
+    assert radius_estimate.cache_info().currsize == 4
+    for k in range(RADIUS_MEMO + 3):
+        radius_estimate(ScaledNorm(2, 1.0 + k))
+    assert radius_estimate.cache_info().currsize == RADIUS_MEMO
 
 
 @pytest.mark.parametrize("d, f", CASES)
@@ -169,7 +229,14 @@ def norm_calls(monkeypatch):
     (build_kpos1, lambda d: parse_norms("bryant:0.5236", d), 2),
 ], ids=["k0", "kneg1", "kpos1"])
 def test_builders_make_a_fixed_number_of_norm_calls(norm_calls, d, build, args, grads):
-    """One radius estimate is one gradient call per norm, whatever the 256
-    directions; a build evaluates no norm value (it does not probe psi)."""
-    build(*args(d))
+    """On a cold memo, one radius estimate is one gradient call per norm,
+    whatever the 256 directions; a build evaluates no norm value (it does
+    not probe psi).  A second build from equal norms, built separately,
+    takes its estimate from the memo and calls no kernel."""
+    clear_radius_memo()
+    first = build(*args(d))
     assert norm_calls == {"_real": 0, "_grad": grads}
+    norm_calls.update(_real=0, _grad=0)
+    again = build(*args(d))
+    assert norm_calls == {"_real": 0, "_grad": 0}
+    assert again.domain_radius == first.domain_radius

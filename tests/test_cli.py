@@ -232,6 +232,32 @@ def test_geodesic_command(tmp_path, capsys):
     assert len(rows) == data["points"] + 1
 
 
+K0_RANDERS = "construct:0:euclidean:randers:0.2,0.1"
+
+
+@pytest.mark.parametrize("name, argv", [
+    # a grid over x that crosses the validity radius: blank rows outside it
+    ("sample_k0_randers_y.csv", ("sample", "--metric", K0_RANDERS, "--y", "0.6,0.8",
+                                 "--grid=-0.5:0.5:6,-0.5:0.5:6")),
+    ("sample_funk_y.csv", ("sample", "--metric", "catalog:funk", "--y", "0.6,0.8",
+                           "--grid=-1.2:1.2:6,-1.2:1.2:6")),
+    # a grid over y that holds y = 0, a blank row
+    ("sample_k0_randers_x.csv", ("sample", "--metric", K0_RANDERS, "--x", "0.1,0",
+                                 "--grid=-1:1:3,-1:1:3")),
+    ("sample_funk_x.csv", ("sample", "--metric", "catalog:funk", "--x", "0.1,0",
+                           "--grid=-1:1:3,-1:1:3")),
+    ("geodesic_k0_randers.csv", ("geodesic", "--metric", K0_RANDERS, "--x", "0.1,0.05",
+                                 "--y", "0.3,1", "--t-end", "0.2", "--steps", "20")),
+])
+def test_csv_bytes_are_pinned(tmp_path, capsys, name, argv):
+    # recorded while every cell was formatted one by one
+    out_file = tmp_path / name
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    with open(os.path.join(DATA_DIR, name), "rb") as fh:
+        assert out_file.read_bytes() == fh.read()
+
+
 @pytest.mark.parametrize("spec, radius", [
     ("catalog:funk", "1"), ("construct:1:dsr-b:1,1:dsr-a:1,1", "0.336361"),
     ("construct:1:bryant:0.5236", "0.4"), ("construct:0:euclidean:randers:0.2,0.1", "0.326906")])

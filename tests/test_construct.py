@@ -12,7 +12,7 @@ from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, ProjFlatError, RandersNorm, ScaledNorm,
                       SolverConfig, ZeroNorm, broken_metric, build_k0,
                       build_kneg1, build_kpos1, check_minkowski,
-                      master_pde_residual)
+                      master_pde_residual, parse_norms, solve_real)
 from projflat.cli import main, parse_metric
 from projflat.sampling import ball_points, sphere_points
 
@@ -225,6 +225,26 @@ def test_domain_guard():
     # a constructed metric evaluates on rows only
     with pytest.raises(ProjFlatError, match="rows only"):
         m.eval([0.1, 0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("spec", ["euclidean:randers:{a}", "dsr-b:1,{m}:dsr-a:1,{m}",
+                                  "randers:{a}:scaled:0.4", "zero:euclidean"])
+def test_k0_f_from_the_kernels_equals_the_public_norm_methods(d, spec):
+    """``build_k0`` takes F from the norm kernels at eta 2^-e; it has the
+    bits of the public ``grad_real`` and ``eval_real`` on the solve's eta,
+    with |y| from e^-300 to e^300."""
+    a = ",".join(["0.2"] + ["0.1"] * (d - 1))
+    psi, phi = parse_norms(spec.format(a=a, m=d - 1), d)
+    metric = build_k0(psi, phi)
+    rng = np.random.default_rng(d)
+    x = ball_points(rng, d, 0.99 * min(metric.domain_radius, 1.0), 500)
+    y = sphere_points(rng, d, 500) * np.exp(rng.uniform(-300.0, 300.0, 500))[:, None]
+    res = solve_real(phi, x, y)
+    want = psi.eval_real(res.eta) / (1.0 - np.vecdot(phi.grad_real(res.eta), x))
+    got = metric.rows(x, y)
+    assert not any(got.errors)
+    np.testing.assert_array_equal(got.f, want)
 
 
 def test_k0_vanishing_denominator_fails_its_row_alone():
