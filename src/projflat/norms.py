@@ -41,6 +41,20 @@ in [2^-8, 2^8)), nonzero for ``_real`` and ``_grad``, complex for
 The solvers check and range-scale their rows once per solve and then
 call the kernels directly.
 
+One more kernel serves the curvature +1 solve, which evaluates
+phi + i psi on the same rows at every step: ``f._complex_pair(g, v)``
+is ``f._complex(v) + 1j * g._complex(v)``, bit for bit.  Its default
+computes exactly that, two kernels and the sum; two families share the
+work of a pair instead.  ``dsr-a`` and ``dsr-b`` on the same blocks
+(either order, or one variant twice) compute |u|^2, i|w|^2 and both
+square roots h+, h- once; ``euclidean``, ``scaled`` and ``randers``
+(any two of them) compute the root sqrt(sum z_k^2) once.  These three
+derive from ``LengthNorm`` and give their continuation as a function of
+that root, ``_on_root``, from which ``LengthNorm._complex`` and the pair
+kernel both compute it.  Each component is formed from the shared
+intermediates by the expressions of its own ``_complex``, so the pair
+keeps the bits of the sum.
+
 Complex continuation uses principal square roots throughout (cut on the
 negative real axis, the cut itself resolved from above as in IEEE/numpy),
 so at a real vector every family's complex value is its real value, up
@@ -123,6 +137,11 @@ class HomogeneousFunction:
 
     def _complex(self, v):
         raise NotImplementedError
+
+    def _complex_pair(self, other, v):
+        """self(v) + i other(v) on complex rows, with the bits of the two
+        kernels; a family that shares work between the two overrides it."""
+        return self._complex(v) + 1j * other._complex(v)
 
     def eval_real(self, y):
         """f(y): a float for one vector, an array of values for rows."""
@@ -209,7 +228,28 @@ class ZeroNorm(HomogeneousFunction):
         return np.zeros(len(v), dtype=complex)
 
 
-class EuclideanNorm(HomogeneousFunction):
+class LengthNorm(HomogeneousFunction):
+    """Base class of the families built on |y|, whose continuations are
+    functions of v and the principal root r = sqrt(sum z_k^2).
+
+    A family gives ``_on_root(v, r)``; its ``_complex`` is that at the
+    root of v, and a pair of two such families computes the root once.
+    """
+
+    def _on_root(self, v, root):
+        raise NotImplementedError
+
+    def _complex(self, v):
+        return self._on_root(v, np.sqrt(_csum_sq(v)))
+
+    def _complex_pair(self, other, v):
+        if not isinstance(other, LengthNorm):
+            return super()._complex_pair(other, v)
+        root = np.sqrt(_csum_sq(v))
+        return self._on_root(v, root) + 1j * other._on_root(v, root)
+
+
+class EuclideanNorm(LengthNorm):
     """f(y) = |y|, continued as the principal sqrt of sum(z_k^2)."""
 
     family = "euclidean"
@@ -220,12 +260,12 @@ class EuclideanNorm(HomogeneousFunction):
     def _grad(self, v):
         return v / lengths(v)[:, None]
 
-    def _complex(self, v):
-        return np.sqrt(_csum_sq(v))
+    def _on_root(self, v, root):
+        return root
 
 
 @dataclass(frozen=True)
-class ScaledNorm(HomogeneousFunction):
+class ScaledNorm(LengthNorm):
     """f(y) = c |y| for a real constant c (c may be negative or zero)."""
 
     scale: float = 1.0
@@ -238,12 +278,12 @@ class ScaledNorm(HomogeneousFunction):
     def _grad(self, v):
         return self.scale * v / lengths(v)[:, None]
 
-    def _complex(self, v):
-        return self.scale * np.sqrt(_csum_sq(v))
+    def _on_root(self, v, root):
+        return self.scale * root
 
 
 @dataclass(frozen=True)
-class RandersNorm(HomogeneousFunction):
+class RandersNorm(LengthNorm):
     """f(y) = |y| + <a, y>; a Minkowski norm iff |a| < 1."""
 
     drift: tuple = ()
@@ -264,8 +304,8 @@ class RandersNorm(HomogeneousFunction):
     def _grad(self, v):
         return v / lengths(v)[:, None] + self._drift
 
-    def _complex(self, v):
-        return np.sqrt(_csum_sq(v)) + np.add.reduce(v * self._drift, axis=-1)
+    def _on_root(self, v, root):
+        return root + np.add.reduce(v * self._drift, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -316,7 +356,7 @@ class DoubleSqrtNorm(HomogeneousFunction):
             twice_square = ww * ww / np.where(twice_square == 0.0, 1.0, twice_square)
         return np.sqrt(twice_square / 2.0)
 
-    def _complex(self, v):
+    def _roots(self, v):
         # The two components are continued jointly through the conjugate
         # pair h+ = i sqrt(q - i qt), h- = -i sqrt(q + i qt), which keeps
         # the product identity 2 * phi * psi = qt intact; independently
@@ -325,9 +365,20 @@ class DoubleSqrtNorm(HomogeneousFunction):
         u, w = self._blocks(v)
         q = _csum_sq(u)
         iqt = 1j * _csum_sq(w)
-        h_plus = 1j * np.sqrt(q - iqt)
-        h_minus = -1j * np.sqrt(q + iqt)
+        return 1j * np.sqrt(q - iqt), -1j * np.sqrt(q + iqt)
+
+    def _on_roots(self, h_plus, h_minus):
         return (h_plus - h_minus) / 2j if self.plus else (h_plus + h_minus) / 2.0
+
+    def _complex(self, v):
+        return self._on_roots(*self._roots(v))
+
+    def _complex_pair(self, other, v):
+        if not (isinstance(other, DoubleSqrtNorm) and other.first_block == self.first_block
+                and other.second_block == self.second_block):
+            return super()._complex_pair(other, v)
+        roots = self._roots(v)
+        return self._on_roots(*roots) + 1j * other._on_roots(*roots)
 
     def _grad(self, v):
         u, w, uu, ww, s = self._squares(v)

@@ -7,9 +7,12 @@ are radical inverses in the first ``dim`` primes (Halton 1960), mapped to
 Gaussians through the inverse normal CDF of ``statistics.NormalDist``
 (Wichura's AS241).  Random sweeps take an explicit
 ``numpy.random.Generator`` and are reproducible given one.
-"""
 
-from statistics import NormalDist
+Importing this module loads neither ``statistics`` (imported where the
+Halton directions need it, at dim >= 4) nor ``numpy.random`` (the
+Generator annotations are strings, never evaluated), so a command that
+draws no random points and no directions above dim 3 pays for neither.
+"""
 
 import numpy as np
 
@@ -61,6 +64,8 @@ def unit_directions(dim: int, count: int) -> np.ndarray:
         rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
         theta = GOLDEN_ANGLE * np.arange(count)
         return np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1)
+    from statistics import NormalDist
+
     # Halton coordinates at indices >= 1 lie strictly inside (0, 1)
     inv_cdf = NormalDist().inv_cdf
     u = _halton(dim, count)
@@ -70,7 +75,7 @@ def unit_directions(dim: int, count: int) -> np.ndarray:
     return g / norms
 
 
-def sphere_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+def sphere_points(rng: "np.random.Generator", dim: int, count: int) -> np.ndarray:
     """Seeded uniform points on the unit sphere, one per row."""
     g = rng.standard_normal((count, dim))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -78,7 +83,7 @@ def sphere_points(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     return g / norms
 
 
-def ball_points(rng: np.random.Generator, dim: int, radius: float, count: int) -> np.ndarray:
+def ball_points(rng: "np.random.Generator", dim: int, radius: float, count: int) -> np.ndarray:
     """Seeded uniform points in the open ball of the given radius."""
     directions = sphere_points(rng, dim, count)
     radii = radius * rng.random(count) ** (1.0 / dim)

@@ -44,8 +44,12 @@ Each solve checks its rows once, at entry (one count of the finite
 components, then a per-row check only if one is not finite), and brings
 each y into range by a power of two (see ``_Rows``); the Newton, bracket
 and complex fixed-point loops then call the norms' row kernels
-(``_real``, ``_grad``, ``_complex``), which skip the checks and the
-rescale of the public norm methods.
+(``_real``, ``_grad``, and ``_complex_pair`` for the pair phi + i psi),
+which skip the checks and the rescale of the public norm methods.  Each
+evaluation of g is one ``_complex_pair`` call, which has the bits of
+``phi._complex(w) + 1j * psi._complex(w)`` and computes the square
+roots the two components share once (dsr-a with dsr-b, and any two of
+euclidean, scaled and randers, such as Bryant's pair).
 
 The validity-radius estimates are pure functions of the origin data, so
 they are memoized by norm value in a bounded table (``_by_value``).
@@ -349,8 +353,7 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     rows = _Rows(phi.dimension, x, y, complex)
     count = len(rows.y)
 
-    def pair(w):
-        return phi._complex(w) + 1j * psi._complex(w)
+    pair = functools.partial(phi._complex_pair, psi)
 
     def g(z):
         w = rows.shifted(z)

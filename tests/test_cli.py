@@ -614,6 +614,26 @@ def test_verify_constructed_output_is_pinned(capsys):
     assert got == [(0, line) for line in want]
 
 
+def test_cli_import_and_build_load_no_random_or_statistics():
+    """``import projflat.cli`` and building the four benchmark
+    constructions load neither ``numpy.random`` nor ``statistics``: a
+    command draws random points, or directions above dim 3, before it
+    pays for either."""
+    code = (
+        "import sys\n"
+        "from projflat.cli import parse_metric\n"
+        "from projflat.solver import SolverConfig\n"
+        "for spec in ('construct:0:euclidean:randers:0.2,0.1',\n"
+        "             'construct:-1:euclidean:scaled:0.3', 'construct:1:bryant:0.5236',\n"
+        "             'construct:1:dsr-b:1,1:dsr-a:1,1'):\n"
+        "    parse_metric(spec, 2, SolverConfig())\n"
+        "print(sorted({'numpy.random', 'statistics'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("spec", [
     "construct:0:euclidean:scaled:nan", "construct:-1:euclidean:randers:nan,0",
     "construct:1:scaled:inf:zero", "construct:0:euclidean:randers:0.1,-inf",

@@ -253,6 +253,58 @@ def test_combined_norm_matches_sum(rng):
         assert f.eval_real(y) == pytest.approx(want, rel=1e-14)
 
 
+def complex_rows(d, seed=3):
+    """Complex rows for the kernels: every nonzero row of components drawn
+    from 0, +-1 and +-i with either sign of zero in each part (so sum z_k^2
+    lands on sqrt's branch cut, and a block may be zero), and seeded random
+    rows, on which Im sum z_k^2 takes both signs; each inside the kernel
+    range and at its edges, a largest component of 2^-8 and of just under
+    2^8."""
+    parts = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1.0, -1.0,
+             complex(1.0, -0.0), complex(0.0, 1.0), complex(-0.0, 1.0),
+             complex(0.0, -1.0), complex(-0.0, -1.0))
+    grid = np.array(np.meshgrid(*[parts] * d, indexing="ij")).reshape(d, -1).T
+    grid = grid[np.abs(grid).max(axis=1) > 0]  # largest component exactly 1
+    rng = np.random.default_rng(seed)
+    rand = rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d))
+    rand = np.ldexp(1.0, -np.frexp(np.abs(rand).max(axis=1))[1])[:, None] * rand  # in [1/2, 1)
+    return np.concatenate((grid, grid * 2.0**-8, grid * (2.0**8 - 2.0**-44),
+                           rand, rand * 2.0**-7, rand * 2.0**8))
+
+
+PAIRS = [
+    (DoubleSqrtNorm(2, 1, 1, plus=False), DoubleSqrtNorm(2, 1, 1, plus=True)),
+    (DoubleSqrtNorm(2, 1, 1, plus=True), DoubleSqrtNorm(2, 1, 1, plus=False)),
+    (DoubleSqrtNorm(3, 2, 1, plus=False), DoubleSqrtNorm(3, 2, 1, plus=True)),
+    (DoubleSqrtNorm(3, 1, 2, plus=False), DoubleSqrtNorm(3, 1, 2, plus=True)),
+    (DoubleSqrtNorm(2, 1, 1, plus=True), DoubleSqrtNorm(2, 1, 1, plus=True)),
+    parse_norms("bryant:0.5236", 2)[::-1],
+    parse_norms("bryant:0.5236", 3)[::-1],
+    (ScaledNorm(2, 0.3), EuclideanNorm(2)),
+    (ZeroNorm(2), EuclideanNorm(2)),
+    (EuclideanNorm(2), ZeroNorm(2)),
+    (RandersNorm(2, (0.2, 0.1)), EuclideanNorm(2)),
+    (ScaledNorm(3, -0.25), RandersNorm(3, (0.2, 0.05, -0.1))),
+    # no shared work: the default pair kernel
+    (DoubleSqrtNorm(2, 1, 1, plus=True), EuclideanNorm(2)),
+    (EuclideanNorm(2), DoubleSqrtNorm(2, 1, 1, plus=False)),
+    (DoubleSqrtNorm(3, 1, 2, plus=False), DoubleSqrtNorm(3, 2, 1, plus=True)),
+]
+
+
+@pytest.mark.parametrize("phi, psi", PAIRS,
+                         ids=[f"{f.family}-{g.family}-d{f.dimension}" for f, g in PAIRS])
+def test_pair_kernel_has_the_bits_of_two_kernels(phi, psi):
+    """``_complex_pair`` is phi + i psi from the two ``_complex`` kernels,
+    bit for bit, signed zeros and nan included."""
+    w = complex_rows(phi.dimension)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = phi._complex_pair(psi, w)
+        want = phi._complex(w) + 1j * psi._complex(w)
+    assert np.array_equal(got, want, equal_nan=True)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_descriptor_round_trip():
     texts = ["zero", "euclidean", "scaled:0.5", "randers:0.3,-0.1",
              "dsr-a:1,1", "dsr-b:1,1", "bryant:0.5236"]

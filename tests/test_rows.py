@@ -430,15 +430,15 @@ def test_geodesic_stops_alone_at_an_rk_stage():
         np.testing.assert_array_equal(traj.velocities, alone.velocities)
 
 
-@pytest.fixture
-def norm_calls(monkeypatch):
-    """Count the calls of every norm row kernel."""
-    counts = {"calls": 0}
-
-    def counted(fn):
-        def wrapper(self, y):
-            counts["calls"] += 1
-            return fn(self, y)
+def patch_kernels(monkeypatch, record):
+    """Wrap every norm row kernel, the pair kernel ``_complex_pair``
+    included, so that each call first runs ``record(key, rows)`` with key
+    (family class name, kernel name).  A default pair kernel calls the
+    two ``_complex`` kernels, which record their calls too."""
+    def counted(key, fn):
+        def wrapper(self, *args):  # (v,), or (other, v) for the pair kernel
+            record(key, args[-1])
+            return fn(self, *args)
         return wrapper
 
     def subclasses(cls):
@@ -447,9 +447,21 @@ def norm_calls(monkeypatch):
             yield from subclasses(sub)
 
     for cls in subclasses(HomogeneousFunction):
-        for name in ("_real", "_grad", "_complex"):
+        for name in ("_real", "_grad", "_complex", "_complex_pair"):
             if name in cls.__dict__:
-                monkeypatch.setattr(cls, name, counted(cls.__dict__[name]))
+                key = (cls.__name__, name)
+                monkeypatch.setattr(cls, name, counted(key, cls.__dict__[name]))
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """Count the calls of every norm row kernel."""
+    counts = {"calls": 0}
+
+    def record(key, rows):
+        counts["calls"] += 1
+
+    patch_kernels(monkeypatch, record)
     return counts
 
 
@@ -485,23 +497,7 @@ def kernel_rows(monkeypatch):
     """The row count of every call of each norm row kernel, keyed by
     (family class name, kernel name)."""
     calls = {}
-
-    def counted(key, fn):
-        def wrapper(self, v):
-            calls.setdefault(key, []).append(len(v))
-            return fn(self, v)
-        return wrapper
-
-    def subclasses(cls):
-        for sub in cls.__subclasses__():
-            yield sub
-            yield from subclasses(sub)
-
-    for cls in subclasses(HomogeneousFunction):
-        for name in ("_real", "_grad", "_complex"):
-            if name in cls.__dict__:
-                key = (cls.__name__, name)
-                monkeypatch.setattr(cls, name, counted(key, cls.__dict__[name]))
+    patch_kernels(monkeypatch, lambda key, rows: calls.setdefault(key, []).append(len(rows)))
     return calls
 
 
@@ -509,7 +505,8 @@ def kernel_rows(monkeypatch):
 def test_complex_solve_judges_once_per_round(kernel_rows, pair):
     """On in-ball rows, which keep their secant roots, ``solve_complex``
     evaluates the pair phi + i psi 1 + (loop steps) + 1 times: z0, once per
-    step and once to judge every row.  The loop runs as many steps as its
+    step and once to judge every row, each time in one call of the pair
+    kernel and no other kernel.  The loop runs as many steps as its
     slowest row takes alone."""
     if pair == "bryant":
         psi, phi = parse_norms("bryant:0.5236", 2)
@@ -520,10 +517,10 @@ def test_complex_solve_judges_once_per_round(kernel_rows, pair):
     def pair_evaluations(*rows):
         kernel_rows.clear()
         res = solve_complex(phi, psi, *rows)
-        [calls] = kernel_rows.values()  # phi and psi share their class here
-        assert len(calls) % 2 == 0 and set(calls) == {len(rows[1])}
+        [((_, kernel), calls)] = kernel_rows.items()
+        assert kernel == "_complex_pair" and set(calls) == {len(rows[1])}
         assert not any(res.errors)
-        return len(calls) // 2, res.iterations
+        return len(calls), res.iterations
 
     steps = []
     for i in range(len(y)):

@@ -16,7 +16,8 @@ from projflat import ProjFlatError, SolverConfig, cli
 from oracles import (berwald_composed, convexity_check, f_at, fd_gradient,
                      flag_curvature_composed, p_at, point_values_composed)
 from projflat.sampling import ball_points, sphere_points
-from projflat.verify import VerificationReport, make_report, point_values
+from projflat.verify import (VerificationReport, convexity_residual, make_report,
+                             point_values)
 
 E2 = EuclideanNorm(2)
 Z2 = ZeroNorm(2)
@@ -155,6 +156,20 @@ def test_convexity_kneg1_build():
     m = build_kneg1(E2, E2)
     rep = convexity_check(m, [0.2, 0.0], 50)
     assert rep.passed
+
+
+@pytest.mark.parametrize("spec", ["construct:1:dsr-b:1,1:dsr-a:1,1", "catalog:dsr-new:1,1"])
+def test_dsr_fundamental_tensor_is_singular_on_the_block_axis(spec):
+    """F^2/2 of dsr-b, (sqrt(|u|^4 + |v|^4) + |u|^2)/4, is quartic in v at
+    v = 0, so both dsr metrics have a singular fundamental tensor at
+    y = (u, 0): the minimum eigenvalue of ``convexity_residual`` vanishes
+    there, at the origin and off it, and is clearly positive at a generic
+    point.  Random samples miss that slice (it has measure zero)."""
+    metric = cli.parse_metric(spec, 2, SolverConfig())
+    _, lam_min = convexity_residual(metric, [[0.0, 0.0], [0.1, 0.0], [0.05, 0.1]],
+                                    [[1.0, 0.0], [1.0, 0.0], [0.6, 0.8]])
+    assert lam_min[0] <= 1e-8 and lam_min[1] <= 1e-8, lam_min
+    assert lam_min[2] > 0.1, lam_min
 
 
 def test_geodesic_coefficients_flat_norm():
