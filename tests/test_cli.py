@@ -614,6 +614,28 @@ def test_verify_constructed_output_is_pinned(capsys):
     assert got == [(0, line) for line in want]
 
 
+VERIFY_FAILING_RUNS = [
+    # hamel, curvature, berwald and pde each list the 10 largest of their failures
+    ("--metric", "test:broken", "--samples", "30"),
+    ("--metric", "test:broken", "--dim", "3", "--samples", "25", "--radius", "0.5"),
+    # two failing checks beside passing ones that carry "extra"
+    ("--metric", "catalog:funk", "--samples", "30",
+     "--tol-override", "hamel=1e-12,pde=1e-12,convexity=1"),
+    # 7 convexity failures, below the cap, and 5 geodesic failures listing start rows
+    ("--metric", "construct:0:randers:1.2,0:zero", "--samples", "30",
+     "--checks", "convexity,geodesic", "--tol-override", "geodesic=-1"),
+]
+
+
+def test_verify_failing_output_is_pinned(capsys):
+    # each line: the exit code, a space, then the stdout of one failing verify run
+    with open(os.path.join(DATA_DIR, "verify_failing.txt")) as fh:
+        want = [line.split(" ", 1) for line in fh.read().splitlines(keepends=True)]
+    got = [run_cli(capsys, "verify", *argv)[:2] for argv in VERIFY_FAILING_RUNS]
+    assert got == [(int(code), out) for code, out in want]
+    assert all(code == 1 for code, _ in got)
+
+
 def test_cli_import_and_build_load_no_random_or_statistics():
     """``import projflat.cli`` and building the four benchmark
     constructions load neither ``numpy.random`` nor ``statistics``: a

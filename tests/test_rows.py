@@ -430,6 +430,32 @@ def test_geodesic_stops_alone_at_an_rk_stage():
         np.testing.assert_array_equal(traj.velocities, alone.velocities)
 
 
+@pytest.mark.parametrize("spec, starts, velocities, t_end, steps, live", [
+    # the second trajectory leaves the validity ball 0.4 at the end of step 5,
+    # so it is asked at all four stages of steps 0-5 and never after
+    ("construct:0:euclidean:euclidean", [[0.0, 0.0], [0.3, 0.0], [0.1, 0.1]],
+     [[0.3, 0.4], [1.0, 0.0], [-0.2, 0.5]], 0.8, 40, [3] * 24 + [2] * 136),
+    # the first trajectory's P fails at the second stage of step 0, beyond |x| = 1
+    ("catalog:funk", [[0.9, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], 0.5, 2,
+     [2, 2] + [1] * 6),
+])
+def test_geodesic_asks_p_of_live_trajectories_only(spec, starts, velocities, t_end, steps,
+                                                   live, monkeypatch):
+    metric = parse_metric(spec, 2, SolverConfig())
+    asked, rows = [], MetricEvaluator.rows
+
+    def counted_rows(self, x, y, with_f=True, with_p=False):
+        if with_p is not False:  # a closed form's quotient asks F alone
+            asked.append(int(np.count_nonzero(np.broadcast_to(with_p, len(x)))))
+        return rows(self, x, y, with_f, with_p)
+
+    monkeypatch.setattr(MetricEvaluator, "rows", counted_rows)
+    trajectories = integrate_geodesic(metric, np.array(starts), np.array(velocities),
+                                      t_end, steps)
+    assert asked == live
+    assert not all(t.completed for t in trajectories)
+
+
 def patch_kernels(monkeypatch, record):
     """Wrap every norm row kernel, the pair kernel ``_complex_pair``
     included, so that each call first runs ``record(key, rows)`` with key
