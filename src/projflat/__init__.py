@@ -15,8 +15,7 @@ from .norms import (CombinedNorm, DoubleSqrtNorm, EuclideanNorm, HomogeneousFunc
                     RandersNorm, ScaledNorm, ZeroNorm, combine, parse_norms)
 from .solver import (SolveResult, SolverConfig, pair_radius_estimate,
                      radius_estimate, solve_complex, solve_real)
-from .verify import (GeodesicResult, VerificationReport,
-                     berwald_system_residual, check_minkowski,
+from .verify import (GeodesicResult, berwald_system_residual, check_minkowski,
                      collinearity_score, flag_curvature,
                      geodesic_coefficients_general, hamel_residual,
                      integrate_geodesic, jet, master_pde_residual,

@@ -138,27 +138,26 @@ def _run_check(name, metric, rng, radius, samples, tol):
         trajectories = vfy.integrate_geodesic(metric, starts, dirs, t_end, 100)
         residuals = [vfy.collinearity_score(traj, x0, v0)
                      for traj, x0, v0 in zip(trajectories, starts, dirs)]
-        return vfy.make_report("geodesic", list(zip(starts, dirs)), residuals, tol)
+        return vfy.make_report("geodesic", starts, dirs, residuals, tol)
 
     xs = ball_points(rng, dim, radius, samples)
     ys = sphere_points(rng, dim, samples)
-    points = list(zip(xs, ys))
     if name == "convexity":
         residuals, lam = vfy.convexity_residual(metric, xs, ys)
-        return vfy.make_report("convexity", points, residuals, tol,
+        return vfy.make_report("convexity", xs, ys, residuals, tol,
                                extra={"min_eigenvalue": float(lam.min())})
     if name == "hamel":
-        return vfy.make_report("hamel", points, vfy.hamel_residual(metric, xs, ys), tol)
+        return vfy.make_report("hamel", xs, ys, vfy.hamel_residual(metric, xs, ys), tol)
     if name == "curvature":
         target = metric.intended_curvature
         values = vfy.flag_curvature(metric, xs, ys)
         extra = {"target_K": float(target), "mean_K": float(np.mean(values))}
-        return vfy.make_report("curvature", points, np.abs(values - target), tol, extra=extra)
+        return vfy.make_report("curvature", xs, ys, np.abs(values - target), tol, extra=extra)
     if name == "berwald":
-        return vfy.make_report("berwald", points,
+        return vfy.make_report("berwald", xs, ys,
                                np.maximum(*vfy.berwald_system_residual(metric, xs, ys)), tol)
     if name == "pde":
-        return vfy.make_report("pde", points, vfy.master_pde_residual(metric, xs, ys), tol)
+        return vfy.make_report("pde", xs, ys, vfy.master_pde_residual(metric, xs, ys), tol)
     raise SpecParseError(f"unknown check '{name}'")
 
 
@@ -197,7 +196,7 @@ def cmd_verify(args) -> int:
     for name in names:
         rng = np.random.default_rng(args.seed)
         reports[name] = _run_check(name, metric, rng, radius, args.samples, tols[name])
-    all_pass = all(r.passed for r in reports.values())
+    all_pass = all(r["pass"] for r in reports.values())
     payload = {
         "metric": args.metric,
         "dimension": args.dim,
@@ -205,9 +204,9 @@ def cmd_verify(args) -> int:
         "samples": int(args.samples),
         "seed": int(args.seed),
         "pass": bool(all_pass),
-        "checks": {name: reports[name].to_json_dict() for name in names},
+        "checks": reports,
     }
-    summary = " ".join(f"{n}={'ok' if reports[n].passed else 'FAIL'}" for n in names)
+    summary = " ".join(f"{n}={'ok' if reports[n]['pass'] else 'FAIL'}" for n in names)
     _emit(payload, f"verify {args.metric}: {summary}")
     return 0 if all_pass else 1
 

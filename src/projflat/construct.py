@@ -17,9 +17,9 @@ Every evaluator owns an open validity ball |x| < 0.8 * r where r is the
 sampled contraction-radius estimate of its solve(s); evaluations beyond
 it raise DomainError instead of returning garbage.
 
-The builders do not vet psi: ``verify.check_minkowski(psi, 64)``, or the
-``convexity`` check of the built metric, reports a psi that is not a
-Minkowski norm.
+The builders do not vet psi: ``verify.check_minkowski(psi, 64)["pass"]``
+is False, and the ``convexity`` check of the built metric fails, for a
+psi that is not a Minkowski norm.
 
 ``MetricEvaluator.rows`` evaluates N points, rows ``x`` and ``y`` of
 shape ``(N, n)``, at once; it is the one way to evaluate a metric, and it

@@ -27,8 +27,10 @@ masks.  ``pde`` alone evaluates each transport field on its own, and each
 geodesic RK stage asks P alone.  An error raised is the one of the first
 failing sample.
 
-``check_minkowski`` runs the strong-convexity test on a norm (such as
-psi) instead of a metric; ``make_report`` builds a check's report.
+``make_report`` turns a check's residuals over its sample rows into its
+report, the JSON object ``verify`` prints.  ``check_minkowski`` runs the
+strong-convexity test on a norm (such as psi) instead of a metric and
+returns such a report.
 
 All identity residuals are normalized (absolute residual / (1 + magnitude))
 so one tolerance transfers across evaluation scales.  Derivatives of F use
@@ -50,7 +52,7 @@ negative control ``test:broken`` passes it at 5e-16).  It exercises the
 integrator and the domain guards, not projective flatness.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -72,68 +74,33 @@ MINKOWSKI_EIG_FLOOR = 1e-5
 # check reports
 
 
-@dataclass
-class VerificationReport:
-    """Residual statistics of one check over a sample sweep.
+def make_report(check, x, y, residuals, tolerance, extra=None) -> dict:
+    """The report of a check over the sample rows ``x`` and ``y``
+    (``(N, n)``, N >= 1, one residual each), as the JSON object ``verify``
+    prints.
 
-    Invariant: ``passed`` is exactly ``max_residual <= tolerance`` and
-    ``failures`` is nonempty iff the check failed (capped list).
+    It passes iff the largest residual is at most ``tolerance``, and then
+    lists no failures; a failed report lists the rows of its largest
+    residuals above the tolerance, largest first, at most FAILURE_CAP.
+    ``extra`` is printed after the failures when given.
     """
-
-    check_name: str
-    sample_count: int
-    max_residual: float
-    mean_residual: float
-    tolerance: float
-    passed: bool
-    failures: list = field(default_factory=list)
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "check": self.check_name,
-            "samples": int(self.sample_count),
-            "max_residual": float(self.max_residual),
-            "mean_residual": float(self.mean_residual),
-            "tolerance": float(self.tolerance),
-            "pass": bool(self.passed),
-            "failures": [
-                {"x": [float(v) for v in x], "y": [float(v) for v in y], "residual": float(r)}
-                for (x, y, r) in self.failures
-            ],
-        }
-        if self.extra:
-            out["extra"] = {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                            for k, v in self.extra.items()}
-        return out
-
-
-def make_report(check_name, points, residuals, tolerance, extra=None) -> VerificationReport:
-    """Assemble a VerificationReport from per-point residuals."""
     residuals = np.asarray(residuals, dtype=float)
-    max_res = float(residuals.max()) if residuals.size else 0.0
-    mean_res = float(residuals.mean()) if residuals.size else 0.0
-    passed = bool(max_res <= tolerance)
-    failures = []
-    if not passed:
-        order = np.argsort(residuals)[::-1]
-        for idx in order[:FAILURE_CAP]:
-            if residuals[idx] <= tolerance:
-                break
-            x, y = points[idx]
-            failures.append((tuple(float(v) for v in np.atleast_1d(x)),
-                             tuple(float(v) for v in np.atleast_1d(y)),
-                             float(residuals[idx])))
-    return VerificationReport(
-        check_name=check_name,
-        sample_count=int(residuals.size),
-        max_residual=max_res,
-        mean_residual=mean_res,
-        tolerance=float(tolerance),
-        passed=passed,
-        failures=failures,
-        extra=dict(extra or {}),
-    )
+    worst = float(residuals.max())
+    report = {
+        "check": check,
+        "samples": int(residuals.size),
+        "max_residual": worst,
+        "mean_residual": float(residuals.mean()),
+        "tolerance": float(tolerance),
+        "pass": bool(worst <= tolerance),
+        # largest first, a nan residual (a failure) ahead of all
+        "failures": [{"x": x[i].tolist(), "y": y[i].tolist(), "residual": float(residuals[i])}
+                     for i in np.argsort(residuals)[::-1][:FAILURE_CAP]
+                     if not residuals[i] <= tolerance],
+    }
+    if extra:
+        report["extra"] = dict(extra)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +179,6 @@ class _Values(NamedTuple):
 def _stacked(pairs):
     """The M stencil points ``pairs`` [(X_m, Y_m)] of N samples as N * M
     rows, sample-major."""
-    if len(pairs) == 1:
-        return pairs[0]
     n = pairs[0][0].shape[-1]
     return (np.concatenate([a for a, _ in pairs], axis=1).reshape(-1, n),
             np.concatenate([b for _, b in pairs], axis=1).reshape(-1, n))
@@ -525,7 +490,7 @@ def convexity_residual(metric, x, u):
     return np.maximum(-lam_min, -values.f[0]), lam_min
 
 
-def check_minkowski(f: HomogeneousFunction, samples: int) -> VerificationReport:
+def check_minkowski(f: HomogeneousFunction, samples: int) -> dict:
     """Strong-convexity and positivity test of a norm over deterministic
     directions.
 
@@ -542,8 +507,7 @@ def check_minkowski(f: HomogeneousFunction, samples: int) -> VerificationReport:
     values = f.eval_real(np.concatenate(points)).reshape(len(points), samples)
     hess = hessian_from(0.5 * (values * values), step, f.dimension)
     lam = np.linalg.eigvalsh(hess).min(axis=-1)
-    zero = np.zeros(f.dimension)
-    return make_report("minkowski", [(zero, u) for u in dirs], np.maximum(-lam, -values[0]),
+    return make_report("minkowski", np.zeros_like(dirs), dirs, np.maximum(-lam, -values[0]),
                        tolerance=-MINKOWSKI_EIG_FLOOR,
                        extra={"min_eigenvalue": float(lam.min())})
 
@@ -592,7 +556,8 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
     stage, exact on a construction and numeric on a closed form.  A start
     beyond the validity radius raises the point guard's DomainError.  A
     trajectory stops early (flagged) if it or one of its stage points
-    leaves the evaluator's domain; the others go on.
+    leaves the evaluator's domain: it keeps its rows but loses its bit of
+    the ``alive`` mask, so it is asked nothing more; the others go on.
     """
     xs0, vs0 = as_rows(metric.dimension, x0, v0)
     if (lengths(vs0) == 0.0).any():
@@ -602,44 +567,36 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
     if far.any():
         raise DomainError(metric.radius_message(start[far][0]))
     h = float(t_end) / int(steps)
-    limit = metric.domain_radius
     points = np.zeros((int(steps) + 1,) + xs0.shape)
     velocities = np.zeros_like(points)
     points[0], velocities[0] = xs0, vs0
     taken = np.zeros(len(xs0), dtype=int)
-    completed = np.ones(len(xs0), dtype=bool)
-    act = np.arange(len(xs0))
+    alive = np.ones(len(xs0), dtype=bool)
     for i in range(int(steps)):
-        if not act.size:
+        if not alive.any():
             break
-        x, v = points[i, act], velocities[i, act]
+        x, v = points[i], velocities[i]
         sx, sv, slopes = x, v, []
         for coef in (0.5, 0.5, 1.0, None):
-            values = metric.rows(sx, sv, with_f=False, with_p=True)
-            p, errors = values.p, values.errors
-            if any(errors):
-                raise_first([e for e in errors if not isinstance(e, DomainError)])
-                keep = error_free(errors)
-                completed[act[~keep]] = False
-                act, x, v, sv, p = act[keep], x[keep], v[keep], sv[keep], p[keep]
-                slopes = [(a[keep], b[keep]) for a, b in slopes]
-            slopes.append((sv, (-2.0 * p)[:, None] * sv))
+            # True while every trajectory is live keeps the all-rows path of rows
+            values = metric.rows(sx, sv, with_f=False, with_p=True if alive.all() else alive)
+            if any(values.errors):
+                raise_first([e for e in values.errors if not isinstance(e, DomainError)])
+                alive &= error_free(values.errors)
+            slopes.append((sv, (-2.0 * values.p)[:, None] * sv))
             if coef is not None:
                 kx, kv = slopes[-1]
                 sx, sv = x + coef * h * kx, v + coef * h * kv
         (k1x, k1v), (k2x, k2v), (k3x, k3v), (k4x, k4v) = slopes
         x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        out = lengths(x) > limit
-        if out.any():
-            completed[act[out]] = False
-            act, x, v = act[~out], x[~out], v[~out]
-        points[i + 1, act], velocities[i + 1, act] = x, v
-        taken[act] += 1
+        alive &= ~metric.beyond_radius(lengths(x))
+        points[i + 1, alive], velocities[i + 1, alive] = x[alive], v[alive]
+        taken[alive] += 1
     return [GeodesicResult(times=np.arange(taken[j] + 1) * h,
                            points=points[:taken[j] + 1, j].copy(),
                            velocities=velocities[:taken[j] + 1, j].copy(),
-                           completed=bool(completed[j]))
+                           completed=bool(alive[j]))
             for j in range(len(xs0))]
 
 

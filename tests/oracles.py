@@ -254,16 +254,15 @@ def check_minkowski_loop(f, samples, eig_floor=MINKOWSKI_EIG_FLOOR):
         v = f.eval_real(yy)
         return 0.5 * (v * v)
 
-    zero = np.zeros(f.dimension)
-    residuals, points, min_eig = [], [], np.inf
-    for u in unit_directions(f.dimension, samples):
+    dirs = unit_directions(f.dimension, samples)
+    residuals, min_eig = [], np.inf
+    for u in dirs:
         val = f.eval_real(u)
         hess = fd_hessian_loop(half_square, u, STEP_FIRST * max(1.0, float(np.linalg.norm(u))))
         lam = float(np.linalg.eigvalsh(hess).min())
         min_eig = min(min_eig, lam)
         residuals.append(max(-lam, -val))
-        points.append((zero, u))
-    return make_report("minkowski", points, residuals, tolerance=-eig_floor,
+    return make_report("minkowski", np.zeros_like(dirs), dirs, residuals, tolerance=-eig_floor,
                        extra={"min_eigenvalue": min_eig})
 
 
@@ -720,13 +719,14 @@ def convexity_check(metric, x, samples, eig_floor=1e-8):
     """Positive definiteness of [F^2/2]_{yy} over deterministic directions
     at one base point, one direction at a time."""
     x = np.asarray(x, dtype=float)
-    residuals, points, min_eig = [], [], np.inf
-    for u in unit_directions(metric.dimension, samples):
+    dirs = unit_directions(metric.dimension, samples)
+    residuals, min_eig = [], np.inf
+    for u in dirs:
         r, lam = convexity_residual(metric, x[None], u[None])
         residuals.append(r[0])
-        points.append((x, u))
         min_eig = min(min_eig, lam[0])
-    return make_report("convexity", points, residuals, tolerance=-eig_floor,
+    return make_report("convexity", np.broadcast_to(x, dirs.shape), dirs, residuals,
+                       tolerance=-eig_floor,
                        extra={"min_eigenvalue": min_eig})
 
 
@@ -776,7 +776,7 @@ def failing_checks(metric, radius=0.2, samples=50, seed=42) -> set:
     as the CLI runs it, at its default tolerance."""
     return {name for name in CHECK_NAMES
             if not _run_check(name, metric, np.random.default_rng(seed), radius,
-                              samples, DEFAULT_TOLERANCES[name]).passed}
+                              samples, DEFAULT_TOLERANCES[name])["pass"]}
 
 
 # ---------------------------------------------------------------------------

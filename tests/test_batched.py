@@ -159,8 +159,8 @@ def test_check_minkowski_equals_direction_loop(d, f):
     for samples in (64, 100, 5):
         batched = check_minkowski(f, samples)
         loop = oracles.check_minkowski_loop(f, samples)
-        assert batched.to_json_dict() == loop.to_json_dict()
-        assert batched.extra["min_eigenvalue"] == loop.extra["min_eigenvalue"]
+        assert batched == loop
+        assert batched["extra"]["min_eigenvalue"] == loop["extra"]["min_eigenvalue"]
 
 
 def stencil_hessian(fun, v, step):

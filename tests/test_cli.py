@@ -480,8 +480,8 @@ def test_verify_checks_evaluations_per_point(spec, monkeypatch):
         counts.update(F=0, P=0, eval=0)
         report = cli._run_check(name, metric, np.random.default_rng(3), 0.2, 4,
                                 cli.DEFAULT_TOLERANCES[name])
-        assert report.passed, name
-        points = report.sample_count
+        assert report["pass"], name
+        points = report["samples"]
         assert (counts["F"], counts["P"]) == (f_want * points, p_want * points), name
         # a closed form runs its rows through eval one at a time
         assert counts["eval"] == (counts["F"] if metric.solve is None else 0), name

@@ -268,8 +268,8 @@ def test_minkowski_flagging(capsys):
     # the builders do not vet psi; check_minkowski and the convexity check do
     bad = RandersNorm(2, (1.2, 0.0))
     assert f_at(build_k0(bad, Z2), [0.1, 0.0], [1.0, 0.0]) > 0.0
-    assert not check_minkowski(bad, 64).passed
-    assert check_minkowski(E2, 64).passed
+    assert not check_minkowski(bad, 64)["pass"]
+    assert check_minkowski(E2, 64)["pass"]
     code = main(["verify", "--metric", "construct:0:randers:1.2,0:zero",
                  "--checks", "convexity"])
     assert code == 1

@@ -194,23 +194,23 @@ def test_huge_rows_evaluate_without_overflow():
 
 def test_check_minkowski_euclidean():
     rep = check_minkowski(EuclideanNorm(2), 100)
-    assert rep.passed
-    assert rep.extra["min_eigenvalue"] == pytest.approx(1.0, abs=1e-3)
-    assert rep.failures == []
+    assert rep["pass"]
+    assert rep["extra"]["min_eigenvalue"] == pytest.approx(1.0, abs=1e-3)
+    assert rep["failures"] == []
 
 
 def test_check_minkowski_randers_valid():
     a = np.array([0.3, 0.4])  # |a| = 0.5
     rep = check_minkowski(RandersNorm(2, tuple(a)), 100)
-    assert rep.passed
+    assert rep["pass"]
 
 
 def test_check_minkowski_randers_invalid():
     a = np.array([0.9, 1.2])  # |a| = 1.5: negative somewhere
     rep = check_minkowski(RandersNorm(2, tuple(a)), 100)
-    assert not rep.passed
-    assert rep.failures  # failures listed iff not passed
-    assert rep.max_residual > rep.tolerance
+    assert not rep["pass"]
+    assert rep["failures"]  # failures listed iff not passed
+    assert rep["max_residual"] > rep["tolerance"]
 
 
 def test_double_sqrt_plus_degenerates_on_block_axis():
@@ -219,10 +219,11 @@ def test_double_sqrt_plus_degenerates_on_block_axis():
     # l4 norm); the deterministic direction set hits (1, 0), so the
     # validity check reports the degeneracy instead of passing
     rep = check_minkowski(DoubleSqrtNorm(2, 1, 1, plus=True), 64)
-    assert not rep.passed
-    assert rep.extra["min_eigenvalue"] == pytest.approx(0.0, abs=1e-4)
+    assert not rep["pass"]
+    assert rep["extra"]["min_eigenvalue"] == pytest.approx(0.0, abs=1e-4)
     # every reported failure direction is an axis direction
-    for _, u, _ in rep.failures:
+    for failure in rep["failures"]:
+        u = failure["y"]
         assert abs(u[0] * u[1]) < 1e-6
     # off-axis the Hessian is strongly positive definite
     from projflat.verify import hessian_from, hessian_points

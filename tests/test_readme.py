@@ -16,7 +16,7 @@ def python_api_block() -> str:
 
 def test_python_api_example_runs():
     code = python_api_block()
-    assert "rows(" in code
+    assert "rows(" in code and 'check_minkowski(psi, 64)["pass"]' in code
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         exec(compile(code, "README.md", "exec"), {})
