@@ -726,8 +726,7 @@ def convexity_check(metric, x, samples, eig_floor=1e-8):
         residuals.append(r[0])
         min_eig = min(min_eig, lam[0])
     return make_report("convexity", np.broadcast_to(x, dirs.shape), dirs, residuals,
-                       tolerance=-eig_floor,
-                       extra={"min_eigenvalue": min_eig})
+                       tolerance=-eig_floor, extra={"min_eigenvalue": min_eig})
 
 
 def format_norm(f: HomogeneousFunction) -> str:
