@@ -16,8 +16,7 @@ from .norms import (CombinedNorm, DoubleSqrtNorm, EuclideanNorm, HomogeneousFunc
 from .solver import (SolveResult, SolverConfig, pair_radius_estimate,
                      radius_estimate, solve_complex, solve_real)
 from .verify import (GeodesicResult, berwald_system_residual, check_minkowski,
-                     collinearity_score, flag_curvature,
-                     geodesic_coefficients_general, hamel_residual,
+                     collinearity_score, flag_curvature, hamel_residual,
                      integrate_geodesic, jet, master_pde_residual,
                      projective_factor_numeric)
 

@@ -143,8 +143,10 @@ class MetricEvaluator:
         extends beyond the guaranteed ball wherever bracketing succeeds, and
         a closed form's numeric P guards the points of its own quotient.
         The rows that pass go to the constructed metric's solve, or to a
-        closed form's ``_formula``.  A failed row gets nan and its own error;
-        the other rows are unaffected.
+        closed form's ``_formula``.  A constructed row whose asked F or P
+        comes out not finite fails with a DomainError that names the field,
+        as a closed form's F does in ``_formula``.  A failed row gets nan and
+        its own error; the other rows are unaffected.
         """
         x, y = as_rows(self.dimension, x, y)
         per_f, per_p = isinstance(with_f, np.ndarray), isinstance(with_p, np.ndarray)
@@ -175,6 +177,15 @@ class MetricEvaluator:
         if self.solve is not None:  # a solve gives F and P on every row it solves
             f = np.where(with_f, f, np.nan) if per_f else f
             p = np.where(with_p, p, np.nan) if per_p else p
+            for name, values, want, per in (("F", f, with_f, per_f), ("P", p, with_p, per_p)):
+                # a row not asked holds nan, so every asked row is finite iff the counts agree
+                if not (per or want) or np.count_nonzero(np.isfinite(values)) == (
+                        np.count_nonzero(want) if per else len(values)):
+                    continue
+                for i in np.flatnonzero(~np.isfinite(values) & want).tolist():
+                    if errors[i] is None:
+                        errors[i] = DomainError(f"{self.kind} gives {name} = {values[i]} at this point")
+                        f[i] = p[i] = np.nan
         return RowValues(f if per_f or with_f else None, p if per_p or with_p else None, errors)
 
     def _formula(self, x, y, with_f, with_p):
@@ -265,8 +276,8 @@ def p_numeric(metric, x, y):
         return dfdt / (2.0 * f0), errors
 
 
-def _domain_from(radius: float) -> float:
-    return math.inf if math.isinf(radius) else DOMAIN_SAFETY * radius
+# an F or P that overflows fails its own row in ``rows``
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 def _same_dimension(psi, phi) -> None:
@@ -279,6 +290,7 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
     """Flat (curvature 0) metric from origin data (psi, phi)."""
     _same_dimension(psi, phi)
 
+    @_QUIET
     def solve(x, y, with_f):
         res = solve_real(phi, x, y, cfg)
         errors, f = res.errors, np.full(len(y), np.nan)
@@ -301,7 +313,7 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     return MetricEvaluator(
         kind="constructed-K0", dimension=psi.dimension, solve=solve,
-        intended_curvature=0.0, domain_radius=_domain_from(radius_estimate(phi)))
+        intended_curvature=0.0, domain_radius=DOMAIN_SAFETY * radius_estimate(phi))
 
 
 _SIGNS = np.array([1.0, -1.0])
@@ -315,6 +327,7 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     f_minus = combine((1.0, phi), (-1.0, psi))
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
 
+    @_QUIET
     def solve(x, y, with_f):
         # one solve of phi + sign psi on the rows stacked twice: Phi_+ on the
         # first copy (sign +1), Phi_- on the second (sign -1)
@@ -327,7 +340,7 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     return MetricEvaluator(
         kind="constructed-Kneg1", dimension=psi.dimension, solve=solve,
-        intended_curvature=-1.0, domain_radius=_domain_from(radius))
+        intended_curvature=-1.0, domain_radius=DOMAIN_SAFETY * radius)
 
 
 def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction,
@@ -342,7 +355,7 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction,
 
     return MetricEvaluator(
         kind="constructed-Kpos1", dimension=psi.dimension, solve=solve,
-        intended_curvature=1.0, domain_radius=_domain_from(radius))
+        intended_curvature=1.0, domain_radius=DOMAIN_SAFETY * radius)
 
 
 def broken_metric(dimension: int = 2) -> MetricEvaluator:

@@ -60,13 +60,16 @@ negative real axis, the cut itself resolved from above as in IEEE/numpy),
 so at a real vector every family's complex value is its real value, up
 to rounding.
 
+Every norm is a value: it stores a sequence parameter as a tuple when
+built, so it compares and hashes by its class and parameters (all but a
+combination with per-row coefficients).
+
 ``parse_norms`` reads descriptors such as ``scaled:0.3`` through one
 table, ``NORM_FAMILIES``; ``bryant:<alpha>`` names two norms, Bryant's
 origin data psi = cos(alpha)|y| and phi = sin(alpha)|y|.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -291,12 +294,11 @@ class RandersNorm(LengthNorm):
     family = "randers"
 
     def __post_init__(self):
-        if len(self.drift) != self.dimension:
+        drift = tuple(map(float, self.drift))
+        if len(drift) != self.dimension:
             raise DimensionMismatchError("drift vector length must equal dimension")
-
-    @cached_property
-    def _drift(self):
-        return np.asarray(self.drift, dtype=float)
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "_drift", np.array(drift))
 
     def _real(self, v):
         return lengths(v) + np.vecdot(v, self._drift)
@@ -401,8 +403,8 @@ class CombinedNorm(HomogeneousFunction):
     Keeps gradients and complex continuations exact for derived data such
     as phi + psi and phi - psi.  A coefficient is a scalar, or a per-row
     column ``(N,)`` that weights row k by c_i[k]: such a combination is a
-    different function on each row and takes exactly N rows (the pair
-    phi +/- psi, solved on two copies of the rows).
+    different function on each row, takes exactly N rows (the pair
+    phi +/- psi, solved on two copies of the rows) and does not hash.
     """
 
     terms: tuple = ()
@@ -410,19 +412,14 @@ class CombinedNorm(HomogeneousFunction):
     family = "combo"
 
     def __post_init__(self):
-        for _, f in self.terms:
+        terms = tuple((c, f) for c, f in self.terms)
+        for _, f in terms:
             if f.dimension != self.dimension:
                 raise DimensionMismatchError("all terms must share the dimension")
-
-    @property
-    def zero_ok(self) -> bool:
-        return all(f.zero_ok for _, f in self.terms)
-
-    @cached_property
-    def _columns(self):
-        """The coefficients as gradient weights: a column weights its own
-        row, and a scalar reshapes to (1, 1)."""
-        return tuple((np.reshape(c, (-1, 1)), f) for c, f in self.terms)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "zero_ok", all(f.zero_ok for _, f in terms))
+        # gradient weights: a column (N, 1) weights its own row, a scalar (1,) every row
+        object.__setattr__(self, "_columns", tuple((np.asarray(c)[..., None], f) for c, f in terms))
 
     # each sum starts from 0, as ``sum`` does, so a -0.0 sum reads +0.0
     def _real(self, v):

@@ -52,7 +52,10 @@ roots the two components share once (dsr-a with dsr-b, and any two of
 euclidean, scaled and randers, such as Bryant's pair).
 
 The validity-radius estimates are pure functions of the origin data, so
-they are memoized by norm value in a bounded table (``_by_value``).
+each is memoized by norm value in a ``functools.lru_cache`` of
+RADIUS_MEMO entries.  A norm is a frozen dataclass that hashes and
+compares by its class and parameters, and an estimate is a deterministic
+function of them, so a memoized estimate has the bits of a fresh one.
 """
 
 import functools
@@ -283,41 +286,17 @@ def _slopes(grads: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_value(estimate):
-    """``estimate`` memoized by the value of its norms, in a bounded
-    least-recently-used table of RADIUS_MEMO entries per process.
-
-    A norm is a frozen dataclass that hashes and compares by its class
-    and parameters, and an estimate is a deterministic function of them,
-    so a memoized estimate has the bits of a fresh one.  A norm that does
-    not hash (a parameter held in a list or an array) is estimated afresh.
-    ``cache_clear`` empties the table.
-    """
-    memo = functools.lru_cache(maxsize=RADIUS_MEMO)(estimate)
-
-    @functools.wraps(estimate)
-    def by_value(*norms):
-        try:
-            hash(norms)
-        except TypeError:
-            return estimate(*norms)
-        return memo(*norms)
-
-    by_value.cache_clear, by_value.cache_info = memo.cache_clear, memo.cache_info
-    return by_value
-
-
-@_by_value
+@functools.lru_cache(maxsize=RADIUS_MEMO)
 def radius_estimate(phi: HomogeneousFunction) -> float:
     """Validity-ball radius 1 / (2 sup |grad phi|), supremum sampled over
     RADIUS_DIRECTIONS deterministic unit directions.  Infinite for the
-    zero function.  Memoized by the value of ``phi`` (``_by_value``): a
-    process estimates each origin datum once, and every later build from
-    an equal norm reuses those bits."""
+    zero function.  Memoized by the value of ``phi``: a process
+    estimates each origin datum once, and every later build from an equal
+    norm reuses those bits."""
     return _radius(_slopes(phi.grad_real(unit_directions(phi.dimension, RADIUS_DIRECTIONS))))
 
 
-@_by_value
+@functools.lru_cache(maxsize=RADIUS_MEMO)
 def pair_radius_estimate(phi: HomogeneousFunction, psi: HomogeneousFunction) -> float:
     """Validity radius for the complex combined map phi + i psi, memoized
     by the value of the pair as ``radius_estimate`` is."""

@@ -516,28 +516,6 @@ def check_minkowski(f: HomogeneousFunction, samples: int) -> dict:
 # geodesics
 
 
-def geodesic_coefficients_general(metric, x, y):
-    """Geodesic coefficients from the metric tensor:
-
-        G^i = (1/4) g^{il} ( [F^2]_{x^m y^l} y^m - [F^2]_{x^l} ),
-        g_ij = [F^2/2]_{y^i y^j}.
-
-    Everything comes from the finite-difference jet; for projectively
-    flat metrics this must match P(x, y) * y^i.
-    """
-    xs, ys = as_rows(metric.dimension, x, y)
-    jd = jet(metric, xs, ys)
-    f0 = jd.value[:, None]
-    g = jd.grad_y[:, :, None] * jd.grad_y[:, None, :] + f0[..., None] * jd.hess_yy
-    b = 2.0 * (np.vecdot(jd.grad_x, ys)[:, None] * jd.grad_y
-               + f0 * _mixed_times_y(jd, ys) - f0 * jd.grad_x)
-    try:
-        sol = np.linalg.solve(g, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("metric tensor is singular at this point") from exc
-    return 0.25 * sol
-
-
 @dataclass
 class GeodesicResult:
     """Sampled geodesic trajectory; ``completed`` is False on domain exit."""

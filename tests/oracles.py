@@ -14,7 +14,9 @@ a closed form) at one point from a one-row batch of
 ``solve_real_scalar``, ``solve_complex_scalar`` and ``constructed_fp``
 are the one-point references for the solves and metric builders on rows;
 ``solve_complex_picard`` is the complex solve on rows without its secant
-steps.  ``format_norm`` writes a norm back as the descriptor
+steps.  ``geodesic_coefficients_general`` is the geodesic spray
+from the metric tensor of the jet, the general form that P y^i
+specializes.  ``format_norm`` writes a norm back as the descriptor
 ``parse_norms`` reads.  ``point_values_composed``,
 ``flag_curvature_composed`` and ``berwald_composed`` are the point checks
 of ``verify`` as separate calls, one per field group (F, P, or both) and
@@ -37,8 +39,8 @@ from projflat.norms import combine
 from projflat.sampling import unit_directions
 from projflat.solver import (BRACKET_EXPANSION, RADIUS_DIRECTIONS, _at,
                              _complex_nonzero, _Rows)
-from projflat.norms import lengths
-from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, STEP_SECOND,
+from projflat.norms import as_rows, lengths
+from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, STEP_SECOND, _mixed_times_y,
                              convexity_residual, gradient_from, gradient_points, jet,
                              make_report)
 
@@ -727,6 +729,28 @@ def convexity_check(metric, x, samples, eig_floor=1e-8):
         min_eig = min(min_eig, lam[0])
     return make_report("convexity", np.broadcast_to(x, dirs.shape), dirs, residuals,
                        tolerance=-eig_floor, extra={"min_eigenvalue": min_eig})
+
+
+def geodesic_coefficients_general(metric, x, y):
+    """Geodesic coefficients from the metric tensor:
+
+        G^i = (1/4) g^{il} ( [F^2]_{x^m y^l} y^m - [F^2]_{x^l} ),
+        g_ij = [F^2/2]_{y^i y^j}.
+
+    Everything comes from the finite-difference jet; for projectively
+    flat metrics this must match P(x, y) * y^i.
+    """
+    xs, ys = as_rows(metric.dimension, x, y)
+    jd = jet(metric, xs, ys)
+    f0 = jd.value[:, None]
+    g = jd.grad_y[:, :, None] * jd.grad_y[:, None, :] + f0[..., None] * jd.hess_yy
+    b = 2.0 * (np.vecdot(jd.grad_x, ys)[:, None] * jd.grad_y
+               + f0 * _mixed_times_y(jd, ys) - f0 * jd.grad_x)
+    try:
+        sol = np.linalg.solve(g, b[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("metric tensor is singular at this point") from exc
+    return 0.25 * sol
 
 
 def format_norm(f: HomogeneousFunction) -> str:

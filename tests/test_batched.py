@@ -138,20 +138,38 @@ def test_memoized_radius_estimates_of_huge_parameters(d, recwarn):
 
 def test_radius_memo_keys_norms_by_exact_value():
     """Adjacent doubles, and the zero and Euclidean norms (whose hashes
-    collide), are separate entries; a norm that does not hash is estimated
-    afresh; the table holds at most RADIUS_MEMO entries."""
+    collide), are separate entries; a list drift is its tuple twin, one
+    entry that the twin hits; the table holds at most RADIUS_MEMO entries."""
     clear_radius_memo()
     near = [ScaledNorm(2, 0.3), ScaledNorm(2, float(np.nextafter(0.3, 1.0)))]
     assert [radius_estimate(f) for f in near] == list(map(oracles.radius_estimate_loop, near))
     assert [radius_estimate(f) for f in (ZeroNorm(2), EuclideanNorm(2))] == [np.inf, 0.5]
     info = radius_estimate.cache_info()
     assert (info.hits, info.currsize) == (0, 4)
-    listed = RandersNorm(2, [0.2, 0.1])  # a list parameter: the norm does not hash
-    assert radius_estimate(listed) == oracles.radius_estimate_loop(RandersNorm(2, (0.2, 0.1)))
-    assert radius_estimate.cache_info().currsize == 4
+    twin = RandersNorm(2, (0.2, 0.1))
+    assert radius_estimate(RandersNorm(2, [0.2, 0.1])) == oracles.radius_estimate_loop(twin)
+    assert radius_estimate.cache_info().currsize == 5
+    assert radius_estimate(twin) == oracles.radius_estimate_loop(twin)
+    info = radius_estimate.cache_info()
+    assert (info.hits, info.currsize) == (1, 5)
     for k in range(RADIUS_MEMO + 3):
         radius_estimate(ScaledNorm(2, 1.0 + k))
     assert radius_estimate.cache_info().currsize == RADIUS_MEMO
+
+
+def test_norms_are_values():
+    """A drift given as a list, a tuple or an array makes one norm: equal,
+    hashed alike, one radius memo entry; so does a combination of them."""
+    clear_radius_memo()
+    drifts = ([0.2, 0.1], (0.2, 0.1), np.array([0.2, 0.1]))
+    norms = [RandersNorm(2, a) for a in drifts]
+    assert norms[0] == norms[1] == norms[2]
+    assert len({hash(f) for f in norms}) == 1
+    assert {radius_estimate(f) for f in norms} == {oracles.radius_estimate_loop(norms[1])}
+    info = radius_estimate.cache_info()
+    assert (info.hits, info.currsize) == (2, 1)
+    sums = [combine((1.0, f), (1.0, EuclideanNorm(2))) for f in norms]
+    assert sums[0] == sums[2] and hash(sums[0]) == hash(sums[2])
 
 
 @pytest.mark.parametrize("d, f", CASES)

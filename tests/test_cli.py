@@ -730,6 +730,24 @@ def test_non_finite_output_is_a_domain_error(capsys, monkeypatch):
     assert json.loads(err.splitlines()[-1])["error"]["type"] == "domain"
 
 
+def test_sample_blanks_a_constructed_row_whose_f_overflows(tmp_path, capsys):
+    """psi = 1e200 |y| at y = (1e150, 1) gives F = inf: the row is blank
+    and not counted, with no numpy warning (pytest turns one into an
+    error); ``eval`` at that point exits 3 with the row's own error."""
+    out_file = str(tmp_path / "f.csv")
+    code, out, _ = run_cli(capsys, "sample", "--metric", "construct:0:scaled:1e200:zero",
+                           "--x", "0,0", "--grid=1e150:1e150:1,1:1:1", "--out", out_file)
+    assert code == 0
+    assert json.loads(out.splitlines()[0]) == {"out": out_file, "rows": 1, "evaluated": 0}
+    with open(out_file) as fh:
+        assert list(csv.reader(fh))[1][4:] == ["", "", ""]
+    code, out, err = run_cli(capsys, "eval", "--metric", "construct:0:scaled:1e200:zero",
+                             "--x", "0,0", "--y", "1e150,1")
+    assert (code, out) == (3, "")
+    assert json.loads(err.splitlines()[-1])["error"] == {
+        "type": "domain", "message": "constructed-K0 gives F = inf at this point"}
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "projflat", "eval", "--metric", "catalog:funk",

@@ -227,6 +227,28 @@ def test_domain_guard():
         m.eval([0.1, 0.0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("build", [build_k0, build_kneg1, build_kpos1])
+def test_non_finite_constructed_row_is_a_domain_error(build):
+    """F overflows at y = (1e150, 0) when psi = 1e200 |y|: the row fails
+    with a DomainError naming the field, F and P nan, and no numpy
+    warning; P alone at that row stays finite, or fails the same way."""
+    m = build(ScaledNorm(2, 1e200), Z2)
+    x, y = np.zeros((2, 2)), np.array([[1e150, 0.0], [1.0, 0.0]])
+    for with_f, with_p in ((True, True), (True, False), (np.array([True, True]), True)):
+        values = m.rows(x, y, with_f, with_p)
+        assert np.isnan(values.f[0]) and values.f[1] == 1e200
+        assert str(values.errors[0]) == f"{m.kind} gives F = inf at this point"
+        assert values.errors[1] is None
+        if values.p is not None:
+            assert np.isnan(values.p[0]) and values.p[1] == 0.0
+    values = m.rows(x, y, with_f=False, with_p=True)
+    if build is build_kneg1:  # P = (Phi_+ + Phi_-) / 2 = (inf - inf) / 2
+        assert str(values.errors[0]) == "constructed-Kneg1 gives P = nan at this point"
+        assert np.isnan(values.p[0])
+    else:
+        assert values.errors == [None, None] and values.p[0] == 0.0
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("spec", ["euclidean:randers:{a}", "dsr-b:1,{m}:dsr-a:1,{m}",
                                   "randers:{a}:scaled:0.4", "zero:euclidean"])

@@ -14,6 +14,11 @@ The closed-form control ``test:broken`` runs the same checks.  Each case
 asserts the exact set of failing checks, so a check that goes blind, or
 starts failing a valid metric, shows up.  The README's table of what
 each check detects is this table.
+
+``DETECTION_FLOORS`` pins each check's power at d = 2: the perturbation
+1.1 eps fails the check, eps being the smallest perturbation it was
+measured to fail.  The tests are one-sided, so a tighter tolerance keeps
+them passing.
 """
 
 import dataclasses
@@ -23,7 +28,7 @@ import pytest
 
 from oracles import altered, failing_checks, perturbed
 from projflat import SolverConfig, broken_metric
-from projflat.cli import parse_metric
+from projflat.cli import DEFAULT_TOLERANCES, _run_check, parse_metric
 
 HAMEL_BERWALD = {"hamel", "berwald"}
 FOUR = {"hamel", "curvature", "berwald", "pde"}
@@ -63,3 +68,24 @@ def test_each_control_fails_exactly_its_checks(spec, dim, perturbation, mutation
 @pytest.mark.parametrize("dim", [2, 3])
 def test_broken_closed_form_fails_exactly_its_checks(dim):
     assert failing_checks(broken_metric(dim)) == FOUR
+
+
+# construction -> {check: the smallest eps of F + eps x^1 (y^1)^2 / |y| it
+# fails}; at K = 0 curvature and pde are blind to this perturbation
+DETECTION_FLOORS = {
+    "construct:0:euclidean:randers:0.2,0.1": {"hamel": 6.4e-6, "berwald": 1.8e-5},
+    "construct:-1:euclidean:scaled:0.3": {"hamel": 4.1e-6, "curvature": 3.3e-4,
+                                          "berwald": 1.3e-5, "pde": 1.2e-6},
+    "construct:1:bryant:0.5236": {"hamel": 5.2e-6, "curvature": 2.6e-4,
+                                  "berwald": 1.6e-5, "pde": 1.6e-6},
+}
+
+
+@pytest.mark.parametrize("spec, check, eps", [
+    (spec, check, eps) for spec, floors in DETECTION_FLOORS.items()
+    for check, eps in floors.items()])
+def test_each_check_detects_its_floor(spec, check, eps):
+    metric = perturbed(parse_metric(spec, 2, SolverConfig()), 1.1 * eps)
+    report = _run_check(check, metric, np.random.default_rng(42), 0.2, 50,
+                        DEFAULT_TOLERANCES[check])
+    assert not report["pass"], report

@@ -15,14 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import f_at
+from oracles import f_at, geodesic_coefficients_general
 from projflat import (CombinedNorm, DimensionMismatchError, DomainError,
                       DoubleSqrtNorm, EuclideanNorm, HomogeneousFunction, MetricEvaluator,
                       ProjFlatError, RandersNorm, ScaledNorm, SolverConfig,
                       SolverError, ZeroNorm, as_evaluator, berwald_system_residual,
                       broken_metric, build_k0, build_kneg1, build_kpos1, combine,
-                      flag_curvature, geodesic_coefficients_general,
-                      hamel_residual, integrate_geodesic, jet,
+                      flag_curvature, hamel_residual, integrate_geodesic, jet,
                       list_catalog, master_pde_residual, parse_norms,
                       projective_factor_numeric, solve_complex, solve_real)
 from projflat.cli import parse_metric

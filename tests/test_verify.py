@@ -8,13 +8,13 @@ import pytest
 from projflat import (DomainError, EuclideanNorm, MetricEvaluator, ScaledNorm, ZeroNorm,
                       as_evaluator, berwald_system_residual, broken_metric,
                       build_k0, build_kneg1, catalog_entry, collinearity_score,
-                      flag_curvature,
-                      geodesic_coefficients_general, hamel_residual,
+                      flag_curvature, hamel_residual,
                       integrate_geodesic, jet, list_catalog,
                       master_pde_residual, projective_factor_numeric)
 from projflat import ProjFlatError, SolverConfig, cli
 from oracles import (berwald_composed, convexity_check, f_at, fd_gradient,
-                     flag_curvature_composed, p_at, point_values_composed)
+                     flag_curvature_composed, geodesic_coefficients_general, p_at,
+                     point_values_composed)
 from projflat.sampling import ball_points, sphere_points
 from projflat.verify import convexity_residual, make_report, point_values
 
