@@ -25,11 +25,11 @@ psi that is not a Minkowski norm.
 shape ``(N, n)``, at once; it is the one way to evaluate a metric, and it
 gives F and P on every metric kind.  Every kind passes its rows through
 one point guard there.  ``with_f`` and ``with_p`` each ask for their
-field on every row or, as a per-row mask, on some rows only, so one call
-can serve a stencil whose points want F, P or both.  A constructed metric
-then solves the rows that passed together, once per point for F and P
-both, and its P is exact; a closed form runs its formula on its F rows
-point by point (``eval``), and its P is the difference quotient
+field as a bool (every row) or a per-row mask, and ``rows`` picks its own
+path, so one call serves a stencil whose points want F, P or both.  A
+constructed metric then solves the rows that passed together, once per
+point for F and P both, and its P is exact; a closed form runs its
+formula on its F rows point by point (``eval``), and its P is the difference quotient
 P = F_{x^k} y^k / (2F) of ``p_numeric`` (Shen).  Nothing else leaves a
 solve: the transport fields that ``verify`` checks are built from F, P
 and the stated curvature alone.
@@ -108,9 +108,10 @@ class MetricEvaluator:
     numeric P, at three points per P row (the count that the tests and the
     benchmark's tracer check, which is why the formulas are not yet
     written on arrays); a constructed metric carries ``solve``, which
-    maps the guarded rows ``x``, ``y`` and the mask of rows asked for F to
-    ``(F, P, errors)`` (see RowValues) from one solve per row; its F and P
-    may hold values on rows not asked for, which ``rows`` blanks.
+    maps the guarded rows ``x``, ``y`` and the masks of the rows asked for
+    F and P to ``(F, P, errors)`` (see RowValues) from one solve per row,
+    as ``_formula`` does; its F and P may fill rows not asked, which
+    ``rows`` blanks.
     """
 
     kind: str
@@ -128,77 +129,86 @@ class MetricEvaluator:
         return (f"|x| = {length:.6g} exceeds the validity radius "
                 f"{self.domain_radius:.6g} of this evaluator")
 
+    def guard(self, x, y, with_f):
+        """The point guard of ``rows`` at each row: the mask of the rows that
+        pass, and y's squared lengths and |x| for ``guard_error``."""
+        with np.errstate(over="ignore"):  # an overflow is reported per row
+            squares, length = np.vecdot(y, y), lengths(x)
+            # both are >= 0 (or nan), so their sum is finite iff both are
+            passes = np.isfinite(squares + length) & (squares != 0.0)
+        return passes & ~(self.beyond_radius(length) & with_f), squares, length
+
+    def guard_error(self, squares, length, i):
+        """The DomainError of row i, which fails the point guard."""
+        squares, length = float(squares[i]), float(length[i])
+        return DomainError(NON_FINITE if not math.isfinite(squares + length) else ZERO_Y
+                           if squares == 0.0 else self.radius_message(length))
+
     def rows(self, x, y, with_f=True, with_p=False) -> RowValues:
         """F on the rows ``with_f`` asks for and P on the rows ``with_p``
         asks for, at each row of ``x`` and ``y`` (both ``(N, n)``; any other
         shape is a DimensionMismatchError).
 
-        ``with_f`` and ``with_p`` are each a bool for every row or an
-        ``(N,)`` bool array.  ``f`` and ``p`` hold nan on the rows not asked
-        for them, and are None when their flag is False; a row asked for
-        neither is skipped.  Every metric kind passes each asked row through
-        this one point guard: finite x, y and squared lengths, y != 0 (a y
-        whose length underflows counts as zero) and, on the rows asked for
-        F, the validity radius.  P is not radius-guarded: a constructed P
-        extends beyond the guaranteed ball wherever bracketing succeeds, and
-        a closed form's numeric P guards the points of its own quotient.
-        The rows that pass go to the constructed metric's solve, or to a
-        closed form's ``_formula``.  A constructed row whose asked F or P
-        comes out not finite fails with a DomainError that names the field,
-        as a closed form's F does in ``_formula``.  A failed row gets nan and
-        its own error; the other rows are unaffected.
+        An ask is a bool for every row or an ``(N,)`` bool mask, and
+        ``rows`` picks its own path: all rows as they are when every row is
+        asked and passes the guard, else the passing rows gathered once.
+        ``f`` and ``p`` hold nan on the rows not asked for them, and are None
+        when their ask is False; a row asked for neither is skipped.  Every
+        metric kind passes each asked row through this one point guard:
+        finite x, y and squared lengths, y != 0 (a y whose length underflows
+        counts as zero) and, on the rows asked for F, the validity radius.
+        P is not radius-guarded: a constructed P extends beyond the
+        guaranteed ball wherever bracketing succeeds, and a closed form's
+        numeric P guards the points of its own quotient.  The rows go to the
+        constructed metric's solve, or to a closed form's ``_formula``.  A
+        constructed row whose asked F or P comes out not finite fails with a
+        DomainError that names the field, as a closed form's F does in
+        ``_formula``.  A failed row gets nan and its own error; the other
+        rows are unaffected.
         """
         x, y = as_rows(self.dimension, x, y)
-        per_f, per_p = isinstance(with_f, np.ndarray), isinstance(with_p, np.ndarray)
-        with np.errstate(over="ignore"):  # an overflow is reported per row
-            squares, length = np.vecdot(y, y), lengths(x)
-            # both are >= 0 (or nan), so their sum is finite iff both are
-            passes = np.isfinite(squares + length) & (squares != 0.0)
-        if per_f or with_f:
-            passes &= ~(self.beyond_radius(length) & with_f)
-        asked = with_f | with_p
-        ok = passes if asked is True else passes & asked
-        solve = self._formula if self.solve is None else lambda x, y, f, _: self.solve(x, y, f)
-        if np.count_nonzero(ok) == len(ok):  # no per-row Python when every row passes
-            f, p, errors = solve(x, y, with_f, with_p)
+        f_rows, p_rows = (ask if isinstance(ask, np.ndarray) else np.full(len(y), ask)
+                          for ask in (with_f, with_p))
+        passes, squares, length = self.guard(x, y, f_rows)
+        asked = f_rows | p_rows
+        ok = passes & asked
+        solve = self._formula if self.solve is None else self.solve
+        if np.count_nonzero(ok) == len(ok):  # no gather and no per-row Python
+            f, p, errors = solve(x, y, f_rows, p_rows)
         else:
             errors = [None] * len(y)
-            for i in np.flatnonzero(~passes & asked):
-                yy, r = float(squares[i]), float(length[i])
-                errors[i] = DomainError(NON_FINITE if not math.isfinite(yy + r) else ZERO_Y
-                                        if yy == 0.0 else self.radius_message(r))
-            f, p = np.full(len(y), np.nan), np.full(len(y), np.nan)
-            if ok.any():
-                f, p, solved = solve(x[ok], y[ok], with_f[ok] if per_f else with_f,
-                                     with_p[ok] if per_p else with_p)
-                for i, exc in zip(np.flatnonzero(ok), solved):
+            for i in (~passes & asked).nonzero()[0].tolist():
+                errors[i] = self.guard_error(squares, length, i)
+            (f, p), at = np.full((2, len(y)), np.nan), ok.nonzero()[0]
+            if len(at):
+                f[at], p[at], solved = solve(x[at], y[at], f_rows[at], p_rows[at])
+                for i, exc in zip(at.tolist(), solved):
                     errors[i] = exc
-                f, p = _spread(f, ok), _spread(p, ok)
         if self.solve is not None:  # a solve gives F and P on every row it solves
-            f = np.where(with_f, f, np.nan) if per_f else f
-            p = np.where(with_p, p, np.nan) if per_p else p
-            for name, values, want, per in (("F", f, with_f, per_f), ("P", p, with_p, per_p)):
+            for name, values, want in (("F", f, f_rows), ("P", p, p_rows)):
+                count = np.count_nonzero(want)
+                if count < len(want):
+                    values[~want] = np.nan
                 # a row not asked holds nan, so every asked row is finite iff the counts agree
-                if not (per or want) or np.count_nonzero(np.isfinite(values)) == (
-                        np.count_nonzero(want) if per else len(values)):
+                if np.count_nonzero(np.isfinite(values)) == count:
                     continue
-                for i in np.flatnonzero(~np.isfinite(values) & want).tolist():
+                for i in (~np.isfinite(values) & want).nonzero()[0].tolist():
                     if errors[i] is None:
                         errors[i] = DomainError(f"{self.kind} gives {name} = {values[i]} at this point")
                         f[i] = p[i] = np.nan
-        return RowValues(f if per_f or with_f else None, p if per_p or with_p else None, errors)
+        return RowValues(f if isinstance(with_f, np.ndarray) or with_f else None,
+                         p if isinstance(with_p, np.ndarray) or with_p else None, errors)
 
     def _formula(self, x, y, with_f, with_p):
-        """A closed form's rows solve: ``eval`` on each guarded row asked
-        for F, then the numeric P (``p_numeric``) on the rows asked for P.
-        A formula's own error, a math overflow or domain error in it, or a
-        non-finite F fails its row alone; a row's error is F's, else P's."""
-        per_row, f, p, errors = isinstance(with_f, np.ndarray), None, None, [None] * len(y)
-        if per_row or with_f:
-            at = np.flatnonzero(with_f) if per_row else slice(None)
-            index = at.tolist() if per_row else range(len(y))
+        """A closed form's rows solve: ``eval`` on each guarded row that the
+        mask ``with_f`` asks for, then the numeric P (``p_numeric``) on the
+        rows that ``with_p`` asks for.  A formula's own error, a math
+        overflow or domain error in it, or a non-finite F fails its row
+        alone; a row's error is F's, else P's."""
+        (f, p), errors, at = np.full((2, len(y)), np.nan), [None] * len(y), with_f.nonzero()[0]
+        if len(at):
             f_eval, values = self.eval, []  # looked up once: one eval call per F row
-            for i, xi, yi in zip(index, x[at], y[at]):
+            for i, xi, yi in zip(at.tolist(), x.take(at, 0), y.take(at, 0)):
                 try:
                     values.append(f_eval(xi, yi))
                     continue
@@ -208,22 +218,17 @@ class MetricEvaluator:
                     fault = "overflows" if isinstance(exc, OverflowError) else f"fails ({exc})"
                     errors[i] = DomainError(f"{self.kind} formula {fault} at this point")
                 values.append(math.nan)
-            f = np.full(len(y), np.nan)
             f[at] = values
             # a Python float product overflows to inf without raising
-            for k in np.flatnonzero(~np.isfinite(f[at])).tolist():
-                i = index[k]
+            for i in (~np.isfinite(f) & with_f).nonzero()[0].tolist():
                 if errors[i] is None:
                     errors[i] = DomainError(f"{self.kind} formula gives F = {f[i]} at this point")
                     f[i] = math.nan
-        if isinstance(with_p, np.ndarray):
-            p = np.full(len(y), np.nan)
-            p[with_p], p_errors = p_numeric(self, x[with_p], y[with_p])
-            for i, exc in zip(np.flatnonzero(with_p), p_errors):
+        at = with_p.nonzero()[0]
+        if len(at):
+            p[at], p_errors = p_numeric(self, x.take(at, 0), y.take(at, 0))
+            for i, exc in zip(at.tolist(), p_errors):
                 errors[i] = errors[i] or exc
-        elif with_p:
-            p, p_errors = p_numeric(self, x, y)
-            errors = first_errors(errors, p_errors)
         return f, p, errors
 
     def eval(self, x, y) -> float:
@@ -233,15 +238,6 @@ class MetricEvaluator:
         if self.f_eval is None:
             raise ProjFlatError(f"{self.kind} evaluates on rows only; use rows()")
         return float(self.f_eval(x, y))
-
-
-def _spread(values, ok):
-    """Values of the rows where ``ok`` holds, nan elsewhere; None stays None."""
-    if values is None:
-        return None
-    out = np.full(ok.shape, np.nan)
-    out[ok] = values
-    return out
 
 
 def flagged(mask, message):
@@ -291,7 +287,7 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
     _same_dimension(psi, phi)
 
     @_QUIET
-    def solve(x, y, with_f):
+    def solve(x, y, with_f, with_p):
         res = solve_real(phi, x, y, cfg)
         errors, f = res.errors, np.full(len(y), np.nan)
         live = error_free(errors) & with_f  # F, and its error, only where asked
@@ -328,7 +324,7 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
 
     @_QUIET
-    def solve(x, y, with_f):
+    def solve(x, y, with_f, with_p):
         # one solve of phi + sign psi on the rows stacked twice: Phi_+ on the
         # first copy (sign +1), Phi_- on the second (sign -1)
         half = len(y)
@@ -349,7 +345,7 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     _same_dimension(psi, phi)
     radius = pair_radius_estimate(phi, psi)
 
-    def solve(x, y, with_f):
+    def solve(x, y, with_f, with_p):
         res = solve_complex(phi, psi, x, y, cfg)
         return res.value.imag, res.value.real, res.errors
 

@@ -69,6 +69,9 @@ FAILURE_CAP = 10
 _SQUARE_LIMIT = 2.0 ** 511  # above it a square may overflow
 MINKOWSKI_EIG_FLOOR = 1e-5
 
+# finite differences of huge values overflow: a non-finite residual fails its report
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
 
 # ---------------------------------------------------------------------------
 # check reports
@@ -168,20 +171,11 @@ def gradient_from(values, step):
 
 class _Values(NamedTuple):
     """One stencil block's fields: ``f`` and ``p`` hold the M value arrays
-    of length N, ``errors`` the M per-sample error lists; a field the
-    block does not ask for is not to be read."""
+    of length N (nan where not asked), ``errors`` the M per-sample error lists."""
 
     f: list
     p: list
     errors: list
-
-
-def _stacked(pairs):
-    """The M stencil points ``pairs`` [(X_m, Y_m)] of N samples as N * M
-    rows, sample-major."""
-    n = pairs[0][0].shape[-1]
-    return (np.concatenate([a for a, _ in pairs], axis=1).reshape(-1, n),
-            np.concatenate([b for _, b in pairs], axis=1).reshape(-1, n))
 
 
 def _on_stencil(metric, blocks):
@@ -199,17 +193,16 @@ def _on_stencil(metric, blocks):
     m, ends = len(pairs), list(accumulate(len(block) for _, block, *_ in blocks))
     spans = list(zip([0] + ends, ends))
 
-    def mask(field):  # the sample-major rows mask; one bool when all rows agree
-        asked = [(span, on) for (want, _, *on), span in zip(blocks, spans) if field in want]
-        if len(asked) in (0, len(blocks)) and not any(on for _, on in asked):
-            return bool(asked)  # no block asks, or every block asks on every sample
+    def mask(field):  # the sample-major rows mask
         rows = np.zeros((len(pairs[0][0]), m), dtype=bool)
-        for (a, b), on in asked:
-            rows[:, a:b] = on[0][:, None] if on else True
+        for (want, _, *on), (a, b) in zip(blocks, spans):
+            if field in want:
+                rows[:, a:b] = on[0][:, None] if on else True
         return rows.reshape(-1)
 
-    values = metric.rows(*_stacked(pairs), mask("f"), mask("p"))
-    f, p = ([None] * m if v is None else list(v.reshape(-1, m).T) for v in (values.f, values.p))
+    x, y = (np.concatenate(side, axis=1).reshape(-1, metric.dimension) for side in zip(*pairs))
+    values = metric.rows(x, y, mask("f"), mask("p"))  # the N * M rows, sample-major
+    f, p = (list(v.reshape(-1, m).T) for v in (values.f, values.p))
     errors = [values.errors[k::m] for k in range(m)]
     return [_Values(f[a:b], p[a:b], errors[a:b]) for a, b in spans]
 
@@ -274,6 +267,7 @@ def _jet_from(values, steps, n) -> JetData:
     return JetData(f0, grad_x, grad_y, mixed, hess)
 
 
+@_QUIET
 def jet(metric, x, y) -> JetData:
     """Central-difference jet of F at each row of (x, y).
 
@@ -293,6 +287,7 @@ def _mixed_times_y(jd: JetData, ys):
     return np.matmul(ys[:, None, :], jd.mixed_xy)[:, 0]
 
 
+@_QUIET
 def hamel_residual(metric, x, y):
     """Normalized residual of F_{x^k} - F_{x^l y^k} y^l = 0."""
     xs, ys = as_rows(metric.dimension, x, y)
@@ -311,6 +306,7 @@ def projective_factor_numeric(metric, x, y):
     return p
 
 
+@_QUIET
 def _curvature_stencil(xs, ys):
     """The step h at each row and K's stencil points (x, u), (x + h u)
     and (x - h u), u = y / |y|.
@@ -373,11 +369,10 @@ def point_values(metric, x, y):
     ``sample``; a failed row holds nan."""
     xs, ys = as_rows(metric.dimension, x, y)
     h, pairs = _curvature_stencil(xs, ys)
-    far = metric.beyond_radius(lengths(xs))
     # K's rows of a sample whose F fails the radius guard are asked nothing
-    live = (~far,) if far.any() else ()
-    here, at_u, off_u = _on_stencil(metric, [("fp", [(xs, ys)]), ("fp", pairs[:1], *live),
-                                             ("p", pairs[1:], *live)])
+    near = ~metric.beyond_radius(lengths(xs))
+    here, at_u, off_u = _on_stencil(metric, [("fp", [(xs, ys)]), ("fp", pairs[:1], near),
+                                             ("p", pairs[1:], near)])
     k, k_errors = _curvature(at_u, off_u, h)
     errors = first_errors(here.errors[0], k_errors)
     k[~error_free(errors)] = np.nan
@@ -390,6 +385,7 @@ def _p_stencil(xs, ys, hx, hy):
             + [(xs, p) for p in gradient_points(ys, hy)])
 
 
+@_QUIET
 def berwald_system_residual(metric, x, y):
     """Normalized residuals (r1, r2) of the first-order projective system.
 
@@ -447,6 +443,7 @@ def _transport_fields(metric, pairs):
     return fields, errors
 
 
+@_QUIET
 def master_pde_residual(metric, x, y):
     """Normalized finite-difference residual of Phi_x = Phi * Phi_y.
 
@@ -473,6 +470,7 @@ def master_pde_residual(metric, x, y):
 # convexity of the metric and of a norm
 
 
+@_QUIET
 def convexity_residual(metric, x, u):
     """(residual, min eigenvalue) of the strong-convexity test at each row
     of (x, u).
@@ -486,7 +484,9 @@ def convexity_residual(metric, x, u):
     [values] = _on_stencil(metric, [("f", pairs)])
     raise_first(first_errors(*values.errors))
     hess = hessian_from([0.5 * (v * v) for v in values.f[1:]], h, xs.shape[1])
-    lam_min = np.linalg.eigvalsh(hess).min(axis=-1)
+    finite = np.isfinite(hess).all(axis=(-2, -1))  # eigvalsh fails on the others, which get nan
+    lam_min = np.full(len(hess), np.nan)
+    lam_min[finite] = np.linalg.eigvalsh(hess[finite]).min(axis=-1)
     return np.maximum(-lam_min, -values.f[0]), lam_min
 
 
@@ -532,18 +532,18 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
     ``x0`` and ``v0`` are T starts ``(T, n)``, giving a list of T
     results: the trajectories step together, one rows call of P per RK
     stage, exact on a construction and numeric on a closed form.  A start
-    beyond the validity radius raises the point guard's DomainError.  A
+    that fails the point guard of ``rows`` (a non-finite point or squared
+    length, or |x| beyond the validity radius) raises its DomainError.  A
     trajectory stops early (flagged) if it or one of its stage points
     leaves the evaluator's domain: it keeps its rows but loses its bit of
     the ``alive`` mask, so it is asked nothing more; the others go on.
     """
     xs0, vs0 = as_rows(metric.dimension, x0, v0)
-    if (lengths(vs0) == 0.0).any():
+    passes, squares, start = metric.guard(xs0, vs0, True)
+    if (squares == 0.0).any():
         raise DomainError("geodesic needs a nonzero initial velocity")
-    start = lengths(xs0)
-    far = metric.beyond_radius(start)
-    if far.any():
-        raise DomainError(metric.radius_message(start[far][0]))
+    if not passes.all():
+        raise metric.guard_error(squares, start, np.argmin(passes))  # the first failing start
     h = float(t_end) / int(steps)
     points = np.zeros((int(steps) + 1,) + xs0.shape)
     velocities = np.zeros_like(points)
@@ -556,8 +556,7 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
         x, v = points[i], velocities[i]
         sx, sv, slopes = x, v, []
         for coef in (0.5, 0.5, 1.0, None):
-            # True while every trajectory is live keeps the all-rows path of rows
-            values = metric.rows(sx, sv, with_f=False, with_p=True if alive.all() else alive)
+            values = metric.rows(sx, sv, with_f=False, with_p=alive)
             if any(values.errors):
                 raise_first([e for e in values.errors if not isinstance(e, DomainError)])
                 alive &= error_free(values.errors)

@@ -195,9 +195,9 @@ def test_sample_solves_no_curvature_rows_beyond_the_radius(tmp_path, capsys, mon
     def counted_build(*args):
         built = build(*args)
 
-        def solve(x, y, with_f):
+        def solve(x, y, with_f, with_p):
             solved.append(len(y))
-            return built.solve(x, y, with_f)
+            return built.solve(x, y, with_f, with_p)
         return dataclasses.replace(built, solve=solve)
 
     monkeypatch.setattr(cli, "build_kneg1", counted_build)
@@ -269,6 +269,37 @@ def test_geodesic_start_outside_the_validity_ball_is_a_domain_error(capsys, spec
     assert json.loads(err.splitlines()[-1])["error"] == {
         "type": "domain",
         "message": f"|x| = 2 exceeds the validity radius {radius} of this evaluator"}
+
+
+@pytest.mark.parametrize("spec", ["construct:0:euclidean:zero", "catalog:space-form:0"])
+def test_geodesic_check_refuses_starts_that_fail_the_point_guard(capsys, spec):
+    """At --radius 1e300 every start's squared length overflows, so no
+    trajectory could take a step and each would score 0.0: the geodesic
+    check must refuse the starts with the point guard's error, with no
+    overflow warning, as the hamel check refuses the same samples."""
+    for check in ("geodesic", "hamel"):
+        code, out, err = run_cli(capsys, "verify", "--metric", spec, "--radius", "1e300",
+                                 "--samples", "2", "--checks", check)
+        assert (code, out) == (3, ""), check
+        assert err.splitlines() == [json.dumps({"error": {
+            "type": "domain", "message": "x and y must be finite, with finite squared lengths"}})]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--metric", "construct:0:randers:0,1,1e308:euclidean", "--dim", "3", "--radius", "0.1"],
+    ["--metric", "construct:0:scaled:1e308:dsr-b:1,1"],
+    ["--metric", "construct:0:randers:-1e308,1e300:scaled:-0.5"],
+    ["--metric", "construct:0:randers:1e-300,1e308:dsr-b:1,1", "--radius", "0.01"],
+    ["--metric", "catalog:space-form:1e308"]])
+def test_verify_at_extreme_norm_parameters_exits_3_without_a_warning(capsys, argv):
+    """Huge norm parameters make finite differences, a Hessian or the mean
+    K overflow: the report is not finite, so ``verify`` exits 3, with no
+    numpy warning (pytest turns one into an error, exit 5) and no
+    eigenvalue error from a non-finite Hessian (exit 2)."""
+    code, out, err = run_cli(capsys, "verify", *argv, "--samples", "3")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [json.dumps({"error": {
+        "type": "domain", "message": "an output value is not finite"}})]
 
 
 def test_catalog_listing(capsys):

@@ -277,11 +277,11 @@ def test_k0_vanishing_denominator_fails_its_row_alone():
     m = build_k0(E2, ScaledNorm(2, 1.0), SolverConfig(tolerance=1e-6))
     x = np.array([[0.1, 0.0], [1.0 - 1e-9, 0.0], [0.0, 0.2]])
     y = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 0.5]])
-    f, p, errors = m.solve(x, y, True)
+    f, p, errors = m.solve(x, y, True, True)
     assert errors[0] is None and errors[2] is None
     assert type(errors[1]) is DomainError and str(errors[1]) == "construction denominator vanishes"
     assert np.isnan(f[1]) and np.isfinite(p[1])
-    f_rest, p_rest, _ = m.solve(x[[0, 2]], y[[0, 2]], True)
+    f_rest, p_rest, _ = m.solve(x[[0, 2]], y[[0, 2]], True, True)
     np.testing.assert_array_equal(f[[0, 2]], f_rest)
     np.testing.assert_array_equal(p[[0, 2]], p_rest)
 

@@ -140,6 +140,20 @@ def test_master_pde_catalog_fields(rng):
             assert master_pde_residual(m, [x], [y])[0] <= 1e-6, name
 
 
+@pytest.mark.parametrize("spec", ["construct:0:euclidean:randers:0.2,0.1", "catalog:berwald",
+                                  "catalog:sph-k0:0.3,-", "test:broken"])
+def test_pde_repeats_berwald_r2_at_zero_curvature(spec):
+    """At K = 0 the one transport field is P, and Phi_x = Phi Phi_y is the
+    berwald system's second equation with its K term zero: ``pde`` gives
+    berwald's r2 bit for bit, so it can fail only where berwald fails."""
+    metric = cli.parse_metric(spec, 2, SolverConfig())
+    rng = np.random.default_rng(3)
+    x, y = ball_points(rng, 2, 0.2, 20), sphere_points(rng, 2, 20)
+    assert metric.intended_curvature == 0.0
+    np.testing.assert_array_equal(master_pde_residual(metric, x, y),
+                                  berwald_system_residual(metric, x, y)[1])
+
+
 def test_convexity_funk_origin():
     rep = convexity_check(_funk(), [0.0, 0.0], 50)
     assert rep["pass"]
