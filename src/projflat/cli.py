@@ -4,14 +4,19 @@ JSON goes to stdout (for scripts), a one-line human summary to stderr.
 Exit codes: 0 success / all checks passed, 1 checks ran but some failed,
 2 parse error, 3 domain error, 4 solver failure, 5 internal error (an
 unexpected exception, reported as error JSON instead of a traceback).
-Identical command line and seed produce byte-identical output.  Inputs
-are checked before any evaluation: vectors, grid bounds and tolerance
-overrides must be finite, as must the squared length of a vector or grid
-point, and dim, samples, radius, steps and the geodesic end time
-positive; a bad value, or a flag the subcommand does not read, exits 2.
+Identical command line and seed produce byte-identical output.  Each flag
+value is checked by its argparse type as the command line is parsed, before
+a metric is built: a bad value, or a flag the subcommand does not read,
+exits 2 with a message naming the flag.  Vectors, grid bounds and spans,
+tolerance overrides and squared lengths of vectors and grid points must be
+finite; dim, samples, radius, steps and t-end positive; the seed >= 0.
+``sample`` takes exactly one of --x and --y.  An empty --checks runs every
+check, and an empty --tol-override keeps the defaults.
 """
 
 import argparse
+from argparse import ArgumentTypeError
+import contextlib
 import csv
 import functools
 import json
@@ -40,27 +45,72 @@ DEFAULT_TOLERANCES = {
 CHECK_NAMES = tuple(DEFAULT_TOLERANCES)
 
 
-def _parse_vector(flag: str, text: str) -> np.ndarray:
-    try:
-        vec = np.asarray([float(v) for v in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise SpecParseError(f"{flag}: bad vector '{text}'") from exc
-    _require_finite(flag, vec)
-    return vec
-
-
-def _require_finite(flag: str, vectors: np.ndarray) -> None:
-    """Finite components and squared lengths: a vector whose squared
-    length overflows (beyond about 1e154) overflows every metric."""
+def _finite(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` if their components and squared lengths are finite: a
+    squared length that overflows (|v| beyond about 1e154) overflows every metric."""
     with np.errstate(over="ignore"):
-        squares = np.vecdot(vectors, vectors)
-    if not np.isfinite(squares).all():
-        raise SpecParseError(f"{flag}: non-finite component or squared length")
+        if np.isfinite(np.vecdot(vectors, vectors)).all():
+            return vectors
+    raise ArgumentTypeError("non-finite component or squared length")
 
 
-def _require_positive(flag: str, value) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise SpecParseError(f"{flag} must be positive and finite; got {value}")
+def _vector(text: str) -> np.ndarray:
+    try:
+        return _finite(np.asarray([float(v) for v in text.split(",")]))
+    except ValueError:
+        raise ArgumentTypeError(f"bad vector '{text}'") from None
+
+
+def _number(convert, ok, expected: str):
+    """An argparse type: ``convert`` the text and require ``ok`` of it."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := convert(text)):
+                return value
+        raise ArgumentTypeError(f"expected {expected}; got '{text}'")
+    return parse
+
+
+_positive_int = _number(int, lambda v: v > 0, "a positive integer")
+_positive_float = _number(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_finite_float = _number(float, math.isfinite, "a finite number")
+_seed = _number(int, lambda v: v >= 0, "a non-negative integer")
+
+
+def _check_names(text: str) -> tuple:
+    """Known checks, each once in first-named order; empty means all."""
+    names = tuple(dict.fromkeys(c.strip() for c in text.split(","))) if text else CHECK_NAMES
+    if unknown := [c for c in names if c not in CHECK_NAMES]:
+        raise ArgumentTypeError(f"unknown check '{unknown[0]}'")
+    return names
+
+
+def _tolerances(text: str) -> dict:
+    """check=tolerance pairs over the defaults; empty keeps the defaults."""
+    out = dict(DEFAULT_TOLERANCES)
+    for chunk in text.split(",") if text else ():
+        key, _, val = chunk.partition("=")
+        if key.strip() not in out:
+            raise ArgumentTypeError(f"bad tolerance override '{chunk}'")
+        out[key.strip()] = _finite_float(val)
+    return out
+
+
+def _grid(text: str) -> list:
+    """min:max:count per axis: count >= 1, finite bounds and span, and a
+    finite squared length at the farthest grid point."""
+    axes = []
+    for chunk in text.split(","):
+        try:
+            lo, hi, count = chunk.split(":")
+            lo, hi, count = float(lo), float(hi), int(count)
+        except ValueError:
+            raise ArgumentTypeError(f"axis '{chunk}' must be min:max:count") from None
+        if count < 1 or not math.isfinite(hi - lo):  # hi - lo is nan or inf at a bad bound
+            raise ArgumentTypeError(f"axis '{chunk}' has count < 1 or non-finite bounds or span")
+        axes.append(np.linspace(lo, hi, count))
+    _finite(np.array([np.abs(a).max() for a in axes]))
+    return axes
 
 
 def _solver_cfg(args) -> SolverConfig:
@@ -116,12 +166,10 @@ def _emit(payload: dict, summary: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    x = _parse_vector("--x", args.x)
-    y = _parse_vector("--y", args.y)
-    if x.size != y.size:
+    if args.x.size != args.y.size:
         raise SpecParseError("x and y must have the same length")
-    metric = parse_metric(args.metric, x.size, _solver_cfg(args))
-    f, p, k, errors = vfy.point_values(metric, x[None], y[None])
+    metric = parse_metric(args.metric, args.x.size, _solver_cfg(args))
+    f, p, k, errors = vfy.point_values(metric, args.x[None], args.y[None])
     raise_first(errors)
     f, p, k = float(f[0]), float(p[0]), float(k[0])
     _emit({"F": f, "P": p, "K_numeric": k}, f"F={f:.9g} P={p:.9g} K={k:.6g}")
@@ -162,41 +210,17 @@ def _run_check(name, metric, rng, radius, samples, tol):
     raise SpecParseError(f"unknown check '{name}'")
 
 
-def _parse_tol_overrides(text):
-    out = dict(DEFAULT_TOLERANCES)
-    if not text:
-        return out
-    for chunk in text.split(","):
-        key, _, val = chunk.partition("=")
-        key = key.strip()
-        if key not in out or not val:
-            raise SpecParseError(f"bad tolerance override '{chunk}'")
-        out[key] = float(val)
-        if not math.isfinite(out[key]):
-            raise SpecParseError(f"--tol-override {key} must be finite; got {val}")
-    return out
-
-
 def cmd_verify(args) -> int:
-    _require_positive("--dim", args.dim)
-    _require_positive("--samples", args.samples)
-    _require_positive("--radius", args.radius)
     metric = parse_metric(args.metric, args.dim, _solver_cfg(args))
-    names = args.checks.split(",") if args.checks else CHECK_NAMES
-    names = list(dict.fromkeys(c.strip() for c in names))  # each once, first-named order
-    for c in names:
-        if c not in CHECK_NAMES:
-            raise SpecParseError(f"unknown check '{c}'")
-    tols = _parse_tol_overrides(args.tol_override)
-    radius = args.radius
-    limit = metric.domain_radius
+    radius, limit = args.radius, metric.domain_radius
     if radius > limit:
         raise DomainError(f"radius {radius} exceeds the metric's validity "
                           f"radius {limit:.6g}")
     reports = {}
-    for name in names:
+    for name in args.checks:
         rng = np.random.default_rng(args.seed)
-        reports[name] = _run_check(name, metric, rng, radius, args.samples, tols[name])
+        reports[name] = _run_check(name, metric, rng, radius, args.samples,
+                                   args.tol_override[name])
     all_pass = all(r["pass"] for r in reports.values())
     payload = {
         "metric": args.metric,
@@ -207,15 +231,12 @@ def cmd_verify(args) -> int:
         "pass": bool(all_pass),
         "checks": reports,
     }
-    summary = " ".join(f"{n}={'ok' if reports[n]['pass'] else 'FAIL'}" for n in names)
+    summary = " ".join(f"{n}={'ok' if reports[n]['pass'] else 'FAIL'}" for n in args.checks)
     _emit(payload, f"verify {args.metric}: {summary}")
     return 0 if all_pass else 1
 
 
 def cmd_compare(args) -> int:
-    _require_positive("--dim", args.dim)
-    _require_positive("--samples", args.samples)
-    _require_positive("--radius", args.radius)
     cfg = _solver_cfg(args)
     m_a = parse_metric(args.metric, args.dim, cfg)
     m_b = parse_metric(args.metric_b, args.dim, cfg)
@@ -239,36 +260,16 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _parse_grid(text: str):
-    axes = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
-        if len(parts) != 3:
-            raise SpecParseError(f"grid axis '{chunk}' must be min:max:count")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise SpecParseError("grid count must be >= 1")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise SpecParseError(f"grid axis '{chunk}' has non-finite bounds")
-        axes.append(np.linspace(lo, hi, count))
-    return axes
-
-
 def cmd_sample(args) -> int:
-    if (args.x is None) == (args.y is None):
-        raise SpecParseError("sample needs exactly one of --x (fixed x, grid "
-                             "over y) or --y (fixed y, grid over x)")
     fixed_is_y = args.y is not None
-    fixed = _parse_vector("--y", args.y) if fixed_is_y else _parse_vector("--x", args.x)
-    axes = _parse_grid(args.grid)
+    fixed = args.y if fixed_is_y else args.x
     dim = fixed.size
-    if len(axes) != dim:
+    if len(args.grid) != dim:
         raise SpecParseError("grid must have one axis per coordinate")
     metric = parse_metric(args.metric, dim, _solver_cfg(args))
 
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*args.grid, indexing="ij")
     grid_points = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    _require_finite("--grid", grid_points)
     others = np.broadcast_to(fixed, grid_points.shape)
     xs, ys = (grid_points, others) if fixed_is_y else (others, grid_points)
     f, p, k, errors = vfy.point_values(metric, xs, ys)
@@ -285,34 +286,28 @@ def cmd_sample(args) -> int:
         writer.writerows([*map(repr, gp), *fixed_cells, *v] if fixed_is_y
                          else [*fixed_cells, *map(repr, gp), *v]
                          for gp, v in zip(grid_points.tolist(), values))
-    n_ok = errors.count(None)
     payload = {"out": args.out, "rows": int(grid_points.shape[0]),
-               "evaluated": int(n_ok)}
+               "evaluated": errors.count(None)}
     _emit(payload, f"sample: wrote {payload['rows']} rows to {args.out}")
     return 0
 
 
 def cmd_geodesic(args) -> int:
-    x0 = _parse_vector("--x", args.x)
-    v0 = _parse_vector("--y", args.y)
-    if x0.size != v0.size:
+    if args.x.size != args.y.size:
         raise SpecParseError("x and y must have the same length")
-    _require_positive("--steps", args.steps)
-    _require_positive("--t-end", args.t_end)
-    metric = parse_metric(args.metric, x0.size, _solver_cfg(args))
-    [traj] = vfy.integrate_geodesic(metric, x0[None], v0[None], args.t_end, args.steps)
-    score = vfy.collinearity_score(traj, x0, v0)
+    metric = parse_metric(args.metric, args.x.size, _solver_cfg(args))
+    [traj] = vfy.integrate_geodesic(metric, args.x[None], args.y[None], args.t_end, args.steps)
+    score = vfy.collinearity_score(traj, args.x, args.y)
+    payload = {"collinearity": float(score), "points": int(traj.points.shape[0]),
+               "completed": bool(traj.completed)}
     if args.out:
-        header = (["t"] + [f"x{i+1}" for i in range(x0.size)]
-                  + [f"v{i+1}" for i in range(x0.size)])
+        header = (["t"] + [f"x{i+1}" for i in range(args.x.size)]
+                  + [f"v{i+1}" for i in range(args.x.size)])
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows([repr(t), *map(repr, p), *map(repr, v)] for t, p, v in zip(
                 traj.times.tolist(), traj.points.tolist(), traj.velocities.tolist()))
-    payload = {"collinearity": float(score), "points": int(traj.points.shape[0]),
-               "completed": bool(traj.completed)}
-    if args.out:
         payload["out"] = args.out
     _emit(payload, f"geodesic: collinearity={score:.3e} "
                    f"({'complete' if traj.completed else 'truncated at boundary'})")
@@ -320,7 +315,6 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    _require_positive("--dim", args.dim)
     entries = cat.list_catalog(args.dim)
     payload = {"entries": [
         {"name": e.name,
@@ -352,59 +346,59 @@ def _build_parser() -> argparse.ArgumentParser:
                     "of constant flag curvature.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def metric_flags(p, sweep=False):
-        """--metric and the solver settings; --seed and --dim for a sweep."""
+    def metric_flags(p, samples=0):
+        """--metric and the solver settings; a sweep's flags for ``samples``."""
         p.add_argument("--metric", required=True,
                        help="catalog:<name[:params]> | "
                             "construct:<K>:<psi>:<phi> | test:broken")
-        if sweep:
-            p.add_argument("--seed", type=int, default=42)
-            p.add_argument("--dim", type=int, default=2)
+        if samples:
+            p.add_argument("--seed", type=_seed, default=42)
+            p.add_argument("--dim", type=_positive_int, default=2)
+            p.add_argument("--radius", type=_positive_float, default=0.3)
+            p.add_argument("--samples", type=_positive_int, default=samples)
         p.add_argument("--solver-tol", type=float, default=None)
         p.add_argument("--solver-iters", type=int, default=None)
 
     p = sub.add_parser("eval", help="F, P, and numeric K at one point")
     metric_flags(p)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+    p.add_argument("--x", type=_vector, required=True)
+    p.add_argument("--y", type=_vector, required=True)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="identity checks over a seeded sweep")
-    metric_flags(p, sweep=True)
-    p.add_argument("--checks", default=None,
+    metric_flags(p, samples=50)
+    p.add_argument("--checks", type=_check_names, default=CHECK_NAMES,
                    help="comma list from: " + ",".join(CHECK_NAMES))
-    p.add_argument("--radius", type=float, default=0.3)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--tol-override", default=None,
+    p.add_argument("--tol-override", type=_tolerances, default=DEFAULT_TOLERANCES,
                    help="comma list of check=tolerance")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("compare", help="sweep |F_A - F_B| over seeded points")
-    metric_flags(p, sweep=True)
+    metric_flags(p, samples=100)
     p.add_argument("--metric-b", required=True)
-    p.add_argument("--radius", type=float, default=0.3)
-    p.add_argument("--samples", type=int, default=100)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("sample", help="CSV of F, P, K over a coordinate grid")
     metric_flags(p)
-    p.add_argument("--x", default=None, help="fixed base point (grid over y)")
-    p.add_argument("--y", default=None, help="fixed tangent (grid over x)")
-    p.add_argument("--grid", required=True, help="min:max:count per axis, comma-separated")
+    fixed = p.add_mutually_exclusive_group(required=True)
+    fixed.add_argument("--x", type=_vector, help="fixed base point (grid over y)")
+    fixed.add_argument("--y", type=_vector, help="fixed tangent (grid over x)")
+    p.add_argument("--grid", type=_grid, required=True,
+                   help="min:max:count per axis, comma-separated")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("geodesic", help="integrate one geodesic and score straightness")
     metric_flags(p)
-    p.add_argument("--x", required=True, help="initial position")
-    p.add_argument("--y", required=True, help="initial velocity")
-    p.add_argument("--t-end", type=float, default=0.5)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--x", type=_vector, required=True, help="initial position")
+    p.add_argument("--y", type=_vector, required=True, help="initial velocity")
+    p.add_argument("--t-end", type=_positive_float, default=0.5)
+    p.add_argument("--steps", type=_positive_int, default=200)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_geodesic)
 
     p = sub.add_parser("catalog", help="list the closed-form entries")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_positive_int, default=2)
     p.set_defaults(fn=cmd_catalog)
     return parser
 

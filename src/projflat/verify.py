@@ -484,12 +484,19 @@ def convexity_residual(metric, x, u):
     [values] = _on_stencil(metric, [("f", pairs)])
     raise_first(first_errors(*values.errors))
     hess = hessian_from([0.5 * (v * v) for v in values.f[1:]], h, xs.shape[1])
-    finite = np.isfinite(hess).all(axis=(-2, -1))  # eigvalsh fails on the others, which get nan
-    lam_min = np.full(len(hess), np.nan)
-    lam_min[finite] = np.linalg.eigvalsh(hess[finite]).min(axis=-1)
+    lam_min = _min_eigenvalues(hess)
     return np.maximum(-lam_min, -values.f[0]), lam_min
 
 
+def _min_eigenvalues(hess):
+    """Smallest eigenvalue of each Hessian; nan for one that is not finite."""
+    finite = np.isfinite(hess).all(axis=(-2, -1))  # eigvalsh fails on the others
+    lam = np.full(len(hess), np.nan)
+    lam[finite] = np.linalg.eigvalsh(hess[finite]).min(axis=-1)
+    return lam
+
+
+@_QUIET
 def check_minkowski(f: HomogeneousFunction, samples: int) -> dict:
     """Strong-convexity and positivity test of a norm over deterministic
     directions.
@@ -506,7 +513,7 @@ def check_minkowski(f: HomogeneousFunction, samples: int) -> dict:
     points = hessian_points(dirs, step)
     values = f.eval_real(np.concatenate(points)).reshape(len(points), samples)
     hess = hessian_from(0.5 * (values * values), step, f.dimension)
-    lam = np.linalg.eigvalsh(hess).min(axis=-1)
+    lam = _min_eigenvalues(hess)
     return make_report("minkowski", np.zeros_like(dirs), dirs, np.maximum(-lam, -values[0]),
                        tolerance=-MINKOWSKI_EIG_FLOOR,
                        extra={"min_eigenvalue": float(lam.min())})
@@ -526,6 +533,7 @@ class GeodesicResult:
     completed: bool
 
 
+@_QUIET  # an overflowing stage point fails the point guard of its rows call
 def integrate_geodesic(metric, x0, v0, t_end, steps):
     """Classic RK4 on (x, v) with v' = -2 P(x, v) v.
 
@@ -579,7 +587,8 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
 
 def collinearity_score(result: GeodesicResult, x0, v0) -> float:
     """Max distance from the trajectory to the line through (x0, v0),
-    divided by the arc length (scale-invariant straightness measure)."""
+    divided by the arc length (scale-invariant straightness measure); nan,
+    which no tolerance passes, for a trajectory that did not move."""
     x0 = np.asarray(x0, dtype=float)
     v_hat = np.asarray(v0, dtype=float)
     v_hat = v_hat / np.linalg.norm(v_hat)
@@ -587,8 +596,5 @@ def collinearity_score(result: GeodesicResult, x0, v0) -> float:
     along = rel @ v_hat
     perp = rel - np.outer(along, v_hat)
     dist = np.linalg.norm(perp, axis=1)
-    seg = np.diff(result.points, axis=0)
-    arc = float(np.linalg.norm(seg, axis=1).sum())
-    if arc == 0.0:
-        return 0.0
-    return float(dist.max() / arc)
+    arc = float(np.linalg.norm(np.diff(result.points, axis=0), axis=1).sum())
+    return float(dist.max() / arc) if arc > 0.0 else np.nan

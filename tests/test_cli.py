@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism, round trips."""
 
 import ast
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import f_at, point_values_composed
 from projflat import MetricEvaluator, as_evaluator, catalog_entry
@@ -283,6 +287,25 @@ def test_geodesic_check_refuses_starts_that_fail_the_point_guard(capsys, spec):
         assert (code, out) == (3, ""), check
         assert err.splitlines() == [json.dumps({"error": {
             "type": "domain", "message": "x and y must be finite, with finite squared lengths"}})]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--metric", "catalog:bryant:0.5236", "--radius", "1e100", "--samples", "2",
+     "--checks", "geodesic"),
+    ("geodesic", "--metric", "catalog:funk", "--x", "0.9999999999,0", "--y", "0,1",
+     "--steps", "5"),
+    *[("geodesic", "--metric", spec, "--x", "0.1,0", "--y", "0,1", "--steps", "3",
+       "--t-end", "1e308")
+      for spec in ("catalog:funk", "catalog:bryant:0.5236", "construct:1:bryant:0.5236")]])
+def test_a_trajectory_that_did_not_move_exits_3(capsys, argv):
+    """Starts near 1e99, where x + t v rounds to x, a start whose first
+    step leaves the domain, and a step so long that its stage points
+    overflow: no trajectory moves, so nothing is measured and the score is
+    nan, not a perfect 0.0, with no overflow warning."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [json.dumps({"error": {
+        "type": "domain", "message": "an output value is not finite"}})]
 
 
 @pytest.mark.parametrize("argv", [
@@ -859,6 +882,21 @@ FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
     (("catalog", "--seed", "1"), "--seed"),
     (("catalog", "--dim", "0"), "--dim"),
     (("catalog", "--dim", "-2"), "--dim"),
+    (FUNK_HAMEL + ("--tol-override", "hamel=abc"), "--tol-override"),
+    (("sample", "--metric", "catalog:funk", "--grid=a:1:2,0:1:2", "--y", "0,1",
+      "--out", "unused.csv"), "--grid"),
+    (("sample", "--metric", "catalog:funk", "--grid=0:1:2.5,0:1:2", "--y", "0,1",
+      "--out", "unused.csv"), "--grid"),
+    (FUNK_HAMEL + ("--seed", "-1"), "--seed"),
+    (("compare",) + FUNK_PAIR + ("--seed", "-1"), "--seed"),
+    (("verify", "--metric", "catalog:funk", "--checks", "bogus"), "--checks"),
+    # a grid span that overflows
+    (("sample", "--metric", "catalog:space-form:0", "--y", "0,0.5",
+      "--grid=1e308:-1e308:2,0:1:2", "--out", "unused.csv"), "--grid"),
+    (("sample", "--metric", "catalog:funk", "--grid=0:0.5:3,0:0:1", "--out", "unused.csv"),
+     "--x --y"),
+    (("sample", "--metric", "catalog:funk", "--grid=0:0.5:3,0:0:1", "--x", "0,0", "--y", "0,1",
+      "--out", "unused.csv"), "--x"),
 ])
 def test_bad_input_exits_parse_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -868,6 +906,82 @@ def test_bad_input_exits_parse_error(capsys, tmp_path, monkeypatch, argv, messag
     error = json.loads(err.splitlines()[-1])["error"]
     assert error["type"] == "parse"
     assert message in error["message"]
+
+
+# nan, +-inf and +-1e308 come first, and so do the counts below 1
+BOUNDARY_REALS = ("nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "0", "-1", "0.5", "2")
+BOUNDARY_COUNTS = ("-1", "0", "1", "3")  # never large: arrays are sized by counts and dims
+BOUNDARY_METRICS = ("catalog:funk", "catalog:bryant:0.5236", "catalog:space-form:0",
+                    "construct:-1:euclidean:scaled:0.3", "construct:1:bryant:0.5236",
+                    "test:broken")
+
+
+@st.composite
+def boundary_argv(draw):
+    """A command line with small counts and dimensions whose real values
+    and vector components sit at or beyond the edges of their flags."""
+    command = draw(st.sampled_from(("eval", "verify", "compare", "sample", "geodesic")))
+    # half the lines leave those edges out and give their vectors and grid
+    # axes one size, so more of them get past the parser
+    edges, n = draw(st.booleans()), draw(st.integers(1, 3))
+    real = st.sampled_from(BOUNDARY_REALS if edges else BOUNDARY_REALS[5:])
+    count = st.sampled_from(BOUNDARY_COUNTS if edges else BOUNDARY_COUNTS[2:])
+    metrics = st.sampled_from(BOUNDARY_METRICS)
+    argv = [command, "--metric=" + draw(metrics)]
+
+    def size():
+        return draw(st.integers(1, 3)) if edges else n
+
+    def vector():
+        return ",".join(draw(real) for _ in range(size()))
+
+    def flag(name, strategy, optional=True):
+        if not optional or draw(st.booleans()):
+            argv.append(f"{name}={draw(strategy)}")
+
+    flag("--solver-tol", real)
+    if command in ("verify", "compare"):
+        flag("--dim", st.sampled_from(("-1", "0", "1", "2", "3")[0 if edges else 2:]))
+        flag("--samples", count, optional=False)
+        flag("--radius", real)
+        flag("--seed", count)
+    if command == "verify":
+        flag("--checks", st.lists(st.sampled_from(cli.CHECK_NAMES), max_size=3).map(",".join))
+        flag("--tol-override", st.tuples(st.sampled_from(cli.CHECK_NAMES), real).map("=".join))
+    if command == "compare":
+        flag("--metric-b", metrics, optional=False)
+    if command in ("eval", "geodesic"):
+        argv += [f"--x={vector()}", f"--y={vector()}"]
+    if command == "geodesic":
+        flag("--steps", count, optional=False)
+        flag("--t-end", real)
+    if command == "sample":
+        fixed = draw(st.sampled_from((["--x"], ["--y"], ["--x", "--y"], [])[:4 if edges else 2]))
+        argv += [f"{name}={vector()}" for name in fixed]
+        axes = st.tuples(real, real, count).map(":".join)
+        argv += ["--grid=" + ",".join(draw(axes) for _ in range(size())),
+                 "--out=" + os.devnull]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(boundary_argv())
+def test_cli_boundary(argv):
+    """No command line ends in exit 5, a traceback or a numpy warning; an
+    ``eval`` that succeeds gives a finite F > 0, and a ``geodesic`` that
+    succeeds has at least two points."""
+    with (contextlib.redirect_stdout(io.StringIO()) as out,
+          contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert 0 <= code <= 4, (argv, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    if code == 0 and argv[0] == "eval":
+        value = json.loads(out)["F"]
+        assert math.isfinite(value) and value > 0.0, argv
+    if code == 0 and argv[0] == "geodesic":
+        assert json.loads(out)["points"] >= 2, argv
 
 
 def test_unexpected_exception_exits_internal(capsys, monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from projflat import (DomainError, EuclideanNorm, MetricEvaluator, ScaledNorm, ZeroNorm,
                       as_evaluator, berwald_system_residual, broken_metric,
-                      build_k0, build_kneg1, catalog_entry, collinearity_score,
+                      build_k0, build_kneg1, catalog_entry, check_minkowski,
+                      collinearity_score,
                       flag_curvature, hamel_residual,
                       integrate_geodesic, jet, list_catalog,
                       master_pde_residual, projective_factor_numeric)
@@ -15,6 +16,7 @@ from projflat import ProjFlatError, SolverConfig, cli
 from oracles import (berwald_composed, convexity_check, f_at, fd_gradient,
                      flag_curvature_composed, geodesic_coefficients_general, p_at,
                      point_values_composed)
+from projflat.norms import parse_norms
 from projflat.sampling import ball_points, sphere_points
 from projflat.verify import convexity_residual, make_report, point_values
 
@@ -213,6 +215,27 @@ def test_integrate_flat_norm_straight_line():
 def test_integrate_funk_collinearity():
     [traj] = integrate_geodesic(_funk(), [[0.1, 0.0]], [[0.0, 1.0]], 0.5, 200)
     assert collinearity_score(traj, [0.1, 0.0], [0.0, 1.0]) <= 1e-8
+
+
+def test_a_trajectory_that_did_not_move_scores_nan():
+    """A start whose first step leaves the domain keeps one point: zero arc
+    length measures nothing, so the score is nan, which fails any
+    tolerance, not a perfect 0.0."""
+    x0, v0 = [0.9999999999, 0.0], [0.0, 1.0]
+    [traj] = integrate_geodesic(_funk(), [x0], [v0], 0.5, 5)
+    assert traj.points.shape[0] == 1
+    score = collinearity_score(traj, x0, v0)
+    assert math.isnan(score)
+    assert not make_report("geodesic", np.array([x0]), np.array([v0]), [score], 1e-8)["pass"]
+
+
+@pytest.mark.parametrize("spec", ["scaled:1e308:zero", "randers:1e-300,1e308:zero"])
+def test_check_minkowski_fails_an_overflowing_norm_without_a_warning(spec):
+    """The Hessian overflows: its report fails with a nan residual, and no
+    numpy warning (pytest turns one into an error) or eigenvalue error."""
+    report = check_minkowski(parse_norms(spec, 2)[0], 8)
+    assert not report["pass"]
+    assert math.isnan(report["max_residual"])
 
 
 def test_integrate_berwald_richardson(rng):
