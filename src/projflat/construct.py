@@ -130,13 +130,17 @@ class MetricEvaluator:
                 f"{self.domain_radius:.6g} of this evaluator")
 
     def guard(self, x, y, with_f):
-        """The point guard of ``rows`` at each row: the mask of the rows that
-        pass, and y's squared lengths and |x| for ``guard_error``."""
+        """The point guard of ``rows`` at each row, the radius on the rows
+        that the mask ``with_f`` asks for F (on none if it is False): the
+        mask of the rows that pass, and y's squared lengths and |x| for
+        ``guard_error``."""
         with np.errstate(over="ignore"):  # an overflow is reported per row
             squares, length = np.vecdot(y, y), lengths(x)
             # both are >= 0 (or nan), so their sum is finite iff both are
             passes = np.isfinite(squares + length) & (squares != 0.0)
-        return passes & ~(self.beyond_radius(length) & with_f), squares, length
+        if with_f is not False:
+            passes &= ~(self.beyond_radius(length) & with_f)
+        return passes, squares, length
 
     def guard_error(self, squares, length, i):
         """The DomainError of row i, which fails the point guard."""
@@ -169,7 +173,8 @@ class MetricEvaluator:
         x, y = as_rows(self.dimension, x, y)
         f_rows, p_rows = (ask if isinstance(ask, np.ndarray) else np.full(len(y), ask)
                           for ask in (with_f, with_p))
-        passes, squares, length = self.guard(x, y, f_rows)
+        f_asked, p_asked = (isinstance(ask, np.ndarray) or bool(ask) for ask in (with_f, with_p))
+        passes, squares, length = self.guard(x, y, f_rows if f_asked else False)
         asked = f_rows | p_rows
         ok = passes & asked
         solve = self._formula if self.solve is None else self.solve
@@ -185,7 +190,9 @@ class MetricEvaluator:
                 for i, exc in zip(at.tolist(), solved):
                     errors[i] = exc
         if self.solve is not None:  # a solve gives F and P on every row it solves
-            for name, values, want in (("F", f, f_rows), ("P", p, p_rows)):
+            for name, values, want, asked in (("F", f, f_rows, f_asked), ("P", p, p_rows, p_asked)):
+                if not asked:  # a field asked on no row is not returned
+                    continue
                 count = np.count_nonzero(want)
                 if count < len(want):
                     values[~want] = np.nan
@@ -196,19 +203,20 @@ class MetricEvaluator:
                     if errors[i] is None:
                         errors[i] = DomainError(f"{self.kind} gives {name} = {values[i]} at this point")
                         f[i] = p[i] = np.nan
-        return RowValues(f if isinstance(with_f, np.ndarray) or with_f else None,
-                         p if isinstance(with_p, np.ndarray) or with_p else None, errors)
+        return RowValues(f if f_asked else None, p if p_asked else None, errors)
 
     def _formula(self, x, y, with_f, with_p):
         """A closed form's rows solve: ``eval`` on each guarded row that the
         mask ``with_f`` asks for, then the numeric P (``p_numeric``) on the
         rows that ``with_p`` asks for.  A formula's own error, a math
         overflow or domain error in it, or a non-finite F fails its row
-        alone; a row's error is F's, else P's."""
+        alone; a row's error is F's, else P's.  A mask that asks every row
+        passes ``x`` and ``y`` on as they are."""
         (f, p), errors, at = np.full((2, len(y)), np.nan), [None] * len(y), with_f.nonzero()[0]
         if len(at):
             f_eval, values = self.eval, []  # looked up once: one eval call per F row
-            for i, xi, yi in zip(at.tolist(), x.take(at, 0), y.take(at, 0)):
+            rows = (x, y) if len(at) == len(y) else (x.take(at, 0), y.take(at, 0))
+            for i, xi, yi in zip(at.tolist(), *rows):
                 try:
                     values.append(f_eval(xi, yi))
                     continue
@@ -224,8 +232,12 @@ class MetricEvaluator:
                 if errors[i] is None:
                     errors[i] = DomainError(f"{self.kind} formula gives F = {f[i]} at this point")
                     f[i] = math.nan
-        at = with_p.nonzero()[0]
-        if len(at):
+        asked = np.count_nonzero(with_p)
+        if asked and asked == len(with_p):
+            p, p_errors = p_numeric(self, x, y)
+            errors = [exc or p_exc for exc, p_exc in zip(errors, p_errors)]
+        elif asked:
+            at = with_p.nonzero()[0]
             p[at], p_errors = p_numeric(self, x.take(at, 0), y.take(at, 0))
             for i, exc in zip(at.tolist(), p_errors):
                 errors[i] = errors[i] or exc

@@ -101,8 +101,11 @@ def scale_exponents(y):
     """Per row, the e that brings the largest |component| of ``y * 2^-e``
     into [1/2, 1), or 0 where it lies in [2^-8, 2^8).  A degree-1 value
     at ``y * 2^-e`` times ``2^e`` (``times_pow2``) is the value at y."""
-    _, e = np.frexp(np.abs(y).max(axis=-1, initial=0.0))
-    return np.where((e >= -7) & (e <= 8), 0, e)
+    top = np.abs(y).max(axis=-1, initial=0.0)
+    inside = (top >= 2.0**-8) & (top < 2.0**8)  # frexp's e in [-7, 8]
+    if np.count_nonzero(inside) == inside.size:  # every row in range
+        return np.zeros(inside.shape, dtype=np.intc)
+    return np.where(inside, 0, np.frexp(top)[1])  # 0, inf and nan take e = 0 too
 
 
 def times_pow2(values, e):
@@ -232,15 +235,30 @@ class ZeroNorm(HomogeneousFunction):
 
 
 class LengthNorm(HomogeneousFunction):
-    """Base class of the families built on |y|, whose continuations are
-    functions of v and the principal root r = sqrt(sum z_k^2).
+    """Base class of the families built on |y|: the value and gradient
+    are functions of v and its length |v|, and the continuation one of v
+    and the principal root r = sqrt(sum z_k^2).
 
-    A family gives ``_on_root(v, r)``; its ``_complex`` is that at the
-    root of v, and a pair of two such families computes the root once.
+    A family gives ``_on_length(v, |v|)``, ``_grad_on_length(v, |v|)``
+    (|v| as a column) and ``_on_root(v, r)``; its ``_real``, ``_grad`` and
+    ``_complex`` are those at the length or root of v, and a combination
+    or pair of such families computes the length or root once.
     """
+
+    def _on_length(self, v, length):
+        raise NotImplementedError
+
+    def _grad_on_length(self, v, length):
+        raise NotImplementedError
 
     def _on_root(self, v, root):
         raise NotImplementedError
+
+    def _real(self, v):
+        return self._on_length(v, lengths(v))
+
+    def _grad(self, v):
+        return self._grad_on_length(v, lengths(v)[:, None])
 
     def _complex(self, v):
         return self._on_root(v, np.sqrt(_csum_sq(v)))
@@ -257,11 +275,11 @@ class EuclideanNorm(LengthNorm):
 
     family = "euclidean"
 
-    def _real(self, v):
-        return lengths(v)
+    def _on_length(self, v, length):
+        return length
 
-    def _grad(self, v):
-        return v / lengths(v)[:, None]
+    def _grad_on_length(self, v, length):
+        return v / length
 
     def _on_root(self, v, root):
         return root
@@ -275,11 +293,11 @@ class ScaledNorm(LengthNorm):
 
     family = "scaled"
 
-    def _real(self, v):
-        return self.scale * lengths(v)
+    def _on_length(self, v, length):
+        return self.scale * length
 
-    def _grad(self, v):
-        return self.scale * v / lengths(v)[:, None]
+    def _grad_on_length(self, v, length):
+        return self.scale * v / length
 
     def _on_root(self, v, root):
         return self.scale * root
@@ -300,11 +318,11 @@ class RandersNorm(LengthNorm):
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "_drift", np.array(drift))
 
-    def _real(self, v):
-        return lengths(v) + np.vecdot(v, self._drift)
+    def _on_length(self, v, length):
+        return length + np.vecdot(v, self._drift)
 
-    def _grad(self, v):
-        return v / lengths(v)[:, None] + self._drift
+    def _grad_on_length(self, v, length):
+        return v / length + self._drift
 
     def _on_root(self, v, root):
         return root + np.add.reduce(v * self._drift, axis=-1)
@@ -420,16 +438,28 @@ class CombinedNorm(HomogeneousFunction):
         object.__setattr__(self, "zero_ok", all(f.zero_ok for _, f in terms))
         # gradient weights: a column (N, 1) weights its own row, a scalar (1,) every row
         object.__setattr__(self, "_columns", tuple((np.asarray(c)[..., None], f) for c, f in terms))
+        # terms that are all LengthNorms share one |v| per evaluation
+        object.__setattr__(self, "_on_lengths", all(isinstance(f, LengthNorm) for _, f in terms))
 
     # each sum starts from 0, as ``sum`` does, so a -0.0 sum reads +0.0
     def _real(self, v):
         total = 0
+        if self._on_lengths:
+            length = lengths(v)
+            for c, f in self.terms:
+                total = total + c * f._on_length(v, length)
+            return total
         for c, f in self.terms:
             total = total + c * f._real(v)
         return total
 
     def _grad(self, v):
         total = 0
+        if self._on_lengths:
+            length = lengths(v)[:, None]
+            for c, f in self._columns:
+                total = total + c * f._grad_on_length(v, length)
+            return total
         for c, f in self._columns:
             total = total + c * f._grad(v)
         return total

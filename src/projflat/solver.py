@@ -253,6 +253,13 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
             t = np.where(act, np.where(newton, t_new, 0.5 * (lo + hi)), t)
         ft, eta, squares = f(t)
         floor, size = _REFINE_FLOOR * (1.0 + np.abs(t)), np.abs(ft)
+        # a residual above the floor and the tolerance keeps its row active:
+        # on a step where every active row has one, no row leaves
+        inside = (size > floor) & (size > target)
+        if active < len(t):
+            inside &= act
+        if np.count_nonzero(inside) == active:
+            continue
         settled = (hi - lo <= floor) & (size <= target)
         act &= ~settled & (size > floor)
         active = np.count_nonzero(act)
@@ -343,8 +350,9 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     floor, blow_up = _REFINE_FLOOR * scale, 1e6 * scale
     damping = np.ones(count)
     z = z0
-    # the slope dh/dz of a row's last secant step (nan until it takes one)
-    slope = np.full(count, rows.missing)
+    # the dz and dh of a row's last secant step (nan until it takes one),
+    # whose quotient dh/dz is the slope the judge reads
+    secant = (np.full(count, rows.missing), np.full(count, rows.missing))
     iterations = 0
     # every row of a round starts from z0 together, so they share the step
     # count, and only the first round takes secant steps
@@ -358,7 +366,15 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
             val = g(z)
             h = z - val
             res = np.abs(h)
-            finite = act & np.isfinite(val)  # not on a parked row, which keeps its z
+            # a residual in (floor, blow_up] is finite, so z and g(z) are too:
+            # on a step where every active row has one, no row leaves and the
+            # finite rows are the active ones
+            inside = (res > floor) & (res <= blow_up)
+            if active < count:
+                inside &= act
+            calm = np.count_nonzero(inside) == active and steps < cfg.max_iterations
+            # not on a parked row, which keeps its z
+            finite = act if calm else act & np.isfinite(val)
             # each finite row takes the secant step where it is defined and
             # finite (not on a row's first step, where it is nan), else the
             # Picard step; the Picard step is formed only if a row takes it
@@ -369,13 +385,20 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
                 take = finite & np.isfinite(secant_step)
                 taken = np.count_nonzero(take)
                 if taken == count:
-                    step, slope = secant_step, dh / dz
+                    step, secant = secant_step, (dz, dh)
                 elif taken:
-                    step, slope = np.where(take, secant_step, z), np.where(take, dh / dz, slope)
+                    step = np.where(take, secant_step, z)
+                    for last, now in zip(secant, (dz, dh)):  # arrays of no other name
+                        np.copyto(last, now, where=take)
             if taken < active:
-                picard = finite & ~take if taken else finite
-                step = np.where(picard, keep * z + damping * val, step)
+                picard = keep * z + damping * val
+                if calm and taken == 0 and active == count:
+                    step = picard  # every row takes it
+                else:
+                    step = np.where(finite & ~take if taken else finite, picard, step)
             z_prev, h_prev, z = z, h, step
+            if calm:
+                continue
             if steps == cfg.max_iterations:  # every active row leaves at the cap
                 stay = np.zeros(count, dtype=bool)
             else:
@@ -387,16 +410,23 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
                 if not active:
                     break
         final = np.abs(z - g(z))
+        slope = secant[1] / secant[0]
         good = judged & ~blown & (final <= cfg.tolerance)
         wrong = z.imag < -cfg.tolerance * scale
-        # a secant root is kept only if it passes the checks and attracts,
-        # |g'(Z)| < 1 with g' = 1 - dh/dz; else the row retries with Picard
-        retry = judged & ~np.isnan(slope) & ~(good & ~wrong & (np.abs(1.0 - slope) < 1.0))
+        # a row keeps a converged value on the metric branch, and a secant
+        # root only if it also attracts, |g'(Z)| < 1 with g' = 1 - dh/dz (a
+        # nan slope, no secant step, passes)
+        kept = good & ~wrong & ~(np.abs(1.0 - slope) >= 1.0)
+        done = np.count_nonzero(kept)
+        if done == count:  # every row kept, in one pass
+            rows.value, rows.residual = z, final
+            break
+        # a rejected secant root retries with Picard
+        retry = judged & ~np.isnan(slope) & ~kept
         good &= ~retry
-        kept = good & ~wrong
         rows.value = np.where(kept, z, rows.value)
         rows.residual = np.where(kept, final, rows.residual)
-        if np.count_nonzero(kept) == np.count_nonzero(judged):
+        if done == np.count_nonzero(judged):
             break  # every row of the round is done
         rows.fail(good & wrong, SolverError(
             "iteration converged to the non-metric branch (negative imaginary part)"))
@@ -408,5 +438,6 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
             "the base point is likely outside the validity region"))
         judged, first = retry | (again & ~lost), False
         z = np.where(judged, z0, z)
-        slope = np.where(judged, rows.missing, slope)
+        for last in secant:
+            np.copyto(last, rows.missing, where=judged)
     return rows.result(iterations)

@@ -52,6 +52,7 @@ negative control ``test:broken`` passes it at 5e-16).  It exercises the
 integrator and the domain guards, not projective flatness.
 """
 
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
@@ -107,104 +108,207 @@ def make_report(check, x, y, residuals, tolerance, extra=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference primitives
+# finite-difference stencils as offset tables
+#
+# A stencil point is its sample's (x, y) with steps added along coordinate
+# axes: v + e or v - e, e being a step h in component k and zeros elsewhere,
+# and at a Hessian corner a second step added to that sum.  A check lists
+# its points once per dimension (``_STENCILS``), and ``_tables`` turns the
+# list into offset tables, one per side (x, y) and successive addition,
+# whose entries pick the value each component adds from the per-row
+# offsets of ``_offsets``.  A component that e leaves adds +0.0 to v + e
+# and -0.0 to v - e, so a -0.0 component reads +0.0 after v + e and keeps
+# its sign after v - e; a side that a point does not move adds -0.0, which
+# leaves it as it is.  So every point has the bits of v + e, v - e and
+# (v + e_i) + e_j computed vector by vector.
+
+_PLUS_ZERO, _MINUS_ZERO = 0, 1  # the offset columns of +0.0 and -0.0
 
 
-def axis_step(v, k, step):
-    """Zeros shaped like ``v`` with ``step`` in component k (one step per
-    row for rows)."""
-    e = np.zeros(v.shape)
-    e[..., k] = step
-    return e
+def _offsets(*steps):
+    """Per row ``(N, 2 + 2S)``: +0.0, -0.0, then +h and -h for each of the
+    S step arrays ``steps`` (each ``(N,)``), so that step s (from 1) is +h
+    at column 2s and -h at column 2s + 1."""
+    out = np.zeros((len(steps[0]), 2 + 2 * len(steps)))
+    out[:, _MINUS_ZERO] = -0.0
+    for s, h in enumerate(steps, 1):
+        out[:, 2 * s] = h
+        np.negative(h, out=out[:, 2 * s + 1])
+    return out
 
 
-def hessian_points(v, step) -> list:
-    """The points of a central-difference Hessian, in the order
-    ``hessian_from`` reads their values: ``v``, then for each i the pair
-    ``v +- e_i`` followed by ``v +- e_i +- e_j`` for j > i (e_k is
-    ``step`` along component k)."""
-    n = v.shape[-1]
-    points = [v]
+# A point is a tuple of moves (side, k, sign, step): side 0 moves x and 1
+# moves y, by sign * h along component k, h being the side's step number
+# ``step``; two moves of one side are added in turn.
+
+def _axis_points(side, step, n):
+    """The points of a central-difference gradient: v + e_k, then v - e_k,
+    for each k (read by ``_gradient``)."""
+    return [((side, k, sign, step),) for k in range(n) for sign in (1, -1)]
+
+
+def _hessian_points(side, step, n):
+    """The points of a central-difference Hessian (read by ``_hessian``):
+    v, then for each i the pair v +- e_i followed by (v +- e_i) +- e_j for
+    each j > i."""
+    points = [()]
     for i in range(n):
-        ei = axis_step(v, i, step)
-        points += [v + ei, v - ei]
-        for j in range(i + 1, n):
-            ej = axis_step(v, j, step)
-            points += [v + ei + ej, v + ei - ej, v - ei + ej, v - ei - ej]
+        points += [((side, i, 1, step),), ((side, i, -1, step),)]
+        points += [((side, i, si, step), (side, j, sj, step))
+                   for j in range(i + 1, n) for si in (1, -1) for sj in (1, -1)]
     return points
 
 
-def hessian_from(values, step, n):
-    """The symmetric central-difference Hessian from the values at
-    ``hessian_points``: ``(n, n)``, or ``(N, n, n)`` for rows."""
-    values = iter(values)
-    f0 = next(values)
-    step_sq = step * step
-    h = np.zeros(np.shape(f0) + (n, n))
-    for i in range(n):
-        h[..., i, i] = (next(values) - 2.0 * f0 + next(values)) / step_sq
-        for j in range(i + 1, n):
-            hij = (next(values) - next(values) - next(values) + next(values)) / (4.0 * step_sq)
-            h[..., i, j] = hij
-            h[..., j, i] = hij
-    return h
+def _jet_points(n):
+    """The jet's points (read by ``_jet_from``): (x, y), the gradients in
+    x and in y (step 1), the mixed corners (x +- e_l, y +- e_k) for each
+    l and k, and the Hessian in y (step 2)."""
+    mixed = [((0, l, sl, 2), (1, k, sk, 2)) for l in range(n) for k in range(n)
+             for sl in (1, -1) for sk in (1, -1)]
+    return [()] + _axis_points(0, 1, n) + _axis_points(1, 1, n) + mixed + _hessian_points(1, 2, n)
 
 
-def gradient_points(v, step) -> list:
-    """The points of a central-difference gradient: ``v + e_k`` and
-    ``v - e_k`` for each k, e_k being ``step`` along component k (one step
-    per row for rows)."""
-    points = []
-    for k in range(v.shape[-1]):
-        e = axis_step(v, k, step)
-        points += [v + e, v - e]
+def _p_points(step, n):
+    """(x, y), then the gradient points in x and in y."""
+    return [()] + _axis_points(0, step, n) + _axis_points(1, step, n)
+
+
+# each check's stencil in n dimensions, as its blocks of points in order
+_STENCILS = {
+    "jet": lambda n: [_jet_points(n)],
+    "berwald": lambda n: [_jet_points(n), _p_points(2, n), _axis_points(1, 2, n)],
+    "pde": lambda n: [_p_points(1, n)],
+    "convexity": lambda n: [[()] + _hessian_points(1, 1, n)],
+    "hessian": lambda n: [_hessian_points(1, 1, n)],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(stencil, n):
+    """The offset tables of ``_STENCILS[stencil]`` in n dimensions: for x
+    and for y, per successive addition (at least one), the offset column
+    of each component of each point, flat ``(M * n,)``; and the sizes of
+    the blocks."""
+    blocks = _STENCILS[stencil](n)
+    points = [point for block in blocks for point in block]
+    tables = []
+    for side in (0, 1):
+        depth = max(1, max(sum(move[0] == side for move in point) for point in points))
+        table = np.full((depth, len(points), n), _MINUS_ZERO)
+        for m, point in enumerate(points):
+            for add, (_, k, sign, step) in enumerate(move for move in point if move[0] == side):
+                table[add, m] = _PLUS_ZERO if sign > 0 else _MINUS_ZERO
+                table[add, m, k] = 2 * step + (sign < 0)
+        tables.append(tuple(table.reshape(depth, -1)))
+    return tables[0], tables[1], tuple(len(block) for block in blocks)
+
+
+def _moved(v, offsets, table):
+    """The points ``(N, M, n)`` of a side: ``v`` plus each addition of
+    ``table`` in turn, picked from ``offsets``."""
+    count, n = v.shape
+    points = offsets.take(table[0], axis=1).reshape(count, -1, n)
+    np.add(v[:, None, :], points, out=points)  # v + offset, in that order
+    for add in table[1:]:
+        points += offsets.take(add, axis=1).reshape(count, -1, n)
     return points
 
 
-def gradient_from(values, step):
-    """Central differences from the values at ``gradient_points``, in the
-    values' dtype, so complex fields keep their imaginary parts."""
-    values = list(values)
-    return np.stack([(values[2 * k] - values[2 * k + 1]) / (2.0 * step)
-                     for k in range(len(values) // 2)], axis=-1)
+def _stencil(stencil, xs, ys, x_steps, y_steps):
+    """The points x and y ``(N, M, n)`` of ``stencil`` at each row of
+    (xs, ys), with the step arrays of each side, and its block sizes."""
+    x_table, y_table, sizes = _tables(stencil, xs.shape[1])
+    return _moved(xs, _offsets(*x_steps), x_table), _moved(ys, _offsets(*y_steps), y_table), sizes
+
+
+def _gradient(values, step):
+    """Central differences from the ``(N, 2n)`` values at ``_axis_points``
+    with the per-row step, ``(N, n)`` in the values' dtype, so complex
+    fields keep their imaginary parts."""
+    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * step)[:, None]
+
+
+@functools.lru_cache(maxsize=None)
+def _hessian_columns(n):
+    """Where ``_hessian`` reads and writes: the columns of v + e_i, of
+    v - e_i and of the four corners (one array each) of the pairs i < j in
+    a Hessian's values, and the flat ``(n * n)`` positions of the diagonal
+    entries and of the entries (i, j) and (j, i) of those pairs."""
+    plus, corners, pairs = [], [], []
+    column = 1
+    for i in range(n):
+        plus.append(column)
+        column += 2
+        for j in range(i + 1, n):
+            corners.append(range(column, column + 4))
+            pairs.append((i, j))
+            column += 4
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    plus = np.array(plus)
+    return (plus, plus + 1, tuple(np.array(corners, dtype=int).reshape(-1, 4).T),
+            np.arange(n) * (n + 1), i * n + j, j * n + i)
+
+
+def _hessian(values, step, n):
+    """The symmetric central-difference Hessian ``(N, n, n)`` from the
+    ``(N, M)`` values at ``_hessian_points`` with the per-row step."""
+    plus, minus, corners, diagonal, upper, lower = _hessian_columns(n)
+    step_sq = (step * step)[:, None]
+    h = np.empty((len(values), n * n))
+    h[:, diagonal] = (values.take(plus, axis=1) - 2.0 * values[:, :1]
+                      + values.take(minus, axis=1)) / step_sq
+    c0, c1, c2, c3 = (values.take(c, axis=1) for c in corners)
+    h[:, upper] = h[:, lower] = (c0 - c1 - c2 + c3) / (4.0 * step_sq)
+    return h.reshape(-1, n, n)
 
 
 class _Values(NamedTuple):
-    """One stencil block's fields: ``f`` and ``p`` hold the M value arrays
-    of length N (nan where not asked), ``errors`` the M per-sample error lists."""
+    """One stencil block's fields: ``f`` and ``p`` hold its ``(N, M)``
+    values (nan where not asked; None when no block asks for the field),
+    ``errors`` each sample's first error among the block's points."""
 
-    f: list
-    p: list
+    f: np.ndarray
+    p: np.ndarray
     errors: list
 
 
-def _on_stencil(metric, blocks):
-    """F and P of ``metric`` on a check's stencil blocks, one _Values per
-    block, from one rows call.
+def _on_stencil(metric, x, y, blocks):
+    """F and P of ``metric`` on a check's stencil, the points ``x`` and
+    ``y`` ``(N, M, n)`` at N samples, one _Values per block, from one rows
+    call.
 
-    A block is ``(want, pairs)`` or ``(want, pairs, samples)``: ``want``
-    is "f", "p" or "fp", the fields asked at its M stencil points
-    ``pairs`` [(X_m, Y_m)] of N samples, each ``(N, n)``; ``samples``, an
-    ``(N,)`` mask, leaves the other samples' points unasked (nan, no
-    error).  A point that needs both fields belongs in an "fp" block, so
-    it is one row, and its error is F's, else P's.
+    The blocks split the M points in order.  A block is ``(want, size)``
+    or ``(want, size, samples)``: ``want`` is "f", "p" or "fp", the fields
+    asked at its next ``size`` points; ``samples``, an ``(N,)`` mask,
+    leaves the other samples' points unasked (nan, no error).  A point
+    that needs both fields belongs in an "fp" block, so it is one row, and
+    its error is F's, else P's.
     """
-    pairs = [pair for _, block, *_ in blocks for pair in block]
-    m, ends = len(pairs), list(accumulate(len(block) for _, block, *_ in blocks))
+    count, m = x.shape[:2]
+    ends = list(accumulate(size for _, size, *_ in blocks))
     spans = list(zip([0] + ends, ends))
 
-    def mask(field):  # the sample-major rows mask
-        rows = np.zeros((len(pairs[0][0]), m), dtype=bool)
-        for (want, _, *on), (a, b) in zip(blocks, spans):
-            if field in want:
-                rows[:, a:b] = on[0][:, None] if on else True
+    def ask(field):  # True, False or the sample-major rows mask
+        on = [(span, samples) for (want, _, *samples), span in zip(blocks, spans) if field in want]
+        if not on or (len(on) == len(blocks) and not any(samples for _, samples in on)):
+            return bool(on)
+        rows = np.zeros((count, m), dtype=bool)
+        for (a, b), samples in on:
+            rows[:, a:b] = samples[0][:, None] if samples else True
         return rows.reshape(-1)
 
-    x, y = (np.concatenate(side, axis=1).reshape(-1, metric.dimension) for side in zip(*pairs))
-    values = metric.rows(x, y, mask("f"), mask("p"))  # the N * M rows, sample-major
-    f, p = (list(v.reshape(-1, m).T) for v in (values.f, values.p))
-    errors = [values.errors[k::m] for k in range(m)]
-    return [_Values(f[a:b], p[a:b], errors[a:b]) for a, b in spans]
+    n = metric.dimension
+    values = metric.rows(x.reshape(-1, n), y.reshape(-1, n), ask("f"), ask("p"))
+    f, p = (None if v is None else v.reshape(count, m) for v in (values.f, values.p))
+    errors = values.errors  # sample-major: sample i's points are i * m to (i + 1) * m
+
+    def first(a, b):
+        if not any(errors):
+            return [None] * count
+        return [next(filter(None, errors[i * m + a:i * m + b]), None) for i in range(count)]
+
+    return [_Values(None if f is None else f[:, a:b], None if p is None else p[:, a:b], first(a, b))
+            for a, b in spans]
 
 
 # ---------------------------------------------------------------------------
@@ -226,45 +330,32 @@ class JetData:
     hess_yy: np.ndarray
 
 
-def _jet_stencil(xs, ys):
-    """The stencil points of the jet at each row of (xs, ys), and its
-    steps (hx, hy, hx2, hy2); raises DomainError for a zero y."""
-    n = xs.shape[1]
+def _jet_stencil(xs, ys, stencil):
+    """The points of ``stencil`` (the jet's first) at each row of
+    (xs, ys), its block sizes and the jet's steps (hx, hy, hx2, hy2);
+    raises DomainError for a zero y."""
     ny = lengths(ys)
     if (ny == 0.0).any():
         raise DomainError("jet requires y != 0")
     sx = np.maximum(1.0, lengths(xs))
     hx, hy = STEP_FIRST * sx, STEP_FIRST * ny
     hx2, hy2 = STEP_SECOND * sx, STEP_SECOND * ny
-    pairs = [(xs, ys)]
-    pairs += [(p, ys) for p in gradient_points(xs, hx)]
-    pairs += [(xs, p) for p in gradient_points(ys, hy)]
-    for l in range(n):
-        el = axis_step(xs, l, hx2)
-        for k in range(n):
-            ek = axis_step(ys, k, hy2)
-            pairs += [(xs + el, ys + ek), (xs + el, ys - ek),
-                      (xs - el, ys + ek), (xs - el, ys - ek)]
-    pairs += [(xs, p) for p in hessian_points(ys, hy2)]
-    return pairs, (hx, hy, hx2, hy2)
+    x_points, y_points, sizes = _stencil(stencil, xs, ys, (hx, hx2), (hy, hy2))
+    return x_points, y_points, sizes, (hx, hy, hx2, hy2)
 
 
 def _jet_from(values, steps, n) -> JetData:
-    """The jet in n dimensions from F at the points of ``_jet_stencil``,
-    in their order."""
+    """The jet in n dimensions from F ``(N, M)`` at the points of
+    ``_jet_points``, in their order."""
     hx, hy, hx2, hy2 = steps
-    values = iter(values)
-    f0 = next(values)
-    grad_x = gradient_from([next(values) for _ in range(2 * n)], hx)
-    grad_y = gradient_from([next(values) for _ in range(2 * n)], hy)
-    mixed = np.zeros((len(f0), n, n))
-    for l in range(n):
-        for k in range(n):
-            mixed[:, l, k] = (next(values) - next(values) - next(values) + next(values)
-                              ) / (4.0 * hx2 * hy2)
-    hess = hessian_from(values, hy2, n)
+    grad_x = _gradient(values[:, 1:2 * n + 1], hx)
+    grad_y = _gradient(values[:, 2 * n + 1:4 * n + 1], hy)
+    start, end = 4 * n + 1, 4 * n * (n + 1) + 1  # the mixed corners, four per (l, k)
+    c0, c1, c2, c3 = (values[:, start + c:end:4] for c in range(4))
+    mixed = ((c0 - c1 - c2 + c3) / (4.0 * hx2 * hy2)[:, None]).reshape(-1, n, n)
+    hess = _hessian(values[:, end:], hy2, n)
     hess = 0.5 * (hess + hess.swapaxes(-1, -2))
-    return JetData(f0, grad_x, grad_y, mixed, hess)
+    return JetData(values[:, 0], grad_x, grad_y, mixed, hess)
 
 
 @_QUIET
@@ -276,9 +367,9 @@ def jet(metric, x, y) -> JetData:
     DomainError if the stencil leaves the evaluator's domain.
     """
     xs, ys = as_rows(metric.dimension, x, y)
-    pairs, steps = _jet_stencil(xs, ys)
-    [values] = _on_stencil(metric, [("f", pairs)])
-    raise_first(first_errors(*values.errors))
+    x_points, y_points, sizes, steps = _jet_stencil(xs, ys, "jet")
+    [values] = _on_stencil(metric, x_points, y_points, [("f", *sizes)])
+    raise_first(values.errors)
     return _jet_from(values.f, steps, xs.shape[1])
 
 
@@ -309,7 +400,7 @@ def projective_factor_numeric(metric, x, y):
 @_QUIET
 def _curvature_stencil(xs, ys):
     """The step h at each row and K's stencil points (x, u), (x + h u)
-    and (x - h u), u = y / |y|.
+    and (x - h u), u = y / |y|, as x and y ``(N, 3, n)``.
 
     K has degree 0 in y, so it is evaluated at u: a tiny y would
     otherwise make F^2 underflow.  y is first divided by its largest
@@ -321,7 +412,7 @@ def _curvature_stencil(xs, ys):
     u = w / np.where(nw == 0.0, 1.0, nw)[:, None]
     h = STEP_SECOND * np.maximum(1.0, lengths(xs))
     step = h[:, None] * u
-    return h, [(xs, u), (xs + step, u), (xs - step, u)]
+    return h, np.stack((xs, xs + step, xs - step), axis=1), np.stack((u, u, u), axis=1)
 
 
 def _curvature(at_u, off_u, h):
@@ -333,9 +424,8 @@ def _curvature(at_u, off_u, h):
     into [1/2, 1); every other row keeps its bits.  A P^2 beyond range
     gives an infinite K, which the callers report.
     """
-    f0, p0 = at_u.f[0], at_u.p[0]
-    p_up, p_down = off_u.p
-    dp = (p_up - p_down) / (2.0 * h)
+    f0, p0 = at_u.f[:, 0], at_u.p[:, 0]
+    dp = (off_u.p[:, 0] - off_u.p[:, 1]) / (2.0 * h)
     huge = np.abs(f0) > _SQUARE_LIMIT  # nan: F failed
     if huge.any():
         e = np.where(huge, -np.frexp(f0)[1], 0)
@@ -344,8 +434,8 @@ def _curvature(at_u, off_u, h):
     flat = ~(f2 > 0.0)  # F = 0, or F^2 underflows (nan: F failed)
     with np.errstate(over="ignore"):
         k = np.where(flat, np.nan, (p0 * p0 - dp) / np.where(flat, 1.0, f2))
-    return k, first_errors(at_u.errors[0], flagged(flat, "flag curvature requires F^2 > 0"),
-                           *off_u.errors)
+    return k, first_errors(at_u.errors, flagged(flat, "flag curvature requires F^2 > 0"),
+                           off_u.errors)
 
 
 def flag_curvature(metric, x, y):
@@ -357,8 +447,8 @@ def flag_curvature(metric, x, y):
     only where F is projectively flat; the ``hamel`` check tests that.
     """
     xs, ys = as_rows(metric.dimension, x, y)
-    h, pairs = _curvature_stencil(xs, ys)
-    k, errors = _curvature(*_on_stencil(metric, [("fp", pairs[:1]), ("p", pairs[1:])]), h)
+    h, x_points, y_points = _curvature_stencil(xs, ys)
+    k, errors = _curvature(*_on_stencil(metric, x_points, y_points, [("fp", 1), ("p", 2)]), h)
     raise_first(errors)
     return k
 
@@ -368,21 +458,17 @@ def point_values(metric, x, y):
     row's first error (F's, then P's, then K's), for ``eval`` and
     ``sample``; a failed row holds nan."""
     xs, ys = as_rows(metric.dimension, x, y)
-    h, pairs = _curvature_stencil(xs, ys)
+    h, x_points, y_points = _curvature_stencil(xs, ys)
     # K's rows of a sample whose F fails the radius guard are asked nothing
     near = ~metric.beyond_radius(lengths(xs))
-    here, at_u, off_u = _on_stencil(metric, [("fp", [(xs, ys)]), ("fp", pairs[:1], near),
-                                             ("p", pairs[1:], near)])
+    here, at_u, off_u = _on_stencil(
+        metric, np.concatenate((xs[:, None], x_points), axis=1),
+        np.concatenate((ys[:, None], y_points), axis=1),
+        [("fp", 1), ("fp", 1, near), ("p", 2, near)])
     k, k_errors = _curvature(at_u, off_u, h)
-    errors = first_errors(here.errors[0], k_errors)
+    errors = first_errors(here.errors, k_errors)
     k[~error_free(errors)] = np.nan
-    return here.f[0], here.p[0], k, errors
-
-
-def _p_stencil(xs, ys, hx, hy):
-    """(x, y), then the gradient stencils in x and in y."""
-    return ([(xs, ys)] + [(p, ys) for p in gradient_points(xs, hx)]
-            + [(xs, p) for p in gradient_points(ys, hy)])
+    return here.f[:, 0], here.p[:, 0], k, errors
 
 
 @_QUIET
@@ -395,23 +481,23 @@ def berwald_system_residual(metric, x, y):
     intended curvature, so a metric whose numeric K differs fails r2.
     The jet's errors are raised before the P stencils', so the jet and the
     P stencil each hold the centre (x, y), F on one row and P on another.
+    The P stencils take the jet's second-derivative steps.
     """
     xs, ys = as_rows(metric.dimension, x, y)
     n = xs.shape[1]
     curvature = metric.intended_curvature
-    jet_pairs, steps = _jet_stencil(xs, ys)
-    hx, hy = steps[2:]  # the jet's second-derivative steps
-    jet_f, p_stencil, pf = _on_stencil(metric, [
-        ("f", jet_pairs), ("p", _p_stencil(xs, ys, hx, hy)),
-        ("fp", [(xs, p) for p in gradient_points(ys, hy)])])
-    raise_first(first_errors(*jet_f.errors))
+    x_points, y_points, sizes, steps = _jet_stencil(xs, ys, "berwald")
+    hx, hy = steps[2:]
+    jet_f, p_stencil, pf = _on_stencil(metric, x_points, y_points,
+                                       list(zip(("f", "p", "fp"), sizes)))
+    raise_first(jet_f.errors)
     jd = _jet_from(jet_f.f, steps, n)
-    raise_first(first_errors(*p_stencil.errors, *pf.errors))
+    raise_first(first_errors(p_stencil.errors, pf.errors))
     p_values = p_stencil.p
-    p0 = p_values[0]
-    p_x = gradient_from(p_values[1:2 * n + 1], hx)
-    p_y = gradient_from(p_values[2 * n + 1:], hy)
-    pf_y = gradient_from([p * f for f, p in zip(pf.f, pf.p)], hy)
+    p0 = p_values[:, 0]
+    p_x = _gradient(p_values[:, 1:2 * n + 1], hx)
+    p_y = _gradient(p_values[:, 2 * n + 1:], hy)
+    pf_y = _gradient(pf.p * pf.f, hy)
 
     r1 = np.abs(jd.grad_x - pf_y).max(axis=-1) / (1.0 + np.abs(jd.grad_x).max(axis=-1))
     resid2 = p_x - p0[:, None] * p_y + (curvature * jd.value)[..., None] * jd.grad_y
@@ -419,9 +505,10 @@ def berwald_system_residual(metric, x, y):
     return r1, r2
 
 
-def _transport_fields(metric, pairs):
+def _transport_fields(metric, x, y):
     """The scalar fields Phi with Phi_x = Phi * Phi_y on the stencil
-    ``pairs``, each as its M value arrays, and the per-sample error lists.
+    points ``x`` and ``y``, each as its ``(N, M)`` values, and each
+    field's per-sample first errors.
 
     Every metric kind builds them alike, from its F and P and its stated
     curvature K: Phi = P + c F with c = 0 for K = 0, c = +/- sqrt(-K) for
@@ -437,9 +524,9 @@ def _transport_fields(metric, pairs):
     s = float(np.sqrt(abs(k)))
     fields, errors = [], []
     for c in ((0.0,) if k == 0.0 else (s, -s) if k < 0.0 else (1j * s,)):
-        [values] = _on_stencil(metric, [("p" if c == 0.0 else "fp", pairs)])
-        fields.append(values.p if c == 0.0 else [p + c * f for f, p in zip(values.f, values.p)])
-        errors += values.errors
+        [values] = _on_stencil(metric, x, y, [("p" if c == 0.0 else "fp", x.shape[1])])
+        fields.append(values.p if c == 0.0 else values.p + c * values.f)
+        errors.append(values.errors)
     return fields, errors
 
 
@@ -454,13 +541,14 @@ def master_pde_residual(metric, x, y):
     n = xs.shape[1]
     hx = STEP_SECOND * np.maximum(1.0, lengths(xs))
     hy = STEP_SECOND * lengths(ys)
-    fields, errors = _transport_fields(metric, _p_stencil(xs, ys, hx, hy))
+    x_points, y_points, _ = _stencil("pde", xs, ys, (hx,), (hy,))
+    fields, errors = _transport_fields(metric, x_points, y_points)
     raise_first(first_errors(*errors))
     worst = np.zeros(len(ys))
     for phi in fields:
-        gx = gradient_from(phi[1:2 * n + 1], hx)
-        gy = gradient_from(phi[2 * n + 1:], hy)
-        resid = (np.abs(gx - phi[0][:, None] * gy).max(axis=-1)
+        gx = _gradient(phi[:, 1:2 * n + 1], hx)
+        gy = _gradient(phi[:, 2 * n + 1:], hy)
+        resid = (np.abs(gx - phi[:, :1] * gy).max(axis=-1)
                  / (1.0 + np.abs(gx).max(axis=-1)))
         worst = np.where(resid > worst, resid, worst)
     return worst
@@ -480,12 +568,12 @@ def convexity_residual(metric, x, u):
     """
     xs, us = as_rows(metric.dimension, x, u)
     h = STEP_SECOND * lengths(us)
-    pairs = [(xs, us)] + [(xs, p) for p in hessian_points(us, h)]
-    [values] = _on_stencil(metric, [("f", pairs)])
-    raise_first(first_errors(*values.errors))
-    hess = hessian_from([0.5 * (v * v) for v in values.f[1:]], h, xs.shape[1])
-    lam_min = _min_eigenvalues(hess)
-    return np.maximum(-lam_min, -values.f[0]), lam_min
+    x_points, y_points, sizes = _stencil("convexity", xs, us, (h,), (h,))
+    [values] = _on_stencil(metric, x_points, y_points, [("f", *sizes)])
+    raise_first(values.errors)
+    f = values.f
+    lam_min = _min_eigenvalues(_hessian(0.5 * (f[:, 1:] * f[:, 1:]), h, xs.shape[1]))
+    return np.maximum(-lam_min, -f[:, 0]), lam_min
 
 
 def _min_eigenvalues(hess):
@@ -510,11 +598,11 @@ def check_minkowski(f: HomogeneousFunction, samples: int) -> dict:
     """
     dirs = unit_directions(f.dimension, samples)
     step = STEP_FIRST * np.maximum(1.0, lengths(dirs))
-    points = hessian_points(dirs, step)
-    values = f.eval_real(np.concatenate(points)).reshape(len(points), samples)
-    hess = hessian_from(0.5 * (values * values), step, f.dimension)
-    lam = _min_eigenvalues(hess)
-    return make_report("minkowski", np.zeros_like(dirs), dirs, np.maximum(-lam, -values[0]),
+    _, table, _ = _tables("hessian", f.dimension)
+    points = _moved(dirs, _offsets(step), table)
+    values = f.eval_real(points.reshape(-1, f.dimension)).reshape(samples, -1)
+    lam = _min_eigenvalues(_hessian(0.5 * (values * values), step, f.dimension))
+    return make_report("minkowski", np.zeros_like(dirs), dirs, np.maximum(-lam, -values[:, 0]),
                        tolerance=-MINKOWSKI_EIG_FLOOR,
                        extra={"min_eigenvalue": float(lam.min())})
 

@@ -20,7 +20,11 @@ specializes.  ``format_norm`` writes a norm back as the descriptor
 ``parse_norms`` reads.  ``point_values_composed``,
 ``flag_curvature_composed`` and ``berwald_composed`` are the point checks
 of ``verify`` as separate calls, one per field group (F, P, or both) and
-stencil, against which their one-call forms are checked bit for bit.  ``altered``, ``perturbed`` and ``failing_checks``
+stencil, against which their one-call forms are checked bit for bit.
+``hessian_points``, ``gradient_points``, ``stencil_pairs`` and the
+readers ``hessian_from`` and ``gradient_from`` build the finite-difference
+stencils point by point, vector by vector, the reference for the offset
+tables of ``verify``.  ``altered``, ``perturbed`` and ``failing_checks``
 build and run the negative controls of a constructed metric.
 """
 
@@ -41,8 +45,7 @@ from projflat.solver import (BRACKET_EXPANSION, RADIUS_DIRECTIONS, _at,
                              _complex_nonzero, _Rows)
 from projflat.norms import as_rows, lengths
 from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, STEP_SECOND, _mixed_times_y,
-                             convexity_residual, gradient_from, gradient_points, jet,
-                             make_report)
+                             convexity_residual, jet, make_report)
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
 
@@ -206,9 +209,112 @@ def solve_complex_nested(phi, psi, x, y, cfg=None):
                        iterations=iterations, errors=[None])
 
 
+# ---------------------------------------------------------------------------
+# the list-built finite-difference stencils, the reference for verify's
+# offset tables: each point is built vector by vector as v + e or v - e
+
+
+def axis_step(v, k, step):
+    """Zeros shaped like ``v`` with ``step`` in component k (one step per
+    row for rows)."""
+    e = np.zeros(v.shape)
+    e[..., k] = step
+    return e
+
+
+def hessian_points(v, step) -> list:
+    """The points of a central-difference Hessian, in the order
+    ``hessian_from`` reads their values: ``v``, then for each i the pair
+    ``v +- e_i`` followed by ``v +- e_i +- e_j`` for j > i (e_k is
+    ``step`` along component k)."""
+    n = v.shape[-1]
+    points = [v]
+    for i in range(n):
+        ei = axis_step(v, i, step)
+        points += [v + ei, v - ei]
+        for j in range(i + 1, n):
+            ej = axis_step(v, j, step)
+            points += [v + ei + ej, v + ei - ej, v - ei + ej, v - ei - ej]
+    return points
+
+
+def hessian_from(values, step, n):
+    """The symmetric central-difference Hessian from the values at
+    ``hessian_points``: ``(n, n)``, or ``(N, n, n)`` for rows."""
+    values = iter(values)
+    f0 = next(values)
+    step_sq = step * step
+    h = np.zeros(np.shape(f0) + (n, n))
+    for i in range(n):
+        h[..., i, i] = (next(values) - 2.0 * f0 + next(values)) / step_sq
+        for j in range(i + 1, n):
+            hij = (next(values) - next(values) - next(values) + next(values)) / (4.0 * step_sq)
+            h[..., i, j] = hij
+            h[..., j, i] = hij
+    return h
+
+
+def gradient_points(v, step) -> list:
+    """The points of a central-difference gradient: ``v + e_k`` and
+    ``v - e_k`` for each k, e_k being ``step`` along component k (one step
+    per row for rows)."""
+    points = []
+    for k in range(v.shape[-1]):
+        e = axis_step(v, k, step)
+        points += [v + e, v - e]
+    return points
+
+
+def gradient_from(values, step):
+    """Central differences from the values at ``gradient_points``, in the
+    values' dtype, so complex fields keep their imaginary parts."""
+    values = list(values)
+    return np.stack([(values[2 * k] - values[2 * k + 1]) / (2.0 * step)
+                     for k in range(len(values) // 2)], axis=-1)
+
+
+def jet_pairs(xs, ys, hx, hy, hx2, hy2) -> list:
+    """The jet's stencil points [(X_m, Y_m)] at each row of (xs, ys):
+    (x, y), the gradients in x and in y, the mixed corners
+    (x +- e_l, y +- e_k), then the Hessian in y."""
+    n = xs.shape[1]
+    pairs = [(xs, ys)]
+    pairs += [(p, ys) for p in gradient_points(xs, hx)]
+    pairs += [(xs, p) for p in gradient_points(ys, hy)]
+    for l in range(n):
+        el = axis_step(xs, l, hx2)
+        for k in range(n):
+            ek = axis_step(ys, k, hy2)
+            pairs += [(xs + el, ys + ek), (xs + el, ys - ek),
+                      (xs - el, ys + ek), (xs - el, ys - ek)]
+    return pairs + [(xs, p) for p in hessian_points(ys, hy2)]
+
+
+def p_pairs(xs, ys, hx, hy) -> list:
+    """(x, y), then the gradient points in x and in y."""
+    return ([(xs, ys)] + [(p, ys) for p in gradient_points(xs, hx)]
+            + [(xs, p) for p in gradient_points(ys, hy)])
+
+
+def stencil_pairs(stencil, xs, ys, x_steps, y_steps) -> list:
+    """The points of one of verify's stencils, built vector by vector, with
+    the step arrays of each side as ``verify._stencil`` takes them."""
+    if stencil == "jet":
+        return jet_pairs(xs, ys, *x_steps[:1], *y_steps[:1], x_steps[1], y_steps[1])
+    if stencil == "berwald":
+        (hx, hx2), (hy, hy2) = x_steps, y_steps
+        return (jet_pairs(xs, ys, hx, hy, hx2, hy2) + p_pairs(xs, ys, hx2, hy2)
+                + [(xs, p) for p in gradient_points(ys, hy2)])
+    if stencil == "pde":
+        return p_pairs(xs, ys, x_steps[0], y_steps[0])
+    if stencil == "convexity":
+        return [(xs, ys)] + [(xs, p) for p in hessian_points(ys, y_steps[0])]
+    return [(xs, p) for p in hessian_points(ys, y_steps[0])]  # "hessian"
+
+
 def fd_gradient(fun, v, step):
     """Central-difference gradient of a scalar function of one vector, one
-    ``fun`` call per stencil point of ``verify.gradient_points``."""
+    ``fun`` call per stencil point of ``gradient_points``."""
     v = np.asarray(v, dtype=float)
     return gradient_from([fun(p) for p in gradient_points(v, step)], step)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import format_norm
+from oracles import format_norm, hessian_from, hessian_points
 
 from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, RandersNorm, ScaledNorm, SpecParseError,
@@ -226,7 +226,6 @@ def test_double_sqrt_plus_degenerates_on_block_axis():
         u = failure["y"]
         assert abs(u[0] * u[1]) < 1e-6
     # off-axis the Hessian is strongly positive definite
-    from projflat.verify import hessian_from, hessian_points
     f = DoubleSqrtNorm(2, 1, 1, plus=True)
     u = np.array([np.cos(0.7), np.sin(0.7)])
     h = hessian_from([0.5 * f.eval_real(p) ** 2 for p in hessian_points(u, 1e-5)], 1e-5, 2)

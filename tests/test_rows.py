@@ -24,6 +24,7 @@ from projflat import (CombinedNorm, DimensionMismatchError, DomainError,
                       flag_curvature, hamel_residual, integrate_geodesic, jet,
                       list_catalog, master_pde_residual, parse_norms,
                       projective_factor_numeric, solve_complex, solve_real)
+from projflat import norms
 from projflat.cli import parse_metric
 from projflat.sampling import ball_points, sphere_points
 from projflat.verify import convexity_residual, point_values
@@ -456,13 +457,14 @@ def test_geodesic_asks_p_of_live_trajectories_only(spec, starts, velocities, t_e
 
 
 def patch_kernels(monkeypatch, record):
-    """Wrap every norm row kernel, the pair kernel ``_complex_pair``
+    """Wrap every norm row kernel, the pair kernel ``_complex_pair`` and
+    the shared-length kernels ``_on_length`` and ``_grad_on_length``
     included, so that each call first runs ``record(key, rows)`` with key
     (family class name, kernel name).  A default pair kernel calls the
     two ``_complex`` kernels, which record their calls too."""
     def counted(key, fn):
-        def wrapper(self, *args):  # (v,), or (other, v) for the pair kernel
-            record(key, args[-1])
+        def wrapper(self, *args):  # (v,), (v, length), or (other, v) for the pair kernel
+            record(key, args[1] if key[1] == "_complex_pair" else args[0])
             return fn(self, *args)
         return wrapper
 
@@ -472,7 +474,8 @@ def patch_kernels(monkeypatch, record):
             yield from subclasses(sub)
 
     for cls in subclasses(HomogeneousFunction):
-        for name in ("_real", "_grad", "_complex", "_complex_pair"):
+        for name in ("_real", "_grad", "_complex", "_complex_pair", "_on_length",
+                     "_grad_on_length"):
             if name in cls.__dict__:
                 key = (cls.__name__, name)
                 monkeypatch.setattr(cls, name, counted(key, cls.__dict__[name]))
@@ -563,11 +566,15 @@ def signed_pair(psi, phi, count):
     return CombinedNorm(psi.dimension, ((1.0, phi), (np.repeat((1.0, -1.0), count), psi)))
 
 
-def test_stacked_kneg1_solve_runs_each_norm_once(kernel_rows):
-    """The stacked K = -1 solve of phi + s psi on 2N rows calls each of
-    phi's, psi's and the combination's ``_real`` once per value evaluation
-    and each ``_grad`` once per Newton step, every call on all 2N rows: as
-    many calls as the slower of the two solves alone makes on N rows."""
+def test_stacked_kneg1_solve_runs_each_norm_once(kernel_rows, monkeypatch):
+    """The stacked K = -1 solve of phi + s psi on 2N rows calls the
+    combination's ``_real`` and phi's and psi's ``_on_length`` once per
+    value evaluation, and the combination's ``_grad`` and their
+    ``_grad_on_length`` once per Newton step, every call on all 2N rows:
+    as many calls as the slower of the two solves alone makes on N rows.
+    Each of those evaluations computes |v| once, for both terms."""
+    lengths, length = [], norms.lengths
+    monkeypatch.setattr(norms, "lengths", lambda v: lengths.append(len(v)) or length(v))
     psi, phi = EuclideanNorm(2), ScaledNorm(2, 0.3)
     f_plus, f_minus = combine((1.0, phi), (1.0, psi)), combine((1.0, phi), (-1.0, psi))
     rng = np.random.default_rng(2)
@@ -579,16 +586,20 @@ def test_stacked_kneg1_solve_runs_each_norm_once(kernel_rows):
         solve_real(fn, x, y)
         counts.append({key: len(calls) for key, calls in kernel_rows.items()})
     kernel_rows.clear()
+    lengths.clear()
     res = solve_real(signed_pair(psi, phi, len(y)), np.vstack((x, x)), np.vstack((y, y)))
     assert not any(res.errors)
-    assert set(kernel_rows) == {(cls, name)
-                                for cls in ("CombinedNorm", "EuclideanNorm", "ScaledNorm")
-                                for name in ("_real", "_grad")}
+    assert set(kernel_rows) == {("CombinedNorm", "_real"), ("CombinedNorm", "_grad"),
+                                ("EuclideanNorm", "_on_length"), ("ScaledNorm", "_on_length"),
+                                ("EuclideanNorm", "_grad_on_length"),
+                                ("ScaledNorm", "_grad_on_length")}
     for key, calls in kernel_rows.items():
         assert set(calls) == {2 * len(y)}, key
         assert len(calls) == max(count[key] for count in counts), key
-    real = kernel_rows[("ScaledNorm", "_real")]
-    assert len(real) == len(kernel_rows[("EuclideanNorm", "_real")])
+    for name in ("_on_length", "_grad_on_length"):
+        assert len(kernel_rows[("ScaledNorm", name)]) == len(kernel_rows[("EuclideanNorm", name)])
+    evaluations = sum(len(kernel_rows[("CombinedNorm", name)]) for name in ("_real", "_grad"))
+    assert lengths == [2 * len(y)] * evaluations
 
 
 # the benchmark's four constructions
