@@ -139,8 +139,11 @@ class _Rows:
             self.fail(bad, DomainError("non-finite vector"))
             x, y = np.where(bad[:, None], 0.0, x), np.where(bad[:, None], 0.0, y)
         self.e = scale_exponents(y)
+        self.scaled = bool(np.count_nonzero(self.e))  # whether a row is out of range
+        if self.scaled:
+            y = times_pow2(y, -self.e[:, None])
         self.x = x.astype(dtype, copy=False)
-        self.y = times_pow2(y, -self.e[:, None]).astype(dtype, copy=False)
+        self.y = y.astype(dtype, copy=False)
 
     def fail(self, mask, error):
         """Fail the rows where ``mask`` holds with ``error``, or ``error(i)``."""
@@ -154,9 +157,12 @@ class _Rows:
         return self.y + self.x * t[:, None]
 
     def result(self, iterations):
-        e = self.e
-        value, residual = times_pow2(self.value, e), times_pow2(self.residual, e)
-        eta = times_pow2(self.shifted(self.value), e[:, None])  # nan on a failed row
+        value, residual = self.value, self.residual
+        eta = self.shifted(value)  # nan on a failed row
+        if self.scaled:
+            e = self.e
+            value, residual = times_pow2(value, e), times_pow2(residual, e)
+            eta = times_pow2(eta, e[:, None])
         return SolveResult(value, eta, residual, int(iterations), self.errors)
 
 
@@ -265,6 +271,9 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
         active = np.count_nonzero(act)
 
     residual = np.abs(ft)
+    if np.count_nonzero(residual <= target) == len(t) and not np.count_nonzero(rows.failed):
+        rows.value, rows.residual = t, residual  # every row converged
+        return rows.result(iterations)
     rows.fail(~rows.failed & (residual > target), lambda i: SolverError(
         f"fixed-point residual {residual[i]:.3e} above tolerance"))
     done = ~rows.failed
@@ -352,13 +361,14 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     z = z0
     # the dz and dh of a row's last secant step (nan until it takes one),
     # whose quotient dh/dz is the slope the judge reads
-    secant = (np.full(count, rows.missing), np.full(count, rows.missing))
+    secant = tuple(np.full((2, count), rows.missing))
     iterations = 0
     # every row of a round starts from z0 together, so they share the step
     # count, and only the first round takes secant steps
     judged, first = ~rows.failed, True
-    while np.count_nonzero(judged):
-        act, active = judged, np.count_nonzero(judged)
+    active = np.count_nonzero(judged)
+    while active:
+        act = judged
         blown = np.zeros(count, dtype=bool)  # whether a row's last step diverged
         keep = 1.0 - damping
         for steps in range(1, cfg.max_iterations + 1):
@@ -437,6 +447,7 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
             "complex fixed-point iteration failed to converge; "
             "the base point is likely outside the validity region"))
         judged, first = retry | (again & ~lost), False
+        active = np.count_nonzero(judged)
         z = np.where(judged, z0, z)
         for last in secant:
             np.copyto(last, rows.missing, where=judged)

@@ -21,10 +21,11 @@ specializes.  ``format_norm`` writes a norm back as the descriptor
 ``flag_curvature_composed`` and ``berwald_composed`` are the point checks
 of ``verify`` as separate calls, one per field group (F, P, or both) and
 stencil, against which their one-call forms are checked bit for bit.
-``hessian_points``, ``gradient_points``, ``stencil_pairs`` and the
-readers ``hessian_from`` and ``gradient_from`` build the finite-difference
-stencils point by point, vector by vector, the reference for the offset
-tables of ``verify``.  ``altered``, ``perturbed`` and ``failing_checks``
+``hessian_points``, ``gradient_points`` and ``stencil_pairs`` build the
+finite-difference stencils point by point, vector by vector, and
+``hessian_from``, ``gradient_from`` and ``jet_from`` read them one point
+at a time: the references for the offset tables and column reads of
+``verify``.  ``altered``, ``perturbed`` and ``failing_checks``
 build and run the negative controls of a constructed metric.
 """
 
@@ -288,6 +289,24 @@ def jet_pairs(xs, ys, hx, hy, hx2, hy2) -> list:
             pairs += [(xs + el, ys + ek), (xs + el, ys - ek),
                       (xs - el, ys + ek), (xs - el, ys - ek)]
     return pairs + [(xs, p) for p in hessian_points(ys, hy2)]
+
+
+def jet_from(values, steps, n):
+    """The jet's (value, grad_x, grad_y, mixed_xy, hess_yy) in n dimensions
+    from F at the points of ``jet_pairs``, one array per point, read one
+    point at a time."""
+    hx, hy, hx2, hy2 = steps
+    values = iter(values)
+    f0 = next(values)
+    grad_x = gradient_from([next(values) for _ in range(2 * n)], hx)
+    grad_y = gradient_from([next(values) for _ in range(2 * n)], hy)
+    mixed = np.zeros((len(f0), n, n))
+    for l in range(n):
+        for k in range(n):
+            mixed[:, l, k] = (next(values) - next(values) - next(values) + next(values)
+                              ) / (4.0 * hx2 * hy2)
+    hess = hessian_from(values, hy2, n)
+    return f0, grad_x, grad_y, mixed, 0.5 * (hess + hess.swapaxes(-1, -2))
 
 
 def p_pairs(xs, ys, hx, hy) -> list:

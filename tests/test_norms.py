@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import format_norm, hessian_from, hessian_points
 
-from projflat import (DimensionMismatchError, DomainError, DoubleSqrtNorm,
+from projflat import (CombinedNorm, DimensionMismatchError, DomainError, DoubleSqrtNorm,
                       EuclideanNorm, RandersNorm, ScaledNorm, SpecParseError,
                       ZeroNorm, check_minkowski, combine, parse_norms)
 
@@ -303,6 +303,49 @@ def test_pair_kernel_has_the_bits_of_two_kernels(phi, psi):
         want = phi._complex(w) + 1j * psi._complex(w)
     assert np.array_equal(got, want, equal_nan=True)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+LENGTH_NORMS = (EuclideanNorm(2), ScaledNorm(2, 0.3), ScaledNorm(2, -0.0), ScaledNorm(2, 0.0),
+                RandersNorm(2, (0.2, 0.1)))
+
+
+def real_rows(seed=4):
+    """Nonzero real rows inside the kernel range and at its edges, signed
+    zero components among them."""
+    parts = (0.0, -0.0, 1.0, -1.0, 0.5)
+    grid = np.array(np.meshgrid(parts, parts, indexing="ij")).reshape(2, -1).T
+    grid = grid[np.abs(grid).max(axis=1) > 0]
+    rand = np.random.default_rng(seed).standard_normal((40, 2))
+    rand = np.ldexp(1.0, -np.frexp(np.abs(rand).max(axis=1))[1])[:, None] * rand  # in [1/2, 1)
+    return np.concatenate((grid, grid * 2.0**-8, grid * (2.0**8 - 2.0**-44), rand))
+
+
+@pytest.mark.parametrize("phi", LENGTH_NORMS, ids=lambda f: f"{f.family}{getattr(f, 'scale', '')}")
+@pytest.mark.parametrize("psi", LENGTH_NORMS, ids=lambda f: f"{f.family}{getattr(f, 'scale', '')}")
+def test_shared_length_kernels_have_the_bits_of_the_terms(phi, psi):
+    """phi + s psi on rows, with the per-row sign column s = +-1 of the
+    stacked K = -1 solve and with scalar coefficients: ``_real`` and
+    ``_grad``, which compute |v| once for both terms, equal the sum of the
+    terms' own kernels started from 0, bit for bit.  A row whose terms are
+    -0.0 and -0.0 sums to +0.0, as the start from 0 makes it."""
+    v = real_rows()
+    signs = np.where(np.arange(len(v)) % 2 == 0, 1.0, -1.0)
+    for c in (signs, 1.0, -1.0):
+        both = CombinedNorm(2, ((1.0, phi), (c, psi)))
+        real = 0 + 1.0 * phi._real(v) + c * psi._real(v)
+        grad = (0 + np.asarray(1.0)[..., None] * phi._grad(v)
+                + np.asarray(c)[..., None] * psi._grad(v))
+        assert same_bits(both._real(v), real)
+        assert same_bits(both._grad(v), grad)
+        assert not np.signbit(both._real(v)[real == 0.0]).any()
+    if [getattr(f, "scale", None) for f in (phi, psi)] == [0.0, 0.0] and (
+            np.signbit(phi.scale) and not np.signbit(psi.scale)):
+        # on the odd rows, -0.0 |v| and -1 (0.0 |v|) sum to -0.0 without the start
+        assert np.signbit(1.0 * phi._real(v) + signs * psi._real(v))[1::2].all()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_descriptor_round_trip():

@@ -374,6 +374,64 @@ def test_each_masked_row_solves_as_alone(pair, config, seed, count):
         assert batch.iterations == total
 
 
+def test_uniform_batches_solve_as_alone(monkeypatch):
+    """5-row in-ball batches whose rows all leave the loop on one step and,
+    in the complex solve, all keep their secant roots (one round: the pair
+    is evaluated at z0, once per step and once to judge): the batches on
+    which the solves skip their per-row masks.  Each row has the value,
+    eta, residual and error it has solved alone, and it has in the batch
+    joined by a row at x = 0, which leaves on the first step, and a row
+    with a nan, which fails, so that the loop and the judge take their masks;
+    bit for bit.  The batch's iterations are the sum of the rows', and each
+    row matches the one-point solves of ``oracles``, the real bit for bit
+    and the complex within 1e-14 relative."""
+    evaluations = []
+    for cls in {type(phi) for _, phi in MASK_PAIRS}:
+        pair = cls._complex_pair
+        monkeypatch.setattr(cls, "_complex_pair", lambda self, *args, pair=pair: (
+            evaluations.append(1) or pair(self, *args)))
+    rng = np.random.default_rng(29)
+    for psi, phi in MASK_PAIRS:
+        d = psi.dimension
+        for solve, args, radius, scalar in (
+                (solve_real, (phi,), radius_estimate(phi), oracles.solve_real_scalar),
+                (solve_complex, (phi, psi), pair_radius_estimate(phi, psi),
+                 oracles.solve_complex_scalar)):
+            found = 0
+            for _ in range(100):
+                x = ball_points(rng, d, 0.5 * min(radius, 2.0), 5)
+                y = sphere_points(rng, d, 5)
+                alone, rounds = [], set()
+                for i in range(5):
+                    evaluations.clear()
+                    alone.append(solve(*args, x[i:i + 1], y[i:i + 1]))
+                    rounds.add(len(evaluations) - alone[-1].iterations)
+                if len({res.iterations for res in alone}) > 1 or (
+                        solve is solve_complex and rounds != {2}):
+                    continue
+                found += 1
+                batch = solve(*args, x, y)
+                assert not any(batch.errors)
+                assert batch.iterations == sum(res.iterations for res in alone)
+                extra = sphere_points(rng, d, 2)
+                masked = solve(*args, np.vstack((x, np.zeros((1, d)), np.full((1, d), np.nan))),
+                               np.vstack((y, extra)))
+                assert masked.errors[5] is None and isinstance(masked.errors[6], DomainError)
+                zero = solve(*args, np.zeros((1, d)), extra[:1])
+                assert masked.iterations == batch.iterations + zero.iterations
+                for i, res in enumerate(alone):
+                    same_rows(batch, res, i)
+                    same_rows(masked, res, i)
+                    want = scalar(*args, x[i], y[i]).value
+                    if solve is solve_real:
+                        assert batch.value[i] == want
+                    else:
+                        assert abs(batch.value[i] - want) <= 1e-14 * abs(want)
+                if found == 3:
+                    break
+            assert found == 3, (psi, phi, solve.__name__)
+
+
 # ---------------------------------------------------------------------------
 # golden bits: the tests above compare a batch with its rows solved alone,
 # which a change to both alike passes; these values, stored as float.hex

@@ -13,11 +13,13 @@ from projflat import (DomainError, EuclideanNorm, MetricEvaluator, ScaledNorm, Z
                       integrate_geodesic, jet, list_catalog,
                       master_pde_residual, projective_factor_numeric)
 from projflat import ProjFlatError, SolverConfig, cli
+import oracles
 from oracles import (berwald_composed, convexity_check, f_at, fd_gradient,
                      flag_curvature_composed, geodesic_coefficients_general, p_at,
                      point_values_composed)
 from projflat.norms import parse_norms
 from projflat.sampling import ball_points, sphere_points
+from projflat import verify
 from projflat.verify import convexity_residual, make_report, point_values
 
 E2 = EuclideanNorm(2)
@@ -343,3 +345,62 @@ def test_berwald_raises_the_jet_error_before_the_p_error():
         berwald_system_residual(probe, [[0.5, 0.0]], [[0.0, 1.0]])
     with pytest.raises(DomainError, match="x\\^2 moved"):
         projective_factor_numeric(probe, [[0.5, 0.0]], [[0.0, 1.0]])
+
+
+# ---------------------------------------------------------------------------
+# the offset tables against the list-built stencils of ``oracles``
+
+
+def signed_rows(rng, count, d):
+    """Rows with components of either sign, +0.0 and -0.0 among them."""
+    v = rng.standard_normal((count, d)) * np.exp2(rng.integers(-3, 4, (count, d)))
+    v[rng.random((count, d)) < 0.25] = 0.0
+    v[rng.random((count, d)) < 0.25] = -0.0
+    return v
+
+
+def same_bytes(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+@pytest.mark.parametrize("stencil", ("jet", "berwald", "pde", "convexity", "hessian"))
+def test_stencil_tables_give_the_list_built_points(stencil, d):
+    """Every point of a check's offset table has the bytes of the point
+    built vector by vector (x + e, x - e and the Hessian corners
+    (y + e_i) + e_j), signed zeros included, in the same order; and the
+    block sizes add up to the stencil."""
+    rng = np.random.default_rng(d)
+    xs, ys = signed_rows(rng, 7, d), signed_rows(rng, 7, d)
+    steps = [rng.uniform(0.5, 2.0, 7) * 2.0 ** -k for k in (10, 14, 11, 15)]
+    x_steps, y_steps = (steps[:2], steps[2:]) if stencil in ("jet", "berwald") else (
+        steps[:1], steps[2:3])
+    x_points, y_points, sizes = verify._stencil(stencil, xs, ys, x_steps, y_steps)
+    pairs = oracles.stencil_pairs(stencil, xs, ys, x_steps, y_steps)
+    assert sum(sizes) == len(pairs)
+    assert same_bytes(x_points, np.stack([a for a, _ in pairs], axis=1))
+    assert same_bytes(y_points, np.stack([b for _, b in pairs], axis=1))
+    assert np.signbit(x_points).any() and (x_points == 0.0).any()
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_column_reads_equal_point_by_point_reads(d):
+    """The jet, gradient and Hessian read by column slices of the (N, M)
+    values have the bytes of the readers that take one point's values at
+    a time."""
+    rng = np.random.default_rng(10 + d)
+    steps = tuple(rng.uniform(0.5, 2.0, 6) * 2.0 ** -k for k in (10, 14, 11, 15))
+    count = len(oracles.stencil_pairs("jet", np.zeros((1, d)), np.zeros((1, d)),
+                                      (np.ones(1),) * 2, (np.ones(1),) * 2))
+    values = rng.standard_normal((6, count))
+    got = verify._jet_from(values, steps, d)
+    want = oracles.jet_from(list(values.T), steps, d)
+    for field, reference in zip((got.value, got.grad_x, got.grad_y, got.mixed_xy, got.hess_yy),
+                                want):
+        assert same_bytes(field, reference)
+    for field in (values, values + 1j * rng.standard_normal(values.shape)):  # pde's complex fields
+        assert same_bytes(verify._gradient(field[:, :2 * d], steps[0]),
+                          oracles.gradient_from(list(field[:, :2 * d].T), steps[0]))
+    hessian = values[:, :1 + 2 * d * d]
+    assert same_bytes(verify._hessian(hessian, steps[1], d),
+                      oracles.hessian_from(list(hessian.T), steps[1], d))
