@@ -55,6 +55,14 @@ kernel both compute it.  Each component is formed from the shared
 intermediates by the expressions of its own ``_complex``, so the pair
 keeps the bits of the sum.
 
+The curvature -1 solve evaluates phi + s psi, a ``CombinedNorm``, in
+the same way.  A ``LengthNorm`` also gives its value and gradient as
+functions of v and |v|, ``_on_length`` and ``_grad_on_length``, from
+which its ``_real`` and ``_grad`` compute them; a combination whose terms
+are all LengthNorms computes |v| once per evaluation and calls those.
+Its sum starts from 0, as the per-term sum does, so it keeps the bits of
+the terms' own kernels, a -0.0 sum reading +0.0.
+
 Complex continuation uses principal square roots throughout (cut on the
 negative real axis, the cut itself resolved from above as in IEEE/numpy),
 so at a real vector every family's complex value is its real value, up

@@ -31,9 +31,20 @@ in rounds.  Every row of a round starts from z0 at the same step, so the
 rows share one step count, and only the first round takes secant steps;
 a step forms the Picard step only if some row takes it.  The solve
 judges its rows once per round, when every row of the round has left the
-mask, and restarts the rejected ones together as the next round.  The
+mask, and restarts the rejected ones together as the next round; it
+keeps the dz and dh of each row's last secant step and divides them
+once, at the judge.  The
 problems are independent per point, so a row gets exactly the steps (and
-bits) it would get in a batch of one.  A row that fails keeps its own error in
+bits) it would get in a batch of one.
+
+A small ask is mostly such bookkeeping, so each mask is skipped where
+every row is in one state, with the bits the mask would give: the range
+scaling when every y is in range; a step's exit, finite and secant
+masks when every active row's residual lies strictly inside its exit
+bounds (such a residual is finite, so z and g(z) are too, and no row
+leaves); the Picard ``np.where`` when every row takes it; the judge's
+retry and restart masks when every row of the round is kept; and the
+real solve's final failure pass when every row converged.  A row that fails keeps its own error in
 ``SolveResult.errors`` and the others go on.  A combination whose
 coefficients are per-row columns (``norms.CombinedNorm``) solves a
 different function on each row in the same loop: the pair Phi_+, Phi_- of

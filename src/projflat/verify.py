@@ -25,7 +25,10 @@ all points up front, each stencil point tagged with the fields it needs
 (F, P or both), and evaluates them together in one rows call with F and P
 masks.  ``pde`` alone evaluates each transport field on its own, and each
 geodesic RK stage asks P alone.  An error raised is the one of the first
-failing sample.
+failing sample.  A check's stencil is one ``(N, M, n)`` array per side,
+built from the check's offset table in a few numpy calls with the bits of
+the points added vector by vector (see ``_tables``), and its derivatives
+are read by column slices of the ``(N, M)`` values.
 
 ``make_report`` turns a check's residuals over its sample rows into its
 report, the JSON object ``verify`` prints.  ``check_minkowski`` runs the
