@@ -35,7 +35,12 @@ mask, and restarts the rejected ones together as the next round; it
 keeps the dz and dh of each row's last secant step and divides them
 once, at the judge.  The
 problems are independent per point, so a row gets exactly the steps (and
-bits) it would get in a batch of one.
+bits) it would get in a batch of one.  A row that fails keeps its own
+error in ``SolveResult.errors`` and the others go on.  A combination whose
+coefficients are per-row columns (``norms.CombinedNorm``) solves a
+different function on each row in the same loop: the pair Phi_+, Phi_- of
+curvature -1 is one solve of phi + s psi with s = +1 on one copy of the
+rows and -1 on the other.
 
 A small ask is mostly such bookkeeping, so each mask is skipped where
 every row is in one state, with the bits the mask would give: the range
@@ -44,12 +49,7 @@ masks when every active row's residual lies strictly inside its exit
 bounds (such a residual is finite, so z and g(z) are too, and no row
 leaves); the Picard ``np.where`` when every row takes it; the judge's
 retry and restart masks when every row of the round is kept; and the
-real solve's final failure pass when every row converged.  A row that fails keeps its own error in
-``SolveResult.errors`` and the others go on.  A combination whose
-coefficients are per-row columns (``norms.CombinedNorm``) solves a
-different function on each row in the same loop: the pair Phi_+, Phi_- of
-curvature -1 is one solve of phi + s psi with s = +1 on one copy of the
-rows and -1 on the other.
+real solve's final failure pass when every row converged.
 
 Each solve checks its rows once, at entry (one count of the finite
 components, then a per-row check only if one is not finite), and brings
@@ -409,7 +409,7 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
                     step, secant = secant_step, (dz, dh)
                 elif taken:
                     step = np.where(take, secant_step, z)
-                    for last, now in zip(secant, (dz, dh)):  # arrays of no other name
+                    for last, now in zip(secant, (dz, dh)):  # nothing else holds them
                         np.copyto(last, now, where=take)
             if taken < active:
                 picard = keep * z + damping * val

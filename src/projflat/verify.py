@@ -72,6 +72,7 @@ STEP_SECOND = float(np.finfo(float).eps) ** 0.25
 FAILURE_CAP = 10
 _SQUARE_LIMIT = 2.0 ** 511  # above it a square may overflow
 MINKOWSKI_EIG_FLOOR = 1e-5
+TABLE_MEMO = 32  # (check, dimension) stencil tables a process keeps
 
 # finite differences of huge values overflow: a non-finite residual fails its report
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -186,7 +187,14 @@ _STENCILS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
+def _frozen(*arrays):
+    """``arrays`` made read-only, as a memo hands them to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=TABLE_MEMO)
 def _tables(stencil, n):
     """The offset tables of ``_STENCILS[stencil]`` in n dimensions: for x
     and for y, per successive addition (at least one), the offset column
@@ -202,7 +210,7 @@ def _tables(stencil, n):
             for add, (_, k, sign, step) in enumerate(move for move in point if move[0] == side):
                 table[add, m] = _PLUS_ZERO if sign > 0 else _MINUS_ZERO
                 table[add, m, k] = 2 * step + (sign < 0)
-        tables.append(tuple(table.reshape(depth, -1)))
+        tables.append(_frozen(*table.reshape(depth, -1)))
     return tables[0], tables[1], tuple(len(block) for block in blocks)
 
 
@@ -231,11 +239,11 @@ def _gradient(values, step):
     return (values[:, 0::2] - values[:, 1::2]) / (2.0 * step)[:, None]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=TABLE_MEMO)
 def _hessian_columns(n):
     """Where ``_hessian`` reads and writes: the columns of v + e_i, of
-    v - e_i and of the four corners (one array each) of the pairs i < j in
-    a Hessian's values, and the flat ``(n * n)`` positions of the diagonal
+    v - e_i and of each of the four corners of the pairs i < j in a
+    Hessian's values, and the flat ``(n * n)`` positions of the diagonal
     entries and of the entries (i, j) and (j, i) of those pairs."""
     plus, corners, pairs = [], [], []
     column = 1
@@ -248,14 +256,14 @@ def _hessian_columns(n):
             column += 4
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     plus = np.array(plus)
-    return (plus, plus + 1, tuple(np.array(corners, dtype=int).reshape(-1, 4).T),
-            np.arange(n) * (n + 1), i * n + j, j * n + i)
+    c0, c1, c2, c3 = np.array(corners, dtype=int).reshape(-1, 4).T
+    return _frozen(plus, plus + 1, c0, c1, c2, c3, np.arange(n) * (n + 1), i * n + j, j * n + i)
 
 
 def _hessian(values, step, n):
     """The symmetric central-difference Hessian ``(N, n, n)`` from the
     ``(N, M)`` values at ``_hessian_points`` with the per-row step."""
-    plus, minus, corners, diagonal, upper, lower = _hessian_columns(n)
+    plus, minus, *corners, diagonal, upper, lower = _hessian_columns(n)
     step_sq = (step * step)[:, None]
     h = np.empty((len(values), n * n))
     h[:, diagonal] = (values.take(plus, axis=1) - 2.0 * values[:, :1]
