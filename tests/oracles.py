@@ -776,9 +776,7 @@ def berwald_composed(metric, xs, ys):
     jd = jet(metric, xs, ys)
     hx = STEP_SECOND * np.maximum(1.0, lengths(xs))
     hy = STEP_SECOND * lengths(ys)
-    p_pairs = ([(xs, ys)] + [(q, ys) for q in gradient_points(xs, hx)]
-               + [(xs, q) for q in gradient_points(ys, hy)])
-    (p_values,), p_errors = _fields_at(metric, p_pairs, "p")
+    (p_values,), p_errors = _fields_at(metric, p_pairs(xs, ys, hx, hy), "p")
     (f_values, pf_values), pf_errors = _fields_at(
         metric, [(xs, q) for q in gradient_points(ys, hy)], "fp")
     raise_first(first_errors(*p_errors, *pf_errors))
