@@ -309,6 +309,10 @@ LENGTH_NORMS = (EuclideanNorm(2), ScaledNorm(2, 0.3), ScaledNorm(2, -0.0), Scale
                 RandersNorm(2, (0.2, 0.1)))
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def real_rows(seed=4):
     """Nonzero real rows inside the kernel range and at its edges, signed
     zero components among them."""
@@ -342,10 +346,6 @@ def test_shared_length_kernels_have_the_bits_of_the_terms(phi, psi):
             np.signbit(phi.scale) and not np.signbit(psi.scale)):
         # on the odd rows, -0.0 |v| and -1 (0.0 |v|) sum to -0.0 without the start
         assert np.signbit(1.0 * phi._real(v) + signs * psi._real(v))[1::2].all()
-
-
-def same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_descriptor_round_trip():

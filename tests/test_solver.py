@@ -378,13 +378,13 @@ def test_uniform_batches_solve_as_alone(monkeypatch):
     """5-row in-ball batches whose rows all leave the loop on one step and,
     in the complex solve, all keep their secant roots (one round: the pair
     is evaluated at z0, once per step and once to judge): the batches on
-    which the solves skip their per-row masks.  Each row has the value,
-    eta, residual and error it has solved alone, and it has in the batch
+    which the solves skip their per-row masks.  Each row has, bit for bit,
+    the value, eta, residual and error it has solved alone and in the batch
     joined by a row at x = 0, which leaves on the first step, and a row
-    with a nan, which fails, so that the loop and the judge take their masks;
-    bit for bit.  The batch's iterations are the sum of the rows', and each
-    row matches the one-point solves of ``oracles``, the real bit for bit
-    and the complex within 1e-14 relative."""
+    with a nan, which fails, so that the loop and the judge take their
+    masks.  The batch's iterations are the sum of the rows', and each row
+    matches the one-point solves of ``oracles``, the real bit for bit and
+    the complex within 1e-14 relative."""
     evaluations = []
     for cls in {type(phi) for _, phi in MASK_PAIRS}:
         pair = cls._complex_pair
