@@ -108,10 +108,13 @@ class MetricEvaluator:
     numeric P, at three points per P row (the count that the tests and the
     benchmark's tracer check, which is why the formulas are not yet
     written on arrays); a constructed metric carries ``solve``, which
-    maps the guarded rows ``x``, ``y`` and the masks of the rows asked for
-    F and P to ``(F, P, errors)`` (see RowValues) from one solve per row,
-    as ``_formula`` does; its F and P may fill rows not asked, which
-    ``rows`` blanks.
+    maps the guarded rows ``x``, ``y``, the masks of the rows asked for
+    F and P and a per-row guess ``(F, P)`` (or None) to
+    ``(F, P, errors)`` (see RowValues) from one solve per row, as
+    ``_formula`` does; its F and P may fill rows not asked, which
+    ``rows`` blanks.  The solve maps the guess to its unknown (P at
+    K = 0, P +- F at K = -1, P + iF at K = +1) and hands it to the solver
+    as its first iterate, which can only shorten the solve.
     """
 
     kind: str
@@ -148,7 +151,7 @@ class MetricEvaluator:
         return DomainError(NON_FINITE if not math.isfinite(squares + length) else ZERO_Y
                            if squares == 0.0 else self.radius_message(length))
 
-    def rows(self, x, y, with_f=True, with_p=False) -> RowValues:
+    def rows(self, x, y, with_f=True, with_p=False, guess=None) -> RowValues:
         """F on the rows ``with_f`` asks for and P on the rows ``with_p``
         asks for, at each row of ``x`` and ``y`` (both ``(N, n)``; any other
         shape is a DimensionMismatchError).
@@ -157,7 +160,12 @@ class MetricEvaluator:
         ``rows`` picks its own path: all rows as they are when every row is
         asked and passes the guard, else the passing rows gathered once.
         ``f`` and ``p`` hold nan on the rows not asked for them, and are None
-        when their ask is False; a row asked for neither is skipped.  Every
+        when their ask is False; a row asked for neither is skipped.
+        ``guess``, a pair ``(F, P)`` of ``(N,)`` arrays or None, predicts
+        each row's values, as the ray law does from a nearby solved point:
+        a constructed metric starts each row's solve from it where it is
+        finite (see ``solver``), which moves a value by no more than the
+        solve's exit floor, and a closed form ignores it.  Every
         metric kind passes each asked row through this one point guard:
         finite x, y and squared lengths, y != 0 (a y whose length underflows
         counts as zero) and, on the rows asked for F, the validity radius.
@@ -179,14 +187,16 @@ class MetricEvaluator:
         ok = passes & asked
         solve = self._formula if self.solve is None else self.solve
         if np.count_nonzero(ok) == len(ok):  # no gather and no per-row Python
-            f, p, errors = solve(x, y, f_rows, p_rows)
+            f, p, errors = solve(x, y, f_rows, p_rows, guess)
         else:
             errors = [None] * len(y)
             for i in (~passes & asked).nonzero()[0].tolist():
                 errors[i] = self.guard_error(squares, length, i)
             (f, p), at = np.full((2, len(y)), np.nan), ok.nonzero()[0]
             if len(at):
-                f[at], p[at], solved = solve(x[at], y[at], f_rows[at], p_rows[at])
+                if guess is not None:
+                    guess = guess[0][at], guess[1][at]
+                f[at], p[at], solved = solve(x[at], y[at], f_rows[at], p_rows[at], guess)
                 for i, exc in zip(at.tolist(), solved):
                     errors[i] = exc
         if self.solve is not None:  # a solve gives F and P on every row it solves
@@ -205,13 +215,13 @@ class MetricEvaluator:
                         f[i] = p[i] = np.nan
         return RowValues(f if f_asked else None, p if p_asked else None, errors)
 
-    def _formula(self, x, y, with_f, with_p):
+    def _formula(self, x, y, with_f, with_p, guess=None):
         """A closed form's rows solve: ``eval`` on each guarded row that the
         mask ``with_f`` asks for, then the numeric P (``p_numeric``) on the
-        rows that ``with_p`` asks for.  A formula's own error, a math
-        overflow or domain error in it, or a non-finite F fails its row
-        alone; a row's error is F's, else P's.  A mask that asks every row
-        passes ``x`` and ``y`` on as they are."""
+        rows that ``with_p`` asks for; a guess is ignored.  A formula's own
+        error, a math overflow or domain error in it, or a non-finite F
+        fails its row alone; a row's error is F's, else P's.  A mask that
+        asks every row passes ``x`` and ``y`` on as they are."""
         (f, p), errors, at = np.full((2, len(y)), np.nan), [None] * len(y), with_f.nonzero()[0]
         if len(at):
             f_eval, values = self.eval, []  # looked up once: one eval call per F row
@@ -299,8 +309,8 @@ def build_k0(psi: HomogeneousFunction, phi: HomogeneousFunction,
     _same_dimension(psi, phi)
 
     @_QUIET
-    def solve(x, y, with_f, with_p):
-        res = solve_real(phi, x, y, cfg)
+    def solve(x, y, with_f, with_p, guess=None):
+        res = solve_real(phi, x, y, cfg, None if guess is None else guess[1])
         errors, f = res.errors, np.full(len(y), np.nan)
         live = error_free(errors) & with_f  # F, and its error, only where asked
         if np.count_nonzero(live):
@@ -336,12 +346,15 @@ def build_kneg1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     radius = min(radius_estimate(f_plus), radius_estimate(f_minus))
 
     @_QUIET
-    def solve(x, y, with_f, with_p):
+    def solve(x, y, with_f, with_p, guess=None):
         # one solve of phi + sign psi on the rows stacked twice: Phi_+ on the
         # first copy (sign +1), Phi_- on the second (sign -1)
         half = len(y)
         both = CombinedNorm(psi.dimension, ((1.0, phi), (_SIGNS.repeat(half), psi)))
-        res = solve_real(both, np.concatenate((x, x)), np.concatenate((y, y)), cfg)
+        if guess is not None:
+            f, p = guess
+            guess = np.concatenate((p + f, p - f))
+        res = solve_real(both, np.concatenate((x, x)), np.concatenate((y, y)), cfg, guess)
         a, b = res.value[:half], res.value[half:]
         errors = first_errors(res.errors[:half], res.errors[half:])
         return 0.5 * (a - b), 0.5 * (a + b), errors
@@ -357,8 +370,12 @@ def build_kpos1(psi: HomogeneousFunction, phi: HomogeneousFunction,
     _same_dimension(psi, phi)
     radius = pair_radius_estimate(phi, psi)
 
-    def solve(x, y, with_f, with_p):
-        res = solve_complex(phi, psi, x, y, cfg)
+    def solve(x, y, with_f, with_p, guess=None):
+        if guess is not None:  # Z = P + iF, built without a product that an inf F turns to nan
+            f, p = guess
+            guess = p.astype(complex)
+            guess.imag = f
+        res = solve_complex(phi, psi, x, y, cfg, guess)
         return res.value.imag, res.value.real, res.errors
 
     return MetricEvaluator(

@@ -51,6 +51,21 @@ leaves); the Picard ``np.where`` when every row takes it; the judge's
 retry and restart masks when every row of the round is kept; and the
 real solve's final failure pass when every row converged.
 
+Either solve takes an optional per-row first iterate ``guess``, such as
+a prediction from a nearby solved point.  Where it is finite, the real
+solve starts its Newton steps from it, clipped into the bracket that it
+still expands from t0, and the complex solve starts its first round from
+it, while z0 still sets the scale, floor and blow-up of every row and the
+restarts.  Every check and exit test is the same.  A guessed row that
+the guessed pass does not settle (one still active after GUESS_STEPS
+steps, a real row that fails, a complex row that the first round does
+not keep) is solved again by the cold path, the solve without a guess,
+on every row, and takes that row's value, eta, residual and error; the
+iterations of both passes are counted.  So a guess can only shorten a
+solve: a guessed row either settles within GUESS_STEPS steps of its
+guess or gives what the cold path gives.  A guess within rounding of
+the root, such as the ray law's, settles on its first step.
+
 Each solve checks its rows once, at entry (one count of the finite
 components, then a per-row check only if one is not finite), and brings
 each y into range by a power of two (see ``_Rows``); the Newton, bracket
@@ -85,6 +100,7 @@ _MIN_DAMPING = 1.0 / 64.0
 BRACKET_EXPANSION = 2.0  # bracket width factor per expansion
 RADIUS_DIRECTIONS = 256  # unit directions sampled by the radius estimates
 RADIUS_MEMO = 128  # origin data whose radius estimates a process keeps
+GUESS_STEPS = 2  # steps a guessed row has to settle before it is solved cold
 
 
 @dataclass(frozen=True)
@@ -163,6 +179,22 @@ class _Rows:
         for i in where.tolist():
             self.errors[i] = error(i) if callable(error) else error
 
+    def first_iterate(self, cold, guess):
+        """Each row's first iterate, ``guess`` (``(N,)``, in the caller's
+        scale, or None) where it is finite and the row has not failed, else
+        ``cold``; and the mask of the guessed rows, None when there are none."""
+        if guess is None:
+            return cold, None
+        guess = np.asarray(guess, dtype=self.value.dtype)
+        if guess.shape != self.value.shape:
+            raise DimensionMismatchError(f"guess must have shape {self.value.shape}")
+        if self.scaled:
+            guess = times_pow2(guess, -self.e)
+        guessed = np.isfinite(guess) & ~self.failed
+        if not np.count_nonzero(guessed):
+            return cold, None
+        return np.where(guessed, guess, cold), guessed
+
     def shifted(self, t):
         """y + x t on every row."""
         return self.y + self.x * t[:, None]
@@ -175,6 +207,22 @@ class _Rows:
             value, residual = times_pow2(value, e), times_pow2(residual, e)
             eta = times_pow2(eta, e[:, None])
         return SolveResult(value, eta, residual, int(iterations), self.errors)
+
+
+def _settle(res, redo, cold):
+    """``res`` with the rows of the mask ``redo`` (None: no row), which a
+    guessed pass did not settle, taken from ``cold()``, the solve of every
+    row without a guess."""
+    if redo is None or not np.count_nonzero(redo):
+        return res
+    again = cold()
+    res.value = np.where(redo, again.value, res.value)
+    res.residual = np.where(redo, again.residual, res.residual)
+    res.eta = np.where(redo[:, None], again.eta, res.eta)
+    for i in redo.nonzero()[0].tolist():
+        res.errors[i] = again.errors[i]
+    res.iterations += again.iterations
+    return res
 
 
 def _at(kernel, w, keep):
@@ -201,9 +249,13 @@ _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 @_QUIET
-def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> SolveResult:
+def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None,
+               guess=None) -> SolveResult:
     """Solve t = phi(y + x t) by bracketing plus safeguarded Newton, per row.
 
+    Newton starts from t0 = phi(y), or from the row's finite ``guess``
+    (``(N,)``), clipped into the bracket; a guessed row that fails or
+    takes more than GUESS_STEPS steps is solved again without its guess.
     A failed row holds nan in its value, eta and residual; one that fails
     the final residual test reports the residual it reached.
     """
@@ -243,7 +295,8 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
         need &= (flo > 0.0) | (fhi < 0.0)
 
     kink_scale = 1e-9 * (1.0 + np.sqrt(squares))  # |y|, as ``lengths`` rounds it
-    t = np.minimum(np.maximum(t0, lo), hi)
+    start, guessed = rows.first_iterate(t0, guess)
+    t = np.minimum(np.maximum(start, lo), hi)
     ft, eta, squares = f(t)
     target = cfg.tolerance
     iterations = 0
@@ -251,6 +304,12 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
     act = ~rows.failed & (np.abs(ft) > _REFINE_FLOOR * (1.0 + np.abs(t)))
     active = np.count_nonzero(act)
     while active:
+        if steps == GUESS_STEPS and guessed is not None:  # not settled: solved cold below
+            rows.failed |= act & guessed
+            act &= ~guessed
+            active = np.count_nonzero(act)
+            if not active:
+                break
         if steps >= cfg.max_iterations:  # every active row has taken ``steps`` steps
             rows.fail(act & (np.abs(ft) > target), lambda i: SolverError(
                 f"iteration cap {cfg.max_iterations} exceeded "
@@ -290,7 +349,8 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None) -> Solv
     done = ~rows.failed
     rows.value = np.where(done, t, rows.value)
     rows.residual = np.where(done, residual, rows.residual)
-    return rows.result(iterations)
+    return _settle(rows.result(iterations), None if guessed is None else guessed & rows.failed,
+                   lambda: solve_real(phi, x, y, cfg))
 
 
 def _radius(slopes: np.ndarray) -> float:
@@ -333,7 +393,7 @@ def pair_radius_estimate(phi: HomogeneousFunction, psi: HomogeneousFunction) -> 
 
 @_QUIET
 def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
-                  cfg: SolverConfig = None) -> SolveResult:
+                  cfg: SolverConfig = None, guess=None) -> SolveResult:
     """Solve Z = phi(y + x Z) + i psi(y + x Z) by secant-accelerated
     fixed-point iteration, with damped Picard iteration as the fallback.
 
@@ -352,6 +412,11 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     its z and slope unchanged, until every row of the round has left; one
     evaluation of g then judges them all, and the restarted rows form the
     next round.
+
+    A row with a finite ``guess`` (``(N,)`` complex) starts its first
+    round from the guess instead of z0; if it does not leave the round
+    within GUESS_STEPS steps, or the round does not keep it, the row is
+    solved again without its guess.
     """
     cfg = cfg or DEFAULT_CONFIG
     if psi.dimension != phi.dimension:
@@ -369,7 +434,8 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     scale = 1.0 + np.abs(z0)
     floor, blow_up = _REFINE_FLOOR * scale, 1e6 * scale
     damping = np.ones(count)
-    z = z0
+    z, guessed = rows.first_iterate(z0, guess)
+    redo = None  # the guessed rows that the first round does not keep
     # the dz and dh of a row's last secant step (nan until it takes one),
     # whose quotient dh/dz is the slope the judge reads
     secant = tuple(np.full((2, count), rows.missing))
@@ -383,6 +449,13 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         blown = np.zeros(count, dtype=bool)  # whether a row's last step diverged
         keep = 1.0 - damping
         for steps in range(1, cfg.max_iterations + 1):
+            if first and steps > GUESS_STEPS and guessed is not None:
+                late = act & guessed  # not settled: left to the cold pass below
+                if np.count_nonzero(late):
+                    act, judged = act & ~late, judged & ~late
+                    active = np.count_nonzero(act)
+                    if not active:
+                        break
             iterations += active
             val = g(z)
             h = z - val
@@ -442,6 +515,9 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         if done == count:  # every row kept, in one pass
             rows.value, rows.residual = z, final
             break
+        if first and guessed is not None:  # left to the cold pass below
+            redo = guessed & ~kept
+            judged, good = judged & ~redo, good & ~redo
         # a rejected secant root retries with Picard
         retry = judged & ~np.isnan(slope) & ~kept
         good &= ~retry
@@ -462,4 +538,4 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
         z = np.where(judged, z0, z)
         for last in secant:
             np.copyto(last, rows.missing, where=judged)
-    return rows.result(iterations)
+    return _settle(rows.result(iterations), redo, lambda: solve_complex(phi, psi, x, y, cfg))

@@ -23,12 +23,16 @@ The jet, the residual functions, ``point_values`` and
 DimensionMismatchError.  Each builds the finite-difference stencils of
 all points up front, each stencil point tagged with the fields it needs
 (F, P or both), and evaluates them together in one rows call with F and P
-masks.  ``pde`` alone evaluates each transport field on its own, and each
-geodesic RK stage asks P alone.  An error raised is the one of the first
-failing sample.  A check's stencil is one ``(N, M, n)`` array per side,
-built from the check's offset table in a few numpy calls with the bits of
-the points added vector by vector (see ``_tables``), and its derivatives
-are read by column slices of the ``(N, M)`` values.
+masks.  ``pde`` alone evaluates each transport field on its own.  The
+geodesic asks F and P at a construction's starts once, which serve as
+its first RK stage, and then P alone at each later stage, with the ray
+law's prediction (``ray_values``) as a guess for the stage's solves; a
+stage row whose guessed solve does not settle is solved again cold, and
+a closed form asks P alone at every stage.  An error raised is the one
+of the first failing sample.  A check's stencil is one ``(N, M, n)``
+array per side, built from the check's offset table in a few numpy calls
+with the bits of the points added vector by vector (see ``_tables``),
+and its derivatives are read by column slices of the ``(N, M)`` values.
 
 ``make_report`` turns a check's residuals over its sample rows into its
 report, the JSON object ``verify`` prints.  ``check_minkowski`` runs the
@@ -622,6 +626,21 @@ def check_minkowski(f: HomogeneousFunction, samples: int) -> dict:
 # geodesics
 
 
+def ray_values(f, p, k, s):
+    """F and P at (x + s y, y) from their values ``f`` and ``p`` at (x, y)
+    on a projectively flat metric of constant flag curvature ``k``, by the
+    ray law of Shen's equations (Trans. AMS 355, 2003): along the line the
+    equations F' = 2 P F and P' = P^2 - k F^2 have the solution
+
+        F / D,  (P - s (P^2 + k F^2)) / D,  D = (1 - s P)^2 + k s^2 F^2,
+
+    which is u / (1 - s u) for each u = P +- sqrt(-k) F (complex at
+    k > 0).  Works elementwise on arrays."""
+    q = 1.0 - s * p
+    d = q * q + k * (s * f) ** 2
+    return f / d, (p - s * (p * p + k * f * f)) / d
+
+
 @dataclass
 class GeodesicResult:
     """Sampled geodesic trajectory; ``completed`` is False on domain exit."""
@@ -638,12 +657,22 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
 
     ``x0`` and ``v0`` are T starts ``(T, n)``, giving a list of T
     results: the trajectories step together, one rows call of P per RK
-    stage, exact on a construction and numeric on a closed form.  A start
-    that fails the point guard of ``rows`` (a non-finite point or squared
-    length, or |x| beyond the validity radius) raises its DomainError.  A
-    trajectory stops early (flagged) if it or one of its stage points
-    leaves the evaluator's domain: it keeps its rows but loses its bit of
-    the ``alive`` mask, so it is asked nothing more; the others go on.
+    stage, exact on a construction and numeric on a closed form.
+
+    On a construction the first stage asks F and P at the starts, and each
+    later stage hands ``rows`` a guess for its solves: every stage point
+    lies on its start's line, at x0 + s v0 with velocity lam v0 up to
+    rounding (v' is parallel to v), so ``ray_values`` at s = <x - x0, v0>
+    / |v0|^2, scaled by lam = <v, v0> / |v0|^2, predicts its F and P.  A
+    start whose F or P fails gets no guess; then the first stage asks P
+    alone at every start, as a closed form's does.
+
+    A start that fails the point guard of ``rows`` (a non-finite point or
+    squared length, or |x| beyond the validity radius) raises its
+    DomainError.  A trajectory stops early (flagged) if it or one of its
+    stage points leaves the evaluator's domain: it keeps its rows but
+    loses its bit of the ``alive`` mask, so it is asked nothing more; the
+    others go on.
     """
     xs0, vs0 = as_rows(metric.dimension, x0, v0)
     passes, squares, start = metric.guard(xs0, vs0, True)
@@ -651,6 +680,14 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
         raise DomainError("geodesic needs a nonzero initial velocity")
     if not passes.all():
         raise metric.guard_error(squares, start, np.argmin(passes))  # the first failing start
+    at_start, first_stage = None, None
+    if metric.solve is not None:  # a closed form ignores a guess
+        first_stage = metric.rows(xs0, vs0, with_p=True)
+        known = error_free(first_stage.errors)
+        norm2 = np.vecdot(vs0, vs0)
+        at_start = np.where(known, first_stage.f, np.nan), np.where(known, first_stage.p, np.nan)
+        if not known.all():
+            first_stage = None  # asked again, for P alone
     h = float(t_end) / int(steps)
     points = np.zeros((int(steps) + 1,) + xs0.shape)
     velocities = np.zeros_like(points)
@@ -663,7 +700,16 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
         x, v = points[i], velocities[i]
         sx, sv, slopes = x, v, []
         for coef in (0.5, 0.5, 1.0, None):
-            values = metric.rows(sx, sv, with_f=False, with_p=alive)
+            if first_stage is not None:
+                values, first_stage = first_stage, None
+            else:
+                guess = None
+                if at_start is not None:
+                    ray = ray_values(*at_start, metric.intended_curvature,
+                                     np.vecdot(sx - xs0, vs0) / norm2)
+                    scale = np.vecdot(sv, vs0) / norm2
+                    guess = scale * ray[0], scale * ray[1]
+                values = metric.rows(sx, sv, with_f=False, with_p=alive, guess=guess)
             if any(values.errors):
                 raise_first([e for e in values.errors if not isinstance(e, DomainError)])
                 alive &= error_free(values.errors)

@@ -903,8 +903,8 @@ def altered(metric, f=None, p=None):
     stated curvature is unchanged, so the result is not of that K.  The
     solve's ``with_f`` is a per-row mask; ``f`` maps every row, and the
     rows not asked for F stay blank in ``rows``."""
-    def solve(x, y, with_f, with_p):
-        f0, p0, errors = metric.solve(x, y, with_f, with_p)
+    def solve(x, y, with_f, with_p, guess=None):
+        f0, p0, errors = metric.solve(x, y, with_f, with_p, guess)
         return ((f(x, y, f0, p0) if f and np.any(with_f) else f0),
                 (p(p0) if p else p0), errors)
     return dataclasses.replace(metric, solve=solve)

@@ -199,9 +199,9 @@ def test_sample_solves_no_curvature_rows_beyond_the_radius(tmp_path, capsys, mon
     def counted_build(*args):
         built = build(*args)
 
-        def solve(x, y, with_f, with_p):
+        def solve(x, y, with_f, with_p, guess=None):
             solved.append(len(y))
-            return built.solve(x, y, with_f, with_p)
+            return built.solve(x, y, with_f, with_p, guess)
         return dataclasses.replace(built, solve=solve)
 
     monkeypatch.setattr(cli, "build_kneg1", counted_build)
@@ -483,6 +483,14 @@ def test_sample_writes_no_inf_where_sph_k0_quartic_overflows(tmp_path, capsys):
     assert all(math.isfinite(float(row[key])) for row in rows for key in ("F", "P", "K"))
 
 
+def test_geodesic_under_an_unreachable_tolerance_exits_4(capsys):
+    # the start is solved without a guess, and fails the tolerance
+    code, _, err = run_cli(capsys, "geodesic", "--metric", "construct:-1:euclidean:scaled:0.3",
+                           "--x", "0.1,0", "--y", "0,1", "--solver-tol", "1e-20")
+    assert code == 4
+    assert json.loads(err.splitlines()[-1])["error"]["type"] == "solver"
+
+
 def test_exit_code_solver_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--metric",
                            "construct:0:euclidean:randers:0.2,-0.3",
@@ -496,20 +504,22 @@ def test_exit_code_solver_error(capsys):
 # each check, counted as rows asked of the evaluator (F rows from the
 # with_f mask, P rows from the with_p mask); the funk F column is the
 # benchmark's cross-check.  A closed form's P rows evaluate F three times
-# each through a nested rows call, counted in its F column.
+# each through a nested rows call, counted in its F column.  A
+# construction's geodesic asks F and P at each start (its first stage)
+# for the ray law's guesses, then P alone at each later stage.
 EVALS_PER_POINT = {
     "catalog:funk": {"hamel": (34, 0), "curvature": (10, 3), "berwald": (77, 13),
                      "convexity": (10, 0), "geodesic": (1200, 400), "pde": (72, 18)},
     "construct:0:euclidean:randers:0.2,0.1": {
         "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
-        "convexity": (10, 0), "geodesic": (0, 400), "pde": (0, 9)},
+        "convexity": (10, 0), "geodesic": (1, 400), "pde": (0, 9)},
     # K != 0: pde evaluates F and P together for each transport field P + c F
     "construct:-1:euclidean:scaled:0.3": {
         "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
-        "convexity": (10, 0), "geodesic": (0, 400), "pde": (18, 18)},
+        "convexity": (10, 0), "geodesic": (1, 400), "pde": (18, 18)},
     "construct:1:bryant:0.5236": {
         "hamel": (34, 0), "curvature": (1, 3), "berwald": (38, 13),
-        "convexity": (10, 0), "geodesic": (0, 400), "pde": (9, 9)},
+        "convexity": (10, 0), "geodesic": (1, 400), "pde": (9, 9)},
 }
 
 
@@ -519,10 +529,10 @@ def test_verify_checks_evaluations_per_point(spec, monkeypatch):
     counts = {}
     rows, one = MetricEvaluator.rows, MetricEvaluator.eval
 
-    def counted_rows(self, x, y, with_f=True, with_p=False):
+    def counted_rows(self, x, y, with_f=True, with_p=False, guess=None):
         counts["F"] += int(np.count_nonzero(np.broadcast_to(with_f, len(x))))
         counts["P"] += int(np.count_nonzero(np.broadcast_to(with_p, len(x))))
-        return rows(self, x, y, with_f, with_p)
+        return rows(self, x, y, with_f, with_p, guess)
 
     def counted_eval(self, x, y):
         counts["eval"] += 1
@@ -555,11 +565,11 @@ def test_one_rows_call_per_command_and_check(spec, capsys, tmp_path, monkeypatch
     calls, depth = [], [0]
     rows = MetricEvaluator.rows
 
-    def counted_rows(self, x, y, with_f=True, with_p=False):
+    def counted_rows(self, x, y, with_f=True, with_p=False, guess=None):
         calls.append((depth[0], bool(np.any(with_p))))
         depth[0] += 1
         try:
-            return rows(self, x, y, with_f, with_p)
+            return rows(self, x, y, with_f, with_p, guess)
         finally:
             depth[0] -= 1
 

@@ -25,9 +25,10 @@ from projflat import (CombinedNorm, DimensionMismatchError, DomainError,
                       list_catalog, master_pde_residual, parse_norms,
                       projective_factor_numeric, solve_complex, solve_real)
 from projflat import norms
-from projflat.cli import parse_metric
+from projflat.cli import DEFAULT_TOLERANCES, _run_check, parse_metric
 from projflat.sampling import ball_points, sphere_points
-from projflat.verify import convexity_residual, point_values
+from projflat.construct import error_free
+from projflat.verify import convexity_residual, point_values, ray_values
 
 
 def origin_data(d):
@@ -444,10 +445,10 @@ def test_geodesic_asks_p_of_live_trajectories_only(spec, starts, velocities, t_e
     metric = parse_metric(spec, 2, SolverConfig())
     asked, rows = [], MetricEvaluator.rows
 
-    def counted_rows(self, x, y, with_f=True, with_p=False):
+    def counted_rows(self, x, y, with_f=True, with_p=False, guess=None):
         if with_p is not False:  # a closed form's quotient asks F alone
             asked.append(int(np.count_nonzero(np.broadcast_to(with_p, len(x)))))
-        return rows(self, x, y, with_f, with_p)
+        return rows(self, x, y, with_f, with_p, guess)
 
     monkeypatch.setattr(MetricEvaluator, "rows", counted_rows)
     trajectories = integrate_geodesic(metric, np.array(starts), np.array(velocities),
@@ -843,3 +844,127 @@ def test_point_values_report_a_zero_y_alike(spec):
     for got, alone in zip((f, p, k), point_values(metric, x[2:], y[2:])):
         assert np.isfinite(alone).all()
         np.testing.assert_array_equal(got[2:], alone)
+
+
+# ---------------------------------------------------------------------------
+# the ray law, and the geodesic stages it guesses
+
+
+def at_dim(spec, d):
+    """A benchmark construction's spec at dimension d (2 or 3)."""
+    if d == 2:
+        return spec
+    return spec.replace("0.2,0.1", "0.2,0.1,-0.05").replace("1,1:dsr-a:1,1", "1,2:dsr-a:1,2")
+
+
+@pytest.mark.parametrize("d, k, psi, phi", CASES)
+def test_ray_values_match_solved_rows_along_lines(d, k, psi, phi):
+    """``ray_values`` carries F and P solved at (x, y) to (x + s y, y)
+    within 1e-14 relative to F there, on the lines through 40 points in
+    half the validity ball (capped at 2), with s across the ball's chord."""
+    metric = CURVATURES[k](psi, phi)
+    radius = min(metric.domain_radius, 2.0)
+    rng = np.random.default_rng(11 + d)
+    x = ball_points(rng, d, 0.5 * radius, 40)
+    y = sphere_points(rng, d, 40) * rng.uniform(0.5, 2.0, (40, 1))
+    # |x + s y| = radius at s = -b -+ root
+    yy, b = np.vecdot(y, y), np.vecdot(x, y) / np.vecdot(y, y)
+    root = np.sqrt(b * b - (np.vecdot(x, x) - radius ** 2) / yy)
+    s = -b + root * rng.uniform(-0.99, 0.99, 40)
+    values = metric.rows(np.vstack((x, x + s[:, None] * y)), np.vstack((y, y)), with_p=True)
+    assert not any(values.errors)
+    f, p = ray_values(values.f[:40], values.p[:40], float(k), s)
+    there_f, there_p = values.f[40:], values.p[40:]
+    assert (np.maximum(np.abs(f - there_f), np.abs(p - there_p)) / there_f).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d, k, psi, phi", CASES)
+def test_a_rows_guess_changes_no_outcome(d, k, psi, phi):
+    """``rows`` asked F and P with a guess gives each of ``sweep``'s rows
+    (out to 1.3 radii, with failing rows) the error type it has without
+    one and, where it evaluates, F and P within 8 eps (2^e + |F| + |P|) of
+    its cold values, 2^e being y's range scale: for guesses exact, 1e-8
+    off, non-finite, 0, far off, and with F negated (the conjugate, the
+    wrong branch, at K = +1)."""
+    metric = CURVATURES[k](psi, phi)
+    x, y = sweep(metric, d)
+    cold = metric.rows(x, y, with_p=True)
+    f, p = cold.f, cold.p
+    count = len(y)
+    bound = 8.0 * np.finfo(float).eps * (2.0 ** norms.scale_exponents(y) + np.abs(f) + np.abs(p))
+    for name, guess in {"exact": (f, p), "off": (f * (1.0 + 1e-8), p * (1.0 - 1e-8)),
+                        "nan": (np.full(count, np.nan), p), "inf": (np.full(count, np.inf),
+                                                                    np.full(count, -np.inf)),
+                        "zero": (np.zeros(count), np.zeros(count)), "far": (f * 1e6, p * 1e6),
+                        "conjugate": (-f, p)}.items():
+        got = metric.rows(x, y, with_p=True, guess=guess)
+        assert [type(e) for e in got.errors] == [type(e) for e in cold.errors], name
+        ok = error_free(cold.errors)
+        assert np.all(np.abs(got.f - f)[ok] <= bound[ok]), name
+        assert np.all(np.abs(got.p - p)[ok] <= bound[ok]), name
+
+
+def cold_rows(monkeypatch):
+    """Make every ``rows`` call drop its guess, as the solves ran before
+    they took one."""
+    rows = MetricEvaluator.rows
+    monkeypatch.setattr(MetricEvaluator, "rows", lambda self, x, y, with_f=True, with_p=False,
+                        guess=None: rows(self, x, y, with_f, with_p))
+
+
+@pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)
+def test_guessed_geodesic_check_makes_half_the_kernel_calls(spec, monkeypatch):
+    """The ``geodesic`` check on a benchmark construction, its stages
+    guessed by the ray law, calls the norm kernels at most half as often
+    as with every guess dropped."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    calls = []
+    patch_kernels(monkeypatch, lambda key, rows: calls.append(key))
+
+    def kernel_calls():
+        calls.clear()
+        report = _run_check("geodesic", metric, np.random.default_rng(42), 0.3, 5,
+                            DEFAULT_TOLERANCES["geodesic"])
+        assert report["pass"]
+        return len(calls)
+
+    guessed = kernel_calls()
+    cold_rows(monkeypatch)
+    assert guessed <= kernel_calls() / 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)
+def test_guessed_geodesics_move_at_rounding_level(spec, d, monkeypatch):
+    """20 trajectories of each benchmark construction, their stages
+    guessed, end within 1e-15 of the trajectories with every guess
+    dropped, at every point of x and v."""
+    metric = parse_metric(at_dim(spec, d), d, SolverConfig())
+    rng = np.random.default_rng(42)
+    starts, dirs = ball_points(rng, d, 0.09, 20), sphere_points(rng, d, 20)
+    guessed = integrate_geodesic(metric, starts, dirs, 0.15, 100)
+    cold_rows(monkeypatch)
+    for a, b in zip(guessed, integrate_geodesic(metric, starts, dirs, 0.15, 100)):
+        assert a.completed and b.completed
+        assert np.abs(a.points - b.points).max() <= 1e-15
+        assert np.abs(a.velocities - b.velocities).max() <= 1e-15
+
+
+def test_a_start_whose_f_fails_integrates_without_a_guess(monkeypatch):
+    """The start's F only feeds the guess: where a construction's F fails
+    at a start (nan for x^1 > 0) but its P evaluates, that trajectory has
+    the bits it has with every guess dropped, and the others the bits of
+    the unaltered construction's guessed trajectories."""
+    metric = parse_metric(BENCH_CONSTRUCTIONS[0], 2, SolverConfig())
+    blank = oracles.altered(metric, f=lambda x, y, f, p: np.where(x[:, 0] > 0.0, np.nan, f))
+    starts = np.array([[0.05, 0.0], [-0.05, 0.02], [0.02, -0.03], [-0.01, 0.0]])
+    dirs = np.array([[0.0, 1.0], [0.6, 0.8], [-1.0, 0.5], [0.3, -0.2]])
+    assert [e is None for e in blank.rows(starts, dirs, with_p=True).errors] == [
+        False, True, False, True]
+    got = integrate_geodesic(blank, starts, dirs, 0.15, 50)
+    guessed = integrate_geodesic(metric, starts, dirs, 0.15, 50)
+    cold_rows(monkeypatch)
+    cold = integrate_geodesic(metric, starts, dirs, 0.15, 50)
+    for j, want in enumerate((cold[0], guessed[1], cold[2], guessed[3])):
+        np.testing.assert_array_equal(got[j].points, want.points)
+        np.testing.assert_array_equal(got[j].velocities, want.velocities)

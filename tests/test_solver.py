@@ -17,8 +17,9 @@ from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
                       pair_radius_estimate, parse_norms, radius_estimate,
                       solve_complex, solve_real)
 from projflat.cli import parse_metric
+from projflat.norms import scale_exponents
 from projflat.sampling import ball_points, sphere_points
-from projflat.verify import integrate_geodesic
+from projflat.verify import integrate_geodesic, ray_values
 
 
 def bisect_oracle(fn, lo, hi, iters=200):
@@ -430,6 +431,127 @@ def test_uniform_batches_solve_as_alone(monkeypatch):
                 if found == 3:
                     break
             assert found == 3, (psi, phi, solve.__name__)
+
+
+# ---------------------------------------------------------------------------
+# a first iterate: a guess can only shorten a solve
+
+EPS = float(np.finfo(float).eps)
+
+
+def guess_batch(pair, count=200):
+    """Seeded rows of ``MASK_PAIRS[pair]`` at 0-1 and 1-3 times each
+    solve's radius (capped at 2), three of them with y scaled by up to
+    1e+-150 and one with a nan component, and how far out each row lies."""
+    psi, _ = MASK_PAIRS[pair]
+    rng = np.random.default_rng(7 + pair)
+    reach = np.concatenate((rng.uniform(0.0, 1.0, count // 2), rng.uniform(1.0, 3.0, count // 2)))
+    u = sphere_points(rng, psi.dimension, count) * reach[:, None]
+    y = rng.standard_normal((count, psi.dimension))
+    y[:3] *= 10.0 ** rng.uniform(-150.0, 150.0, (3, 1))
+    u[-1, 0] = np.nan
+    return u, y, reach
+
+
+def guesses(cold):
+    """First iterates around the cold values: exact, 1e-8 off, non-finite,
+    0, far off and, for a complex solve, the conjugate (the wrong branch)."""
+    exact = cold.value
+    out = {"exact": exact, "off": exact * (1.0 + 1e-8), "nan": np.full(len(exact), np.nan),
+           "inf": np.full(len(exact), np.inf), "-inf": np.full(len(exact), -np.inf),
+           "zero": np.zeros(len(exact)), "far": exact * 1e6}
+    if np.iscomplexobj(exact):
+        out["conjugate"] = exact.conj()
+    return out
+
+
+def solves_of(pair):
+    psi, phi = MASK_PAIRS[pair]
+    return ((solve_real, (phi,), radius_estimate(phi)),
+            (solve_complex, (phi, psi), pair_radius_estimate(phi, psi)))
+
+
+@pytest.mark.parametrize("pair", range(len(MASK_PAIRS)))
+def test_a_guess_never_changes_the_outcome(pair):
+    """Every row fails with the error type of its cold solve, the solve
+    without a guess, or converges to its cold value within 8 eps (2^e +
+    |cold|), 2^e being y's range scale (1 for y in range), whatever the
+    guess.  Beyond the ball the real root is ill-conditioned, |f'| =
+    |1 - <grad phi(eta), x>| falls below 1/2, and the bound is divided by
+    it."""
+    cfg = SolverConfig()
+    u, y, reach = guess_batch(pair)
+    scale = 2.0 ** scale_exponents(y)
+    for solve, args, radius in solves_of(pair):
+        x = u * min(radius, 2.0)
+        cold = solve(*args, x, y, cfg)
+        failed = [e is not None for e in cold.errors]
+        assert any(failed) and not all(failed)
+        slope = np.ones(len(y))
+        if solve is solve_real:
+            eta = np.nan_to_num(cold.eta) / scale[:, None]
+            slope = np.abs(1.0 - np.vecdot(args[0].grad_real(eta + (eta == 0.0)), np.nan_to_num(x)))
+        bound = 8.0 * EPS * (scale + np.abs(cold.value)) / np.where(reach > 1.0,
+                                                                    np.minimum(slope, 1.0), 1.0)
+        for name, guess in guesses(cold).items():
+            res = solve(*args, x, y, cfg, guess)
+            for i, (got, want) in enumerate(zip(res.errors, cold.errors)):
+                assert type(got) is type(want), (solve.__name__, name, i, got, want)
+                if want is None:
+                    assert abs(res.value[i] - cold.value[i]) <= bound[i], (solve.__name__, name, i)
+                    assert res.residual[i] <= cfg.tolerance * scale[i]
+
+
+@pytest.mark.parametrize("cfg", [MASK_CONFIGS[1], SolverConfig(tolerance=1e-20)],
+                         ids=["capped", "unreachable"])
+def test_a_strict_guessed_row_converges_or_fails_as_cold(cfg):
+    """Under a cap of 4 steps and a tolerance of 1e-15, at the edge of the
+    exit floor, or under a tolerance of 1e-20, below it, whether a row
+    meets the tolerance depends on its last bits: a guessed row may land
+    on a residual of 0 where its cold solve does not, or the other way
+    round.  So a guessed row either meets the tolerance or gives its cold
+    row's error, text included."""
+    for pair in range(len(MASK_PAIRS)):
+        u, y, _ = guess_batch(pair)
+        scale = 2.0 ** scale_exponents(y)
+        for solve, args, radius in solves_of(pair):
+            x = u * min(radius, 2.0)
+            cold = solve(*args, x, y, cfg)
+            for name, guess in guesses(cold).items():
+                res = solve(*args, x, y, cfg, guess)
+                for i, got in enumerate(res.errors):
+                    if got is None:  # the residual scales with y
+                        assert res.residual[i] <= cfg.tolerance * scale[i]
+                    else:
+                        want = cold.errors[i]
+                        assert (type(got), str(got)) == (type(want), str(want)), (name, i)
+
+
+@pytest.mark.parametrize("spec", ["construct:1:bryant:0.5236", "construct:1:dsr-b:1,1:dsr-a:1,1"])
+def test_a_guessed_stage_evaluates_the_pair_three_times(spec, monkeypatch):
+    """A 5-row K = +1 solve guessed by the ray law from solved values on
+    the same lines evaluates the pair phi + i psi three times: at z0, on
+    one step and at the judge, against once at z0, once per step and once
+    at the judge cold."""
+    metric = parse_metric(spec, 2, SolverConfig())
+    psi, phi = parse_norms(spec.split(":", 2)[2], 2)
+    calls = []
+    pair = type(phi)._complex_pair
+    monkeypatch.setattr(type(phi), "_complex_pair",
+                        lambda self, *args: calls.append(1) or pair(self, *args))
+    rng = np.random.default_rng(5)
+    x0, v0 = ball_points(rng, 2, 0.3 * metric.domain_radius, 5), sphere_points(rng, 2, 5)
+    start = metric.rows(x0, v0, with_p=True)
+    s, scale = rng.uniform(-0.1, 0.1, 5), rng.uniform(0.9, 1.1, 5)
+    x, y = x0 + s[:, None] * v0, scale[:, None] * v0
+    f, p = ray_values(start.f, start.p, 1.0, s)
+    calls.clear()
+    cold = solve_complex(phi, psi, x, y)
+    assert len(calls) == 1 + cold.iterations // 5 + 1 and cold.iterations > 5
+    calls.clear()
+    guessed = solve_complex(phi, psi, x, y, guess=scale * (p + 1j * f))
+    assert len(calls) == 3 and guessed.iterations == 5
+    assert np.abs(guessed.value - cold.value).max() <= 8 * EPS * np.abs(cold.value).max()
 
 
 # ---------------------------------------------------------------------------
