@@ -684,7 +684,6 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
     if metric.solve is not None:  # a closed form ignores a guess
         first_stage = metric.rows(xs0, vs0, with_p=True)
         known = error_free(first_stage.errors)
-        norm2 = np.vecdot(vs0, vs0)
         at_start = np.where(known, first_stage.f, np.nan), np.where(known, first_stage.p, np.nan)
         if not known.all():
             first_stage = None  # asked again, for P alone
@@ -706,8 +705,8 @@ def integrate_geodesic(metric, x0, v0, t_end, steps):
                 guess = None
                 if at_start is not None:
                     ray = ray_values(*at_start, metric.intended_curvature,
-                                     np.vecdot(sx - xs0, vs0) / norm2)
-                    scale = np.vecdot(sv, vs0) / norm2
+                                     np.vecdot(sx - xs0, vs0) / squares)
+                    scale = np.vecdot(sv, vs0) / squares
                     guess = scale * ray[0], scale * ray[1]
                 values = metric.rows(sx, sv, with_f=False, with_p=alive, guess=guess)
             if any(values.errors):

@@ -558,10 +558,11 @@ def test_a_guessed_stage_evaluates_the_pair_three_times(spec, monkeypatch):
 # golden bits: the tests above compare a batch with its rows solved alone,
 # which a change to both alike passes; these values, stored as float.hex
 # text, pin the bits themselves.  Regenerate them only for a documented
-# change of bits:
+# change of bits (through a second file: importing this module reads the
+# golden, which a redirect into it would already have emptied):
 #   PYTHONPATH=src:tests python -c "import json, test_solver as t; \
 #     print(json.dumps(t.golden_values(), indent=0, sort_keys=True))" \
-#     > tests/data/solver_golden.json
+#     > solver_golden.new && mv solver_golden.new tests/data/solver_golden.json
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "solver_golden.json")
 GEODESIC_SPECS = ("construct:0:euclidean:randers:0.2,0.1", "construct:-1:euclidean:scaled:0.3",
