@@ -508,9 +508,9 @@ def test_a_strict_guessed_row_converges_or_fails_as_cold(cfg):
     """Under a cap of 4 steps and a tolerance of 1e-15, at the edge of the
     exit floor, or under a tolerance of 1e-20, below it, whether a row
     meets the tolerance depends on its last bits: a guessed row may land
-    on a residual of 0 where its cold solve does not, or the other way
-    round.  So a guessed row either meets the tolerance or gives its cold
-    row's error, text included."""
+    on a residual of 0 where its cold solve does not.  So a guessed row
+    either meets the tolerance or gives its cold row's error, text
+    included."""
     for pair in range(len(MASK_PAIRS)):
         u, y, _ = guess_batch(pair)
         scale = 2.0 ** scale_exponents(y)
