@@ -21,24 +21,19 @@ The builders do not vet psi: ``verify.check_minkowski(psi, 64)["pass"]``
 is False, and the ``convexity`` check of the built metric fails, for a
 psi that is not a Minkowski norm.
 
-``MetricEvaluator.rows`` evaluates N points, rows ``x`` and ``y`` of
-shape ``(N, n)``, at once; it is the one way to evaluate a metric, and it
-gives F and P on every metric kind.  Every kind passes its rows through
-one point guard there.  ``with_f`` and ``with_p`` each ask for their
-field as a bool (every row) or a per-row mask, and ``rows`` picks its own
-path, so one call serves a stencil whose points want F, P or both.  A
-constructed metric then solves the rows that passed together, once per
-point for F and P both, and its P is exact; a closed form runs its
-formula on its F rows point by point (``eval``), and its P is the difference quotient
-P = F_{x^k} y^k / (2F) of ``p_numeric`` (Shen).  Nothing else leaves a
-solve: the transport fields that ``verify`` checks are built from F, P
-and the stated curvature alone.
+``MetricEvaluator.rows`` is the one way to evaluate a metric, on rows
+``(N, n)``, and every metric kind passes its rows through its one point
+guard.  A constructed metric's P is exact, from the same solve as its F;
+a closed form's P is the difference quotient P = F_{x^k} y^k / (2F) of
+``p_numeric`` (Shen).  Nothing else leaves a solve: the transport fields
+that ``verify`` checks are built from F, P and the stated curvature alone.
 
 A closed form keeps exactly one ``eval`` call per F row: the tests'
-``EVALS_PER_POINT`` table and the benchmark's tracer count those calls,
-so formulas on whole arrays wait until the benchmark counts rows instead
-(ROADMAP.md, items 2 and 4).  Each call costs about its own arithmetic:
-the formulas take the 1-D float rows as they are, with no conversion.
+``EVALS_PER_POINT`` table and the benchmark's tracer pin those calls per
+point, and a formula on whole arrays would change them, so such formulas
+wait until the benchmark counts rows instead.  Each call costs about its
+own arithmetic: the formulas take the 1-D float rows as they are, with no
+conversion.
 """
 
 import math
@@ -204,8 +199,7 @@ class MetricEvaluator:
                 if not asked:  # a field asked on no row is not returned
                     continue
                 count = np.count_nonzero(want)
-                if count < len(want):
-                    values[~want] = np.nan
+                values[~want] = np.nan
                 # a row not asked holds nan, so every asked row is finite iff the counts agree
                 if np.count_nonzero(np.isfinite(values)) == count:
                     continue
@@ -220,13 +214,12 @@ class MetricEvaluator:
         mask ``with_f`` asks for, then the numeric P (``p_numeric``) on the
         rows that ``with_p`` asks for; a guess is ignored.  A formula's own
         error, a math overflow or domain error in it, or a non-finite F
-        fails its row alone; a row's error is F's, else P's.  A mask that
-        asks every row passes ``x`` and ``y`` on as they are."""
+        fails its row alone; a row's error is F's, else P's.  A P mask that
+        asks every row passes ``x`` and ``y`` to the quotient as they are."""
         (f, p), errors, at = np.full((2, len(y)), np.nan), [None] * len(y), with_f.nonzero()[0]
         if len(at):
             f_eval, values = self.eval, []  # looked up once: one eval call per F row
-            rows = (x, y) if len(at) == len(y) else (x.take(at, 0), y.take(at, 0))
-            for i, xi, yi in zip(at.tolist(), *rows):
+            for i, xi, yi in zip(at.tolist(), x.take(at, 0), y.take(at, 0)):
                 try:
                     values.append(f_eval(xi, yi))
                     continue

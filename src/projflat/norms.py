@@ -27,41 +27,28 @@ squared length is 0, also when it underflows, is outside the domain of
 every family but ``zero``.
 
 These public methods are implemented once, in ``HomogeneousFunction``:
-they check the input (dimension, finite components, no zero real row),
-evaluate each row at ``y * 2^-e`` with e from ``scale_exponents``, and
-scale a value back by ``2^e`` (``times_pow2``); a gradient has degree 0
-and needs no scale-back.  A power-of-two rescale is exact, so squares
-that would underflow or overflow cost no accuracy, and every family
-commutes with power-of-two scaling bit for bit.  A family implements
-only its row kernels ``_real``, ``_grad`` and ``_complex``.  A kernel
-takes 2-D rows ``(N, n)`` that are finite and in range, with no square
-that underflows or overflows (true of a row whose largest component lies
-in [2^-8, 2^8)), nonzero for ``_real`` and ``_grad``, complex for
-``_complex``; it checks nothing and raises no library error.
-The solvers check and range-scale their rows once per solve and then
-call the kernels directly.
+they check the input and evaluate each row at ``y * 2^-e``, scaling a
+value back by ``2^e`` (a gradient has degree 0 and needs none).  A
+power-of-two rescale is exact, so squares that would underflow or
+overflow cost no accuracy, and every family commutes with power-of-two
+scaling bit for bit.  A family implements only its row kernels ``_real``,
+``_grad`` and ``_complex``, which take rows that are finite and in range
+(no square underflows or overflows, as for a row whose largest component
+lies in [2^-8, 2^8)), nonzero for ``_real`` and ``_grad``; a kernel
+checks nothing and raises no library error, and the solvers check and
+range-scale their rows once per solve and then call the kernels directly.
 
-One more kernel serves the curvature +1 solve, which evaluates
-phi + i psi on the same rows at every step: ``f._complex_pair(g, v)``
-is ``f._complex(v) + 1j * g._complex(v)``, bit for bit.  Its default
-computes exactly that, two kernels and the sum; two families share the
-work of a pair instead.  ``dsr-a`` and ``dsr-b`` on the same blocks
-(either order, or one variant twice) compute |u|^2, i|w|^2 and both
-square roots h+, h- once; ``euclidean``, ``scaled`` and ``randers``
-(any two of them) compute the root sqrt(sum z_k^2) once.  These three
-derive from ``LengthNorm`` and give their continuation as a function of
-that root, ``_on_root``, from which ``LengthNorm._complex`` and the pair
-kernel both compute it.  Each component is formed from the shared
-intermediates by the expressions of its own ``_complex``, so the pair
-keeps the bits of the sum.
-
-The curvature -1 solve evaluates phi + s psi, a ``CombinedNorm``, in
-the same way.  A ``LengthNorm`` also gives its value and gradient as
-functions of v and |v|, ``_on_length`` and ``_grad_on_length``, from
-which its ``_real`` and ``_grad`` compute them; a combination whose terms
-are all LengthNorms computes |v| once per evaluation and calls those.
-Its sum starts from 0, as the per-term sum does, so it keeps the bits of
-the terms' own kernels, a -0.0 sum reading +0.0.
+Two more kernels share work across the terms of a solve's function, with
+the bits of the terms' own kernels.  ``f._complex_pair(g, v)`` is
+``f._complex(v) + 1j * g._complex(v)``, the curvature +1 step: dsr-a
+and dsr-b on the same blocks compute |u|^2, i|w|^2 and both square roots
+once, and any two ``LengthNorm`` families (euclidean, scaled, randers)
+compute the root sqrt(sum z_k^2) once (``_on_root``); each component is
+formed from the shared intermediates by the expressions of its own
+``_complex``.  A ``CombinedNorm`` phi + s psi of LengthNorms, the
+curvature -1 function, computes |v| once per evaluation for its terms'
+``_on_length`` and ``_grad_on_length``; its sum starts from 0, as the
+per-term sum does, so a -0.0 sum reads +0.0.
 
 Complex continuation uses principal square roots throughout (cut on the
 negative real axis, the cut itself resolved from above as in IEEE/numpy),

@@ -20,68 +20,39 @@ with memory 1; Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which
 converge superlinearly without a derivative, and falls back to damped
 Picard iteration when its secant root fails a check or does not attract.
 
-Both solves take rows ``x``, ``y`` of shape ``(N, n)``, and only rows,
-and run every row in lockstep with numpy.  The rows stay in their arrays
-under a boolean mask of the active ones: each step evaluates every row,
-updates the active rows with ``np.where`` (or takes the new values whole
-when every row is active) and counts the active rows with
-``np.count_nonzero``.  The real solve stores a row's value when the loop
-ends, if the row passes its final residual test.  The complex solve runs
-in rounds.  Every row of a round starts from z0 at the same step, so the
-rows share one step count, and only the first round takes secant steps;
-a step forms the Picard step only if some row takes it.  The solve
-judges its rows once per round, when every row of the round has left the
-mask, and restarts the rejected ones together as the next round; it
-keeps the dz and dh of each row's last secant step and divides them
-once, at the judge.  The
-problems are independent per point, so a row gets exactly the steps (and
-bits) it would get in a batch of one.  A row that fails keeps its own
-error in ``SolveResult.errors`` and the others go on.  A combination whose
+Both solves run their rows ``(N, n)`` in lockstep, under a mask of the
+active ones.  The problems are independent per point, so a row gets
+exactly the steps (and bits) it would get in a batch of one, and a row
+that fails keeps its own error in ``SolveResult.errors`` while the others
+go on.  The complex solve runs in rounds: the rows of a round start from
+z0 at the same step, so they share one step count, and the round is
+judged once, when all its rows have left the mask.  A combination whose
 coefficients are per-row columns (``norms.CombinedNorm``) solves a
-different function on each row in the same loop: the pair Phi_+, Phi_- of
-curvature -1 is one solve of phi + s psi with s = +1 on one copy of the
-rows and -1 on the other.
+different function on each row in the same loop: the pair Phi_+, Phi_-
+of curvature -1 is one solve of phi + s psi with s = +1 on one copy of
+the rows and -1 on the other.
 
-A small ask is mostly such bookkeeping, so each mask is skipped where
+A small ask is mostly such bookkeeping, so a few masks are skipped where
 every row is in one state, with the bits the mask would give: the range
-scaling when every y is in range; a step's exit, finite and secant
-masks when every active row's residual lies strictly inside its exit
-bounds (such a residual is finite, so z and g(z) are too, and no row
-leaves); the Picard ``np.where`` when every row takes it; the judge's
-retry and restart masks when every row of the round is kept; and the
-real solve's final failure pass when every row converged.
+scaling when every y is in range; the Newton ``np.where`` when every row
+is active and takes its Newton step; the secant ``np.where`` when every
+row takes the secant step; the judge's retry and restart masks when
+every row of the round is kept; and the real solve's final failure pass
+when every row converged.
 
-Either solve takes an optional per-row first iterate ``guess``, such as
-a prediction from a nearby solved point.  Where it is finite, the real
-solve starts its Newton steps from it, clipped into the bracket that it
-still expands from t0, and the complex solve starts its first round from
-it, while z0 still sets the scale, floor and blow-up of every row and the
-restarts.  Every check and exit test is the same.  A guessed row that
-the guessed pass does not settle (one still active after GUESS_STEPS
-steps, a real row that fails, a complex row that the first round does
-not keep) is solved again by the cold path, the solve without a guess,
-on every row, and takes that row's value, eta, residual and error; the
-iterations of both passes are counted.  So a guess can only shorten a
-solve: a guessed row either settles within GUESS_STEPS steps of its
-guess or gives what the cold path gives.  A guess within rounding of
-the root, such as the ray law's, settles on its first step.
+A per-row first iterate ``guess``, such as the ray law's prediction from
+a nearby solved point, can only shorten a solve: every check and exit
+test is unchanged, z0 still sets the complex scale, floor and blow-up,
+and a guessed row that does not settle within GUESS_STEPS steps (or that
+the first complex round does not keep) is solved again by the cold path
+and takes that row's value, eta, residual and error.  A guess within
+rounding of the root settles on its first step.
 
-Each solve checks its rows once, at entry (one count of the finite
-components, then a per-row check only if one is not finite), and brings
-each y into range by a power of two (see ``_Rows``); the Newton, bracket
-and complex fixed-point loops then call the norms' row kernels
-(``_real``, ``_grad``, and ``_complex_pair`` for the pair phi + i psi),
-which skip the checks and the rescale of the public norm methods.  Each
-evaluation of g is one ``_complex_pair`` call, which has the bits of
-``phi._complex(w) + 1j * psi._complex(w)`` and computes the square
-roots the two components share once (dsr-a with dsr-b, and any two of
-euclidean, scaled and randers, such as Bryant's pair).
-
-The validity-radius estimates are pure functions of the origin data, so
-each is memoized by norm value in a ``functools.lru_cache`` of
-RADIUS_MEMO entries.  A norm is a frozen dataclass that hashes and
-compares by its class and parameters, and an estimate is a deterministic
-function of them, so a memoized estimate has the bits of a fresh one.
+Each solve checks and range-scales its rows once, at entry (``_Rows``);
+its loops then call the norms' row kernels, which check nothing.  The
+validity-radius estimates are pure functions of the origin data, and a
+norm hashes and compares by its class and parameters, so an estimate
+memoized by norm value has the bits of a fresh one.
 """
 
 import functools
@@ -329,13 +300,6 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None,
             t = np.where(act, np.where(newton, t_new, 0.5 * (lo + hi)), t)
         ft, eta, squares = f(t)
         floor, size = _REFINE_FLOOR * (1.0 + np.abs(t)), np.abs(ft)
-        # a residual above the floor and the tolerance keeps its row active:
-        # on a step where every active row has one, no row leaves
-        inside = (size > floor) & (size > target)
-        if active < len(t):
-            inside &= act
-        if np.count_nonzero(inside) == active:
-            continue
         settled = (hi - lo <= floor) & (size <= target)
         act &= ~settled & (size > floor)
         active = np.count_nonzero(act)
@@ -460,15 +424,7 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
             val = g(z)
             h = z - val
             res = np.abs(h)
-            # a residual in (floor, blow_up] is finite, so z and g(z) are too:
-            # on a step where every active row has one, no row leaves and the
-            # finite rows are the active ones
-            inside = (res > floor) & (res <= blow_up)
-            if active < count:
-                inside &= act
-            calm = np.count_nonzero(inside) == active and steps < cfg.max_iterations
-            # not on a parked row, which keeps its z
-            finite = act if calm else act & np.isfinite(val)
+            finite = act & np.isfinite(val)  # not on a parked row, which keeps its z
             # each finite row takes the secant step where it is defined and
             # finite (not on a row's first step, where it is nan), else the
             # Picard step; the Picard step is formed only if a row takes it
@@ -486,13 +442,8 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
                         np.copyto(last, now, where=take)
             if taken < active:
                 picard = keep * z + damping * val
-                if calm and taken == 0 and active == count:
-                    step = picard  # every row takes it
-                else:
-                    step = np.where(finite & ~take if taken else finite, picard, step)
+                step = np.where(finite & ~take if taken else finite, picard, step)
             z_prev, h_prev, z = z, h, step
-            if calm:
-                continue
             if steps == cfg.max_iterations:  # every active row leaves at the cap
                 stay = np.zeros(count, dtype=bool)
             else:

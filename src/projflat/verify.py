@@ -19,25 +19,15 @@ that characterize projectively flat metrics of constant flag curvature:
 
 The jet, the residual functions, ``point_values`` and
 ``integrate_geodesic`` take N points, rows ``x`` and ``y`` of shape
-``(N, n)``, and return one value per row; any other shape is a
-DimensionMismatchError.  Each builds the finite-difference stencils of
-all points up front, each stencil point tagged with the fields it needs
-(F, P or both), and evaluates them together in one rows call with F and P
-masks.  ``pde`` alone evaluates each transport field on its own.  The
-geodesic asks F and P at a construction's starts once, which serve as
-its first RK stage, and then P alone at each later stage, with the ray
-law's prediction (``ray_values``) as a guess for the stage's solves; a
-stage row whose guessed solve does not settle is solved again cold, and
-a closed form asks P alone at every stage.  An error raised is the one
-of the first failing sample.  A check's stencil is one ``(N, M, n)``
-array per side, built from the check's offset table in a few numpy calls
-with the bits of the points added vector by vector (see ``_tables``),
-and its derivatives are read by column slices of the ``(N, M)`` values.
-
-``make_report`` turns a check's residuals over its sample rows into its
-report, the JSON object ``verify`` prints.  ``check_minkowski`` runs the
-strong-convexity test on a norm (such as psi) instead of a metric and
-returns such a report.
+``(N, n)`` (any other shape is a DimensionMismatchError), return one
+value per row, and raise the error of the first failing sample.  Each
+builds the finite-difference stencils of all its points up front, each
+point tagged with the fields it needs, and evaluates them in one rows
+call (``pde``: one per transport field).  A stencil is built from its
+check's offset table in a few numpy calls, with the bits of the points
+added vector by vector (see ``_tables``).  The geodesic solves a
+construction's F and P at its starts once and guesses each later RK
+stage's P from them by the ray law (``ray_values``).
 
 All identity residuals are normalized (absolute residual / (1 + magnitude))
 so one tolerance transfers across evaluation scales.  Derivatives of F use
@@ -303,10 +293,10 @@ def _on_stencil(metric, x, y, blocks):
     ends = list(accumulate(size for _, size, *_ in blocks))
     spans = list(zip([0] + ends, ends))
 
-    def ask(field):  # True, False or the sample-major rows mask
+    def ask(field):  # False or the sample-major rows mask
         on = [(span, samples) for (want, _, *samples), span in zip(blocks, spans) if field in want]
-        if not on or (len(on) == len(blocks) and not any(samples for _, samples in on)):
-            return bool(on)
+        if not on:
+            return False
         rows = np.zeros((count, m), dtype=bool)
         for (a, b), samples in on:
             rows[:, a:b] = samples[0][:, None] if samples else True
