@@ -11,7 +11,8 @@ exits 2 with a message naming the flag.  Vectors, grid bounds and spans,
 tolerance overrides and squared lengths of vectors and grid points must be
 finite; dim, samples, radius, steps and t-end positive; the seed >= 0.
 ``sample`` takes exactly one of --x and --y.  An empty --checks runs every
-check, and an empty --tol-override keeps the defaults.
+check, and an empty --tol-override keeps the defaults.  An --out file that
+cannot be written exits 2 too, after the values are computed.
 """
 
 import argparse
@@ -260,6 +261,18 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to the CSV file ``path``; a file that
+    cannot be written is a parse error of --out."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise SpecParseError(f"--out: cannot write '{path}': {exc.strerror or exc}") from None
+
+
 def cmd_sample(args) -> int:
     fixed_is_y = args.y is not None
     fixed = args.y if fixed_is_y else args.x
@@ -280,12 +293,9 @@ def cmd_sample(args) -> int:
     fixed_cells = list(map(repr, fixed.tolist()))
     header = ([f"x{i+1}" for i in range(dim)] + [f"y{i+1}" for i in range(dim)]
               + ["F", "P", "K"])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([*map(repr, gp), *fixed_cells, *v] if fixed_is_y
-                         else [*fixed_cells, *map(repr, gp), *v]
-                         for gp, v in zip(grid_points.tolist(), values))
+    _write_csv(args.out, header, ([*map(repr, gp), *fixed_cells, *v] if fixed_is_y
+                                  else [*fixed_cells, *map(repr, gp), *v]
+                                  for gp, v in zip(grid_points.tolist(), values)))
     payload = {"out": args.out, "rows": int(grid_points.shape[0]),
                "evaluated": errors.count(None)}
     _emit(payload, f"sample: wrote {payload['rows']} rows to {args.out}")
@@ -303,11 +313,8 @@ def cmd_geodesic(args) -> int:
     if args.out:
         header = (["t"] + [f"x{i+1}" for i in range(args.x.size)]
                   + [f"v{i+1}" for i in range(args.x.size)])
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows([repr(t), *map(repr, p), *map(repr, v)] for t, p, v in zip(
-                traj.times.tolist(), traj.points.tolist(), traj.velocities.tolist()))
+        _write_csv(args.out, header, ([repr(t), *map(repr, p), *map(repr, v)] for t, p, v in zip(
+            traj.times.tolist(), traj.points.tolist(), traj.velocities.tolist())))
         payload["out"] = args.out
     _emit(payload, f"geodesic: collinearity={score:.3e} "
                    f"({'complete' if traj.completed else 'truncated at boundary'})")

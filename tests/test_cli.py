@@ -907,6 +907,10 @@ FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
      "--x --y"),
     (("sample", "--metric", "catalog:funk", "--grid=0:0.5:3,0:0:1", "--x", "0,0", "--y", "0,1",
       "--out", "unused.csv"), "--x"),
+    # an --out file under a missing directory (the test runs in tmp_path)
+    (("sample", "--metric", "catalog:funk", "--grid=0:0.5:3,0:0:1", "--y", "0,1",
+      "--out", "missing/a.csv"), "--out"),
+    (FUNK_GEODESIC + ("--steps", "5", "--out", "missing/g.csv"), "--out"),
 ])
 def test_bad_input_exits_parse_error(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
