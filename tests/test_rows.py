@@ -733,6 +733,10 @@ def test_far_x_fails_its_row_without_a_warning(spec):
         rows = metric.rows(x, y, with_f=False, with_p=True)
     assert isinstance(rows.errors[0], SolverError) and np.isnan(rows.p[0])
     assert rows.errors[1] is None and rows.p[1] == metric.rows(x[1:], y[1:], with_p=True).p[0]
+    # asked for neither, the far row passes the guard but is not solved
+    skipped = metric.rows(x, y, with_f=False, with_p=np.array([False, True]))
+    assert skipped.errors == [None, None] and np.isnan(skipped.p[0])
+    assert skipped.p[1] == rows.p[1]
 
 
 @pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)

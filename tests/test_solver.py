@@ -139,6 +139,15 @@ def test_degenerate_ray(rng):
         res = solve_real(phi, [x], [y])
         eta = y + x * res.value[0]
         assert abs(res.value[0] - np.linalg.norm(eta)) <= 1e-12
+    # at x = (1, 0), y = (-1, 0) the first iterate t0 = |y| = 1 puts eta on
+    # the kink, so that row bisects (to the root 0.5) on a step where every
+    # other row of the batch takes its Newton step
+    x = np.array([[1.0, 0.0], [0.3, 0.1], [0.2, -0.1], [0.05, 0.1], [0.0, 0.2]])
+    y = np.array([[-1.0, 0.0], [0.5, 0.2], [0.0, 1.0], [1.0, 0.3], [0.3, -1.0]])
+    res = solve_real(phi, x, y)
+    assert res.value[0] == 0.5
+    for i in range(len(y)):
+        assert res.value[i] == oracles.solve_real_scalar(phi, x[i], y[i]).value, i
 
 
 def test_master_pde_by_finite_differences(rng):
@@ -381,16 +390,18 @@ def test_uniform_batches_solve_as_alone(monkeypatch):
     is evaluated at z0, once per step and once to judge): the batches on
     which the solves skip their per-row masks.  Each row has, bit for bit,
     the value, eta, residual and error it has solved alone and in the batch
-    joined by a row at x = 0, which leaves on the first step, and a row
-    with a nan, which fails, so that the loop and the judge take their
-    masks.  The batch's iterations are the sum of the rows', and each row
-    matches the one-point solves of ``oracles``, the real bit for bit and
-    the complex within 1e-14 relative."""
-    evaluations = []
+    joined by a row at x = 0, which leaves on the first step, a row with a
+    nan, which fails, so that the loop and the judge take their masks, and
+    a row whose y is scaled by 2^-600, which alone is out of range.  The
+    pair never sees a zero row (the nan row is held at x = y = 0 and
+    evaluated as all ones).  The batch's iterations are the sum of the
+    rows', and each row matches the one-point solves of ``oracles``, the
+    real bit for bit and the complex within 1e-14 relative."""
+    evaluations = []  # per pair call, whether it saw a zero row
     for cls in {type(phi) for _, phi in MASK_PAIRS}:
         pair = cls._complex_pair
-        monkeypatch.setattr(cls, "_complex_pair", lambda self, *args, pair=pair: (
-            evaluations.append(1) or pair(self, *args)))
+        monkeypatch.setattr(cls, "_complex_pair", lambda self, other, v, pair=pair: (
+            evaluations.append(not v.any(axis=-1).all()) or pair(self, other, v)))
     rng = np.random.default_rng(29)
     for psi, phi in MASK_PAIRS:
         d = psi.dimension
@@ -415,11 +426,16 @@ def test_uniform_batches_solve_as_alone(monkeypatch):
                 assert not any(batch.errors)
                 assert batch.iterations == sum(res.iterations for res in alone)
                 extra = sphere_points(rng, d, 2)
-                masked = solve(*args, np.vstack((x, np.zeros((1, d)), np.full((1, d), np.nan))),
-                               np.vstack((y, extra)))
+                tiny = y[:1] * 2.0**-600
+                evaluations.clear()
+                masked = solve(*args, np.vstack((x, np.zeros((1, d)), np.full((1, d), np.nan),
+                                                 x[:1])), np.vstack((y, extra, tiny)))
+                assert not any(evaluations)
                 assert masked.errors[5] is None and isinstance(masked.errors[6], DomainError)
                 zero = solve(*args, np.zeros((1, d)), extra[:1])
-                assert masked.iterations == batch.iterations + zero.iterations
+                small = solve(*args, x[:1], tiny)
+                same_rows(masked, small, 7)
+                assert masked.iterations == batch.iterations + zero.iterations + small.iterations
                 for i, res in enumerate(alone):
                     same_rows(batch, res, i)
                     same_rows(masked, res, i)
