@@ -9,10 +9,11 @@ value is checked by its argparse type as the command line is parsed, before
 a metric is built: a bad value, or a flag the subcommand does not read,
 exits 2 with a message naming the flag.  Vectors, grid bounds and spans,
 tolerance overrides and squared lengths of vectors and grid points must be
-finite; dim, samples, radius, steps and t-end positive; the seed >= 0.
-``sample`` takes exactly one of --x and --y.  An empty --checks runs every
-check, and an empty --tol-override keeps the defaults.  An --out file that
-cannot be written exits 2 too, after the values are computed.
+finite; dim, samples, radius, steps, t-end and the solver flags positive;
+the seed >= 0.  ``sample`` takes exactly one of --x and --y.  An empty
+--checks runs every check, and an empty --tol-override keeps the defaults.
+An --out file that cannot be written exits 2 too, after the values are
+computed.
 """
 
 import argparse
@@ -116,7 +117,7 @@ def _grid(text: str) -> list:
 
 def _solver_cfg(args) -> SolverConfig:
     """Solver settings from the flags that were given; SolverConfig holds
-    the defaults and rejects out-of-range values."""
+    the defaults."""
     flags = {"tolerance": args.solver_tol, "max_iterations": args.solver_iters}
     return SolverConfig(**{k: v for k, v in flags.items() if v is not None})
 
@@ -363,8 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dim", type=_positive_int, default=2)
             p.add_argument("--radius", type=_positive_float, default=0.3)
             p.add_argument("--samples", type=_positive_int, default=samples)
-        p.add_argument("--solver-tol", type=float, default=None)
-        p.add_argument("--solver-iters", type=int, default=None)
+        p.add_argument("--solver-tol", type=_positive_float, default=None)
+        p.add_argument("--solver-iters", type=_positive_int, default=None)
 
     p = sub.add_parser("eval", help="F, P, and numeric K at one point")
     metric_flags(p)

@@ -214,8 +214,7 @@ class MetricEvaluator:
         mask ``with_f`` asks for, then the numeric P (``p_numeric``) on the
         rows that ``with_p`` asks for; a guess is ignored.  A formula's own
         error, a math overflow or domain error in it, or a non-finite F
-        fails its row alone; a row's error is F's, else P's.  A P mask that
-        asks every row passes ``x`` and ``y`` to the quotient as they are."""
+        fails its row alone; a row's error is F's, else P's."""
         (f, p), errors, at = np.full((2, len(y)), np.nan), [None] * len(y), with_f.nonzero()[0]
         if len(at):
             f_eval, values = self.eval, []  # looked up once: one eval call per F row
@@ -235,12 +234,8 @@ class MetricEvaluator:
                 if errors[i] is None:
                     errors[i] = DomainError(f"{self.kind} formula gives F = {f[i]} at this point")
                     f[i] = math.nan
-        asked = np.count_nonzero(with_p)
-        if asked and asked == len(with_p):
-            p, p_errors = p_numeric(self, x, y)
-            errors = [exc or p_exc for exc, p_exc in zip(errors, p_errors)]
-        elif asked:
-            at = with_p.nonzero()[0]
+        at = with_p.nonzero()[0]
+        if len(at):
             p[at], p_errors = p_numeric(self, x.take(at, 0), y.take(at, 0))
             for i, exc in zip(at.tolist(), p_errors):
                 errors[i] = errors[i] or exc

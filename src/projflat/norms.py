@@ -34,9 +34,10 @@ overflow cost no accuracy, and every family commutes with power-of-two
 scaling bit for bit.  A family implements only its row kernels ``_real``,
 ``_grad`` and ``_complex``, which take rows that are finite and in range
 (no square underflows or overflows, as for a row whose largest component
-lies in [2^-8, 2^8)), nonzero for ``_real`` and ``_grad``; a kernel
-checks nothing and raises no library error, and the solvers check and
-range-scale their rows once per solve and then call the kernels directly.
+lies in [2^-8, 2^8)), nonzero for ``_grad``; ``_real``, ``_complex`` and
+the pair kernels give 0 at the zero row.  A kernel checks nothing and
+raises no library error, and the solvers check and range-scale their
+rows once per solve and then call the kernels directly.
 
 Two more kernels share work across the terms of a solve's function, with
 the bits of the terms' own kernels.  ``f._complex_pair(g, v)`` is

@@ -115,7 +115,7 @@ class _Rows:
     The inputs are checked here, once per solve: ``x`` and ``y`` are rows
     ``(N, dimension)`` of one shape (``as_rows``), and a row with a
     non-finite component fails with a DomainError (and is held at
-    x = y = 0, which ``_at`` evaluates as 0).  Each y is brought into
+    x = y = 0, where the kernels give 0).  Each y is brought into
     range by ``scale_exponents``: the solves stop on absolute floors, and
     the fixed point has degree one in y, so ``result`` scales the value,
     eta and residual back by exactly 2^e.  ``x`` and ``y`` are kept in the
@@ -196,23 +196,6 @@ def _settle(res, redo, cold):
     return res
 
 
-def _at(kernel, w, keep):
-    """``kernel`` on the points ``w``, and 0 on the rows where the mask
-    ``keep`` is False (``True`` keeps every row): degree-1 homogeneity
-    forces the value to 0 at the origin.  The kernel sees every row (a
-    dropped row as all ones), so a kernel with per-row coefficients stays
-    aligned with its rows."""
-    if keep is True or np.count_nonzero(keep) == len(keep):
-        return kernel(w)
-    return np.where(keep, kernel(np.where(keep[:, None], w, 1.0)), 0.0)
-
-
-def _complex_nonzero(w):
-    """The rows of ``w`` with a nonzero component; True when every
-    component is nonzero, which one count tells."""
-    return True if np.count_nonzero(w) == w.size else w.any(axis=-1)
-
-
 # a non-finite value fails its own row, and the loops go on evaluating rows
 # that have already left, so they run without numpy's warnings (a far x
 # overflows the shifted argument y + x t)
@@ -233,20 +216,12 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None,
     cfg = cfg or DEFAULT_CONFIG
     rows = _Rows(phi.dimension, x, y, float)
 
-    def value(w):
-        """phi at the points ``w`` (the real kernels need a nonzero
-        squared length), and those squared lengths."""
-        squares = np.vecdot(w, w)
-        return _at(phi._real, w, squares != 0.0), squares
-
     def f(t):
-        """The residual t - phi(eta), the shifted argument eta = y + x t
-        and its squared length."""
+        """The residual t - phi(eta) and the shifted argument eta = y + x t."""
         eta = rows.shifted(t)
-        phi_eta, squares = value(eta)
-        return t - phi_eta, eta, squares
+        return t - phi._real(eta), eta
 
-    t0, squares = value(rows.y)
+    t0 = phi._real(rows.y)
     width = np.maximum(1.0, np.abs(t0))
     lo, hi = t0 - width, t0 + width
     flo, fhi = f(lo)[0], f(hi)[0]
@@ -265,10 +240,10 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None,
         flo, fhi = f(lo)[0], f(hi)[0]
         need &= (flo > 0.0) | (fhi < 0.0)
 
-    kink_scale = 1e-9 * (1.0 + np.sqrt(squares))  # |y|, as ``lengths`` rounds it
+    kink_scale = 1e-9 * (1.0 + lengths(rows.y))
     start, guessed = rows.first_iterate(t0, guess)
     t = np.minimum(np.maximum(start, lo), hi)
-    ft, eta, squares = f(t)
+    ft, eta = f(t)
     target = cfg.tolerance
     iterations = 0
     steps = 0
@@ -292,13 +267,13 @@ def solve_real(phi: HomogeneousFunction, x, y, cfg: SolverConfig = None,
         hi, lo = np.where(up, t, hi), np.where(up, lo, t)
         slope = 1.0 - np.vecdot(phi._grad(eta), rows.x)
         t_new = t - ft / slope
-        newton = ((np.sqrt(squares) > kink_scale) & (slope > 1e-12)
+        newton = ((lengths(eta) > kink_scale) & (slope > 1e-12)
                   & (lo < t_new) & (t_new < hi))
         if active == len(t) and np.count_nonzero(newton) == active:
             t = t_new  # every row active and taking its Newton step
         else:
             t = np.where(act, np.where(newton, t_new, 0.5 * (lo + hi)), t)
-        ft, eta, squares = f(t)
+        ft, eta = f(t)
         floor, size = _REFINE_FLOOR * (1.0 + np.abs(t)), np.abs(ft)
         settled = (hi - lo <= floor) & (size <= target)
         act &= ~settled & (size > floor)
@@ -391,10 +366,9 @@ def solve_complex(phi: HomogeneousFunction, psi: HomogeneousFunction, x, y,
     pair = functools.partial(phi._complex_pair, psi)
 
     def g(z):
-        w = rows.shifted(z)
-        return _at(pair, w, _complex_nonzero(w))
+        return pair(rows.shifted(z))
 
-    z0 = _at(pair, rows.y, _complex_nonzero(rows.y))
+    z0 = pair(rows.y)
     scale = 1.0 + np.abs(z0)
     floor, blow_up = _REFINE_FLOOR * scale, 1e6 * scale
     damping = np.ones(count)

@@ -52,11 +52,11 @@ integrator and the domain guards, not projective flatness.
 import functools
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
-from .construct import STEP_FIRST, error_free, first_errors, flagged, p_numeric, raise_first
+from .construct import (STEP_FIRST, RowValues, error_free, first_errors, flagged, p_numeric,
+                        raise_first)
 from .errors import DomainError
 from .norms import HomogeneousFunction, as_rows, lengths
 from .sampling import unit_directions
@@ -267,20 +267,12 @@ def _hessian(values, step, n):
     return h.reshape(-1, n, n)
 
 
-class _Values(NamedTuple):
-    """One stencil block's fields: ``f`` and ``p`` hold its ``(N, M)``
-    values (nan where not asked; None when no block asks for the field),
-    ``errors`` each sample's first error among the block's points."""
-
-    f: np.ndarray
-    p: np.ndarray
-    errors: list
-
-
 def _on_stencil(metric, x, y, blocks):
     """F and P of ``metric`` on a check's stencil, the points ``x`` and
-    ``y`` ``(N, M, n)`` at N samples, one _Values per block, from one rows
-    call.
+    ``y`` ``(N, M, n)`` at N samples, from one rows call: per block a
+    RowValues whose ``f`` and ``p`` are ``(N, M_block)`` (None when no
+    block asks for the field) and whose ``errors`` are each sample's first
+    error among the block's points.
 
     The blocks split the M points in order.  A block is ``(want, size)``
     or ``(want, size, samples)``: ``want`` is "f", "p" or "fp", the fields
@@ -312,7 +304,7 @@ def _on_stencil(metric, x, y, blocks):
             return [None] * count
         return [next(filter(None, errors[i * m + a:i * m + b]), None) for i in range(count)]
 
-    return [_Values(None if f is None else f[:, a:b], None if p is None else p[:, a:b], first(a, b))
+    return [RowValues(None if f is None else f[:, a:b], None if p is None else p[:, a:b], first(a, b))
             for a, b in spans]
 
 
@@ -421,7 +413,7 @@ def _curvature_stencil(xs, ys):
 
 
 def _curvature(at_u, off_u, h):
-    """K at each row from F and P at (x, u) (the _Values ``at_u``) and P
+    """K at each row from F and P at (x, u) (the RowValues ``at_u``) and P
     at (x +- h u) (``off_u``), and each row's first error.
 
     K = (P^2 - dP) / F^2 is unchanged when F and P scale by 2^e and dP by

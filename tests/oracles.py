@@ -42,8 +42,7 @@ from projflat.cli import CHECK_NAMES, DEFAULT_TOLERANCES, _run_check
 from projflat.construct import NON_FINITE, P_OVERFLOWS, error_free, first_errors, raise_first
 from projflat.norms import combine
 from projflat.sampling import unit_directions
-from projflat.solver import (BRACKET_EXPANSION, RADIUS_DIRECTIONS, _at,
-                             _complex_nonzero, _Rows)
+from projflat.solver import BRACKET_EXPANSION, RADIUS_DIRECTIONS, _Rows
 from projflat.norms import as_rows, lengths
 from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, STEP_SECOND, _mixed_times_y,
                              convexity_residual, jet, make_report)
@@ -602,13 +601,12 @@ def solve_complex_picard(phi, psi, x, y, cfg=None) -> SolveResult:
         return phi._complex(w) + 1j * psi._complex(w)
 
     def g(act, z):
-        w = rows.y[act] + rows.x[act] * z[:, None]
-        return _at(pair, w, _complex_nonzero(w))
+        return pair(rows.y[act] + rows.x[act] * z[:, None])
 
     def fail(act, error):
         rows.fail(np.isin(every, act), error)
 
-    z0 = _at(pair, rows.y, _complex_nonzero(rows.y))
+    z0 = pair(rows.y)
     scale = 1.0 + np.abs(z0)
     damping = np.ones(len(every))
     z = z0.copy()

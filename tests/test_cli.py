@@ -854,12 +854,12 @@ FUNK_HAMEL = ("verify", "--metric", "catalog:funk", "--checks", "hamel")
      "--steps"),
     (("sample", "--metric", "catalog:funk", "--grid=nan:0.5:3,0:0:1", "--y", "0,1",
       "--out", "unused.csv"), "non-finite"),
-    (BRYANT_EVAL + ("--solver-tol", "0"), "tolerance"),
-    (BRYANT_EVAL + ("--solver-tol", "nan"), "tolerance"),
-    (BRYANT_EVAL + ("--solver-tol", "inf"), "tolerance"),
-    (RANDERS_EVAL + ("--solver-tol", "nan"), "tolerance"),
-    (RANDERS_EVAL + ("--solver-tol", "inf"), "tolerance"),
-    (BRYANT_EVAL + ("--solver-iters", "0"), "max_iterations"),
+    (BRYANT_EVAL + ("--solver-tol", "0"), "--solver-tol"),
+    (BRYANT_EVAL + ("--solver-tol", "nan"), "--solver-tol"),
+    (BRYANT_EVAL + ("--solver-tol", "inf"), "--solver-tol"),
+    (RANDERS_EVAL + ("--solver-tol", "nan"), "--solver-tol"),
+    (RANDERS_EVAL + ("--solver-tol", "inf"), "--solver-tol"),
+    (BRYANT_EVAL + ("--solver-iters", "0"), "--solver-iters"),
     (BRYANT_EVAL + ("--solver-damping", "0"), "unrecognized arguments: --solver-damping"),
     (FUNK_GEODESIC + ("--t-end", "nan"), "--t-end"),
     (FUNK_GEODESIC + ("--t-end", "inf"), "--t-end"),

@@ -170,14 +170,20 @@ def test_double_sqrt_commutes_with_powers_of_two(plus, blocks):
         DoubleSqrtNorm(sum(blocks), *blocks, plus=plus), sum(blocks) + plus)
 
 
+# each family, and combinations with and without shared lengths, at dimension d
+MAKERS = {
+    "zero": ZeroNorm,
+    "euclidean": EuclideanNorm,
+    "scaled": lambda d: ScaledNorm(d, -0.7),
+    "randers": lambda d: RandersNorm(d, tuple(np.linspace(0.3, -0.2, d))),
+    "combo": lambda d: combine((1.0, ScaledNorm(d, 0.3)), (-1.0, EuclideanNorm(d))),
+    "combo-dsr": lambda d: combine((0.5, DoubleSqrtNorm(d, 1, d - 1, plus=False)),
+                                   (1.0, RandersNorm(d, (0.2,) * d))),
+}
+
+
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("make", [
-    ZeroNorm, EuclideanNorm, lambda d: ScaledNorm(d, -0.7),
-    lambda d: RandersNorm(d, tuple(np.linspace(0.3, -0.2, d))),
-    lambda d: combine((1.0, ScaledNorm(d, 0.3)), (-1.0, EuclideanNorm(d))),
-    lambda d: combine((0.5, DoubleSqrtNorm(d, 1, d - 1, plus=False)),
-                      (1.0, RandersNorm(d, (0.2,) * d))),
-], ids=["zero", "euclidean", "scaled", "randers", "combo", "combo-dsr"])
+@pytest.mark.parametrize("make", MAKERS.values(), ids=MAKERS.keys())
 def test_every_family_commutes_with_powers_of_two(make, d):
     """Every family evaluates a row at the power-of-two rescale the base
     class applies, so it is exact where the squares under- or overflow."""
@@ -303,6 +309,43 @@ def test_pair_kernel_has_the_bits_of_two_kernels(phi, psi):
         want = phi._complex(w) + 1j * psi._complex(w)
     assert np.array_equal(got, want, equal_nan=True)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+ZERO_ROWS = 3  # the zero row with +0.0 and -0.0 components
+
+
+def kernel_norms(d):
+    """Every family at dimension d, dsr-a and dsr-b over every block
+    split, and the combinations phi + s psi with a scalar s and with the
+    per-row signs s = +-1 of the stacked K = -1 solve on ZERO_ROWS rows."""
+    signs = np.resize([1.0, -1.0], ZERO_ROWS)
+    dsr = [DoubleSqrtNorm(d, k, d - k, plus=plus) for k in range(1, d) for plus in (False, True)]
+    return [make(d) for make in MAKERS.values()] + dsr + [
+        CombinedNorm(d, ((1.0, RandersNorm(d, (0.1,) * d)), (signs, ScaledNorm(d, -0.3)))),
+        CombinedNorm(d, ((1.0, dsr[0]), (signs, dsr[1])))]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernels_give_zero_at_the_zero_row(d):
+    """``_real``, ``_complex`` and ``_complex_pair`` are 0 at the zero row,
+    with no floating-point error: the solves call them on every row,
+    including a failed row held at x = y = 0.  The negative ``scaled``
+    gives -0.0 there, so the test reads value == 0, not its sign.
+    ``_grad`` is nan at the origin, where no gradient exists."""
+    v = np.zeros((ZERO_ROWS, d))
+    v[1], v[2, 0] = -0.0, -0.0
+    w = v + 0j
+    w[1] = complex(-0.0, -0.0)
+    norms = kernel_norms(d)
+    pairs = [pair for pair in PAIRS if pair[0].dimension == d]
+    with np.errstate(all="raise"):
+        for f in norms:
+            assert (f._real(v) == 0.0).all(), f
+            assert (f._complex(w) == 0.0).all(), f
+            for g in norms:
+                assert (f._complex_pair(g, w) == 0.0).all(), (f, g)
+        for phi, psi in pairs:
+            assert (phi._complex_pair(psi, w) == 0.0).all(), (phi, psi)
 
 
 LENGTH_NORMS = (EuclideanNorm(2), ScaledNorm(2, 0.3), ScaledNorm(2, -0.0), ScaledNorm(2, 0.0),
