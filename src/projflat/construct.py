@@ -20,20 +20,6 @@ it raise DomainError instead of returning garbage.
 The builders do not vet psi: ``verify.check_minkowski(psi, 64)["pass"]``
 is False, and the ``convexity`` check of the built metric fails, for a
 psi that is not a Minkowski norm.
-
-``MetricEvaluator.rows`` is the one way to evaluate a metric, on rows
-``(N, n)``, and every metric kind passes its rows through its one point
-guard.  A constructed metric's P is exact, from the same solve as its F;
-a closed form's P is the difference quotient P = F_{x^k} y^k / (2F) of
-``p_numeric`` (Shen).  Nothing else leaves a solve: the transport fields
-that ``verify`` checks are built from F, P and the stated curvature alone.
-
-A closed form keeps exactly one ``eval`` call per F row: the tests'
-``EVALS_PER_POINT`` table and the benchmark's tracer pin those calls per
-point, and a formula on whole arrays would change them, so such formulas
-wait until the benchmark counts rows instead.  Each call costs about its
-own arithmetic: the formulas take the 1-D float rows as they are, with no
-conversion.
 """
 
 import math
@@ -96,20 +82,18 @@ class MetricEvaluator:
 
     ``kind`` is one of constructed-K0 / constructed-Kneg1 /
     constructed-Kpos1 / catalog:<name> / test:broken, and
-    ``intended_curvature`` its constant flag curvature K.  ``rows`` guards
-    the points of every kind and gives F and P on each.  A closed form
+    ``intended_curvature`` its constant flag curvature K.  A closed form
     carries ``f_eval``, its formula at one point on 1-D float rows, which
     ``rows`` calls through ``eval`` once per guarded F row and, for the
-    numeric P, at three points per P row (the count that the tests and the
-    benchmark's tracer check, which is why the formulas are not yet
-    written on arrays); a constructed metric carries ``solve``, which
-    maps the guarded rows ``x``, ``y``, the masks of the rows asked for
-    F and P and a per-row guess ``(F, P)`` (or None) to
-    ``(F, P, errors)`` (see RowValues) from one solve per row, as
-    ``_formula`` does; its F and P may fill rows not asked, which
-    ``rows`` blanks.  The solve maps the guess to its unknown (P at
-    K = 0, P +- F at K = -1, P + iF at K = +1) and hands it to the solver
-    as its first iterate, which can only shorten the solve.
+    numeric P, at three points per P row.  The tests' ``EVALS_PER_POINT``
+    and the benchmark's tracer pin those calls per point, so the formulas
+    stay per point until the benchmark counts rows.  A constructed metric
+    carries ``solve``, which maps the guarded rows ``x``, ``y``, the masks
+    of the rows asked for F and P and a per-row guess ``(F, P)`` (or None)
+    to ``(F, P, errors)`` (see RowValues) from one solve per row; its F
+    and P may fill rows not asked, which ``rows`` blanks.  The solve hands
+    the guess to the solver as the first iterate of its unknown (P at
+    K = 0, P +- F at K = -1, P + iF at K = +1).
     """
 
     kind: str
@@ -151,27 +135,22 @@ class MetricEvaluator:
         asks for, at each row of ``x`` and ``y`` (both ``(N, n)``; any other
         shape is a DimensionMismatchError).
 
-        An ask is a bool for every row or an ``(N,)`` bool mask, and
-        ``rows`` picks its own path: all rows as they are when every row is
-        asked and passes the guard, else the passing rows gathered once.
-        ``f`` and ``p`` hold nan on the rows not asked for them, and are None
-        when their ask is False; a row asked for neither is skipped.
-        ``guess``, a pair ``(F, P)`` of ``(N,)`` arrays or None, predicts
-        each row's values, as the ray law does from a nearby solved point:
-        a constructed metric starts each row's solve from it where it is
-        finite (see ``solver``), which moves a value by no more than the
-        solve's exit floor, and a closed form ignores it.  Every
-        metric kind passes each asked row through this one point guard:
-        finite x, y and squared lengths, y != 0 (a y whose length underflows
-        counts as zero) and, on the rows asked for F, the validity radius.
-        P is not radius-guarded: a constructed P extends beyond the
-        guaranteed ball wherever bracketing succeeds, and a closed form's
-        numeric P guards the points of its own quotient.  The rows go to the
-        constructed metric's solve, or to a closed form's ``_formula``.  A
-        constructed row whose asked F or P comes out not finite fails with a
-        DomainError that names the field, as a closed form's F does in
-        ``_formula``.  A failed row gets nan and its own error; the other
-        rows are unaffected.
+        An ask is a bool for every row or an ``(N,)`` bool mask.  ``f`` and
+        ``p`` hold nan on the rows not asked for them, and are None when
+        their ask is False; a row asked for neither is skipped.  ``guess``,
+        a pair ``(F, P)`` of ``(N,)`` arrays or None, predicts each row's
+        values, as the ray law does from a nearby solved point: a
+        constructed metric starts each row's solve from it where it is
+        finite, which moves a value by no more than the solve's exit floor,
+        and a closed form ignores it.  Every metric kind passes each asked
+        row through this one point guard: finite x, y and squared lengths,
+        y != 0 (a y whose length underflows counts as zero) and, on the rows
+        asked for F, the validity radius.  P is not radius-guarded: a
+        constructed P extends beyond the guaranteed ball wherever
+        bracketing succeeds, and a closed form's numeric P guards the points
+        of its own quotient.  A constructed row whose asked F or P comes out
+        not finite fails with a DomainError that names the field.  A failed
+        row gets nan and its own error; the other rows are unaffected.
         """
         x, y = as_rows(self.dimension, x, y)
         f_rows, p_rows = (ask if isinstance(ask, np.ndarray) else np.full(len(y), ask)

@@ -21,35 +21,6 @@ yield ``(N,)`` values or ``(N, n)`` gradients.  They act along the last
 axis, so they also take the single vector ``(n,)`` that origin data is
 (psi(y) = F(0, y)), and yield a float or complex value or an ``(n,)``
 gradient; it gets the bits of the same vector as a row among others.
-Everything above the norms (the solves, the evaluators and the checks)
-takes rows only; ``as_rows`` is their shape check.  A real row whose
-squared length is 0, also when it underflows, is outside the domain of
-every family but ``zero``.
-
-These public methods are implemented once, in ``HomogeneousFunction``:
-they check the input and evaluate each row at ``y * 2^-e``, scaling a
-value back by ``2^e`` (a gradient has degree 0 and needs none).  A
-power-of-two rescale is exact, so squares that would underflow or
-overflow cost no accuracy, and every family commutes with power-of-two
-scaling bit for bit.  A family implements only its row kernels ``_real``,
-``_grad`` and ``_complex``, which take rows that are finite and in range
-(no square underflows or overflows, as for a row whose largest component
-lies in [2^-8, 2^8)), nonzero for ``_grad``; ``_real``, ``_complex`` and
-the pair kernels give 0 at the zero row.  A kernel checks nothing and
-raises no library error, and the solvers check and range-scale their
-rows once per solve and then call the kernels directly.
-
-Two more kernels share work across the terms of a solve's function, with
-the bits of the terms' own kernels.  ``f._complex_pair(g, v)`` is
-``f._complex(v) + 1j * g._complex(v)``, the curvature +1 step: dsr-a
-and dsr-b on the same blocks compute |u|^2, i|w|^2 and both square roots
-once, and any two ``LengthNorm`` families (euclidean, scaled, randers)
-compute the root sqrt(sum z_k^2) once (``_on_root``); each component is
-formed from the shared intermediates by the expressions of its own
-``_complex``.  A ``CombinedNorm`` phi + s psi of LengthNorms, the
-curvature -1 function, computes |v| once per evaluation for its terms'
-``_on_length`` and ``_grad_on_length``; its sum starts from 0, as the
-per-term sum does, so a -0.0 sum reads +0.0.
 
 Complex continuation uses principal square roots throughout (cut on the
 negative real axis, the cut itself resolved from above as in IEEE/numpy),
@@ -59,10 +30,6 @@ to rounding.
 Every norm is a value: it stores a sequence parameter as a tuple when
 built, so it compares and hashes by its class and parameters (all but a
 combination with per-row coefficients).
-
-``parse_norms`` reads descriptors such as ``scaled:0.3`` through one
-table, ``NORM_FAMILIES``; ``bryant:<alpha>`` names two norms, Bryant's
-origin data psi = cos(alpha)|y| and phi = sin(alpha)|y|.
 """
 
 from dataclasses import dataclass
@@ -121,9 +88,15 @@ class HomogeneousFunction:
 
     A family implements three row kernels, ``_real(v)``, ``_grad(v)`` and
     ``_complex(v)``: the value, the gradient and the complex value on 2-D
-    rows ``(N, n)``, computed with no checks.  The public methods check
-    their input, bring each row into range by a power of two, call the
-    kernel and scale the result back.
+    rows ``(N, n)``.  A kernel takes rows that are finite and in range (no
+    square underflows or overflows, as for a row whose largest component
+    lies in [2^-8, 2^8)), nonzero for ``_grad``; it checks nothing and
+    raises no library error, and ``_real``, ``_complex`` and the pair
+    kernels give 0 at the zero row.  The public methods check their input
+    and evaluate each row at ``y * 2^-e``, scaling a value back by ``2^e``:
+    a power-of-two rescale is exact, so squares that would underflow or
+    overflow cost no accuracy, and every family commutes with power-of-two
+    scaling bit for bit.
     """
 
     dimension: int

@@ -1,36 +1,21 @@
 """Fixed-point solves for the implicit transport fields, on rows.
 
-The real problem is: given a degree-1 homogeneous phi, find the unique t
-with
-
-    t = phi(y + x t),
-
-equivalently the root of f(t) = t - phi(y + x t).  Inside the validity
-ball |x| < 1/(2 sup|grad phi|) the slope of f stays in [1/2, 3/2], so f is
-monotone with a guaranteed sign change: the solver expands a bracket from
-t0 = phi(y) and then runs Newton steps safeguarded by bisection (analytic
-gradients supply f'; near the kink of the degenerate ray y proportional
-to x it falls back to pure bisection).
-
-The complex problem Z = g(Z) = phi(y + x Z) + i psi(y + x Z) is solved by
-fixed-point iteration seeded at phi(y) + i psi(y); g is a contraction on
-the same ball.  Picard steps converge only linearly there, so each row
-takes secant steps on the residual h = z - g(z) (Anderson acceleration
-with memory 1; Walker & Ni, SIAM J. Numer. Anal. 49, 2011), which
-converge superlinearly without a derivative, and falls back to damped
-Picard iteration when its secant root fails a check or does not attract.
+The real problem is t = phi(y + x t) for a degree-1 homogeneous phi.
+Inside the validity ball |x| < 1/(2 sup|grad phi|) the slope of
+t - phi(y + x t) stays in [1/2, 3/2], so it is monotone with a
+guaranteed sign change, which ``solve_real`` brackets before its Newton
+steps (pure bisection near the kink of the ray y proportional to x,
+where phi is not differentiable).  The complex problem
+Z = phi(y + x Z) + i psi(y + x Z) is a contraction on the same ball,
+where Picard steps converge only linearly; ``solve_complex`` takes
+secant steps instead (Anderson acceleration with memory 1; Walker & Ni,
+SIAM J. Numer. Anal. 49, 2011).
 
 Both solves run their rows ``(N, n)`` in lockstep, under a mask of the
 active ones.  The problems are independent per point, so a row gets
 exactly the steps (and bits) it would get in a batch of one, and a row
 that fails keeps its own error in ``SolveResult.errors`` while the others
-go on.  The complex solve runs in rounds: the rows of a round start from
-z0 at the same step, so they share one step count, and the round is
-judged once, when all its rows have left the mask.  A combination whose
-coefficients are per-row columns (``norms.CombinedNorm``) solves a
-different function on each row in the same loop: the pair Phi_+, Phi_-
-of curvature -1 is one solve of phi + s psi with s = +1 on one copy of
-the rows and -1 on the other.
+go on.
 
 A small ask is mostly such bookkeeping, so a few masks are skipped where
 every row is in one state, with the bits the mask would give: the range
@@ -43,16 +28,8 @@ when every row converged.
 A per-row first iterate ``guess``, such as the ray law's prediction from
 a nearby solved point, can only shorten a solve: every check and exit
 test is unchanged, z0 still sets the complex scale, floor and blow-up,
-and a guessed row that does not settle within GUESS_STEPS steps (or that
-the first complex round does not keep) is solved again by the cold path
-and takes that row's value, eta, residual and error.  A guess within
-rounding of the root settles on its first step.
-
-Each solve checks and range-scales its rows once, at entry (``_Rows``);
-its loops then call the norms' row kernels, which check nothing.  The
-validity-radius estimates are pure functions of the origin data, and a
-norm hashes and compares by its class and parameters, so an estimate
-memoized by norm value has the bits of a fresh one.
+and a guessed row that does not settle is solved again by the cold path.
+A guess within rounding of the root settles on its first step.
 """
 
 import functools

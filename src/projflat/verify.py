@@ -18,35 +18,23 @@ that characterize projectively flat metrics of constant flag curvature:
                                  on the line through (x0, v0)
 
 The jet, the residual functions, ``point_values`` and
-``integrate_geodesic`` take N points, rows ``x`` and ``y`` of shape
-``(N, n)`` (any other shape is a DimensionMismatchError), return one
-value per row, and raise the error of the first failing sample.  Each
-builds the finite-difference stencils of all its points up front, each
-point tagged with the fields it needs, and evaluates them in one rows
-call (``pde``: one per transport field).  A stencil is built from its
-check's offset table in a few numpy calls, with the bits of the points
-added vector by vector (see ``_tables``).  The geodesic solves a
-construction's F and P at its starts once and guesses each later RK
-stage's P from them by the ray law (``ray_values``).
+``integrate_geodesic`` take rows ``x`` and ``y`` ``(N, n)`` (any other
+shape is a DimensionMismatchError), return one value per row, and raise
+the error of the first failing sample.
 
 All identity residuals are normalized (absolute residual / (1 + magnitude))
 so one tolerance transfers across evaluation scales.  Derivatives of F use
 step ~ eps^(1/3), derivatives of the P field (itself a difference quotient
 on a closed form) and the mixed and second derivatives of F use step ~
 eps^(1/4), which keeps their round-off floor near 1e-8 instead of 1e-5.
-
-The checks hold their tolerances out to a sweep radius of 0.8 R, R
-being the metric's ``domain_radius``: at d = 2, 50 samples and seed 42,
-every closed form with a finite R passes all six there.  Nearer the
-boundary the fixed steps meet the blow-up of F (at 0.9 R berwald and
-sph-k0 fail hamel; at 0.95 R funk fails hamel and pde), and capping the
-x-steps by the distance to the boundary only moves the failures to
-curvature, berwald or pde.
+The checks hold their tolerances out to a sweep radius of 0.8 R, R being
+the metric's ``domain_radius``; nearer the boundary the fixed steps meet
+the blow-up of F, and capping the x-steps by the distance to the
+boundary only moves the failures to other checks.
 
 The geodesic check cannot fail: v' = -2 P(x, v) v keeps v parallel to v0
-for any P, so every trajectory stays on its line whatever the metric (the
-negative control ``test:broken`` passes it at 5e-16).  It exercises the
-integrator and the domain guards, not projective flatness.
+for any P, so every trajectory stays on its line whatever the metric.  It
+exercises the integrator and the domain guards, not projective flatness.
 """
 
 import functools
@@ -147,14 +135,11 @@ def _axis_points(side, step, n):
 
 def _hessian_points(side, step, n):
     """The points of a central-difference Hessian (read by ``_hessian``):
-    v, then for each i the pair v +- e_i followed by (v +- e_i) +- e_j for
-    each j > i."""
-    points = [()]
-    for i in range(n):
-        points += [((side, i, 1, step),), ((side, i, -1, step),)]
-        points += [((side, i, si, step), (side, j, sj, step))
-                   for j in range(i + 1, n) for si in (1, -1) for sj in (1, -1)]
-    return points
+    v, the gradient's points v +- e_i, then (v +- e_i) +- e_j for each
+    pair i < j."""
+    return [()] + _axis_points(side, step, n) + [
+        ((side, i, si, step), (side, j, sj, step))
+        for i in range(n) for j in range(i + 1, n) for si in (1, -1) for sj in (1, -1)]
 
 
 def _jet_points(n):
@@ -234,35 +219,21 @@ def _gradient(values, step):
 
 
 @functools.lru_cache(maxsize=TABLE_MEMO)
-def _hessian_columns(n):
-    """Where ``_hessian`` reads and writes: the columns of v + e_i, of
-    v - e_i and of each of the four corners of the pairs i < j in a
-    Hessian's values, and the flat ``(n * n)`` positions of the diagonal
-    entries and of the entries (i, j) and (j, i) of those pairs."""
-    plus, corners, pairs = [], [], []
-    column = 1
-    for i in range(n):
-        plus.append(column)
-        column += 2
-        for j in range(i + 1, n):
-            corners.append(range(column, column + 4))
-            pairs.append((i, j))
-            column += 4
-    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    plus = np.array(plus)
-    c0, c1, c2, c3 = np.array(corners, dtype=int).reshape(-1, 4).T
-    return _frozen(plus, plus + 1, c0, c1, c2, c3, np.arange(n) * (n + 1), i * n + j, j * n + i)
+def _pair_positions(n):
+    """The flat ``(n * n)`` positions of the entries (i, j) and (j, i) of
+    each pair i < j, in the order of ``_hessian_points``."""
+    i, j = np.triu_indices(n, 1)
+    return _frozen(i * n + j, j * n + i)
 
 
 def _hessian(values, step, n):
     """The symmetric central-difference Hessian ``(N, n, n)`` from the
     ``(N, M)`` values at ``_hessian_points`` with the per-row step."""
-    plus, minus, *corners, diagonal, upper, lower = _hessian_columns(n)
+    upper, lower = _pair_positions(n)
     step_sq = (step * step)[:, None]
     h = np.empty((len(values), n * n))
-    h[:, diagonal] = (values.take(plus, axis=1) - 2.0 * values[:, :1]
-                      + values.take(minus, axis=1)) / step_sq
-    c0, c1, c2, c3 = (values.take(c, axis=1) for c in corners)
+    h[:, ::n + 1] = (values[:, 1:2 * n:2] - 2.0 * values[:, :1] + values[:, 2:2 * n + 1:2]) / step_sq
+    c0, c1, c2, c3 = (values[:, 2 * n + 1 + c::4] for c in range(4))
     h[:, upper] = h[:, lower] = (c0 - c1 - c2 + c3) / (4.0 * step_sq)
     return h.reshape(-1, n, n)
 
@@ -350,19 +321,13 @@ def _jet_from(values, steps, n) -> JetData:
     start, end = 4 * n + 1, 4 * n * (n + 1) + 1  # the mixed corners, four per (l, k)
     c0, c1, c2, c3 = (values[:, start + c:end:4] for c in range(4))
     mixed = ((c0 - c1 - c2 + c3) / (4.0 * hx2 * hy2)[:, None]).reshape(-1, n, n)
-    hess = _hessian(values[:, end:], hy2, n)
-    hess = 0.5 * (hess + hess.swapaxes(-1, -2))
-    return JetData(values[:, 0], grad_x, grad_y, mixed, hess)
+    return JetData(values[:, 0], grad_x, grad_y, mixed, _hessian(values[:, end:], hy2, n))
 
 
 @_QUIET
 def jet(metric, x, y) -> JetData:
-    """Central-difference jet of F at each row of (x, y).
-
-    First derivatives use step ~ eps^(1/3) * scale; mixed and second
-    derivatives use their own step ~ eps^(1/4) * scale.  Raises
-    DomainError if the stencil leaves the evaluator's domain.
-    """
+    """Central-difference jet of F at each row of (x, y); raises
+    DomainError if the stencil leaves the evaluator's domain."""
     xs, ys = as_rows(metric.dimension, x, y)
     x_points, y_points, sizes, steps = _jet_stencil(xs, ys, "jet")
     [values] = _on_stencil(metric, x_points, y_points, [("f", *sizes)])

@@ -27,6 +27,7 @@ finite-difference stencils point by point, vector by vector, and
 at a time: the references for the offset tables and column reads of
 ``verify``.  ``altered``, ``perturbed`` and ``failing_checks``
 build and run the negative controls of a constructed metric.
+``BENCHMARK_CONSTRUCTIONS`` names the benchmark's four constructions.
 """
 
 import dataclasses
@@ -48,6 +49,9 @@ from projflat.verify import (MINKOWSKI_EIG_FLOOR, STEP_FIRST, STEP_SECOND, _mixe
                              convexity_residual, jet, make_report)
 
 _REFINE_FLOOR = 4.0 * float(np.finfo(float).eps)
+BENCHMARK_CONSTRUCTIONS = ("construct:0:euclidean:randers:0.2,0.1",
+                           "construct:-1:euclidean:scaled:0.3", "construct:1:bryant:0.5236",
+                           "construct:1:dsr-b:1,1:dsr-a:1,1")
 
 
 def _d(x, y):
@@ -70,12 +74,6 @@ def berwald(x, y):
     xx, yy, xy = _d(x, y)
     z = np.sqrt((1.0 - xx) * yy + xy**2)
     return (z + xy) ** 2 / ((1.0 - xx) ** 2 * z)
-
-
-def bryant_complex(alpha, x, y):
-    xx, yy, xy = _d(x, y)
-    w = np.exp(2j * alpha) + xx
-    return float(((-xy + 1j * np.sqrt(w * yy - xy**2 + 0j)) / w).imag)
 
 
 def bryant_abcd(alpha, x, y):
@@ -224,14 +222,13 @@ def axis_step(v, k, step):
 
 def hessian_points(v, step) -> list:
     """The points of a central-difference Hessian, in the order
-    ``hessian_from`` reads their values: ``v``, then for each i the pair
-    ``v +- e_i`` followed by ``v +- e_i +- e_j`` for j > i (e_k is
+    ``hessian_from`` reads their values: ``v``, the ``gradient_points``
+    ``v +- e_i``, then ``v +- e_i +- e_j`` for each pair i < j (e_k is
     ``step`` along component k)."""
     n = v.shape[-1]
-    points = [v]
+    points = [v] + gradient_points(v, step)
     for i in range(n):
         ei = axis_step(v, i, step)
-        points += [v + ei, v - ei]
         for j in range(i + 1, n):
             ej = axis_step(v, j, step)
             points += [v + ei + ej, v + ei - ej, v - ei + ej, v - ei - ej]
@@ -247,6 +244,7 @@ def hessian_from(values, step, n):
     h = np.zeros(np.shape(f0) + (n, n))
     for i in range(n):
         h[..., i, i] = (next(values) - 2.0 * f0 + next(values)) / step_sq
+    for i in range(n):
         for j in range(i + 1, n):
             hij = (next(values) - next(values) - next(values) + next(values)) / (4.0 * step_sq)
             h[..., i, j] = hij

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import f_at, point_values_composed
+from oracles import BENCHMARK_CONSTRUCTIONS, f_at, point_values_composed
 from projflat import MetricEvaluator, as_evaluator, catalog_entry
 from projflat import cli
 from projflat.cli import main, parse_metric
@@ -551,13 +551,7 @@ def test_verify_checks_evaluations_per_point(spec, monkeypatch):
         assert counts["eval"] == (counts["F"] if metric.solve is None else 0), name
 
 
-BENCHMARK_CONSTRUCTIONS = ["construct:0:euclidean:randers:0.2,0.1",
-                           "construct:-1:euclidean:scaled:0.3",
-                           "construct:1:bryant:0.5236",
-                           "construct:1:dsr-b:1,1:dsr-a:1,1"]
-
-
-@pytest.mark.parametrize("spec", BENCHMARK_CONSTRUCTIONS + ["catalog:funk", "test:broken"])
+@pytest.mark.parametrize("spec", BENCHMARK_CONSTRUCTIONS + ("catalog:funk", "test:broken"))
 def test_one_rows_call_per_command_and_check(spec, capsys, tmp_path, monkeypatch):
     # each of these reads every stencil point it needs, F, P or both, from
     # one rows call; a closed form's P rows make one nested rows call for

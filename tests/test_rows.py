@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import f_at, geodesic_coefficients_general
+from oracles import BENCHMARK_CONSTRUCTIONS, f_at, geodesic_coefficients_general
 from projflat import (CombinedNorm, DimensionMismatchError, DomainError,
                       DoubleSqrtNorm, EuclideanNorm, HomogeneousFunction, MetricEvaluator,
                       ProjFlatError, RandersNorm, ScaledNorm, SolverConfig,
@@ -603,14 +603,8 @@ def test_stacked_kneg1_solve_runs_each_norm_once(kernel_rows, monkeypatch):
     assert lengths == [2 * len(y)] * evaluations
 
 
-# the benchmark's four constructions
-BENCH_CONSTRUCTIONS = ("construct:0:euclidean:randers:0.2,0.1",
-                       "construct:-1:euclidean:scaled:0.3", "construct:1:bryant:0.5236",
-                       "construct:1:dsr-b:1,1:dsr-a:1,1")
-
-
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(BENCH_CONSTRUCTIONS), st.integers(0, 2**32 - 1),
+@given(st.sampled_from(BENCHMARK_CONSTRUCTIONS), st.integers(0, 2**32 - 1),
        st.floats(-150.0, 150.0))
 def test_f_and_p_have_degree_one_in_y(spec, seed, log_scale):
     """F(x, s y) = s F(x, y) and P likewise for s in [1e-150, 1e150]; the
@@ -628,7 +622,7 @@ def test_f_and_p_have_degree_one_in_y(spec, seed, log_scale):
     np.testing.assert_allclose(scaled.p / scale, one.p, rtol=1e-12, atol=1e-12 * one.f[0])
 
 
-@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCHMARK_CONSTRUCTIONS)
 def test_point_guard_rejects_non_finite_points(spec):
     """Every metric kind rejects at its one point guard a non-finite x or
     y, a y = 0 (also one whose squared length underflows) and an x beyond
@@ -658,7 +652,7 @@ def test_point_guard_rejects_non_finite_points(spec):
 
 
 @pytest.mark.parametrize("spec, with_f, with_p", [("catalog:funk", True, False)] + [
-    (spec, with_f, with_p) for spec in BENCH_CONSTRUCTIONS
+    (spec, with_f, with_p) for spec in BENCHMARK_CONSTRUCTIONS
     for with_f, with_p in ((True, False), (True, True), (False, True))])
 def test_passing_rows_keep_their_bits_among_failing_rows(spec, with_f, with_p):
     """``rows`` on passing rows alone takes the path with no per-row
@@ -695,7 +689,7 @@ def test_passing_rows_keep_their_bits_among_failing_rows(spec, with_f, with_p):
             assert np.isnan(got[at]).all()
 
 
-@pytest.mark.parametrize("spec", ("catalog:funk",) + BENCH_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", ("catalog:funk",) + BENCHMARK_CONSTRUCTIONS)
 def test_with_f_mask_rows_equal_the_calls_they_replace(spec):
     """A per-row ``with_f`` mask gives its F rows what ``with_f=True``
     gives them (F, radius guard and errors) and its other rows what
@@ -721,7 +715,7 @@ def test_with_f_mask_rows_equal_the_calls_they_replace(spec):
         assert (type(exc), str(exc)) == (type(want), str(want))
 
 
-@pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", BENCHMARK_CONSTRUCTIONS)
 def test_far_x_fails_its_row_without_a_warning(spec):
     """P is not radius-guarded, so an x of 1e150 reaches the solves, where
     y + x t overflows: that row gets a SolverError, with no numpy warning,
@@ -739,7 +733,7 @@ def test_far_x_fails_its_row_without_a_warning(spec):
     assert skipped.p[1] == rows.p[1]
 
 
-@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCHMARK_CONSTRUCTIONS)
 def test_point_guard_rejects_overflowing_squares_without_a_warning(spec):
     """A finite x or y whose squared length overflows (or y whose squared
     length underflows) raises the guard's DomainError with no numpy
@@ -758,7 +752,7 @@ def test_point_guard_rejects_overflowing_squares_without_a_warning(spec):
         assert isinstance(exc, DomainError) and message in str(exc)
 
 
-@pytest.mark.parametrize("spec", ("catalog:funk",) + BENCH_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", ("catalog:funk",) + BENCHMARK_CONSTRUCTIONS)
 def test_numeric_p_rejects_a_non_finite_y_without_a_warning(spec):
     """``projective_factor_numeric`` forms its step |y|-scaled before the
     point guard, so a non-finite or overflowing y must raise the guard's
@@ -771,10 +765,10 @@ def test_numeric_p_rejects_a_non_finite_y_without_a_warning(spec):
                 projective_factor_numeric(metric, [[0.1, 0.0]], [y])
 
 
-@pytest.mark.parametrize("spec, solver", [(BENCH_CONSTRUCTIONS[0], "solve_real"),
-                                          (BENCH_CONSTRUCTIONS[1], "solve_real"),
-                                          (BENCH_CONSTRUCTIONS[2], "solve_complex"),
-                                          (BENCH_CONSTRUCTIONS[3], "solve_complex")])
+@pytest.mark.parametrize("spec, solver", [(BENCHMARK_CONSTRUCTIONS[0], "solve_real"),
+                                          (BENCHMARK_CONSTRUCTIONS[1], "solve_real"),
+                                          (BENCHMARK_CONSTRUCTIONS[2], "solve_complex"),
+                                          (BENCHMARK_CONSTRUCTIONS[3], "solve_complex")])
 def test_one_solve_per_rows_call(monkeypatch, spec, solver):
     """One ``rows`` call makes one solve, K = -1 included: its Phi_+ and
     Phi_- are one stacked ``solve_real`` call."""
@@ -829,7 +823,7 @@ def test_stacked_kneg1_solve_equals_two_solves(d, psi, phi, cfg):
         assert (plus != minus).any()
 
 
-@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCH_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", ("catalog:funk", "test:broken") + BENCHMARK_CONSTRUCTIONS)
 def test_point_values_report_a_zero_y_alike(spec):
     """``eval`` and ``sample`` report a y = 0, or a y whose squared length
     underflows, with the point guard's message for every metric kind: a
@@ -916,7 +910,7 @@ def cold_rows(monkeypatch):
                         guess=None: rows(self, x, y, with_f, with_p))
 
 
-@pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", BENCHMARK_CONSTRUCTIONS)
 def test_guessed_geodesic_check_makes_half_the_kernel_calls(spec, monkeypatch):
     """The ``geodesic`` check on a benchmark construction, its stages
     guessed by the ray law, calls the norm kernels at most half as often
@@ -938,7 +932,7 @@ def test_guessed_geodesic_check_makes_half_the_kernel_calls(spec, monkeypatch):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("spec", BENCH_CONSTRUCTIONS)
+@pytest.mark.parametrize("spec", BENCHMARK_CONSTRUCTIONS)
 def test_guessed_geodesics_move_at_rounding_level(spec, d, monkeypatch):
     """20 trajectories of each benchmark construction, their stages
     guessed, end within 1e-15 of the trajectories with every guess
@@ -959,7 +953,7 @@ def test_a_start_whose_f_fails_integrates_without_a_guess(monkeypatch):
     at a start (nan for x^1 > 0) but its P evaluates, that trajectory has
     the bits it has with every guess dropped, and the others the bits of
     the unaltered construction's guessed trajectories."""
-    metric = parse_metric(BENCH_CONSTRUCTIONS[0], 2, SolverConfig())
+    metric = parse_metric(BENCHMARK_CONSTRUCTIONS[0], 2, SolverConfig())
     blank = oracles.altered(metric, f=lambda x, y, f, p: np.where(x[:, 0] > 0.0, np.nan, f))
     starts = np.array([[0.05, 0.0], [-0.05, 0.02], [0.02, -0.03], [-0.01, 0.0]])
     dirs = np.array([[0.0, 1.0], [0.6, 0.8], [-1.0, 0.5], [0.3, -0.2]])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import hex_text, implicit_derivatives
+from oracles import BENCHMARK_CONSTRUCTIONS, hex_text, implicit_derivatives
 from projflat import (DomainError, DoubleSqrtNorm, EuclideanNorm, RandersNorm,
                       ScaledNorm, SolverConfig, SolverError, ZeroNorm, combine,
                       pair_radius_estimate, parse_norms, radius_estimate,
@@ -578,8 +578,6 @@ def test_a_guessed_stage_evaluates_the_pair_three_times(spec, monkeypatch):
 #     > solver_golden.new && mv solver_golden.new tests/data/solver_golden.json
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "solver_golden.json")
-GEODESIC_SPECS = ("construct:0:euclidean:randers:0.2,0.1", "construct:-1:euclidean:scaled:0.3",
-                  "construct:1:bryant:0.5236", "construct:1:dsr-b:1,1:dsr-a:1,1")
 
 
 def solve_record(res):
@@ -608,7 +606,7 @@ def golden_values():
                                          pair_radius_estimate(phi, psi))):
                 res = solve(*args, u * min(radius, 2.0), y, cfg)
                 out[f"{solve.__name__} pair {pair} config {config}"] = solve_record(res)
-    for spec in GEODESIC_SPECS:
+    for spec in BENCHMARK_CONSTRUCTIONS:
         rng = np.random.default_rng(42)
         starts, dirs = ball_points(rng, 2, 0.3 * 0.3, 5), sphere_points(rng, 2, 5)
         metric = parse_metric(spec, 2, SolverConfig())
